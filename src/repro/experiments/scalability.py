@@ -95,8 +95,7 @@ def run_point(n_receivers: int, with_ne: bool, duration: float, seed: int,
 
 
 def _run_mode(mode: str, n: int, subtrees: int, duration: float, seed: int,
-              drops: tuple[int, ...], scheduler: str | None,
-              packet_pool: bool | None) -> dict:
+              drops: tuple[int, ...]) -> dict:
     net = dumbbell_subtrees(
         n, subtrees=subtrees, bottleneck=HYBRID_BOTTLENECK, seed=seed,
         members="real" if mode == "exact" else "virtual",
@@ -104,12 +103,7 @@ def _run_mode(mode: str, n: int, subtrees: int, duration: float, seed: int,
     if drops:
         net.link("R0", net.subtree_plan.router(0)).loss = (
             DeterministicLoss(drops))
-    cfg = SessionConfig(
-        stop_at=duration,
-        aggregate=(mode == "hybrid"),
-        scheduler=scheduler,
-        packet_pool=packet_pool,
-    )
+    cfg = SessionConfig(stop_at=duration, aggregate=(mode == "hybrid"))
     plan = net.subtree_plan
     hosts = ([plan.identity(k, i) for k in range(subtrees)
               for i in range(plan.sizes[k])] if mode == "exact" else [])
@@ -147,8 +141,6 @@ def exact_vs_hybrid(
     duration: float = 8.0,
     seed: int = 7,
     drops: tuple[int, ...] = (100, 600, 1100),
-    scheduler: str | None = None,
-    packet_pool: bool | None = None,
 ) -> dict:
     """Run the same group exact and hybrid; compare what the oracle pins.
 
@@ -166,10 +158,8 @@ def exact_vs_hybrid(
       *random* loss shifts NAK retry timing between the two modes, so
       goodput is a tolerance comparison, not an equality).
     """
-    exact = _run_mode("exact", n, subtrees, duration, seed, drops,
-                      scheduler, packet_pool)
-    hybrid = _run_mode("hybrid", n, subtrees, duration, seed, drops,
-                       scheduler, packet_pool)
+    exact = _run_mode("exact", n, subtrees, duration, seed, drops)
+    hybrid = _run_mode("hybrid", n, subtrees, duration, seed, drops)
     goodput_rel = (abs(exact["goodput"] - hybrid["goodput"])
                    / max(exact["goodput"], 1.0))
     return {
@@ -264,8 +254,8 @@ def run_hybrid_cell(
     for key, value in point.items():
         result.metrics[f"{label}:{key}"] = value
     # Measured values go through the digest-excluded perf channel:
-    # wall clock and RSS differ run-to-run, and EXP-SCALE's content
-    # digest must stay scheduler/pool-invariant.
+    # wall clock and RSS differ run-to-run and must not reach
+    # EXP-SCALE's content digest.
     measured = {
         "build_s": round(build_s, 4),
         "wall_s": round(wall_s, 4),

@@ -31,7 +31,6 @@ from typing import Any, Callable, Optional
 
 from ..core.loss_filter import DEFAULT_W
 from ..core.sender_cc import CcConfig
-from ..simulator.packet import set_packet_pooling
 from ..simulator.topology import Network
 from ..simulator.trace import FlowTrace
 from ..telemetry import as_registry
@@ -114,12 +113,6 @@ class SessionConfig:
     telemetry: Any = True
     #: sim-clock sampling period for the session probe
     telemetry_interval: float = DEFAULT_PROBE_INTERVAL
-    #: event scheduler for the session's network: "heap" (reference),
-    #: "calendar", or None to keep whatever the Network already uses
-    scheduler: Optional[str] = None
-    #: process-wide packet pooling override (None: leave as configured,
-    #: see ``repro.simulator.packet.set_packet_pooling``)
-    packet_pool: Optional[bool] = None
     #: hybrid-fidelity aggregate mode (repro.pgm.aggregate): requires a
     #: network built by ``dumbbell_subtrees(..., members="virtual")``
     aggregate: bool = False
@@ -326,14 +319,6 @@ def create_session(
             cfg = dataclasses.replace(cfg, **kwargs)
         except TypeError as exc:
             raise TypeError(f"create_session: {exc}") from None
-
-    # Engine knobs first: the scheduler swap migrates pending events
-    # but not direct Simulator references, so it must precede every
-    # agent/guard/injector construction below.
-    if cfg.scheduler is not None:
-        net.use_scheduler(cfg.scheduler)
-    if cfg.packet_pool is not None:
-        set_packet_pooling(cfg.packet_pool)
 
     # Controller and liveness selection fold into CcConfig so the
     # sender (and the runner's cache keys, which hash the config) see

@@ -5,28 +5,18 @@ simulations and of the dummynet testbed in its experiments: an event
 loop with deterministic tie-breaking, plus a small restartable
 :class:`Timer` helper used by the protocol agents.
 
-Two interchangeable schedulers implement the same ``schedule/run``
-API (see docs in DESIGN.md, "Event schedulers"):
-
-* :class:`Simulator` — the default and *reference* implementation: a
-  binary heap with a cached front slot, so chains of
-  schedule-one/fire-one events (the protocol hot path) never touch the
-  heap at all.
-* :class:`CalendarSimulator` — a calendar queue (Brown 1988): events
-  hash into time buckets, one bucket access drains every event at a
-  tick in one batch, and the bucket array resizes itself as load
-  grows.
-
-Use :func:`make_simulator` (or the ``PGMCC_SIM_SCHEDULER`` environment
-variable, or ``SessionConfig.scheduler``) to pick one; both produce
-the identical (time, insertion-order) dispatch total order, which the
-equivalence suite pins down experiment-by-experiment.
+There is one scheduler, :class:`Simulator`: a binary heap with a
+cached front slot, so chains of schedule-one/fire-one events (the
+protocol hot path) never touch the heap at all.  Events dispatch in
+(time, insertion-order) total order (see DESIGN.md, "Event engine and
+the packet pool"); ``tests/simulator/test_engine_properties.py``
+checks that order against an independent naive reference queue.
 
 Event handles
 -------------
 
 For speed, a scheduled event is a plain ``[time, seq, fn, args]``
-list — the heap/bucket entry *is* the handle.  Cancel through the
+list — the heap entry *is* the handle.  Cancel through the
 simulator (``sim.cancel(handle)``) or the module-level
 :func:`cancel_event`; cancellation is lazy (the entry stays queued and
 is discarded when reached).  :func:`describe_event` renders a handle
@@ -38,25 +28,15 @@ payload fields itself.
 from __future__ import annotations
 
 import heapq
-import os
-from bisect import insort
 from typing import Any, Callable, Optional
 
 __all__ = [
     "Event",
     "Simulator",
-    "CalendarSimulator",
     "Timer",
-    "SCHEDULER_ENV",
     "cancel_event",
     "describe_event",
-    "make_simulator",
 ]
-
-#: Environment variable selecting the process-wide default scheduler
-#: ("heap" or "calendar") for :func:`make_simulator` /
-#: :class:`~repro.simulator.topology.Network`.
-SCHEDULER_ENV = "PGMCC_SIM_SCHEDULER"
 
 #: Event handles are plain lists (see module docstring).  The name is
 #: kept so ``from repro.simulator import Event`` and
@@ -103,7 +83,7 @@ class Simulator:
         sim.schedule(1.0, hello)
         sim.run(until=10.0)
 
-    This is the reference scheduler: a binary heap of
+    The queue is a binary heap of
     ``[time, seq, fn, args]`` entries with the earliest event cached
     in a front slot (``_next``) outside the heap.  The invariant is
     that the slot always holds the global minimum (or ``None`` exactly
@@ -118,8 +98,6 @@ class Simulator:
     queue was empty when it was scheduled, so no earlier same-time
     entry can exist anywhere.
     """
-
-    kind = "heap"
 
     __slots__ = ("now", "_heap", "_next", "_seq", "_running", "_stopped",
                  "events_processed")
@@ -202,8 +180,12 @@ class Simulator:
         Stops when the queue is exhausted, when the next event lies
         past ``until`` (the clock is then advanced to ``until``), when
         ``max_events`` have been processed, or when :meth:`stop` is
-        called from inside a callback.
+        called from inside a callback.  Calling ``run()`` from inside a
+        callback is an error: a nested loop would clear a pending
+        :meth:`stop` and could carry the clock past the outer ``until``.
         """
+        if self._running:
+            raise RuntimeError("run() is not re-entrant")
         self._running = True
         self._stopped = False
         heap = self._heap
@@ -279,308 +261,15 @@ class Simulator:
             count += 1
         return count
 
-    def metrics(self) -> dict:
-        """Engine state for telemetry pull-bindings (never touches the
-        hot loop: the registry reads this on demand)."""
-        return {
-            "now": self.now,
-            "events_processed": self.events_processed,
-            "heap_len": len(self._heap) + (1 if self._next is not None else 0),
-            "scheduler": self.kind,
-        }
-
-    # -- migration (Network.use_scheduler) -----------------------------
-
-    def _drain_entries(self) -> list[tuple[float, Callable, tuple]]:
-        """Remove and return all live events as ``(time, fn, args)`` in
-        dispatch order, leaving the simulator empty."""
-        entries = []
-        nxt = self._next
-        if nxt is not None and nxt[2] is not None:
-            entries.append(nxt)
-        entries.extend(ev for ev in self._heap if ev[2] is not None)
-        entries.sort(key=lambda ev: (ev[0], ev[1] if ev[1] is not None else -1))
-        self._next = None
-        self._heap.clear()
-        return [(ev[0], ev[2], ev[3]) for ev in entries]
-
-
-class CalendarSimulator:
-    """Calendar-queue scheduler: same API and dispatch order as
-    :class:`Simulator`, different engine underneath.
-
-    Events hash into ``nbuckets`` circular time buckets of ``width``
-    seconds, each kept sorted by ``(time, seq)``.  Dequeueing scans
-    from the current bucket; one access drains *every* event at the
-    minimal tick in a single batch (same-time events always share a
-    bucket).  A full fruitless lap falls back to a direct min-scan,
-    which also re-anchors the cursor — this keeps sparse/far-future
-    schedules correct when they don't fit the current calendar year.
-    The bucket array doubles whenever occupancy exceeds two events per
-    bucket, re-deriving the width from the observed event-time span.
-
-    Tie-break numbers are assigned eagerly, so the (time, seq) total
-    order is identical to the reference heap's.
-    """
-
-    kind = "calendar"
-
-    __slots__ = ("now", "_seq", "_nb", "_width", "_buckets", "_count",
-                 "_cur", "_running", "_stopped", "events_processed")
-
-    #: bucket-count ceiling for the adaptive resize
-    MAX_BUCKETS = 32768
-
-    def __init__(self, nbuckets: int = 64, width: float = 0.005) -> None:
-        if nbuckets < 1 or nbuckets & (nbuckets - 1):
-            raise ValueError("nbuckets must be a power of two")
-        if width <= 0:
-            raise ValueError("width must be positive")
-        self.now: float = 0.0
-        self._seq = 0
-        self._nb = nbuckets
-        self._width = width
-        self._buckets: list[list[list]] = [[] for _ in range(nbuckets)]
-        self._count = 0  # queued entries, cancelled included until popped
-        self._cur = 0  # virtual bucket number of the scan cursor
-        self._running = False
-        self._stopped = False
-        self.events_processed = 0
-
-    # -- scheduling ----------------------------------------------------
-
-    def schedule(self, delay: float, fn: Callable, *args: Any) -> list:
-        """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self._insert(self.now + delay, fn, args)
-
-    def schedule_at(self, time: float, fn: Callable, *args: Any) -> list:
-        """Schedule ``fn(*args)`` at an absolute simulation time."""
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule at {time:.6f}, clock already at {self.now:.6f}"
-            )
-        return self._insert(time, fn, args)
-
-    def _insert(self, t: float, fn: Callable, args: tuple) -> list:
-        ev = [t, self._seq, fn, args]
-        self._seq += 1
-        insort(self._buckets[int(t / self._width) & (self._nb - 1)], ev)
-        self._count += 1
-        if self._count > 2 * self._nb and self._nb < self.MAX_BUCKETS:
-            self._resize()
-        return ev
-
-    def _reinsert(self, ev: list) -> None:
-        """Put an undispatched entry back, keeping its tie-break number."""
-        insort(self._buckets[int(ev[0] / self._width) & (self._nb - 1)], ev)
-        self._count += 1
-
-    def _resize(self) -> None:
-        entries = [ev for bucket in self._buckets for ev in bucket]
-        nb = self._nb * 2
-        lo = min(ev[0] for ev in entries)
-        hi = max(ev[0] for ev in entries)
-        span = hi - lo
-        if span > 0:
-            # Aim for a handful of events per bucket-window over the
-            # observed span; clamp so the width never collapses.
-            width = max(span * 4.0 / len(entries), 1e-9)
-        else:
-            width = self._width
-        self._nb = nb
-        self._width = width
-        self._buckets = [[] for _ in range(nb)]
-        mask = nb - 1
-        for ev in entries:
-            insort(self._buckets[int(ev[0] / width) & mask], ev)
-        self._resync()
-
-    def _resync(self) -> None:
-        """Re-anchor the scan cursor.
-
-        The cursor must never start ahead of the earliest pending
-        event: ``run(until, max_events)`` advances the clock to
-        ``until`` on a budget stop exactly like the reference heap,
-        which can leave undispatched events *behind* the clock — a
-        cursor anchored at ``now`` would then find a later lap's event
-        first and break the (time, seq) order.
-        """
-        anchor = self.now
-        for bucket in self._buckets:
-            if bucket and bucket[0][0] < anchor:
-                anchor = bucket[0][0]
-        self._cur = int(anchor / self._width)
-
-    def cancel(self, ev: list) -> None:
-        """Cancel a handle returned by :meth:`schedule`/:meth:`schedule_at`."""
-        ev[2] = None
-        ev[3] = ()
-
-    # -- dequeue -------------------------------------------------------
-
-    def _next_batch(self, limit: float) -> Optional[list[list]]:
-        """Remove and return every event at the earliest pending tick
-        (``None`` if nothing is pending at or before ``limit``).
-
-        Same-time events are guaranteed to share a bucket, where they
-        sit as a contiguous sorted run — so one bucket access drains
-        the whole tick.
-        """
-        if self._count == 0:
-            return None
-        nb = self._nb
-        mask = nb - 1
-        width = self._width
-        buckets = self._buckets
-        vb = self._cur
-        for _ in range(nb):
-            bucket = buckets[vb & mask]
-            # The head is due this lap iff its *own* bucket number is
-            # not in the future.  Comparing bucket numbers — the exact
-            # arithmetic _insert used to place it — rather than an
-            # accumulated time ceiling means float rounding can never
-            # push a head just past its window and skip it for a lap.
-            if bucket and int(bucket[0][0] / width) <= vb:
-                self._cur = vb
-                t0 = bucket[0][0]
-                if t0 > limit:
-                    return None
-                j = 1
-                n = len(bucket)
-                while j < n and bucket[j][0] == t0:
-                    j += 1
-                batch = bucket[:j]
-                del bucket[:j]
-                self._count -= j
-                return batch
-            vb += 1
-        # A whole calendar year with nothing due: direct min-scan.
-        best = None
-        for bucket in buckets:
-            if bucket:
-                head = bucket[0]
-                if best is None or (head[0], head[1]) < (best[0][0], best[0][1]):
-                    best = (head, bucket)
-        if best is None:  # only cancelled-and-popped ghosts remain
-            return None
-        head, bucket = best
-        t0 = head[0]
-        if t0 > limit:
-            return None
-        j = 1
-        n = len(bucket)
-        while j < n and bucket[j][0] == t0:
-            j += 1
-        batch = bucket[:j]
-        del bucket[:j]
-        self._count -= j
-        # Re-anchor the cursor at the event we just found.
-        self._cur = int(t0 / width)
-        return batch
-
-    # -- execution -----------------------------------------------------
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        """Process events in time order (same semantics as
-        :meth:`Simulator.run`)."""
-        self._running = True
-        self._stopped = False
-        limit = _INF if until is None else until
-        budget = _INF if max_events is None else max_events
-        processed = 0
-        self._resync()
-        try:
-            while processed < budget and not self._stopped:
-                batch = self._next_batch(limit)
-                if batch is None:
-                    break
-                t = batch[0][0]
-                i = 0
-                n = len(batch)
-                while i < n:
-                    ev = batch[i]
-                    i += 1
-                    fn = ev[2]
-                    if fn is None:
-                        # A fully-cancelled batch must not advance the
-                        # clock (matches the reference heap).
-                        continue
-                    self.now = t
-                    fn(*ev[3])
-                    processed += 1
-                    if self._stopped or processed >= budget:
-                        break
-                while i < n:  # push back the undispatched tail
-                    self._reinsert(batch[i])
-                    i += 1
-        finally:
-            self._running = False
-            self.events_processed += processed
-        if until is not None and self.now < until and not self._stopped:
-            self.now = until
-
-    def stop(self) -> None:
-        """Stop the run loop after the current batch event returns."""
-        self._stopped = True
-
-    def pending(self) -> int:
-        """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for bucket in self._buckets
-                   for ev in bucket if ev[2] is not None)
-
-    def metrics(self) -> dict:
-        """Engine state for telemetry pull-bindings."""
-        return {
-            "now": self.now,
-            "events_processed": self.events_processed,
-            "heap_len": self._count,
-            "scheduler": self.kind,
-        }
-
-    # -- migration (Network.use_scheduler) -----------------------------
-
-    def _drain_entries(self) -> list[tuple[float, Callable, tuple]]:
-        """Remove and return all live events as ``(time, fn, args)`` in
-        dispatch order, leaving the simulator empty."""
-        entries = [ev for bucket in self._buckets
-                   for ev in bucket if ev[2] is not None]
-        entries.sort(key=lambda ev: (ev[0], ev[1]))
-        for bucket in self._buckets:
-            bucket.clear()
-        self._count = 0
-        return [(ev[0], ev[2], ev[3]) for ev in entries]
-
-
-def make_simulator(kind: Optional[str] = None) -> "Simulator | CalendarSimulator":
-    """Build a simulator of the requested ``kind``.
-
-    ``None`` defers to the ``PGMCC_SIM_SCHEDULER`` environment
-    variable, falling back to the reference heap.  Accepted kinds:
-    ``"heap"`` and ``"calendar"``.
-    """
-    if kind is None:
-        kind = os.environ.get(SCHEDULER_ENV) or "heap"
-    if kind == "heap":
-        return Simulator()
-    if kind == "calendar":
-        return CalendarSimulator()
-    raise ValueError(f"unknown scheduler kind {kind!r} "
-                     "(expected 'heap' or 'calendar')")
-
 
 class Timer:
     """A restartable one-shot timer bound to a simulator.
 
     Protocols use this for retransmission timeouts, NAK backoffs and
     stall detection.  ``restart`` supersedes any pending expiry.
-    Works identically on either scheduler.
     """
 
-    def __init__(self, sim: "Simulator | CalendarSimulator",
-                 callback: Callable[[], None]):
+    def __init__(self, sim: Simulator, callback: Callable[[], None]):
         self._sim = sim
         self._callback = callback
         self._event: Optional[list] = None

@@ -18,42 +18,22 @@ stream is exclusive to the model** — exactly the contract
 :mod:`repro.simulator.topology` establishes with its per-link
 ``loss:{link}`` streams.  Models sharing an RNG with other consumers
 must keep ``batch=1`` (the default, which draws directly).
-
-Setting ``PGMCC_LOSS_BACKEND=numpy`` switches the block refill to a
-numpy ``Generator`` seeded from the model's stream.  That backend is
-faster for large batches but draws a *different* uniform sequence, so
-it is opt-in only and never digest-compatible with the default.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Callable, Iterable, Protocol
 
 from .packet import Packet
 
-#: Environment variable selecting the batched-draw backend
-#: ("python" default; "numpy" opt-in, not sequence-compatible).
-LOSS_BACKEND_ENV = "PGMCC_LOSS_BACKEND"
-
 
 def _make_refill(rng: random.Random, batch: int) -> Callable[[], list]:
     """Return a zero-arg callable producing ``batch`` uniforms in [0, 1).
 
-    The default backend list-comprehends ``rng.random()`` so the values
-    are exactly what unbatched calls would have drawn.  The numpy
-    backend (env-gated) derives an independent ``Generator`` from the
-    stream instead.
+    The values are exactly what unbatched ``rng.random()`` calls
+    would have drawn.
     """
-    if os.environ.get(LOSS_BACKEND_ENV, "python").lower() == "numpy":
-        try:
-            import numpy as _np
-        except ImportError:  # pragma: no cover - numpy is in the image
-            _np = None
-        if _np is not None:
-            gen = _np.random.default_rng(rng.getrandbits(64))
-            return lambda: gen.random(batch).tolist()
     draw = rng.random
     return lambda: [draw() for _ in range(batch)]
 

@@ -13,9 +13,8 @@ Pooling and the ownership contract
 process-global free list (:data:`POOL`), so the per-packet allocation
 churn of the old dataclass is gone from the hot path.  ``Packet(...)``
 call sites are unchanged: ``__new__`` transparently reuses a released
-instance when pooling is enabled (``PGMCC_PACKET_POOL``, default on)
-and ``__init__`` re-stamps every field including a fresh ``uid``, so
-pooled and unpooled runs are behaviour-identical.
+instance and ``__init__`` re-stamps every field including a fresh
+``uid``, so a recycled packet is indistinguishable from a new one.
 
 Ownership rules (enforced by the simulator layer, invisible to
 protocol agents — see DESIGN.md "Packet pool"):
@@ -41,7 +40,6 @@ event dumps never render stale pooled fields.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -50,9 +48,6 @@ Address = str
 
 #: Multicast group addresses use this prefix.
 MULTICAST_PREFIX = "mc:"
-
-#: Environment variable gating packet pooling ("0"/"off"/"false" disable).
-POOL_ENV = "PGMCC_PACKET_POOL"
 
 _packet_ids = itertools.count(1)
 
@@ -72,11 +67,10 @@ class PacketPool:
     code; surfaced via ``repro.telemetry`` as ``pool.double_release``).
     """
 
-    __slots__ = ("enabled", "free", "allocated", "reused", "released",
+    __slots__ = ("free", "allocated", "reused", "released",
                  "double_release")
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self.free: list["Packet"] = []
         #: fresh instances constructed
         self.allocated = 0
@@ -95,7 +89,6 @@ class PacketPool:
     def stats(self) -> dict:
         """Counter snapshot for telemetry and leak assertions."""
         return {
-            "enabled": self.enabled,
             "allocated": self.allocated,
             "reused": self.reused,
             "released": self.released,
@@ -113,26 +106,9 @@ class PacketPool:
         self.double_release = 0
 
 
-def _env_pooling() -> bool:
-    return os.environ.get(POOL_ENV, "1").lower() not in ("0", "off", "false")
-
-
 #: The process-global pool.  All ``Packet`` construction and release
-#: goes through it; disable with ``set_packet_pooling(False)`` or
-#: ``PGMCC_PACKET_POOL=0`` (refcount accounting stays on either way).
-POOL = PacketPool(enabled=_env_pooling())
-
-
-def set_packet_pooling(enabled: bool) -> None:
-    """Turn free-list reuse on or off process-wide.
-
-    Disabling also drops the current free list so no stale instance is
-    ever handed out later.  Reference counting and the leak counters
-    are always active — only the recycling is optional.
-    """
-    POOL.enabled = bool(enabled)
-    if not POOL.enabled:
-        POOL.free.clear()
+#: goes through it.
+POOL = PacketPool()
 
 
 class Packet:
@@ -159,7 +135,7 @@ class Packet:
 
     def __new__(cls, *args: Any, **kwargs: Any) -> "Packet":
         pool = POOL
-        if pool.enabled and pool.free and cls is Packet:
+        if pool.free and cls is Packet:
             pool.reused += 1
             return pool.free.pop()
         pool.allocated += 1
@@ -215,7 +191,7 @@ class Packet:
             pool = POOL
             pool.released += 1
             self.payload = None  # drop the payload reference eagerly
-            if pool.enabled and type(self) is Packet:
+            if type(self) is Packet:
                 pool.free.append(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

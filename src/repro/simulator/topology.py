@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .engine import Simulator, make_simulator
+from .engine import Simulator
 from .link import Link
 from .loss_models import BernoulliLoss, LossModel, NoLoss
 from .node import Host, Node, Router
@@ -69,11 +69,8 @@ class Network:
     trees are installed per (group, source) with :meth:`set_group`.
     """
 
-    def __init__(self, sim: Optional[Simulator] = None, seed: int = 0,
-                 scheduler: Optional[str] = None):
-        if sim is not None and scheduler is not None:
-            raise ValueError("pass either sim or scheduler, not both")
-        self.sim = sim if sim is not None else make_simulator(scheduler)
+    def __init__(self, sim: Optional[Simulator] = None, seed: int = 0):
+        self.sim = sim if sim is not None else Simulator()
         self.rng = RngRegistry(seed)
         self.nodes: dict[str, Node] = {}
         self.link_delays: dict[tuple[str, str], float] = {}
@@ -206,32 +203,6 @@ class Network:
 
     # -- execution -----------------------------------------------------------
 
-    def use_scheduler(self, kind: str):
-        """Swap the event scheduler, migrating any pending events.
-
-        Pending (non-cancelled) events transfer with their absolute
-        times, and the clock / processed counter carry over, so the
-        swap is transparent to everything that reaches the engine
-        through ``net.sim`` or a node — which is why it must run
-        *before* protocol agents or fault injectors are attached: those
-        capture a direct ``Simulator`` reference at construction and
-        would keep scheduling onto the old engine.
-        """
-        old = self.sim
-        if old.kind == kind:
-            return old
-        new = make_simulator(kind)
-        new.now = old.now
-        new.events_processed = old.events_processed
-        for t, fn, args in old._drain_entries():
-            new.schedule_at(t, fn, *args)
-        self.sim = new
-        for node in self.nodes.values():
-            node.sim = new
-            for link in node.links.values():
-                link.sim = new
-        return new
-
     def run(self, until: float) -> None:
         self.sim.run(until=until)
 
@@ -247,7 +218,6 @@ def dumbbell(
     bottleneck: LinkSpec,
     access: LinkSpec = ACCESS,
     seed: int = 0,
-    scheduler: Optional[str] = None,
 ) -> Network:
     """``n_left`` hosts -- R0 ==bottleneck== R1 -- ``n_right`` hosts.
 
@@ -255,7 +225,7 @@ def dumbbell(
     The bottleneck applies in both directions (ACK path shares it, as
     in the paper's testbed).
     """
-    net = Network(seed=seed, scheduler=scheduler)
+    net = Network(seed=seed)
     net.add_router("R0")
     net.add_router("R1")
     for i in range(n_left):
@@ -354,7 +324,6 @@ def dumbbell_subtrees(
     bottleneck: LinkSpec = NON_LOSSY,
     access: LinkSpec = ACCESS,
     seed: int = 0,
-    scheduler: Optional[str] = None,
     members: str = "virtual",
     slots: int = 4,
 ) -> Network:
@@ -378,7 +347,7 @@ def dumbbell_subtrees(
         raise ValueError(f"members must be 'real' or 'virtual', not {members!r}")
     plan = SubtreePlan(n_receivers, subtrees, members, slots,
                        _split_sizes(n_receivers, subtrees))
-    net = Network(seed=seed, scheduler=scheduler)
+    net = Network(seed=seed)
     net.add_host("h0")
     net.add_router("R0")
     net.duplex_link("h0", "R0", access)
@@ -409,11 +378,10 @@ def star(
     leaf_spec: LinkSpec,
     access: LinkSpec = ACCESS,
     seed: int = 0,
-    scheduler: Optional[str] = None,
 ) -> Network:
     """One source host ``src`` behind router ``R0``, with ``n_leaves``
     receivers each behind its own independent link (Fig. 7)."""
-    net = Network(seed=seed, scheduler=scheduler)
+    net = Network(seed=seed)
     net.add_host("src")
     net.add_router("R0")
     net.duplex_link("src", "R0", access)
@@ -429,7 +397,6 @@ def two_bottleneck(
     l2: LinkSpec,
     access: LinkSpec = ACCESS,
     seed: int = 0,
-    scheduler: Optional[str] = None,
 ) -> Network:
     """The Fig. 5 topology::
 
@@ -438,7 +405,7 @@ def two_bottleneck(
 
     with the TCP sender ``ts`` co-located with ``src`` behind R0.
     """
-    net = Network(seed=seed, scheduler=scheduler)
+    net = Network(seed=seed)
     for host in ("src", "ts", "pr1", "pr2", "tr"):
         net.add_host(host)
     for router in ("R0", "R1", "R2"):

@@ -7,6 +7,7 @@ test suite too.
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,24 @@ def test_example_runner_restores_registry():
     before = controller_names()
     check_docs.run_doc_examples(ROOT)
     assert controller_names() == before
+
+
+def test_documented_env_vars_are_read():
+    """Every ``PGMCC_*`` variable the docs name is one some code reads,
+    so a deleted switch cannot live on as a documented no-op."""
+    documented = {
+        token
+        for doc in check_docs.iter_markdown(ROOT)
+        for token in re.findall(r"PGMCC_[A-Z_]+", doc.read_text())
+    }
+    candidates = [*(ROOT / "src").rglob("*.py"),
+                  ROOT / "benchmarks" / "conftest.py"]
+    readers = [text for text in (path.read_text() for path in candidates)
+               if "os.environ" in text]
+    dead = sorted(token for token in documented
+                  if not any(token in text for text in readers))
+    assert documented, "the env-var table went missing"
+    assert dead == [], f"documented but never read: {dead}"
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,7 @@
 
 The oracle runs the same group once with full per-receiver engines and
 once through the aggregate-tail subsystem and requires them to agree on
-acker identity, window-trajectory digest and goodput — across both
-schedulers and both packet-pool settings, since hybrid mode must not
-perturb the engine-equivalence lockdown.
+acker identity, window-trajectory digest and goodput.
 
 The hypothesis suite drives arbitrary promote/demote/quarantine/sweep
 sequences against a live manager and asserts the invariants the
@@ -14,7 +12,6 @@ back into the anonymous tail while serving quarantine
 (quarantined-never-acker needs the full engine to exist).
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,15 +19,9 @@ from repro.experiments.scalability import GOODPUT_TOLERANCE, exact_vs_hybrid
 from repro.pgm import SessionConfig, create_session
 from repro.simulator import dumbbell_subtrees
 
-MATRIX = [("heap", True), ("heap", False), ("calendar", True),
-          ("calendar", False)]
 
-
-@pytest.mark.parametrize("scheduler,pooled", MATRIX,
-                         ids=[f"{s}-{'pooled' if p else 'unpooled'}"
-                              for s, p in MATRIX])
-def test_exact_vs_hybrid_oracle(scheduler, pooled):
-    verdict = exact_vs_hybrid(scheduler=scheduler, packet_pool=pooled)
+def test_exact_vs_hybrid_oracle():
+    verdict = exact_vs_hybrid()
     assert verdict["acker_match"], (
         f"elections diverged: exact={verdict['exact']['acker']} "
         f"hybrid={verdict['hybrid']['acker']}")

@@ -90,6 +90,15 @@ class TestSessionConfig:
         with pytest.raises(TypeError, match="create_session"):
             create_session(net, "h0", ["r0"], no_such_option=1)
 
+    def test_removed_engine_fields_fail_loudly(self):
+        # the scheduler / packet-pool switches are gone; a caller still
+        # passing them must hear about it rather than be ignored
+        with pytest.raises(TypeError):
+            SessionConfig(scheduler="heap")
+        net = dumbbell(1, 1, NON_LOSSY)
+        with pytest.raises(TypeError, match="create_session"):
+            create_session(net, "h0", ["r0"], packet_pool=False)
+
     def test_config_sweeps_compose_with_replace(self):
         base = SessionConfig(stop_at=30.0)
         variants = [dataclasses.replace(base, filter_w=w) for w in (2, 8)]

@@ -1,27 +1,18 @@
-"""Unit tests for the discrete-event engine.
-
-The behavioral suites run against *both* schedulers (the reference
-heap and the calendar queue) via the parametrized ``sim`` fixture —
-identical observable semantics is the contract that lets experiments
-select either one.
-"""
+"""Unit tests for the discrete-event engine."""
 
 import pytest
 
 from repro.simulator.engine import (
-    SCHEDULER_ENV,
-    CalendarSimulator,
     Simulator,
     Timer,
     cancel_event,
     describe_event,
-    make_simulator,
 )
 
 
-@pytest.fixture(params=["heap", "calendar"])
-def sim(request):
-    return make_simulator(request.param)
+@pytest.fixture
+def sim():
+    return Simulator()
 
 
 class TestScheduling:
@@ -125,11 +116,24 @@ class TestRunControl:
         sim.cancel(ev)
         assert sim.pending() == 1
 
-    def test_metrics_names_scheduler(self, sim):
-        sim.schedule(1.0, lambda: None)
-        m = sim.metrics()
-        assert m["scheduler"] == sim.kind
-        assert m["heap_len"] == 1
+    def test_run_from_callback_rejected(self, sim):
+        # A nested loop would clear the pending stop() and carry the
+        # clock past the outer ``until``.
+        fired = []
+
+        def inner():
+            sim.stop()
+            with pytest.raises(RuntimeError, match="not re-entrant"):
+                sim.run(until=5.0)
+
+        sim.schedule(1.0, inner)
+        sim.schedule(2.0, fired.append, "t=2")
+        sim.run(until=3.0)
+        assert sim.now == 1.0
+        assert fired == []
+        sim.run(until=3.0)  # the guard resets: a later run() works
+        assert fired == ["t=2"]
+        assert sim.now == 3.0
 
 
 class TestTimer:
@@ -182,60 +186,6 @@ class TestTimer:
         timer.start(1.0)
         sim.run()
         assert fired == [1.0, 2.0, 3.0]
-
-
-class TestFactory:
-    def test_default_is_heap(self, monkeypatch):
-        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
-        assert isinstance(make_simulator(), Simulator)
-
-    def test_explicit_kinds(self):
-        assert isinstance(make_simulator("heap"), Simulator)
-        assert isinstance(make_simulator("calendar"), CalendarSimulator)
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "calendar")
-        assert isinstance(make_simulator(), CalendarSimulator)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_simulator("splay-tree")
-
-
-class TestCalendarInternals:
-    """Calendar-specific mechanics the shared suites don't pin down."""
-
-    def test_adaptive_resize_preserves_all_events(self):
-        sim = CalendarSimulator(nbuckets=4, width=0.01)
-        fired = []
-        for i in range(100):  # far beyond 2 * nbuckets
-            sim.schedule(i * 0.5, fired.append, i)
-        assert sim._nb > 4, "occupancy should have forced a resize"
-        sim.run()
-        assert fired == list(range(100))
-
-    def test_far_future_event_found_by_min_scan(self):
-        sim = CalendarSimulator(nbuckets=8, width=0.001)
-        fired = []
-        sim.schedule(1e6, fired.append, "far")  # many laps ahead
-        sim.schedule(0.5, fired.append, "near")
-        sim.run()
-        assert fired == ["near", "far"]
-        assert sim.now == 1e6
-
-    def test_resume_after_budget_stop_keeps_order(self):
-        # run(until=...) advances the clock on a budget stop; leftover
-        # earlier events must still fire first on resume (regression
-        # for the cursor-ahead-of-pending bug).
-        sim = CalendarSimulator()
-        fired = []
-        for i in range(6):
-            sim.schedule(0.0, fired.append, i)
-        sim.schedule(0.015625, fired.append, "late")
-        sim.run(until=1.0, max_events=3)
-        assert sim.now == 1.0
-        sim.run()
-        assert fired == [0, 1, 2, 3, 4, 5, "late"]
 
 
 class TestEventHandles:

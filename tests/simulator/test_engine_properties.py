@@ -1,12 +1,14 @@
-"""Property-based equivalence: calendar queue vs the reference heap.
+"""Property-based differential test: the engine vs a naive reference.
 
-Hypothesis drives both engines through identical randomized workloads —
+Hypothesis drives :class:`Simulator` and the test-local
+:class:`NaiveSimulator` (a flat list re-sorted on every pop, sharing no
+code with ``engine.py``) through identical randomized workloads —
 schedules from callbacks, zero delays, same-tick ties, far-future
-events (forcing year-lap scans and the min-scan fallback), lazy
-cancellation and chunked runs — and requires the exact same dispatch
-sequence, clock and processed count.  The dispatch sequence is the
-total (time, seq) order, so any tie-break or bucket-boundary bug in
-the calendar shows up as a counterexample.
+events, cancellation and chunked runs — and requires the exact same
+dispatch sequence, clock, processed count and pending count.  The
+dispatch sequence is the total (time, insertion-order) order, so any
+bug in the heap's lazy tie-break numbering or its cached front slot
+shows up as a counterexample.
 """
 
 import pytest
@@ -15,12 +17,49 @@ hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.simulator.engine import CalendarSimulator, Simulator  # noqa: E402
+from repro.simulator.engine import Simulator  # noqa: E402
+
+
+class NaiveSimulator:
+    """Reference queue: eager insertion numbers, full sort per pop."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._queue = []
+        self._inserted = 0
+
+    def schedule(self, delay, fn, *args):
+        entry = (self.now + delay, self._inserted, fn, args)
+        self._inserted += 1
+        self._queue.append(entry)
+        return entry
+
+    def cancel(self, entry):
+        if entry in self._queue:
+            self._queue.remove(entry)
+
+    def pending(self):
+        return len(self._queue)
+
+    def run(self, until=None, max_events=None):
+        fired = 0
+        while self._queue and (max_events is None or fired < max_events):
+            self._queue.sort(key=lambda entry: entry[:2])
+            if until is not None and self._queue[0][0] > until:
+                break
+            self.now, _, fn, args = self._queue.pop(0)
+            fn(*args)
+            fired += 1
+        self.events_processed += fired
+        if until is not None and self.now < until:
+            self.now = until
+
 
 #: One scripted action per scheduled event: which follow-up delays to
 #: schedule (empty: leaf event) and which earlier handle to cancel
 #: (None: no cancellation).  Delays include 0.0 (same-tick ties) and
-#: huge values (far outside the calendar's initial year).
+#: huge values (far-future events parked deep in the heap).
 ACTIONS = st.lists(
     st.tuples(
         st.lists(
@@ -66,8 +105,8 @@ def execute(sim, actions, run_plan):
     for i, _ in enumerate(actions):
         handles.append(sim.schedule(i * 0.37 % 5.0, fire, 1000 + i))
     for until, max_events in run_plan:
-        # Budgeted/bounded chunks exercise resume (the calendar pushes
-        # undispatched same-tick tails back into its buckets).  Every
+        # Budgeted/bounded chunks exercise resume with a same-tick
+        # tail left undispatched behind the advanced clock.  Every
         # chunk gets an event budget: a feedback workload can schedule
         # forever inside any time horizon.
         budget = 400 if max_events is None else min(max_events, 400)
@@ -77,13 +116,13 @@ def execute(sim, actions, run_plan):
 
 @settings(max_examples=200, deadline=None)
 @given(actions=ACTIONS, run_plan=RUN_PLANS)
-def test_calendar_matches_heap_total_order(actions, run_plan):
-    ref = execute(Simulator(), actions, run_plan)
-    cal = execute(CalendarSimulator(), actions, run_plan)
-    assert cal[0] == ref[0], "dispatch (time, order) sequence diverged"
-    assert cal[1] == ref[1], "final clock diverged"
-    assert cal[2] == ref[2], "events_processed diverged"
-    assert cal[3] == ref[3], "pending count diverged"
+def test_heap_matches_reference_total_order(actions, run_plan):
+    ref = execute(NaiveSimulator(), actions, run_plan)
+    heap = execute(Simulator(), actions, run_plan)
+    assert heap[0] == ref[0], "dispatch (time, order) sequence diverged"
+    assert heap[1] == ref[1], "final clock diverged"
+    assert heap[2] == ref[2], "events_processed diverged"
+    assert heap[3] == ref[3], "pending count diverged"
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,7 +143,7 @@ def test_static_schedule_identical_order(times, cancel):
         sim.run()
         return log, sim.now, sim.events_processed
 
-    assert run(CalendarSimulator()) == run(Simulator())
+    assert run(Simulator()) == run(NaiveSimulator())
 
 
 @settings(max_examples=50, deadline=None)
@@ -119,30 +158,17 @@ def test_same_tick_ties_preserve_insertion_order(times):
         sim.run()
         return log
 
-    order = run(CalendarSimulator())
-    assert order == run(Simulator())
+    order = run(Simulator())
+    assert order == run(NaiveSimulator())
     # Within each tick, the insertion index must be increasing.
     for tick in set(times):
         idxs = [i for t, i in order if t == tick]
         assert idxs == sorted(idxs)
 
 
-def test_resize_keeps_pending_events():
-    """Growing past the resize threshold loses nothing and keeps order."""
-    sim = CalendarSimulator(nbuckets=4, width=0.001)
-    log = []
-    n = 300  # >> 2 * nbuckets: forces several adaptive doublings
-    for i in range(n):
-        sim.schedule((i * 7919 % n) * 0.01, log.append, i)
-    assert sim.pending() == n
-    sim.run()
-    assert len(log) == n
-    assert sorted(log) == list(range(n))
-
-
 def test_cancellation_is_lazy_and_excluded():
     """Cancelled events neither fire nor advance the clock, on both."""
-    for make in (Simulator, CalendarSimulator):
+    for make in (Simulator, NaiveSimulator):
         sim = make()
         log = []
         keep = sim.schedule(1.0, log.append, "keep")

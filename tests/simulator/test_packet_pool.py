@@ -10,6 +10,7 @@ to corrupt free lists in pooled designs).
 
 import pytest
 
+from repro.experiments.registry import get_experiment
 from repro.pgm import constants as C
 from repro.pgm.network_element import PgmNetworkElement
 from repro.pgm.session import create_session
@@ -24,18 +25,15 @@ from repro.simulator import (
     Packet,
     dumbbell,
     flap_link,
-    set_packet_pooling,
 )
 from repro.simulator.engine import describe_event
 
 
 @pytest.fixture(autouse=True)
 def clean_pool():
-    """Each test starts from zeroed counters and ends pooled-on."""
+    """Each test starts from, and leaves behind, zeroed counters."""
     POOL.reset()
-    set_packet_pooling(True)
     yield
-    set_packet_pooling(True)
     POOL.reset()
 
 
@@ -72,24 +70,6 @@ def test_double_release_is_counted_not_recycled_twice():
     p.release()  # buggy caller
     assert POOL.double_release == 1
     assert len(POOL.free) == frees, "double release must not re-enter the free list"
-
-
-def test_unpooled_keeps_refcounting():
-    set_packet_pooling(False)
-    p = Packet("a", "b", 100)
-    p.release()
-    assert not p.live
-    assert not POOL.free
-    q = Packet("a", "b", 100)
-    assert q is not p
-    assert POOL.outstanding == 1  # q live, p released
-
-
-def test_disabling_pool_drops_free_list():
-    Packet("a", "b", 1).release()
-    assert POOL.free
-    set_packet_pooling(False)
-    assert not POOL.free
 
 
 # -- repr / trace guards (released packets must not resurrect) -----------
@@ -174,11 +154,16 @@ def test_queue_clear_releases_queued_packets():
     assert q.bytes_queued == 0 and len(q) == 0
 
 
-def test_unpooled_session_also_balances():
-    """Refcount accounting holds with recycling off, too."""
-    set_packet_pooling(False)
-    net = dumbbell(1, 2, LOSSY, seed=5)
-    create_session(net, "h0", ["r0", "r1"], stop_at=3.0)
-    net.run(until=6.0)
-    _assert_drained("unpooled session")
-    assert not POOL.free
+#: Fast, structurally diverse registry subset: plain fairness, TCP
+#: competition, NE suppression, scripted faults, ECMP reordering and
+#: bursty (Gilbert) loss.
+REPRESENTATIVE = ("EXP-F3", "EXP-F4", "EXP-F6", "EXP-CHAOS",
+                  "EXP-MPATH", "ABL-BURST")
+
+
+@pytest.mark.parametrize("exp_id", REPRESENTATIVE)
+def test_no_experiment_double_releases(exp_id):
+    """Experiments stop mid-flight, so packets are still outstanding;
+    what must hold is that no owner released a reference twice."""
+    get_experiment(exp_id).run(0.05)
+    assert POOL.double_release == 0, f"{exp_id} double-released a packet"
