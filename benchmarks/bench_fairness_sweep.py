@@ -5,7 +5,7 @@ from conftest import BENCH_SCALE
 from repro.experiments import ablations, fairness_sweep
 
 #: a reduced grid for the bench (the full 18-cell grid runs via
-#: run_all or PGMCC_BENCH_SCALE)
+#: ``python -m repro.runner EXP-SWEEP``)
 QUICK_GRID = tuple(
     (rate, queue, loss)
     for rate in (250_000, 500_000)

@@ -2,8 +2,8 @@
 ablations over the design knobs.
 
 Each module exposes ``run(scale=1.0, ...) -> ExperimentResult``;
-``scale`` shrinks durations for quick runs.  ``main()`` prints the
-figure's table.
+``scale`` shrinks durations for quick runs.  ``registry`` names them
+as ``ExperimentSpec`` entries; ``python -m repro.runner`` runs them.
 """
 
 from . import (

@@ -368,15 +368,3 @@ def run_loss_estimator(scale: float = 1.0, seed: int = 59) -> ExperimentResult:
         result.metrics[f"{estimator}:rate"] = rate
         session.close()
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    for fn in (run_switch_bias, run_rtt_mode, run_dupack, run_ssthresh,
-               run_ne_suppression, run_throughput_model,
-               run_adaptive_ssthresh, run_loss_estimator):
-        print(fn(scale=0.5).report())
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -213,11 +213,3 @@ def run(scale: float = 1.0, seed: int = 97,
                     "unrecoverable", "invariant_violations"):
             result.metrics[f"{prefix}:{key}"] = row[key]
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run(scale=0.5).report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

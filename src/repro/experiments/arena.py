@@ -200,6 +200,28 @@ def rank_controllers(bouts: dict[tuple[str, str], dict]) -> list[dict]:
             for r in rows]
 
 
+def matrix_table(bouts: dict[tuple[str, str], dict]) -> dict:
+    """``{(controller, scenario): bout}`` -> the ranked rows and the two
+    harness oracles: the one table behind both :func:`run` and the
+    sweep's :func:`aggregate_cells`.
+
+    Controllers missing a scenario (a sweep over a sub-matrix) get no
+    row; the oracles need pgmcc's row.
+    """
+    complete = {name for name, _ in bouts
+                if all((name, s) in bouts for s in SCENARIOS)}
+    rows = rank_controllers({key: bout for key, bout in bouts.items()
+                             if key[0] in complete})
+    metrics: dict[str, object] = {}
+    if "pgmcc" in complete:
+        pgmcc_ratio = bouts[("pgmcc", "clean-tcp")]["fairness_ratio"]
+        metrics["pgmcc_in_envelope"] = in_envelope(pgmcc_ratio)
+        metrics["discriminates"] = any(
+            not in_envelope(bouts[(n, "clean-tcp")]["fairness_ratio"])
+            for n in complete if n != "pgmcc")
+    return {"rows": rows, "metrics": metrics}
+
+
 def run_cell(scale: float = 1.0, seed: int = 23, n_receivers: int = 4,
              controller: str = "pgmcc",
              scenario: str = "clean-tcp") -> ExperimentResult:
@@ -234,26 +256,14 @@ def aggregate_cells(cells: list) -> dict:
 
     ``cells`` is ``[(axes_dict, ExperimentResult), ...]`` as handed
     over by :func:`repro.sweep.aggregate.run_custom_aggregate`.  Each
-    cell's first row is the raw bout; controllers with all three
-    scenarios present get a row in the same ranked table
-    :func:`rank_controllers` builds for the monolithic ``run()``.
+    cell's first row is the raw bout, which is all
+    :func:`matrix_table` needs.
     """
-    bouts: dict[tuple[str, str], dict] = {}
+    bouts = {}
     for _axes, result in cells:
         bout = result.rows[0]
         bouts[(bout["controller"], bout["scenario"])] = bout
-    complete = {name for name, _ in bouts
-                if all((name, s) in bouts for s in SCENARIOS)}
-    rows = rank_controllers({key: bout for key, bout in bouts.items()
-                             if key[0] in complete})
-    metrics: dict[str, object] = {}
-    if "pgmcc" in complete:
-        pgmcc_ratio = bouts[("pgmcc", "clean-tcp")]["fairness_ratio"]
-        metrics["pgmcc_in_envelope"] = in_envelope(pgmcc_ratio)
-        metrics["discriminates"] = any(
-            not in_envelope(bouts[(n, "clean-tcp")]["fairness_ratio"])
-            for n in complete if n != "pgmcc")
-    return {"rows": rows, "metrics": metrics}
+    return matrix_table(bouts)
 
 
 def render_markdown(result: ExperimentResult) -> str:
@@ -310,7 +320,8 @@ def run(scale: float = 1.0, seed: int = 23, n_receivers: int = 4,
                 name, scenario, duration, seed=seed,
                 n_receivers=n_receivers, result=attach,
             )
-    for row in rank_controllers(bouts):
+    table = matrix_table(bouts)
+    for row in table["rows"]:
         result.add_row(**row)
     for (name, scenario), bout in sorted(bouts.items()):
         prefix = f"{name}:{scenario}"
@@ -318,32 +329,6 @@ def run(scale: float = 1.0, seed: int = 23, n_receivers: int = 4,
                     "stall_s", "stalls", "rdata_sent", "unrecoverable",
                     "invariant_violations", "quarantines"):
             result.metrics[f"{prefix}:{key}"] = bout[key]
-    if "pgmcc" in names:
-        pgmcc_ratio = bouts[("pgmcc", "clean-tcp")]["fairness_ratio"]
-        result.metrics["pgmcc_in_envelope"] = in_envelope(pgmcc_ratio)
-        result.metrics["discriminates"] = any(
-            not in_envelope(bouts[(n, "clean-tcp")]["fairness_ratio"])
-            for n in names if n != "pgmcc"
-        )
+    result.metrics.update(table["metrics"])
     result.metrics["markdown_report"] = render_markdown(result)
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import argparse
-    import pathlib
-
-    parser = argparse.ArgumentParser(description="controller arena")
-    parser.add_argument("--scale", type=float, default=0.5)
-    parser.add_argument("--markdown", type=pathlib.Path, default=None,
-                        help="also write the markdown report here")
-    args = parser.parse_args()
-    result = run(scale=args.scale)
-    print(result.report())
-    if args.markdown is not None:
-        args.markdown.write_text(result.metrics["markdown_report"])
-        print(f"markdown report -> {args.markdown}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -245,7 +245,7 @@ class ExperimentSpec:
     #: declared parameter schema (empty = undeclared, permissive)
     params: tuple[ParamSpec, ...] = ()
     #: hidden specs are resolvable by id (sweep cells) but excluded
-    #: from the default full-registry report/sweep and the REGISTRY view
+    #: from the default full-registry report/sweep
     hidden: bool = False
 
     def resolve(self) -> Callable[..., ExperimentResult]:
@@ -289,10 +289,6 @@ class ExperimentSpec:
         """The declared schema as JSON-safe rows (``scale`` included),
         used by ``--list``, the sweep DSL and the cache fingerprint."""
         return [SCALE_PARAM.to_dict()] + [p.to_dict() for p in self.params]
-
-    def schema_digest(self) -> str:
-        return hashlib.sha256(
-            canonical_json(self.schema_doc()).encode()).hexdigest()
 
     def run(self, scale: float = 1.0) -> ExperimentResult:
         return self.resolve()(**self.call_kwargs(scale))

@@ -106,11 +106,3 @@ def run(
         result.metrics[f"{name}:rate@{largest}"] = collapsed
         result.metrics[f"{name}:collapse"] = base / max(collapsed, 1.0)
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run(scale=0.5, group_sizes=(1, 10, 40)).report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

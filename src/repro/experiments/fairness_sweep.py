@@ -94,11 +94,3 @@ def run(scale: float = 1.0, seed: int = 83,
     result.metrics["worst_ratio"] = worst_ratio
     result.metrics["worst_cell"] = worst_cell
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run(scale=0.5).report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -96,11 +96,3 @@ def run(
         result.metrics[f"fec{r}:goodput_data"] = goodput_data
         session.close()
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run(scale=0.5, n_receivers=30).report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -101,11 +101,3 @@ def run(scale: float = 1.0, seed: int = 42) -> ExperimentResult:
 def _std(values: list[int]) -> float:
     mean = sum(values) / len(values)
     return (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

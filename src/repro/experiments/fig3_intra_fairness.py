@@ -88,11 +88,3 @@ def run(scale: float = 1.0, seed: int = 7, c: float = 1.0) -> ExperimentResult:
             if key != "label":
                 result.metrics[f"{label}:{key}"] = value
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -105,11 +105,3 @@ def run(scale: float = 1.0, seed: int = 11, c: float = 1.0,
             if key != "label":
                 result.metrics[f"{label}:{key}"] = value
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -126,11 +126,3 @@ def _acker_at(switches, time: float):
             break
         current = s.new
     return current
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

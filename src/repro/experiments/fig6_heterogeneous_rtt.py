@@ -157,11 +157,3 @@ def run(scale: float = 1.0, seed: int = 13) -> ExperimentResult:
         for key, value in case.items():
             result.metrics[f"{label}:{key}"] = value
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

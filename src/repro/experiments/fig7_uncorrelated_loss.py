@@ -122,11 +122,3 @@ def run(
     session.close()
     tcp.close()
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run(scale=0.3).report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

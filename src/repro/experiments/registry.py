@@ -1,9 +1,12 @@
-"""The experiment registry: ``register_experiment`` and lookups.
+"""The experiment registry: built-in specs, ``register_experiment``, lookups.
 
 Mirrors the controller registry
 (:func:`repro.core.controller.register_controller`): experiments are
-registered process-globally by id, so third-party code can add its own
-entries without editing ``run_all.py``::
+registered process-globally by id.  The built-in specs — one per
+figure, extension and ablation of the report, each with its declared
+parameter schema — are in the table at the bottom of this module and
+are registered when it is imported; third-party code adds its own
+entries through the same call::
 
     from repro.experiments.registry import register_experiment
     from repro.experiments.common import ExperimentSpec, ParamSpec
@@ -20,20 +23,18 @@ entries without editing ``run_all.py``::
     def run(scale=1.0, seed=7): ...
 
 Re-registering an id raises — the registry is process-global and a
-silent overwrite would poison sweep/digest reproducibility.  The
-classic ``run_all.REGISTRY`` remains available as a read-only *view*
-of this registry (report entries only, registration order).
+silent overwrite would poison sweep/digest reproducibility.
+``python -m repro.runner`` and ``python -m repro.sweep`` are the two
+ways to run what is registered here.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
-from .common import ExperimentSpec
+from .common import ExperimentSpec, ParamSpec
 
 __all__ = [
-    "RegistryView",
     "experiment_ids",
     "get_experiment",
     "register_experiment",
@@ -45,15 +46,13 @@ __all__ = [
 _REGISTRY: dict[str, ExperimentSpec] = {}
 
 
-def register_experiment(spec: ExperimentSpec | str | None = None,
-                        /, **fields: Any):
+def register_experiment(spec: ExperimentSpec | str, /, **fields: Any):
     """Register an experiment; also usable as a decorator.
 
-    Three spellings:
+    Two spellings:
 
-    * ``register_experiment(ExperimentSpec(...))`` — plain call;
-    * ``register_experiment("EXP-X", module=..., func=..., ...)`` —
-      keyword construction;
+    * ``register_experiment(ExperimentSpec(...))`` — plain call,
+      returns the spec;
     * ``@register_experiment("EXP-X", ...)`` above the runner function
       — ``module``/``func`` come from the function itself and the
       function is returned unchanged.
@@ -63,15 +62,7 @@ def register_experiment(spec: ExperimentSpec | str | None = None,
     if isinstance(spec, ExperimentSpec):
         _add(spec)
         return spec
-    if spec is None:
-        raise TypeError("register_experiment needs an ExperimentSpec "
-                        "or an experiment id")
     exp_id = spec
-
-    if "module" in fields:
-        registered = ExperimentSpec(exp_id, **fields)
-        _add(registered)
-        return registered
 
     def decorator(fn: Callable) -> Callable:
         _add(ExperimentSpec(exp_id, module=fn.__module__,
@@ -84,31 +75,15 @@ def register_experiment(spec: ExperimentSpec | str | None = None,
 def _add(spec: ExperimentSpec) -> None:
     existing = _REGISTRY.get(spec.id)
     if existing is not None:
-        if existing == spec:
-            # idempotent: the exact same spec registered again.  This
-            # happens legitimately when run_all executes both as
-            # __main__ (python -m repro.experiments.run_all) and under
-            # its canonical import name in the same process.
-            return
         raise ValueError(
             f"experiment {spec.id!r} is already registered "
             f"(by {existing.module}); ids are process-global")
     _REGISTRY[spec.id] = spec
 
 
-def _ensure_builtins() -> None:
-    """Import ``run_all`` so the built-in specs are registered before
-    any lookup — a sweep or cache query may be the process's first
-    touch of the experiment layer."""
-    from . import run_all  # noqa: F401 - import-for-side-effect
-
-    del run_all
-
-
 def registered_specs(include_hidden: bool = False) -> list[ExperimentSpec]:
     """Registered specs in registration order (report entries only by
     default; ``include_hidden=True`` adds sweep-cell entries)."""
-    _ensure_builtins()
     return [s for s in _REGISTRY.values() if include_hidden or not s.hidden]
 
 
@@ -119,14 +94,14 @@ def experiment_ids(include_hidden: bool = False) -> list[str]:
 def resolve_experiment_id(exp_id: str) -> Optional[str]:
     """Canonical id for a case-/separator-insensitive spelling
     (``exp_arena`` == ``exp-arena`` == ``EXP-ARENA``), else None."""
-    _ensure_builtins()
     canonical = {key.upper().replace("_", "-"): key for key in _REGISTRY}
     return canonical.get(str(exp_id).upper().replace("_", "-"))
 
 
 def get_experiment(exp_id: str) -> ExperimentSpec:
-    """Spec for an id (normalized spelling accepted).  Raises
-    ``KeyError`` listing the known ids on an unknown one."""
+    """Spec for an id (normalized spelling accepted; hidden sweep-cell
+    specs resolve like any other).  Raises ``KeyError`` listing the
+    known ids on an unknown one."""
     resolved = resolve_experiment_id(exp_id)
     if resolved is None:
         raise KeyError(
@@ -145,34 +120,110 @@ def schema_for_target(target: str) -> Optional[list[dict[str, Any]]]:
     their cache keys shared.  Returns ``None`` when no registered
     experiment matches the target or the schema is undeclared.
     """
-    _ensure_builtins()
     for spec in _REGISTRY.values():
         if f"{spec.module}:{spec.func}" == target and spec.params:
             return spec.schema_doc()
     return None
 
 
-class RegistryView(Sequence):
-    """Read-only, live sequence view of the registry.
+# ---------------------------------------------------------------------------
+# The built-in experiments
+# ---------------------------------------------------------------------------
 
-    ``run_all.REGISTRY`` is one of these: iteration, ``len``, indexing
-    and membership work like the frozen tuple it replaces, but entries
-    registered later (third-party experiments) appear without editing
-    ``run_all.py``.  Hidden (sweep-cell) entries are excluded, exactly
-    like the old report tuple.
-    """
+_SEED = ParamSpec("seed", "int", low=0, help="deterministic RNG seed")
+_CONTROLLERS = ParamSpec(
+    "controllers", "seq",
+    help="subset of registered controller backends (default: all)")
 
-    def __getitem__(self, index):
-        return registered_specs()[index]
+#: Built-in experiments, registered in report order.  A spec is
+#: spawn-safe (module/func strings, no callables); ``repro.runner``
+#: shards the registry across a worker pool.
+_BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
+    ExperimentSpec("EXP-F2", "repro.experiments.fig2_loss_filter",
+                   description="Fig. 2: loss-rate filter at receivers"),
+    ExperimentSpec("EXP-F3", "repro.experiments.fig3_intra_fairness",
+                   description="Fig. 3: intra-protocol fairness"),
+    ExperimentSpec("EXP-F4", "repro.experiments.fig4_inter_fairness",
+                   description="Fig. 4: inter-protocol fairness vs TCP"),
+    ExperimentSpec("EXP-F5", "repro.experiments.fig5_acker_selection",
+                   description="Fig. 5: acker selection/tracking plateaus"),
+    ExperimentSpec("EXP-F6", "repro.experiments.fig6_heterogeneous_rtt",
+                   description="Fig. 6: heterogeneous RTTs + NE suppression"),
+    ExperimentSpec("EXP-F7", "repro.experiments.fig7_uncorrelated_loss",
+                   description="Fig. 7: 50 receivers with uncorrelated loss"),
+    ExperimentSpec("EXP-UNREL", "repro.experiments.unreliable_mode",
+                   description="unreliable mode: cc without repairs"),
+    ExperimentSpec("EXP-FEC", "repro.experiments.fec_scaling", scale_factor=0.5,
+                   description="FEC redundancy ladder vs RDATA repair"),
+    ExperimentSpec("EXP-DTZ", "repro.experiments.drop_to_zero", scale_factor=0.5,
+                   kwargs=(("group_sizes", (1, 10, 40)),),
+                   params=(ParamSpec("group_sizes", "seq",
+                                     default=(1, 10, 40),
+                                     help="receiver-group sizes to compare"),),
+                   description="drop-to-zero: feedback aggregation collapse"),
+    ExperimentSpec("ABL-C", "repro.experiments.ablations", "run_switch_bias",
+                   scale_factor=0.5, description="ablation: acker switch bias c"),
+    ExperimentSpec("ABL-RTT", "repro.experiments.ablations", "run_rtt_mode",
+                   scale_factor=0.5, description="ablation: time vs seq RTT mode"),
+    ExperimentSpec("ABL-DUP", "repro.experiments.ablations", "run_dupack",
+                   scale_factor=0.5, description="ablation: dupack threshold"),
+    ExperimentSpec("ABL-SS", "repro.experiments.ablations", "run_ssthresh",
+                   scale_factor=0.5, description="ablation: initial ssthresh"),
+    ExperimentSpec("ABL-NE", "repro.experiments.ablations", "run_ne_suppression",
+                   scale_factor=0.5, description="ablation: NE NAK suppression"),
+    ExperimentSpec("ABL-MODEL", "repro.experiments.ablations", "run_throughput_model",
+                   scale_factor=0.5, description="ablation: RTT^2*p throughput models"),
+    ExperimentSpec("ABL-ADSS", "repro.experiments.ablations", "run_adaptive_ssthresh",
+                   scale_factor=0.5, description="ablation: adaptive ssthresh"),
+    ExperimentSpec("ABL-TFRC", "repro.experiments.ablations", "run_loss_estimator",
+                   scale_factor=0.5, description="ablation: loss filter vs TFRC estimator"),
+    ExperimentSpec("EXP-MPATH", "repro.experiments.robustness", "run_multipath",
+                   scale_factor=0.5, description="robustness: multipath reordering"),
+    ExperimentSpec("EXP-CHURN", "repro.experiments.robustness", "run_churn",
+                   scale_factor=0.5, description="robustness: receiver churn"),
+    ExperimentSpec("ABL-BURST", "repro.experiments.robustness", "run_bursty_loss",
+                   scale_factor=0.5, description="robustness: bursty (Gilbert) loss"),
+    ExperimentSpec("EXP-CHAOS", "repro.experiments.robustness", "run_chaos",
+                   scale_factor=0.5, description="chaos: scripted faults + invariants"),
+    ExperimentSpec("EXP-ADV", "repro.experiments.adversarial", scale_factor=0.5,
+                   description="adversarial: misbehaving receivers vs guard"),
+    ExperimentSpec("ABL-DELACK", "repro.experiments.ablations", "run_delayed_acks",
+                   scale_factor=0.5, description="ablation: TCP delayed ACKs"),
+    ExperimentSpec("EXP-SWEEP", "repro.experiments.fairness_sweep", scale_factor=0.5,
+                   description="fairness over the 4.3 configuration grid"),
+    ExperimentSpec("EXP-SCALE", "repro.experiments.scalability", scale_factor=0.5,
+                   description="scalability: exact ladder to 200, hybrid to 10^6"),
+    ExperimentSpec("EXP-ARENA", "repro.experiments.arena", scale_factor=0.5,
+                   params=(_SEED, _CONTROLLERS,
+                           ParamSpec("n_receivers", "int", default=4, low=2)),
+                   description="controller arena: pgmcc vs jain/aimd/tfrc"),
+    ExperimentSpec("EXP-RESILIENCE", "repro.experiments.resilience",
+                   scale_factor=0.5,
+                   params=(_SEED, _CONTROLLERS),
+                   description="partition/blackhole/acker-crash recovery "
+                               "matrix with TTR SLO"),
+    # -- sweep cells: one matrix cell per task, for the sweep DSL -----
+    # (hidden: excluded from the default report, addressable by id)
+    ExperimentSpec("EXP-ARENA-CELL", "repro.experiments.arena", "run_cell",
+                   hidden=True,
+                   params=(ParamSpec("seed", "int", default=23, low=0),
+                           ParamSpec("n_receivers", "int", default=4, low=2),
+                           ParamSpec("controller", "str", default="pgmcc"),
+                           ParamSpec("scenario", "str", default="clean-tcp",
+                                     choices=("clean-tcp", "fault",
+                                              "adversary"))),
+                   description="one arena bout: controller x scenario"),
+    ExperimentSpec("EXP-RESILIENCE-CELL", "repro.experiments.resilience",
+                   "run_cell", hidden=True,
+                   params=(ParamSpec("seed", "int", default=31, low=0),
+                           ParamSpec("controller", "str", default="pgmcc"),
+                           ParamSpec("scenario", "str", default="partition",
+                                     choices=("partition", "blackhole",
+                                              "acker-crash")),
+                           ParamSpec("liveness", "bool", default=True)),
+                   description="one recovery bout: controller x fault "
+                               "x watchdog on/off"),
+)
 
-    def __len__(self) -> int:
-        return len(registered_specs())
-
-    def __iter__(self) -> Iterator[ExperimentSpec]:
-        return iter(registered_specs())
-
-    def __contains__(self, item: object) -> bool:
-        return item in registered_specs()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RegistryView of {len(self)} experiments>"
+for _spec in _BUILTIN_SPECS:
+    register_experiment(_spec)

@@ -97,6 +97,12 @@ SAMPLE_DT = 0.25
 #: number of group receivers (r0..rN-1 on the dumbbell's right side)
 N_RECEIVERS = 3
 
+#: the one watchdog-off ``(controller, scenario, liveness)`` cell of
+#: :func:`run`: the same crash with only the generic stall machinery
+#: (two backed-off stall restarts before an election is solicited)
+#: as the recovery path.
+BASELINE_CELL = ("pgmcc", "acker-crash", False)
+
 
 class DeliverySampler:
     """Sim-clock sampler of the group-wide cumulative delivery count.
@@ -251,8 +257,8 @@ def run_cell(scale: float = 1.0, seed: int = 31,
     """One resilience bout as a standalone experiment (the sweep cell).
 
     Exposes ``liveness`` as a real parameter, so a sweep can state the
-    watchdog's value as a per-axis delta (the monolithic ``run()``
-    hard-codes a single watchdog-off baseline cell).
+    watchdog's value as a per-axis delta (``run()`` has the single
+    watchdog-off :data:`BASELINE_CELL`).
     """
     duration = 60.0 * scale
     result = ExperimentResult(
@@ -330,41 +336,35 @@ def run(scale: float = 1.0, seed: int = 31,
             "than the generic stall timer alone"
         ),
     )
-    cells: dict[tuple[str, str], dict] = {}
-    for name in names:
-        for scenario in SCENARIOS:
-            # Ship one session-metrics document: pgmcc under partition
-            # (the scenario the liveness gauges were built for).
-            attach = result if (name == "pgmcc"
-                                and scenario == "partition") else None
-            cells[(name, scenario)] = run_bout(
-                name, scenario, duration, seed=seed, result=attach)
-    for (name, scenario), cell in sorted(cells.items()):
-        result.add_row(**cell)
+    # table order: the watchdog-on matrix by (controller, scenario),
+    # the baseline cell last
+    matrix = sorted({(name, scenario, True)
+                     for name in names for scenario in SCENARIOS})
+    cells: dict[tuple[str, str, bool], dict] = {}
+    for key in matrix + [BASELINE_CELL]:
+        name, scenario, liveness = key
+        # Ship one session-metrics document: pgmcc under partition
+        # (the scenario the liveness gauges were built for).
+        attach = result if (name, scenario) == ("pgmcc", "partition") else None
+        cells[key] = run_bout(name, scenario, duration, seed=seed,
+                              liveness=liveness, result=attach)
+        result.add_row(**cells[key])
+    watchdog_on = [cells[key] for key in matrix]
 
-    # Baseline: same crash, watchdog off — the generic stall machinery
-    # (two backed-off stall restarts before an election is solicited)
-    # is the only recovery path.
-    baseline = run_bout("pgmcc", "acker-crash", duration, seed=seed,
-                        liveness=False)
-    result.add_row(**baseline)
-
-    for (name, scenario), cell in sorted(cells.items()):
-        prefix = f"{name}:{scenario}"
+    for cell in watchdog_on:
+        prefix = f"{cell['controller']}:{cell['scenario']}"
         for key in ("ttr_s", "slo_ok", "p99_stall_s", "goodput_retained",
                     "resyncs", "unrecoverable", "invariant_violations"):
             result.metrics[f"{prefix}:{key}"] = cell[key]
 
-    all_cells = list(cells.values())
     result.metrics["all_recovered"] = all(
-        c["ttr_s"] is not None for c in all_cells)
-    result.metrics["all_slo_ok"] = all(c["slo_ok"] for c in all_cells)
+        c["ttr_s"] is not None for c in watchdog_on)
+    result.metrics["all_slo_ok"] = all(c["slo_ok"] for c in watchdog_on)
     result.metrics["total_invariant_violations"] = sum(
-        c["invariant_violations"] for c in all_cells) + \
-        baseline["invariant_violations"]
+        c["invariant_violations"] for c in cells.values())
     if "pgmcc" in names:
-        wd_ttr = cells[("pgmcc", "acker-crash")]["ttr_s"]
-        st_ttr = baseline["ttr_s"]
+        wd_ttr = cells[("pgmcc", "acker-crash", True)]["ttr_s"]
+        st_ttr = cells[BASELINE_CELL]["ttr_s"]
         result.metrics["ttr_watchdog_s"] = wd_ttr
         result.metrics["ttr_stall_only_s"] = st_ttr
         improvement = (None if wd_ttr is None or st_ttr is None
@@ -374,23 +374,3 @@ def run(scale: float = 1.0, seed: int = 31,
             improvement is not None and improvement > 0)
     result.metrics["markdown_report"] = render_markdown(result)
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import argparse
-    import pathlib
-
-    parser = argparse.ArgumentParser(description="partition resilience")
-    parser.add_argument("--scale", type=float, default=0.5)
-    parser.add_argument("--markdown", type=pathlib.Path, default=None,
-                        help="also write the markdown report here")
-    args = parser.parse_args()
-    result = run(scale=args.scale)
-    print(result.report())
-    if args.markdown is not None:
-        args.markdown.write_text(result.metrics["markdown_report"])
-        print(f"markdown report -> {args.markdown}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -346,13 +346,3 @@ def run_chaos(scale: float = 1.0, seed: int = 83,
     result.attach_telemetry(session, seed=seed)
     session.close()
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    for fn in (run_multipath, run_churn, run_bursty_loss, run_chaos):
-        print(fn(scale=0.5).report())
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

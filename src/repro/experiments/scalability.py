@@ -23,8 +23,7 @@ The experiment has three parts:
 3. a **hybrid ladder** (:func:`run_hybrid_cell`): 10^3 → 10^6
    receivers behind K shared bottlenecks with the aggregate-tail
    subsystem, measuring construction/run wall time, peak RSS,
-   receivers-per-second and bytes-per-receiver.  Cells are independent
-   and can be sharded across the runner's worker pool (``jobs=``).
+   receivers-per-second and bytes-per-receiver.
 """
 
 from __future__ import annotations
@@ -277,58 +276,14 @@ def run_hybrid_cell(
     return result
 
 
-def _merge_cell(result: ExperimentResult, cell: ExperimentResult) -> None:
-    result.metrics.update(cell.metrics)
-    result.perf.update(cell.perf)
-    for row in cell.rows:
-        result.rows.append(row)
-
-
-def run_hybrid_ladder(
-    result: ExperimentResult,
-    sizes: tuple[int, ...],
-    scale: float,
-    seed: int,
-    jobs: int | None = None,
-) -> None:
-    """Run the hybrid cells, optionally sharded over worker processes.
-
-    ``jobs`` > 1 dispatches each cell as an orchestrator task (the
-    runner's worker pool); cells are independent, so this is a pure
-    fan-out.  ``jobs=None``/1 runs them inline — as does a call from
-    inside a runner worker (daemonic processes cannot fork a nested
-    pool, and the outer runner already owns the machine's cores).
-    """
-    if jobs is not None and jobs > 1:
-        import multiprocessing
-
-        if multiprocessing.current_process().daemon:
-            jobs = 1
-    if jobs is not None and jobs > 1 and len(sizes) > 1:
-        from ..runner.orchestrator import Orchestrator
-        from ..runner.specs import ExperimentSpec
-
-        specs = [
-            ExperimentSpec(
-                f"hybrid-{n}",
-                "repro.experiments.scalability",
-                func="run_hybrid_cell",
-                scale_factor=1.0,
-                kwargs=(("n", n), ("seed", seed)),
-                description=f"hybrid cell, {n} receivers",
-            )
-            for n in sizes
-        ]
-        orch = Orchestrator(specs, scale=scale, jobs=jobs)
-        orch.run()
-        for outcome in orch.outcomes:
-            if outcome.status == "ok" and outcome.result is not None:
-                _merge_cell(result, outcome.result)
-            else:
-                result.metrics[f"{outcome.id}:status"] = outcome.status
-    else:
-        for n in sizes:
-            _merge_cell(result, run_hybrid_cell(n, scale=scale, seed=seed))
+def run_hybrid_ladder(result: ExperimentResult, sizes: tuple[int, ...],
+                      scale: float, seed: int) -> None:
+    """Run the hybrid cells in order and fold each into ``result``."""
+    for n in sizes:
+        cell = run_hybrid_cell(n, scale=scale, seed=seed)
+        result.metrics.update(cell.metrics)
+        result.perf.update(cell.perf)
+        result.rows.extend(cell.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +296,6 @@ def run(
     seed: int = 101,
     group_sizes: tuple[int, ...] = (25, 50, 100, 200),
     hybrid_sizes: tuple[int, ...] | None = None,
-    jobs: int | None = None,
 ) -> ExperimentResult:
     duration = 60.0 * scale
     result = ExperimentResult(
@@ -393,16 +347,5 @@ def run(
         # ladder (a 10^6 cell is seconds, but quick lanes are for
         # smoke, not scale measurement).
         hybrid_sizes = HYBRID_SIZES if scale >= 0.4 else HYBRID_SIZES[:2]
-    run_hybrid_ladder(result, hybrid_sizes, scale, seed, jobs=jobs)
+    run_hybrid_ladder(result, hybrid_sizes, scale, seed)
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    from ..runner.orchestrator import auto_jobs
-
-    print(run(scale=0.5, group_sizes=(25, 50, 100),
-              jobs=auto_jobs()).report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

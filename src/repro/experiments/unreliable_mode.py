@@ -88,11 +88,3 @@ def _level_at(app: AdaptiveSource, time: float) -> str:
             break
         current = name
     return current
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run().report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

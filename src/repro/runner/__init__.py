@@ -1,7 +1,7 @@
 """`repro.runner` — parallel experiment orchestration.
 
 The evaluation pipeline (the experiment registry in
-``repro.experiments.run_all`` plus the pytest benches) is a set of
+``repro.experiments.registry`` plus the pytest benches) is a set of
 independent, deterministic simulations — exactly the shape that shards
 across cores.  This package provides:
 
@@ -12,7 +12,7 @@ across cores.  This package provides:
 * :class:`ResultCache` — a content-addressed on-disk store keyed by
   (experiment, kwargs, source fingerprint), shared between sweep runs
   and the bench suite;
-* run manifests (``pgmcc.run-manifest/v1``) and perf-trajectory
+* run manifests (``pgmcc.run-manifest/v2``) and perf-trajectory
   artifacts (``pgmcc.bench-results/v1``);
 * the ``python -m repro.runner`` CLI.
 

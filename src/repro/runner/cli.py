@@ -21,7 +21,7 @@ import sys
 import time
 from pathlib import Path
 
-from ..experiments.run_all import specs_by_id
+from ..experiments.registry import get_experiment, registered_specs
 from .bench import (
     bench_results_from_manifest,
     measure_sim_events_per_sec,
@@ -29,7 +29,7 @@ from .bench import (
 )
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .events import event_printer
-from .orchestrator import Orchestrator, auto_jobs
+from .orchestrator import Orchestrator, jobs_arg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="subset of experiment ids (default: all; "
                              "see --list); a leading 'run' token and "
                              "lowercase/underscore id spellings are accepted")
-    parser.add_argument("-j", "--jobs", default="1",
+    parser.add_argument("-j", "--jobs", type=jobs_arg, default=1,
                         help="worker processes, or 'auto' for one per core "
                              "(default: 1)")
     parser.add_argument("--scale", type=float, default=1.0,
@@ -95,8 +95,6 @@ def _format_param(doc: dict) -> str:
 
 
 def list_registry(file=None) -> None:
-    from ..experiments.registry import registered_specs
-
     out = file or sys.stdout
     specs = registered_specs(include_hidden=True)
     width = max(len(spec.id) for spec in specs)
@@ -118,19 +116,19 @@ def main(argv: list[str] | None = None) -> int:
     if experiments and experiments[0] == "run":
         # ``python -m repro.runner run EXP-ID ...``: tolerate the
         # subcommand-style spelling (common muscle memory from other
-        # runners); ids themselves are normalized in specs_by_id.
+        # runners); ids themselves are normalized in get_experiment.
         experiments = experiments[1:]
     try:
-        specs = specs_by_id(experiments)
+        specs = ([get_experiment(exp_id) for exp_id in experiments]
+                 or registered_specs())
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    jobs = auto_jobs() if args.jobs == "auto" else max(1, int(args.jobs))
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     run_id = time.strftime("run-%Y%m%d-%H%M%S")
 
     orch = Orchestrator(
-        specs, scale=args.scale, jobs=jobs, cache=cache,
+        specs, scale=args.scale, jobs=args.jobs, cache=cache,
         timeout=args.timeout or None, retries=args.retries,
         on_event=None if args.quiet else event_printer())
     manifest = orch.run(run_id=run_id)

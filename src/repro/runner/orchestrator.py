@@ -1,21 +1,18 @@
 """The experiment orchestrator: shard, cache, isolate, retry, report.
 
-Tasks come from the experiment registry (``run_all.REGISTRY`` or any
-list of :class:`ExperimentSpec`).  Each runs in its own worker process
+Tasks come from the experiment registry
+(:func:`repro.experiments.registry.registered_specs`) or any list of
+:class:`ExperimentSpec`.  Each runs in its own worker process
 (one process per attempt, so a crash or hang never poisons a pool
 worker); results travel back over a pipe as plain dicts.  Failures are
 isolated: a raising, crashing or hung task is retried with backoff and,
 if it keeps failing, reported in the manifest while its siblings run to
 completion.
-
-``inline=True`` executes tasks in the calling process instead (no
-timeout enforcement, but the same retry/outcome bookkeeping) — this is
-what the sequential ``pgmcc-experiments`` CLI uses, and it keeps the
-orchestrator usable where ``multiprocessing`` is unwelcome.
 """
 
 from __future__ import annotations
 
+import argparse
 import multiprocessing
 import os
 import time
@@ -27,13 +24,28 @@ from ..experiments.common import ExperimentResult, ExperimentSpec
 from .cache import ResultCache, callable_id, source_fingerprint
 from .events import RunnerEvent, event_printer
 from .manifest import build_manifest
-from .tasks import TaskOutcome, child_entry, error_info
+from .tasks import TaskOutcome, child_entry
 
-__all__ = ["Orchestrator", "auto_jobs"]
+__all__ = ["Orchestrator", "auto_jobs", "jobs_arg"]
 
 
 def auto_jobs() -> int:
     return os.cpu_count() or 1
+
+
+def jobs_arg(text: str) -> int:
+    """argparse ``type=`` for ``-j``: ``auto`` (one worker per core)
+    or an integer >= 1; anything else is a usage error."""
+    if text == "auto":
+        return auto_jobs()
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or an integer >= 1, got {text!r}")
+    return jobs
 
 
 @dataclass
@@ -61,10 +73,8 @@ class Orchestrator:
     def __init__(self, specs: Iterable[ExperimentSpec], *, scale: float = 1.0,
                  jobs: int = 1, cache: ResultCache | None = None,
                  timeout: float | None = None, retries: int = 1,
-                 backoff: float = 0.5, inline: bool = False,
+                 backoff: float = 0.5,
                  on_event: Callable[[RunnerEvent], None] | None = None,
-                 on_outcome: Callable[[TaskOutcome], None] | None = None,
-                 mp_context: Any = None,
                  extra_sys_path: Sequence[str] = ()):
         self.specs = list(specs)
         self.scale = scale
@@ -73,11 +83,8 @@ class Orchestrator:
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff = backoff
-        self.inline = inline
         self.on_event = on_event
-        self.on_outcome = on_outcome
         self.extra_sys_path = list(extra_sys_path)
-        self._ctx = mp_context or multiprocessing.get_context()
         self.outcomes: list[TaskOutcome] = []
 
     # -- telemetry ---------------------------------------------------
@@ -95,8 +102,6 @@ class Orchestrator:
         self._emit(kind, outcome.id, worker=outcome.worker,
                    attempt=outcome.attempts, wall_s=outcome.wall_s,
                    message=(outcome.error or {}).get("type", ""))
-        if self.on_outcome is not None:
-            self.on_outcome(outcome)
 
     # -- public API --------------------------------------------------
 
@@ -136,10 +141,7 @@ class Orchestrator:
                     continue
             todo.append(_Pending(index, spec, kwargs, digest))
 
-        if self.inline:
-            self._run_inline(by_index, todo)
-        else:
-            self._run_pool(by_index, todo)
+        self._run_pool(by_index, todo)
 
         self.outcomes = [by_index[i] for i in sorted(by_index)]
         wall = time.perf_counter() - started
@@ -152,7 +154,7 @@ class Orchestrator:
             cache_enabled=self.cache is not None,
             source_digest=source, wall_s=wall, sweep=sweep)
 
-    # -- execution strategies ----------------------------------------
+    # -- execution ---------------------------------------------------
 
     def _store(self, task: _Pending, result: ExperimentResult) -> None:
         if self.cache is not None and task.digest is not None:
@@ -161,37 +163,9 @@ class Orchestrator:
                 "id": task.spec.id,
             })
 
-    def _run_inline(self, by_index: dict[int, TaskOutcome],
-                    todo: list[_Pending]) -> None:
-        for task in todo:
-            attempt = 0
-            while True:
-                attempt += 1
-                self._emit("start", task.spec.id, attempt=attempt)
-                t0 = time.perf_counter()
-                try:
-                    result = task.spec.resolve()(**task.kwargs)
-                except Exception as exc:  # noqa: BLE001 - isolation boundary
-                    wall = time.perf_counter() - t0
-                    if attempt <= self.retries:
-                        self._emit("retry", task.spec.id, attempt=attempt,
-                                   wall_s=wall, message=type(exc).__name__)
-                        time.sleep(self.backoff * attempt)
-                        continue
-                    self._finish(by_index, task.index, TaskOutcome(
-                        id=task.spec.id, status="failed",
-                        error=error_info(exc), attempts=attempt, wall_s=wall))
-                else:
-                    self._store(task, result)
-                    self._finish(by_index, task.index, TaskOutcome(
-                        id=task.spec.id, status="ok", result=result,
-                        attempts=attempt, wall_s=time.perf_counter() - t0,
-                        result_digest=result.digest()))
-                break
-
     def _spawn(self, task: _Pending, worker: int) -> _Running:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
+        process = multiprocessing.Process(
             target=child_entry,
             args=(child_conn, task.spec.module, task.spec.func,
                   task.kwargs, self.extra_sys_path),

@@ -40,7 +40,6 @@ event dumps never render stale pooled fields.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Optional
 
 #: Addresses are plain strings ("s0", "r3", multicast groups "mc:...").
@@ -203,13 +202,3 @@ class Packet:
             f"<Packet #{self.uid} {self.proto} {self.src}->{self.dst} "
             f"{self.size}B {self.payload!r}>"
         )
-
-
-@dataclass
-class DeliveryRecord:
-    """Bookkeeping record emitted by links for tracing and assertions."""
-
-    time: float
-    packet: Packet
-    event: str  # "enqueue", "drop-queue", "drop-loss", "deliver"
-    link: Optional[str] = None

@@ -23,7 +23,7 @@ from typing import Optional
 from ..runner.cache import DEFAULT_CACHE_DIR
 from ..runner.events import event_printer
 from ..runner.manifest import save_manifest
-from ..runner.orchestrator import auto_jobs
+from ..runner.orchestrator import jobs_arg
 from .expand import expand
 from .report import render_markdown
 from .run import DEFAULT_BASELINE, sweep
@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="expand and run a spec")
     run.add_argument("spec", help="path to a .toml or .json sweep spec")
-    run.add_argument("-j", "--jobs", default="1",
+    run.add_argument("-j", "--jobs", type=jobs_arg, default=1,
                      help="worker processes, or 'auto' for one per core "
                           "(default: 1)")
     run.add_argument("--scale", type=float, default=None,
@@ -141,11 +141,10 @@ def _run(args: argparse.Namespace) -> int:
         for error in errors:
             print(f"  - {error}", file=sys.stderr)
         return 2
-    jobs = auto_jobs() if args.jobs == "auto" else max(1, int(args.jobs))
     baseline = args.baseline if args.baseline else None
 
     result = sweep(
-        spec, jobs=jobs, scale=args.scale,
+        spec, jobs=args.jobs, scale=args.scale,
         cache_dir=None if args.no_cache else args.cache_dir,
         baseline=baseline, probe_engine=args.probe,
         timeout=args.timeout or None, retries=args.retries,

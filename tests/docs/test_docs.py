@@ -77,6 +77,28 @@ def test_documented_env_vars_are_read():
     assert dead == [], f"documented but never read: {dead}"
 
 
+def test_documented_entry_points_exist():
+    """Every ``python -m repro.<mod>`` the docs name can be run that
+    way and every ``pgmcc-<name>`` is an installed console script, so a
+    deleted front door cannot live on in the docs."""
+    text = "\n".join(doc.read_text()
+                     for doc in check_docs.iter_markdown(ROOT))
+    modules = set(re.findall(r"python3?\s+-m\s+(repro(?:\.\w+)*)", text))
+    scripts = set(re.findall(r"`(pgmcc-[a-z]+)\b", text))
+    assert "repro.runner" in modules and "pgmcc-sweep" in scripts
+
+    def runnable(name: str) -> bool:
+        path = ROOT / "src" / Path(*name.split("."))
+        module = path.with_suffix(".py")
+        return ((path / "__main__.py").is_file() or module.is_file()
+                and 'if __name__ == "__main__"' in module.read_text())
+
+    installed = set(re.findall(r"^(pgmcc-[a-z]+) = ",
+                               (ROOT / "pyproject.toml").read_text(), re.M))
+    assert sorted(m for m in modules if not runnable(m)) == []
+    assert sorted(scripts - installed) == []
+
+
 @pytest.mark.parametrize(
     ("heading", "slug"),
     [

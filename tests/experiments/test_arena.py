@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.experiments import arena
-from repro.experiments.run_all import specs_by_id
+from repro.experiments.registry import get_experiment
 
 
 @pytest.fixture(scope="module")
@@ -16,11 +16,11 @@ def result():
 
 
 def test_registered_and_resolvable():
-    (spec,) = specs_by_id(["EXP-ARENA"])
+    spec = get_experiment("EXP-ARENA")
     assert spec.module == "repro.experiments.arena"
     # shell-friendly spellings resolve to the same spec
-    assert specs_by_id(["exp_arena"]) == [spec]
-    assert specs_by_id(["exp-arena"]) == [spec]
+    assert get_experiment("exp_arena") == spec
+    assert get_experiment("exp-arena") == spec
 
 
 def test_ranked_table_covers_every_backend(result):

@@ -1,12 +1,15 @@
 """The experiment registration API and typed parameter schemas."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.experiments import run_all
 from repro.experiments.common import ExperimentSpec, ParamSpec
 from repro.experiments.registry import (
+    _BUILTIN_SPECS,
     _REGISTRY,
-    RegistryView,
     get_experiment,
     register_experiment,
     registered_specs,
@@ -28,13 +31,7 @@ class TestRegisterExperiment:
             "EXP-TEST-PLAIN", "tests.runner._toy", "run_ok",
             description="registered via plain call"))
         assert get_experiment("EXP-TEST-PLAIN") is spec
-        assert spec in list(run_all.REGISTRY)  # live view sees it
-
-    def test_keyword_construction(self, scratch_registry):
-        spec = register_experiment(
-            "EXP-TEST-KW", module="tests.runner._toy", func="run_ok",
-            description="registered via keywords")
-        assert get_experiment("EXP-TEST-KW") is spec
+        assert spec in registered_specs()
 
     def test_decorator_fills_module_and_func(self, scratch_registry):
         @register_experiment("EXP-TEST-DECO", description="decorated")
@@ -49,15 +46,8 @@ class TestRegisterExperiment:
         with pytest.raises(ValueError, match="already registered"):
             register_experiment(ExperimentSpec(
                 "EXP-F2", "elsewhere", description="imposter"))
-
-    def test_identical_reregistration_is_noop(self, scratch_registry):
-        # run_all's module body executes twice in one process when
-        # invoked as `python -m repro.experiments.run_all` (once as
-        # __main__, once under its canonical import name); the exact
-        # same spec must register idempotently
-        spec = get_experiment("EXP-F2")
-        assert register_experiment(spec) is spec
-        assert get_experiment("EXP-F2") is spec
+        with pytest.raises(ValueError, match="already registered"):
+            register_experiment(get_experiment("EXP-F2"))
 
     def test_spec_or_id_required(self):
         with pytest.raises(TypeError):
@@ -74,24 +64,29 @@ class TestLookups:
         with pytest.raises(KeyError, match="EXP-F2"):
             get_experiment("EXP-NOPE")
 
+    def test_fresh_interpreter_has_builtins_on_import(self):
+        # importing the registry alone must register them: a sweep or
+        # cache query may be a process's first touch of this layer
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import repro.experiments.registry as r; "
+             "print(*r.experiment_ids(include_hidden=True))"],
+            capture_output=True, text=True, timeout=120, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.stdout.split() == [s.id for s in _BUILTIN_SPECS]
+
     def test_hidden_specs_excluded_from_view_but_resolvable(self):
-        ids = [s.id for s in run_all.REGISTRY]
+        ids = [s.id for s in registered_specs()]
         assert "EXP-ARENA" in ids
         assert "EXP-ARENA-CELL" not in ids
         assert "EXP-ARENA-CELL" in [
             s.id for s in registered_specs(include_hidden=True)]
         assert get_experiment("EXP-ARENA-CELL").hidden
 
-    def test_specs_by_id_resolves_hidden_by_explicit_id(self):
-        [spec] = run_all.specs_by_id(["exp_resilience_cell"])
+    def test_get_experiment_resolves_hidden_by_explicit_id(self):
+        spec = get_experiment("exp_resilience_cell")
         assert spec.id == "EXP-RESILIENCE-CELL"
-        assert all(not s.hidden for s in run_all.specs_by_id(None))
-
-    def test_registry_view_is_sequence_like(self):
-        view = RegistryView()
-        assert len(view) == len(registered_specs())
-        assert view[0].id == "EXP-F2"
-        assert view[0] in view
+        assert all(not s.hidden for s in registered_specs())
 
     def test_schema_for_target(self):
         schema = schema_for_target("repro.experiments.arena:run_cell")
@@ -170,7 +165,7 @@ class TestValidateKwargs:
             kwargs=(("seed", -3),),
             params=(ParamSpec("seed", "int", low=0),))
         with pytest.raises(ValueError, match="EXP-BAD-KW"):
-            Orchestrator([bad], jobs=1, inline=True).run()
+            Orchestrator([bad], jobs=1).run()
 
     def test_schema_in_cache_fingerprint(self):
         from repro.runner.cache import task_digest
@@ -192,49 +187,6 @@ class TestValidateKwargs:
 
 
 class TestRunAllCliDelegation:
-    def test_positional_scale_maps_with_deprecation(self, monkeypatch,
-                                                    capsys):
-        captured = {}
-
-        def fake_runner_main(argv):
-            captured["argv"] = argv
-            return 0
-
-        monkeypatch.setattr("repro.runner.cli.main", fake_runner_main)
-        with pytest.warns(DeprecationWarning, match="--scale"):
-            with pytest.raises(SystemExit) as exit_info:
-                run_all.main_cli(["0.25", "EXP-F2"])
-        assert exit_info.value.code == 0
-        assert captured["argv"] == ["--scale", "0.25", "EXP-F2"]
-        assert "deprecated" in capsys.readouterr().err
-
-    def test_runner_flags_pass_through(self, monkeypatch):
-        captured = {}
-        monkeypatch.setattr(
-            "repro.runner.cli.main",
-            lambda argv: captured.setdefault("argv", argv) and 0 or 0)
-        with pytest.raises(SystemExit):
-            run_all.main_cli(["--list"])
-        assert captured["argv"] == ["--list"]
-
-    def test_module_invocation_survives_double_import(self):
-        # the real `python -m` path: run_all executes as __main__ AND
-        # is imported canonically by the runner CLI it delegates to —
-        # built-in registration must not trip the duplicate-id error
-        import os
-        import subprocess
-        import sys
-
-        from tests.runner.test_orchestrator import REPO_ROOT
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.experiments.run_all", "--list"],
-            capture_output=True, text=True, timeout=120, cwd=REPO_ROOT,
-            env={**os.environ,
-                 "PYTHONPATH": os.path.join(REPO_ROOT, "src")})
-        assert proc.returncode == 0, proc.stderr
-        assert "EXP-F2" in proc.stdout
-
     def test_list_prints_schemas_and_cell_tags(self, capsys):
         from repro.runner.cli import main
 

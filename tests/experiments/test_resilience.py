@@ -7,8 +7,8 @@ import json
 import pytest
 
 from repro.experiments import resilience
+from repro.experiments.registry import get_experiment
 from repro.experiments.resilience import DeliverySampler
-from repro.experiments.run_all import specs_by_id
 
 
 class _FixedSampler(DeliverySampler):
@@ -73,10 +73,10 @@ class TestTtrMath:
 
 
 def test_registered_and_resolvable():
-    (spec,) = specs_by_id(["EXP-RESILIENCE"])
+    spec = get_experiment("EXP-RESILIENCE")
     assert spec.module == "repro.experiments.resilience"
-    assert specs_by_id(["exp_resilience"]) == [spec]
-    assert specs_by_id(["exp-resilience"]) == [spec]
+    assert get_experiment("exp_resilience") == spec
+    assert get_experiment("exp-resilience") == spec
 
 
 @pytest.fixture(scope="module")

@@ -16,6 +16,13 @@ class TestListing:
             assert exp_id in out
         assert "Fig. 2" in out  # descriptions present
 
+    @pytest.mark.parametrize("jobs", ["two", "0", "1.5"])
+    def test_bad_jobs_is_usage_error(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["EXP-F2", "-j", jobs])
+        assert exit_info.value.code == 2
+        assert "expected 'auto' or an integer >= 1" in capsys.readouterr().err
+
     def test_unknown_id_helpful_error(self, capsys):
         assert main(["EXP-TYPO"]) == 2
         err = capsys.readouterr().err
@@ -79,29 +86,27 @@ class TestSweep:
 
 
 class TestRunAllIsolation:
-    """The sequential ``pgmcc-experiments`` CLI keeps its output format
-    but no longer aborts on the first raising experiment."""
+    """A raising experiment does not abort the run: its siblings
+    complete and the failure is summarised last, with its traceback."""
 
     def test_failure_reported_at_end_siblings_complete(self, monkeypatch,
-                                                       capsys):
-        from repro.experiments import run_all
-
+                                                       tmp_path, capsys):
         toy = "tests.runner._toy"
-        monkeypatch.setattr(run_all, "REGISTRY", (
-            ExperimentSpec("TOY-OK1", toy, "run_ok", kwargs=(("seed", 1),)),
-            ExperimentSpec("TOY-BAD", toy, "run_fail",
-                           kwargs=(("message", "kaput"),)),
-            ExperimentSpec("TOY-OK2", toy, "run_ok", kwargs=(("seed", 2),)),
-        ))
-        failures = run_all.main(scale=1.0)
+        monkeypatch.setattr("repro.experiments.registry._REGISTRY", {
+            spec.id: spec for spec in (
+                ExperimentSpec("TOY-OK1", toy, "run_ok", kwargs=(("seed", 1),)),
+                ExperimentSpec("TOY-BAD", toy, "run_fail",
+                               kwargs=(("message", "kaput"),)),
+                ExperimentSpec("TOY-OK2", toy, "run_ok", kwargs=(("seed", 2),)),
+            )})
+        rc = main(["--no-cache", "--retries", "0", "--quiet",
+                   "--manifest", str(tmp_path / "manifest.json")])
         out = capsys.readouterr().out
-        assert failures == 1
-        # the legacy per-experiment header format survives
+        assert rc == 1
         assert "##### TOY-OK1 (wall " in out
         assert "##### TOY-OK2 (wall " in out
         assert "== toy-toy ==" in out  # reports still printed
-        # the failure is summarised at the end, with its traceback
-        assert "1 experiment(s) FAILED" in out
-        assert "--- TOY-BAD ---" in out
-        assert "ValueError: kaput" in out
-        assert out.index("TOY-OK2 (wall") < out.index("experiment(s) FAILED")
+        assert "2/3 ok, 1 failed" in out
+        assert "--- FAILED TOY-BAD (ValueError: kaput) ---" in out
+        assert "Traceback (most recent call last)" in out
+        assert out.index("TOY-OK2 (wall") < out.index("--- FAILED TOY-BAD")

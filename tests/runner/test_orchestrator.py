@@ -34,11 +34,6 @@ class TestDeterminism:
         assert [t["id"] for t in m1["tasks"]] == [t["id"] for t in m4["tasks"]]
         assert m1["totals"]["ok"] == m4["totals"]["ok"] == 4
 
-    def test_inline_matches_subprocess(self):
-        inline = orchestrate(GRID, jobs=1, inline=True).run()
-        pooled = orchestrate(GRID, jobs=2).run()
-        assert inline["results_digest"] == pooled["results_digest"]
-
     def test_scale_changes_digest(self):
         a = orchestrate(GRID, jobs=1, scale=1.0).run()
         b = orchestrate(GRID, jobs=1, scale=0.5).run()
@@ -142,13 +137,6 @@ class TestFailureIsolation:
         assert outcome.status == "ok"
         assert outcome.attempts == 2
 
-    def test_inline_failure_isolation(self):
-        specs = [toy_spec("TOY-BAD", func="run_fail"), toy_spec("TOY-OK")]
-        orch = orchestrate(specs, jobs=1, inline=True, retries=0)
-        manifest = orch.run()
-        assert manifest["totals"]["failed"] == 1
-        assert manifest["totals"]["ok"] == 1
-
 
 class TestCacheIntegration:
     def test_cold_then_warm(self, tmp_path):
@@ -198,12 +186,6 @@ class TestTelemetry:
         assert done.task_id == "TOY-E"
         assert done.wall_s is not None and done.wall_s >= 0
 
-    def test_on_outcome_called_per_task(self):
-        seen = []
-        orch = orchestrate(GRID, jobs=2, on_outcome=lambda o: seen.append(o.id))
-        orch.run()
-        assert sorted(seen) == sorted(s.id for s in GRID)
-
     def test_manifest_schema_fields(self):
         manifest = orchestrate(GRID, jobs=1).run(run_id="rid")
         assert manifest["schema"] == "pgmcc.run-manifest/v2"
@@ -223,9 +205,9 @@ class TestRegistryParity:
 
     @pytest.fixture(scope="class")
     def f2_spec(self):
-        from repro.experiments.run_all import specs_by_id
+        from repro.experiments.registry import get_experiment
 
-        return specs_by_id(["EXP-F2"])
+        return [get_experiment("EXP-F2")]
 
     def test_pool_matches_direct_call(self, f2_spec):
         from repro.experiments import fig2_loss_filter
@@ -239,7 +221,7 @@ class TestRegistryParity:
         assert via_pool.result_digest == direct.digest()
 
     def test_unknown_id_is_helpful(self):
-        from repro.experiments.run_all import specs_by_id
+        from repro.experiments.registry import get_experiment
 
         with pytest.raises(KeyError, match="EXP-F3"):
-            specs_by_id(["EXP-TYPO"])
+            get_experiment("EXP-TYPO")

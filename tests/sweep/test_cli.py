@@ -133,3 +133,10 @@ class TestRun:
                                         axes={"liveness": ["typo"]})))
         assert main(["run", str(path)]) == 2
         assert "problem(s)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["two", "0", "1.5"])
+    def test_bad_jobs_is_usage_error(self, jobs, spec_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", spec_path, "-j", jobs])
+        assert exit_info.value.code == 2
+        assert "expected 'auto' or an integer >= 1" in capsys.readouterr().err

@@ -1,8 +1,8 @@
-"""The committed specs and their parity with the hand-written matrices.
+"""The committed specs and the sweep plumbing around the arena matrix.
 
-The headline acceptance check: EXP-ARENA's matrix expressed as the
-committed sweep spec produces exactly the ranked controller table the
-monolithic ``arena.run()`` builds, cell for cell.
+EXP-ARENA's matrix as the committed sweep spec (expand, worker pool,
+cache, aggregate hook) arrives at exactly the ranked controller table
+``arena.run()`` builds in one process, cell for cell.
 """
 
 import pytest
@@ -49,19 +49,21 @@ class TestArenaParity:
                      cache_dir=tmp_path_factory.mktemp("cache"),
                      baseline=None)
 
+    @pytest.fixture(scope="class")
+    def mono(self):
+        return arena.run(scale=SCALE)
+
     def test_every_cell_ok(self, sweep_run):
         assert sweep_run.report["totals"] == {
             "tasks": 12, "ok": 12, "failed": 0}
 
-    def test_ranked_table_matches_monolithic_run(self, sweep_run):
-        mono = arena.run(scale=SCALE)
+    def test_ranked_table_matches_monolithic_run(self, sweep_run, mono):
         agg = sweep_run.report["aggregate"]
         assert agg["rows"] == mono.rows
         for key in ("pgmcc_in_envelope", "discriminates"):
             assert agg["metrics"][key] == mono.metrics[key]
 
-    def test_cell_metrics_match_monolithic_bouts(self, sweep_run):
-        mono = arena.run(scale=SCALE)
+    def test_cell_metrics_match_monolithic_bouts(self, sweep_run, mono):
         for task in sweep_run.report["tasks"]:
             controller = task["axes"]["controller"]
             scenario = task["axes"]["scenario"]

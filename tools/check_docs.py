@@ -190,10 +190,6 @@ def run_doc_examples(root: Path = ROOT,
 
     errors: list[str] = []
     saved_registry = dict(controller_mod._REGISTRY)
-    # force the lazy built-in registration first: it happens once per
-    # process, so restoring a pre-registration (empty) snapshot would
-    # wipe the built-ins for good
-    experiment_mod._ensure_builtins()
     saved_experiments = dict(experiment_mod._REGISTRY)
     try:
         for name in files:
