@@ -29,7 +29,7 @@ TCP (jain, which ignores loss signals) or starves itself ranks below
 one that shares.
 
 Two oracle metrics gate the harness itself: ``pgmcc_in_envelope``
-(pgmcc's fairness ratio stays inside :data:`PGMCC_FAIRNESS_ENVELOPE`,
+(pgmcc's fairness ratio stays inside :data:`FAIRNESS_ENVELOPE`,
 the documented claim) and ``discriminates`` (at least one alternative
 lands *outside* the envelope — if every controller looked TCP-friendly
 the arena would be measuring nothing).
@@ -64,7 +64,7 @@ from .common import ExperimentResult, kbps
 #: reports "good sharing ... in all configurations" (§4, Fig. 4); the
 #: reproduction's EXP-F4 lands near 1, and this envelope (≈ ±1.3×
 #: in log2 terms) is the widest band we still call TCP-friendly.
-PGMCC_FAIRNESS_ENVELOPE = (0.4, 2.5)
+FAIRNESS_ENVELOPE = (0.4, 2.5)
 
 #: the misbehaving receiver in the adversary scenario
 ATTACKER = "r0"
@@ -81,7 +81,7 @@ def fairness_score(ratio: float) -> float:
 
 
 def in_envelope(ratio: float) -> bool:
-    low, high = PGMCC_FAIRNESS_ENVELOPE
+    low, high = FAIRNESS_ENVELOPE
     return low <= ratio <= high
 
 
@@ -272,8 +272,8 @@ def render_markdown(result: ExperimentResult) -> str:
         "# EXP-ARENA — controller head-to-head",
         "",
         f"Scenarios: {', '.join(SCENARIOS)} · "
-        f"fairness envelope {PGMCC_FAIRNESS_ENVELOPE[0]}–"
-        f"{PGMCC_FAIRNESS_ENVELOPE[1]}",
+        f"fairness envelope {FAIRNESS_ENVELOPE[0]}–"
+        f"{FAIRNESS_ENVELOPE[1]}",
         "",
     ]
     if result.rows:
@@ -302,7 +302,7 @@ def run(scale: float = 1.0, seed: int = 23, n_receivers: int = 4,
         name="controller-arena",
         params={"scale": scale, "seed": seed, "n_receivers": n_receivers,
                 "controllers": list(names), "scenarios": list(SCENARIOS),
-                "envelope": list(PGMCC_FAIRNESS_ENVELOPE)},
+                "envelope": list(FAIRNESS_ENVELOPE)},
         expectation=(
             "pgmcc's fairness ratio stays inside the documented envelope "
             "in the clean-tcp scenario while at least one alternative "

@@ -47,12 +47,8 @@ class ExperimentResult:
         self.rows.append(fields)
 
     def attach_telemetry(self, session: Any, **meta: Any) -> None:
-        """Attach ``session.metrics.export()`` (no-op for sessions
-        whose telemetry is disabled — a null export carries no data
-        worth shipping through manifests)."""
-        registry = getattr(session, "metrics", None)
-        if registry is not None and getattr(registry, "enabled", False):
-            self.telemetry = registry.export(experiment=self.name, **meta)
+        """Attach ``session.metrics.export()``."""
+        self.telemetry = session.metrics.export(experiment=self.name, **meta)
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe form (tuples normalise to lists) used by the

@@ -100,8 +100,8 @@ class LivenessWatchdog:
         on_probe: called once per degraded-mode probe interval and on
             every demotion; the transport should push an elicit-marked
             packet out (the sender's ``_liveness_probe``).
-        spans: a :class:`~repro.telemetry.registry.SpanTracker` (or the
-            NullRegistry's) receiving the ``degraded`` span.
+        spans: the :class:`~repro.telemetry.registry.SpanTracker`
+            receiving the ``degraded`` span.
         on_transition: optional ``fn(old, new, reason)`` observer
             (the sender's trace hook).
     """

@@ -28,7 +28,7 @@ from ..core.loss_filter import DEFAULT_W
 from ..simulator.engine import Timer
 from ..simulator.node import Host
 from ..simulator.packet import Packet
-from ..telemetry.instruments import NULL_HISTOGRAM
+from ..telemetry.instruments import Histogram
 from . import constants as C
 from .misbehavior import Misbehavior, make_behavior
 from .packets import Ack, Nak, Ncf, OData, RData, Spm, decode
@@ -130,7 +130,7 @@ class PgmReceiver:
         self._last_nak_time = -1e9
         self._repair_hist = (
             telemetry.histogram("repair.latency_s")
-            if telemetry is not None else NULL_HISTOGRAM
+            if telemetry is not None else Histogram("repair.latency_s")
         )
         self._nak_states: dict[int, _NakState] = {}
         self._closed = False

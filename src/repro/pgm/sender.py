@@ -17,7 +17,7 @@ from typing import Callable, Optional, Protocol
 
 from ..core.sender_cc import CcConfig, SenderController
 from ..simulator.engine import Timer
-from ..telemetry.registry import NullRegistry
+from ..telemetry.registry import MetricsRegistry
 from ..simulator.node import Host
 from ..simulator.packet import Packet
 from ..simulator.trace import FlowTrace
@@ -161,9 +161,9 @@ class PgmSender:
         self._pump_timer = Timer(self.sim, self._pump)
         self._started = False
         self._closed = False
-        registry = telemetry if telemetry is not None else NullRegistry()
-        #: protocol-phase spans (slow start, loss recovery, stall);
-        #: a NullRegistry's tracker when telemetry is off.
+        # A sender built without a session keeps its own registry.
+        registry = telemetry if telemetry is not None else MetricsRegistry()
+        #: protocol-phase spans (slow start, loss recovery, stall)
         self._spans = registry.spans
         #: stall durations (stall restart -> next clean ACK); the p99
         #: the resilience experiments report.

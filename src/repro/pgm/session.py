@@ -19,8 +19,7 @@ override any ``config`` fields.  New code should construct a
 Every session owns a telemetry registry (``session.metrics``,
 :mod:`repro.telemetry`): pull-bindings over the protocol counters, a
 sim-clock sampling probe and the sender's phase spans, exported as a
-``pgmcc.session-metrics/v1`` document.  ``telemetry=False`` swaps in
-the null backend (no probe events, no-op instruments).
+``pgmcc.session-metrics/v1`` document.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from ..core.loss_filter import DEFAULT_W
 from ..core.sender_cc import CcConfig
 from ..simulator.topology import Network
 from ..simulator.trace import FlowTrace
-from ..telemetry import as_registry
-from ..telemetry.registry import MetricsRegistry, NullRegistry
+from ..telemetry import MetricsRegistry
 from . import constants as C
 from .guard import FeedbackGuard, GuardConfig
 from .invariants import InvariantChecker
@@ -108,9 +106,6 @@ class SessionConfig:
     strict_invariants: bool = True
     #: sender-side feedback guard: True, GuardConfig or FeedbackGuard
     guard: Any = None
-    #: telemetry backend: True (own registry), False (null backend) or
-    #: an existing registry to share
-    telemetry: Any = True
     #: sim-clock sampling period for the session probe
     telemetry_interval: float = DEFAULT_PROBE_INTERVAL
     #: hybrid-fidelity aggregate mode (repro.pgm.aggregate): requires a
@@ -135,9 +130,9 @@ class PgmSession:
     fault_injector: Optional[object] = None
     #: runtime invariant checker from ``SessionConfig.check_invariants``
     invariants: Optional[InvariantChecker] = None
-    #: the session's telemetry registry (null backend when disabled)
-    metrics: "MetricsRegistry | NullRegistry" = field(
-        default_factory=NullRegistry, repr=False
+    #: the session's telemetry registry
+    metrics: MetricsRegistry = field(
+        default_factory=MetricsRegistry, repr=False
     )
     #: hybrid-fidelity manager (``SessionConfig.aggregate``), else None
     aggregate: Optional[object] = None
@@ -197,13 +192,12 @@ class PgmSession:
 
         The scalar keys read the same live counters the session's
         metric bindings sample (see :mod:`repro.pgm.telemetry`), so a
-        summary agrees with a simultaneous ``metrics.export()``
-        regardless of whether telemetry is enabled; ``phases``,
-        ``repair_latency`` and ``stall_duration`` come from the
-        registry's push instruments and are empty under the null
-        backend.  The key set is stable — documented in docs/API.md —
-        and only grows within a schema major: v2 is v1 plus the
-        ``recovery`` block and ``stall_duration``, every v1 key intact.
+        summary agrees with a simultaneous ``metrics.export()``;
+        ``phases``, ``repair_latency`` and ``stall_duration`` come from
+        the registry's push instruments.  The key set is stable —
+        documented in docs/API.md — and only grows within a schema
+        major: v2 is v1 plus the ``recovery`` block and
+        ``stall_duration``, every v1 key intact.
         """
         controller = self.sender.controller
         watchdog = self.sender.watchdog
@@ -377,7 +371,7 @@ def create_session(
                 )
             guard_obj = FeedbackGuard(net.sim, guard_cfg)
 
-    registry = as_registry(cfg.telemetry)
+    registry = MetricsRegistry()
     trace = FlowTrace(cfg.trace_name or f"pgm{tsi}")
     sender = PgmSender(
         net.host(sender_host),
@@ -517,7 +511,7 @@ def enable_network_elements(
     suppress: bool = True,
     rx_loss_aware: bool = False,
     selective_repair: bool = True,
-    telemetry: "MetricsRegistry | NullRegistry | None" = None,
+    telemetry: Optional[MetricsRegistry] = None,
 ) -> dict[str, PgmNetworkElement]:
     """Install PGM network elements on the given (default: all) routers.
 

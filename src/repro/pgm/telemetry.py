@@ -4,8 +4,8 @@
 probe for one session.  The counters themselves stay where they always
 lived — plain attributes on :class:`PgmSender`, :class:`PgmReceiver`,
 :class:`~repro.pgm.guard.FeedbackGuard`, the links and the engine —
-the registry just knows how to read them, so instrumented and
-uninstrumented sessions execute identical protocol code.
+the registry just knows how to read them, so the bindings add nothing
+to the paths that increment them.
 
 Metric names (the stable ``pgmcc.session-metrics/v1`` key set):
 
@@ -69,8 +69,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..simulator.packet import POOL
-from ..telemetry import make_probe
-from ..telemetry.registry import MetricsRegistry, NullRegistry
+from ..telemetry import MetricsRegistry, TimeSeriesProbe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .session import PgmSession
@@ -82,13 +81,9 @@ DEFAULT_PROBE_INTERVAL = 1.0
 
 
 def bind_session_metrics(session: "PgmSession",
-                         registry: "MetricsRegistry | NullRegistry",
+                         registry: MetricsRegistry,
                          interval: float = DEFAULT_PROBE_INTERVAL) -> None:
-    """Install the session's pull-bindings and sampling probe.
-
-    No-op (beyond a handful of ignored calls) for a
-    :class:`NullRegistry` — in particular the probe never schedules.
-    """
+    """Install the session's pull-bindings and sampling probe."""
     sender = session.sender
     controller = sender.controller
     net = session.network
@@ -173,7 +168,7 @@ def bind_session_metrics(session: "PgmSession",
          lambda: (sum(rx.loss_rate for rx in receivers) / len(receivers)
                   if receivers else 0.0), kind="gauge")
 
-    probe = make_probe(sim, registry, interval)
+    probe = TimeSeriesProbe(sim, registry, interval)
     probe.sample("cc.window", lambda: controller.window.w)
     probe.sample("cc.tokens", lambda: controller.window.tokens)
     probe.sample("rx.max_loss_rate", max_loss)

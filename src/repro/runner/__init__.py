@@ -1,7 +1,7 @@
 """`repro.runner` — parallel experiment orchestration.
 
 The evaluation pipeline (the experiment registry in
-``repro.experiments.registry`` plus the pytest benches) is a set of
+``repro.experiments.registry``) is a set of
 independent, deterministic simulations — exactly the shape that shards
 across cores.  This package provides:
 
@@ -10,8 +10,8 @@ across cores.  This package provides:
   with backoff, and failure isolation (a dead task never kills the
   sweep);
 * :class:`ResultCache` — a content-addressed on-disk store keyed by
-  (experiment, kwargs, source fingerprint), shared between sweep runs
-  and the bench suite;
+  (experiment, kwargs, source fingerprint), shared between runner
+  and sweep invocations;
 * run manifests (``pgmcc.run-manifest/v2``) and perf-trajectory
   artifacts (``pgmcc.bench-results/v1``);
 * the ``python -m repro.runner`` CLI.
@@ -20,7 +20,6 @@ See ``docs/API.md`` for the task model, cache key, and schemas.
 """
 
 from .bench import (BENCH_SCHEMA, bench_results_from_manifest,
-                    measure_sim_events_per_sec,
                     session_metrics_from_manifest)
 from .cache import (CACHE_SCHEMA, DEFAULT_CACHE_DIR, ResultCache,
                     callable_id, source_fingerprint, task_digest)
@@ -47,7 +46,6 @@ __all__ = [
     "error_info",
     "event_printer",
     "load_manifest",
-    "measure_sim_events_per_sec",
     "results_digest",
     "save_manifest",
     "session_metrics_from_manifest",

@@ -7,7 +7,6 @@ Schema ``pgmcc.bench-results/v1``::
       "run_id": "...",            # run that produced the wall times
       "date": "YYYY-mm-ddTHH:MM:SS+ZZZZ",
       "host": {"python": "...", "platform": "...", "cpus": N},
-      "sim_events_per_sec": float | null,   # raw engine throughput
       "scale": float,             # sweep scale the wall times refer to
       "benches": [                # one entry per experiment task
         {"id": "EXP-F2", "wall_s": 1.23, "status": "ok",
@@ -26,41 +25,20 @@ Schema ``pgmcc.bench-results/v1``::
       "totals": {...}             # copied from the manifest
     }
 
-Successive files of this shape are the repo's perf trajectory: compare
-``sim_events_per_sec`` and per-bench ``wall_s`` across commits (cache
-hits report the cache-load time and are flagged, not comparable).
+The artifact records what one sweep observed — per-task ``wall_s``
+(cache hits report the cache-load time and are flagged), protocol
+health and the hybrid scale series that :mod:`repro.runner.perf_gate`
+gates.  It is not the repo's benchmark: code is timed by
+``benchmarks/perf`` only.
 """
 
 from __future__ import annotations
 
 import os
 import platform
-import time
 from typing import Any
 
 BENCH_SCHEMA = "pgmcc.bench-results/v1"
-
-
-def measure_sim_events_per_sec(chain: int = 10_000, repeats: int = 3) -> float:
-    """Raw event-loop throughput, same workload as
-    ``benchmarks/bench_simulator_perf.py::test_bench_event_loop``."""
-    from ..simulator import Simulator
-
-    best = 0.0
-    for _ in range(repeats):
-        sim = Simulator()
-
-        def tick(n: int) -> None:
-            if n:
-                sim.schedule(0.001, tick, n - 1)
-
-        sim.schedule(0.0, tick, chain)
-        t0 = time.perf_counter()
-        sim.run()
-        elapsed = time.perf_counter() - t0
-        if elapsed > 0:
-            best = max(best, sim.events_processed / elapsed)
-    return best
 
 
 def memory_probe() -> dict[str, int]:
@@ -134,9 +112,7 @@ def session_metrics_from_manifest(manifest: dict[str, Any]
     return docs
 
 
-def bench_results_from_manifest(manifest: dict[str, Any],
-                                events_per_sec: float | None = None
-                                ) -> dict[str, Any]:
+def bench_results_from_manifest(manifest: dict[str, Any]) -> dict[str, Any]:
     """Derive the perf-trajectory artifact from a run manifest."""
     return {
         "schema": BENCH_SCHEMA,
@@ -147,8 +123,6 @@ def bench_results_from_manifest(manifest: dict[str, Any],
             "platform": platform.platform(),
             "cpus": os.cpu_count(),
         },
-        "sim_events_per_sec": (round(events_per_sec, 1)
-                               if events_per_sec is not None else None),
         "scale": manifest["scale"],
         "benches": [
             {

@@ -22,14 +22,10 @@ import time
 from pathlib import Path
 
 from ..experiments.registry import get_experiment, registered_specs
-from .bench import (
-    bench_results_from_manifest,
-    measure_sim_events_per_sec,
-    session_metrics_from_manifest,
-)
+from .bench import bench_results_from_manifest, session_metrics_from_manifest
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .events import event_printer
-from .orchestrator import Orchestrator, jobs_arg
+from .orchestrator import Orchestrator, jobs_arg, scale_arg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-j", "--jobs", type=jobs_arg, default=1,
                         help="worker processes, or 'auto' for one per core "
                              "(default: 1)")
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=scale_arg, default=1.0,
                         help="fraction of paper-faithful durations "
                              "(default: 1.0)")
     parser.add_argument("--no-cache", action="store_true",
@@ -57,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: results/manifest-<run_id>.json)")
     parser.add_argument("--bench-json", default=None, metavar="PATH",
                         help="also write a BENCH_RESULTS perf-trajectory "
-                             "artifact (includes a simulator events/sec probe)")
+                             "artifact")
     parser.add_argument("--session-metrics", default=None, metavar="PATH",
                         help="also write the sweep's pgmcc.session-metrics/v1 "
                              "documents (one JSON array, task order)")
@@ -140,8 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     save_manifest(manifest, manifest_path)
 
     if args.bench_json:
-        bench = bench_results_from_manifest(
-            manifest, measure_sim_events_per_sec())
+        bench = bench_results_from_manifest(manifest)
         bench_path = Path(args.bench_json)
         bench_path.parent.mkdir(parents=True, exist_ok=True)
         bench_path.write_text(json.dumps(bench, indent=2, sort_keys=True)

@@ -13,6 +13,7 @@ completion.
 from __future__ import annotations
 
 import argparse
+import math
 import multiprocessing
 import os
 import time
@@ -26,7 +27,7 @@ from .events import RunnerEvent, event_printer
 from .manifest import build_manifest
 from .tasks import TaskOutcome, child_entry
 
-__all__ = ["Orchestrator", "auto_jobs", "jobs_arg"]
+__all__ = ["Orchestrator", "auto_jobs", "jobs_arg", "scale_arg"]
 
 
 def auto_jobs() -> int:
@@ -46,6 +47,19 @@ def jobs_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected 'auto' or an integer >= 1, got {text!r}")
     return jobs
+
+
+def scale_arg(text: str) -> float:
+    """argparse ``type=`` for ``--scale``: a finite float > 0;
+    anything else is a usage error."""
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = 0.0
+    if not 0 < scale < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text!r}")
+    return scale
 
 
 @dataclass
@@ -76,6 +90,8 @@ class Orchestrator:
                  backoff: float = 0.5,
                  on_event: Callable[[RunnerEvent], None] | None = None,
                  extra_sys_path: Sequence[str] = ()):
+        if not 0 < scale < math.inf:
+            raise ValueError(f"scale must be finite and > 0, got {scale!r}")
         self.specs = list(specs)
         self.scale = scale
         self.jobs = max(1, int(jobs))
@@ -230,6 +246,11 @@ class Orchestrator:
 
             progressed = False
             for run in list(running.values()):
+                # liveness first: a worker seen dead here has already
+                # written whatever it will, so the poll below is
+                # conclusive (the other order can miss a result sent
+                # between the two calls and report a WorkerCrash)
+                alive = run.process.is_alive()
                 if run.conn.poll(0):
                     try:
                         kind, payload = run.conn.recv()
@@ -242,7 +263,7 @@ class Orchestrator:
                         }
                     settle(run, kind, payload)
                     progressed = True
-                elif not run.process.is_alive():
+                elif not alive:
                     settle(run, "error", {
                         "type": "WorkerCrash",
                         "message": f"worker exited with code "

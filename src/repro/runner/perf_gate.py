@@ -1,23 +1,23 @@
-"""Simulator perf-regression gate.
+"""Scale-series perf-regression gate.
 
-Compares a freshly measured event-loop throughput (the
-``measure_sim_events_per_sec`` workload, identical to
-``benchmarks/bench_simulator_perf.py::test_bench_event_loop``) against
-the committed baseline in ``results/BENCH_RESULTS.json``:
+Compares the hybrid scale ladder's ``receivers_per_sec`` series in a
+freshly produced bench-results artifact (``--measured``, written by
+``python -m repro.runner --bench-json``) against the committed one in
+``results/BENCH_RESULTS.json``:
 
-* **fail** (exit 1) when throughput regressed more than
-  ``--regression`` (default 20 %) below the baseline;
-* **warn** (exit 0) when throughput is below the hot-path overhaul's
-  speedup target — ``TARGET_SPEEDUP`` x the pre-overhaul engine
-  (:data:`REFERENCE_PR5_EVENTS_PER_SEC`) — since shared CI runners
-  jitter too much to make the absolute target a hard gate;
+* **fail** (exit 1) when a cell present in both regressed more than
+  ``--scale-regression`` (default 50 %) below the baseline;
+* a cell the baseline lacks **seeds** it and never fails;
 * **ok** otherwise.
 
-Run it *before* anything rewrites ``BENCH_RESULTS.json`` (the CI sweep
-step regenerates that file), so the comparison is against the
-committed trajectory point::
+Point ``--baseline`` at the committed trajectory point, not at a file
+the same run just rewrote::
 
-    python -m repro.runner.perf_gate --baseline results/BENCH_RESULTS.json
+    python -m repro.runner.perf_gate --baseline results/BENCH_RESULTS.json \
+        --measured /tmp/bench.json
+
+This gates one sweep's own scale cells; the repo's speed is measured
+by ``benchmarks/perf``.
 """
 
 from __future__ import annotations
@@ -26,58 +26,6 @@ import argparse
 import json
 import sys
 from typing import Any, Optional
-
-from .bench import measure_sim_events_per_sec
-
-#: Engine throughput recorded by PR 5 (the last pre-overhaul seed),
-#: from results/BENCH_RESULTS.json at that commit.  The hot-path
-#: overhaul's acceptance criterion is TARGET_SPEEDUP x this value.
-REFERENCE_PR5_EVENTS_PER_SEC = 890_717.6
-
-#: Required speedup of the overhauled engine over the PR-5 reference.
-TARGET_SPEEDUP = 3.0
-
-
-def evaluate(measured: float, baseline: Optional[float],
-             regression_threshold: float = 0.20,
-             reference: float = REFERENCE_PR5_EVENTS_PER_SEC,
-             target_speedup: float = TARGET_SPEEDUP) -> dict[str, Any]:
-    """Pure verdict on a measurement; the CLI just prints this.
-
-    ``baseline`` is the committed ``sim_events_per_sec`` (None when the
-    baseline artifact predates the field — then only the soft target
-    applies).  Returns ``status`` ("ok" / "warn" / "fail"), the
-    thresholds used and human-readable ``reasons``.
-    """
-    if regression_threshold <= 0 or regression_threshold >= 1:
-        raise ValueError("regression_threshold must be in (0, 1)")
-    floor = None if baseline is None else baseline * (1.0 - regression_threshold)
-    target = reference * target_speedup
-    reasons = []
-    status = "ok"
-    if floor is not None and measured < floor:
-        status = "fail"
-        reasons.append(
-            f"throughput {measured:,.0f} ev/s regressed more than "
-            f"{regression_threshold:.0%} below the baseline "
-            f"{baseline:,.0f} ev/s (floor {floor:,.0f})"
-        )
-    elif measured < target:
-        status = "warn"
-        reasons.append(
-            f"throughput {measured:,.0f} ev/s is below the overhaul "
-            f"target of {target_speedup:.0f}x the PR-5 engine "
-            f"({target:,.0f} ev/s) — not fatal on shared runners, but "
-            f"worth a look"
-        )
-    return {
-        "status": status,
-        "measured": measured,
-        "baseline": baseline,
-        "floor": floor,
-        "target": target,
-        "reasons": reasons,
-    }
 
 
 def evaluate_series(
@@ -129,15 +77,6 @@ def evaluate_series(
             "reasons": reasons}
 
 
-def load_baseline(path: str) -> Optional[float]:
-    """``sim_events_per_sec`` from a bench-results artifact (None when
-    absent or null — e.g. a sweep ran with the probe disabled)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    value = doc.get("sim_events_per_sec")
-    return float(value) if value is not None else None
-
-
 def load_scale_baseline(path: str) -> dict[str, dict[str, Any]]:
     """``scale_metrics`` from a bench-results artifact.  An artifact
     that predates the field (or has no hybrid cells) yields ``{}`` —
@@ -151,17 +90,11 @@ def load_scale_baseline(path: str) -> dict[str, dict[str, Any]]:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.runner.perf_gate",
-        description="fail CI when simulator throughput regresses",
+        description="fail CI when a hybrid scale cell regresses",
     )
     parser.add_argument("--baseline", default="results/BENCH_RESULTS.json",
                         help="committed bench-results artifact to gate against")
-    parser.add_argument("--regression", type=float, default=0.20,
-                        help="fatal fractional drop vs baseline (default 0.20)")
-    parser.add_argument("--chain", type=int, default=10_000,
-                        help="event-chain length per repeat")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="best-of repeats (default 3)")
-    parser.add_argument("--measured", default=None,
+    parser.add_argument("--measured", required=True,
                         help="freshly produced bench-results artifact; "
                              "its scale_metrics series is gated against "
                              "the baseline's (missing baseline cells "
@@ -172,48 +105,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        baseline = load_baseline(args.baseline)
+        measured_series = load_scale_baseline(args.measured)
+    except FileNotFoundError:
+        print(f"perf-gate: no measured artifact at {args.measured}; "
+              "skipping scale-series gate")
+        measured_series = {}
+    try:
+        baseline_series = load_scale_baseline(args.baseline)
     except FileNotFoundError:
         print(f"perf-gate: no baseline at {args.baseline}; "
-              "soft target only")
-        baseline = None
-
-    measured = measure_sim_events_per_sec(chain=args.chain,
-                                          repeats=args.repeats)
-    verdict = evaluate(measured, baseline,
-                       regression_threshold=args.regression)
-    print(f"perf-gate: measured {measured:,.0f} ev/s"
-          + (f", baseline {baseline:,.0f} ev/s" if baseline else "")
-          + f", target {verdict['target']:,.0f} ev/s"
-          + f" -> {verdict['status'].upper()}")
-    for reason in verdict["reasons"]:
+              "every measured cell seeds it")
+        baseline_series = {}
+    series = evaluate_series(measured_series, baseline_series,
+                             regression_threshold=args.scale_regression)
+    for cell, info in series["cells"].items():
+        tag = info["status"].upper()
+        if info["status"] == "seed":
+            tag = "SEED-BASELINE"
+        print(f"perf-gate: scale cell {cell}: "
+              f"{info['measured']:,.0f} rx/s -> {tag}")
+    for reason in series["reasons"]:
         print(f"perf-gate: {reason}")
-
-    series_failed = False
-    if args.measured is not None:
-        try:
-            measured_series = load_scale_baseline(args.measured)
-        except FileNotFoundError:
-            print(f"perf-gate: no measured artifact at {args.measured}; "
-                  "skipping scale-series gate")
-            measured_series = {}
-        try:
-            baseline_series = load_scale_baseline(args.baseline)
-        except FileNotFoundError:
-            baseline_series = {}
-        series = evaluate_series(measured_series, baseline_series,
-                                 regression_threshold=args.scale_regression)
-        for cell, info in series["cells"].items():
-            tag = info["status"].upper()
-            if info["status"] == "seed":
-                tag = "SEED-BASELINE"
-            print(f"perf-gate: scale cell {cell}: "
-                  f"{info['measured']:,.0f} rx/s -> {tag}")
-        for reason in series["reasons"]:
-            print(f"perf-gate: {reason}")
-        series_failed = series["status"] == "fail"
-
-    return 1 if (verdict["status"] == "fail" or series_failed) else 0
+    return 1 if series["status"] == "fail" else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry

@@ -16,9 +16,10 @@ Three first-class products, all deterministic given the cells:
   receives ``[(axes_dict, ExperimentResult), ...]`` and returns a dict
   with optional ``rows`` / ``metrics`` / ``markdown`` keys.
 
-Regression detection reuses the perf gate's verdict machinery
-(:mod:`repro.runner.perf_gate`) verbatim, so a sweep report's verdict
-and CI's ``python -m repro.runner.perf_gate`` agree by construction.
+Regression detection reuses the perf gate's scale-series verdict
+(:func:`repro.runner.perf_gate.evaluate_series`) verbatim, so a sweep
+report's verdict and CI's ``python -m repro.runner.perf_gate`` agree
+by construction.
 """
 
 from __future__ import annotations
@@ -178,24 +179,19 @@ def run_custom_aggregate(spec: SweepSpec,
 
 
 def regression_section(baseline_path: str, *,
-                       events_per_sec: Optional[float] = None,
                        scale_series: Optional[dict] = None,
-                       regression_threshold: float = 0.20,
                        scale_regression_threshold: float = 0.50) -> dict:
     """Regression verdict against a committed ``BENCH_RESULTS.json``.
 
-    Delegates to :func:`repro.runner.perf_gate.evaluate` (engine
-    events/sec, when a fresh measurement is supplied) and
-    :func:`~repro.runner.perf_gate.evaluate_series` (per-cell scale
-    series, when the sweep produced one) — the same functions CI's
-    perf gate runs, so the two verdicts agree on identical inputs.
-    Missing-history cells **seed** rather than fail, exactly like the
-    gate.
+    Delegates to :func:`repro.runner.perf_gate.evaluate_series`
+    (per-cell scale series, when the sweep produced one) — the same
+    function CI's perf gate runs, so the two verdicts agree on
+    identical inputs.  Missing-history cells **seed** rather than
+    fail, exactly like the gate.
     """
     from ..runner import perf_gate
 
     try:
-        baseline = perf_gate.load_baseline(baseline_path)
         baseline_series = perf_gate.load_scale_baseline(baseline_path)
     except (FileNotFoundError, ValueError):
         return {"status": "skipped", "baseline": str(baseline_path),
@@ -204,13 +200,6 @@ def regression_section(baseline_path: str, *,
     section: dict[str, Any] = {"status": "ok",
                                "baseline": str(baseline_path),
                                "reasons": []}
-    if events_per_sec is not None:
-        engine = perf_gate.evaluate(
-            events_per_sec, baseline,
-            regression_threshold=regression_threshold)
-        section["engine"] = engine
-        section["reasons"] += engine["reasons"]
-        section["status"] = engine["status"]
     if scale_series:
         series = perf_gate.evaluate_series(
             scale_series, baseline_series,

@@ -23,7 +23,7 @@ from typing import Optional
 from ..runner.cache import DEFAULT_CACHE_DIR
 from ..runner.events import event_printer
 from ..runner.manifest import save_manifest
-from ..runner.orchestrator import jobs_arg
+from ..runner.orchestrator import jobs_arg, scale_arg
 from .expand import expand
 from .report import render_markdown
 from .run import DEFAULT_BASELINE, sweep
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("-j", "--jobs", type=jobs_arg, default=1,
                      help="worker processes, or 'auto' for one per core "
                           "(default: 1)")
-    run.add_argument("--scale", type=float, default=None,
+    run.add_argument("--scale", type=scale_arg, default=None,
                      help="override the spec's scale (e.g. 0.05 for a "
                           "smoke run)")
     run.add_argument("--no-cache", action="store_true",
@@ -72,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="BENCH_RESULTS.json to gate against (default: "
                           f"{DEFAULT_BASELINE}; missing file skips the "
                           "gate)")
-    run.add_argument("--probe", action="store_true",
-                     help="also measure fresh engine events/sec for the "
-                          "regression gate's throughput check")
     run.add_argument("--timeout", type=float, default=1800.0,
                      help="per-cell timeout in seconds (default: 1800; "
                           "0 disables)")
@@ -146,7 +143,7 @@ def _run(args: argparse.Namespace) -> int:
     result = sweep(
         spec, jobs=args.jobs, scale=args.scale,
         cache_dir=None if args.no_cache else args.cache_dir,
-        baseline=baseline, probe_engine=args.probe,
+        baseline=baseline,
         timeout=args.timeout or None, retries=args.retries,
         on_event=None if args.quiet else event_printer())
 

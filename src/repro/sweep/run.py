@@ -63,7 +63,6 @@ def sweep(spec: Union[SweepSpec, dict, str, Path], *,
           scale: Optional[float] = None,
           cache_dir: Union[str, Path, None] = DEFAULT_CACHE_DIR,
           baseline: Union[str, Path, None] = DEFAULT_BASELINE,
-          probe_engine: bool = False,
           timeout: Optional[float] = None,
           retries: int = 1,
           run_id: Optional[str] = None,
@@ -73,12 +72,9 @@ def sweep(spec: Union[SweepSpec, dict, str, Path], *,
 
     ``scale`` overrides the spec's own scale (handy for smoke runs of a
     committed spec).  ``cache_dir=None`` disables the result cache.
-    ``baseline`` names the committed ``BENCH_RESULTS.json`` to gate
-    against (``None`` — or a missing file — skips regression
-    detection); ``probe_engine=True`` additionally measures fresh
-    engine events/sec for the gate's throughput check (off by default:
-    it costs a few seconds and sweeps usually gate on their own scale
-    series instead).
+    ``baseline`` names the committed ``BENCH_RESULTS.json`` whose scale
+    series the sweep's own is gated against (``None`` — or a missing
+    file — skips regression detection).
     """
     import dataclasses
 
@@ -100,14 +96,10 @@ def sweep(spec: Union[SweepSpec, dict, str, Path], *,
 
     regression = None
     if baseline is not None and Path(baseline).exists():
-        from ..runner.bench import (
-            measure_sim_events_per_sec,
-            scale_series_from_manifest,
-        )
+        from ..runner.bench import scale_series_from_manifest
 
-        events = measure_sim_events_per_sec() if probe_engine else None
         regression = regression_section(
-            str(baseline), events_per_sec=events,
+            str(baseline),
             scale_series=scale_series_from_manifest(manifest))
 
     report = build_report(spec, cells, manifest, regression=regression)

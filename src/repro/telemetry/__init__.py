@@ -9,9 +9,9 @@ results, runner manifests and ``results/BENCH_RESULTS.json``.
 Public surface::
 
     from repro.telemetry import (
-        MetricsRegistry, NullRegistry, METRICS_SCHEMA,
+        MetricsRegistry, METRICS_SCHEMA,
         Counter, Gauge, Histogram, TimeSeries,
-        SpanTracker, TimeSeriesProbe, make_probe, as_registry,
+        SpanTracker, TimeSeriesProbe,
     )
 
 Design rules:
@@ -20,60 +20,28 @@ Design rules:
   ``bind(name, fn)`` at snapshot time — instrumentation adds nothing
   to the paths that increment them;
 * push instruments (histograms, spans, series) are reserved for
-  low-rate events and are no-ops under :class:`NullRegistry`;
+  low-rate events;
 * every recorded value derives from simulated state, never wall time,
   so exports are deterministic and digest-stable across ``-j``;
 * bounded reservoirs (stride decimation) cap memory for arbitrarily
   long runs without sacrificing determinism.
 
-``python -m repro.telemetry.overhead`` measures the events/sec probe
-with telemetry off vs. on (the CI smoke gates disabled-mode cost).
+There is one backend and it is always on; what it costs a real session
+is read off ``benchmarks/perf`` (the ``telemetry`` layer and
+``probe.telemetry.export_ms``).
 """
 
-from .instruments import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_TIMESERIES,
-    Counter,
-    Gauge,
-    Histogram,
-    NullCounter,
-    NullGauge,
-    NullHistogram,
-    NullTimeSeries,
-    TimeSeries,
-)
-from .probes import NullProbe, TimeSeriesProbe, make_probe
-from .registry import (
-    METRICS_SCHEMA,
-    MetricsRegistry,
-    NullRegistry,
-    NullSpanTracker,
-    SpanTracker,
-    as_registry,
-)
+from .instruments import Counter, Gauge, Histogram, TimeSeries
+from .probes import TimeSeriesProbe
+from .registry import METRICS_SCHEMA, MetricsRegistry, SpanTracker
 
 __all__ = [
     "METRICS_SCHEMA",
     "MetricsRegistry",
-    "NullRegistry",
     "SpanTracker",
-    "NullSpanTracker",
-    "as_registry",
     "Counter",
     "Gauge",
     "Histogram",
     "TimeSeries",
-    "NullCounter",
-    "NullGauge",
-    "NullHistogram",
-    "NullTimeSeries",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
-    "NULL_TIMESERIES",
     "TimeSeriesProbe",
-    "NullProbe",
-    "make_probe",
 ]

@@ -8,32 +8,13 @@ sampling stride doubles — which keeps memory O(max_samples) for
 arbitrarily long runs while remaining a pure function of the observed
 sequence (no RNG, no wall clock; identical runs yield identical
 reservoirs).
-
-Each instrument has a null twin with the same method surface whose
-mutators are no-ops; :class:`~repro.telemetry.registry.NullRegistry`
-hands those out so disabled-telemetry code paths pay one no-op call at
-most, and usually nothing (registry bindings are pull-based and never
-installed when disabled).
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "TimeSeries",
-    "NullCounter",
-    "NullGauge",
-    "NullHistogram",
-    "NullTimeSeries",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
-    "NULL_TIMESERIES",
-]
+__all__ = ["Counter", "Gauge", "Histogram", "TimeSeries"]
 
 #: default reservoir capacity (samples or points) per instrument
 DEFAULT_RESERVOIR = 512
@@ -191,77 +172,3 @@ class TimeSeries:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TimeSeries {self.name} n={self.count}>"
-
-
-# -- null twins ---------------------------------------------------------------
-
-
-class NullCounter:
-    """No-op :class:`Counter` stand-in (shared singleton)."""
-
-    __slots__ = ()
-    name = ""
-    value = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def snapshot(self) -> int:
-        return 0
-
-
-class NullGauge:
-    __slots__ = ()
-    name = ""
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def snapshot(self) -> float:
-        return 0.0
-
-
-class NullHistogram:
-    __slots__ = ()
-    name = ""
-    count = 0
-    total = 0.0
-    min = None
-    max = None
-    mean = None
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def percentile(self, q: float) -> None:
-        return None
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"count": 0, "total": 0.0, "min": None, "max": None,
-                "mean": None, "p50": None, "p90": None, "p99": None}
-
-
-class NullTimeSeries:
-    __slots__ = ()
-    name = ""
-    count = 0
-
-    def append(self, t: float, value: float) -> None:
-        pass
-
-    @property
-    def points(self) -> list:
-        return []
-
-    def last(self) -> None:
-        return None
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"count": 0, "stride": 1, "points": []}
-
-
-NULL_COUNTER = NullCounter()
-NULL_GAUGE = NullGauge()
-NULL_HISTOGRAM = NullHistogram()
-NULL_TIMESERIES = NullTimeSeries()

@@ -16,7 +16,7 @@ from typing import Any, Callable
 
 from ..simulator.engine import Simulator, Timer
 
-__all__ = ["TimeSeriesProbe", "NullProbe"]
+__all__ = ["TimeSeriesProbe"]
 
 
 class TimeSeriesProbe:
@@ -59,33 +59,3 @@ class TimeSeriesProbe:
             series.append(now, fn())
         self.samples_taken += 1
         self._timer.restart(self.interval)
-
-
-class NullProbe:
-    """Disabled probe: accepts the same calls, schedules nothing."""
-
-    __slots__ = ()
-    samples_taken = 0
-    running = False
-
-    def sample(self, name: str, fn: Callable[[], float]) -> "NullProbe":
-        return self
-
-    def start(self, delay: float | None = None) -> "NullProbe":
-        return self
-
-    def stop(self) -> None:
-        pass
-
-
-NULL_PROBE = NullProbe()
-
-
-def make_probe(sim: Simulator, registry: Any, interval: float,
-               max_points: int = 512):
-    """Probe factory honouring disabled registries: a
-    :class:`~repro.telemetry.registry.NullRegistry` gets a
-    :class:`NullProbe` (no timer, no heap events)."""
-    if not getattr(registry, "enabled", False):
-        return NULL_PROBE
-    return TimeSeriesProbe(sim, registry, interval, max_points)

@@ -1,4 +1,4 @@
-"""The metrics registry and its disabled twin.
+"""The metrics registry.
 
 A :class:`MetricsRegistry` is the single container every protocol
 component writes into (or is *read from* — see below) for one session,
@@ -18,17 +18,12 @@ Sim-clock sampling probes (:class:`~repro.telemetry.probes
 :meth:`close` can cancel their timers (sessions must leave the event
 heap drainable on close).
 
-:class:`NullRegistry` is the disabled backend: same surface, shared
-no-op instruments, no bindings, no probes, no sampling events.  A
-session built with telemetry disabled therefore runs byte-identically
-to one built before this layer existed.
-
 Export schema ``pgmcc.session-metrics/v1`` (:meth:`MetricsRegistry
 .export`)::
 
     {
       "schema": "pgmcc.session-metrics/v1",
-      "enabled": true,
+      "enabled": true,                  # constant, kept for v1 readers
       "meta": {...},                    # tsi, group, caller-supplied
       "counters": {name: int},          # push + pull-bound counters
       "gauges": {name: number},
@@ -47,21 +42,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from .instruments import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_TIMESERIES,
-    Counter,
-    Gauge,
-    Histogram,
-    TimeSeries,
-)
+from .instruments import Counter, Gauge, Histogram, TimeSeries
 
 METRICS_SCHEMA = "pgmcc.session-metrics/v1"
 
-__all__ = ["METRICS_SCHEMA", "MetricsRegistry", "NullRegistry",
-           "SpanTracker", "NullSpanTracker", "as_registry"]
+__all__ = ["METRICS_SCHEMA", "MetricsRegistry", "SpanTracker"]
 
 
 class SpanTracker:
@@ -122,30 +107,8 @@ class SpanTracker:
         }
 
 
-class NullSpanTracker:
-    __slots__ = ()
-    open: list[str] = []
-
-    def begin(self, name: str, now: float) -> None:
-        pass
-
-    def end(self, name: str, now: float) -> None:
-        pass
-
-    def close_all(self, now: float) -> None:
-        pass
-
-    def stats(self, name: str) -> None:
-        return None
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"stats": {}, "open": []}
-
-
 class MetricsRegistry:
     """Per-session metric container (see module docstring)."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
@@ -237,66 +200,3 @@ class MetricsRegistry:
         }
         doc.update(self.snapshot())
         return doc
-
-
-class NullRegistry:
-    """Disabled telemetry: the same surface, none of the work."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        self.spans = NullSpanTracker()
-        self.meta: dict[str, Any] = {}
-
-    def counter(self, name: str):
-        return NULL_COUNTER
-
-    def gauge(self, name: str):
-        return NULL_GAUGE
-
-    def histogram(self, name: str, max_samples: int = 512):
-        return NULL_HISTOGRAM
-
-    def timeseries(self, name: str, max_points: int = 512):
-        return NULL_TIMESERIES
-
-    def bind(self, name: str, fn: Callable[[], float],
-             kind: str = "counter") -> None:
-        pass
-
-    def add_probe(self, probe: Any) -> Any:
-        return probe
-
-    def close(self) -> None:
-        pass
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"counters": {}, "gauges": {}, "histograms": {},
-                "series": {}, "spans": {"stats": {}, "open": []}}
-
-    def export(self, **meta: Any) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "schema": METRICS_SCHEMA,
-            "enabled": False,
-            "meta": {**self.meta, **meta},
-        }
-        doc.update(self.snapshot())
-        return doc
-
-
-def as_registry(telemetry: Any) -> "MetricsRegistry | NullRegistry":
-    """Normalise a user-facing ``telemetry`` option.
-
-    ``True`` -> fresh :class:`MetricsRegistry`; ``False``/``None`` ->
-    fresh :class:`NullRegistry`; an existing registry passes through
-    (caller-managed, e.g. shared across sessions).
-    """
-    if telemetry is True:
-        return MetricsRegistry()
-    if telemetry is False or telemetry is None:
-        return NullRegistry()
-    if isinstance(telemetry, (MetricsRegistry, NullRegistry)):
-        return telemetry
-    raise TypeError(
-        f"telemetry must be bool or a registry, got {type(telemetry).__name__}"
-    )

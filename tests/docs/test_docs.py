@@ -59,22 +59,38 @@ def test_example_runner_restores_registry():
     assert controller_names() == before
 
 
-def test_documented_env_vars_are_read():
-    """Every ``PGMCC_*`` variable the docs name is one some code reads,
-    so a deleted switch cannot live on as a documented no-op."""
-    documented = {
-        token
-        for doc in check_docs.iter_markdown(ROOT)
-        for token in re.findall(r"PGMCC_[A-Z_]+", doc.read_text())
+def test_no_env_var_switches():
+    """The repo has no environment switches left (they all carried the
+    prefix below): the docs name none and nothing under ``src/`` spells
+    one, so a deleted switch cannot live on as a documented no-op or
+    an undocumented reader."""
+    pattern = re.compile(r"PGMCC_[A-Z_]+")
+    files = [*check_docs.iter_markdown(ROOT), *(ROOT / "src").rglob("*.py")]
+    hits = sorted({f"{path.relative_to(ROOT)}: {token}"
+                   for path in files
+                   for token in pattern.findall(path.read_text())})
+    assert hits == []
+
+
+def test_documented_cli_flags_exist():
+    """Every ``--long-option`` the docs mention is defined by an
+    ``add_argument`` of one of the repo's own CLIs, so a deleted flag
+    cannot live on in the docs.  The docs name no third-party tool's
+    long options today; one that starts to needs an explicit allow-list
+    entry here."""
+    text = "\n".join(doc.read_text()
+                     for doc in check_docs.iter_markdown(ROOT))
+    documented = set(re.findall(r"(?<![\w-])(--[a-z][a-z0-9-]+)", text))
+    defined = {
+        flag
+        for base in ("src/repro", "tools", "benchmarks/perf")
+        for path in (ROOT / base).rglob("*.py")
+        for flag in re.findall(
+            r"add_argument\(\s*(?:\"-\w\",\s*)?\"(--[a-z][a-z0-9-]+)\"",
+            path.read_text())
     }
-    candidates = [*(ROOT / "src").rglob("*.py"),
-                  ROOT / "benchmarks" / "conftest.py"]
-    readers = [text for text in (path.read_text() for path in candidates)
-               if "os.environ" in text]
-    dead = sorted(token for token in documented
-                  if not any(token in text for text in readers))
-    assert documented, "the env-var table went missing"
-    assert dead == [], f"documented but never read: {dead}"
+    assert {"--scale", "--bench-json"} <= documented & defined
+    assert sorted(documented - defined) == []
 
 
 def test_documented_entry_points_exist():

@@ -9,6 +9,7 @@ import pytest
 
 from repro.experiments import (
     ablations,
+    adversarial,
     fig2_loss_filter,
     fig3_intra_fairness,
     fig4_inter_fairness,
@@ -146,7 +147,7 @@ class TestFig6:
         return fig6_heterogeneous_rtt.run(scale=0.25)
 
     def test_acker_is_a_group_member(self, fig6):
-        for label in ("no-NE", "NE-suppression"):
+        for label in ("no-NE", "NE-suppression", "NE-rx-loss-aware"):
             acker = fig6.metrics[f"{label}:dominant_acker"]
             assert acker in {"pr0", "pr1", "pr2", "pr3"}
 
@@ -204,6 +205,8 @@ class TestUnreliableMode:
 
     def test_no_repairs_ever(self, unrel):
         assert unrel.metrics["rdata_sent"] == 0
+        # ... yet reports still reach the source
+        assert unrel.metrics["naks_received"] > 0
 
     def test_rate_follows_link(self, unrel):
         assert unrel.metrics["rate_after"] < 0.6 * unrel.metrics["rate_before"]
@@ -219,10 +222,15 @@ class TestUnreliableMode:
 
 class TestAblations:
     def test_switch_bias_reduces_switches(self):
-        result = ablations.run_switch_bias(scale=0.25, cs=(1.0, 0.75))
-        assert (
-            result.metrics["c=0.75:switches"] <= result.metrics["c=1.0:switches"]
-        )
+        cs = (1.0, 0.9, 0.75, 0.6)
+        result = ablations.run_switch_bias(scale=0.25, cs=cs)
+        for c in (0.75, 0.6):
+            assert (
+                result.metrics[f"c={c}:switches"]
+                <= result.metrics["c=1.0:switches"]
+            )
+        for c in cs:
+            assert result.metrics[f"c={c}:ratio"] < 4.5  # fairness intact
         # throughput unaffected by the bias
         assert result.metrics["c=0.75:pgm_shared"] == pytest.approx(
             result.metrics["c=1.0:pgm_shared"], rel=0.6
@@ -230,24 +238,26 @@ class TestAblations:
 
     def test_rtt_modes_equivalent(self):
         result = ablations.run_rtt_mode(scale=0.25)
-        for phase in (1, 2):
+        for phase in (1, 2, 3, 4):
             assert result.metrics[f"time:plateau{phase}"] == pytest.approx(
                 result.metrics[f"seq:plateau{phase}"], rel=0.3
             )
 
     def test_dupack_thresholds_all_fair(self):
-        result = ablations.run_dupack(scale=0.25, thresholds=(2, 3, 5))
-        for threshold in (2, 3, 5):
+        result = ablations.run_dupack(scale=0.25, thresholds=(2, 3, 4, 5))
+        for threshold in (2, 3, 4, 5):
             assert result.metrics[f"dupack={threshold}:ratio"] < 4.5
 
     def test_ssthresh_six_avoids_stalls(self):
         result = ablations.run_ssthresh(scale=0.25, thresholds=(6,))
         assert result.metrics["ssthresh=6:stalls"] <= 2
+        assert result.metrics["ssthresh=6:ratio"] < 4.5
 
     def test_padhye_model_flags_lossy_receiver(self):
         result = ablations.run_throughput_model(scale=0.3)
         assert result.metrics["padhye:dominant"] == "lossy"
-        assert result.metrics["padhye:rate"] < 500_000
+        for model in ("simple", "padhye"):
+            assert result.metrics[f"{model}:rate"] < 500_000
 
     def test_adaptive_ssthresh_no_starvation(self):
         result = ablations.run_adaptive_ssthresh(scale=0.3)
@@ -264,6 +274,8 @@ class TestAblations:
             raw = result.metrics[f"{estimator}:raw_loss"]
             assert abs(result.metrics[f"{estimator}:loss"] - raw) < 0.015
             assert 0.005 < result.metrics[f"{estimator}:loss"] < 0.08
+            # and both keep the session loss-limited, far under 2 Mbit/s
+            assert result.metrics[f"{estimator}:rate"] < 1_000_000
 
 
 class TestScalability:
@@ -286,11 +298,15 @@ class TestScalability:
             scale_result.metrics["n20:plain:naks"], 1
         )
         assert plain_growth > ne_growth
+        # flat with NEs, growing with the co-located group without
+        assert scale_result.metrics["n60:ne:naks"] < 3 * max(
+            scale_result.metrics["n20:ne:naks"], 5)
+        assert plain_growth > 1.5
 
     def test_throughput_group_size_independent(self, scale_result):
         assert (
             scale_result.metrics["n60:ne:rate"]
-            > 0.8 * scale_result.metrics["n20:ne:rate"]
+            > 0.85 * scale_result.metrics["n20:ne:rate"]
         )
 
 
@@ -300,15 +316,17 @@ class TestFairnessSweep:
 
         grid = ((250_000, 10, 0.0), (500_000, 30, 0.02), (1_000_000, 60, 0.0))
         result = fairness_sweep.run(scale=0.3, grid=grid)
-        assert result.metrics["worst_ratio"] < 4.5
+        assert result.metrics["worst_ratio"] < 4.0
         for row in result.rows:
-            assert row["pgm_kbps"] > 0
-            assert row["tcp_kbps"] > 0
+            assert row["pgm_kbps"] > 0.05 * row["rate_kbps"]
+            assert row["tcp_kbps"] > 0.05 * row["rate_kbps"]
 
     def test_delayed_acks_fair_both_ways(self):
         result = ablations.run_delayed_acks(scale=0.3)
         for label in ("delack", "no-delack"):
-            assert result.metrics[f"{label}:ratio"] < 4.5
+            assert result.metrics[f"{label}:ratio"] < 4.0
+            assert result.metrics[f"{label}:pgm"] > 50_000
+            assert result.metrics[f"{label}:tcp"] > 50_000
 
 
 class TestRobustness:
@@ -323,7 +341,7 @@ class TestRobustness:
         from repro.experiments import robustness
 
         result = robustness.run_churn(scale=0.4)
-        assert result.metrics["churn_events"] >= 4
+        assert result.metrics["churn_events"] >= 6
         assert result.metrics["rate"] > 100_000
         assert result.metrics["longest_gap"] < 10.0
 
@@ -333,11 +351,19 @@ class TestRobustness:
         result = robustness.run_bursty_loss(scale=0.3)
         for pattern in ("bernoulli", "bursty"):
             assert result.metrics[f"{pattern}:rate"] > 50_000
+        # clustered losses = fewer congestion events = at least as fast
+        assert (
+            result.metrics["bursty:rate"] > 0.7 * result.metrics["bernoulli:rate"]
+        )
 
     def test_chaos_survives_clean(self):
         from repro.experiments import robustness
 
         result = robustness.run_chaos(scale=0.3)
+        # every scheduled episode actually fired
+        assert result.metrics["faults_fired"] >= 8
+        assert result.metrics["link_downs"] >= 3
+        assert result.metrics["stalls"] >= 1  # flaps restart, not deadlock
         assert result.metrics["crashes"] == 1
         assert result.metrics["switches"] >= 1  # acker re-elected
         assert result.metrics["rate"] > 50_000
@@ -353,7 +379,7 @@ class TestDropToZero:
         return drop_to_zero.run(scale=0.3, group_sizes=(1, 20))
 
     def test_naive_aggregation_collapses(self, dtz):
-        assert dtz.metrics["eq-naive:collapse"] > 2.0
+        assert dtz.metrics["eq-naive:collapse"] > 3.0
 
     def test_pgmcc_group_size_independent(self, dtz):
         assert dtz.metrics["pgmcc:collapse"] < 1.5
@@ -381,6 +407,57 @@ class TestFecScaling:
         assert (
             fec.metrics["fec0:mean_residual"]
             > fec.metrics["fec1:mean_residual"]
-            >= fec.metrics["fec2:mean_residual"]
+            > fec.metrics["fec2:mean_residual"]
         )
-        assert fec.metrics["fec2:mean_residual"] < 0.02
+        assert fec.metrics["fec2:mean_residual"] < 0.01
+
+
+class TestAdversarial:
+    """EXP-ADV: each attack measurably hurts with the guard off and is
+    deflected with it on, invariant-clean throughout."""
+
+    @pytest.fixture(scope="class")
+    def m(self):
+        # 0.5 is the shortest scale at which the guard-off damage has
+        # had time to show against the attack-free baseline
+        return adversarial.run(scale=0.5).metrics
+
+    def test_honest_groups_never_trip_the_guard(self, m):
+        assert m["baseline:on:quarantines"] == 0
+        assert m["impaired:on:quarantines"] == 0  # honest loss is no crime
+
+    def test_greedy_acker_deflected(self, m):
+        baseline = m["baseline:on:compliant_bps"]
+        assert m["greedy-acker:off:compliant_bps"] < 0.6 * baseline
+        assert m["greedy-acker:off:tcp_bps"] < 0.5 * m["baseline:on:tcp_bps"]
+        assert m["greedy-acker:on:compliant_bps"] > 0.9 * baseline
+        assert m["greedy-acker:on:quarantines"] >= 1
+        assert not m["greedy-acker:on:attacker_is_acker"]
+
+    def test_throttler_evicted(self, m):
+        off = m["throttler:off:compliant_bps"]
+        assert off < 0.5 * m["baseline:on:compliant_bps"]
+        assert m["throttler:on:compliant_bps"] > 1.5 * off
+
+    def test_nak_storm_contained(self, m):
+        assert m["nak-storm:on:quarantines"] >= 1
+        assert (m["nak-storm:on:compliant_bps"]
+                > 2.0 * m["nak-storm:off:compliant_bps"])
+
+    def test_ack_replay_deduplicated_without_suspicion(self, m):
+        # stale duplicates distort the sender's clock guard-off; the
+        # TTL-bounded dedup lands back on the no-replay anchor
+        anchor = m["impaired:on:compliant_bps"]
+        assert abs(m["ack-replay:off:compliant_bps"] - anchor) > 0.10 * anchor
+        assert abs(m["ack-replay:on:compliant_bps"] - anchor) < 0.15 * anchor
+        assert m["ack-replay:on:quarantines"] == 0
+
+    def test_invariant_clean_and_reliable_with_guard_on(self, m):
+        violations = {k: v for k, v in m.items()
+                      if k.endswith(":invariant_violations")}
+        assert len(violations) == 10 and not any(violations.values())
+        # guard-off rows are the attack showcase and may legitimately
+        # exhaust NAK retries; guard-on never sacrifices reliability
+        unrecoverable = {k: v for k, v in m.items()
+                         if k.endswith(":on:unrecoverable")}
+        assert len(unrecoverable) == 6 and not any(unrecoverable.values())

@@ -91,13 +91,18 @@ class TestSessionConfig:
             create_session(net, "h0", ["r0"], no_such_option=1)
 
     def test_removed_engine_fields_fail_loudly(self):
-        # the scheduler / packet-pool switches are gone; a caller still
-        # passing them must hear about it rather than be ignored
+        # the scheduler / packet-pool / telemetry switches are gone; a
+        # caller still passing them must hear about it rather than be
+        # ignored
         with pytest.raises(TypeError):
             SessionConfig(scheduler="heap")
+        with pytest.raises(TypeError, match="telemetry"):
+            SessionConfig(telemetry=False)
         net = dumbbell(1, 1, NON_LOSSY)
         with pytest.raises(TypeError, match="create_session"):
             create_session(net, "h0", ["r0"], packet_pool=False)
+        with pytest.raises(TypeError, match="create_session.*telemetry"):
+            create_session(net, "h0", ["r0"], telemetry=False)
 
     def test_config_sweeps_compose_with_replace(self):
         base = SessionConfig(stop_at=30.0)

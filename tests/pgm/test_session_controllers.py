@@ -95,7 +95,7 @@ def test_default_session_still_pgmcc():
 def test_telemetry_binds_for_every_backend(name):
     """The metric surface (gauges + probe series over window.w/tokens)
     must work for rate backends' synthesized views too."""
-    session, _ = run_session(name, until=8.0, telemetry=True)
+    session, _ = run_session(name, until=8.0)
     export = session.metrics.export()
     assert export["meta"]["controller"] == name
     gauges = export["gauges"]

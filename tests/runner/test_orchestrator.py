@@ -39,6 +39,11 @@ class TestDeterminism:
         b = orchestrate(GRID, jobs=1, scale=0.5).run()
         assert a["results_digest"] != b["results_digest"]
 
+    @pytest.mark.parametrize("scale", [0, -1.0, float("nan"), float("inf")])
+    def test_bad_scale_rejected_before_any_worker(self, scale):
+        with pytest.raises(ValueError, match="scale must be finite and > 0"):
+            orchestrate(GRID, scale=scale)
+
 
 class TestSessionMetricsFlow:
     """Session-metrics documents stay digest-stable through workers,
@@ -78,7 +83,7 @@ class TestSessionMetricsFlow:
         from repro.runner import bench_results_from_manifest
 
         manifest = orchestrate(self.SPECS, jobs=1, scale=0.5).run()
-        bench = bench_results_from_manifest(manifest, events_per_sec=1.0)
+        bench = bench_results_from_manifest(manifest)
         ids = [entry["id"] for entry in bench["session_metrics"]]
         assert ids == ["TOY-S5", "TOY-S6"]
         entry = bench["session_metrics"][0]
@@ -163,8 +168,8 @@ class TestCacheIntegration:
         assert rerun.outcomes[0].status == "failed"
 
     def test_bench_and_sweep_share_entries(self, tmp_path):
-        """fetch_or_run (the bench fixture) and the orchestrator derive
-        the same key for the same callable + kwargs."""
+        """fetch_or_run (direct library callers) and the orchestrator
+        derive the same key for the same callable + kwargs."""
         from tests.runner import _toy
 
         cache = ResultCache(tmp_path / "cache")

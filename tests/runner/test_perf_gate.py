@@ -1,82 +1,14 @@
-"""Perf-regression gate: threshold logic and CLI wiring.
+"""Scale-series perf gate: threshold logic and CLI wiring.
 
-``evaluate`` is pure, so the thresholds are pinned without running the
-actual benchmark; the CLI tests monkeypatch the measurement probe.
+``evaluate_series`` is pure, so the thresholds are pinned without
+running a sweep; the CLI tests feed it hand-written artifacts.
 """
 
 import json
 
 import pytest
 
-from repro.runner import perf_gate
-from repro.runner.perf_gate import (
-    REFERENCE_PR5_EVENTS_PER_SEC,
-    TARGET_SPEEDUP,
-    evaluate,
-    evaluate_series,
-    load_baseline,
-    load_scale_baseline,
-    main,
-)
-
-BASELINE = 2_800_000.0
-TARGET = REFERENCE_PR5_EVENTS_PER_SEC * TARGET_SPEEDUP
-
-
-class TestEvaluate:
-    def test_ok_above_baseline_and_target(self):
-        v = evaluate(BASELINE * 1.1, BASELINE)
-        assert v["status"] == "ok"
-        assert v["reasons"] == []
-
-    def test_small_dip_within_tolerance_is_ok(self):
-        # reference=0 silences the soft target: this pins the hard floor.
-        assert evaluate(BASELINE * 0.85, BASELINE,
-                        reference=0.0)["status"] == "ok"
-
-    def test_regression_beyond_20pct_fails(self):
-        v = evaluate(BASELINE * 0.79, BASELINE)
-        assert v["status"] == "fail"
-        assert "regressed" in v["reasons"][0]
-
-    def test_exactly_at_floor_is_ok(self):
-        assert evaluate(BASELINE * 0.80, BASELINE,
-                        reference=0.0)["status"] == "ok"
-
-    def test_below_3x_reference_warns_but_passes(self):
-        # Within 20% of baseline but under the overhaul's 3x target.
-        v = evaluate(TARGET * 0.9, TARGET * 0.95)
-        assert v["status"] == "warn"
-        assert "target" in v["reasons"][0]
-
-    def test_missing_baseline_uses_soft_target_only(self):
-        assert evaluate(TARGET * 0.5, None)["status"] == "warn"
-        assert evaluate(TARGET * 1.5, None)["status"] == "ok"
-
-    def test_custom_regression_threshold(self):
-        assert evaluate(BASELINE * 0.55, BASELINE, regression_threshold=0.5,
-                        reference=0.0)["status"] == "ok"
-        assert evaluate(BASELINE * 0.45, BASELINE, regression_threshold=0.5,
-                        reference=0.0)["status"] == "fail"
-
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
-    def test_invalid_threshold_rejected(self, bad):
-        with pytest.raises(ValueError):
-            evaluate(1.0, 1.0, regression_threshold=bad)
-
-
-class TestLoadBaseline:
-    def test_reads_field(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"sim_events_per_sec": 1234.5}))
-        assert load_baseline(str(path)) == 1234.5
-
-    def test_null_or_absent_field_is_none(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"sim_events_per_sec": None}))
-        assert load_baseline(str(path)) is None
-        path.write_text(json.dumps({"benches": []}))
-        assert load_baseline(str(path)) is None
+from repro.runner.perf_gate import evaluate_series, load_scale_baseline, main
 
 
 class TestEvaluateSeries:
@@ -133,85 +65,59 @@ class TestLoadScaleBaseline:
 
     def test_artifact_predating_field_yields_empty(self, tmp_path):
         path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"sim_events_per_sec": 1.0}))
+        path.write_text(json.dumps({"benches": []}))
         assert load_scale_baseline(str(path)) == {}
         path.write_text(json.dumps({"scale_metrics": None}))
         assert load_scale_baseline(str(path)) == {}
 
 
 class TestCli:
-    def _baseline_file(self, tmp_path, value):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"sim_events_per_sec": value}))
-        return str(path)
-
-    def test_pass_exit_zero(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(perf_gate, "measure_sim_events_per_sec",
-                            lambda chain, repeats: TARGET * 1.2)
-        rc = main(["--baseline", self._baseline_file(tmp_path, TARGET * 1.1)])
-        assert rc == 0
-        assert "OK" in capsys.readouterr().out
-
-    def test_regression_exit_nonzero(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(perf_gate, "measure_sim_events_per_sec",
-                            lambda chain, repeats: BASELINE * 0.5)
-        rc = main(["--baseline", self._baseline_file(tmp_path, BASELINE)])
-        assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
-
-    def test_warn_exit_zero(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(perf_gate, "measure_sim_events_per_sec",
-                            lambda chain, repeats: TARGET * 0.9)
-        rc = main(["--baseline", self._baseline_file(tmp_path, TARGET * 0.95)])
-        assert rc == 0
-        assert "WARN" in capsys.readouterr().out
-
-    def test_missing_baseline_file_soft_gates(self, tmp_path, monkeypatch,
-                                              capsys):
-        monkeypatch.setattr(perf_gate, "measure_sim_events_per_sec",
-                            lambda chain, repeats: TARGET * 1.2)
-        rc = main(["--baseline", str(tmp_path / "absent.json")])
-        assert rc == 0
-        assert "no baseline" in capsys.readouterr().out
-
-    def _measured_file(self, tmp_path, series):
-        path = tmp_path / "measured.json"
+    def _artifact(self, tmp_path, name, series):
+        path = tmp_path / name
         path.write_text(json.dumps({"scale_metrics": series}))
         return str(path)
 
+    def test_measured_is_required(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--baseline", self._artifact(tmp_path, "bench.json", {})])
+        assert exc.value.code == 2
+        assert "--measured" in capsys.readouterr().err
+
     def test_measured_against_seedless_baseline_prints_seed(
-            self, tmp_path, monkeypatch, capsys):
+            self, tmp_path, capsys):
         # First run of the scale probe: the committed baseline has no
         # scale_metrics — every cell seeds, exit stays 0.
-        monkeypatch.setattr(perf_gate, "measure_sim_events_per_sec",
-                            lambda chain, repeats: TARGET * 1.2)
-        measured = self._measured_file(
-            tmp_path, {"100000": {"receivers_per_sec": 40_000.0}})
-        rc = main(["--baseline", self._baseline_file(tmp_path, TARGET * 1.1),
+        measured = self._artifact(
+            tmp_path, "measured.json",
+            {"100000": {"receivers_per_sec": 40_000.0}})
+        rc = main(["--baseline", self._artifact(tmp_path, "bench.json", None),
                    "--measured", measured])
         assert rc == 0
         assert "SEED-BASELINE" in capsys.readouterr().out
 
-    def test_measured_scale_regression_fails(self, tmp_path, monkeypatch,
-                                             capsys):
-        monkeypatch.setattr(perf_gate, "measure_sim_events_per_sec",
-                            lambda chain, repeats: TARGET * 1.2)
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({
-            "sim_events_per_sec": TARGET * 1.1,
-            "scale_metrics": {"100000": {"receivers_per_sec": 200_000.0}},
-        }))
-        measured = self._measured_file(
-            tmp_path, {"100000": {"receivers_per_sec": 10_000.0}})
-        rc = main(["--baseline", str(path), "--measured", measured])
+    def test_measured_scale_regression_fails(self, tmp_path, capsys):
+        baseline = self._artifact(
+            tmp_path, "bench.json",
+            {"100000": {"receivers_per_sec": 200_000.0}})
+        measured = self._artifact(
+            tmp_path, "measured.json",
+            {"100000": {"receivers_per_sec": 10_000.0}})
+        rc = main(["--baseline", baseline, "--measured", measured])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
-    def test_missing_measured_file_skips_series_gate(
-            self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(perf_gate, "measure_sim_events_per_sec",
-                            lambda chain, repeats: TARGET * 1.2)
-        rc = main(["--baseline", self._baseline_file(tmp_path, TARGET * 1.1),
+    def test_missing_baseline_file_seeds(self, tmp_path, capsys):
+        measured = self._artifact(
+            tmp_path, "measured.json",
+            {"100000": {"receivers_per_sec": 40_000.0}})
+        rc = main(["--baseline", str(tmp_path / "absent.json"),
+                   "--measured", measured])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "no baseline" in out and "SEED-BASELINE" in out
+
+    def test_missing_measured_file_skips_series_gate(self, tmp_path, capsys):
+        rc = main(["--baseline", self._artifact(tmp_path, "bench.json", {}),
                    "--measured", str(tmp_path / "absent.json")])
         assert rc == 0
         assert "skipping scale-series gate" in capsys.readouterr().out

@@ -114,11 +114,9 @@ class TestRun:
         # seed-vs-fail behavior flows straight from perf_gate: a
         # baseline without matching history seeds (exit 0); a baseline
         # whose scale series dwarfs the measurement fails (exit 1) --
-        # this toy sweep produces no scale series, so only the engine
-        # verdict could fail, and without --probe there is none.
+        # this toy sweep produces no scale series, so nothing can fail.
         baseline = tmp_path / "BENCH_RESULTS.json"
-        baseline.write_text(json.dumps({"sim_events_per_sec": None,
-                                        "scale_metrics": {}}))
+        baseline.write_text(json.dumps({"scale_metrics": {}}))
         rc = main(["run", spec_path, "--quiet",
                    "--cache-dir", str(tmp_path / "cache"),
                    "--baseline", str(baseline)])
@@ -134,9 +132,17 @@ class TestRun:
         assert main(["run", str(path)]) == 2
         assert "problem(s)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("jobs", ["two", "0", "1.5"])
-    def test_bad_jobs_is_usage_error(self, jobs, spec_path, capsys):
+    @pytest.mark.parametrize("flag, value, expected", [
+        pytest.param("-j", v, "expected 'auto' or an integer >= 1", id=v)
+        for v in ("two", "0", "1.5")
+    ] + [
+        pytest.param("--scale", v, "expected a finite number > 0",
+                     id=f"scale={v}")
+        for v in ("0", "-1", "nan", "fast")
+    ])
+    def test_bad_jobs_is_usage_error(self, flag, value, expected, spec_path,
+                                     capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["run", spec_path, "-j", jobs])
+            main(["run", spec_path, flag, value])
         assert exit_info.value.code == 2
-        assert "expected 'auto' or an integer >= 1" in capsys.readouterr().err
+        assert expected in capsys.readouterr().err

@@ -1,18 +1,8 @@
-"""Instrument semantics: exact stats, bounded deterministic reservoirs,
-null twins."""
+"""Instrument semantics: exact stats, bounded deterministic reservoirs."""
 
 import pytest
 
-from repro.telemetry import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_TIMESERIES,
-    Counter,
-    Gauge,
-    Histogram,
-    TimeSeries,
-)
+from repro.telemetry import Counter, Gauge, Histogram, TimeSeries
 
 
 class TestCounterGauge:
@@ -105,26 +95,3 @@ class TestTimeSeries:
             return ts.snapshot()
 
         assert fill() == fill()
-
-
-class TestNullTwins:
-    def test_null_instruments_are_inert(self):
-        NULL_COUNTER.inc(5)
-        NULL_GAUGE.set(9.0)
-        NULL_HISTOGRAM.observe(1.0)
-        NULL_TIMESERIES.append(0.0, 1.0)
-        assert NULL_COUNTER.snapshot() == 0
-        assert NULL_GAUGE.snapshot() == 0.0
-        assert NULL_HISTOGRAM.snapshot()["count"] == 0
-        assert NULL_TIMESERIES.snapshot()["points"] == []
-
-    def test_null_surface_matches_real(self):
-        for real, null in ((Counter("c"), NULL_COUNTER),
-                           (Gauge("g"), NULL_GAUGE),
-                           (Histogram("h"), NULL_HISTOGRAM),
-                           (TimeSeries("t"), NULL_TIMESERIES)):
-            real_api = {m for m in dir(real)
-                        if not m.startswith("_") and callable(getattr(real, m))}
-            null_api = {m for m in dir(null)
-                        if not m.startswith("_") and callable(getattr(null, m))}
-            assert real_api <= null_api

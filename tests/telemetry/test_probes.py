@@ -1,23 +1,16 @@
-"""Probe behaviour: sim-clock sampling, determinism, stop semantics,
-null probe under a disabled registry."""
+"""Probe behaviour: sim-clock sampling, determinism, stop semantics."""
 
 import pytest
 
 from repro.simulator.engine import Simulator
-from repro.telemetry import (
-    MetricsRegistry,
-    NullProbe,
-    NullRegistry,
-    TimeSeriesProbe,
-    make_probe,
-)
+from repro.telemetry import MetricsRegistry, TimeSeriesProbe
 
 
 class TestTimeSeriesProbe:
     def test_samples_at_fixed_sim_interval(self):
         sim = Simulator()
         reg = MetricsRegistry()
-        probe = make_probe(sim, reg, interval=1.0)
+        probe = TimeSeriesProbe(sim, reg, interval=1.0)
         probe.sample("clock", lambda: sim.now)
         probe.start()
         sim.run(until=5.5)
@@ -28,7 +21,7 @@ class TestTimeSeriesProbe:
     def test_multiple_sources_share_one_timer(self):
         sim = Simulator()
         reg = MetricsRegistry()
-        probe = make_probe(sim, reg, interval=0.5)
+        probe = TimeSeriesProbe(sim, reg, interval=0.5)
         probe.sample("a", lambda: 1.0).sample("b", lambda: 2.0)
         probe.start()
         sim.run(until=2.0)
@@ -51,7 +44,7 @@ class TestTimeSeriesProbe:
                 sim.schedule(0.3, jitter)
 
             sim.schedule(0.0, jitter)
-            probe = make_probe(sim, reg, interval=0.25)
+            probe = TimeSeriesProbe(sim, reg, interval=0.25)
             probe.sample("v", lambda: state["v"])
             probe.start()
             sim.run(until=30.0)
@@ -62,7 +55,7 @@ class TestTimeSeriesProbe:
     def test_stop_cancels_timer_and_heap_drains(self):
         sim = Simulator()
         reg = MetricsRegistry()
-        probe = make_probe(sim, reg, interval=1.0)
+        probe = TimeSeriesProbe(sim, reg, interval=1.0)
         probe.sample("x", lambda: 0.0)
         probe.start()
         sim.run(until=2.5)
@@ -79,22 +72,6 @@ class TestTimeSeriesProbe:
     def test_registers_itself_for_close(self):
         sim = Simulator()
         reg = MetricsRegistry()
-        probe = make_probe(sim, reg, interval=1.0).start()
+        probe = TimeSeriesProbe(sim, reg, interval=1.0).start()
         reg.close()
         assert not probe.running
-
-
-class TestNullProbe:
-    def test_disabled_registry_gets_null_probe(self):
-        sim = Simulator()
-        probe = make_probe(sim, NullRegistry(), interval=1.0)
-        assert isinstance(probe, NullProbe)
-
-    def test_null_probe_schedules_nothing(self):
-        sim = Simulator()
-        probe = make_probe(sim, NullRegistry(), interval=0.01)
-        probe.sample("x", lambda: 1.0).start()
-        sim.run(until=10.0)
-        assert sim.events_processed == 0
-        assert sim.pending() == 0
-        assert probe.samples_taken == 0

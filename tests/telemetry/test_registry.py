@@ -1,17 +1,11 @@
 """Registry semantics: get-or-create, pull bindings, spans, export
-schema, null backend, as_registry normalisation."""
+schema, probe teardown."""
 
 import json
 
 import pytest
 
-from repro.telemetry import (
-    METRICS_SCHEMA,
-    MetricsRegistry,
-    NullRegistry,
-    SpanTracker,
-    as_registry,
-)
+from repro.telemetry import METRICS_SCHEMA, MetricsRegistry, SpanTracker
 
 
 class TestInstrumentsByName:
@@ -110,26 +104,8 @@ class TestExport:
         json.dumps(doc)  # must be JSON-serialisable as-is
         assert list(doc["counters"]) == ["a.a", "m.m", "z.b"]
 
-    def test_null_export_same_shape(self):
-        doc = NullRegistry().export(experiment="t")
-        assert doc["schema"] == METRICS_SCHEMA
-        assert doc["enabled"] is False
-        assert doc["counters"] == {} and doc["series"] == {}
-        assert doc["spans"] == {"stats": {}, "open": []}
 
-
-class TestNullRegistry:
-    def test_all_calls_are_inert(self):
-        reg = NullRegistry()
-        reg.counter("a").inc(100)
-        reg.bind("b", lambda: 1 / 0)  # never sampled
-        reg.histogram("h").observe(1.0)
-        reg.spans.begin("p", 0.0)
-        reg.spans.end("p", 9.0)
-        snap = reg.snapshot()
-        assert snap["counters"] == {}
-        assert reg.spans.stats("p") is None
-
+class TestProbes:
     def test_close_stops_probes(self):
         class FakeProbe:
             stopped = False
@@ -142,21 +118,3 @@ class TestNullRegistry:
         reg.add_probe(probe)
         reg.close()
         assert probe.stopped
-
-
-class TestAsRegistry:
-    def test_normalisation(self):
-        assert isinstance(as_registry(True), MetricsRegistry)
-        assert isinstance(as_registry(False), NullRegistry)
-        assert isinstance(as_registry(None), NullRegistry)
-        shared = MetricsRegistry()
-        assert as_registry(shared) is shared
-        null = NullRegistry()
-        assert as_registry(null) is null
-
-    def test_fresh_instances(self):
-        assert as_registry(True) is not as_registry(True)
-
-    def test_rejects_garbage(self):
-        with pytest.raises(TypeError):
-            as_registry("yes")

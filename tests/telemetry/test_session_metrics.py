@@ -1,22 +1,22 @@
 """Session telemetry wiring: PgmSession.metrics, schema round-trips,
-probe lifecycle inside a real session, disabled mode."""
+probe lifecycle inside a real session."""
 
 import json
 
 from repro.pgm import SUMMARY_SCHEMA, create_session
 from repro.pgm.session import SessionConfig
 from repro.simulator import LinkSpec, dumbbell
-from repro.telemetry import METRICS_SCHEMA, MetricsRegistry, NullRegistry
+from repro.telemetry import METRICS_SCHEMA
 
 LOSSY = LinkSpec(rate_bps=500_000, delay=0.050, queue_slots=30,
                  loss_rate=0.02)
 
 
-def lossy_session(telemetry=True, seconds=20.0, seed=11):
+def lossy_session(seconds=20.0, seed=11):
     net = dumbbell(1, 2, LOSSY, seed=seed)
     session = create_session(
         net, "h0", ["r0", "r1"],
-        config=SessionConfig(telemetry=telemetry, telemetry_interval=0.5),
+        config=SessionConfig(telemetry_interval=0.5),
     )
     net.run(until=seconds)
     return net, session
@@ -76,36 +76,6 @@ class TestSessionMetrics:
         session.close()
 
 
-class TestDisabledTelemetry:
-    def test_null_backend_by_request(self):
-        net, session = lossy_session(telemetry=False, seconds=10.0)
-        assert isinstance(session.metrics, NullRegistry)
-        doc = session.metrics.export()
-        assert doc["enabled"] is False
-        assert doc["counters"] == {}
-        session.close()
-
-    def test_disabled_session_behaves_identically(self):
-        """Telemetry must be purely observational: the protocol's own
-        counters match exactly with it on and off."""
-        _, on = lossy_session(telemetry=True, seconds=15.0)
-        _, off = lossy_session(telemetry=False, seconds=15.0)
-        assert on.sender.odata_sent == off.sender.odata_sent
-        assert on.sender.rdata_sent == off.sender.rdata_sent
-        assert on.sender.acks_received == off.sender.acks_received
-        assert [rx.delivered for rx in on.receivers] == [
-            rx.delivered for rx in off.receivers]
-        on.close(), off.close()
-
-    def test_shared_registry_passthrough(self):
-        shared = MetricsRegistry()
-        net = dumbbell(1, 1, LOSSY, seed=3)
-        session = create_session(net, "h0", ["r0"],
-                                 config=SessionConfig(telemetry=shared))
-        assert session.metrics is shared
-        session.close()
-
-
 class TestSummaryInteroperability:
     def test_summary_matches_metrics_export(self):
         net, session = lossy_session(seconds=15.0)
@@ -124,12 +94,3 @@ class TestSummaryInteroperability:
         summary = session.summary()
         assert "slow_start" in summary["phases"]
         assert summary["repair_latency"]["count"] >= 0
-
-    def test_summary_works_with_telemetry_disabled(self):
-        net, session = lossy_session(telemetry=False, seconds=10.0)
-        summary = session.summary()
-        assert summary["schema"] == SUMMARY_SCHEMA
-        assert summary["odata_sent"] > 0
-        assert summary["phases"] == {}
-        assert summary["repair_latency"] is None
-        session.close()
