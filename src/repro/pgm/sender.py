@@ -262,12 +262,15 @@ class PgmSender:
             elicit_nak=elicit,
             payload=payload,
         )
-        self._tx_window[seq] = (payload_len, payload)
-        if len(self._tx_window) > self._tx_window_capacity:
-            self.trail = seq - self._tx_window_capacity + 1
-            for old in list(self._tx_window):
-                if old < self.trail:
-                    del self._tx_window[old]
+        window = self._tx_window
+        window[seq] = (payload_len, payload)
+        if len(window) > self._tx_window_capacity:
+            # The window holds exactly [trail, seq]: the stale keys are
+            # the ones the trail steps over, one delete per ODATA, no scan.
+            trail = seq - self._tx_window_capacity + 1
+            for old in range(self.trail, trail):
+                del window[old]
+            self.trail = trail
         self.host.send(
             Packet(self.host.name, self.group, odata.wire_size(), odata, C.PROTO)
         )

@@ -10,6 +10,15 @@ Random loss is applied on ingress, before queueing, as dummynet's
 Queue drops happen when the packet arrives while the transmitter is
 busy and the queue will not accept it.
 
+Event model (DESIGN.md §6): a packet accepted by an *idle* link costs
+one event.  Its end of serialisation ``done = now + size * 8 / rate``
+is only remembered (``_free_at``) and the arrival scheduled at ``done +
+delay`` — the expression an event at ``done`` scheduling the arrival
+``delay`` later evaluates, so arrival times are bit-identical to that
+two-event model.  An end-of-serialisation event exists only while
+packets wait: the first to queue behind the one on the wire schedules
+it at ``_free_at`` and it re-arms while the queue is non-empty.
+
 Links also carry the hook points the fault-injection subsystem
 (:mod:`repro.simulator.faults`) drives: an administrative up/down flag,
 transient duplication/corruption stages and dedicated fault counters.
@@ -87,7 +96,10 @@ class Link:
         self.queue = queue if queue is not None else DropTailQueue(max_slots=30)
         self.loss = loss if loss is not None else NoLoss()
         self.deliver = deliver
-        self._busy = False
+        #: when the packet on the wire finishes serialising
+        self._free_at = 0.0
+        #: an end-of-serialisation event is pending (packets are waiting)
+        self._draining = False
         self._observers: list[ObserverFn] = []
         # Counters for analysis and assertions.
         self.sent = 0
@@ -176,29 +188,36 @@ class Link:
         return self._accept(packet)
 
     def _accept(self, packet: Packet) -> bool:
-        if self._busy:
+        if self._draining or self.sim.now < self._free_at:
             if not self.queue.offer(packet):
                 if self._observers:
                     self._notify("drop-queue", packet)
                 packet.release()
                 return False
+            if not self._draining:
+                # first packet to wait: only now is the event needed
+                self._draining = True
+                self.sim.schedule_at(self._free_at, self._transmission_done)
             return True
         self._start_transmission(packet)
         return True
 
     def _start_transmission(self, packet: Packet) -> None:
-        self._busy = True
         self.in_transit += 1
-        tx_time = packet.size * 8.0 / self.rate_bps
-        self.sim.schedule(tx_time, self._transmission_done, packet)
+        sim = self.sim
+        # (now + tx) + delay, as an event at ``done`` would compute it
+        self._free_at = done = sim.now + packet.size * 8.0 / self.rate_bps
+        sim.schedule_at(done + self.delay, self._deliver, packet)
 
-    def _transmission_done(self, packet: Packet) -> None:
-        self.sim.schedule(self.delay, self._deliver, packet)
-        nxt = self.queue.pop()
+    def _transmission_done(self) -> None:
+        queue = self.queue
+        nxt = queue.pop()
         if nxt is not None:
             self._start_transmission(nxt)
+        if len(queue):
+            self.sim.schedule_at(self._free_at, self._transmission_done)
         else:
-            self._busy = False
+            self._draining = False
 
     def _deliver(self, packet: Packet) -> None:
         self.in_transit -= 1

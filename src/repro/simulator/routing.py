@@ -34,47 +34,55 @@ def build_graph(nodes: Mapping[str, Node], delays: Mapping[tuple[str, str], floa
     return graph
 
 
+def shortest_paths(graph: nx.DiGraph, source: str) -> dict[str, list[str]]:
+    """Path from ``source`` to every node it reaches: one Dijkstra solve."""
+    return nx.single_source_dijkstra_path(graph, source, weight="weight")
+
+
 def install_unicast_routes(graph: nx.DiGraph, nodes: Mapping[str, Node]) -> None:
     """Install next-hop entries for every reachable destination at
     every node.  Overwrites existing unicast tables."""
     for src in nodes:
-        paths = nx.single_source_dijkstra_path(graph, src, weight="weight")
         table: dict[str, str] = {}
-        for dst, path in paths.items():
+        for dst, path in shortest_paths(graph, src).items():
             if dst == src or len(path) < 2:
                 continue
             table[dst] = path[1]
-    # note: installed below so partially-computed tables never leak
         nodes[src].unicast_routes = table
 
 
 def compute_multicast_tree(
-    graph: nx.DiGraph, source: str, members: Iterable[str]
+    paths: Mapping[str, list[str]], source: str, members: Iterable[str]
 ) -> dict[str, set[str]]:
     """Union of shortest paths from ``source`` to each member.
 
+    ``paths`` is ``shortest_paths(graph, source)``, solved once by the
+    caller however often membership changes; per member it is the path
+    ``nx.dijkstra_path`` returns (same search, same tie-breaks).
+
     Returns, for every on-tree node, the set of downstream neighbours
-    to which group traffic must be replicated.
+    to which group traffic must be replicated; an unreachable member
+    raises ``nx.NetworkXNoPath``.
     """
     downstream: dict[str, set[str]] = {}
     for member in members:
-        if member == source:
-            continue
-        path = nx.dijkstra_path(graph, source, member, weight="weight")
+        path = paths.get(member)
+        if path is None:
+            raise nx.NetworkXNoPath(f"No path to {member} from {source}.")
         for u, v in zip(path, path[1:]):
             downstream.setdefault(u, set()).add(v)
     return downstream
 
 
 def install_multicast_tree(
-    graph: nx.DiGraph,
+    paths: Mapping[str, list[str]],
     nodes: Mapping[str, Node],
     group: str,
     source: str,
     members: Iterable[str],
 ) -> dict[str, set[str]]:
     """Compute and install the tree; returns the downstream map."""
-    tree = compute_multicast_tree(graph, source, members)
+    tree = compute_multicast_tree(paths, source, members)
     for name, node in nodes.items():
         # sorted tuple, not a set: replication order must not depend on
         # string hashing (PYTHONHASHSEED), or equal-timestamp delivery

@@ -77,6 +77,8 @@ class Network:
         #: injectors installed via :meth:`install_faults`
         self.fault_injectors: list = []
         self._graph = None
+        #: source -> routing.shortest_paths over ``_graph``, reset with it
+        self._source_paths: dict[str, dict[str, list[str]]] = {}
         # Per-network id counters so identically constructed networks
         # produce identical protocol ids (and thus identical derived
         # RNG streams) run after run.
@@ -157,6 +159,7 @@ class Network:
     def graph(self):
         if self._graph is None:
             self._graph = routing.build_graph(self.nodes, self.link_delays)
+            self._source_paths = {}
         return self._graph
 
     def build_routes(self) -> None:
@@ -175,7 +178,11 @@ class Network:
     def set_group(self, group: Address, source: str, members: list[str]) -> None:
         """Install the multicast tree for ``group`` rooted at ``source``
         and subscribe the member hosts."""
-        routing.install_multicast_tree(self.graph(), self.nodes, group, source, members)
+        graph = self.graph()
+        paths = self._source_paths.get(source)
+        if paths is None:
+            paths = self._source_paths[source] = routing.shortest_paths(graph, source)
+        routing.install_multicast_tree(paths, self.nodes, group, source, members)
         for member in members:
             self.host(member).join_group(group)
 

@@ -52,6 +52,48 @@ class TestRepairWindow:
         assert sender.trail > 0
         assert len(sender._tx_window) <= 10
 
+    def test_window_holds_exactly_the_last_capacity_packets(self, wire):
+        sender, collector = make_sender(
+            wire, cc=CcConfig(enabled=False), max_rate_bps=2_000_000
+        )
+        sender._tx_window_capacity = capacity = 16
+        for _ in range(3 * capacity):
+            sender._send_odata(100, b"x" * 100)
+        assert len(sender._tx_window) == capacity
+        assert min(sender._tx_window) == sender.trail == 2 * capacity
+        wire.run(until=1.0)
+        for seq in (sender.trail - 1, sender.trail):
+            nak = Nak(1, seq, ReceiverReport("rx", 0, 0))
+            wire.host("rx").send(Packet("rx", "src", 100, nak, C.PROTO))
+        wire.run(until=2.0)
+        # below the trail the payload is gone; at the trail it is not
+        assert [r.seq for r in collector.payloads(RData)] == [sender.trail]
+
+    @pytest.mark.parametrize("capacity", [8, 512])
+    def test_trim_work_per_odata_does_not_grow_with_the_window(self, wire, capacity):
+        class CountingWindow(dict):
+            deletions = walks = 0
+
+            def __delitem__(self, key):
+                CountingWindow.deletions += 1
+                super().__delitem__(key)
+
+            def __iter__(self):
+                CountingWindow.walks += 1
+                return super().__iter__()
+
+        sender, _ = make_sender(
+            wire, cc=CcConfig(enabled=False), max_rate_bps=2_000_000
+        )
+        sender._tx_window = CountingWindow()
+        sender._tx_window_capacity = capacity
+        odata = 3 * capacity
+        for _ in range(odata):
+            sender._send_odata(100, b"x" * 100)
+        # one delete per ODATA once full and never a pass over the keys
+        assert CountingWindow.deletions == odata - capacity
+        assert CountingWindow.walks == 0
+
     def test_cc_disabled_without_rate_limit_rejected(self, wire):
         """A plain PGM sender must have a pre-set rate (§3.1)."""
         with pytest.raises(ValueError):

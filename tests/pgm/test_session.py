@@ -49,6 +49,18 @@ class TestCreateSession:
         rate = session.throughput_bps(5.0, 20.0)
         assert 300_000 < rate < 520_000  # most of a 500 kbit/s link
 
+    def test_an_idle_link_hop_costs_one_event(self):
+        """Pins the link's event model end to end: only packets that
+        queue behind another pay a second event (DESIGN.md §6), so a
+        lightly queued session stays well under two events per hop."""
+        net = dumbbell(1, 3, NON_LOSSY, seed=9)
+        create_session(net, "h0", ["r0", "r1", "r2"])
+        net.run(until=10.0)
+        hop_packets = sum(link.delivered for node in net.nodes.values()
+                          for link in node.links.values())
+        assert hop_packets > 3000
+        assert net.sim.events_processed / hop_packets < 1.3
+
     def test_receiver_lookup(self):
         net = dumbbell(1, 2, NON_LOSSY)
         session = create_session(net, "h0", ["r0", "r1"])

@@ -1,6 +1,13 @@
-"""Unit tests for the rate/delay/queue/loss link."""
+"""Unit tests for the rate/delay/queue/loss link.
+
+The timing and queueing behaviour is pinned differentially: every
+script in ``TestAgainstReference`` (and every hypothesis-generated one
+in ``test_link_properties.py``) runs on :class:`Link` and on the
+test-local :class:`ReferenceLink`, which shares no code with it.
+"""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,40 +37,8 @@ class TestTiming:
         sim.run()
         assert arrival == [pytest.approx(0.2)]
 
-    def test_back_to_back_packets_queue(self):
-        sim = Simulator()
-        link, received = make_link(sim, rate=8000.0, delay=0.0)
-        times = []
-        link.add_observer(lambda t, ev, p: times.append(t) if ev == "deliver" else None)
-        link.send(Packet("a", "b", 100))
-        link.send(Packet("a", "b", 100))
-        sim.run()
-        # second waits for the first's serialisation
-        assert times == [pytest.approx(0.1), pytest.approx(0.2)]
-
-    def test_throughput_matches_rate(self):
-        sim = Simulator()
-        link, received = make_link(sim, rate=80_000.0, delay=0.01,
-                                   queue=DropTailQueue(max_slots=1000))
-        for _ in range(100):
-            link.send(Packet("a", "b", 100))
-        sim.run()
-        # 100 packets x 100B = 80_000 bits at 80kbit/s -> 1.0s + delay
-        assert sim.now == pytest.approx(1.01)
-        assert len(received) == 100
-
 
 class TestDrops:
-    def test_queue_overflow_drops(self):
-        sim = Simulator()
-        link, received = make_link(sim, queue=DropTailQueue(max_slots=2))
-        for _ in range(5):
-            link.send(Packet("a", "b", 100))
-        sim.run()
-        # 1 in transmission + 2 queued = 3 delivered
-        assert len(received) == 3
-        assert link.queue_drops == 2
-
     def test_random_loss_consumes_no_bandwidth(self):
         sim = Simulator()
         link, received = make_link(sim, loss=DeterministicLoss([1]))
@@ -130,3 +105,175 @@ class TestAccounting:
         link.send(Packet("a", "b", 100))
         sim.run(until=1.0)
         assert link.utilization_bps == pytest.approx(800.0)
+
+
+class ReferenceLink:
+    """The textbook link: two events per packet — end of serialisation
+    (which also starts the next queued packet), then arrival one
+    propagation delay later.  Written from the model, not from
+    ``link.py``; only the engine and the queue are shared."""
+
+    def __init__(self, sim, rate_bps, delay, queue, deliver):
+        self.sim, self.rate_bps, self.delay = sim, rate_bps, delay
+        self.queue, self.deliver = queue, deliver
+        self.busy, self.up = False, True
+        self.sent = self.delivered = self.fault_drops = self.in_transit = 0
+
+    def send(self, packet):
+        self.sent += 1
+        if not self.up:
+            self.fault_drops += 1
+            return False
+        if self.busy:
+            return self.queue.offer(packet)
+        self._start(packet)
+        return True
+
+    def set_down(self):
+        self.up = False
+
+    def set_up(self):
+        self.up = True
+
+    def _start(self, packet):
+        self.busy = True
+        self.in_transit += 1
+        self.sim.schedule(packet.size * 8.0 / self.rate_bps, self._done, packet)
+
+    def _done(self, packet):
+        self.sim.schedule(self.delay, self._arrive, packet)
+        nxt = self.queue.pop()
+        if nxt is None:
+            self.busy = False
+        else:
+            self._start(nxt)
+
+    def _arrive(self, packet):
+        self.in_transit -= 1
+        self.delivered += 1
+        self.deliver(packet)
+
+
+def run_script(kind, script, rate, delay, queue_limits):
+    """Drive one link through ``script`` and return what it did.
+
+    ``script`` is a list of ``(gap, op, arg)``: advance the clock by
+    ``gap`` seconds — or, for ``"tx"``, to exactly the instant the last
+    sent packet would finish serialising on an idle link — let every
+    event due by then fire, then apply ``op``: ``"send"`` (``arg`` =
+    size), ``"down"``, ``"up"`` or ``"clear"`` (empty the queue).  Ops
+    are applied from outside the event loop so an arrival that ties
+    with an end of serialisation always comes after it, on both links.
+    """
+    sim = Simulator()
+    queue = DropTailQueue(**queue_limits)
+    state = []  # counters once every event due by each op has fired
+    deliveries = []
+
+    def check_conservation():
+        # clear() is a teardown path: what it discards is not a drop
+        if kind is Link and cleared == 0:
+            assert link.conserves_packets()
+
+    def deliver(packet):
+        deliveries.append((sim.now, packet.payload))
+        check_conservation()
+        if kind is Link:
+            packet.release()
+
+    if kind is Link:
+        link = Link(sim, "L", rate_bps=rate, delay=delay, deliver=deliver,
+                    queue=queue)
+    else:
+        link = ReferenceLink(sim, rate, delay, queue, deliver)
+    returns = []
+    cleared = 0
+    now = tx_end = 0.0
+    for tag, (gap, op, arg) in enumerate(script):
+        now = max(now, tx_end) if gap == "tx" else now + gap
+        sim.run(until=now)
+        if op == "send":
+            packet = (Packet("a", "b", arg, payload=tag) if kind is Link
+                      else SimpleNamespace(size=arg, payload=tag))
+            returns.append(link.send(packet))
+            tx_end = now + arg * 8.0 / rate
+        elif op == "clear":
+            cleared += len(queue)
+            queue.clear()
+        else:
+            getattr(link, "set_" + op)()
+        check_conservation()
+        state.append((sim.now, link.sent, link.delivered, link.fault_drops,
+                      link.in_transit, len(queue), queue.bytes_queued,
+                      queue.enqueues, queue.drops, queue.peak_slots,
+                      queue.peak_bytes))
+    while sim.pending():
+        sim.run(max_events=1)
+        check_conservation()
+    return SimpleNamespace(deliveries=deliveries, returns=returns,
+                           state=state, events=sim.events_processed,
+                           delivered=link.delivered, enqueues=queue.enqueues)
+
+
+def assert_matches_reference(script, rate=8000.0, delay=0.1, **queue_limits):
+    """Same deliveries at bit-identical times, same accept/drop
+    answers, same counters at every step — in no more events."""
+    queue_limits = queue_limits or {"max_slots": 2}
+    got = run_script(Link, script, rate, delay, queue_limits)
+    want = run_script(ReferenceLink, script, rate, delay, queue_limits)
+    assert got.deliveries == want.deliveries
+    assert got.returns == want.returns
+    assert got.state == want.state
+    assert want.events == 2 * want.delivered
+    assert got.delivered <= got.events <= want.events
+    if got.enqueues == 0:
+        assert got.events == got.delivered  # nothing waited: one event per hop
+    return got
+
+
+def burst(n, size=100):
+    return [(0.0, "send", size)] * n
+
+
+class TestAgainstReference:
+    def test_back_to_back_packets_queue(self):
+        got = assert_matches_reference(burst(2), delay=0.0)
+        # 100 B at 8000 bit/s: the second waits for the first's 0.1 s
+        assert [t for t, _ in got.deliveries] == [pytest.approx(0.1),
+                                                  pytest.approx(0.2)]
+        assert got.events == 3  # one end-of-serialisation event, not two
+
+    def test_queue_overflow_drops(self):
+        got = assert_matches_reference(burst(5))
+        # 1 in transmission + 2 queued are accepted, the rest dropped
+        assert got.returns == [True, True, True, False, False]
+        assert got.delivered == 3
+
+    def test_throughput_matches_rate(self):
+        got = assert_matches_reference(burst(100), rate=80_000.0, delay=0.01,
+                                       max_slots=1000)
+        # 100 x 100 B = 80_000 bits at 80 kbit/s -> 1.0 s + delay
+        assert got.deliveries[-1][0] == pytest.approx(1.01)
+        assert got.delivered == 100
+
+    def test_arrival_exactly_when_the_wire_frees_is_not_queued(self):
+        got = assert_matches_reference(
+            [(0.0, "send", 100), ("tx", "send", 100), ("tx", "send", 40)])
+        assert got.enqueues == 0 and got.events == 3
+
+    def test_byte_limited_queue(self):
+        assert_matches_reference(
+            burst(2, 100) + burst(3, 40) + [(0.15, "send", 100)] + burst(4, 60),
+            max_bytes=150)
+
+    def test_down_and_up_mid_burst(self):
+        got = assert_matches_reference(
+            burst(2) + [(0.01, "down", None)] + burst(2)
+            + [(0.0, "up", None)] + burst(2))
+        assert got.returns == [True, True, False, False, True, False]
+
+    def test_queue_cleared_with_a_packet_on_the_wire(self):
+        got = assert_matches_reference(
+            burst(3) + [(0.05, "clear", None), (0.0, "send", 100),
+                        (0.3, "send", 100)])
+        assert [tag for _, tag in got.deliveries] == [0, 4, 5]

@@ -1,14 +1,28 @@
 """Direct unit tests for route computation."""
 
+import random
+
 import networkx as nx
 import pytest
 
-from repro.simulator import ACCESS, LinkSpec, Network
+from repro.experiments.fig7_uncorrelated_loss import LEAF
+from repro.experiments.robustness import build_multipath
+from repro.simulator import (
+    ACCESS,
+    NON_LOSSY,
+    Host,
+    LinkSpec,
+    Network,
+    dumbbell,
+    dumbbell_subtrees,
+    star,
+)
 from repro.simulator.routing import (
     build_graph,
     compute_multicast_tree,
     install_multicast_tree,
     install_unicast_routes,
+    shortest_paths,
 )
 
 
@@ -73,7 +87,7 @@ class TestMulticastTree:
     def test_tree_is_union_of_shortest_paths(self):
         net = diamond()
         graph = build_graph(net.nodes, net.link_delays)
-        tree = compute_multicast_tree(graph, "a", ["b"])
+        tree = compute_multicast_tree(shortest_paths(graph, "a"), "a", ["b"])
         assert tree["a"] == {"top"}
         assert tree["top"] == {"b"}
         assert "bot" not in tree
@@ -81,7 +95,7 @@ class TestMulticastTree:
     def test_source_as_member_skipped(self):
         net = diamond()
         graph = build_graph(net.nodes, net.link_delays)
-        tree = compute_multicast_tree(graph, "a", ["a", "b"])
+        tree = compute_multicast_tree(shortest_paths(graph, "a"), "a", ["a", "b"])
         assert tree["a"] == {"top"}
 
     def test_shared_trunk_single_entry(self):
@@ -95,7 +109,7 @@ class TestMulticastTree:
         net.duplex_link("R", "m1", ACCESS)
         net.duplex_link("R", "m2", ACCESS)
         graph = build_graph(net.nodes, net.link_delays)
-        tree = compute_multicast_tree(graph, "s", ["m1", "m2"])
+        tree = compute_multicast_tree(shortest_paths(graph, "s"), "s", ["m1", "m2"])
         assert tree["s"] == {"R"}
         assert tree["R"] == {"m1", "m2"}
 
@@ -109,9 +123,10 @@ class TestMulticastTree:
         net.duplex_link("R", "m1", ACCESS)
         net.duplex_link("R", "m2", ACCESS)
         graph = build_graph(net.nodes, net.link_delays)
-        install_multicast_tree(graph, net.nodes, "mc:g", "s", ["m1", "m2"])
+        paths = shortest_paths(graph, "s")
+        install_multicast_tree(paths, net.nodes, "mc:g", "s", ["m1", "m2"])
         assert net.nodes["R"].multicast_routes["mc:g"] == ("m1", "m2")
-        install_multicast_tree(graph, net.nodes, "mc:g", "s", ["m1"])
+        install_multicast_tree(paths, net.nodes, "mc:g", "s", ["m1"])
         assert net.nodes["R"].multicast_routes["mc:g"] == ("m1",)
 
     def test_unreachable_member_raises(self):
@@ -120,4 +135,60 @@ class TestMulticastTree:
         net.add_host("island")
         graph = build_graph(net.nodes, net.link_delays)
         with pytest.raises(nx.NetworkXNoPath):
-            compute_multicast_tree(graph, "s", ["island"])
+            compute_multicast_tree(shortest_paths(graph, "s"), "s", ["island"])
+
+
+def per_member_dijkstra_routes(net, source, members):
+    """The tree as it used to be built: one ``nx.dijkstra_path`` solve
+    per member on a fresh graph, rendered like ``multicast_routes``."""
+    graph = build_graph(net.nodes, net.link_delays)
+    downstream = {}
+    for member in members:
+        path = nx.dijkstra_path(graph, source, member, weight="weight")
+        for u, v in zip(path, path[1:]):
+            downstream.setdefault(u, set()).add(v)
+    return {name: tuple(sorted(downstream.get(name, ()))) for name in net.nodes}
+
+
+TOPOLOGIES = {
+    "dumbbell": lambda: (dumbbell(2, 6, NON_LOSSY, seed=1), "h0"),
+    "dumbbell_subtrees": lambda: (
+        dumbbell_subtrees(12, subtrees=3, members="real", seed=2), "h0"),
+    "fig7_star": lambda: (star(20, LEAF, seed=3), "src"),
+    # equal-delay parallel paths: the tie must break the same way
+    "ecmp_equal_cost": lambda: (build_multipath(4, delay_skew=0.0), "src"),
+    "ecmp_skewed": lambda: (build_multipath(5, delay_skew=0.040), "src"),
+}
+
+
+class TestStoredSourcePaths:
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_joins_one_by_one_build_the_per_member_dijkstra_tree(self, topology):
+        net, source = TOPOLOGIES[topology]()
+        hosts = sorted(name for name, node in net.nodes.items()
+                       if isinstance(node, Host) and name != source)
+        random.Random(topology).shuffle(hosts)
+        for joined in range(1, len(hosts) + 1):
+            members = hosts[:joined]
+            net.set_group("mc:g", source, members)
+            installed = {name: node.multicast_routes["mc:g"]
+                         for name, node in net.nodes.items()}
+            assert installed == per_member_dijkstra_routes(net, source, members)
+
+    def test_one_solve_per_source_until_the_topology_changes(self, monkeypatch):
+        net, source = TOPOLOGIES["fig7_star"]()
+        solves = []
+        real = nx.single_source_dijkstra_path
+        monkeypatch.setattr(
+            nx, "single_source_dijkstra_path",
+            lambda graph, src, **kw: solves.append(src) or real(graph, src, **kw))
+        for joined in range(1, 11):
+            net.set_group("mc:g", source, [f"r{i}" for i in range(joined)])
+        assert solves == [source]
+        # a new node and link drop the graph and the paths solved on it
+        net.add_host("late")
+        net.duplex_link("R0", "late", ACCESS)
+        assert net._graph is None
+        net.set_group("mc:g", source, ["r0", "late"])
+        assert solves == [source, source]
+        assert net.nodes["R0"].multicast_routes["mc:g"] == ("late", "r0")
