@@ -7,6 +7,9 @@ edit to the package (outside ``repro.runner`` itself, which cannot
 change experiment outcomes) produces a new fingerprint, so stale
 results are unreachable rather than invalidated — re-runs after
 unrelated edits (docs, tests, benches) are near-instant cache hits.
+The unit of that promise is a run: each run's :class:`ResultCache`
+fingerprints the tree once, so an edit is picked up by the next run,
+never halfway through one.
 """
 
 from __future__ import annotations
@@ -35,14 +38,28 @@ _FINGERPRINTS: dict[tuple, str] = {}
 
 
 def _source_files(roots: Iterable[os.PathLike | str],
-                  exclude: tuple[str, ...]) -> list[tuple[Path, Path]]:
-    files: list[tuple[Path, Path]] = []
+                  exclude: tuple[str, ...]) -> list[tuple]:
+    """``(relative parts, path, size, mtime_ns)`` of every ``*.py``
+    under ``roots`` outside the top-level entries named in ``exclude``,
+    ordered as ``sorted(root.rglob("*.py"))`` is: by parts, not by
+    string (``a/b.py`` before ``a-b/c.py``)."""
+    files = []
     for root in sorted(Path(r).resolve() for r in set(map(str, roots))):
-        for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(root)
-            if rel.parts and rel.parts[0] in exclude:
-                continue
-            files.append((root, path))
+        found, pending = [], [((), str(root))]
+        while pending:
+            parts, directory = pending.pop()
+            with os.scandir(directory) as entries:
+                for entry in entries:
+                    if not parts and entry.name in exclude:
+                        continue
+                    here = (*parts, entry.name)
+                    if entry.name.endswith(".py"):
+                        st = entry.stat()
+                        found.append(
+                            (here, entry.path, st.st_size, st.st_mtime_ns))
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append((here, entry.path))
+        files += sorted(found)
     return files
 
 
@@ -51,30 +68,26 @@ def source_fingerprint(roots: Iterable[os.PathLike | str] | None = None,
     """Digest of every ``*.py`` under ``roots`` (default: the installed
     ``repro`` package).
 
-    Content hashing is memoised behind a cheap stat signature (path,
-    size, mtime), so repeated calls in one process are ~free while an
-    edit to any source file is still picked up immediately.
+    Each call walks and stats the tree, so it sees any edit made before
+    it; content hashing is memoised behind that stat signature (path,
+    size, mtime), so an unchanged tree is read once per process.
     """
     if roots is None:
         import repro
 
         roots = (Path(repro.__file__).parent,)
-    files = _source_files(roots, exclude)
-    signature = tuple(
-        (str(path), (st := path.stat()).st_size, st.st_mtime_ns)
-        for _, path in files
-    )
-    cached = _FINGERPRINTS.get(signature)
+    files = tuple(_source_files(roots, exclude))
+    cached = _FINGERPRINTS.get(files)
     if cached is not None:
         return cached
     h = hashlib.sha256()
-    for root, path in files:
-        h.update(str(path.relative_to(root)).encode())
+    for parts, path, _, _ in files:
+        h.update(os.sep.join(parts).encode())
         h.update(b"\0")
-        h.update(hashlib.sha256(path.read_bytes()).digest())
+        h.update(hashlib.sha256(Path(path).read_bytes()).digest())
         h.update(b"\0")
     digest = h.hexdigest()
-    _FINGERPRINTS[signature] = digest
+    _FINGERPRINTS[files] = digest
     return digest
 
 
@@ -121,17 +134,27 @@ def callable_id(fn: Callable) -> str:
 
 
 class ResultCache:
-    """Content-addressed store: ``<root>/<d[:2]>/<digest>.json``."""
+    """Content-addressed store: ``<root>/<d[:2]>/<digest>.json``.
+
+    One object serves one run.  The source tree is fingerprinted on
+    first use and that one value keys every lookup and stamps the
+    manifest, so keys and ``source_digest`` agree and the workers are
+    forked from the fingerprinted tree; an edit is picked up by the
+    next ``ResultCache``, i.e. the next run.
+    """
 
     def __init__(self, root: os.PathLike | str = DEFAULT_CACHE_DIR, *,
                  source_roots: Iterable[os.PathLike | str] | None = None,
                  exclude: tuple[str, ...] = FINGERPRINT_EXCLUDE):
         self.root = Path(root)
-        self._source_roots = tuple(source_roots) if source_roots else None
+        self._roots = tuple(source_roots) if source_roots else None
         self._exclude = exclude
+        self._source: str | None = None
 
     def source_digest(self) -> str:
-        return source_fingerprint(self._source_roots, self._exclude)
+        if self._source is None:
+            self._source = source_fingerprint(self._roots, self._exclude)
+        return self._source
 
     def digest_for(self, experiment: str, kwargs: dict[str, Any],
                    param_schema: Any = _REGISTRY_SCHEMA) -> str:
@@ -142,14 +165,16 @@ class ResultCache:
         return self.root / digest[:2] / f"{digest}.json"
 
     def get(self, digest: str) -> ExperimentResult | None:
-        path = self._path(digest)
+        """The stored result; an entry that is missing, unreadable or
+        not an :class:`ExperimentResult` is a miss (None), not an error:
+        the cell is recomputed and ``put`` overwrites the file."""
         try:
-            data = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if data.get("schema") != CACHE_SCHEMA:
-            return None
-        return ExperimentResult.from_dict(data["result"])
+            data = json.loads(self._path(digest).read_text())
+            if data["schema"] == CACHE_SCHEMA:
+                return ExperimentResult.from_dict(data["result"])
+        except (OSError, ValueError, LookupError, TypeError):
+            pass
+        return None
 
     def put(self, digest: str, result: ExperimentResult,
             meta: dict[str, Any] | None = None) -> Path:
@@ -162,9 +187,14 @@ class ResultCache:
             "meta": meta or {},
             "result": result.to_dict(),
         }
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entry, sort_keys=True))
-        os.replace(tmp, path)
+        # a temp name per writer: runs sharing the directory may store
+        # the same cell at the same time
+        tmp = path.with_suffix(f".{os.urandom(8).hex()}.tmp")
+        try:
+            tmp.write_text(json.dumps(entry, sort_keys=True))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         return path
 
     def fetch_or_run(self, fn: Callable[..., ExperimentResult],

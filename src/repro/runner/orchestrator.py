@@ -19,6 +19,7 @@ import os
 import time
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Callable, Iterable, Sequence
 
 from ..experiments.common import ExperimentResult, ExperimentSpec
@@ -129,6 +130,9 @@ class Orchestrator:
         declarative spec this task list was expanded from (attached
         verbatim by ``repro.sweep``)."""
         started = time.perf_counter()
+        # before any fork: the digest describes the tree workers inherit
+        source = (self.cache.source_digest() if self.cache is not None
+                  else source_fingerprint())
         by_index: dict[int, TaskOutcome] = {}
         todo: list[_Pending] = []
 
@@ -161,8 +165,6 @@ class Orchestrator:
 
         self.outcomes = [by_index[i] for i in sorted(by_index)]
         wall = time.perf_counter() - started
-        source = (self.cache.source_digest() if self.cache is not None
-                  else source_fingerprint())
         return build_manifest(
             self.outcomes,
             run_id=run_id or time.strftime("run-%Y%m%d-%H%M%S"),
@@ -244,8 +246,21 @@ class Orchestrator:
                 worker = free.pop()
                 running[worker] = self._spawn(task, worker)
 
-            progressed = False
+            # block until a worker writes or exits, a running task times
+            # out or, with a worker free, a queued retry's back-off ends
+            deadlines = [task.not_before for task in queue] if free else []
+            if self.timeout is not None:
+                deadlines += [run.started + self.timeout
+                              for run in running.values()]
+            ready = wait([handle for run in running.values()
+                          for handle in (run.conn, run.process.sentinel)],
+                         max(0.0, min(deadlines) - time.perf_counter())
+                         if deadlines else None)
             for run in list(running.values()):
+                if run.process.sentinel in ready:
+                    # closed a moment before the exit status can be
+                    # read: sit that out in waitpid, not in this loop
+                    run.process.join()
                 # liveness first: a worker seen dead here has already
                 # written whatever it will, so the poll below is
                 # conclusive (the other order can miss a result sent
@@ -262,7 +277,6 @@ class Orchestrator:
                             "traceback": "",
                         }
                     settle(run, kind, payload)
-                    progressed = True
                 elif not alive:
                     settle(run, "error", {
                         "type": "WorkerCrash",
@@ -270,7 +284,6 @@ class Orchestrator:
                                    f"{run.process.exitcode}",
                         "traceback": "",
                     })
-                    progressed = True
                 elif (self.timeout is not None
                       and time.perf_counter() - run.started > self.timeout):
                     run.process.terminate()
@@ -283,6 +296,3 @@ class Orchestrator:
                                    f"of {self.timeout}s",
                         "traceback": "",
                     })
-                    progressed = True
-            if not progressed:
-                time.sleep(0.01)

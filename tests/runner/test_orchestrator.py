@@ -1,12 +1,17 @@
 """Orchestrator semantics: determinism across -j, isolation, retries,
 timeouts, and cache integration."""
 
+import json
+import multiprocessing
+import os
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.common import ExperimentSpec
 from repro.runner import Orchestrator, ResultCache, RunnerEvent
+from repro.runner.cache import CACHE_SCHEMA
 
 TOY = "tests.runner._toy"
 #: repo root, so spawn-started workers can import the toy module too
@@ -143,6 +148,44 @@ class TestFailureIsolation:
         assert outcome.attempts == 2
 
 
+class TestWaitsInsteadOfPolling:
+    @pytest.mark.parametrize("func, kwargs, status", [
+        pytest.param("run_sleep", {"seconds": 0.3}, "ok", id="slow-task"),
+        pytest.param("run_hard_crash", {}, "failed", id="silent-crash"),
+    ])
+    def test_loop_sleeps_in_the_kernel_until_a_worker_speaks(
+            self, monkeypatch, func, kwargs, status):
+        """Counted, not timed: the pool loop checks liveness once per
+        pass, so a 0.3 s task costs a handful of passes (about thirty
+        when the loop polled every 10 ms), a worker that dies silent
+        costs no more (its sentinel closes before its exit status is
+        there — seventy-odd passes if the loop spins on that), and the
+        parent never calls ``time.sleep`` while a worker runs."""
+        parent = os.getpid()
+        passes, sleeps = [], []
+        is_alive, sleep = multiprocessing.Process.is_alive, time.sleep
+
+        def counting_is_alive(process):
+            passes.append(process.pid)
+            return is_alive(process)
+
+        def counting_sleep(seconds):  # forked workers inherit the patch
+            if os.getpid() == parent:
+                sleeps.append(seconds)
+            sleep(seconds)
+
+        monkeypatch.setattr(multiprocessing.Process, "is_alive",
+                            counting_is_alive)
+        monkeypatch.setattr(time, "sleep", counting_sleep)
+        orch = orchestrate([toy_spec("TOY-W", func=func, **kwargs)],
+                           jobs=1, retries=0)
+        orch.run()
+        assert orch.outcomes[0].status == status
+        assert orch.outcomes[0].wall_s >= kwargs.get("seconds", 0)
+        assert 1 <= len(passes) <= 5
+        assert sleeps == []
+
+
 class TestCacheIntegration:
     def test_cold_then_warm(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -166,6 +209,21 @@ class TestCacheIntegration:
         manifest = rerun.run()
         assert manifest["totals"]["cache_hits"] == 0
         assert rerun.outcomes[0].status == "failed"
+
+    def test_poisoned_entry_is_recomputed_and_overwritten(self, tmp_path):
+        """Well-formed JSON of the wrong shape in a cell's slot is a
+        miss, not an exception out of ``run``."""
+        cache = ResultCache(tmp_path / "cache")
+        spec = toy_spec("TOY-3", seed=3)
+        orchestrate([spec], jobs=1, cache=cache).run()
+        (entry,) = cache.root.rglob("*.json")
+        entry.write_text(json.dumps({"schema": CACHE_SCHEMA, "result": []}))
+        rerun = orchestrate([spec], jobs=1, cache=cache)
+        rerun.run()
+        assert rerun.outcomes[0].status == "ok"
+        assert not rerun.outcomes[0].cache_hit
+        again = orchestrate([spec], jobs=1, cache=cache).run()
+        assert again["totals"]["cache_hits"] == 1
 
     def test_bench_and_sweep_share_entries(self, tmp_path):
         """fetch_or_run (direct library callers) and the orchestrator
