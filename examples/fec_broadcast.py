@@ -68,7 +68,7 @@ def fec_run() -> None:
     # Halfway in, a receiver on a much lossier link joins; the source
     # raises the parity budget from its reports (§3.9 adaptation).
     def straggler_joins() -> None:
-        add_receiver(net, session, "straggler", reliable=False)
+        add_receiver(net, session, "straggler")
         rx = session.receiver("straggler")
         assemblers["straggler"] = FecAssembler()
         attach_fec_receiver(rx, assemblers["straggler"])

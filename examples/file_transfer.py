@@ -14,7 +14,7 @@ import hashlib
 import random
 
 from repro.pgm import FiniteSource, create_session, enable_network_elements
-from repro.simulator import LinkSpec, Network
+from repro.simulator import ACCESS, LinkSpec, Network
 
 CHUNK = 1400
 N_CHUNKS = 400  # a 560 kB "file"
@@ -30,7 +30,7 @@ def build_network(seed: int = 7) -> Network:
     net = Network(seed=seed)
     net.add_host("src")
     net.add_router("R0")
-    net.duplex_link("src", "R0", LinkSpec(100_000_000, 0.0005, queue_slots=1000))
+    net.duplex_link("src", "R0", ACCESS)
     for name, spec in RECEIVER_LINKS.items():
         net.add_host(name)
         net.duplex_link("R0", name, spec)

@@ -16,7 +16,7 @@ Run:  python examples/live_stream.py
 
 from repro.core.feedback import AdaptiveSource, QualityLevel
 from repro.pgm import create_session
-from repro.simulator import LinkSpec, Network
+from repro.simulator import ACCESS, LinkSpec, Network
 
 LEVELS = [
     QualityLevel("audio-only 16k", 16_000),
@@ -32,7 +32,7 @@ def main() -> None:
     net = Network(seed=11)
     net.add_host("studio")
     net.add_router("R0")
-    net.duplex_link("studio", "R0", LinkSpec(100_000_000, 0.0005, queue_slots=1000))
+    net.duplex_link("studio", "R0", ACCESS)
     viewers = ["viewer-a", "viewer-b"]
     links = []
     for name in viewers:
@@ -50,7 +50,6 @@ def main() -> None:
     )
     session = create_session(
         net, "studio", viewers, reliable=False, on_token=app.on_token,
-        trace_name="stream",
     )
     # feed the app the freshest loss report for FEC sizing
     original = session.sender._handle_nak

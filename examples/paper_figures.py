@@ -26,9 +26,8 @@ def figure4() -> None:
     print("Fig. 4 (miniature): 1 TCP vs 1 PGM session, non-lossy bottleneck")
     print("=" * 72)
     net = dumbbell(2, 2, NON_LOSSY, seed=3)
-    session = create_session(net, "h0", ["r0"], cc=CcConfig(c=1.0), trace_name="pgm")
-    tcp = create_tcp_flow(net, "h1", "r1", start_at=25.0, stop_at=65.0,
-                          trace_name="tcp")
+    session = create_session(net, "h0", ["r0"], cc=CcConfig(c=1.0))
+    tcp = create_tcp_flow(net, "h1", "r1", start_at=25.0, stop_at=65.0)
     net.run(until=90.0)
     print(render_time_seq(session.trace, 0, 90, width=72, height=16))
     print()
@@ -42,8 +41,7 @@ def figure5() -> None:
     print("Fig. 5 (miniature): acker selection across two bottlenecks")
     print("=" * 72)
     net = two_bottleneck(L1, L2, seed=5)
-    session = create_session(net, "src", ["pr2"], cc=CcConfig(c=0.75),
-                             trace_name="pgm")
+    session = create_session(net, "src", ["pr2"], cc=CcConfig(c=0.75))
     add_receiver(net, session, "pr1", at=30.0)
     tcp = create_tcp_flow(net, "ts", "tr", start_at=60.0, stop_at=110.0)
     net.run(until=150.0)

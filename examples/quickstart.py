@@ -24,11 +24,11 @@ def main() -> None:
     net = dumbbell(n_left=2, n_right=3, bottleneck=NON_LOSSY, seed=1)
 
     # A pgmcc session from h0 to two receivers.
-    session = create_session(net, "h0", ["r0", "r1"], trace_name="pgmcc")
+    session = create_session(net, "h0", ["r0", "r1"])
 
     # A competing TCP bulk flow in the middle of the run.
     tcp = create_tcp_flow(net, "h1", "r2", start_at=TCP_START,
-                          stop_at=TCP_STOP, trace_name="tcp")
+                          stop_at=TCP_STOP)
 
     net.run(until=DURATION)
 

@@ -1,6 +1,7 @@
 """Trace analysis: throughput, fairness, binned bandwidth series."""
 
 from .metrics import (
+    acker_occupancy,
     coefficient_of_variation,
     jain_index,
     loss_event_rate,
@@ -17,6 +18,7 @@ from .timeseries import (
 )
 
 __all__ = [
+    "acker_occupancy",
     "coefficient_of_variation",
     "jain_index",
     "loss_event_rate",

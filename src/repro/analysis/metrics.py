@@ -17,7 +17,25 @@ def throughput_bps(trace: FlowTrace, t0: float, t1: float, kind: str = "data") -
     """Average payload throughput of ``kind`` records over [t0, t1)."""
     if t1 <= t0:
         raise ValueError("need t1 > t0")
-    return trace.between(t0, t1).bytes_sent(kind) * 8.0 / (t1 - t0)
+    return trace.throughput_bps(t0, t1, kind)
+
+
+def acker_occupancy(switches, t0: float, t1: float) -> dict[str, float]:
+    """Seconds each receiver spent as acker within [t0, t1], from the
+    election's switch history (``AckerElection.switches``)."""
+    occupancy: dict[str, float] = {}
+    current = None
+    last = t0
+    for s in switches:
+        if s.time >= t1:
+            break
+        if current is not None and s.time > t0:
+            occupancy[current] = occupancy.get(current, 0.0) + (max(s.time, t0) - last)
+        current = s.new
+        last = max(s.time, t0)
+    if current is not None:
+        occupancy[current] = occupancy.get(current, 0.0) + (t1 - last)
+    return occupancy
 
 
 def jain_index(rates: Sequence[float]) -> float:

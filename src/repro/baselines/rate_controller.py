@@ -37,7 +37,6 @@ it against the window backends head-to-head.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from ..core.loss_filter import SCALE
 from ..pgm import constants as C
@@ -81,7 +80,6 @@ class EquationRateSender:
         max_rate_bps: float = 10_000_000.0,
         initial_rate_bps: float = 100_000.0,
         smoothing: float = 0.25,
-        trace: Optional[FlowTrace] = None,
     ):
         if aggregation not in AGGREGATIONS:
             raise ValueError(f"unknown aggregation {aggregation!r}")
@@ -97,7 +95,7 @@ class EquationRateSender:
         self.max_rate_bps = max_rate_bps
         self.rate_bps = initial_rate_bps
         self.smoothing = smoothing
-        self.trace = trace if trace is not None else FlowTrace(f"eq-{aggregation}")
+        self.trace = FlowTrace()
 
         self._next_seq = 0
         self._p_smoothed = 0.0

@@ -53,7 +53,7 @@ Backends register by name::
 
     make_controller("mycc", CcConfig(), **params)
 
-and sessions select one with ``SessionConfig(controller="mycc")``.
+and sessions select one with ``cc=CcConfig(controller="mycc")``.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ source two kinds of feedback it can adapt to:
 smoothed rate estimate; :class:`AdaptiveSource` is a reference
 implementation of an application that picks a quality level (or FEC
 redundancy share) from that estimate, used by the live-stream example
-and the unreliable-mode bench.
+and the unreliable-mode experiment.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ RTO estimate below).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from ..simulator.engine import Simulator, Timer
 from .acker import DEFAULT_C, AckerElection
@@ -66,17 +66,23 @@ class CcConfig:
     #: registered controller backend driving the send gate (see
     #: repro.core.controller; "pgmcc" is the paper's window machine).
     controller: str = "pgmcc"
-    #: backend-specific parameters as a tuple of (key, value) pairs
+    #: backend-specific parameters, e.g. {"beta": 0.8} for "aimd"; a
+    #: mapping is stored as its sorted tuple of (key, value) pairs
     #: (tuple, not dict, so CcConfig stays hashable/picklable for the
-    #: runner's cache keys), e.g. (("beta", 0.8),) for "aimd".
+    #: runner's cache keys).
     controller_params: tuple = ()
     #: enable the acker-liveness watchdog (repro.pgm.liveness): faster
     #: dead-acker detection than the generic stall timer, plus an
     #: explicit degraded mode under total feedback loss.
     liveness: bool = False
-    #: LivenessConfig overrides as (key, value) pairs (tuple for the
-    #: same hashability reason as controller_params).
+    #: LivenessConfig overrides, stored like controller_params.
     liveness_params: tuple = ()
+
+    def __post_init__(self) -> None:
+        for name in ("controller_params", "liveness_params"):
+            value = getattr(self, name)
+            if isinstance(value, Mapping):
+                setattr(self, name, tuple(sorted(value.items())))
 
 
 @dataclass

@@ -183,8 +183,8 @@ def run_throughput_model(scale: float = 1.0, seed: int = 47) -> ExperimentResult
     """
     from ..core.sender_cc import CcConfig
     from ..pgm import create_session
-    from ..simulator import LinkSpec, Network
-    from ..analysis import throughput_bps
+    from ..simulator import ACCESS, LinkSpec, Network
+    from ..analysis import acker_occupancy, throughput_bps
 
     result = ExperimentResult(
         name="abl-throughput-model",
@@ -204,7 +204,7 @@ def run_throughput_model(scale: float = 1.0, seed: int = 47) -> ExperimentResult
         net = Network(seed=seed)
         net.add_host("src")
         net.add_router("R0")
-        net.duplex_link("src", "R0", LinkSpec(100_000_000, 0.0005, queue_slots=1000))
+        net.duplex_link("src", "R0", ACCESS)
         net.add_host("lossy")
         net.duplex_link("R0", "lossy", LinkSpec(2_000_000, 0.010, queue_slots=60,
                                                 loss_rate=0.18))
@@ -213,10 +213,10 @@ def run_throughput_model(scale: float = 1.0, seed: int = 47) -> ExperimentResult
                                               loss_rate=0.005))
         net.build_routes()
         session = create_session(net, "src", ["lossy", "far"],
-                                 cc=CcConfig(model=model), trace_name=f"pgm-{model}")
+                                 cc=CcConfig(model=model))
         net.run(until=duration)
-        occupancy = _occupancy(session.sender.controller.election.switches,
-                               duration / 3, duration)
+        occupancy = acker_occupancy(
+            session.sender.controller.election.switches, duration / 3, duration)
         dominant = max(occupancy, key=occupancy.get) if occupancy else None
         rate = throughput_bps(session.trace, duration / 3, duration)
         result.add_row(model=model, dominant_acker=dominant,
@@ -226,20 +226,6 @@ def run_throughput_model(scale: float = 1.0, seed: int = 47) -> ExperimentResult
         result.metrics[f"{model}:occupancy"] = occupancy
         session.close()
     return result
-
-
-def _occupancy(switches, t0, t1):
-    occupancy: dict[str, float] = {}
-    current, last = None, t0
-    for s in switches:
-        if s.time >= t1:
-            break
-        if current is not None and s.time > t0:
-            occupancy[current] = occupancy.get(current, 0.0) + max(s.time, t0) - last
-        current, last = s.new, max(s.time, t0)
-    if current is not None:
-        occupancy[current] = occupancy.get(current, 0.0) + (t1 - last)
-    return occupancy
 
 
 def run_adaptive_ssthresh(scale: float = 1.0, seed: int = 53) -> ExperimentResult:

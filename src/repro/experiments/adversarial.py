@@ -112,13 +112,12 @@ def run_scenario(
     cc = CcConfig(c=1.0, dupack_threshold=3, ssthresh=6)
     session = create_session(
         net, "h0", names, cc=cc,
-        trace_name=f"adv-{kind or 'baseline'}",
         faults=_attack_plan(kind, duration),
         guard=True if guard_on else None,
         max_rate_bps=MAX_RATE_BPS,
         check_invariants=True, strict_invariants=False,
     )
-    tcp = create_tcp_flow(net, "h1", f"r{n_receivers}", trace_name="tcp")
+    tcp = create_tcp_flow(net, "h1", f"r{n_receivers}")
 
     compliant = [rx for rx in session.receivers if rx.rx_id != ATTACKER]
     for rx in compliant:

@@ -46,6 +46,7 @@ from typing import Any, Optional
 
 from ..analysis import throughput_bps, throughput_ratio
 from ..core.controller import controller_names
+from ..core.sender_cc import CcConfig
 from ..pgm import create_session
 from ..pgm.session import SessionConfig
 from ..simulator import (
@@ -117,15 +118,14 @@ def run_bout(controller: str, scenario: str, duration: float,
     session = create_session(
         net, "h0", [f"r{i}" for i in range(n_receivers)],
         config=SessionConfig(
-            controller=controller,
-            trace_name=f"arena-{controller}-{scenario}",
+            cc=CcConfig(controller=controller),
             check_invariants=True, strict_invariants=False,
             **extra,
         ),
     )
     tcp = None
     if tcp_host is not None:
-        tcp = create_tcp_flow(net, "h1", tcp_host, trace_name="tcp")
+        tcp = create_tcp_flow(net, "h1", tcp_host)
     net.run(until=duration)
     session.invariants.verify_now()
 

@@ -1,10 +1,10 @@
 """Shared experiment plumbing.
 
 Every experiment runner returns an :class:`ExperimentResult`: named
-rows of measurements plus the paper's expectation, so benches, tests
-and EXPERIMENTS.md all read from one structure.  ``scale`` shrinks the
-simulated duration for quick runs (tests/benches); ``scale=1.0`` is
-the paper-faithful duration.
+rows of measurements plus the paper's expectation, so the runner,
+tests and EXPERIMENTS.md all read from one structure.  ``scale``
+shrinks the simulated duration for quick runs (tests, CI smoke);
+``scale=1.0`` is the paper-faithful duration.
 """
 
 from __future__ import annotations

@@ -60,7 +60,7 @@ def _run_equation(n_receivers: int, aggregation: str, duration: float,
 def _run_pgmcc(n_receivers: int, duration: float, seed: int) -> float:
     net = build(n_receivers, seed)
     session = create_session(
-        net, "src", [f"r{i}" for i in range(n_receivers)], trace_name="pgm"
+        net, "src", [f"r{i}" for i in range(n_receivers)]
     )
     net.run(until=duration)
     rate = throughput_bps(session.trace, duration / 2, duration)

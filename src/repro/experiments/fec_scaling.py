@@ -52,7 +52,7 @@ def run(
     # Baseline: retransmission-based repair (Fig. 7 style).
     net = build(n_receivers, seed)
     session = create_session(
-        net, "src", [f"r{i}" for i in range(n_receivers)], trace_name="rdata"
+        net, "src", [f"r{i}" for i in range(n_receivers)]
     )
     net.run(until=duration)
     odata, rdata = session.sender.odata_sent, session.sender.rdata_sent
@@ -72,7 +72,7 @@ def run(
         source = FecSource(k=K, redundancy=r)
         session = create_session(
             net, "src", [f"r{i}" for i in range(n_receivers)],
-            reliable=False, source=source, trace_name=f"fec-r{r}",
+            reliable=False, source=source,
         )
         assemblers = []
         for rx in session.receivers:

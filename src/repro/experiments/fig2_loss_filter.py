@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ..core.loss_filter import LossRateFilter
 from ..pgm import create_session
-from ..simulator import LinkSpec, Network
+from ..simulator import ACCESS, LinkSpec, Network
 from .common import ExperimentResult
 
 #: the W values plotted in Fig. 2 (the paper's own is 65000).
@@ -37,7 +37,7 @@ def _capture_pattern(spec: LinkSpec, duration: float, seed: int,
     net.add_host("src")
     net.add_router("R0")
     net.add_host("rx")
-    net.duplex_link("src", "R0", LinkSpec(rate_bps=100_000_000, delay=0.0005, queue_slots=1000))
+    net.duplex_link("src", "R0", ACCESS)
     net.duplex_link("R0", "rx", spec)
     net.build_routes()
     session = create_session(net, "src", ["rx"], payload_size=payload_size)

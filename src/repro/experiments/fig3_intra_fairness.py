@@ -33,9 +33,9 @@ def run_case(
 ) -> dict:
     """One Fig. 3 panel; returns phase rates and fairness metrics."""
     net = dumbbell(2, 3, spec, seed=seed)
-    s1 = create_session(net, "h0", ["r0", "r1"], cc=CcConfig(c=c), trace_name="pgm1")
+    s1 = create_session(net, "h0", ["r0", "r1"], cc=CcConfig(c=c))
     s2 = create_session(
-        net, "h1", ["r2"], cc=CcConfig(c=c), start_at=second_start, trace_name="pgm2"
+        net, "h1", ["r2"], cc=CcConfig(c=c), start_at=second_start
     )
     net.run(until=duration)
 

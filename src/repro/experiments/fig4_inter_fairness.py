@@ -38,14 +38,14 @@ def run_case(
 ) -> dict:
     net = dumbbell(2, n_receivers + 1, spec, seed=seed)
     cc = CcConfig(c=c, dupack_threshold=dupack_threshold, ssthresh=ssthresh)
-    session = create_session(net, "h0", ["r0"], cc=cc, trace_name="pgm")
+    session = create_session(net, "h0", ["r0"], cc=cc)
     # Stagger the extra co-located receivers (paper: "started at
     # different times (but before the TCP session)").
     for i in range(1, n_receivers):
         add_receiver(net, session, f"r{i}", at=tcp_start * i / (2.0 * n_receivers))
     tcp = create_tcp_flow(
         net, "h1", f"r{n_receivers}", start_at=tcp_start, stop_at=tcp_stop,
-        delayed_acks=delayed_acks, trace_name="tcp",
+        delayed_acks=delayed_acks,
     )
     net.run(until=duration)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from ..analysis import plateau_rate
 from ..core.sender_cc import CcConfig
 from ..pgm import add_receiver, create_session
-from ..simulator import LinkSpec, two_bottleneck
+from ..simulator import ACCESS, LinkSpec, two_bottleneck
 from .common import ExperimentResult, kbps
 
 L1 = LinkSpec(rate_bps=400_000, delay=0.050, queue_bytes=20_000)
@@ -48,19 +48,18 @@ def run(
         for site, router in (("pr1", "R1"), ("pr2", "R2")):
             name = f"{site}_{i}"
             net.add_host(name)
-            net.duplex_link(router, name, LinkSpec(100_000_000, 0.0005, queue_slots=1000))
+            net.duplex_link(router, name, ACCESS)
             extra.append((name, site))
     net.build_routes()
 
     session = create_session(
         net, "src", ["pr2"], cc=CcConfig(c=c, rtt_mode=rtt_mode),
-        echo_timestamps=(rtt_mode == "time"), trace_name="pgm",
+        echo_timestamps=(rtt_mode == "time"),
     )
-    echo = rtt_mode == "time"
-    add_receiver(net, session, "pr1", at=pr1_join, echo_timestamps=echo)
+    add_receiver(net, session, "pr1", at=pr1_join)
     for name, site in extra:
         at = pr1_join if site == "pr1" else 1.0
-        add_receiver(net, session, name, at=at, echo_timestamps=echo)
+        add_receiver(net, session, name, at=at)
     tcp = create_tcp_flow_on_l2(net, tcp_start, tcp_stop)
     net.run(until=duration)
 
@@ -114,8 +113,7 @@ def run(
 def create_tcp_flow_on_l2(net, start_at: float, stop_at: float):
     from ..tcp import create_tcp_flow
 
-    return create_tcp_flow(net, "ts", "tr", start_at=start_at, stop_at=stop_at,
-                           trace_name="tcp")
+    return create_tcp_flow(net, "ts", "tr", start_at=start_at, stop_at=stop_at)
 
 
 def _acker_at(switches, time: float):

@@ -24,10 +24,10 @@ ratio compared against the RTT ratio a pure-TCP pair would exhibit.
 
 from __future__ import annotations
 
-from ..analysis import throughput_bps, throughput_ratio
+from ..analysis import acker_occupancy, throughput_bps, throughput_ratio
 from ..core.sender_cc import CcConfig
 from ..pgm import create_session, enable_network_elements
-from ..simulator import LinkSpec, Network
+from ..simulator import ACCESS, LinkSpec, Network
 from ..tcp import create_tcp_flow
 from .common import ExperimentResult, kbps
 
@@ -37,7 +37,6 @@ RECEIVER_DELAYS = (0.005, 0.050, 0.200, 0.400)
 TCP_DELAY = 0.100
 
 BOTTLENECK = LinkSpec(rate_bps=500_000, delay=0.020, queue_slots=30)
-ACCESS = LinkSpec(rate_bps=100_000_000, delay=0.0005, queue_slots=1000)
 
 
 def build(seed: int) -> Network:
@@ -66,15 +65,15 @@ def run_case(suppression: bool, rx_loss_aware: bool, duration: float,
     if suppression:
         elements = enable_network_elements(net, ["R0", "R1"], rx_loss_aware=rx_loss_aware)
     receivers = [f"pr{i}" for i in range(len(RECEIVER_DELAYS))]
-    session = create_session(net, "src", receivers, cc=CcConfig(c=c), trace_name="pgm")
-    tcp = create_tcp_flow(net, "ts", "tr", start_at=duration / 6, trace_name="tcp")
+    session = create_session(net, "src", receivers, cc=CcConfig(c=c))
+    tcp = create_tcp_flow(net, "ts", "tr", start_at=duration / 6)
     net.run(until=duration)
 
     window = (duration / 3, duration)
     pgm_rate = throughput_bps(session.trace, *window)
     tcp_rate = throughput_bps(tcp.trace, *window)
     # Time-weighted acker occupancy over the competition window.
-    occupancy = _acker_occupancy(
+    occupancy = acker_occupancy(
         session.sender.controller.election.switches, window[0], window[1]
     )
     dominant = max(occupancy, key=occupancy.get) if occupancy else None
@@ -102,23 +101,6 @@ def run_case(suppression: bool, rx_loss_aware: bool, duration: float,
     session.close()
     tcp.close()
     return out
-
-
-def _acker_occupancy(switches, t0: float, t1: float) -> dict[str, float]:
-    """Seconds each receiver spent as acker within [t0, t1]."""
-    occupancy: dict[str, float] = {}
-    current = None
-    last = t0
-    for s in switches:
-        if s.time >= t1:
-            break
-        if current is not None and s.time > t0:
-            occupancy[current] = occupancy.get(current, 0.0) + (max(s.time, t0) - last)
-        current = s.new
-        last = max(s.time, t0)
-    if current is not None:
-        occupancy[current] = occupancy.get(current, 0.0) + (t1 - last)
-    return occupancy
 
 
 def run(scale: float = 1.0, seed: int = 13) -> ExperimentResult:

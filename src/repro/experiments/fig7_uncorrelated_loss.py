@@ -26,7 +26,7 @@ from __future__ import annotations
 from ..analysis import throughput_bps
 from ..core.sender_cc import CcConfig
 from ..pgm import add_receiver, create_session
-from ..simulator import LinkSpec, Network
+from ..simulator import LinkSpec, Network, star
 from ..tcp import create_tcp_flow
 from .common import ExperimentResult, kbps
 
@@ -37,16 +37,9 @@ ACCESS = LinkSpec(rate_bps=100_000_000, delay=0.0005, queue_slots=2000)
 
 
 def build(n_receivers: int, seed: int) -> Network:
-    net = Network(seed=seed)
-    net.add_host("src")
+    net = star(n_receivers, LEAF, access=ACCESS, seed=seed)
     net.add_host("ts")
-    net.add_router("R0")
-    net.duplex_link("src", "R0", ACCESS)
     net.duplex_link("ts", "R0", ACCESS)
-    for i in range(n_receivers):
-        name = f"r{i}"
-        net.add_host(name)
-        net.duplex_link("R0", name, LEAF)
     net.add_host("tr")
     net.duplex_link("R0", "tr", LEAF)
     net.build_routes()
@@ -69,11 +62,10 @@ def run(
         [f"r{i}" for i in range(initial_receivers)],
         cc=CcConfig(),
         reliable=reliable,
-        trace_name="pgm",
     )
     for i in range(initial_receivers, total_receivers):
-        add_receiver(net, session, f"r{i}", at=join_time, reliable=reliable)
-    tcp = create_tcp_flow(net, "ts", "tr", trace_name="tcp")
+        add_receiver(net, session, f"r{i}", at=join_time)
+    tcp = create_tcp_flow(net, "ts", "tr")
     net.run(until=duration)
 
     warm = join_time / 3

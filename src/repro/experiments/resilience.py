@@ -46,9 +46,10 @@ entry is identical across ``-j1`` / ``-jN`` / cached runs.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from ..core.controller import controller_names
+from ..core.sender_cc import CcConfig
 from ..pgm import create_session
 from ..pgm.session import SessionConfig
 from ..simulator import (
@@ -205,11 +206,9 @@ def run_bout(controller: str, scenario: str, duration: float,
     session = create_session(
         net, "h0", [f"r{i}" for i in range(N_RECEIVERS)],
         config=SessionConfig(
-            controller=controller,
-            liveness=liveness,
+            cc=CcConfig(controller=controller, liveness=liveness),
             faults=plan,
             check_invariants=True, strict_invariants=True,
-            trace_name=f"resilience-{controller}-{scenario}",
         ),
     )
     sampler = DeliverySampler(net.sim, session.receivers)

@@ -32,6 +32,7 @@ from __future__ import annotations
 from ..analysis import throughput_bps
 from ..pgm import add_receiver, create_session
 from ..simulator import (
+    ACCESS,
     ACKER,
     BurstLoss,
     Corruption,
@@ -44,10 +45,9 @@ from ..simulator import (
     NodePause,
     dumbbell,
     flap_link,
+    star,
 )
 from .common import ExperimentResult, kbps
-
-ACCESS = LinkSpec(100_000_000, 0.0005, queue_slots=1000)
 
 
 def build_multipath(seed: int, delay_skew: float) -> Network:
@@ -91,15 +91,14 @@ def run_multipath(scale: float = 1.0, seed: int = 71,
     single.duplex_link("src", "R", ACCESS)
     single.duplex_link("R", "rx", LinkSpec(1_000_000, 0.030, queue_slots=60))
     single.build_routes()
-    ref = create_session(single, "src", ["rx"], trace_name="single")
+    ref = create_session(single, "src", ["rx"])
     single.run(until=duration)
     ref_rate = throughput_bps(ref.trace, duration / 3, duration)
     ref.close()
 
     net = build_multipath(seed, delay_skew)
     mcast_group = "mc:pgm-mpath"
-    session = create_session(net, "src", ["rx"], group=mcast_group,
-                             trace_name="mpath")
+    session = create_session(net, "src", ["rx"], group=mcast_group)
     # Spray both the downstream group traffic and the upstream feedback.
     # The shortest-path tree only provisioned one of the parallel
     # routers, so graft the alternate one onto the group too.
@@ -133,18 +132,9 @@ def run_churn(scale: float = 1.0, seed: int = 73, n_receivers: int = 8,
     """Receivers leave (including ackers) and rejoin on a rolling
     schedule; the session must stay alive throughout."""
     duration = 240.0 * scale
-    net = Network(seed=seed)
-    net.add_host("src")
-    net.add_router("R0")
-    net.duplex_link("src", "R0", ACCESS)
+    net = star(n_receivers, LinkSpec(500_000, 0.050, queue_slots=30), seed=seed)
     names = [f"r{i}" for i in range(n_receivers)]
-    for name in names:
-        net.add_host(name)
-        net.duplex_link("R0", name, LinkSpec(500_000, 0.050, queue_slots=30))
-    net.build_routes()
-
-    session = create_session(net, "src", names[: n_receivers // 2],
-                             trace_name="churn")
+    session = create_session(net, "src", names[: n_receivers // 2])
     events: list[tuple[float, str, str]] = []
 
     def leave(rx_id: str) -> None:
@@ -160,8 +150,6 @@ def run_churn(scale: float = 1.0, seed: int = 73, n_receivers: int = 8,
         net.set_group(session.group, "src", session.members)
 
     def join(rx_id: str) -> None:
-        if rx_id in session.members:
-            return
         events.append((net.sim.now, "join", rx_id))
         add_receiver(net, session, rx_id)
 
@@ -250,7 +238,7 @@ def run_bursty_loss(scale: float = 1.0, seed: int = 79) -> ExperimentResult:
             )
             # steady-state: 0.004/(0.204) ≈ 2% average loss, in bursts
             fwd.loss = model
-        session = create_session(net, "src", ["rx"], trace_name=pattern)
+        session = create_session(net, "src", ["rx"])
         net.run(until=duration)
         rx = session.receivers[0]
         rate = throughput_bps(session.trace, duration / 3, duration)
@@ -299,8 +287,7 @@ def run_chaos(scale: float = 1.0, seed: int = 83,
                    seed=seed)
     plan = chaos_plan(duration)
     session = create_session(
-        net, "h0", [f"r{i}" for i in range(n_receivers)],
-        trace_name="chaos", faults=plan,
+        net, "h0", [f"r{i}" for i in range(n_receivers)], faults=plan,
         check_invariants=True, strict_invariants=False,
     )
     net.run(until=duration)

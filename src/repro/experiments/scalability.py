@@ -65,7 +65,7 @@ def run_point(n_receivers: int, with_ne: bool, duration: float, seed: int,
               result: ExperimentResult | None = None) -> dict:
     net = dumbbell(1, n_receivers, NON_LOSSY, seed=seed)
     session = create_session(
-        net, "h0", [f"r{i}" for i in range(n_receivers)], trace_name="pgm"
+        net, "h0", [f"r{i}" for i in range(n_receivers)]
     )
     if with_ne:
         enable_network_elements(net, telemetry=session.metrics)

@@ -14,7 +14,7 @@ from ..analysis import throughput_bps
 from ..core.feedback import AdaptiveSource, QualityLevel
 from ..core.sender_cc import CcConfig
 from ..pgm import create_session
-from ..simulator import LinkSpec, Network
+from ..simulator import ACCESS, LinkSpec, Network
 from .common import ExperimentResult, kbps
 
 LEVELS = (
@@ -34,7 +34,7 @@ def run(scale: float = 1.0, seed: int = 43) -> ExperimentResult:
     net.add_host("src")
     net.add_router("R0")
     net.add_host("rx")
-    net.duplex_link("src", "R0", LinkSpec(100_000_000, 0.0005, queue_slots=1000))
+    net.duplex_link("src", "R0", ACCESS)
     fwd, _ = net.duplex_link(
         "R0", "rx", LinkSpec(rate_bps=600_000, delay=0.100, queue_slots=30, loss_rate=0.005)
     )
@@ -43,7 +43,7 @@ def run(scale: float = 1.0, seed: int = 43) -> ExperimentResult:
     app = AdaptiveSource(list(LEVELS), payload_bytes=1400)
     session = create_session(
         net, "src", ["rx"], cc=CcConfig(), reliable=False,
-        on_token=app.on_token, trace_name="pgm-unrel",
+        on_token=app.on_token,
     )
     # Halfway through, squeeze the bottleneck to a quarter.
     net.sim.schedule_at(squeeze_at, lambda: setattr(fwd, "rate_bps", 150_000))

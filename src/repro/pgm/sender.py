@@ -98,8 +98,6 @@ class PgmSender:
         max_rate_bps: the PGM rate limiter setting (session cap).
         reliable: when False (§3.9), NAKs are accepted for their
             reports but no RDATA is ever sent.
-        trace: flow trace receiving "data"/"rdata"/"nak"/"ack"/
-            "acker-switch"/"cc-loss"/"stall" records.
         on_token: application feedback hook called at every
             transmission opportunity (§3.9).
         guard: optional :class:`~repro.pgm.guard.FeedbackGuard`; when
@@ -122,7 +120,6 @@ class PgmSender:
         source: Optional[DataSource] = None,
         max_rate_bps: Optional[float] = None,
         reliable: bool = True,
-        trace: Optional[FlowTrace] = None,
         on_token: Optional[Callable[[float], None]] = None,
         spm_ivl: float = C.SPM_IVL,
         payload_size: int = C.DEFAULT_PAYLOAD,
@@ -135,7 +132,9 @@ class PgmSender:
         self.tsi = tsi
         self.source = source if source is not None else BulkSource(payload_size)
         self.reliable = reliable
-        self.trace = trace if trace is not None else FlowTrace(f"pgm-{tsi}")
+        #: "data"/"rdata"/"nak"/"ack"/"acker-switch"/"cc-loss"/"stall"
+        #: records
+        self.trace = FlowTrace()
         self.on_token = on_token
         if (cc is not None and not cc.enabled) and max_rate_bps is None:
             # A plain PGM sender transmits at a pre-set rate (§3.1);

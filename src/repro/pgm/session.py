@@ -39,7 +39,7 @@ from .invariants import InvariantChecker
 from .network_element import PgmNetworkElement
 from .receiver import PgmReceiver
 from .sender import DataSource, PgmSender
-from .telemetry import DEFAULT_PROBE_INTERVAL, bind_session_metrics
+from .telemetry import bind_session_metrics
 
 #: schema tag on :meth:`PgmSession.summary` documents.  v2 adds the
 #: ``recovery`` block (liveness watchdog, resyncs, TTR) and the
@@ -64,21 +64,10 @@ class SessionConfig:
     tsi: Optional[int] = None
     #: multicast group address (default: derived from the tsi)
     group: Optional[str] = None
-    #: pgmcc configuration; ``CcConfig(enabled=False)`` gives plain PGM
+    #: pgmcc configuration: ``CcConfig(enabled=False)`` gives plain PGM,
+    #: ``CcConfig(controller=..., liveness=...)`` picks the controller
+    #: backend and the acker-liveness watchdog
     cc: Optional[CcConfig] = None
-    #: congestion-controller backend by registry name ("pgmcc", "aimd",
-    #: "jain", "tfrc", or anything registered via
-    #: :func:`repro.core.controller.register_controller`); None keeps
-    #: whatever ``cc.controller`` says (the pgmcc default)
-    controller: Optional[str] = None
-    #: backend-specific parameters (dict, e.g. {"beta": 0.8}); folded
-    #: into ``cc.controller_params``
-    controller_params: Optional[dict] = None
-    #: acker-liveness watchdog (repro.pgm.liveness); None keeps
-    #: whatever ``cc.liveness`` says (off by default)
-    liveness: Optional[bool] = None
-    #: LivenessConfig overrides (dict); folded into ``cc.liveness_params``
-    liveness_params: Optional[dict] = None
     #: application data source (default: infinite bulk)
     source: Optional[DataSource] = None
     #: §3.9 unreliable mode when False (reports, no repairs)
@@ -91,7 +80,6 @@ class SessionConfig:
     stop_at: Optional[float] = None
     #: include corrected timestamp echoes in reports (RTT ablation)
     echo_timestamps: bool = False
-    trace_name: Optional[str] = None
     #: application feedback hook, called at each transmission (§3.9)
     on_token: Optional[Callable[[float], None]] = None
     #: loss-filter window (paper default when None)
@@ -106,8 +94,6 @@ class SessionConfig:
     strict_invariants: bool = True
     #: sender-side feedback guard: True, GuardConfig or FeedbackGuard
     guard: Any = None
-    #: sim-clock sampling period for the session probe
-    telemetry_interval: float = DEFAULT_PROBE_INTERVAL
     #: hybrid-fidelity aggregate mode (repro.pgm.aggregate): requires a
     #: network built by ``dumbbell_subtrees(..., members="virtual")``
     aggregate: bool = False
@@ -136,6 +122,9 @@ class PgmSession:
     )
     #: hybrid-fidelity manager (``SessionConfig.aggregate``), else None
     aggregate: Optional[object] = None
+    #: the options the session was created with; late joiners and
+    #: promoted aggregate members are built from it
+    config: SessionConfig = field(default_factory=SessionConfig, repr=False)
     #: rx_id -> receiver index backing :meth:`receiver`
     _rx_index: dict[str, PgmReceiver] = field(
         default_factory=dict, repr=False, compare=False
@@ -172,10 +161,7 @@ class PgmSession:
 
     def throughput_bps(self, t0: float, t1: float) -> float:
         """Sender goodput (original data payload bits/s) over [t0, t1)."""
-        sub = self.trace.between(t0, t1)
-        if t1 <= t0:
-            return 0.0
-        return sub.bytes_sent("data") * 8.0 / (t1 - t0)
+        return self.trace.throughput_bps(t0, t1)
 
     def close(self) -> None:
         self.sender.close()
@@ -314,29 +300,6 @@ def create_session(
         except TypeError as exc:
             raise TypeError(f"create_session: {exc}") from None
 
-    # Controller and liveness selection fold into CcConfig so the
-    # sender (and the runner's cache keys, which hash the config) see
-    # one source of truth.
-    if (cfg.controller is not None or cfg.controller_params is not None
-            or cfg.liveness is not None or cfg.liveness_params is not None):
-        cc = cfg.cc if cfg.cc is not None else CcConfig()
-        cc = dataclasses.replace(
-            cc,
-            controller=cfg.controller if cfg.controller is not None else cc.controller,
-            controller_params=(
-                tuple(sorted(cfg.controller_params.items()))
-                if cfg.controller_params is not None
-                else cc.controller_params
-            ),
-            liveness=cfg.liveness if cfg.liveness is not None else cc.liveness,
-            liveness_params=(
-                tuple(sorted(cfg.liveness_params.items()))
-                if cfg.liveness_params is not None
-                else cc.liveness_params
-            ),
-        )
-        cfg = dataclasses.replace(cfg, cc=cc)
-
     plan = None
     if cfg.aggregate:
         plan = getattr(net, "subtree_plan", None)
@@ -372,7 +335,6 @@ def create_session(
             guard_obj = FeedbackGuard(net.sim, guard_cfg)
 
     registry = MetricsRegistry()
-    trace = FlowTrace(cfg.trace_name or f"pgm{tsi}")
     sender = PgmSender(
         net.host(sender_host),
         group,
@@ -381,41 +343,26 @@ def create_session(
         source=cfg.source,
         max_rate_bps=cfg.max_rate_bps,
         reliable=cfg.reliable,
-        trace=trace,
         on_token=cfg.on_token,
         payload_size=cfg.payload_size,
         guard=guard_obj,
         telemetry=registry,
     )
     session = PgmSession(net, sender, [], group, tsi,
-                         members=list(receiver_hosts), metrics=registry)
+                         members=list(receiver_hosts), metrics=registry,
+                         config=cfg)
     if cfg.aggregate:
         from .aggregate import AggregateManager, AggregateParams
 
-        rx_defaults = {
-            "group": group,
-            "tsi": tsi,
-            "source_addr": sender_host,
-            "reliable": cfg.reliable,
-            "echo_timestamps": cfg.echo_timestamps,
-            "estimator": cfg.estimator,
-            "telemetry": registry,
-        }
-        if cfg.filter_w is not None:
-            rx_defaults["filter_w"] = cfg.filter_w
         session.aggregate = AggregateManager(
             net, session, plan,
             AggregateParams(**(cfg.aggregate_params or {})),
-            rx_defaults,
+            _receiver_kwargs(session),
         )
         session.aggregate.setup()
     else:
         for host_name in receiver_hosts:
-            session._register_receiver(
-                _make_receiver(net, session, host_name, cfg.reliable,
-                               cfg.echo_timestamps, cfg.filter_w,
-                               cfg.estimator)
-            )
+            session._register_receiver(_make_receiver(net, session, host_name))
     if cfg.check_invariants:
         session.invariants = InvariantChecker(
             session, strict=cfg.strict_invariants
@@ -433,7 +380,7 @@ def create_session(
             acker_lookup=lambda: sender.current_acker,
             receiver_lookup=_receiver_lookup,
         )
-    bind_session_metrics(session, registry, cfg.telemetry_interval)
+    bind_session_metrics(session)
     if session.aggregate is not None:
         session.aggregate.bind_metrics(registry)
     if cfg.start_at <= 0:
@@ -446,31 +393,34 @@ def create_session(
     return session
 
 
+def _receiver_kwargs(session: PgmSession) -> dict[str, Any]:
+    """What every receiver of ``session`` is built with, whether it is
+    there from the start, joins late or is promoted out of an
+    aggregate tail."""
+    cfg = session.config
+    return {
+        "group": session.group,
+        "tsi": session.tsi,
+        "source_addr": session.sender.host.name,
+        "reliable": cfg.reliable,
+        "filter_w": cfg.filter_w if cfg.filter_w is not None else DEFAULT_W,
+        "echo_timestamps": cfg.echo_timestamps,
+        "estimator": cfg.estimator,
+        "telemetry": session.metrics,
+    }
+
+
 def _make_receiver(
     net: Network,
     session: PgmSession,
     host_name: str,
-    reliable: bool,
-    echo_timestamps: bool,
-    filter_w: Optional[int],
-    estimator: str = "filter",
     recover_history: bool = False,
 ) -> PgmReceiver:
-    kwargs = {}
-    if filter_w is not None:
-        kwargs["filter_w"] = filter_w
     return PgmReceiver(
         net.host(host_name),
-        session.group,
-        session.tsi,
-        source_addr=session.sender.host.name,
-        reliable=reliable,
-        echo_timestamps=echo_timestamps,
         rng=net.rng.stream(f"rx:{session.tsi}:{host_name}"),
-        estimator=estimator,
         recover_history=recover_history,
-        telemetry=session.metrics,
-        **kwargs,
+        **_receiver_kwargs(session),
     )
 
 
@@ -479,26 +429,38 @@ def add_receiver(
     session: PgmSession,
     host_name: str,
     at: Optional[float] = None,
-    reliable: bool = True,
-    echo_timestamps: bool = False,
-    estimator: str = "filter",
     recover_history: bool = False,
 ) -> None:
     """Join ``host_name`` to the session, now or at time ``at``.
 
-    The multicast tree is re-installed for the expanded member set —
-    the simulator analogue of the IGMP join + tree graft a real
-    network performs.
+    The joiner is built with the session's own options
+    (``session.config``).  The multicast tree is re-installed for the
+    expanded member set — the simulator analogue of the IGMP join +
+    tree graft a real network performs.
+
+    A name that is not a host of ``net`` (``KeyError``; ``TypeError``
+    for a router) or is already a member (``ValueError``) is rejected
+    here, at the call, whatever ``at`` says, and a join that fails
+    leaves the member list, the tree and the host untouched.
     """
 
+    def _check() -> None:
+        net.host(host_name)  # KeyError: no such node; TypeError: a router
+        if host_name in session.members:
+            raise ValueError(
+                f"{host_name} is already a member of {session.group}"
+            )
+
     def _join() -> None:
+        _check()  # the member list may have changed since the call
+        # the constructor registers the agent last, so a host that
+        # cannot take one raises before anything below has happened
+        rx = _make_receiver(net, session, host_name, recover_history)
         session.members.append(host_name)
         net.set_group(session.group, session.sender.host.name, session.members)
-        session._register_receiver(
-            _make_receiver(net, session, host_name, reliable, echo_timestamps,
-                           None, estimator, recover_history)
-        )
+        session._register_receiver(rx)
 
+    _check()
     if at is None or at <= net.sim.now:
         _join()
     else:
@@ -508,9 +470,7 @@ def add_receiver(
 def enable_network_elements(
     net: Network,
     router_names: Optional[list[str]] = None,
-    suppress: bool = True,
     rx_loss_aware: bool = False,
-    selective_repair: bool = True,
     telemetry: Optional[MetricsRegistry] = None,
 ) -> dict[str, PgmNetworkElement]:
     """Install PGM network elements on the given (default: all) routers.
@@ -527,10 +487,7 @@ def enable_network_elements(
     elements = {}
     for name in router_names:
         elements[name] = PgmNetworkElement(
-            net.router(name),
-            suppress=suppress,
-            rx_loss_aware=rx_loss_aware,
-            selective_repair=selective_repair,
+            net.router(name), rx_loss_aware=rx_loss_aware
         )
     if telemetry is not None:
         for name, element in elements.items():

@@ -69,21 +69,21 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..simulator.packet import POOL
-from ..telemetry import MetricsRegistry, TimeSeriesProbe
+from ..telemetry import TimeSeriesProbe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .session import PgmSession
 
 __all__ = ["bind_session_metrics", "DEFAULT_PROBE_INTERVAL"]
 
-#: default sim-clock sampling period for the session probe (seconds)
+#: sim-clock sampling period of the session probe (seconds)
 DEFAULT_PROBE_INTERVAL = 1.0
 
 
-def bind_session_metrics(session: "PgmSession",
-                         registry: MetricsRegistry,
-                         interval: float = DEFAULT_PROBE_INTERVAL) -> None:
-    """Install the session's pull-bindings and sampling probe."""
+def bind_session_metrics(session: "PgmSession") -> None:
+    """Install the pull-bindings and sampling probe of ``session`` on
+    its registry (``session.metrics``)."""
+    registry = session.metrics
     sender = session.sender
     controller = sender.controller
     net = session.network
@@ -168,7 +168,7 @@ def bind_session_metrics(session: "PgmSession",
          lambda: (sum(rx.loss_rate for rx in receivers) / len(receivers)
                   if receivers else 0.0), kind="gauge")
 
-    probe = TimeSeriesProbe(sim, registry, interval)
+    probe = TimeSeriesProbe(sim, registry, DEFAULT_PROBE_INTERVAL)
     probe.sample("cc.window", lambda: controller.window.w)
     probe.sample("cc.tokens", lambda: controller.window.tokens)
     probe.sample("rx.max_loss_rate", max_loss)

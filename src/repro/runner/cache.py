@@ -6,7 +6,7 @@ and ``seed``), and a fingerprint of the ``repro`` source tree.  Any
 edit to the package (outside ``repro.runner`` itself, which cannot
 change experiment outcomes) produces a new fingerprint, so stale
 results are unreachable rather than invalidated — re-runs after
-unrelated edits (docs, tests, benches) are near-instant cache hits.
+unrelated edits (docs, tests, examples) are near-instant cache hits.
 The unit of that promise is a run: each run's :class:`ResultCache`
 fingerprints the tree once, so an edit is picked up by the next run,
 never halfway through one.
@@ -201,7 +201,7 @@ class ResultCache:
                      kwargs: dict[str, Any]) -> tuple[ExperimentResult, bool]:
         """Return ``(result, cache_hit)`` for ``fn(**kwargs)``.
 
-        The key is shared with the orchestrator's sweep tasks: a bench
+        The key is shared with the orchestrator's tasks: a sweep cell
         and a ``repro.runner`` run of the same experiment at the same
         parameters reuse each other's results.
         """

@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from ..experiments.common import ExperimentResult, ExperimentSpec
 from .cache import ResultCache, callable_id, source_fingerprint
-from .events import RunnerEvent, event_printer
+from .events import RunnerEvent
 from .manifest import build_manifest
 from .tasks import TaskOutcome, child_entry
 

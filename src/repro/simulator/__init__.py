@@ -57,7 +57,7 @@ from .packet import (
     PacketPool,
     is_multicast,
 )
-from .queues import DropTailQueue, RedQueue
+from .queues import DropTailQueue
 from .rng import RngRegistry
 from .topology import (
     ACCESS,
@@ -71,7 +71,7 @@ from .topology import (
     star,
     two_bottleneck,
 )
-from .trace import FlowTrace, TraceRecord, TraceSet
+from .trace import FlowTrace, TraceRecord
 
 __all__ = [
     "Event",
@@ -118,7 +118,6 @@ __all__ = [
     "PacketPool",
     "is_multicast",
     "DropTailQueue",
-    "RedQueue",
     "RngRegistry",
     "ACCESS",
     "LOSSY",
@@ -132,5 +131,4 @@ __all__ = [
     "two_bottleneck",
     "FlowTrace",
     "TraceRecord",
-    "TraceSet",
 ]

@@ -56,8 +56,6 @@ from .queues import DropTailQueue
 
 #: Signature of a link delivery target: ``fn(packet)``.
 DeliverFn = Callable[[Packet], None]
-#: Signature of link observers: ``fn(time, event, packet)``.
-ObserverFn = Callable[[float, str, Packet], None]
 
 
 class Link:
@@ -100,7 +98,6 @@ class Link:
         self._free_at = 0.0
         #: an end-of-serialisation event is pending (packets are waiting)
         self._draining = False
-        self._observers: list[ObserverFn] = []
         # Counters for analysis and assertions.
         self.sent = 0
         self.delivered = 0
@@ -126,16 +123,6 @@ class Link:
         """Set (or replace) the delivery target."""
         self.deliver = deliver
 
-    def add_observer(self, fn: ObserverFn) -> None:
-        """Observe link events: "send", "drop-loss", "drop-queue", "deliver"."""
-        self._observers.append(fn)
-
-    def _notify(self, event: str, packet: Packet) -> None:
-        # Observers borrow the packet: they must not release it or
-        # hold it past the callback (pooled packets get recycled).
-        for fn in self._observers:
-            fn(self.sim.now, event, packet)
-
     # -- data path ---------------------------------------------------------
 
     def send(self, packet: Packet) -> bool:
@@ -146,25 +133,17 @@ class Link:
         queue and transmission to the delivery target.
         """
         self.sent += 1
-        if self._observers:
-            self._notify("send", packet)
         if not self.up:
             self.fault_drops += 1
-            if self._observers:
-                self._notify("drop-fault", packet)
             packet.release()
             return False
         if (self._filter_kinds is not None
                 and type(packet.payload).__name__ in self._filter_kinds):
             self.filter_drops += 1
-            if self._observers:
-                self._notify("drop-filter", packet)
             packet.release()
             return False
         if self.loss.should_drop(packet):
             self.random_drops += 1
-            if self._observers:
-                self._notify("drop-loss", packet)
             packet.release()
             return False
         if self._fault_rng is not None:
@@ -174,24 +153,19 @@ class Link:
                     mangled = self._mangle(packet)
                 if mangled is None:
                     self.corrupt_drops += 1
-                    self._notify("drop-corrupt", packet)
                     packet.release()
                     return False
                 self.corrupt_mangled += 1
-                self._notify("mangle", packet)
                 packet.release()
                 packet = mangled
             if self._dup_rate > 0.0 and self._fault_rng.random() < self._dup_rate:
                 self.fault_duplicates += 1
-                self._notify("duplicate", packet)
                 self._accept(packet.retain())
         return self._accept(packet)
 
     def _accept(self, packet: Packet) -> bool:
         if self._draining or self.sim.now < self._free_at:
             if not self.queue.offer(packet):
-                if self._observers:
-                    self._notify("drop-queue", packet)
                 packet.release()
                 return False
             if not self._draining:
@@ -223,8 +197,6 @@ class Link:
         self.in_transit -= 1
         self.delivered += 1
         self.bytes_delivered += packet.size
-        if self._observers:
-            self._notify("deliver", packet)
         deliver = self.deliver
         if deliver is not None:
             deliver(packet)  # the target consumes the reference

@@ -3,13 +3,12 @@
 The paper's bottlenecks are FIFO queues limited either in *slots*
 (e.g. "30 queue slots") or in *bytes* (e.g. "30 KBytes queue"); both
 appear in §4, so both limits are supported.  A drop-tail discipline is
-what dummynet and the ns-2 scripts of the era used; a RED variant is
-included for ablations on queue management.
+what dummynet and the ns-2 scripts of the era used, and the only one
+the paper's experiments need.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from typing import Optional
 
@@ -43,14 +42,6 @@ class DropTailQueue:
     def __len__(self) -> int:
         return len(self._queue)
 
-    def would_accept(self, packet: Packet) -> bool:
-        """True if ``packet`` fits under both limits right now."""
-        if self.max_slots is not None and len(self._queue) >= self.max_slots:
-            return False
-        if self.max_bytes is not None and self.bytes_queued + packet.size > self.max_bytes:
-            return False
-        return True
-
     def offer(self, packet: Packet) -> bool:
         """Enqueue ``packet`` if it fits; return whether it was accepted.
 
@@ -58,8 +49,8 @@ class DropTailQueue:
         :meth:`pop` hands it back (or :meth:`clear` releases it);
         rejected packets stay owned by the caller.
         """
-        # Inlined limit checks + single-pass byte/peak accounting: this
-        # runs once per packet on every congested link.
+        # Single-pass limit checks and byte/peak accounting: this runs
+        # once per packet on every congested link.
         queue = self._queue
         slots = len(queue)
         if self.max_slots is not None and slots >= self.max_slots:
@@ -111,43 +102,3 @@ class DropTailQueue:
             "peak_bytes": self.peak_bytes,
         }
 
-
-class RedQueue(DropTailQueue):
-    """Random Early Detection on top of the FIFO structure.
-
-    Drops probabilistically once the EWMA of the queue occupancy (in
-    slots) exceeds ``min_th``, with probability ramping to ``max_p`` at
-    ``max_th``; above ``max_th`` everything is dropped.  Only used by
-    ablation benches — the paper's experiments are all drop-tail.
-    """
-
-    def __init__(
-        self,
-        rng: random.Random,
-        max_slots: int,
-        min_th: float,
-        max_th: float,
-        max_p: float = 0.1,
-        weight: float = 0.002,
-    ):
-        super().__init__(max_slots=max_slots)
-        if not 0 < min_th < max_th <= max_slots:
-            raise ValueError("need 0 < min_th < max_th <= max_slots")
-        self._rng = rng
-        self.min_th = min_th
-        self.max_th = max_th
-        self.max_p = max_p
-        self.weight = weight
-        self.avg = 0.0
-
-    def offer(self, packet: Packet) -> bool:
-        self.avg = (1 - self.weight) * self.avg + self.weight * len(self._queue)
-        if self.avg >= self.max_th:
-            self.drops += 1
-            return False
-        if self.avg > self.min_th:
-            p = self.max_p * (self.avg - self.min_th) / (self.max_th - self.min_th)
-            if self._rng.random() < p:
-                self.drops += 1
-                return False
-        return super().offer(packet)

@@ -46,9 +46,7 @@ class LinkSpec:
 
     def make_loss(self, rng) -> LossModel:
         if self.loss_rate > 0.0:
-            # Topology-owned streams are exclusive per link, so the
-            # batched fast path is draw-for-draw identical to batch=1.
-            return BernoulliLoss(self.loss_rate, rng, batch=256)
+            return BernoulliLoss(self.loss_rate, rng)
         return NoLoss()
 
 
@@ -69,8 +67,8 @@ class Network:
     trees are installed per (group, source) with :meth:`set_group`.
     """
 
-    def __init__(self, sim: Optional[Simulator] = None, seed: int = 0):
-        self.sim = sim if sim is not None else Simulator()
+    def __init__(self, seed: int = 0):
+        self.sim = Simulator()
         self.rng = RngRegistry(seed)
         self.nodes: dict[str, Node] = {}
         self.link_delays: dict[tuple[str, str], float] = {}
@@ -223,7 +221,6 @@ def dumbbell(
     n_left: int,
     n_right: int,
     bottleneck: LinkSpec,
-    access: LinkSpec = ACCESS,
     seed: int = 0,
 ) -> Network:
     """``n_left`` hosts -- R0 ==bottleneck== R1 -- ``n_right`` hosts.
@@ -237,10 +234,10 @@ def dumbbell(
     net.add_router("R1")
     for i in range(n_left):
         net.add_host(f"h{i}")
-        net.duplex_link(f"h{i}", "R0", access)
+        net.duplex_link(f"h{i}", "R0", ACCESS)
     for i in range(n_right):
         net.add_host(f"r{i}")
-        net.duplex_link("R1", f"r{i}", access)
+        net.duplex_link("R1", f"r{i}", ACCESS)
     net.duplex_link("R0", "R1", bottleneck)
     net.build_routes()
     return net
@@ -329,7 +326,6 @@ def dumbbell_subtrees(
     n_receivers: int,
     subtrees: int = 1,
     bottleneck: LinkSpec = NON_LOSSY,
-    access: LinkSpec = ACCESS,
     seed: int = 0,
     members: str = "virtual",
     slots: int = 4,
@@ -357,7 +353,7 @@ def dumbbell_subtrees(
     net = Network(seed=seed)
     net.add_host("h0")
     net.add_router("R0")
-    net.duplex_link("h0", "R0", access)
+    net.duplex_link("h0", "R0", ACCESS)
     for k in range(subtrees):
         router = plan.router(k)
         net.add_router(router)
@@ -366,15 +362,15 @@ def dumbbell_subtrees(
             for i in range(plan.sizes[k]):
                 name = plan.identity(k, i)
                 net.add_host(name)
-                net.duplex_link(router, name, access)
+                net.duplex_link(router, name, ACCESS)
         else:
             agg = plan.agg_host(k)
             net.add_host(agg)
-            net.duplex_link(router, agg, access)
+            net.duplex_link(router, agg, ACCESS)
             for j in range(slots):
                 slot = plan.slot_host(k, j)
                 net.add_host(slot)
-                net.duplex_link(router, slot, access)
+                net.duplex_link(router, slot, ACCESS)
     net.build_routes()
     net.subtree_plan = plan
     return net
@@ -402,7 +398,6 @@ def star(
 def two_bottleneck(
     l1: LinkSpec,
     l2: LinkSpec,
-    access: LinkSpec = ACCESS,
     seed: int = 0,
 ) -> Network:
     """The Fig. 5 topology::
@@ -417,12 +412,12 @@ def two_bottleneck(
         net.add_host(host)
     for router in ("R0", "R1", "R2"):
         net.add_router(router)
-    net.duplex_link("src", "R0", access)
-    net.duplex_link("ts", "R0", access)
+    net.duplex_link("src", "R0", ACCESS)
+    net.duplex_link("ts", "R0", ACCESS)
     net.duplex_link("R0", "R1", l1)
     net.duplex_link("R0", "R2", l2)
-    net.duplex_link("R1", "pr1", access)
-    net.duplex_link("R2", "pr2", access)
-    net.duplex_link("R2", "tr", access)
+    net.duplex_link("R1", "pr1", ACCESS)
+    net.duplex_link("R2", "pr2", ACCESS)
+    net.duplex_link("R2", "tr", ACCESS)
     net.build_routes()
     return net

@@ -4,13 +4,13 @@ The paper's figures are time/sequence-number plots logged at the sender
 side of the bottleneck.  :class:`FlowTrace` collects the same records —
 (time, kind, sequence, bytes) — from which the analysis package derives
 the time-seq series, binned bandwidth curves and event counts the
-benches compare against the paper.
+experiments compare against the paper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,6 @@ class TraceRecord:
 class FlowTrace:
     """Event log for one flow (a PGM session or a TCP connection)."""
 
-    name: str
     records: list[TraceRecord] = field(default_factory=list)
 
     def log(self, time: float, kind: str, seq: int, nbytes: int = 0) -> None:
@@ -47,9 +46,7 @@ class FlowTrace:
 
     def between(self, t0: float, t1: float) -> "FlowTrace":
         """Sub-trace restricted to t0 <= time < t1."""
-        sub = FlowTrace(self.name)
-        sub.records = [r for r in self.records if t0 <= r.time < t1]
-        return sub
+        return FlowTrace([r for r in self.records if t0 <= r.time < t1])
 
     # -- derived series -------------------------------------------------------
 
@@ -60,34 +57,16 @@ class FlowTrace:
     def bytes_sent(self, kind: str = "data") -> int:
         return sum(r.nbytes for r in self.records if r.kind == kind)
 
+    def throughput_bps(self, t0: float, t1: float, kind: str = "data") -> float:
+        """Payload bits/s of ``kind`` records over [t0, t1); an empty
+        window carried nothing."""
+        if t1 <= t0:
+            return 0.0
+        return self.between(t0, t1).bytes_sent(kind) * 8.0 / (t1 - t0)
+
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
 
     def __len__(self) -> int:
         return len(self.records)
 
-
-class TraceSet:
-    """Named collection of flow traces for one experiment."""
-
-    def __init__(self) -> None:
-        self._traces: dict[str, FlowTrace] = {}
-
-    def flow(self, name: str) -> FlowTrace:
-        trace = self._traces.get(name)
-        if trace is None:
-            trace = FlowTrace(name)
-            self._traces[name] = trace
-        return trace
-
-    def names(self) -> list[str]:
-        return sorted(self._traces)
-
-    def __getitem__(self, name: str) -> FlowTrace:
-        return self._traces[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._traces
-
-    def items(self) -> Iterable[tuple[str, FlowTrace]]:
-        return self._traces.items()

@@ -5,8 +5,8 @@ Each expanded task is a plain
 native unit), so a sweep inherits everything PR 4 built — worker
 isolation, retries, manifests, and the content-addressed result cache.
 A sweep task's cache key is the same as any other task's for the same
-``module:func`` + kwargs + schema, so sweeps, benches and plain runner
-runs share results.
+``module:func`` + kwargs + schema, so sweeps and plain runner runs
+share results.
 
 Task ids are deterministic and human-readable::
 

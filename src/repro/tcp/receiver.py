@@ -3,8 +3,8 @@
 Out-of-order segments are buffered and acknowledged immediately with a
 duplicate ACK (what triggers the sender's fast retransmit).  The paper
 notes pgmcc has no delayed ACKs while TCP usually does; both receiver
-behaviours are supported so the inter-protocol fairness benches can
-cover the difference.
+behaviours are supported so the inter-protocol fairness experiments
+can cover the difference.
 """
 
 from __future__ import annotations

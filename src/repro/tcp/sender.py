@@ -36,16 +36,14 @@ class TcpSender:
         host: Host,
         dst: str,
         flow_id: int,
-        payload_size: int = DEFAULT_PAYLOAD,
-        trace: Optional[FlowTrace] = None,
         max_segments: Optional[int] = None,
     ):
         self.host = host
         self.sim = host.sim
         self.dst = dst
         self.flow_id = flow_id
-        self.payload_size = payload_size
-        self.trace = trace if trace is not None else FlowTrace(f"tcp-{flow_id}")
+        self.payload_size = DEFAULT_PAYLOAD
+        self.trace = FlowTrace()
         #: stop after this many segments are acked (None = run forever)
         self.max_segments = max_segments
 

@@ -13,10 +13,9 @@ from ..simulator.node import Host
 from ..simulator.packet import Packet
 from ..simulator.topology import Network
 from ..simulator.trace import FlowTrace
-from .packets import DEFAULT_PAYLOAD, PROTO, TcpAck, TcpSegment
+from .packets import PROTO, TcpAck, TcpSegment
 from .receiver import TcpReceiver
 from .sender import TcpSender
-
 
 
 class TcpHostAgent:
@@ -70,9 +69,7 @@ class TcpFlow:
 
     def throughput_bps(self, t0: float, t1: float) -> float:
         """Goodput over [t0, t1): first-transmission payload bits/s."""
-        if t1 <= t0:
-            return 0.0
-        return self.trace.between(t0, t1).bytes_sent("data") * 8.0 / (t1 - t0)
+        return self.trace.throughput_bps(t0, t1)
 
     def close(self) -> None:
         self.sender.close()
@@ -85,10 +82,8 @@ def create_tcp_flow(
     dst_host: str,
     start_at: float = 0.0,
     stop_at: Optional[float] = None,
-    payload_size: int = DEFAULT_PAYLOAD,
     delayed_acks: bool = False,
     max_segments: Optional[int] = None,
-    trace_name: Optional[str] = None,
 ) -> TcpFlow:
     """Create and schedule one bulk TCP connection on ``net``."""
     flow_id = net.next_flow_id()
@@ -96,8 +91,6 @@ def create_tcp_flow(
         net.host(src_host),
         dst_host,
         flow_id,
-        payload_size=payload_size,
-        trace=FlowTrace(trace_name or f"tcp{flow_id}"),
         max_segments=max_segments,
     )
     receiver = TcpReceiver(net.host(dst_host), src_host, flow_id, delayed_acks)

@@ -10,7 +10,7 @@ Public surface::
 
     from repro.telemetry import (
         MetricsRegistry, METRICS_SCHEMA,
-        Counter, Gauge, Histogram, TimeSeries,
+        Histogram, TimeSeries,
         SpanTracker, TimeSeriesProbe,
     )
 
@@ -31,7 +31,7 @@ is read off ``benchmarks/perf`` (the ``telemetry`` layer and
 ``probe.telemetry.export_ms``).
 """
 
-from .instruments import Counter, Gauge, Histogram, TimeSeries
+from .instruments import Histogram, TimeSeries
 from .probes import TimeSeriesProbe
 from .registry import METRICS_SCHEMA, MetricsRegistry, SpanTracker
 
@@ -39,8 +39,6 @@ __all__ = [
     "METRICS_SCHEMA",
     "MetricsRegistry",
     "SpanTracker",
-    "Counter",
-    "Gauge",
     "Histogram",
     "TimeSeries",
     "TimeSeriesProbe",

@@ -1,4 +1,4 @@
-"""Metric instruments: counters, gauges, histograms, time series.
+"""Metric instruments: histograms and time series.
 
 Everything here is sized for *in-simulation* instrumentation: values
 come off the deterministic event loop, so reservoirs must stay
@@ -14,48 +14,10 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "TimeSeries"]
+__all__ = ["Histogram", "TimeSeries"]
 
 #: default reservoir capacity (samples or points) per instrument
 DEFAULT_RESERVOIR = 512
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def snapshot(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Counter {self.name}={self.value}>"
-
-
-class Gauge:
-    """A point-in-time value (set, not accumulated)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def snapshot(self) -> float:
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Gauge {self.name}={self.value}>"
 
 
 class Histogram:

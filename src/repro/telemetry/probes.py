@@ -22,14 +22,12 @@ __all__ = ["TimeSeriesProbe"]
 class TimeSeriesProbe:
     """Periodic sampler bound to a registry's time series."""
 
-    def __init__(self, sim: Simulator, registry: Any, interval: float,
-                 max_points: int = 512):
+    def __init__(self, sim: Simulator, registry: Any, interval: float):
         if interval <= 0:
             raise ValueError("probe interval must be positive")
         self.sim = sim
         self.registry = registry
         self.interval = interval
-        self.max_points = max_points
         self.samples_taken = 0
         self._sources: list[tuple[Any, Callable[[], float]]] = []
         self._timer = Timer(sim, self._fire)
@@ -37,7 +35,7 @@ class TimeSeriesProbe:
 
     def sample(self, name: str, fn: Callable[[], float]) -> "TimeSeriesProbe":
         """Add a series: ``fn()`` is recorded under ``name`` each tick."""
-        series = self.registry.timeseries(name, self.max_points)
+        series = self.registry.timeseries(name)
         self._sources.append((series, fn))
         return self
 

@@ -2,15 +2,16 @@
 
 A :class:`MetricsRegistry` is the single container every protocol
 component writes into (or is *read from* — see below) for one session,
-flow, or network.  Instruments come in two flavours:
+flow, or network.  Values come in two flavours:
 
-* **push** instruments (``counter`` / ``gauge`` / ``histogram`` /
-  ``timeseries``): get-or-create by name, mutate from the hot path.
-  Used only for low-rate events (repair completions, span edges).
+* **push** instruments (``histogram`` / ``timeseries``, and the span
+  tracker): get-or-create by name, written by the component itself.
+  Used only for low-rate events (repair completions, span edges,
+  probe ticks).
 * **pull** bindings (``bind(name, fn)``): a zero-argument callable
-  sampled at :meth:`snapshot` time.  This is how the pre-existing
-  plain-attribute counters (``sender.odata_sent`` and friends) are
-  re-wired without adding a single instruction to the paths that
+  sampled at :meth:`snapshot` time.  Every counter and gauge is one:
+  the plain-attribute counters (``sender.odata_sent`` and friends)
+  are exported without adding a single instruction to the paths that
   increment them — the registry reads the attribute when asked.
 
 Sim-clock sampling probes (:class:`~repro.telemetry.probes
@@ -25,8 +26,8 @@ Export schema ``pgmcc.session-metrics/v1`` (:meth:`MetricsRegistry
       "schema": "pgmcc.session-metrics/v1",
       "enabled": true,                  # constant, kept for v1 readers
       "meta": {...},                    # tsi, group, caller-supplied
-      "counters": {name: int},          # push + pull-bound counters
-      "gauges": {name: number},
+      "counters": {name: int},          # pull-bound
+      "gauges": {name: number},         # pull-bound
       "histograms": {name: {count, total, min, max, mean, p50, p90, p99}},
       "series": {name: {count, stride, points: [[t, v], ...]}},
       "spans": {"stats": {name: {count, total_s, mean_s, max_s}},
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from .instruments import Counter, Gauge, Histogram, TimeSeries
+from .instruments import Histogram, TimeSeries
 
 METRICS_SCHEMA = "pgmcc.session-metrics/v1"
 
@@ -111,8 +112,6 @@ class MetricsRegistry:
     """Per-session metric container (see module docstring)."""
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._series: dict[str, TimeSeries] = {}
         #: pull bindings: name -> (kind, fn)
@@ -123,18 +122,6 @@ class MetricsRegistry:
         self.meta: dict[str, Any] = {}
 
     # -- push instruments (get-or-create) ------------------------------
-
-    def counter(self, name: str) -> Counter:
-        inst = self._counters.get(name)
-        if inst is None:
-            inst = self._counters[name] = Counter(name)
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        inst = self._gauges.get(name)
-        if inst is None:
-            inst = self._gauges[name] = Gauge(name)
-        return inst
 
     def histogram(self, name: str, max_samples: int = 512) -> Histogram:
         inst = self._histograms.get(name)
@@ -177,8 +164,8 @@ class MetricsRegistry:
     # -- export ---------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        counters = {name: c.value for name, c in self._counters.items()}
-        gauges = {name: g.value for name, g in self._gauges.items()}
+        counters: dict[str, float] = {}
+        gauges: dict[str, float] = {}
         for name, (kind, fn) in self._bindings.items():
             (counters if kind == "counter" else gauges)[name] = fn()
         return {

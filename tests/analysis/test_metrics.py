@@ -1,11 +1,13 @@
 """Tests for throughput/fairness metrics and time series."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis import (
     Bin,
+    acker_occupancy,
     bandwidth_series,
     coefficient_of_variation,
     cumulative_bytes,
@@ -20,7 +22,7 @@ from repro.simulator.trace import FlowTrace
 
 
 def steady_trace(rate_pps=10, payload=1000, duration=20.0, kind="data"):
-    trace = FlowTrace("t")
+    trace = FlowTrace()
     # exact i/rate timestamps avoid float-accumulation drift across
     # bin boundaries
     for i in range(int(duration * rate_pps)):
@@ -34,17 +36,17 @@ class TestThroughput:
         assert throughput_bps(trace, 0, 20) == pytest.approx(80_000, rel=0.01)
 
     def test_window_restriction(self):
-        trace = FlowTrace("t")
+        trace = FlowTrace()
         trace.log(1.0, "data", 0, 1000)
         trace.log(5.0, "data", 1, 1000)
         assert throughput_bps(trace, 0, 2) == pytest.approx(4000)
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
-            throughput_bps(FlowTrace("t"), 5, 5)
+            throughput_bps(FlowTrace(), 5, 5)
 
     def test_kind_filter(self):
-        trace = FlowTrace("t")
+        trace = FlowTrace()
         trace.log(0.5, "data", 0, 1000)
         trace.log(0.6, "rdata", 0, 1000)
         assert throughput_bps(trace, 0, 1, kind="rdata") == pytest.approx(8000)
@@ -69,6 +71,19 @@ class TestJain:
         assert 1 / 3 <= idx <= 1.0
 
 
+class TestAckerOccupancy:
+    def test_time_as_acker_clipped_to_the_window(self):
+        switches = [SimpleNamespace(time=t, new=rx)
+                    for t, rx in ((1.0, "a"), (4.0, "b"), (6.0, "a"), (12.0, "b"))]
+        # a: [3, 4) + [6, 10), b: [4, 6); the switch at 12 is past the window
+        assert acker_occupancy(switches, 3.0, 10.0) == {"a": 5.0, "b": 2.0}
+
+    def test_no_acker_yet(self):
+        assert acker_occupancy([], 0.0, 10.0) == {}
+        late = [SimpleNamespace(time=11.0, new="a")]
+        assert acker_occupancy(late, 0.0, 10.0) == {}
+
+
 class TestRatios:
     def test_ratio_ordering_independent(self):
         assert throughput_ratio(100, 200) == throughput_ratio(200, 100) == 2.0
@@ -83,7 +98,7 @@ class TestRatios:
             coefficient_of_variation([])
 
     def test_loss_event_rate(self):
-        trace = FlowTrace("t")
+        trace = FlowTrace()
         for t in (1.0, 3.0, 7.0):
             trace.log(t, "cc-loss", 0)
         assert loss_event_rate(trace, 0, 10) == pytest.approx(0.3)
@@ -109,7 +124,7 @@ class TestSeries:
         )
 
     def test_plateau_rate_robust_to_transient(self):
-        trace = FlowTrace("t")
+        trace = FlowTrace()
         t = 0.0
         while t < 100.0:
             # steady 10 pps except a 5 s dropout
@@ -127,7 +142,7 @@ class TestSeries:
         assert totals[-1] == 500 * len(series)
 
     def test_validation(self):
-        trace = FlowTrace("t")
+        trace = FlowTrace()
         with pytest.raises(ValueError):
             bandwidth_series(trace, 0, 10, 0)
         with pytest.raises(ValueError):

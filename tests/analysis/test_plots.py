@@ -9,8 +9,8 @@ from repro.analysis import (
 from repro.simulator.trace import FlowTrace
 
 
-def steady_trace(name="t", rate_pps=10, payload=1000, duration=20.0):
-    trace = FlowTrace(name)
+def steady_trace(rate_pps=10, payload=1000, duration=20.0):
+    trace = FlowTrace()
     for i in range(int(duration * rate_pps)):
         trace.log(i / rate_pps, "data", i, payload)
     return trace
@@ -18,7 +18,7 @@ def steady_trace(name="t", rate_pps=10, payload=1000, duration=20.0):
 
 class TestRenderBandwidth:
     def test_bar_lengths_scale_with_rate(self):
-        trace = FlowTrace("t")
+        trace = FlowTrace()
         for i in range(10):
             trace.log(0.5, "data", i, 1000)  # all in the first bin
         trace.log(1.5, "data", 99, 1000)
@@ -57,7 +57,7 @@ class TestRenderTimeSeq:
         assert "|" in out
 
     def test_empty_window(self):
-        out = render_time_seq(FlowTrace("t"), 0, 10)
+        out = render_time_seq(FlowTrace(), 0, 10)
         assert "no data" in out
 
     def test_legend_present(self):
@@ -67,7 +67,7 @@ class TestRenderTimeSeq:
 
 class TestRenderComparison:
     def test_columns_per_flow(self):
-        traces = {"pgm": steady_trace("pgm"), "tcp": steady_trace("tcp", rate_pps=5)}
+        traces = {"pgm": steady_trace(), "tcp": steady_trace(rate_pps=5)}
         out = render_flow_comparison(traces, 0, 20, 5.0)
         lines = out.splitlines()
         assert "pgm" in lines[0] and "tcp" in lines[0]

@@ -1,15 +1,15 @@
 """End-to-end runs under non-default configurations.
 
 Each variant exercises a config path the unit tests cover only in
-isolation: the Padhye election model, token caps, TFRC estimation,
-RED queueing, and time-based RTT — all driving a full session.
+isolation: the Padhye election model, token caps, TFRC estimation
+and time-based RTT — all driving a full session.
 """
 
 import pytest
 
 from repro.core.sender_cc import CcConfig
 from repro.pgm import create_session
-from repro.simulator import LinkSpec, Network, NON_LOSSY, dumbbell, star
+from repro.simulator import NON_LOSSY, dumbbell, star
 
 
 class TestPadhyeModelSession:
@@ -60,29 +60,6 @@ class TestTimeRttSession:
         assert incumbent is not None
         assert incumbent.rtt.value is not None
         assert incumbent.rtt.value < 5.0  # seconds, not tens of packets
-
-
-class TestRedQueueBottleneck:
-    def test_session_through_red_queue(self):
-        """RED marks early: the session sees drops before the queue is
-        full, keeping occupancy near the thresholds."""
-        from repro.simulator.queues import RedQueue
-
-        net = Network(seed=95)
-        net.add_host("src")
-        net.add_router("R0")
-        net.add_host("rx")
-        net.duplex_link("src", "R0", LinkSpec(100_000_000, 0.0005, queue_slots=1000))
-        fwd, _ = net.duplex_link("R0", "rx", LinkSpec(500_000, 0.050, queue_slots=60))
-        fwd.queue = RedQueue(net.rng.stream("red"), max_slots=60,
-                             min_th=5, max_th=20, max_p=0.2)
-        net.build_routes()
-        session = create_session(net, "src", ["rx"])
-        net.run(until=40.0)
-        assert session.throughput_bps(10, 40) > 300_000
-        assert fwd.queue.drops > 0
-        assert fwd.queue.peak_slots < 40  # RED kept occupancy down
-        session.close()
 
 
 class TestTfrcSession:

@@ -3,6 +3,7 @@ interaction with the generic stall machinery."""
 
 import pytest
 
+from repro.core.sender_cc import CcConfig
 from repro.pgm import LivenessConfig, LivenessWatchdog, create_session
 from repro.pgm.liveness import DEGRADED, NORMAL, SUSPECT
 from repro.pgm.session import SessionConfig
@@ -21,8 +22,7 @@ def _session(net, liveness=True, faults=None, **params):
     return create_session(
         net, "h0", [f"r{i}" for i in range(2)],
         config=SessionConfig(
-            liveness=liveness,
-            liveness_params=params or None,
+            cc=CcConfig(liveness=liveness, liveness_params=params),
             faults=faults,
         ),
     )
@@ -71,7 +71,7 @@ class TestHealthySession:
         net = dumbbell(1, 2, NON_LOSSY, seed=11)
         session = create_session(
             net, "h0", ["r0", "r1"],
-            config=SessionConfig(liveness=True, stop_at=3.0))
+            config=SessionConfig(cc=CcConfig(liveness=True), stop_at=3.0))
         net.run(until=20.0)
         assert session.sender.watchdog.demotions == 0
 
@@ -98,7 +98,8 @@ class TestAckerCrash:
             faults = FaultPlan((NodeCrash(ACKER, at=5.0),))
             session = create_session(
                 net, "h0", ["r0", "r1"],
-                config=SessionConfig(liveness=liveness, faults=faults))
+                config=SessionConfig(cc=CcConfig(liveness=liveness),
+                                     faults=faults))
             controller = session.sender.controller
             acks = []
             original = controller.on_ack

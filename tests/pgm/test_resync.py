@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.receiver_cc import ReceiverController
 from repro.core.reports import ReceiverReport
+from repro.core.sender_cc import CcConfig
 from repro.pgm import create_session
 from repro.pgm.constants import NE_REPAIR_LINGER
 from repro.pgm.network_element import PgmNetworkElement
@@ -72,7 +73,7 @@ class TestReceiverResync:
         ))
         session = create_session(
             net, "h0", ["r0"],
-            config=SessionConfig(liveness=True, faults=faults))
+            config=SessionConfig(cc=CcConfig(liveness=True), faults=faults))
         # Shrink the repair horizon so the outage outlives it: the
         # degraded-mode probes sent during the blackout push the trail
         # past everything the receiver is missing.

@@ -8,7 +8,7 @@ import pytest
 from repro.core.sender_cc import CcConfig
 from repro.pgm import SUMMARY_SCHEMA, add_receiver, create_session
 from repro.pgm.session import SessionConfig
-from repro.simulator import NON_LOSSY, dumbbell
+from repro.simulator import NON_LOSSY, dumbbell, dumbbell_subtrees
 
 #: every v1 summary key remains part of the pgmcc.session-summary/v2
 #: contract — keys may be added in later versions but never removed or
@@ -41,20 +41,33 @@ RECOVERY_KEYS = {
 }
 
 
+#: session options every receiver of the session is built with
+INHERITED_OPTIONS = [
+    dict(reliable=False, echo_timestamps=True, filter_w=64000),
+    dict(reliable=False, echo_timestamps=True, filter_w=64000,
+         estimator="tfrc"),
+]
+
+
+def _receiver_options(rx):
+    estimator = rx.cc.loss_filter
+    return (rx.reliable, rx.echo_timestamps, type(estimator).__name__,
+            getattr(estimator, "w_fixed", None))
+
+
 class TestSessionConfig:
     def test_config_object_is_primary_signature(self):
         net = dumbbell(1, 1, NON_LOSSY)
-        cfg = SessionConfig(cc=CcConfig(), stop_at=5.0, trace_name="cfg")
+        cfg = SessionConfig(cc=CcConfig(), stop_at=5.0)
         session = create_session(net, "h0", ["r0"], config=cfg)
         net.run(until=10.0)
         assert session.sender.odata_sent > 0
         assert max(session.trace.times("data")) <= 5.0
-        assert session.trace.name == "cfg"
+        assert session.config is cfg
 
     def test_legacy_kwargs_still_accepted(self):
         net = dumbbell(1, 1, NON_LOSSY)
-        session = create_session(net, "h0", ["r0"], stop_at=5.0,
-                                 trace_name="legacy")
+        session = create_session(net, "h0", ["r0"], stop_at=5.0)
         net.run(until=10.0)
         assert max(session.trace.times("data")) <= 5.0
 
@@ -78,12 +91,13 @@ class TestSessionConfig:
 
     def test_kwargs_override_config_fields(self):
         net = dumbbell(1, 1, NON_LOSSY)
-        cfg = SessionConfig(trace_name="from-config")
+        cfg = SessionConfig(payload_size=512)
         session = create_session(net, "h0", ["r0"], config=cfg,
-                                 trace_name="from-kwarg")
-        assert session.trace.name == "from-kwarg"
+                                 payload_size=256)
+        assert session.config.payload_size == 256
+        assert session.sender.source.payload_size == 256
         # the caller's config object is never mutated
-        assert cfg.trace_name == "from-config"
+        assert cfg.payload_size == 512
 
     def test_unknown_kwarg_raises_type_error(self):
         net = dumbbell(1, 1, NON_LOSSY)
@@ -104,6 +118,22 @@ class TestSessionConfig:
         with pytest.raises(TypeError, match="create_session.*telemetry"):
             create_session(net, "h0", ["r0"], telemetry=False)
 
+    def test_removed_options_fail_loudly(self):
+        # one place picks the controller (cc=CcConfig(...)), a joiner
+        # takes its options from the session, traces have no name
+        for field in ("controller", "controller_params", "liveness",
+                      "liveness_params", "trace_name", "telemetry_interval"):
+            with pytest.raises(TypeError, match=field):
+                SessionConfig(**{field: None})
+        net = dumbbell(1, 2, NON_LOSSY)
+        with pytest.raises(TypeError, match="create_session.*trace_name"):
+            create_session(net, "h0", ["r0"], trace_name="pgm")
+        session = create_session(net, "h0", ["r0"])
+        for option in ("reliable", "echo_timestamps", "estimator"):
+            with pytest.raises(TypeError, match=option):
+                add_receiver(net, session, "r1", **{option: False})
+        assert session.members == ["r0"]
+
     def test_config_sweeps_compose_with_replace(self):
         base = SessionConfig(stop_at=30.0)
         variants = [dataclasses.replace(base, filter_w=w) for w in (2, 8)]
@@ -122,6 +152,59 @@ class TestReceiverIndex:
         assert session.receiver("r1").rx_id == "r1"
         assert session.receiver("r2").rx_id == "r2"
 
+    @pytest.mark.parametrize("options", INHERITED_OPTIONS)
+    def test_late_joiner_is_built_like_an_initial_receiver(self, options):
+        # add_receiver used to re-ask for reliable/echo_timestamps/
+        # estimator (defaulting to a *reliable* joiner in an unreliable
+        # session) and could not pass filter_w at all
+        net = dumbbell(1, 3, NON_LOSSY)
+        session = create_session(net, "h0", ["r0"],
+                                 config=SessionConfig(**options))
+        add_receiver(net, session, "r1")
+        add_receiver(net, session, "r2", at=2.0)
+        net.run(until=3.0)
+        built = [_receiver_options(session.receiver(f"r{i}")) for i in range(3)]
+        assert built[0][:2] == (False, True)
+        assert built[0][2:] in (("LossRateFilter", 64000),
+                                ("LossIntervalEstimator", None))
+        assert built[1] == built[2] == built[0]
+        session.close()
+
+    @pytest.mark.parametrize("options", INHERITED_OPTIONS)
+    def test_promoted_aggregate_member_is_built_like_a_sampled_one(
+            self, options):
+        net = dumbbell_subtrees(40, subtrees=2, members="virtual", seed=3)
+        session = create_session(
+            net, "h0", [], config=SessionConfig(aggregate=True, **options))
+        manager = session.aggregate
+        before = list(session.receivers)
+        tail = next(identity for identity in net.subtree_plan.identities(0)
+                    if manager.is_tail_identity(identity))
+        assert manager.promote(tail)
+        assert len(session.receivers) == len(before) + 1
+        built = {_receiver_options(rx) for rx in session.receivers}
+        assert built == {_receiver_options(before[0])}
+        assert before[0].reliable is False
+        session.close()
+
+    @pytest.mark.parametrize("at", [None, 5.0])
+    def test_add_receiver_rejects_a_bad_host_at_the_call(self, at):
+        net = dumbbell(1, 2, NON_LOSSY)
+        session = create_session(net, "h0", ["r0"])
+        routes = dict(net.router("R0").multicast_routes)
+        agents = dict(net.host("r0")._agents)
+        for name, error in (("r0", ValueError), ("nope", KeyError),
+                            ("R1", TypeError)):
+            with pytest.raises(error, match=name):
+                add_receiver(net, session, name, at=at)
+        assert session.members == ["r0"]
+        assert [rx.rx_id for rx in session.receivers] == ["r0"]
+        assert net.router("R0").multicast_routes == routes
+        assert net.host("r0")._agents == agents
+        net.run(until=6.0)  # and nothing was left on the event heap
+        assert session.members == ["r0"]
+        session.close()
+
     def test_lookup_survives_direct_list_append(self):
         # Some experiments extend session.receivers directly; the index
         # rebuilds itself rather than returning stale misses.
@@ -130,7 +213,7 @@ class TestReceiverIndex:
         from repro.pgm.session import _make_receiver
 
         session.receivers.append(
-            _make_receiver(net, session, "r1", True, False, None))
+            _make_receiver(net, session, "r1"))
         assert session.receiver("r1").host.name == "r1"
 
     def test_missing_receiver_raises_keyerror(self):
@@ -197,7 +280,8 @@ class TestSummarySchema:
     def test_v2_recovery_block_fixed_keys_with_watchdog(self):
         net = dumbbell(1, 1, NON_LOSSY)
         session = create_session(
-            net, "h0", ["r0"], config=SessionConfig(liveness=True))
+            net, "h0", ["r0"],
+            config=SessionConfig(cc=CcConfig(liveness=True)))
         net.run(until=5.0)
         summary = session.summary()
         recovery = summary["recovery"]

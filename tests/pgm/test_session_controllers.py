@@ -13,12 +13,13 @@ LOSSY = LinkSpec(rate_bps=2_000_000, delay=0.230, queue_bytes=30_000,
                  loss_rate=0.03)
 
 
-def run_session(name: str, seed: int = 7, until: float = 12.0, **cfg_kwargs):
+def run_session(name: str, seed: int = 7, until: float = 12.0, **cc_kwargs):
     net = dumbbell(1, 3, LOSSY, seed=seed)
     session = create_session(
         net, "h0", ["r0", "r1", "r2"],
-        config=SessionConfig(controller=name, stop_at=until - 2.0,
-                             check_invariants=True, guard=True, **cfg_kwargs),
+        config=SessionConfig(cc=CcConfig(controller=name, **cc_kwargs),
+                             stop_at=until - 2.0,
+                             check_invariants=True, guard=True),
     )
     net.sim.run(until=until)
     summary = session.summary()
@@ -48,6 +49,8 @@ def test_summary_carries_controller_state(name):
 
 def test_controller_params_flow_through_config():
     session, summary = run_session("aimd", controller_params={"beta": 0.85})
+    # a mapping is stored as the sorted tuple the cache keys hash
+    assert session.config.cc.controller_params == (("beta", 0.85),)
     assert session.sender.controller.backend.window.beta == 0.85
     assert summary["controller"] == "aimd"
 
@@ -63,22 +66,11 @@ def test_controller_in_cc_config_directly():
     session.close()
 
 
-def test_session_config_controller_overrides_cc():
-    net = dumbbell(1, 2, LOSSY, seed=12)
-    session = create_session(
-        net, "h0", ["r0", "r1"],
-        config=SessionConfig(cc=CcConfig(controller="jain"),
-                             controller="tfrc", stop_at=4.0),
-    )
-    assert session.sender.controller.backend.name == "tfrc"
-    session.close()
-
-
 def test_unknown_controller_raises():
     net = dumbbell(1, 2, LOSSY, seed=13)
     with pytest.raises(KeyError, match="unknown controller"):
         create_session(net, "h0", ["r0", "r1"],
-                       config=SessionConfig(controller="bogus"))
+                       config=SessionConfig(cc=CcConfig(controller="bogus")))
 
 
 def test_default_session_still_pgmcc():

@@ -59,7 +59,7 @@ def run_session(scale: float = 1.0, seed: int = 5) -> ExperimentResult:
     lossy = LinkSpec(rate_bps=500_000, delay=0.05, queue_slots=30,
                      loss_rate=0.02)
     net = dumbbell(1, 2, lossy, seed=seed)
-    session = create_session(net, "h0", ["r0", "r1"], telemetry_interval=0.5)
+    session = create_session(net, "h0", ["r0", "r1"])
     net.run(until=20.0 * scale)
     result = ExperimentResult(
         name="toy-session",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.sender_cc import CcConfig
 from repro.pgm import create_session
 from repro.pgm.session import SessionConfig
 from repro.simulator import (
@@ -98,8 +99,7 @@ def fault_plans(draw, max_episodes=6):
 def run_traced(plan: FaultPlan, seed: int) -> bytes:
     """One full session under ``plan``; the trace, byte-encoded."""
     net = dumbbell(1, 2, BOTTLENECK, seed=seed)
-    session = create_session(net, "h0", ["r0", "r1"], faults=plan,
-                             trace_name="det")
+    session = create_session(net, "h0", ["r0", "r1"], faults=plan)
     net.run(until=10.0)
     payload = "\n".join(repr(r) for r in session.trace.records)
     return payload.encode()
@@ -175,8 +175,8 @@ class TestPartitionInvariants:
         net = dumbbell(1, 2, BOTTLENECK, seed=seed)
         session = create_session(
             net, "h0", ["r0", "r1"],
-            config=SessionConfig(liveness=liveness, faults=plan,
-                                 check_invariants=True,
+            config=SessionConfig(cc=CcConfig(liveness=liveness),
+                                 faults=plan, check_invariants=True,
                                  strict_invariants=True))
         net.run(until=12.0)
         session.invariants.verify_now()

@@ -28,11 +28,9 @@ def make_link(sim, rate=8000.0, delay=0.1, **kw):
 class TestTiming:
     def test_serialization_plus_propagation(self):
         sim = Simulator()
-        link, received = make_link(sim, rate=8000.0, delay=0.1)
+        link, _ = make_link(sim, rate=8000.0, delay=0.1)
         arrival = []
-        link.add_observer(
-            lambda t, ev, p: arrival.append(t) if ev == "deliver" else None
-        )
+        link.connect(lambda packet: arrival.append(sim.now))
         link.send(Packet("a", "b", 100))  # 100B at 8000bps = 0.1s tx
         sim.run()
         assert arrival == [pytest.approx(0.2)]
@@ -84,13 +82,20 @@ class TestAccounting:
         assert link.bytes_delivered == 150
 
     def test_observer_event_sequence(self):
+        # what the outside sees of one packet, through the counters
+        # and the delivery target: sent and on the wire, then delivered
         sim = Simulator()
         link, _ = make_link(sim)
         events = []
-        link.add_observer(lambda t, ev, p: events.append(ev))
+
+        def state(tag):
+            events.append((tag, link.sent, link.in_transit, link.delivered))
+
+        link.connect(lambda packet: state("deliver"))
         link.send(Packet("a", "b", 100))
+        state("send")
         sim.run()
-        assert events == ["send", "deliver"]
+        assert events == [("send", 1, 1, 0), ("deliver", 1, 0, 1)]
 
     def test_invalid_parameters(self):
         sim = Simulator()

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.simulator.loss_models import (
     BernoulliLoss,
@@ -80,6 +82,42 @@ class TestGilbertElliott:
             good_loss=0.0, bad_loss=0.4,
         )
         assert model.steady_state_loss == pytest.approx(0.2)
+
+
+def reference_decisions(seed, n, rate=None, ge=None):
+    """The draw order the models promise: one uniform per packet for
+    Bernoulli; transition, then loss, for Gilbert-Elliott."""
+    rng, bad, out = random.Random(seed), False, []
+    for _ in range(n):
+        if ge is not None:
+            bad = (rng.random() >= ge[1]) if bad else (rng.random() < ge[0])
+            rate = ge[3] if bad else ge[2]
+        out.append(rng.random() < rate)
+    return out, rng.random()
+
+
+probability = st.floats(min_value=0.0, max_value=1.0)
+
+
+class TestDrawOrder:
+    """Decisions are a pure function of the stream, draw for draw — what
+    lets a link's loss stream be replayed, shared or compared."""
+
+    @given(rate=probability, seed=st.integers(0, 2**32), n=st.integers(0, 600))
+    def test_bernoulli_draws_once_per_packet(self, rate, seed, n):
+        rng = random.Random(seed)
+        model = BernoulliLoss(rate, rng)
+        decisions = [model.should_drop(pkt()) for _ in range(n)]
+        assert (decisions, rng.random()) == reference_decisions(seed, n, rate)
+
+    @given(params=st.tuples(probability, probability, probability, probability),
+           seed=st.integers(0, 2**32), n=st.integers(0, 600))
+    def test_gilbert_elliott_draws_transition_then_loss(self, params, seed, n):
+        rng = random.Random(seed)
+        model = GilbertElliottLoss(rng, *params)
+        decisions = [model.should_drop(pkt()) for _ in range(n)]
+        assert (decisions, rng.random()) == reference_decisions(
+            seed, n, ge=params)
 
 
 class TestDeterministic:

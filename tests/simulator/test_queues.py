@@ -1,11 +1,9 @@
-"""Unit tests for drop-tail and RED queues."""
-
-import random
+"""Unit tests for the drop-tail queue."""
 
 import pytest
 
 from repro.simulator.packet import Packet
-from repro.simulator.queues import DropTailQueue, RedQueue
+from repro.simulator.queues import DropTailQueue
 
 
 def pkt(size=100):
@@ -64,12 +62,6 @@ class TestDropTail:
         assert q.peak_slots == 3
         assert q.peak_bytes == 300
 
-    def test_would_accept_is_side_effect_free(self):
-        q = DropTailQueue(max_slots=1)
-        assert q.would_accept(pkt())
-        assert len(q) == 0
-        assert q.drops == 0
-
     def test_clear(self):
         q = DropTailQueue(max_slots=5)
         q.offer(pkt())
@@ -96,31 +88,3 @@ class TestDropTail:
             accepted += 1
         assert accepted == 20  # 30000 // 1500
 
-
-class TestRed:
-    def test_accepts_below_min_threshold(self):
-        q = RedQueue(random.Random(1), max_slots=50, min_th=5, max_th=15)
-        for _ in range(4):
-            assert q.offer(pkt())
-
-    def test_probabilistic_drops_between_thresholds(self):
-        q = RedQueue(random.Random(1), max_slots=200, min_th=2, max_th=10,
-                     max_p=1.0, weight=0.5)
-        for _ in range(200):
-            q.offer(pkt())
-        # The EWMA sits between the thresholds, so some but not all
-        # offers are dropped.
-        assert 0 < q.drops < 200
-
-    def test_invalid_thresholds(self):
-        with pytest.raises(ValueError):
-            RedQueue(random.Random(1), max_slots=10, min_th=8, max_th=5)
-
-    def test_hard_drop_above_max_threshold(self):
-        q = RedQueue(random.Random(1), max_slots=100, min_th=1, max_th=3,
-                     weight=1.0)
-        for _ in range(50):
-            q.offer(pkt())
-        # avg tracks instantaneous occupancy with weight=1; queue
-        # cannot meaningfully exceed max_th.
-        assert len(q) <= 5

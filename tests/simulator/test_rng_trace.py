@@ -1,7 +1,7 @@
 """Tests for the RNG registry and trace recording."""
 
 from repro.simulator.rng import RngRegistry
-from repro.simulator.trace import FlowTrace, TraceSet
+from repro.simulator.trace import FlowTrace
 
 
 class TestRngRegistry:
@@ -34,7 +34,7 @@ class TestRngRegistry:
 
 class TestFlowTrace:
     def make(self):
-        t = FlowTrace("f")
+        t = FlowTrace()
         t.log(1.0, "data", 0, 1400)
         t.log(2.0, "data", 1, 1400)
         t.log(2.5, "ack", 0)
@@ -61,6 +61,13 @@ class TestFlowTrace:
         assert t.bytes_sent("data") == 3 * 1400
         assert t.bytes_sent("rdata") == 1400
 
+    def test_throughput_over_a_window(self):
+        t = self.make()
+        assert t.throughput_bps(1.0, 3.0) == 2 * 1400 * 8 / 2.0
+        assert t.throughput_bps(0.0, 5.0, kind="rdata") == 1400 * 8 / 5.0
+        # an empty window carried nothing
+        assert t.throughput_bps(3.0, 3.0) == t.throughput_bps(4.0, 3.0) == 0.0
+
     def test_of_kind_multi(self):
         t = self.make()
         assert len(t.of_kind("data", "rdata")) == 4
@@ -69,16 +76,3 @@ class TestFlowTrace:
         t = self.make()
         assert len(list(t)) == len(t) == 5
 
-
-class TestTraceSet:
-    def test_flow_creates_on_demand(self):
-        ts = TraceSet()
-        ts.flow("a").log(1.0, "data", 0)
-        assert "a" in ts
-        assert ts["a"].count("data") == 1
-
-    def test_names_sorted(self):
-        ts = TraceSet()
-        ts.flow("b")
-        ts.flow("a")
-        assert ts.names() == ["a", "b"]

@@ -121,8 +121,7 @@ class TestDeterminism:
         def run_once():
             net = small_net(seed=11)
             session = create_session(
-                net, "h0", ["r0", "r1"], faults=FaultPlan((episode,)),
-                trace_name="det")
+                net, "h0", ["r0", "r1"], faults=FaultPlan((episode,)))
             net.run(until=6.0)
             trace = "\n".join(repr(r) for r in session.trace.records)
             session.close()

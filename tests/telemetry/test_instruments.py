@@ -2,22 +2,7 @@
 
 import pytest
 
-from repro.telemetry import Counter, Gauge, Histogram, TimeSeries
-
-
-class TestCounterGauge:
-    def test_counter_increments(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        assert c.snapshot() == 5
-
-    def test_gauge_sets(self):
-        g = Gauge("w")
-        g.set(3.5)
-        g.set(1.25)
-        assert g.snapshot() == 1.25
+from repro.telemetry import Histogram, TimeSeries
 
 
 class TestHistogram:

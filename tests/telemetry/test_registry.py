@@ -11,20 +11,18 @@ from repro.telemetry import METRICS_SCHEMA, MetricsRegistry, SpanTracker
 class TestInstrumentsByName:
     def test_get_or_create_is_idempotent(self):
         reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
         assert reg.histogram("h") is reg.histogram("h")
         assert reg.timeseries("s") is reg.timeseries("s")
-        assert reg.gauge("g") is reg.gauge("g")
 
     def test_push_values_appear_in_snapshot(self):
         reg = MetricsRegistry()
-        reg.counter("a").inc(3)
-        reg.gauge("g").set(1.5)
         reg.histogram("h").observe(0.2)
+        reg.timeseries("s").append(1.0, 4.0)
         snap = reg.snapshot()
-        assert snap["counters"]["a"] == 3
-        assert snap["gauges"]["g"] == 1.5
         assert snap["histograms"]["h"]["count"] == 1
+        assert snap["series"]["s"]["points"] == [[1.0, 4.0]]
+        # counters and gauges are pull bindings only
+        assert snap["counters"] == snap["gauges"] == {}
 
 
 class TestBindings:
@@ -86,7 +84,7 @@ class TestSpans:
 class TestExport:
     def test_versioned_schema_and_sections(self):
         reg = MetricsRegistry()
-        reg.counter("c").inc()
+        reg.bind("c", lambda: 1)
         reg.meta["tsi"] = 7
         doc = reg.export(experiment="t")
         assert doc["schema"] == METRICS_SCHEMA == "pgmcc.session-metrics/v1"
@@ -97,8 +95,8 @@ class TestExport:
 
     def test_export_is_json_and_sorted(self):
         reg = MetricsRegistry()
-        reg.counter("z.b").inc()
-        reg.counter("a.a").inc()
+        reg.bind("z.b", lambda: 1)
+        reg.bind("a.a", lambda: 1)
         reg.bind("m.m", lambda: 1)
         doc = reg.export()
         json.dumps(doc)  # must be JSON-serialisable as-is

@@ -1,16 +1,32 @@
-"""Every import statement under ``src/repro`` names something that exists.
+"""Static checks on import statements and on the benchmark's call shapes.
 
-A function-local import on an untested branch is invisible to the test
-suite and to CI's ruff selection (which does not resolve imports), so
-this walks the source instead of executing it.  A ``try`` that catches
-``ImportError`` gates an optional import and is skipped.
+* Every import statement under ``src/repro`` names something that
+  exists, and so does every ``repro.*`` import of the files that sit
+  outside the package but use it (``benchmarks/perf``, ``examples``,
+  ``tools``).  A function-local import on an untested branch is
+  invisible to the test suite and to CI's ruff selection (which does
+  not resolve imports), so this walks the source instead of executing
+  it.  A ``try`` that catches ``ImportError`` gates an optional import
+  and is skipped.
+* No module under ``src/repro`` keeps a module-level import it never
+  uses (ruff's F401, which CI runs; ruff is not installed everywhere
+  the tests are).
+* Every call ``benchmarks/perf`` makes into ``repro`` still binds to the
+  live signature: a ``src/`` change may not edit the benchmark, so it
+  must not break it either.
 """
 
 import ast
 import importlib
+import inspect
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+USERS = ("benchmarks/perf", "examples", "tools")
+HARNESS = [ROOT / "benchmarks" / "perf" / name
+           for name in ("workloads.py", "child.py", "probes.py")]
 
 
 def _imports(node: ast.AST):
@@ -22,8 +38,8 @@ def _imports(node: ast.AST):
             yield from _imports(child)
 
 
-def _unresolved(path: Path):
-    package = path.relative_to(SRC).parts[:-1]
+def _unresolved(path: Path, only_repro: bool = False):
+    package = () if only_repro else path.relative_to(SRC).parts[:-1]
     for node in _imports(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             wanted = [(alias.name, None) for alias in node.names]
@@ -32,15 +48,187 @@ def _unresolved(path: Path):
             module = ".".join([*base, *([node.module] if node.module else [])])
             wanted = [(module, alias.name) for alias in node.names]
         for module, name in wanted:
+            if only_repro and module.split(".")[0] != "repro":
+                continue
             try:
                 found = importlib.import_module(module)
                 if name and name != "*" and not hasattr(found, name):
                     importlib.import_module(f"{module}.{name}")  # submodule
             except ImportError as exc:
-                yield f"{path.relative_to(SRC)}:{node.lineno}: {exc}"
+                yield f"{path.relative_to(ROOT)}:{node.lineno}: {exc}"
 
 
 def test_imports_resolve():
     paths = sorted((SRC / "repro").rglob("*.py"))
     assert len(paths) > 50
     assert [p for path in paths for p in _unresolved(path)] == []
+
+
+def test_repro_imports_of_benchmark_examples_and_tools_resolve():
+    paths = sorted(p for top in USERS for p in (ROOT / top).glob("*.py"))
+    assert len(paths) > 10
+    assert [p for path in paths
+            for p in _unresolved(path, only_repro=True)] == []
+
+
+# -- unused imports (F401) ---------------------------------------------
+
+
+def _annotation_strings(tree: ast.AST):
+    """Quoted annotations and ``__all__`` entries: the two places a
+    name is used without being an ``ast.Name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            hosts = [node.value]
+        elif isinstance(node, ast.arg):
+            hosts = [node.annotation]
+        elif isinstance(node, ast.AnnAssign):
+            hosts = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            hosts = [node.returns]
+        else:
+            continue
+        for host in filter(None, hosts):
+            for sub in ast.walk(host):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    yield sub.value
+
+
+def _unused_imports(path: Path):
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for quoted in _annotation_strings(tree):
+        used.update(re.findall(r"[A-Za-z_]\w*", quoted))
+    # module level, including the bodies of top-level if/try blocks
+    # (``if TYPE_CHECKING:``); function-local imports are out of scope
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            stack.extend(ast.iter_child_nodes(node))
+            continue
+        if isinstance(node, ast.ExceptHandler):
+            stack.extend(node.body)
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound != "*" and bound not in used:
+                yield node.lineno, bound
+
+
+def test_no_unused_module_level_imports():
+    paths = [p for p in sorted((SRC / "repro").rglob("*.py"))
+             if p.name != "__init__.py"]  # re-exports
+    assert [f"{path.relative_to(ROOT)}:{line}: {name} unused"
+            for path in paths for line, name in _unused_imports(path)] == []
+
+
+def test_unused_import_check_sees_what_it_should(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import sys  # noqa: F401\n"
+        "from typing import TYPE_CHECKING, Any, Optional\n"
+        "if TYPE_CHECKING:\n"
+        "    from a import Quoted, Idle\n"
+        "__all__ = ['Any']\n"
+        "def f(x: 'Quoted') -> Optional[int]:\n"
+        "    return x\n"
+    )
+    assert sorted(_unused_imports(probe)) == [(2, "os"), (6, "Idle")]
+
+
+# -- the benchmark's calls into repro ----------------------------------
+
+
+#: the instance methods ``benchmarks/perf`` calls on what ``repro`` hands
+#: it, and the classes that own them
+METHODS = frozenset(
+    "add_host add_router duplex_link build_routes host router link set_group "
+    "run send forward_multicast throughput_bps summary export close "
+    "conserves_packets stats".split())
+
+
+def _owners():
+    from repro.pgm.session import PgmSession
+    from repro.simulator import (
+        POOL, Host, Link, Network, Router, Simulator, SubtreePlan,
+    )
+    from repro.tcp.session import TcpFlow
+    from repro.telemetry import MetricsRegistry
+
+    return [Network, Simulator, Host, Router, Link, SubtreePlan, type(POOL),
+            PgmSession, TcpFlow, MetricsRegistry]
+
+
+def _binds(target, call: ast.Call, bound_method: bool) -> bool:
+    try:
+        signature = inspect.signature(target)
+    except (TypeError, ValueError):  # a builtin without a signature
+        return True
+    args = [None] * (len(call.args) + (1 if bound_method else 0))
+    kwargs = {kw.arg: None for kw in call.keywords}
+    try:
+        signature.bind(*args, **kwargs)
+    except TypeError:
+        return False
+    return True
+
+
+def _broken_calls(path: Path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                imported[alias.asname or alias.name] = getattr(module, alias.name)
+    owners = _owners()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                kw.arg is None for kw in node.keywords):
+            continue  # shape not known statically
+        func = node.func
+        if isinstance(func, ast.Name) and callable(imported.get(func.id)):
+            if not _binds(imported[func.id], node, bound_method=False):
+                yield f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        elif isinstance(func, ast.Attribute) and func.attr in METHODS:
+            methods = [getattr(cls, func.attr) for cls in owners
+                       if callable(getattr(cls, func.attr, None))]
+            if not any(_binds(m, node, bound_method=True)
+                                   for m in methods):
+                yield f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+
+
+def test_benchmark_calls_bind_to_live_signatures():
+    assert [b for path in HARNESS for b in _broken_calls(path)] == []
+
+
+def test_benchmark_call_check_sees_a_removed_keyword(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from repro.pgm import add_receiver\n"
+        "from repro.simulator import Network\n"
+        "add_receiver(net, session, 'r1', at=1.0)\n"
+        "add_receiver(net, session, 'r1', reliable=False)\n"
+        "net = Network(seed=1)\n"
+        "net.duplex_link('a', 'b', spec)\n"
+        "net.duplex_link('a')\n"
+    )
+    assert list(_broken_calls(probe)) == [
+        "probe.py:4: add_receiver(net, session, 'r1', reliable=False)",
+        "probe.py:7: net.duplex_link('a')",
+    ]
