@@ -9,7 +9,7 @@ the PGM receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .acktrack import BITMAP_BITS, build_bitmap
@@ -21,16 +21,27 @@ from .reports import ReceiverReport
 _PRUNE_MARGIN = 4 * BITMAP_BITS
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataOutcome:
-    """Result of ingesting one data packet at the receiver."""
+    """Result of ingesting one data packet at the receiver.
+
+    Immutable: the outcomes that carry no gaps are shared between
+    calls (and between receivers), so the per-packet path allocates
+    nothing.
+    """
 
     #: Sequence numbers newly detected missing (gaps opened by this packet).
-    new_gaps: list[int] = field(default_factory=list)
+    new_gaps: tuple[int, ...] = ()
     #: True if the packet was already received (duplicate/late repair).
     duplicate: bool = False
     #: True if the packet advanced rxw_lead.
     advanced_lead: bool = False
+
+
+_DUPLICATE = DataOutcome(duplicate=True)
+_ADVANCED = DataOutcome(advanced_lead=True)
+#: an unseen packet behind the lead: a repair filling an old gap
+_FILLED = DataOutcome()
 
 
 class ReceiverController:
@@ -78,42 +89,39 @@ class ReceiverController:
         filter: the loss signal measures the *original* transmission
         pattern.
         """
-        outcome = DataOutcome()
         if sender_timestamp is not None:
             self._last_tstamp = sender_timestamp
             self._last_tstamp_rx_time = now
-        if seq in self._received:
+        received = self._received
+        if seq in received:
             self.duplicates += 1
-            outcome.duplicate = True
-            return outcome
+            return _DUPLICATE
 
         self.data_packets += 1
-        self._received.add(seq)
-        if self.rxw_lead < 0:
-            # First packet ever seen anchors the receive window: a
-            # receiver joining mid-session must not treat the whole
-            # prior history as lost (PGM semantics — earlier data is
-            # simply outside its window).
-            self.loss_filter.update(False)
-            if self.sample_observer is not None:
-                self.sample_observer(seq, False)
-            self.rxw_lead = seq
-            outcome.advanced_lead = True
-            return outcome
-        if seq > self.rxw_lead:
-            for missing in range(self.rxw_lead + 1, seq):
+        received.add(seq)
+        lead = self.rxw_lead
+        if seq <= lead:
+            # unseen and behind the lead: the slot was already counted
+            # as lost when the gap opened
+            return _FILLED
+        outcome = _ADVANCED
+        observer = self.sample_observer
+        # The first packet ever seen (lead < 0) anchors the receive
+        # window: a receiver joining mid-session must not treat the
+        # whole prior history as lost (PGM semantics — earlier data is
+        # simply outside its window).
+        if lead >= 0 and seq > lead + 1:
+            outcome = DataOutcome(tuple(range(lead + 1, seq)), advanced_lead=True)
+            for missing in outcome.new_gaps:
                 self.loss_filter.update(True)
-                if self.sample_observer is not None:
-                    self.sample_observer(missing, True)
-                outcome.new_gaps.append(missing)
-            self.loss_filter.update(False)
-            if self.sample_observer is not None:
-                self.sample_observer(seq, False)
-            self.rxw_lead = seq
-            outcome.advanced_lead = True
+                if observer is not None:
+                    observer(missing, True)
+        self.loss_filter.update(False)
+        if observer is not None:
+            observer(seq, False)
+        self.rxw_lead = seq
+        if lead >= 0:
             self._maybe_prune()
-        # seq < lead and unseen: a repair filling an old gap; the slot
-        # was already counted as lost when the gap opened.
         return outcome
 
     def resync(self, new_lead: int) -> int:

@@ -186,6 +186,22 @@ class PgmReceiver:
         if self._closed:
             return
         msg = packet.payload
+        # The three messages a receiver sees per data packet, matched
+        # on the exact class; bytes off a mangling link, SPMs and
+        # anything else take the general ladder below.
+        kind = type(msg)
+        if kind is OData:
+            if msg.tsi == self.tsi:
+                self._handle_data(msg, is_repair=False)
+            return
+        if kind is Ncf:
+            if msg.tsi == self.tsi:
+                self._handle_ncf(msg)
+            return
+        if kind is RData:
+            if msg.tsi == self.tsi:
+                self._handle_data(msg, is_repair=True)
+            return
         from_wire = isinstance(msg, (bytes, bytearray))
         if from_wire:
             # Mangled links deliver raw bytes; a decode failure models

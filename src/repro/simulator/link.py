@@ -10,14 +10,22 @@ Random loss is applied on ingress, before queueing, as dummynet's
 Queue drops happen when the packet arrives while the transmitter is
 busy and the queue will not accept it.
 
-Event model (DESIGN.md §6): a packet accepted by an *idle* link costs
-one event.  Its end of serialisation ``done = now + size * 8 / rate``
-is only remembered (``_free_at``) and the arrival scheduled at ``done +
-delay`` — the expression an event at ``done`` scheduling the arrival
-``delay`` later evaluates, so arrival times are bit-identical to that
-two-event model.  An end-of-serialisation event exists only while
-packets wait: the first to queue behind the one on the wire schedules
-it at ``_free_at`` and it re-arms while the queue is non-empty.
+Event model (DESIGN.md §6): every accepted packet costs one event, its
+arrival, whether or not it had to wait.  A FIFO's departures are
+arithmetic: the packet starts serialising at ``start`` — now on an idle
+wire, otherwise the instant the one ahead of it ends (``_free_at``) —
+ends at ``done = start + size * 8 / rate`` and arrives at ``done +
+delay``, scheduled on the spot.  Those are the float expressions an
+end-of-serialisation event at ``done`` would evaluate, so arrival times
+are bit-identical to that textbook two-event model.  Queue occupancy is
+therefore a function of the clock: a waiting packet whose ``start <=
+now`` has left the queue for the wire (a departure comes before an
+arrival at the same instant).  The link settles that before every offer
+to the queue, every delivery and every outside read — ``queue`` and
+``in_transit`` are settling properties.  A packet is serialised at the
+rate and delay in force when its serialisation starts: assigning
+``rate_bps`` or ``delay`` validates like the constructor and re-times
+the packets still waiting; the one on the wire keeps its arrival.
 
 Links also carry the hook points the fault-injection subsystem
 (:mod:`repro.simulator.faults`) drives: an administrative up/down flag,
@@ -47,6 +55,7 @@ path is unaffected.  Fault semantics:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Optional
 
 from .engine import Simulator
@@ -64,8 +73,10 @@ class Link:
     Args:
         sim: the event engine.
         name: label used in traces ("L1", "r0->s0", ...).
-        rate_bps: capacity in bits per second.
-        delay: one-way propagation delay in seconds.
+        rate_bps: capacity in bits per second.  Assignable mid-run:
+            validated, and packets still waiting are re-timed.
+        delay: one-way propagation delay in seconds; assignable
+            likewise.
         queue: output queue; defaults to a 30-slot drop-tail FIFO
             (the paper's most common configuration).
         loss: random-loss model applied on ingress.
@@ -83,21 +94,21 @@ class Link:
         queue: Optional[DropTailQueue] = None,
         loss: Optional[LossModel] = None,
     ):
-        if rate_bps <= 0:
-            raise ValueError("rate_bps must be positive")
-        if delay < 0:
-            raise ValueError("delay cannot be negative")
         self.sim = sim
         self.name = name
+        #: ``(start, arrival event, packet)`` of every packet the queue
+        #: holds, in FIFO order; allocated by the first packet to wait,
+        #: so a link that never queues owns no container for it
+        self._waiting: Optional[deque] = None
         self.rate_bps = rate_bps
         self.delay = delay
-        self.queue = queue if queue is not None else DropTailQueue(max_slots=30)
+        self._queue = queue if queue is not None else DropTailQueue(max_slots=30)
         self.loss = loss if loss is not None else NoLoss()
         self.deliver = deliver
-        #: when the packet on the wire finishes serialising
+        #: when the last accepted packet finishes serialising
         self._free_at = 0.0
-        #: an end-of-serialisation event is pending (packets are waiting)
-        self._draining = False
+        #: accepted and not yet delivered: queued + on the wire or in flight
+        self._pending = 0
         # Counters for analysis and assertions.
         self.sent = 0
         self.delivered = 0
@@ -110,7 +121,6 @@ class Link:
         self.corrupt_mangled = 0
         self.fault_duplicates = 0
         self.filter_drops = 0
-        self.in_transit = 0
         self._dup_rate = 0.0
         self._corrupt_rate = 0.0
         self._corrupt_mode = "drop"
@@ -122,6 +132,75 @@ class Link:
     def connect(self, deliver: DeliverFn) -> None:
         """Set (or replace) the delivery target."""
         self.deliver = deliver
+
+    # -- knobs ---------------------------------------------------------------
+
+    @property
+    def rate_bps(self) -> float:
+        return self._rate_bps
+
+    @rate_bps.setter
+    def rate_bps(self, value: float) -> None:
+        if value <= 0:
+            raise ValueError("rate_bps must be positive")
+        self._rate_bps = value
+        self._retime()
+
+    @property
+    def delay(self) -> float:
+        return self._delay
+
+    @delay.setter
+    def delay(self, value: float) -> None:
+        if value < 0:
+            raise ValueError("delay cannot be negative")
+        self._delay = value
+        self._retime()
+
+    def _retime(self) -> None:
+        """Reschedule the packets still waiting at the rate and delay
+        now in force.  The first of them starts when the packet on the
+        wire ends, which a knob write does not move."""
+        self._settle()
+        waiting = self._waiting
+        if not waiting:
+            return
+        sim = self.sim
+        rate, delay = self._rate_bps, self._delay
+        start = waiting[0][0]
+        self._waiting = retimed = deque()
+        for _, arrival, packet in waiting:
+            sim.cancel(arrival)
+            done = start + packet.size * 8.0 / rate
+            arrival = sim.schedule_at(done + delay, self._deliver, packet)
+            retimed.append((start, arrival, packet))
+            start = done
+        self._free_at = start
+
+    # -- queue occupancy -----------------------------------------------------
+
+    def _settle(self) -> None:
+        """Move every waiting packet whose serialisation has started by
+        now from the queue to the wire."""
+        waiting = self._waiting
+        if waiting:
+            now = self.sim.now
+            pop = self._queue.pop
+            while waiting and waiting[0][0] <= now:
+                waiting.popleft()
+                pop()
+
+    @property
+    def queue(self) -> DropTailQueue:
+        """The output queue, settled to the current instant."""
+        self._settle()
+        return self._queue
+
+    @property
+    def in_transit(self) -> int:
+        """Packets being serialised or propagating."""
+        self._settle()
+        return self._pending - len(self._queue)
 
     # -- data path ---------------------------------------------------------
 
@@ -164,37 +243,34 @@ class Link:
         return self._accept(packet)
 
     def _accept(self, packet: Packet) -> bool:
-        if self._draining or self.sim.now < self._free_at:
-            if not self.queue.offer(packet):
+        sim = self.sim
+        start = self._free_at
+        waits = sim.now < start
+        if waits:
+            # wire busy: the packet queues behind what was accepted
+            # before it, if the queue as it stands now has room
+            self._settle()
+            if not self._queue.offer(packet):
                 packet.release()
                 return False
-            if not self._draining:
-                # first packet to wait: only now is the event needed
-                self._draining = True
-                self.sim.schedule_at(self._free_at, self._transmission_done)
-            return True
-        self._start_transmission(packet)
+        else:
+            start = sim.now
+        # (start + tx) + delay, as an event at ``done`` would compute it
+        self._free_at = done = start + packet.size * 8.0 / self._rate_bps
+        arrival = sim.schedule_at(done + self._delay, self._deliver, packet)
+        if waits:
+            if self._waiting is None:
+                self._waiting = deque()
+            self._waiting.append((start, arrival, packet))
+        self._pending += 1
         return True
 
-    def _start_transmission(self, packet: Packet) -> None:
-        self.in_transit += 1
-        sim = self.sim
-        # (now + tx) + delay, as an event at ``done`` would compute it
-        self._free_at = done = sim.now + packet.size * 8.0 / self.rate_bps
-        sim.schedule_at(done + self.delay, self._deliver, packet)
-
-    def _transmission_done(self) -> None:
-        queue = self.queue
-        nxt = queue.pop()
-        if nxt is not None:
-            self._start_transmission(nxt)
-        if len(queue):
-            self.sim.schedule_at(self._free_at, self._transmission_done)
-        else:
-            self._draining = False
-
     def _deliver(self, packet: Packet) -> None:
-        self.in_transit -= 1
+        if self._waiting:
+            # it may have waited itself: out of the queue before it is
+            # handed on (and its reference with it)
+            self._settle()
+        self._pending -= 1
         self.delivered += 1
         self.bytes_delivered += packet.size
         deliver = self.deliver
@@ -255,9 +331,8 @@ class Link:
             + self.corrupt_drops
             + self.fault_drops
             + self.filter_drops
-            + self.queue.drops
-            + len(self.queue)
-            + self.in_transit
+            + self._queue.drops
+            + self._pending  # queued + in transit, whatever the clock says
         )
 
     # -- introspection -----------------------------------------------------
@@ -265,12 +340,13 @@ class Link:
     def metrics(self) -> dict:
         """Link counters for telemetry pull-bindings (includes the
         queue's own counters under ``queue.*``-style keys)."""
+        queue = self.queue
         out = {
             "sent": self.sent,
             "delivered": self.delivered,
             "bytes_delivered": self.bytes_delivered,
             "random_drops": self.random_drops,
-            "queue_drops": self.queue.drops,
+            "queue_drops": queue.drops,
             "fault_drops": self.fault_drops,
             "filter_drops": self.filter_drops,
             "corrupt_drops": self.corrupt_drops,
@@ -278,13 +354,13 @@ class Link:
             "fault_duplicates": self.fault_duplicates,
             "in_transit": self.in_transit,
         }
-        for key, value in self.queue.metrics().items():
+        for key, value in queue.metrics().items():
             out[f"queue_{key}"] = value
         return out
 
     @property
     def queue_drops(self) -> int:
-        return self.queue.drops
+        return self._queue.drops
 
     @property
     def utilization_bps(self) -> float:

@@ -46,8 +46,8 @@ class DropTailQueue:
         """Enqueue ``packet`` if it fits; return whether it was accepted.
 
         A queued packet's reference lives in the queue until
-        :meth:`pop` hands it back (or :meth:`clear` releases it);
-        rejected packets stay owned by the caller.
+        :meth:`pop` hands it back; rejected packets stay owned by the
+        caller.
         """
         # Single-pass limit checks and byte/peak accounting: this runs
         # once per packet on every congested link.
@@ -77,19 +77,6 @@ class DropTailQueue:
         packet = self._queue.popleft()
         self.bytes_queued -= packet.size
         return packet
-
-    def clear(self) -> None:
-        """Drop everything queued, releasing each packet's reference
-        exactly once (teardown/fault path).  Packets a fault already
-        released are caught by the pool's double-release counter, not
-        recycled twice."""
-        queue = self._queue
-        while queue:
-            packet = queue.popleft()
-            release = getattr(packet, "release", None)
-            if release is not None:
-                release()
-        self.bytes_queued = 0
 
     def metrics(self) -> dict:
         """Queue counters for telemetry pull-bindings."""

@@ -1,5 +1,7 @@
 """Tests for receiver-side measurement state (§3.2, §3.3)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ class TestDataIngest:
         rc = ReceiverController("r")
         for s in range(10):
             outcome = rc.on_data(s, now=float(s))
-            assert outcome.new_gaps == []
+            assert list(outcome.new_gaps) == []
             assert outcome.advanced_lead
         assert rc.rxw_lead == 9
         assert rc.loss_filter.value == 0
@@ -22,7 +24,7 @@ class TestDataIngest:
         rc = ReceiverController("r")
         rc.on_data(0, 0.0)
         outcome = rc.on_data(3, 1.0)
-        assert outcome.new_gaps == [1, 2]
+        assert list(outcome.new_gaps) == [1, 2]
         assert rc.rxw_lead == 3
 
     def test_gap_feeds_loss_filter(self):
@@ -38,6 +40,21 @@ class TestDataIngest:
         outcome = rc.on_data(0, 1.0)
         assert outcome.duplicate
         assert rc.duplicates == 1
+
+    def test_a_returned_outcome_cannot_be_mutated(self):
+        """Gap-free outcomes are shared between calls and receivers; a
+        caller that could write to one would corrupt every later one."""
+        rc = ReceiverController("r")
+        in_order = rc.on_data(0, 0.0)
+        duplicate = rc.on_data(0, 1.0)
+        gapped = rc.on_data(3, 2.0)
+        for outcome in (in_order, duplicate, gapped):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                outcome.duplicate = True
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                outcome.new_gaps = [7]
+            assert not hasattr(outcome.new_gaps, "append")
+        assert ReceiverController("other").on_data(9, 0.0) is in_order
 
     def test_repair_fills_gap_without_touching_filter(self):
         """The loss signal measures original transmissions; a repair
@@ -57,7 +74,7 @@ class TestDataIngest:
         """A mid-session joiner must not count history as lost."""
         rc = ReceiverController("r")
         outcome = rc.on_data(5000, 0.0)
-        assert outcome.new_gaps == []
+        assert list(outcome.new_gaps) == []
         assert rc.rxw_lead == 5000
         assert rc.loss_filter.losses == 0
 

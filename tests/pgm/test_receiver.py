@@ -213,3 +213,32 @@ class TestDispatch:
         wire.run(until=1.0)
         assert rx.odata_received == 1
         assert rx.rdata_received == 1
+
+    @pytest.mark.parametrize("foreign", [
+        odata(0, acker="rx", elicit=True, tsi=99),
+        RData(99, 0, 0, 1400),
+        Ncf(99, 0),
+    ], ids=["OData", "RData", "Ncf"])
+    def test_foreign_tsi_ignored_by_every_exact_class_dispatch(self, wire, foreign):
+        rx, collector = make_receiver(wire)
+        send_data(wire, foreign)
+        wire.run(until=1.0)
+        assert (rx.odata_received, rx.rdata_received, rx.ncfs_received) == (0, 0, 0)
+        assert rx.rxw_lead == -1
+        assert collector.packets == []
+
+    def test_wire_bytes_still_take_the_general_ladder(self, wire):
+        """Frames off a mangling link arrive as bytes, never as message
+        objects: they are decoded, checksum- and sanity-audited, and
+        only then dispatched."""
+        rx, _ = make_receiver(wire)
+        good = odata(0).pack()
+        flipped = bytearray(odata(1).pack())
+        flipped[-1] ^= 0x01  # fails the frame checksum
+        wild = odata(10 * C.TX_WINDOW_PACKETS).pack()  # decodes; no honest seq
+        for frame in (good, bytes(flipped), wild):
+            send_data(wire, frame)
+        wire.run(until=1.0)
+        assert rx.odata_received == 1 and rx.rxw_lead == 0
+        assert rx.malformed_dropped == 1
+        assert rx.insane_dropped == 1

@@ -69,6 +69,14 @@ class TestEpisodeValidation:
         with pytest.raises(ValueError):
             LinkImpairment("a", "b", at=0.0, duration=1.0, rate_bps=0)
 
+    def test_impairment_knobs_are_refused_when_the_plan_is_written(self):
+        # Link's own setters would refuse these values too, but only at
+        # ``at`` seconds into the run; the plan's message comes first
+        with pytest.raises(ValueError, match="rate_bps must be positive, got 0"):
+            LinkImpairment("a", "b", at=1.0, duration=1.0, rate_bps=0)
+        with pytest.raises(ValueError, match="delay cannot be negative, got -1"):
+            LinkImpairment("a", "b", at=1.0, duration=1.0, delay=-1)
+
     def test_flap_link_expands_to_cycles(self):
         episodes = flap_link("a", "b", first_at=2.0, down_for=0.5,
                              up_for=1.0, cycles=3)

@@ -104,6 +104,22 @@ class TestAccounting:
         with pytest.raises(ValueError):
             Link(sim, "bad", rate_bps=1000, delay=-1)
 
+    def test_a_bad_mid_run_knob_fails_at_the_write(self):
+        sim = Simulator()
+        link, _ = make_link(sim, rate=8000.0, delay=0.1)
+        link.send(Packet("a", "b", 100))
+        link.send(Packet("a", "b", 100))  # one waiting: a re-time is due
+        with pytest.raises(ValueError, match="rate_bps must be positive"):
+            link.rate_bps = 0
+        with pytest.raises(ValueError, match="delay cannot be negative"):
+            link.delay = -1
+        # the refused writes changed nothing
+        assert (link.rate_bps, link.delay) == (8000.0, 0.1)
+        arrivals = []
+        link.connect(lambda packet: arrivals.append(sim.now))
+        sim.run()
+        assert arrivals == [pytest.approx(0.2), pytest.approx(0.3)]
+
     def test_utilization(self):
         sim = Simulator()
         link, _ = make_link(sim, rate=8000.0, delay=0.0)
@@ -115,8 +131,10 @@ class TestAccounting:
 class ReferenceLink:
     """The textbook link: two events per packet — end of serialisation
     (which also starts the next queued packet), then arrival one
-    propagation delay later.  Written from the model, not from
-    ``link.py``; only the engine and the queue are shared."""
+    propagation delay later.  A packet is serialised at the rate and
+    delay in force when its serialisation starts.  Written from the
+    model, not from ``link.py``; only the engine and the queue are
+    shared."""
 
     def __init__(self, sim, rate_bps, delay, queue, deliver):
         self.sim, self.rate_bps, self.delay = sim, rate_bps, delay
@@ -143,10 +161,11 @@ class ReferenceLink:
     def _start(self, packet):
         self.busy = True
         self.in_transit += 1
-        self.sim.schedule(packet.size * 8.0 / self.rate_bps, self._done, packet)
+        self.sim.schedule(packet.size * 8.0 / self.rate_bps, self._done, packet,
+                          self.delay)
 
-    def _done(self, packet):
-        self.sim.schedule(self.delay, self._arrive, packet)
+    def _done(self, packet, delay):
+        self.sim.schedule(delay, self._arrive, packet)
         nxt = self.queue.pop()
         if nxt is None:
             self.busy = False
@@ -166,9 +185,10 @@ def run_script(kind, script, rate, delay, queue_limits):
     ``gap`` seconds — or, for ``"tx"``, to exactly the instant the last
     sent packet would finish serialising on an idle link — let every
     event due by then fire, then apply ``op``: ``"send"`` (``arg`` =
-    size), ``"down"``, ``"up"`` or ``"clear"`` (empty the queue).  Ops
-    are applied from outside the event loop so an arrival that ties
-    with an end of serialisation always comes after it, on both links.
+    size), ``"down"``, ``"up"``, ``"rate"`` (assign ``rate_bps = arg``)
+    or ``"delay"`` (assign ``delay = arg``).  Ops are applied from
+    outside the event loop so an arrival that ties with an end of
+    serialisation always comes after it, on both links.
     """
     sim = Simulator()
     queue = DropTailQueue(**queue_limits)
@@ -176,8 +196,7 @@ def run_script(kind, script, rate, delay, queue_limits):
     deliveries = []
 
     def check_conservation():
-        # clear() is a teardown path: what it discards is not a drop
-        if kind is Link and cleared == 0:
+        if kind is Link:
             assert link.conserves_packets()
 
     def deliver(packet):
@@ -192,7 +211,6 @@ def run_script(kind, script, rate, delay, queue_limits):
     else:
         link = ReferenceLink(sim, rate, delay, queue, deliver)
     returns = []
-    cleared = 0
     now = tx_end = 0.0
     for tag, (gap, op, arg) in enumerate(script):
         now = max(now, tx_end) if gap == "tx" else now + gap
@@ -202,16 +220,20 @@ def run_script(kind, script, rate, delay, queue_limits):
                       else SimpleNamespace(size=arg, payload=tag))
             returns.append(link.send(packet))
             tx_end = now + arg * 8.0 / rate
-        elif op == "clear":
-            cleared += len(queue)
-            queue.clear()
+        elif op == "rate":
+            link.rate_bps = rate = arg
+        elif op == "delay":
+            link.delay = arg
         else:
             getattr(link, "set_" + op)()
-        check_conservation()
+        # occupancy as an outside reader sees it, read before the
+        # conservation check gets a chance to settle anything
+        seen = link.queue
         state.append((sim.now, link.sent, link.delivered, link.fault_drops,
-                      link.in_transit, len(queue), queue.bytes_queued,
-                      queue.enqueues, queue.drops, queue.peak_slots,
-                      queue.peak_bytes))
+                      link.in_transit, len(seen), seen.bytes_queued,
+                      seen.enqueues, seen.drops, seen.peak_slots,
+                      seen.peak_bytes))
+        check_conservation()
     while sim.pending():
         sim.run(max_events=1)
         check_conservation()
@@ -222,7 +244,8 @@ def run_script(kind, script, rate, delay, queue_limits):
 
 def assert_matches_reference(script, rate=8000.0, delay=0.1, **queue_limits):
     """Same deliveries at bit-identical times, same accept/drop
-    answers, same counters at every step — in no more events."""
+    answers, same counters at every step — in one event per delivered
+    packet where the reference spends two."""
     queue_limits = queue_limits or {"max_slots": 2}
     got = run_script(Link, script, rate, delay, queue_limits)
     want = run_script(ReferenceLink, script, rate, delay, queue_limits)
@@ -230,9 +253,7 @@ def assert_matches_reference(script, rate=8000.0, delay=0.1, **queue_limits):
     assert got.returns == want.returns
     assert got.state == want.state
     assert want.events == 2 * want.delivered
-    assert got.delivered <= got.events <= want.events
-    if got.enqueues == 0:
-        assert got.events == got.delivered  # nothing waited: one event per hop
+    assert got.events == got.delivered
     return got
 
 
@@ -246,7 +267,7 @@ class TestAgainstReference:
         # 100 B at 8000 bit/s: the second waits for the first's 0.1 s
         assert [t for t, _ in got.deliveries] == [pytest.approx(0.1),
                                                   pytest.approx(0.2)]
-        assert got.events == 3  # one end-of-serialisation event, not two
+        assert got.events == 2  # the wait cost arithmetic, not an event
 
     def test_queue_overflow_drops(self):
         got = assert_matches_reference(burst(5))
@@ -277,8 +298,41 @@ class TestAgainstReference:
             + [(0.0, "up", None)] + burst(2))
         assert got.returns == [True, True, False, False, True, False]
 
-    def test_queue_cleared_with_a_packet_on_the_wire(self):
+    def test_squeezed_with_two_packets_waiting(self):
         got = assert_matches_reference(
-            burst(3) + [(0.05, "clear", None), (0.0, "send", 100),
-                        (0.3, "send", 100)])
-        assert [tag for _, tag in got.deliveries] == [0, 4, 5]
+            burst(3) + [(0.05, "rate", 2000.0)], delay=0.1)
+        # the one on the wire keeps 8000 bit/s (0.1 s); the two behind
+        # it serialise at 2000 bit/s (0.4 s each) from 0.1 s on
+        assert [t for t, _ in got.deliveries] == [
+            pytest.approx(0.2), pytest.approx(0.6), pytest.approx(1.0)]
+
+    def test_delay_cut_with_one_waiting_and_one_on_the_wire(self):
+        got = assert_matches_reference(
+            burst(2) + [(0.05, "delay", 0.02)], delay=0.1)
+        # on the wire: 0.1 s + the old 0.1 s; waiting: 0.2 s + the new 0.02 s
+        assert [t for t, _ in got.deliveries] == [pytest.approx(0.2),
+                                                  pytest.approx(0.22)]
+
+
+class TestDepartureBeforeTyingArrival:
+    """The one rule the one-event model adds: a waiting packet whose
+    serialisation starts at ``t`` has left the queue for every arrival
+    at ``t``.  With an end-of-serialisation event the answer depended on
+    which of the two tying events had been inserted first."""
+
+    def test_arrival_inside_the_event_loop_at_a_waiting_packets_start(self):
+        sim = Simulator()
+        link, received = make_link(sim, rate=8000.0, delay=0.0,
+                                   queue=DropTailQueue(max_slots=1))
+        start = 100 * 8.0 / 8000.0  # when the first packet frees the wire
+        answers = []
+        # inserted before anything the link schedules at ``start``
+        sim.schedule_at(
+            start, lambda: answers.append(link.send(Packet("a", "b", 100, 2))))
+        assert link.send(Packet("a", "b", 100, 0))  # on the wire
+        assert link.send(Packet("a", "b", 100, 1))  # waits; the queue is full
+        assert not link.send(Packet("a", "b", 100, -1))
+        sim.run()
+        assert answers == [True]
+        assert [packet.payload for packet in received] == [0, 1, 2]
+        assert link.queue_drops == 1 and link.conserves_packets()

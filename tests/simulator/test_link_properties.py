@@ -2,13 +2,13 @@
 
 Hypothesis generates arrival scripts — packet sizes, gaps, bursts that
 overflow a 1-3 slot or byte-limited queue, arrivals at exactly the
-instant the wire frees, ``down``/``up`` mid-burst, the queue cleared
-with a packet on the wire — and ``assert_matches_reference`` (see
-``test_link.py``) requires :class:`Link` to behave exactly like the
-two-events-per-packet :class:`ReferenceLink`: the same (time, packet)
-delivery sequence, the same accept/drop answers and queue counters,
-conservation at every step, never more events than the reference and
-exactly one per delivered packet when nothing ever waits.
+instant the wire frees, ``down``/``up`` mid-burst, ``rate_bps`` and
+``delay`` assigned while packets wait — and
+``assert_matches_reference`` (see ``test_link.py``) requires
+:class:`Link` to behave exactly like the two-events-per-packet
+:class:`ReferenceLink`: the same (time, packet) delivery sequence, the
+same accept/drop answers and queue counters, conservation at every
+step, and exactly one event per delivered packet.
 """
 
 import pytest
@@ -35,7 +35,12 @@ SEND = st.tuples(GAPS, st.just("send"), SIZES)
 #: three sends for every control op, so bursts actually build up
 OPS = st.one_of(
     SEND, SEND, SEND,
-    st.tuples(GAPS, st.sampled_from(["down", "up", "clear"]), st.none()),
+    st.one_of(
+        st.tuples(GAPS, st.sampled_from(["down", "up"]), st.none()),
+        st.tuples(GAPS, st.just("rate"),
+                  st.sampled_from([2000.0, 8000.0, 500_000.0, 2_000_000.0])),
+        st.tuples(GAPS, st.just("delay"), st.sampled_from([0.0, 0.0005, 0.23])),
+    ),
 )
 
 QUEUES = st.one_of(

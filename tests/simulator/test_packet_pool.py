@@ -141,19 +141,6 @@ def test_session_with_ne_and_faults_drains_to_zero():
     _assert_drained("NE + faults session")
 
 
-def test_queue_clear_releases_queued_packets():
-    from repro.simulator.queues import DropTailQueue
-
-    q = DropTailQueue(max_slots=10)
-    for _ in range(5):
-        q.offer(Packet("a", "b", 100))
-    assert POOL.outstanding == 5
-    q.clear()
-    assert POOL.outstanding == 0
-    assert POOL.double_release == 0
-    assert q.bytes_queued == 0 and len(q) == 0
-
-
 #: Fast, structurally diverse registry subset: plain fairness, TCP
 #: competition, NE suppression, scripted faults, ECMP reordering and
 #: bursty (Gilbert) loss.

@@ -62,13 +62,6 @@ class TestDropTail:
         assert q.peak_slots == 3
         assert q.peak_bytes == 300
 
-    def test_clear(self):
-        q = DropTailQueue(max_slots=5)
-        q.offer(pkt())
-        q.clear()
-        assert len(q) == 0
-        assert q.bytes_queued == 0
-
     def test_invalid_limits(self):
         with pytest.raises(ValueError):
             DropTailQueue(max_slots=0)
