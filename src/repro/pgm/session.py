@@ -30,6 +30,7 @@ from typing import Any, Callable, Optional
 
 from ..core.loss_filter import DEFAULT_W
 from ..core.sender_cc import CcConfig
+from ..simulator.routing import NoPath
 from ..simulator.topology import Network
 from ..simulator.trace import FlowTrace
 from ..telemetry import MetricsRegistry
@@ -439,10 +440,12 @@ def add_receiver(
     tree graft a real network performs.
 
     A name that is not a host of ``net`` (``KeyError``; ``TypeError``
-    for a router) or is already a member (``ValueError``) is rejected
-    here, at the call, whatever ``at`` says, and a join that fails
-    leaves the member list, the tree and the host untouched.
+    for a router), is already a member (``ValueError``) or that the
+    source cannot reach (``routing.NoPath``) is rejected here, at the
+    call, whatever ``at`` says, and a join that fails leaves the
+    member list, the tree and the host untouched.
     """
+    source = session.sender.host.name
 
     def _check() -> None:
         net.host(host_name)  # KeyError: no such node; TypeError: a router
@@ -450,6 +453,8 @@ def add_receiver(
             raise ValueError(
                 f"{host_name} is already a member of {session.group}"
             )
+        if host_name not in net.source_paths(source):
+            raise NoPath(f"no path to {host_name} from {source}")
 
     def _join() -> None:
         _check()  # the member list may have changed since the call
@@ -457,7 +462,7 @@ def add_receiver(
         # cannot take one raises before anything below has happened
         rx = _make_receiver(net, session, host_name, recover_history)
         session.members.append(host_name)
-        net.set_group(session.group, session.sender.host.name, session.members)
+        net.set_group(session.group, source, session.members)
         session._register_receiver(rx)
 
     _check()

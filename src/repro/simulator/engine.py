@@ -5,12 +5,10 @@ simulations and of the dummynet testbed in its experiments: an event
 loop with deterministic tie-breaking, plus a small restartable
 :class:`Timer` helper used by the protocol agents.
 
-There is one scheduler, :class:`Simulator`: a binary heap with a
-cached front slot, so chains of schedule-one/fire-one events (the
-protocol hot path) never touch the heap at all.  Events dispatch in
-(time, insertion-order) total order (see DESIGN.md, "Event engine and
-the packet pool"); ``tests/simulator/test_engine_properties.py``
-checks that order against an independent naive reference queue.
+There is one scheduler, :class:`Simulator`: a binary heap of events
+dispatched in (time, insertion-order) total order (see DESIGN.md,
+"Event engine"); ``tests/simulator/test_engine_properties.py`` checks
+that order against an independent naive reference queue.
 
 Event handles
 -------------
@@ -83,87 +81,41 @@ class Simulator:
         sim.schedule(1.0, hello)
         sim.run(until=10.0)
 
-    The queue is a binary heap of
-    ``[time, seq, fn, args]`` entries with the earliest event cached
-    in a front slot (``_next``) outside the heap.  The invariant is
-    that the slot always holds the global minimum (or ``None`` exactly
-    when nothing is pending), so the fire-one/schedule-one pattern the
-    protocol agents produce runs entirely slot-to-slot with no heap
-    traffic.
-
-    Sequence numbers break ties by insertion order.  They are assigned
-    lazily: an event that goes straight to the slot gets its number
-    only if it is later displaced into the heap or tied by a same-time
-    arrival — sound because a slot entry without a number implies the
-    queue was empty when it was scheduled, so no earlier same-time
-    entry can exist anywhere.
+    The queue is a binary heap of ``[time, seq, fn, args]`` entries.
+    ``seq`` counts scheduled events, so entries compare on
+    ``(time, seq)`` alone and same-time events dispatch in the order
+    they were scheduled.
     """
 
-    __slots__ = ("now", "_heap", "_next", "_seq", "_running", "_stopped",
-                 "events_processed")
+    __slots__ = ("now", "_heap", "_seq", "_running", "events_processed")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[list] = []
-        self._next: Optional[list] = None
         self._seq = 0
         self._running = False
-        self._stopped = False
         self.events_processed = 0
 
     # -- scheduling ----------------------------------------------------
 
-    def schedule(self, delay: float, fn: Callable, *args: Any,
-                 _push=heapq.heappush) -> list:
+    def schedule(self, delay: float, fn: Callable, *args: Any) -> list:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        t = self.now + delay
-        ev = [t, None, fn, args]
-        nxt = self._next
-        if nxt is None:
-            self._next = ev
-        elif t < nxt[0]:
-            if nxt[1] is None:
-                nxt[1] = self._seq
-                self._seq += 1
-            _push(self._heap, nxt)
-            self._next = ev
-        else:
-            if nxt[1] is None and t == nxt[0]:
-                # Materialise the slot's tie-break number first so the
-                # earlier arrival keeps the earlier number.
-                nxt[1] = self._seq
-                self._seq += 1
-            ev[1] = self._seq
-            self._seq += 1
-            _push(self._heap, ev)
+        ev = [self.now + delay, self._seq, fn, args]
+        self._seq += 1
+        heapq.heappush(self._heap, ev)
         return ev
 
-    def schedule_at(self, time: float, fn: Callable, *args: Any,
-                    _push=heapq.heappush) -> list:
+    def schedule_at(self, time: float, fn: Callable, *args: Any) -> list:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
         if time < self.now:
             raise ValueError(
                 f"cannot schedule at {time:.6f}, clock already at {self.now:.6f}"
             )
-        ev = [time, None, fn, args]
-        nxt = self._next
-        if nxt is None:
-            self._next = ev
-        elif time < nxt[0]:
-            if nxt[1] is None:
-                nxt[1] = self._seq
-                self._seq += 1
-            _push(self._heap, nxt)
-            self._next = ev
-        else:
-            if nxt[1] is None and time == nxt[0]:
-                nxt[1] = self._seq
-                self._seq += 1
-            ev[1] = self._seq
-            self._seq += 1
-            _push(self._heap, ev)
+        ev = [time, self._seq, fn, args]
+        self._seq += 1
+        heapq.heappush(self._heap, ev)
         return ev
 
     def cancel(self, ev: list) -> None:
@@ -178,88 +130,37 @@ class Simulator:
         """Process events in time order.
 
         Stops when the queue is exhausted, when the next event lies
-        past ``until`` (the clock is then advanced to ``until``), when
-        ``max_events`` have been processed, or when :meth:`stop` is
-        called from inside a callback.  Calling ``run()`` from inside a
-        callback is an error: a nested loop would clear a pending
-        :meth:`stop` and could carry the clock past the outer ``until``.
+        past ``until`` (the clock is then advanced to ``until``) or
+        when ``max_events`` have been processed.  Calling ``run()``
+        from inside a callback is an error: a nested loop could carry
+        the clock past the outer ``until``.
         """
         if self._running:
             raise RuntimeError("run() is not re-entrant")
         self._running = True
-        self._stopped = False
         heap = self._heap
         pop = heapq.heappop
+        limit = _INF if until is None else until
+        budget = _INF if max_events is None else max_events
         processed = 0
         try:
-            if until is None and max_events is None:
-                # Specialised tight loop for the unbounded case (the
-                # benchmark workload and run-to-exhaustion callers).
-                while True:
-                    ev = self._next
-                    if ev is None:
-                        break
-                    self._next = pop(heap) if heap else None
-                    fn = ev[2]
-                    if fn is None:
-                        continue
-                    self.now = ev[0]
-                    fn(*ev[3])
-                    processed += 1
-                    if self._stopped:
-                        break
-            else:
-                limit = _INF if until is None else until
-                budget = _INF if max_events is None else max_events
-                while processed < budget:
-                    ev = self._next
-                    if ev is None:
-                        break
-                    t = ev[0]
-                    if t > limit:
-                        break
-                    self._next = pop(heap) if heap else None
-                    fn = ev[2]
-                    if fn is None:
-                        continue
-                    self.now = t
-                    fn(*ev[3])
-                    processed += 1
-                    if self._stopped:
-                        break
-                    # Same-tick drain: everything else scheduled at t
-                    # fires without re-checking the time limit.
-                    while processed < budget:
-                        ev = self._next
-                        if ev is None or ev[0] != t:
-                            break
-                        self._next = pop(heap) if heap else None
-                        fn = ev[2]
-                        if fn is None:
-                            continue
-                        fn(*ev[3])
-                        processed += 1
-                        if self._stopped:
-                            break
-                    if self._stopped:
-                        break
+            while heap and processed < budget and heap[0][0] <= limit:
+                ev = pop(heap)
+                fn = ev[2]
+                if fn is None:
+                    continue
+                self.now = ev[0]
+                fn(*ev[3])
+                processed += 1
         finally:
             self._running = False
             self.events_processed += processed
-        if until is not None and self.now < until and not self._stopped:
+        if until is not None and self.now < until:
             self.now = until
-
-    def stop(self) -> None:
-        """Stop the run loop after the current callback returns."""
-        self._stopped = True
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        count = sum(1 for ev in self._heap if ev[2] is not None)
-        nxt = self._next
-        if nxt is not None and nxt[2] is not None:
-            count += 1
-        return count
+        return sum(1 for ev in self._heap if ev[2] is not None)
 
 
 class Timer:

@@ -6,40 +6,72 @@ prefer fewer hops).  Multicast routing installs a source-rooted
 shortest-path tree for each (group, source) pair — the same structure
 IP multicast (DVMRP/PIM) would build over these topologies, and the
 one the paper's ns-2 scenarios assume.
+
+The topologies are trees of a few dozen nodes, so the graph is a plain
+adjacency mapping and the solve a ``heapq`` Dijkstra.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Mapping
 
-import networkx as nx
-
 from .node import Node
+
+#: ``graph[u][v]`` is the weight of the directed edge u->v.
+Graph = dict[str, dict[str, float]]
 
 #: Per-hop additive bias in the path metric; keeps paths minimal-hop
 #: among equal-delay alternatives without affecting real comparisons.
 HOP_BIAS = 1e-9
 
 
-def build_graph(nodes: Mapping[str, Node], delays: Mapping[tuple[str, str], float]) -> nx.DiGraph:
-    """Build a directed graph of the topology.
+class NoPath(Exception):
+    """A multicast member the source cannot reach."""
+
+
+def build_graph(nodes: Mapping[str, Node], delays: Mapping[tuple[str, str], float]) -> Graph:
+    """Build the directed adjacency mapping of the topology.
 
     ``delays`` maps directed edges (u, v) to the propagation delay of
-    the u->v link; edge weight is delay + HOP_BIAS.
+    the u->v link; edge weight is delay + HOP_BIAS.  Neighbours keep
+    link-creation order, which is what breaks equal-cost ties below.
     """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(nodes)
+    graph: Graph = {name: {} for name in nodes}
     for (u, v), delay in delays.items():
-        graph.add_edge(u, v, weight=delay + HOP_BIAS)
+        graph[u][v] = delay + HOP_BIAS
     return graph
 
 
-def shortest_paths(graph: nx.DiGraph, source: str) -> dict[str, list[str]]:
-    """Path from ``source`` to every node it reaches: one Dijkstra solve."""
-    return nx.single_source_dijkstra_path(graph, source, weight="weight")
+def shortest_paths(graph: Graph, source: str) -> dict[str, list[str]]:
+    """Path from ``source`` to every node it reaches: one Dijkstra solve.
+
+    Weights are non-negative (``Link`` rejects a negative delay).
+    Equal-cost alternatives resolve as in networkx's
+    ``single_source_dijkstra_path``, the reference
+    ``tests/simulator/test_routing.py`` compares against: a path is
+    replaced on strict improvement only, and equal distances leave the
+    fringe in the order they were pushed.
+    """
+    paths = {source: [source]}
+    dist = {source: 0.0}
+    fringe = [(0.0, 0, source)]
+    pushed = 0
+    while fringe:
+        d, _, u = heapq.heappop(fringe)
+        if d > dist[u]:
+            continue  # superseded by a shorter path found later
+        for v, weight in graph[u].items():
+            through_u = d + weight
+            if v not in dist or through_u < dist[v]:
+                dist[v] = through_u
+                pushed += 1
+                heapq.heappush(fringe, (through_u, pushed, v))
+                paths[v] = paths[u] + [v]
+    return paths
 
 
-def install_unicast_routes(graph: nx.DiGraph, nodes: Mapping[str, Node]) -> None:
+def install_unicast_routes(graph: Graph, nodes: Mapping[str, Node]) -> None:
     """Install next-hop entries for every reachable destination at
     every node.  Overwrites existing unicast tables."""
     for src in nodes:
@@ -57,18 +89,17 @@ def compute_multicast_tree(
     """Union of shortest paths from ``source`` to each member.
 
     ``paths`` is ``shortest_paths(graph, source)``, solved once by the
-    caller however often membership changes; per member it is the path
-    ``nx.dijkstra_path`` returns (same search, same tie-breaks).
+    caller however often membership changes.
 
     Returns, for every on-tree node, the set of downstream neighbours
     to which group traffic must be replicated; an unreachable member
-    raises ``nx.NetworkXNoPath``.
+    raises :class:`NoPath`.
     """
     downstream: dict[str, set[str]] = {}
     for member in members:
         path = paths.get(member)
         if path is None:
-            raise nx.NetworkXNoPath(f"No path to {member} from {source}.")
+            raise NoPath(f"no path to {member} from {source}")
         for u, v in zip(path, path[1:]):
             downstream.setdefault(u, set()).add(v)
     return downstream

@@ -173,14 +173,20 @@ class Network:
         for node in self.nodes.values():
             node.hop_limit = hop_limit
 
-    def set_group(self, group: Address, source: str, members: list[str]) -> None:
-        """Install the multicast tree for ``group`` rooted at ``source``
-        and subscribe the member hosts."""
+    def source_paths(self, source: str) -> dict[str, list[str]]:
+        """Shortest path from ``source`` to every node it reaches,
+        solved once per source until the topology changes."""
         graph = self.graph()
         paths = self._source_paths.get(source)
         if paths is None:
             paths = self._source_paths[source] = routing.shortest_paths(graph, source)
-        routing.install_multicast_tree(paths, self.nodes, group, source, members)
+        return paths
+
+    def set_group(self, group: Address, source: str, members: list[str]) -> None:
+        """Install the multicast tree for ``group`` rooted at ``source``
+        and subscribe the member hosts."""
+        routing.install_multicast_tree(
+            self.source_paths(source), self.nodes, group, source, members)
         for member in members:
             self.host(member).join_group(group)
 

@@ -8,6 +8,7 @@ from repro.pgm import (
     create_session,
     enable_network_elements,
 )
+from repro.pgm import constants as C
 from repro.simulator import NON_LOSSY, LinkSpec, dumbbell, star
 from repro.tcp import create_tcp_flow
 
@@ -35,6 +36,15 @@ class TestCreateSession:
         net.run(until=20.0)
         last_data = max(session.trace.times("data"))
         assert last_data <= 5.0
+
+    def test_stop_at_precedes_a_heartbeat_due_at_the_same_instant(self):
+        # tie rule (DESIGN.md §6): create_session schedules close()
+        # before the sender has armed any timer, so an SPM due at
+        # exactly stop_at is not sent
+        net = dumbbell(1, 1, NON_LOSSY)
+        session = create_session(net, "h0", ["r0"], stop_at=4 * C.SPM_IVL)
+        net.run(until=10.0)
+        assert session.sender._spm_seq == 4  # t = 0, 0.5, 1.0, 1.5
 
     def test_unique_tsi_and_group(self):
         net = dumbbell(2, 2, NON_LOSSY)

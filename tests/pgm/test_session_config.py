@@ -9,6 +9,7 @@ from repro.core.sender_cc import CcConfig
 from repro.pgm import SUMMARY_SCHEMA, add_receiver, create_session
 from repro.pgm.session import SessionConfig
 from repro.simulator import NON_LOSSY, dumbbell, dumbbell_subtrees
+from repro.simulator.routing import NoPath
 
 #: every v1 summary key remains part of the pgmcc.session-summary/v2
 #: contract — keys may be added in later versions but never removed or
@@ -190,19 +191,26 @@ class TestReceiverIndex:
     @pytest.mark.parametrize("at", [None, 5.0])
     def test_add_receiver_rejects_a_bad_host_at_the_call(self, at):
         net = dumbbell(1, 2, NON_LOSSY)
+        net.add_host("island")  # a host the source has no path to
         session = create_session(net, "h0", ["r0"])
         routes = dict(net.router("R0").multicast_routes)
         agents = dict(net.host("r0")._agents)
         for name, error in (("r0", ValueError), ("nope", KeyError),
-                            ("R1", TypeError)):
+                            ("R1", TypeError), ("island", NoPath)):
             with pytest.raises(error, match=name):
                 add_receiver(net, session, name, at=at)
         assert session.members == ["r0"]
         assert [rx.rx_id for rx in session.receivers] == ["r0"]
         assert net.router("R0").multicast_routes == routes
         assert net.host("r0")._agents == agents
+        assert net.host("island")._agents == {}
         net.run(until=6.0)  # and nothing was left on the event heap
         assert session.members == ["r0"]
+        # a rejected join used to stay in the member list and fail
+        # every later one with it
+        add_receiver(net, session, "r1")
+        assert session.members == ["r0", "r1"]
+        assert net.router("R1").multicast_routes[session.group] == ("r0", "r1")
         session.close()
 
     def test_lookup_survives_direct_list_append(self):

@@ -7,8 +7,8 @@ schedules from callbacks, zero delays, same-tick ties, far-future
 events, cancellation and chunked runs — and requires the exact same
 dispatch sequence, clock, processed count and pending count.  The
 dispatch sequence is the total (time, insertion-order) order, so any
-bug in the heap's lazy tie-break numbering or its cached front slot
-shows up as a counterexample.
+bug in the heap's tie-break numbering, its lazy cancellation or the
+resumption of a chunked run shows up as a counterexample.
 """
 
 import pytest

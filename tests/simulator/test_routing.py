@@ -1,9 +1,15 @@
-"""Direct unit tests for route computation."""
+"""Direct unit tests for route computation.
+
+networkx is the reference here and nowhere else: ``routing`` solves
+its own shortest paths, and the two oracles below (drawn digraphs, the
+paper's topologies) require them to be networkx's, tie for tie.
+"""
 
 import random
 
-import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.fig7_uncorrelated_loss import LEAF
 from repro.experiments.robustness import build_multipath
@@ -17,13 +23,21 @@ from repro.simulator import (
     dumbbell_subtrees,
     star,
 )
+from repro.simulator import routing
 from repro.simulator.routing import (
+    HOP_BIAS,
+    NoPath,
     build_graph,
     compute_multicast_tree,
     install_multicast_tree,
     install_unicast_routes,
     shortest_paths,
 )
+
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
 
 
 def diamond():
@@ -46,8 +60,9 @@ class TestGraph:
     def test_build_graph_edges_weighted_by_delay(self):
         net = diamond()
         graph = build_graph(net.nodes, net.link_delays)
-        assert graph.has_edge("a", "top")
-        assert graph["a"]["top"]["weight"] < graph["a"]["bot"]["weight"]
+        assert list(graph["a"]) == ["top", "bot"]  # link-creation order
+        assert graph["a"]["top"] == 0.001 + HOP_BIAS
+        assert graph["a"]["top"] < graph["a"]["bot"]
 
     def test_directed(self):
         net = Network(seed=2)
@@ -55,8 +70,7 @@ class TestGraph:
         net.add_host("b")
         net.simplex_link("a", "b", ACCESS)
         graph = build_graph(net.nodes, net.link_delays)
-        assert graph.has_edge("a", "b")
-        assert not graph.has_edge("b", "a")
+        assert graph == {"a": {"b": ACCESS.delay + HOP_BIAS}, "b": {}}
 
 
 class TestUnicast:
@@ -134,14 +148,47 @@ class TestMulticastTree:
         net.add_host("s")
         net.add_host("island")
         graph = build_graph(net.nodes, net.link_delays)
-        with pytest.raises(nx.NetworkXNoPath):
+        with pytest.raises(NoPath, match="island"):
             compute_multicast_tree(shortest_paths(graph, "s"), "s", ["island"])
 
 
-def per_member_dijkstra_routes(net, source, members):
+def reference_digraph(nx, nodes, weights):
+    graph = nx.DiGraph()
+    graph.add_nodes_from(nodes)
+    for (u, v), weight in weights.items():
+        graph.add_edge(u, v, weight=weight)
+    return graph
+
+
+NODES = "abcdefgh"
+#: few distinct weights, so equal-cost alternatives are the rule;
+#: 0.1 + 0.2 != 0.3 keeps a float near-tie in the draw
+EDGES = st.dictionaries(
+    st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)),
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0]),
+    max_size=24,
+).flatmap(lambda edges: st.permutations(list(edges.items()))).map(dict)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=EDGES, source=st.sampled_from(NODES))
+def test_shortest_paths_are_networkx_single_source_dijkstra(nx, weights, source):
+    """Same path to every reachable node and the same key set,
+    whatever the ties, zero-weight edges, unreachable nodes and
+    edge-insertion order."""
+    graph = {name: {} for name in NODES}
+    for (u, v), weight in weights.items():
+        graph[u][v] = weight
+    reference = nx.single_source_dijkstra_path(
+        reference_digraph(nx, NODES, weights), source, weight="weight")
+    assert shortest_paths(graph, source) == reference
+
+
+def per_member_dijkstra_routes(nx, net, source, members):
     """The tree as it used to be built: one ``nx.dijkstra_path`` solve
     per member on a fresh graph, rendered like ``multicast_routes``."""
-    graph = build_graph(net.nodes, net.link_delays)
+    graph = reference_digraph(nx, net.nodes, {
+        edge: delay + HOP_BIAS for edge, delay in net.link_delays.items()})
     downstream = {}
     for member in members:
         path = nx.dijkstra_path(graph, source, member, weight="weight")
@@ -163,7 +210,7 @@ TOPOLOGIES = {
 
 class TestStoredSourcePaths:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
-    def test_joins_one_by_one_build_the_per_member_dijkstra_tree(self, topology):
+    def test_joins_one_by_one_build_the_per_member_dijkstra_tree(self, nx, topology):
         net, source = TOPOLOGIES[topology]()
         hosts = sorted(name for name, node in net.nodes.items()
                        if isinstance(node, Host) and name != source)
@@ -173,15 +220,15 @@ class TestStoredSourcePaths:
             net.set_group("mc:g", source, members)
             installed = {name: node.multicast_routes["mc:g"]
                          for name, node in net.nodes.items()}
-            assert installed == per_member_dijkstra_routes(net, source, members)
+            assert installed == per_member_dijkstra_routes(nx, net, source, members)
 
     def test_one_solve_per_source_until_the_topology_changes(self, monkeypatch):
         net, source = TOPOLOGIES["fig7_star"]()
         solves = []
-        real = nx.single_source_dijkstra_path
+        real = routing.shortest_paths
         monkeypatch.setattr(
-            nx, "single_source_dijkstra_path",
-            lambda graph, src, **kw: solves.append(src) or real(graph, src, **kw))
+            routing, "shortest_paths",
+            lambda graph, src: solves.append(src) or real(graph, src))
         for joined in range(1, 11):
             net.set_group("mc:g", source, [f"r{i}" for i in range(joined)])
         assert solves == [source]

@@ -8,6 +8,10 @@
   not resolve imports), so this walks the source instead of executing
   it.  A ``try`` that catches ``ImportError`` gates an optional import
   and is skipped.
+* Importing the package's entry modules in a fresh interpreter loads
+  nothing outside the standard library: ``dependencies = []`` is a
+  promise a stray third-party import would break only for users who
+  do not happen to have that package.
 * No module under ``src/repro`` keeps a module-level import it never
   uses (ruff's F401, which CI runs; ruff is not installed everywhere
   the tests are).
@@ -19,7 +23,10 @@
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,6 +76,30 @@ def test_repro_imports_of_benchmark_examples_and_tools_resolve():
     assert len(paths) > 10
     assert [p for path in paths
             for p in _unresolved(path, only_repro=True)] == []
+
+
+# -- runtime dependencies ----------------------------------------------
+
+ENTRY_MODULES = ("repro.pgm", "repro.simulator", "repro.tcp", "repro.runner",
+                 "repro.sweep", "repro.experiments.registry")
+
+
+def test_the_package_loads_nothing_outside_the_standard_library():
+    probe = (
+        "import importlib, sys\n"
+        "before = set(sys.modules)\n"
+        f"for name in {ENTRY_MODULES!r}:\n"
+        "    importlib.import_module(name)\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        # __mp_main__ is multiprocessing's alias of __main__
+        "ours = sys.stdlib_module_names | {'repro', '__mp_main__'}\n"
+        "print(len(loaded), *sorted(loaded - ours))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(SRC)}).stdout.split()
+    assert int(out[0]) > 20  # the probe did import something
+    assert out[1:] == [], f"third-party modules loaded: {out[1:]}"
 
 
 # -- unused imports (F401) ---------------------------------------------
