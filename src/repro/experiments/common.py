@@ -38,10 +38,6 @@ class ExperimentResult:
     #: ``pgmcc.session-metrics/v1`` export from the experiment's
     #: (representative) session, when the experiment attaches one
     telemetry: dict[str, Any] | None = None
-    #: measured perf values (wall clock, RSS, throughput) — shipped in
-    #: manifests/caches but **excluded from the digest**, since wall
-    #: time is not content
-    perf: dict[str, Any] = field(default_factory=dict)
 
     def add_row(self, **fields: Any) -> None:
         self.rows.append(fields)
@@ -62,8 +58,6 @@ class ExperimentResult:
         }
         if self.telemetry is not None:
             doc["telemetry"] = self.telemetry
-        if self.perf:
-            doc["perf"] = self.perf
         return json.loads(canonical_json(doc))
 
     @classmethod
@@ -75,18 +69,12 @@ class ExperimentResult:
             metrics=dict(data.get("metrics", {})),
             expectation=data.get("expectation", ""),
             telemetry=data.get("telemetry"),
-            perf=dict(data.get("perf", {})),
         )
 
     def digest(self) -> str:
-        """Content digest of the result (timing-free, order-stable).
-
-        ``perf`` is excluded: it carries measured wall-clock/RSS values
-        that legitimately differ between otherwise identical runs.
-        """
-        doc = self.to_dict()
-        doc.pop("perf", None)
-        return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+        """Content digest of the result (order-stable)."""
+        return hashlib.sha256(
+            canonical_json(self.to_dict()).encode()).hexdigest()
 
     def format_table(self) -> str:
         """Plain-text table of the rows (the figure's 'data')."""

@@ -22,14 +22,13 @@ The experiment has three parts:
    fidelity gate for part 3;
 3. a **hybrid ladder** (:func:`run_hybrid_cell`): 10^3 → 10^6
    receivers behind K shared bottlenecks with the aggregate-tail
-   subsystem, measuring construction/run wall time, peak RSS,
-   receivers-per-second and bytes-per-receiver.
+   subsystem.  What a cell costs in seconds and megabytes is measured
+   from outside, by the ``hybrid_1e6`` workload of ``benchmarks/perf``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 
 from ..analysis import throughput_bps
 from ..pgm import SessionConfig, create_session, enable_network_elements
@@ -192,19 +191,12 @@ def run_hybrid_cell(
 
     Losses are deterministic (periodic, on two subtrees) so cells are
     reproducible and comparable across ``n``.  Returns per-cell metrics
-    prefixed ``hyb{n}:`` — including the memory/throughput series the
-    bench harness lifts into ``results/BENCH_RESULTS.json``
-    (``receivers_per_sec``, ``bytes_per_receiver``, ``peak_rss_mb``).
+    prefixed ``hyb{n}:``.
     """
-    from ..runner.bench import memory_probe
-
     k = subtrees if subtrees is not None else subtrees_for(n)
     duration = max(6.0, 20.0 * scale)
-    before = memory_probe()
-    t0 = time.perf_counter()
     net = dumbbell_subtrees(n, subtrees=k, bottleneck=HYBRID_BOTTLENECK,
                             seed=seed)
-    build_s = time.perf_counter() - t0
     net.link("R0", net.subtree_plan.router(0)).loss = PeriodicLoss(
         period=50, offset=17)
     if k > 1:
@@ -216,13 +208,10 @@ def run_hybrid_cell(
     session = create_session(net, "h0", [], config=cfg)
     enable_network_elements(net, telemetry=session.metrics)
     net.sim.run(until=duration + 1.0)
-    wall_s = time.perf_counter() - t0
-    after = memory_probe()
     summary = session.summary()
     agg = summary["aggregate"]
     violations = (len(session.invariants.violations)
                   if session.invariants is not None else 0)
-    rss_delta = max(after["rss_bytes"] - before["rss_bytes"], 0)
 
     result = ExperimentResult(
         name=f"scalability-hybrid-{n}",
@@ -252,18 +241,6 @@ def run_hybrid_cell(
     }
     for key, value in point.items():
         result.metrics[f"{label}:{key}"] = value
-    # Measured values go through the digest-excluded perf channel:
-    # wall clock and RSS differ run-to-run and must not reach
-    # EXP-SCALE's content digest.
-    measured = {
-        "build_s": round(build_s, 4),
-        "wall_s": round(wall_s, 4),
-        "receivers_per_sec": round(n / max(wall_s, 1e-9), 1),
-        "peak_rss_mb": round(after["peak_rss_bytes"] / 1e6, 2),
-        "bytes_per_receiver": round(rss_delta / max(n, 1), 2),
-    }
-    for key, value in measured.items():
-        result.perf[f"{label}:{key}"] = value
     result.add_row(
         receivers=n,
         subtrees=k,
@@ -282,7 +259,6 @@ def run_hybrid_ladder(result: ExperimentResult, sizes: tuple[int, ...],
     for n in sizes:
         cell = run_hybrid_cell(n, scale=scale, seed=seed)
         result.metrics.update(cell.metrics)
-        result.perf.update(cell.perf)
         result.rows.extend(cell.rows)
 
 

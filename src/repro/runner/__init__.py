@@ -12,25 +12,22 @@ across cores.  This package provides:
 * :class:`ResultCache` — a content-addressed on-disk store keyed by
   (experiment, kwargs, source fingerprint), shared between runner
   and sweep invocations;
-* run manifests (``pgmcc.run-manifest/v2``) and perf-trajectory
-  artifacts (``pgmcc.bench-results/v1``);
+* run manifests (``pgmcc.run-manifest/v2``);
 * the ``python -m repro.runner`` CLI.
 
 See ``docs/API.md`` for the task model, cache key, and schemas.
 """
 
-from .bench import (BENCH_SCHEMA, bench_results_from_manifest,
-                    session_metrics_from_manifest)
 from .cache import (CACHE_SCHEMA, DEFAULT_CACHE_DIR, ResultCache,
                     callable_id, source_fingerprint, task_digest)
 from .events import RunnerEvent, event_printer
 from .manifest import (MANIFEST_SCHEMA, build_manifest, load_manifest,
-                       results_digest, save_manifest)
+                       results_digest, save_manifest,
+                       session_metrics_from_manifest)
 from .orchestrator import Orchestrator, auto_jobs
 from .tasks import TaskOutcome, child_entry, error_info
 
 __all__ = [
-    "BENCH_SCHEMA",
     "CACHE_SCHEMA",
     "DEFAULT_CACHE_DIR",
     "MANIFEST_SCHEMA",
@@ -39,7 +36,6 @@ __all__ = [
     "RunnerEvent",
     "TaskOutcome",
     "auto_jobs",
-    "bench_results_from_manifest",
     "build_manifest",
     "callable_id",
     "child_entry",

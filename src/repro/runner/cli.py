@@ -6,8 +6,7 @@ Examples::
     python -m repro.runner -j auto                 # full report, all cores
     python -m repro.runner -j 4 --scale 0.1        # smoke sweep
     python -m repro.runner EXP-F3 EXP-F4 --no-cache
-    python -m repro.runner -j auto --scale 0.1 \
-        --manifest results/manifest.json --bench-json results/BENCH_RESULTS.json
+    python -m repro.runner -j auto --scale 0.1 --manifest results/run.json
 
 Exit status: 0 when every task succeeded, 1 when any task is reported
 failed, 2 on usage errors (e.g. an unknown experiment id).
@@ -22,10 +21,11 @@ import time
 from pathlib import Path
 
 from ..experiments.registry import get_experiment, registered_specs
-from .bench import bench_results_from_manifest, session_metrics_from_manifest
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .events import event_printer
-from .orchestrator import Orchestrator, jobs_arg, scale_arg
+from .manifest import save_manifest, session_metrics_from_manifest
+from .orchestrator import (Orchestrator, jobs_arg, retries_arg, scale_arg,
+                           timeout_arg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,16 +51,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--manifest", default=None, metavar="PATH",
                         help="where to write the run manifest "
                              "(default: results/manifest-<run_id>.json)")
-    parser.add_argument("--bench-json", default=None, metavar="PATH",
-                        help="also write a BENCH_RESULTS perf-trajectory "
-                             "artifact")
     parser.add_argument("--session-metrics", default=None, metavar="PATH",
                         help="also write the sweep's pgmcc.session-metrics/v1 "
                              "documents (one JSON array, task order)")
-    parser.add_argument("--timeout", type=float, default=1800.0,
+    parser.add_argument("--timeout", type=timeout_arg, default=1800.0,
                         help="per-task wall-clock timeout in seconds "
                              "(default: 1800; 0 disables)")
-    parser.add_argument("--retries", type=int, default=1,
+    parser.add_argument("--retries", type=retries_arg, default=1,
                         help="retries per failing task (default: 1)")
     parser.add_argument("--list", action="store_true",
                         help="print the experiment registry and exit")
@@ -125,22 +122,13 @@ def main(argv: list[str] | None = None) -> int:
 
     orch = Orchestrator(
         specs, scale=args.scale, jobs=args.jobs, cache=cache,
-        timeout=args.timeout or None, retries=args.retries,
+        timeout=args.timeout, retries=args.retries,
         on_event=None if args.quiet else event_printer())
     manifest = orch.run(run_id=run_id)
 
     manifest_path = Path(args.manifest or
                          Path("results") / f"manifest-{run_id}.json")
-    from .manifest import save_manifest
-
     save_manifest(manifest, manifest_path)
-
-    if args.bench_json:
-        bench = bench_results_from_manifest(manifest)
-        bench_path = Path(args.bench_json)
-        bench_path.parent.mkdir(parents=True, exist_ok=True)
-        bench_path.write_text(json.dumps(bench, indent=2, sort_keys=True)
-                              + "\n")
 
     if args.session_metrics:
         docs = session_metrics_from_manifest(manifest)

@@ -74,3 +74,17 @@ def save_manifest(manifest: dict[str, Any], path: os.PathLike | str) -> Path:
 
 def load_manifest(path: os.PathLike | str) -> dict[str, Any]:
     return json.loads(Path(path).read_text())
+
+
+def session_metrics_from_manifest(manifest: dict[str, Any]
+                                  ) -> list[dict[str, Any]]:
+    """Pull every ``pgmcc.session-metrics/v1`` document out of a
+    manifest's embedded results, in task order.  Each entry carries the
+    experiment id alongside the document."""
+    docs = []
+    for task in manifest.get("tasks", ()):
+        result = task.get("result") or {}
+        telemetry = result.get("telemetry")
+        if telemetry is not None:
+            docs.append({"id": task["id"], **telemetry})
+    return docs

@@ -28,39 +28,52 @@ from .events import RunnerEvent
 from .manifest import build_manifest
 from .tasks import TaskOutcome, child_entry
 
-__all__ = ["Orchestrator", "auto_jobs", "jobs_arg", "scale_arg"]
+__all__ = ["Orchestrator", "auto_jobs", "jobs_arg", "retries_arg",
+           "scale_arg", "timeout_arg"]
 
 
 def auto_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def _parsed(text: str, parse: Callable, accept: Callable, expected: str):
+    """``parse(text)`` when it parses and ``accept`` holds; anything
+    else is the usage error argparse prints and exits 2 on."""
+    try:
+        value = parse(text)
+    except ValueError:
+        value = None
+    if value is None or not accept(value):
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return value
+
+
 def jobs_arg(text: str) -> int:
     """argparse ``type=`` for ``-j``: ``auto`` (one worker per core)
-    or an integer >= 1; anything else is a usage error."""
+    or an integer >= 1."""
     if text == "auto":
         return auto_jobs()
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or an integer >= 1, got {text!r}")
-    return jobs
+    return _parsed(text, int, lambda jobs: jobs >= 1,
+                   "'auto' or an integer >= 1")
 
 
 def scale_arg(text: str) -> float:
-    """argparse ``type=`` for ``--scale``: a finite float > 0;
-    anything else is a usage error."""
-    try:
-        scale = float(text)
-    except ValueError:
-        scale = 0.0
-    if not 0 < scale < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number > 0, got {text!r}")
-    return scale
+    """argparse ``type=`` for ``--scale``: a finite float > 0."""
+    return _parsed(text, float, lambda scale: 0 < scale < math.inf,
+                   "a finite number > 0")
+
+
+def timeout_arg(text: str) -> float:
+    """argparse ``type=`` for ``--timeout``: a finite number of seconds
+    >= 0 (0 disables)."""
+    return _parsed(text, float, lambda timeout: 0 <= timeout < math.inf,
+                   "a finite number >= 0 (0 disables)")
+
+
+def retries_arg(text: str) -> int:
+    """argparse ``type=`` for ``--retries``: an integer >= 0."""
+    return _parsed(text, int, lambda retries: retries >= 0,
+                   "an integer >= 0")
 
 
 @dataclass
@@ -93,12 +106,18 @@ class Orchestrator:
                  extra_sys_path: Sequence[str] = ()):
         if not 0 < scale < math.inf:
             raise ValueError(f"scale must be finite and > 0, got {scale!r}")
+        if timeout is not None and not 0 <= timeout < math.inf:
+            raise ValueError(
+                f"timeout must be finite and >= 0, got {timeout!r}")
+        if not isinstance(retries, int) or retries < 0:
+            raise ValueError(
+                f"retries must be an integer >= 0, got {retries!r}")
         self.specs = list(specs)
         self.scale = scale
         self.jobs = max(1, int(jobs))
         self.cache = cache
-        self.timeout = timeout
-        self.retries = max(0, int(retries))
+        self.timeout = timeout or None  #: 0 disables, like None
+        self.retries = retries
         self.backoff = backoff
         self.on_event = on_event
         self.extra_sys_path = list(extra_sys_path)

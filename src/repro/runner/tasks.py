@@ -11,7 +11,7 @@ from __future__ import annotations
 import importlib
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..experiments.common import ExperimentResult
@@ -40,7 +40,6 @@ class TaskOutcome:
     worker: int | None = None
     cache_hit: bool = False
     result_digest: str | None = None
-    events: list[dict[str, Any]] = field(default_factory=list)
 
     def to_dict(self) -> dict[str, Any]:
         """Manifest entry.  Deterministic content (result, digest) and

@@ -5,8 +5,8 @@ dict, or loaded from a TOML/JSON file — naming one registered
 experiment, the parameter axes to vary, and an expansion mode
 (``grid`` / ``zip`` / ``ablate``).  Expansion produces ordinary
 orchestrator tasks (cached, isolated, retried); aggregation produces
-per-axis deltas, a ranked table, optional experiment-specific tables,
-and a regression verdict that reuses the perf gate's machinery.
+per-axis deltas, a ranked table and optional experiment-specific
+tables.
 
 Library use::
 

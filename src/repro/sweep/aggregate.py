@@ -15,11 +15,6 @@ Three first-class products, all deterministic given the cells:
   know (e.g. the arena's fairness-ranked controller table).  The hook
   receives ``[(axes_dict, ExperimentResult), ...]`` and returns a dict
   with optional ``rows`` / ``metrics`` / ``markdown`` keys.
-
-Regression detection reuses the perf gate's scale-series verdict
-(:func:`repro.runner.perf_gate.evaluate_series`) verbatim, so a sweep
-report's verdict and CI's ``python -m repro.runner.perf_gate`` agree
-by construction.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ __all__ = [
     "axis_deltas",
     "collect_cells",
     "ranked_rows",
-    "regression_section",
     "run_custom_aggregate",
     "shared_numeric_metrics",
 ]
@@ -177,35 +171,3 @@ def run_custom_aggregate(spec: SweepSpec,
                          f"unknown key(s): {', '.join(unknown)}")
     return out
 
-
-def regression_section(baseline_path: str, *,
-                       scale_series: Optional[dict] = None,
-                       scale_regression_threshold: float = 0.50) -> dict:
-    """Regression verdict against a committed ``BENCH_RESULTS.json``.
-
-    Delegates to :func:`repro.runner.perf_gate.evaluate_series`
-    (per-cell scale series, when the sweep produced one) — the same
-    function CI's perf gate runs, so the two verdicts agree on
-    identical inputs.  Missing-history cells **seed** rather than
-    fail, exactly like the gate.
-    """
-    from ..runner import perf_gate
-
-    try:
-        baseline_series = perf_gate.load_scale_baseline(baseline_path)
-    except (FileNotFoundError, ValueError):
-        return {"status": "skipped", "baseline": str(baseline_path),
-                "reasons": [f"no readable baseline at {baseline_path}"]}
-
-    section: dict[str, Any] = {"status": "ok",
-                               "baseline": str(baseline_path),
-                               "reasons": []}
-    if scale_series:
-        series = perf_gate.evaluate_series(
-            scale_series, baseline_series,
-            regression_threshold=scale_regression_threshold)
-        section["scale"] = series
-        section["reasons"] += series["reasons"]
-        if series["status"] == "fail":
-            section["status"] = "fail"
-    return section

@@ -7,9 +7,9 @@ Examples::
     python -m repro.sweep run examples/sweeps/ci_smoke.toml \
         -j 2 --scale 0.05 --json report.json --report report.md
 
-Exit status: 0 on success, 1 when any cell failed or the regression
-gate failed, 2 on usage/validation errors (bad spec file, unknown
-experiment, out-of-schema axis value).
+Exit status: 0 on success, 1 when any cell failed, 2 on
+usage/validation errors (bad spec file, unknown experiment,
+out-of-schema axis value).
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from typing import Optional
 from ..runner.cache import DEFAULT_CACHE_DIR
 from ..runner.events import event_printer
 from ..runner.manifest import save_manifest
-from ..runner.orchestrator import jobs_arg, scale_arg
+from ..runner.orchestrator import (jobs_arg, retries_arg, scale_arg,
+                                   timeout_arg)
 from .expand import expand
 from .report import render_markdown
-from .run import DEFAULT_BASELINE, sweep
+from .run import sweep
 from .spec import load_spec
 from .validate import SweepValidationError, spec_errors
 
@@ -67,15 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the pgmcc.sweep-report/v1 JSON document")
     run.add_argument("--report", default=None, metavar="PATH",
                      help="write the markdown report (use '-' for stdout)")
-    run.add_argument("--baseline", default=str(DEFAULT_BASELINE),
-                     metavar="PATH",
-                     help="BENCH_RESULTS.json to gate against (default: "
-                          f"{DEFAULT_BASELINE}; missing file skips the "
-                          "gate)")
-    run.add_argument("--timeout", type=float, default=1800.0,
+    run.add_argument("--timeout", type=timeout_arg, default=1800.0,
                      help="per-cell timeout in seconds (default: 1800; "
                           "0 disables)")
-    run.add_argument("--retries", type=int, default=1,
+    run.add_argument("--retries", type=retries_arg, default=1,
                      help="retries per failing cell (default: 1)")
     run.add_argument("--quiet", action="store_true",
                      help="suppress progress telemetry on stderr")
@@ -138,13 +134,10 @@ def _run(args: argparse.Namespace) -> int:
         for error in errors:
             print(f"  - {error}", file=sys.stderr)
         return 2
-    baseline = args.baseline if args.baseline else None
-
     result = sweep(
         spec, jobs=args.jobs, scale=args.scale,
         cache_dir=None if args.no_cache else args.cache_dir,
-        baseline=baseline,
-        timeout=args.timeout or None, retries=args.retries,
+        timeout=args.timeout, retries=args.retries,
         on_event=None if args.quiet else event_printer())
 
     if args.manifest:
@@ -166,12 +159,6 @@ def _run(args: argparse.Namespace) -> int:
     print(f"{totals['ok']}/{totals['tasks']} ok, {totals['failed']} failed, "
           f"{result.report['run']['cache_hits']} cache hits")
     print(f"report digest: {result.report['report_digest']}")
-    regression = result.report.get("regression")
-    if regression:
-        print(f"regression vs {regression['baseline']}: "
-              f"{regression['status'].upper()}")
-        for reason in regression.get("reasons", []):
-            print(f"  - {reason}")
     for cell in result.cells:
         if cell.status == "failed":
             print(f"--- FAILED {cell.task.id} ---", file=sys.stderr)

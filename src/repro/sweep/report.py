@@ -3,18 +3,17 @@
 The report splits, like the run manifest, into *what was computed*
 (spec, expanded cells, per-cell result digests and metrics, axis
 deltas, ranked table, custom aggregate) and *how this run went* (cache
-hits, wall times, regression verdict against a host-dependent
-baseline).  ``report_digest`` covers only the first group, so the same
-spec at the same scale yields a byte-identical digest whether it ran
-``-j1``, ``-jN`` or entirely from cache — that equality is asserted in
-CI.
+hits, wall times).  ``report_digest`` covers only the first group, so
+the same spec at the same scale yields a byte-identical digest whether
+it ran ``-j1``, ``-jN`` or entirely from cache — that equality is
+asserted in CI.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Optional
+from typing import Any
 
 from ..experiments.common import canonical_json
 from .aggregate import (
@@ -34,7 +33,7 @@ SWEEP_REPORT_SCHEMA = "pgmcc.sweep-report/v1"
 #: per-task report keys that vary run to run and are excluded from the
 #: report digest (everything else in a task row is deterministic)
 _VOLATILE_TASK_KEYS = ("cache_hit", "wall_s")
-_VOLATILE_TOP_KEYS = ("regression", "run", "report_digest")
+_VOLATILE_TOP_KEYS = ("run", "report_digest")
 
 
 def report_digest(report: dict[str, Any]) -> str:
@@ -47,8 +46,7 @@ def report_digest(report: dict[str, Any]) -> str:
 
 
 def build_report(spec: SweepSpec, cells: list[SweepCell],
-                 manifest: dict[str, Any],
-                 regression: Optional[dict] = None) -> dict[str, Any]:
+                 manifest: dict[str, Any]) -> dict[str, Any]:
     """Assemble the full sweep-report document."""
     metrics = shared_numeric_metrics(cells, spec.metrics)
     tasks = []
@@ -85,15 +83,13 @@ def build_report(spec: SweepSpec, cells: list[SweepCell],
         report["aggregate"] = aggregate
     report = json.loads(canonical_json(report))
 
-    # volatile sections last, outside the digest
+    # the volatile section last, outside the digest
     report["run"] = {
         "run_id": manifest.get("run_id"),
         "jobs": manifest.get("jobs"),
         "cache_hits": sum(1 for c in cells if c.cache_hit),
         "wall_s": manifest.get("totals", {}).get("wall_s"),
     }
-    if regression is not None:
-        report["regression"] = json.loads(canonical_json(regression))
     report["report_digest"] = report_digest(report)
     return report
 
@@ -188,13 +184,4 @@ def render_markdown(report: dict[str, Any]) -> str:
             lines += _table(headers, rows) + [""]
         if aggregate.get("markdown"):
             lines += [str(aggregate["markdown"]), ""]
-
-    regression = report.get("regression")
-    if regression:
-        lines += [f"## Regression vs `{regression['baseline']}`: "
-                  f"**{regression['status'].upper()}**", ""]
-        lines += [f"- {reason}" for reason in regression.get("reasons", [])]
-        if not regression.get("reasons"):
-            lines += ["- no regressions detected"]
-        lines += [""]
     return "\n".join(lines)

@@ -46,6 +46,15 @@ def _freeze(value: Any) -> Any:
     return value
 
 
+def _array(value: Any, what: str) -> tuple:
+    """A list-valued key as a tuple.  A scalar is a shape error named
+    by its key — a string above all, which iterates letter by letter."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{what}: expected an array of values, "
+                        f"got {type(value).__name__}")
+    return _freeze(value)
+
+
 def _pairs(mapping: Any, what: str) -> tuple[tuple[str, Any], ...]:
     if isinstance(mapping, tuple):
         return mapping
@@ -85,11 +94,15 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axes", tuple(
-            (name, tuple(_freeze(v) for v in values))
+            (name, _array(values, f"axes.{name}"))
             for name, values in _pairs(self.axes, "axes")))
         object.__setattr__(self, "base", _pairs(self.base, "base"))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        object.__setattr__(self, "metrics", tuple(self.metrics))
+        object.__setattr__(self, "seeds", _array(self.seeds, "seeds"))
+        object.__setattr__(self, "metrics", _array(self.metrics, "metrics"))
+        if (isinstance(self.scale, bool)
+                or not isinstance(self.scale, (int, float))):
+            raise TypeError("scale: expected a number, "
+                            f"got {type(self.scale).__name__}")
 
     # -- views --------------------------------------------------------
 
@@ -167,7 +180,6 @@ def spec_from_dict(doc: dict[str, Any]) -> SweepSpec:
     for required in ("name", "experiment"):
         if required not in data:
             raise TypeError(f"sweep spec needs a {required!r} key")
-    data["metrics"] = tuple(data.get("metrics", ()))
     cls = AblationSpec if data.get("mode") == "ablate" else SweepSpec
     return cls(**data)
 

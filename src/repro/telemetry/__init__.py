@@ -4,7 +4,7 @@ The layer every figure in the paper is read off: protocol components
 expose their state through per-session :class:`MetricsRegistry`
 objects (``PgmSession.metrics``), exported as versioned
 ``pgmcc.session-metrics/v1`` documents that flow through experiment
-results, runner manifests and ``results/BENCH_RESULTS.json``.
+results and runner manifests.
 
 Public surface::
 

@@ -89,7 +89,7 @@ def test_documented_cli_flags_exist():
             r"add_argument\(\s*(?:\"-\w\",\s*)?\"(--[a-z][a-z0-9-]+)\"",
             path.read_text())
     }
-    assert {"--scale", "--bench-json"} <= documented & defined
+    assert {"--scale", "--session-metrics"} <= documented & defined
     assert sorted(documented - defined) == []
 
 

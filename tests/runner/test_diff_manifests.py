@@ -4,6 +4,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
 
 import diff_manifests  # noqa: E402
@@ -15,7 +17,6 @@ def manifest(events=100, rate=1.5, wall=0.2, extra_task=False):
         "attempts": 1, "cache_hit": False, "result_digest": f"d{events}{wall}",
         "result": {
             "metrics": {"rate": rate},
-            "perf": {"wall_s": wall},
             "rows": [{"n": 1}, {"n": 2}],
             "telemetry": {"counters": {"net.events_processed": events,
                                        "net.queue_drops": 3}},
@@ -27,8 +28,19 @@ def manifest(events=100, rate=1.5, wall=0.2, extra_task=False):
             "tasks": tasks}
 
 
-def test_run_fields_and_perf_blocks_never_count():
+def test_run_fields_never_count():
     assert diff_manifests.diff_manifests(manifest(wall=0.2), manifest(wall=9.9)) == []
+
+
+def test_a_result_leaf_is_compared_whatever_it_is_called():
+    """Only the top-level run fields are skipped by name: a metric that
+    happens to be called ``perf`` or ``wall_s`` is a result."""
+    a, b = manifest(), manifest()
+    a["tasks"][0]["result"]["metrics"].update(perf=1, wall_s=1.0)
+    b["tasks"][0]["result"]["metrics"].update(perf=2, wall_s=2.0)
+    assert diff_manifests.diff_manifests(a, b) == [
+        "EXP-A: result.metrics.perf: 1 -> 2",
+        "EXP-A: result.metrics.wall_s: 1.0 -> 2.0"]
 
 
 def test_differing_leaf_is_named_with_both_values():
@@ -60,3 +72,25 @@ def test_cli_exit_status_and_output(tmp_path, capsys):
     assert diff_manifests.main(
         paths + ["--ignore", "telemetry.counters.net.events_processed"]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("text, reason", [
+    pytest.param("not json {", "Expecting value", id="not-json"),
+    pytest.param('{"schema": "pgmcc.sweep-report/v1"}', "no 'tasks' list",
+                 id="another-document"),
+    pytest.param('{"tasks": {"EXP-A": {}}}', "no 'tasks' list",
+                 id="tasks-not-a-list"),
+    pytest.param("[1, 2]", "no 'tasks' list", id="not-an-object"),
+])
+def test_a_file_that_is_no_manifest_is_a_usage_error(text, reason, tmp_path,
+                                                     capsys):
+    """Exit status 1 means "results differ"; a traceback has it too."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(manifest()))
+    bad.write_text(text)
+    for argv in ([str(good), str(bad)], [str(bad), str(good)]):
+        assert diff_manifests.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ") and reason in err
+        assert err.count("\n") == 1

@@ -49,6 +49,25 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="scale must be finite and > 0"):
             orchestrate(GRID, scale=scale)
 
+    @pytest.mark.parametrize("option, value, match", [
+        pytest.param(option, value, match, id=f"{option}={value}")
+        for option, match, values in (
+            ("timeout", "timeout must be finite and >= 0",
+             (-5.0, float("nan"), float("inf"))),
+            ("retries", "retries must be an integer >= 0", (-2, 1.5)))
+        for value in values
+    ])
+    def test_bad_timeout_or_retries_rejected_before_any_worker(
+            self, option, value, match):
+        with pytest.raises(ValueError, match=match):
+            orchestrate(GRID, **{option: value})
+
+    def test_timeout_zero_disables_like_none(self):
+        orch = orchestrate([toy_spec("TOY-Z", func="run_sleep", seconds=0.2)],
+                           timeout=0, retries=0)
+        orch.run()
+        assert orch.outcomes[0].status == "ok"
+
 
 class TestSessionMetricsFlow:
     """Session-metrics documents stay digest-stable through workers,
@@ -83,17 +102,6 @@ class TestSessionMetricsFlow:
         docs = session_metrics_from_manifest(manifest)
         assert [d["id"] for d in docs] == ["TOY-S5", "TOY-S6"]
         assert all(d["schema"] == "pgmcc.session-metrics/v1" for d in docs)
-
-    def test_bench_results_carry_protocol_health(self):
-        from repro.runner import bench_results_from_manifest
-
-        manifest = orchestrate(self.SPECS, jobs=1, scale=0.5).run()
-        bench = bench_results_from_manifest(manifest)
-        ids = [entry["id"] for entry in bench["session_metrics"]]
-        assert ids == ["TOY-S5", "TOY-S6"]
-        entry = bench["session_metrics"][0]
-        assert "counters" in entry and "spans" in entry
-        assert "series" not in entry  # compact view: reservoirs stay out
 
 
 class TestFailureIsolation:

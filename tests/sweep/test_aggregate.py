@@ -1,6 +1,4 @@
-"""Aggregation math: deltas, ranking, hooks, regression agreement."""
-
-import json
+"""Aggregation math: deltas, ranking, hooks."""
 
 import pytest
 
@@ -12,7 +10,6 @@ from repro.sweep.aggregate import (
     axis_deltas,
     collect_cells,
     ranked_rows,
-    regression_section,
     run_custom_aggregate,
     shared_numeric_metrics,
 )
@@ -154,39 +151,6 @@ def bad_hook_list(cells):
 
 def bad_hook_keys(cells):
     return {"tables": []}
-
-
-class TestRegressionSection:
-    """The sweep report's verdict must agree with the perf gate's —
-    both call the same evaluate_series() machinery."""
-
-    def _baseline(self, tmp_path, doc):
-        path = tmp_path / "BENCH_RESULTS.json"
-        path.write_text(json.dumps(doc))
-        return str(path)
-
-    def test_missing_baseline_skips(self, tmp_path):
-        section = regression_section(str(tmp_path / "absent.json"))
-        assert section["status"] == "skipped"
-
-    def test_scale_series_matches_perf_gate(self, tmp_path):
-        from repro.runner.perf_gate import evaluate_series
-
-        baseline_series = {"1000": {"receivers_per_sec": 100_000.0}}
-        path = self._baseline(tmp_path, {"scale_metrics": baseline_series})
-        measured = {"1000": {"receivers_per_sec": 40_000.0},
-                    "100000": {"receivers_per_sec": 1.0}}
-        section = regression_section(path, scale_series=measured)
-        gate = evaluate_series(measured, baseline_series)
-        assert section["scale"] == gate
-        assert section["status"] == "fail"  # 40k < 50% of 100k
-
-    def test_missing_history_seeds_not_fails(self, tmp_path):
-        path = self._baseline(tmp_path, {"benches": []})
-        section = regression_section(
-            path, scale_series={"10": {"receivers_per_sec": 5.0}})
-        assert section["status"] == "ok"
-        assert section["scale"]["seeded"] == 1
 
 
 class TestCollectCells:

@@ -71,8 +71,7 @@ class TestRun:
                    "--cache-dir", str(tmp_path / "cache"),
                    "--manifest", str(manifest_path),
                    "--json", str(json_path),
-                   "--report", str(md_path),
-                   "--baseline", str(tmp_path / "absent.json")])
+                   "--report", str(md_path)])
         assert rc == 0
 
         manifest = json.loads(manifest_path.read_text())
@@ -83,7 +82,6 @@ class TestRun:
         report = json.loads(json_path.read_text())
         assert report["schema"] == "pgmcc.sweep-report/v1"
         assert report["totals"]["ok"] == 2
-        assert "regression" not in report  # baseline file absent
 
         text = md_path.read_text()
         assert "# Sweep report: cli-toy" in text
@@ -99,8 +97,7 @@ class TestRun:
         for jobs in ("1", "2", "1"):
             path = tmp_path / f"r{len(digests)}.json"
             rc = main(["run", spec_path, "-j", jobs, "--quiet",
-                       "--cache-dir", cache, "--json", str(path),
-                       "--baseline", str(tmp_path / "absent.json")])
+                       "--cache-dir", cache, "--json", str(path)])
             assert rc == 0
             digests.append(
                 json.loads(path.read_text())["report_digest"])
@@ -109,21 +106,6 @@ class TestRun:
         # third run was fully cached
         last = json.loads((tmp_path / "r2.json").read_text())
         assert last["run"]["cache_hits"] == 2
-
-    def test_regression_gate_verdicts(self, spec_path, tmp_path, capsys):
-        # seed-vs-fail behavior flows straight from perf_gate: a
-        # baseline without matching history seeds (exit 0); a baseline
-        # whose scale series dwarfs the measurement fails (exit 1) --
-        # this toy sweep produces no scale series, so nothing can fail.
-        baseline = tmp_path / "BENCH_RESULTS.json"
-        baseline.write_text(json.dumps({"scale_metrics": {}}))
-        rc = main(["run", spec_path, "--quiet",
-                   "--cache-dir", str(tmp_path / "cache"),
-                   "--baseline", str(baseline)])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "regression vs" in out
-        assert "OK" in out
 
     def test_invalid_spec_run_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -139,6 +121,14 @@ class TestRun:
         pytest.param("--scale", v, "expected a finite number > 0",
                      id=f"scale={v}")
         for v in ("0", "-1", "nan", "fast")
+    ] + [
+        pytest.param("--timeout", v, "expected a finite number >= 0",
+                     id=f"timeout={v}")
+        for v in ("-5", "nan", "inf", "soon")
+    ] + [
+        pytest.param("--retries", v, "expected an integer >= 0",
+                     id=f"retries={v}")
+        for v in ("-2", "1.5", "some")
     ])
     def test_bad_jobs_is_usage_error(self, flag, value, expected, spec_path,
                                      capsys):
@@ -146,3 +136,33 @@ class TestRun:
             main(["run", spec_path, flag, value])
         assert exit_info.value.code == 2
         assert expected in capsys.readouterr().err
+
+
+class TestSpecShape:
+    """A scalar where the spec wants an array is a usage error that
+    names the key — not a sweep over the letters of a string, and not
+    a traceback."""
+
+    @pytest.mark.parametrize("command", ["validate", "expand", "run"])
+    @pytest.mark.parametrize("patch, expected", [
+        pytest.param({"axes": {"liveness": "on"}},
+                     "axes.liveness: expected an array of values, got str",
+                     id="axes-str"),
+        pytest.param({"axes": {"liveness": 1}},
+                     "axes.liveness: expected an array of values, got int",
+                     id="axes-int"),
+        pytest.param({"base": {"scenario": "partition"}, "seeds": 5},
+                     "seeds: expected an array of values, got int",
+                     id="seeds"),
+        pytest.param({"report": {"metrics": "ttr_s"}},
+                     "metrics: expected an array of values, got str",
+                     id="metrics"),
+        pytest.param({"scale": "big"}, "scale: expected a number, got str",
+                     id="scale"),
+    ])
+    def test_scalar_for_an_array_names_the_key(self, command, patch,
+                                               expected, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SPEC_DOC, **patch}))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"

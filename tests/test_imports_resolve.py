@@ -15,6 +15,9 @@
 * No module under ``src/repro`` keeps a module-level import it never
   uses (ruff's F401, which CI runs; ruff is not installed everywhere
   the tests are).
+* No module the result cache fingerprints reads the clock, the
+  process's memory or the machine: a cached result is keyed by what
+  would run, so whatever else it holds is another run's.
 * Every call ``benchmarks/perf`` makes into ``repro`` still binds to the
   live signature: a ``src/`` change may not edit the benchmark, so it
   must not break it either.
@@ -178,6 +181,66 @@ def test_unused_import_check_sees_what_it_should(tmp_path):
         "    return x\n"
     )
     assert sorted(_unused_imports(probe)) == [(2, "os"), (6, "Idle")]
+
+
+# -- host state --------------------------------------------------------
+
+#: modules that exist to read the clock, the process or the machine
+HOST_MODULES = frozenset(
+    "time resource platform tracemalloc gc datetime psutil".split())
+
+
+def _host_state_reads(path: Path):
+    """Imports of :data:`HOST_MODULES` (function-local ones included)
+    and any spelling of ``cpu_count``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr == "cpu_count":
+            names = [ast.unparse(node)]
+        else:
+            continue
+        for name in names:
+            if (name.split(".")[0] in HOST_MODULES
+                    or name.endswith(".cpu_count")):
+                yield node.lineno, name
+
+
+def test_the_fingerprinted_tree_reads_no_host_state():
+    """A cache entry's key is (callable, kwargs, fingerprint of these
+    files); a wall time or an RSS reading in the result is in none of
+    the three, so a cache hit would replay it as this run's.  Timing
+    lives in ``repro.runner`` (about the run, never in a result) and in
+    ``benchmarks/perf``."""
+    from repro.runner.cache import FINGERPRINT_EXCLUDE
+
+    package = SRC / "repro"
+    paths = [p for p in sorted(package.rglob("*.py"))
+             if p.relative_to(package).parts[0] not in FINGERPRINT_EXCLUDE]
+    assert len(paths) > 50
+    assert [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for path in paths for line, name in _host_state_reads(path)] == []
+
+
+def test_host_state_check_sees_what_it_should(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import os, time\n"
+        "from datetime import datetime as dt\n"
+        "from os import cpu_count, path\n"
+        "import timeit, os.path\n"
+        "from .time import Clock\n"
+        "def f(timeout, resource):\n"
+        "    import resource as r, gc\n"
+        "    return os.cpu_count() or timeout.time\n"
+    )
+    assert sorted(_host_state_reads(probe)) == [
+        (1, "time"), (2, "datetime"), (2, "datetime.datetime"),
+        (3, "os.cpu_count"), (7, "gc"), (7, "resource"),
+        (8, "os.cpu_count")]
 
 
 # -- the benchmark's calls into repro ----------------------------------

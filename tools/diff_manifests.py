@@ -7,8 +7,8 @@ they do not.  Tasks are matched by id and every leaf of each task is
 compared, except what legitimately differs between two runs of the same
 simulation:
 
-* host measurements — any ``perf`` block, and the per-task ``wall_s``,
-  ``worker``, ``attempts`` and ``cache_hit`` fields;
+* how the run went — the per-task ``wall_s``, ``worker``, ``attempts``
+  and ``cache_hit`` fields;
 * ``result_digest`` — a hash of the leaves compared here, so it carries
   no information of its own once one of them is ignored;
 * the keys given with ``--ignore``: a leaf is skipped when its dotted
@@ -20,7 +20,8 @@ Usage::
         --ignore telemetry.counters.net.events_processed
 
 Prints one line per differing leaf (``task: path: parent -> change``)
-and exits 1 if there is one, 0 with no output otherwise.
+and exits 1 if there is one, 0 with no output otherwise; 2 when a file
+cannot be read as a manifest.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def leaves(node, path=()):
         yield ".".join(path), node
         return
     for key, value in items:
-        if key == "perf" or (not path and key in RUN_FIELDS):
+        if not path and key in RUN_FIELDS:
             continue
         yield from leaves(value, path + (str(key),))
 
@@ -65,6 +66,19 @@ def diff_manifests(parent: dict, change: dict, ignore=()) -> list[str]:
     return lines
 
 
+def load(name: str) -> dict:
+    """The manifest at ``name``; ``ValueError`` names a file that is
+    not one."""
+    try:
+        with open(name) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("tasks"), list)):
+        raise ValueError(f"{name}: not a run manifest (no 'tasks' list)")
+    return doc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
@@ -72,10 +86,11 @@ def main(argv=None) -> int:
     parser.add_argument("--ignore", nargs="*", default=[], metavar="KEY",
                         help="dotted leaf path (or path suffix) to skip")
     args = parser.parse_args(argv)
-    docs = []
-    for name in (args.parent, args.change):
-        with open(name) as fh:
-            docs.append(json.load(fh))
+    try:
+        docs = [load(name) for name in (args.parent, args.change)]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     lines = diff_manifests(*docs, ignore=tuple(args.ignore))
     for line in lines:
         print(line)
