@@ -71,7 +71,7 @@ def _run_pgmcc(n_receivers: int, duration: float, seed: int) -> float:
 def run(
     scale: float = 1.0,
     seed: int = 67,
-    group_sizes: tuple[int, ...] = (1, 10, 50),
+    group_sizes: tuple[int, ...] = (1, 10, 40),
 ) -> ExperimentResult:
     duration = 120.0 * scale
     result = ExperimentResult(

@@ -156,7 +156,6 @@ _BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
     ExperimentSpec("EXP-FEC", "repro.experiments.fec_scaling", scale_factor=0.5,
                    description="FEC redundancy ladder vs RDATA repair"),
     ExperimentSpec("EXP-DTZ", "repro.experiments.drop_to_zero", scale_factor=0.5,
-                   kwargs=(("group_sizes", (1, 10, 40)),),
                    params=(ParamSpec("group_sizes", "seq",
                                      default=(1, 10, 40),
                                      help="receiver-group sizes to compare"),),

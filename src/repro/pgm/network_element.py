@@ -176,10 +176,7 @@ class PgmNetworkElement:
                 return True
             self._fake_seen[key] = now
             self.naks_forwarded += 1
-            # Interceptors borrow packets: retain before re-forwarding
-            # the same object (the router releases its reference when
-            # we return True).
-            self.router.forward_unicast(packet.retain())
+            self.router.forward_unicast(packet)
             return True
 
         key = (nak.tsi, nak.seq)
@@ -206,7 +203,7 @@ class PgmNetworkElement:
             )
             self._send_ncf(nak, from_node)
             self.naks_forwarded += 1
-            self.router.forward_unicast(packet.retain())
+            self.router.forward_unicast(packet)
             self._maybe_gc(now)
             return True
 
@@ -217,13 +214,13 @@ class PgmNetworkElement:
         self._send_ncf(nak, from_node)
         if not self.suppress:
             self.naks_forwarded += 1
-            self.router.forward_unicast(packet.retain())
+            self.router.forward_unicast(packet)
             return True
         if self.rx_loss_aware and nak.report.rx_loss > entry.forwarded_rx_loss:
             entry.forwarded_rx_loss = nak.report.rx_loss
             self.naks_forwarded += 1
             self.naks_forwarded_rx_loss += 1
-            self.router.forward_unicast(packet.retain())
+            self.router.forward_unicast(packet)
             return True
         self.naks_suppressed += 1
         return True
@@ -264,8 +261,7 @@ class PgmNetworkElement:
         for branch in entry.branches:
             if branch == from_node:
                 continue
-            # Borrowed packet, one reference per re-emitted branch.
-            self.router.send_via(branch, packet.retain())
+            self.router.send_via(branch, packet)
         self.rdata_selective += 1
         # Keep the entry as NAK-elimination state until it expires, so
         # straggler NAKs (e.g. from long-RTT receivers that detected

@@ -186,24 +186,8 @@ class PgmReceiver:
         if self._closed:
             return
         msg = packet.payload
-        # The three messages a receiver sees per data packet, matched
-        # on the exact class; bytes off a mangling link, SPMs and
-        # anything else take the general ladder below.
         kind = type(msg)
-        if kind is OData:
-            if msg.tsi == self.tsi:
-                self._handle_data(msg, is_repair=False)
-            return
-        if kind is Ncf:
-            if msg.tsi == self.tsi:
-                self._handle_ncf(msg)
-            return
-        if kind is RData:
-            if msg.tsi == self.tsi:
-                self._handle_data(msg, is_repair=True)
-            return
-        from_wire = isinstance(msg, (bytes, bytearray))
-        if from_wire:
+        if kind is bytes or kind is bytearray:
             # Mangled links deliver raw bytes; a decode failure models
             # a checksum-rejected frame at this host.
             try:
@@ -211,21 +195,25 @@ class PgmReceiver:
             except ValueError:
                 self.malformed_dropped += 1
                 return
-        if getattr(msg, "tsi", None) != self.tsi:
-            return
-        if from_wire and not self._sane(msg):
-            # Decoded fine but carries fields no honest sender emits
-            # (a bit flip landed in seq/trail/lead): treat as corrupt.
-            self.insane_dropped += 1
-            return
-        if isinstance(msg, OData):
-            self._handle_data(msg, is_repair=False)
-        elif isinstance(msg, RData):
-            self._handle_data(msg, is_repair=True)
-        elif isinstance(msg, Ncf):
-            self._handle_ncf(msg)
-        elif isinstance(msg, Spm):
-            self._handle_spm(msg)
+            if msg.tsi == self.tsi and not self._sane(msg):
+                # Decoded fine but carries fields no honest sender emits
+                # (a bit flip landed in seq/trail/lead): treat as corrupt.
+                # Judged against our own window, so ours only.
+                self.insane_dropped += 1
+                return
+            kind = type(msg)
+        if kind is OData:
+            if msg.tsi == self.tsi:
+                self._handle_data(msg, is_repair=False)
+        elif kind is Ncf:
+            if msg.tsi == self.tsi:
+                self._handle_ncf(msg)
+        elif kind is RData:
+            if msg.tsi == self.tsi:
+                self._handle_data(msg, is_repair=True)
+        elif kind is Spm:
+            if msg.tsi == self.tsi:
+                self._handle_spm(msg)
         # ACKs are unicast to the source; receivers never see them.
 
     #: widest credible jump ahead of our window for wire-decoded

@@ -68,7 +68,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..simulator.packet import POOL
 from ..telemetry import TimeSeriesProbe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -143,11 +142,6 @@ def bind_session_metrics(session: "PgmSession") -> None:
                            for link in node.links.values())
 
     bind("net.events_processed", lambda: sim.events_processed)
-    # Only the double-release canary is bound: it is deterministically
-    # zero in correct code regardless of run order, while the pool's
-    # outstanding count is process-global and order-dependent (binding
-    # it would poison run-manifest digests and cache oracles).
-    bind("pool.double_release", lambda: POOL.double_release)
     bind("net.queue_drops", link_sum("queue_drops"))
     bind("net.random_drops", link_sum("random_drops"))
     bind("net.fault_drops",

@@ -54,7 +54,6 @@ from .packet import (
     POOL,
     Address,
     Packet,
-    PacketPool,
     is_multicast,
 )
 from .queues import DropTailQueue
@@ -115,7 +114,6 @@ __all__ = [
     "POOL",
     "Address",
     "Packet",
-    "PacketPool",
     "is_multicast",
     "DropTailQueue",
     "RngRegistry",

@@ -18,9 +18,7 @@ list — the heap entry *is* the handle.  Cancel through the
 simulator (``sim.cancel(handle)``) or the module-level
 :func:`cancel_event`; cancellation is lazy (the entry stays queued and
 is discarded when reached).  :func:`describe_event` renders a handle
-for debugging without resurrecting released pooled packets: it leans
-on ``Packet.__repr__``'s released-state guard rather than touching
-payload fields itself.
+for debugging.
 """
 
 from __future__ import annotations
@@ -58,9 +56,8 @@ def cancel_event(ev: list) -> None:
 def describe_event(ev: list) -> str:
     """Debug string for an event handle.
 
-    Never reaches into stale state: cancelled events render without
-    their (cleared) arguments, and live arguments are rendered via
-    their own ``__repr__`` — released pooled packets guard theirs.
+    Cancelled events render without their (cleared) arguments, live
+    ones with each argument's own ``__repr__``.
     """
     t, fn = ev[0], ev[2]
     if fn is None:

@@ -205,25 +205,17 @@ class Link:
     # -- data path ---------------------------------------------------------
 
     def send(self, packet: Packet) -> bool:
-        """Offer a packet to the link.  Returns False if it was dropped.
-
-        Consumes one packet reference on every path: dropped packets
-        are released here, accepted ones carry the reference through
-        queue and transmission to the delivery target.
-        """
+        """Offer a packet to the link.  Returns False if it was dropped."""
         self.sent += 1
         if not self.up:
             self.fault_drops += 1
-            packet.release()
             return False
         if (self._filter_kinds is not None
                 and type(packet.payload).__name__ in self._filter_kinds):
             self.filter_drops += 1
-            packet.release()
             return False
         if self.loss.should_drop(packet):
             self.random_drops += 1
-            packet.release()
             return False
         if self._fault_rng is not None:
             if self._corrupt_rate > 0.0 and self._fault_rng.random() < self._corrupt_rate:
@@ -232,14 +224,12 @@ class Link:
                     mangled = self._mangle(packet)
                 if mangled is None:
                     self.corrupt_drops += 1
-                    packet.release()
                     return False
                 self.corrupt_mangled += 1
-                packet.release()
                 packet = mangled
             if self._dup_rate > 0.0 and self._fault_rng.random() < self._dup_rate:
                 self.fault_duplicates += 1
-                self._accept(packet.retain())
+                self._accept(packet)
         return self._accept(packet)
 
     def _accept(self, packet: Packet) -> bool:
@@ -251,7 +241,6 @@ class Link:
             # before it, if the queue as it stands now has room
             self._settle()
             if not self._queue.offer(packet):
-                packet.release()
                 return False
         else:
             start = sim.now
@@ -268,16 +257,14 @@ class Link:
     def _deliver(self, packet: Packet) -> None:
         if self._waiting:
             # it may have waited itself: out of the queue before it is
-            # handed on (and its reference with it)
+            # handed on, so the queue pins no delivered packet
             self._settle()
         self._pending -= 1
         self.delivered += 1
         self.bytes_delivered += packet.size
         deliver = self.deliver
         if deliver is not None:
-            deliver(packet)  # the target consumes the reference
-        else:
-            packet.release()
+            deliver(packet)
 
     # -- fault hooks -------------------------------------------------------
 

@@ -97,15 +97,11 @@ class Node:
     # -- transmission helpers -------------------------------------------
 
     def send_via(self, neighbor: str, packet: Packet) -> bool:
-        """Transmit on the link to ``neighbor``; False if dropped/missing.
-
-        Consumes one packet reference (the link takes it over; a
-        missing link counts as a drop).
-        """
+        """Transmit on the link to ``neighbor``; False if dropped or
+        missing (a missing link counts as a drop)."""
         link = self.links.get(neighbor)
         if link is None:
             self.packets_dropped_no_route += 1
-            packet.release()
             return False
         return link.send(packet)
 
@@ -113,14 +109,10 @@ class Node:
         return self.unicast_routes.get(dst)
 
     def forward_unicast(self, packet: Packet) -> bool:
-        """Send towards ``packet.dst`` using the unicast table.
-
-        Consumes one packet reference on every path.
-        """
+        """Send towards ``packet.dst`` using the unicast table."""
         nh = self.unicast_routes.get(packet.dst)
         if nh is None:
             self.packets_dropped_no_route += 1
-            packet.release()
             return False
         return self.send_via(nh, packet)
 
@@ -128,19 +120,16 @@ class Node:
         """Replicate ``packet`` to every downstream branch of its group.
 
         Returns the number of copies transmitted.  The arrival branch is
-        excluded (split-horizon) so the tree stays loop-free.  Each
-        branch shares the one packet instance under its own reference;
-        the caller's reference is consumed here.
+        excluded (split-horizon) so the tree stays loop-free.  Every
+        branch gets the one packet instance.
         """
         branches = self.multicast_routes.get(packet.dst, ())
         copies = 0
         for neighbor in branches:
             if neighbor == from_node:
                 continue
-            packet.retain()
             if self.send_via(neighbor, packet):
                 copies += 1
-        packet.release()
         return copies
 
 
@@ -175,7 +164,6 @@ class Host(Node):
     def receive(self, packet: Packet, from_node: str) -> None:
         if self.faulted:
             self.fault_drops += 1
-            packet.release()
             return
         dst = packet.dst
         # groups only ever holds multicast addresses, so the plain
@@ -183,24 +171,16 @@ class Host(Node):
         if dst != self.name and dst not in self.groups:
             # Hosts are not transit nodes; stray packets are dropped.
             self.packets_dropped_no_route += 1
-            packet.release()
             return
         self.packets_received += 1
         agent = self._agents.get(packet.proto)
         if agent is not None:
-            # Agents borrow: payloads may outlive the packet, the
-            # packet object itself must not.
             agent.handle_packet(packet)
-        packet.release()
 
     def send(self, packet: Packet) -> bool:
-        """Originate a packet: stamp creation time and route it out.
-
-        Consumes the creator's reference on every path.
-        """
+        """Originate a packet: stamp creation time and route it out."""
         if self.faulted:
             self.fault_drops += 1
-            packet.release()
             return False
         packet.created_at = self.sim.now
         if is_multicast(packet.dst):
@@ -232,24 +212,19 @@ class Router(Node):
     def receive(self, packet: Packet, from_node: str) -> None:
         if self.faulted:
             self.fault_drops += 1
-            packet.release()
             return
         packet.hops += 1
         if packet.hops > self.hop_limit:
             # Forwarding loop safety net; topologies are trees in all
             # experiments so this should never trigger.  Multicast
-            # fan-out shares one pooled instance across branches, so
+            # fan-out shares one instance across branches, so
             # ``hops`` counts total router visits, not path depth —
             # the limit is scaled to the network size in build_routes
             # (a real loop revisits routers forever and still trips it).
             self.packets_dropped_no_route += 1
-            packet.release()
             return
         interceptor = self.interceptor
         if interceptor is not None and interceptor.intercept(packet, from_node):
-            # Interceptors borrow; one that re-forwards the same
-            # packet object retains it first.
-            packet.release()
             return
         self.packets_forwarded += 1
         if is_multicast(packet.dst):

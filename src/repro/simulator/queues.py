@@ -43,12 +43,7 @@ class DropTailQueue:
         return len(self._queue)
 
     def offer(self, packet: Packet) -> bool:
-        """Enqueue ``packet`` if it fits; return whether it was accepted.
-
-        A queued packet's reference lives in the queue until
-        :meth:`pop` hands it back; rejected packets stay owned by the
-        caller.
-        """
+        """Enqueue ``packet`` if it fits; return whether it was accepted."""
         # Single-pass limit checks and byte/peak accounting: this runs
         # once per packet on every congested link.
         queue = self._queue

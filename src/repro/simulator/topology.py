@@ -163,7 +163,7 @@ class Network:
     def build_routes(self) -> None:
         """(Re)compute unicast next hops everywhere."""
         routing.install_unicast_routes(self.graph(), self.nodes)
-        # Multicast fan-out shares one pooled packet instance across
+        # Multicast fan-out shares one packet instance across
         # branches, so a packet's hop counter accumulates one visit
         # per router on the whole tree, not per path.  In a tree each
         # router is visited at most once, so 2x the node count leaves

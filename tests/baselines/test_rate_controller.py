@@ -5,9 +5,9 @@ import pytest
 from repro.baselines import EquationRateSender
 from repro.core.reports import ReceiverReport
 from repro.pgm import constants as C
-from repro.pgm.packets import Nak, OData
+from repro.pgm.packets import Nak
 from repro.pgm.receiver import PgmReceiver
-from repro.simulator import LinkSpec, Network, Packet, star
+from repro.simulator import LinkSpec, Packet, star
 
 
 def make_sender(net, aggregation="max-report", **kw):

@@ -1,6 +1,5 @@
 """Cross-cutting property tests on the core state machines."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.loss_filter import SCALE, to_fixed
+from repro.core.loss_filter import to_fixed
 from repro.core.throughput_models import (
     PadhyeModel,
     SimpleModel,

@@ -1,5 +1,6 @@
 """The experiment registration API and typed parameter schemas."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -97,6 +98,20 @@ class TestLookups:
         assert schema_for_target(
             "repro.experiments.fig2_loss_filter:run") is None
         assert schema_for_target("no.such:target") is None
+
+
+class TestDeclaredDefaults:
+    @pytest.mark.parametrize("spec", _BUILTIN_SPECS, ids=lambda s: s.id)
+    def test_spec_states_no_default_its_function_contradicts(self, spec):
+        """A declared default is the function's own, and every pinned
+        kwarg is a parameter the function takes — so ``module.run()``
+        called directly is the experiment the registry documents."""
+        parameters = inspect.signature(spec.resolve()).parameters
+        assert set(dict(spec.kwargs)) <= set(parameters)
+        for param in spec.params:
+            if param.default is not None:
+                assert param.default == parameters[param.name].default, (
+                    f"{spec.id}.{param.name}")
 
 
 class TestParamSpec:

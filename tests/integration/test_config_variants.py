@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.sender_cc import CcConfig
 from repro.pgm import create_session
-from repro.simulator import NON_LOSSY, dumbbell, star
+from repro.simulator import NON_LOSSY, dumbbell
 
 
 class TestPadhyeModelSession:

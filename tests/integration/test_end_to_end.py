@@ -6,7 +6,7 @@ for CI while still exercising every component together.
 
 import pytest
 
-from repro.analysis import jain_index, throughput_bps, throughput_ratio
+from repro.analysis import jain_index, throughput_ratio
 from repro.core.sender_cc import CcConfig
 from repro.pgm import add_receiver, create_session, enable_network_elements
 from repro.simulator import LOSSY, NON_LOSSY, LinkSpec, Network, dumbbell, star

@@ -4,7 +4,6 @@ These are the properties a downstream user relies on implicitly; they
 are checked over full protocol runs, not synthetic inputs.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

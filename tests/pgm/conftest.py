@@ -14,9 +14,7 @@ class Collector:
         self.packets = []
 
     def handle_packet(self, packet):
-        # Agents borrow; keeping the packet past the callback needs a
-        # reference of our own (pooled packets get recycled otherwise).
-        self.packets.append(packet.retain())
+        self.packets.append(packet)
 
     def payloads(self, cls=None):
         msgs = [p.payload for p in self.packets]

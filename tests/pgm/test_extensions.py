@@ -6,7 +6,7 @@ import pytest
 from repro.core.sender_cc import CcConfig
 from repro.core.window import WindowController
 from repro.pgm import add_receiver, create_session
-from repro.simulator import LinkSpec, NON_LOSSY, dumbbell, star
+from repro.simulator import NON_LOSSY, dumbbell
 
 
 class TestAdaptiveSsthresh:

@@ -1,7 +1,5 @@
 """Tests for PGM network elements (§3.1, §3.7)."""
 
-import pytest
-
 from repro.core.reports import ReceiverReport
 from repro.pgm import constants as C
 from repro.pgm.network_element import PgmNetworkElement

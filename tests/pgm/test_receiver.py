@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.reports import ReceiverReport
 from repro.pgm import constants as C
 from repro.pgm.packets import Ack, Nak, Ncf, OData, RData
 from repro.pgm.receiver import PgmReceiver

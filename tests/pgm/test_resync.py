@@ -3,8 +3,6 @@ rejoin (ODATA- and SPM-triggered), and the network element's repair
 soft-state refresh — the pieces that stop a healed partition from
 turning into a NAK storm or a permanently deaf repair path."""
 
-import pytest
-
 from repro.core.receiver_cc import ReceiverController
 from repro.core.reports import ReceiverReport
 from repro.core.sender_cc import CcConfig

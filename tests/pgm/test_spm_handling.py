@@ -1,8 +1,6 @@
 """Tests for receiver-side SPM window bookkeeping (trail advance and
 tail-loss detection)."""
 
-import pytest
-
 from repro.pgm import constants as C
 from repro.pgm.packets import Nak, OData, Spm
 from repro.pgm.receiver import PgmReceiver

@@ -26,7 +26,7 @@ class Sink:
         self.packets = []
 
     def handle_packet(self, packet):
-        self.packets.append(packet.retain())
+        self.packets.append(packet)
 
 
 class TestEcmp:

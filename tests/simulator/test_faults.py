@@ -1,6 +1,5 @@
 """Unit tests for the deterministic fault-injection subsystem."""
 
-import random
 import types
 
 import pytest

@@ -202,8 +202,6 @@ def run_script(kind, script, rate, delay, queue_limits):
     def deliver(packet):
         deliveries.append((sim.now, packet.payload))
         check_conservation()
-        if kind is Link:
-            packet.release()
 
     if kind is Link:
         link = Link(sim, "L", rate_bps=rate, delay=delay, deliver=deliver,

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.simulator import ACCESS, LinkSpec, Network, Packet, is_multicast
+from repro.simulator import ACCESS, Network, Packet, is_multicast
 from repro.simulator.engine import Simulator
-from repro.simulator.node import Host, Router
+from repro.simulator.node import Host
 from repro.simulator.packet import MULTICAST_PREFIX
 
 
@@ -13,7 +13,7 @@ class Sink:
         self.packets = []
 
     def handle_packet(self, packet):
-        self.packets.append(packet.retain())
+        self.packets.append(packet)
 
 
 class TestAddressing:
@@ -108,7 +108,7 @@ class TestRouterForwarding:
         assert router.packets_dropped_no_route == before + 1
 
     def test_wide_multicast_fanout_not_dropped_as_loop(self):
-        # Multicast fan-out shares one pooled packet instance across
+        # Multicast fan-out shares one packet instance across
         # every branch, so the hop counter accumulates one visit per
         # branch router — a fan-out wider than MAX_HOPS used to trip
         # the loop guard on whichever branch happened to be delivered

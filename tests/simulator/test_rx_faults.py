@@ -13,7 +13,6 @@ from repro.simulator import (
     GreedyAcker,
     LinkSpec,
     NakStorm,
-    Network,
     SilentJoiner,
     Throttler,
     dumbbell,

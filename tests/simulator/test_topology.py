@@ -86,7 +86,7 @@ class TestUnicastRouting:
 
         class Sink:
             def handle_packet(self, packet):
-                received.append(packet.retain())
+                received.append(packet)
 
         net.host("r0").register_agent("raw", Sink())
         net.host("h0").send(Packet("h0", "r0", 100, proto="raw"))
@@ -124,7 +124,7 @@ class TestMulticast:
                 self.name = name
 
             def handle_packet(self, packet):
-                received[self.name].append(packet.retain())
+                received[self.name].append(packet)
 
         members = ["r0", "r1", "r2"]
         net.set_group("mc:g", "h0", members)
@@ -140,7 +140,7 @@ class TestMulticast:
 
         class Sink:
             def handle_packet(self, packet):
-                hits.append(packet.retain())
+                hits.append(packet)
 
         net.set_group("mc:g", "h0", ["r0"])
         net.host("r1").register_agent("raw", Sink())
@@ -171,7 +171,7 @@ class TestMulticast:
 
         class Sink:
             def handle_packet(self, packet):
-                hits.append(packet.retain())
+                hits.append(packet)
 
         net.host("r1").register_agent("raw", Sink())
         net.host("src").send(Packet("src", "mc:g", 100, proto="raw"))

@@ -161,7 +161,10 @@ def _unused_imports(path: Path):
 
 
 def test_no_unused_module_level_imports():
-    paths = [p for p in sorted((SRC / "repro").rglob("*.py"))
+    # what CI's ``ruff check --select F401`` walks; benchmarks/perf has
+    # its own tests
+    paths = [p for top in ("src", "tests", "examples", "tools")
+             for p in sorted((ROOT / top).rglob("*.py"))
              if p.name != "__init__.py"]  # re-exports
     assert [f"{path.relative_to(ROOT)}:{line}: {name} unused"
             for path in paths for line, name in _unused_imports(path)] == []
@@ -309,6 +312,15 @@ def _broken_calls(path: Path):
 
 def test_benchmark_calls_bind_to_live_signatures():
     assert [b for path in HARNESS for b in _broken_calls(path)] == []
+
+
+def test_pool_placeholder_keeps_the_keys_the_benchmark_reads():
+    # benchmarks/perf/child.py:166-168 reads these two for packet.allocated
+    # and its reuse ratio; the [benchmark] PR that drops the ratio deletes
+    # this test and POOL in one move
+    from repro.simulator import POOL
+
+    assert {"allocated", "reused"} <= set(POOL.stats())
 
 
 def test_benchmark_call_check_sees_a_removed_keyword(tmp_path):
