@@ -64,7 +64,7 @@ class TokenRateEstimator:
         return self._rate * payload_bytes * 8.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class QualityLevel:
     """One encoding level an adaptive source can emit."""
 

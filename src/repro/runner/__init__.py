@@ -5,10 +5,10 @@ The evaluation pipeline (the experiment registry in
 independent, deterministic simulations — exactly the shape that shards
 across cores.  This package provides:
 
-* :class:`Orchestrator` — runs :class:`ExperimentSpec` tasks across a
-  ``multiprocessing`` worker pool with per-task timeouts, one retry
-  with backoff, and failure isolation (a dead task never kills the
-  sweep);
+* :class:`Orchestrator` — runs :class:`ExperimentSpec` tasks across up
+  to ``jobs`` long-lived worker processes with per-task timeouts, one
+  retry with backoff, and failure isolation (a dead task never kills
+  the sweep, and the worker it ran in never runs another);
 * :class:`ResultCache` — a content-addressed on-disk store keyed by
   (experiment, kwargs, source fingerprint), shared between runner
   and sweep invocations;
@@ -25,7 +25,7 @@ from .manifest import (MANIFEST_SCHEMA, build_manifest, load_manifest,
                        results_digest, save_manifest,
                        session_metrics_from_manifest)
 from .orchestrator import Orchestrator, auto_jobs
-from .tasks import TaskOutcome, child_entry, error_info
+from .tasks import TaskOutcome, error_info, worker_loop
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -38,7 +38,6 @@ __all__ = [
     "auto_jobs",
     "build_manifest",
     "callable_id",
-    "child_entry",
     "error_info",
     "event_printer",
     "load_manifest",
@@ -47,4 +46,5 @@ __all__ = [
     "session_metrics_from_manifest",
     "source_fingerprint",
     "task_digest",
+    "worker_loop",
 ]

@@ -2,12 +2,15 @@
 
 Tasks come from the experiment registry
 (:func:`repro.experiments.registry.registered_specs`) or any list of
-:class:`ExperimentSpec`.  Each runs in its own worker process
-(one process per attempt, so a crash or hang never poisons a pool
-worker); results travel back over a pipe as plain dicts.  Failures are
-isolated: a raising, crashing or hung task is retried with backoff and,
-if it keeps failing, reported in the manifest while its siblings run to
-completion.
+:class:`ExperimentSpec`.  Each run starts up to ``jobs`` worker
+processes, one per slot, and hands each idle worker the next task;
+results travel back over a pipe as plain dicts.  A worker whose task
+raised, crashed or timed out is retired (terminated and joined), so a
+failure never poisons the worker that runs the next task and a retry
+always runs in a new process.  Failures are isolated: a failing task is
+retried with backoff and, if it keeps failing, reported in the manifest
+while its siblings run to completion.  Every worker is joined before
+:meth:`Orchestrator.run` returns.
 """
 
 from __future__ import annotations
@@ -16,17 +19,20 @@ import argparse
 import math
 import multiprocessing
 import os
+import pickle
+import struct
 import time
 from collections import deque
-from dataclasses import dataclass
-from multiprocessing.connection import wait
+from dataclasses import dataclass, field
+from multiprocessing import util
+from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Iterable, Sequence
 
 from ..experiments.common import ExperimentResult, ExperimentSpec
 from .cache import ResultCache, callable_id, source_fingerprint
 from .events import RunnerEvent
 from .manifest import build_manifest
-from .tasks import TaskOutcome, child_entry
+from .tasks import TaskOutcome, worker_loop
 
 __all__ = ["Orchestrator", "auto_jobs", "jobs_arg", "retries_arg",
            "scale_arg", "timeout_arg"]
@@ -87,12 +93,64 @@ class _Pending:
 
 
 @dataclass
-class _Running:
-    task: _Pending
+class _Worker:
+    slot: int  #: the ``worker`` id events and outcomes report
     process: Any
-    conn: Any
-    worker: int
-    started: float
+    conn: Any  #: the parent's end of the duplex pipe, non-blocking
+    task: _Pending | None = None  #: None while idle
+    started: float = 0.0
+    inbox: bytearray = field(default_factory=bytearray)  #: unread reply
+
+
+#: seconds an idle worker gets to exit on its own at the end of a run
+#: before it is terminated
+_EXIT_GRACE = 5.0
+
+
+def _send(worker: _Worker, job: Any) -> bool:
+    """Hand ``job`` to an idle worker; False if the worker is gone."""
+    try:
+        worker.conn.send(job)
+    except OSError:
+        return False
+    return True
+
+
+def _read_available(worker: _Worker) -> bool:
+    """Append what the worker has written so far to its inbox without
+    blocking; False once the pipe is at EOF."""
+    while True:
+        try:
+            chunk = os.read(worker.conn.fileno(), 1 << 16)
+        except BlockingIOError:
+            return True
+        except OSError:
+            return False
+        if not chunk:
+            return False
+        worker.inbox += chunk
+
+
+def _pop_reply(inbox: bytearray) -> tuple[str, Any] | None:
+    """Remove and unpickle the first complete reply in ``inbox``; None
+    while it is still incomplete.  A reply is framed the way
+    ``Connection.send`` frames it: a 4-byte big-endian length (-1 and
+    an 8-byte length past 2 GiB), then the pickle."""
+    if len(inbox) < 4:
+        return None
+    (size,) = struct.unpack_from("!i", inbox)
+    start = 4
+    if size == -1:
+        if len(inbox) < 12:
+            return None
+        (size,) = struct.unpack_from("!Q", inbox, 4)
+        start = 12
+    end = start + size
+    if len(inbox) < end:
+        return None
+    reply = pickle.loads(inbox[start:end])
+    del inbox[:end]
+    return reply
 
 
 class Orchestrator:
@@ -200,47 +258,61 @@ class Orchestrator:
                 "id": task.spec.id,
             })
 
-    def _spawn(self, task: _Pending, worker: int) -> _Running:
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
+    def _start_worker(self, slot: int) -> _Worker:
+        parent_conn, child_conn = multiprocessing.Pipe()
+        # every worker forked from here on, this one included, drops
+        # its inherited copy of the parent's end: a copy left open would
+        # keep the worker behind it from ever reading EOF
+        util.register_after_fork(parent_conn, Connection.close)
         process = multiprocessing.Process(
-            target=child_entry,
-            args=(child_conn, task.spec.module, task.spec.func,
-                  task.kwargs, self.extra_sys_path),
+            target=worker_loop, args=(child_conn, self.extra_sys_path),
             daemon=True)
         process.start()
         child_conn.close()
-        self._emit("start", task.spec.id, worker=worker, attempt=task.attempt)
-        return _Running(task=task, process=process, conn=parent_conn,
-                        worker=worker, started=time.perf_counter())
+        os.set_blocking(parent_conn.fileno(), False)
+        return _Worker(slot=slot, process=process, conn=parent_conn)
 
     def _run_pool(self, by_index: dict[int, TaskOutcome],
                   todo: list[_Pending]) -> None:
         queue: deque[_Pending] = deque(todo)
-        running: dict[int, _Running] = {}
-        free = list(range(self.jobs))
+        workers: dict[int, _Worker] = {}  #: slot -> live worker, lazily
+        free = list(range(self.jobs))  #: slots without a task
 
-        def reap(run: _Running) -> None:
-            run.process.join(timeout=5)
-            try:
-                run.conn.close()
-            except OSError:
-                pass
-            del running[run.worker]
-            free.append(run.worker)
+        def retire(worker: _Worker) -> None:
+            del workers[worker.slot]
+            worker.process.terminate()
+            worker.process.join()
+            worker.conn.close()
 
-        def settle(run: _Running, kind: str, payload: Any) -> None:
-            task, wall = run.task, time.perf_counter() - run.started
-            reap(run)
+        def dispatch(task: _Pending, slot: int) -> None:
+            job = (task.spec.module, task.spec.func, task.kwargs)
+            worker = workers.get(slot)
+            if worker is not None and not _send(worker, job):
+                retire(worker)  # died while idle: not this task's attempt
+                worker = None
+            if worker is None:
+                worker = workers[slot] = self._start_worker(slot)
+                worker.conn.send(job)
+            self._emit("start", task.spec.id, worker=slot,
+                       attempt=task.attempt)
+            worker.task, worker.started = task, time.perf_counter()
+
+        def settle(worker: _Worker, kind: str, payload: Any) -> None:
+            task, wall = worker.task, time.perf_counter() - worker.started
+            worker.task = None
+            if kind != "ok":
+                retire(worker)  # a retry always runs in a new process
+            free.append(worker.slot)
             if kind == "ok":
                 result = ExperimentResult.from_dict(payload)
                 self._store(task, result)
                 self._finish(by_index, task.index, TaskOutcome(
                     id=task.spec.id, status="ok", result=result,
-                    attempts=task.attempt, wall_s=wall, worker=run.worker,
+                    attempts=task.attempt, wall_s=wall, worker=worker.slot,
                     result_digest=result.digest()))
                 return
             if task.attempt <= self.retries:
-                self._emit("retry", task.spec.id, worker=run.worker,
+                self._emit("retry", task.spec.id, worker=worker.slot,
                            attempt=task.attempt, wall_s=wall,
                            message=payload.get("type", ""))
                 task.attempt += 1
@@ -250,68 +322,82 @@ class Orchestrator:
                 return
             self._finish(by_index, task.index, TaskOutcome(
                 id=task.spec.id, status="failed", error=payload,
-                attempts=task.attempt, wall_s=wall, worker=run.worker))
+                attempts=task.attempt, wall_s=wall, worker=worker.slot))
 
-        while queue or running:
-            now = time.perf_counter()
-            # fill free workers with ready (backoff-expired) tasks
-            for _ in range(len(queue)):
-                if not free:
+        def failure(kind: str, message: str) -> dict[str, str]:
+            return {"type": kind, "message": message, "traceback": ""}
+
+        try:
+            while True:
+                now = time.perf_counter()
+                # hand free slots ready (backoff-expired) tasks
+                for _ in range(len(queue)):
+                    if not free:
+                        break
+                    task = queue.popleft()
+                    if task.not_before > now:
+                        queue.append(task)
+                        continue
+                    dispatch(task, free.pop())
+                running = [worker for worker in workers.values()
+                           if worker.task is not None]
+                if not (queue or running):
                     break
-                task = queue.popleft()
-                if task.not_before > now:
-                    queue.append(task)
-                    continue
-                worker = free.pop()
-                running[worker] = self._spawn(task, worker)
 
-            # block until a worker writes or exits, a running task times
-            # out or, with a worker free, a queued retry's back-off ends
-            deadlines = [task.not_before for task in queue] if free else []
-            if self.timeout is not None:
-                deadlines += [run.started + self.timeout
-                              for run in running.values()]
-            ready = wait([handle for run in running.values()
-                          for handle in (run.conn, run.process.sentinel)],
-                         max(0.0, min(deadlines) - time.perf_counter())
-                         if deadlines else None)
-            for run in list(running.values()):
-                if run.process.sentinel in ready:
-                    # closed a moment before the exit status can be
-                    # read: sit that out in waitpid, not in this loop
-                    run.process.join()
-                # liveness first: a worker seen dead here has already
-                # written whatever it will, so the poll below is
-                # conclusive (the other order can miss a result sent
-                # between the two calls and report a WorkerCrash)
-                alive = run.process.is_alive()
-                if run.conn.poll(0):
-                    try:
-                        kind, payload = run.conn.recv()
-                    except (EOFError, OSError):
-                        kind, payload = "error", {
-                            "type": "WorkerCrash",
-                            "message": "worker closed the pipe before "
-                                       "sending a result",
-                            "traceback": "",
-                        }
-                    settle(run, kind, payload)
-                elif not alive:
-                    settle(run, "error", {
-                        "type": "WorkerCrash",
-                        "message": f"worker exited with code "
-                                   f"{run.process.exitcode}",
-                        "traceback": "",
-                    })
-                elif (self.timeout is not None
-                      and time.perf_counter() - run.started > self.timeout):
-                    run.process.terminate()
-                    self._emit("timeout", run.task.spec.id, worker=run.worker,
-                               attempt=run.task.attempt,
-                               wall_s=time.perf_counter() - run.started)
-                    settle(run, "error", {
-                        "type": "TaskTimeout",
-                        "message": f"exceeded the per-task timeout "
-                                   f"of {self.timeout}s",
-                        "traceback": "",
-                    })
+                # block until a worker writes or exits, a running task
+                # times out or, with a slot free, a queued retry's
+                # back-off ends
+                deadlines = [task.not_before for task in queue] if free else []
+                if self.timeout is not None:
+                    deadlines += [worker.started + self.timeout
+                                  for worker in running]
+                ready = wait([handle for worker in running
+                              for handle in (worker.conn,
+                                             worker.process.sentinel)],
+                             max(0.0, min(deadlines) - time.perf_counter())
+                             if deadlines else None)
+                for worker in running:
+                    if worker.process.sentinel in ready:
+                        # closed a moment before the exit status can be
+                        # read: sit that out in waitpid, not in this loop
+                        worker.process.join()
+                    # liveness first: a worker seen dead here has already
+                    # written whatever it will, so the read below is
+                    # conclusive (the other order can miss a reply sent
+                    # between the two calls and report a WorkerCrash)
+                    alive = worker.process.is_alive()
+                    # never block on a reply: a worker that stalls
+                    # mid-write leaves a partial frame in its inbox and
+                    # meets its timeout like any other hung task
+                    open_ = _read_available(worker)
+                    reply = _pop_reply(worker.inbox)
+                    if reply is not None:
+                        settle(worker, *reply)
+                    elif not alive:
+                        settle(worker, "error", failure(
+                            "WorkerCrash", f"worker exited with code "
+                                           f"{worker.process.exitcode}"))
+                    elif not open_:
+                        settle(worker, "error", failure(
+                            "WorkerCrash", "worker closed the pipe before "
+                                           "sending a result"))
+                    elif (self.timeout is not None
+                          and time.perf_counter() - worker.started
+                          > self.timeout):
+                        self._emit("timeout", worker.task.spec.id,
+                                   worker=worker.slot,
+                                   attempt=worker.task.attempt,
+                                   wall_s=time.perf_counter()
+                                   - worker.started)
+                        settle(worker, "error", failure(
+                            "TaskTimeout", f"exceeded the per-task timeout "
+                                           f"of {self.timeout}s"))
+        finally:
+            # idle workers are told to exit and given a moment; a busy
+            # one (only when something raised out of the loop) is not
+            idle = [worker for worker in workers.values()
+                    if worker.task is None and _send(worker, None)]
+            for worker in idle:
+                worker.process.join(_EXIT_GRACE)
+            for worker in list(workers.values()):
+                retire(worker)

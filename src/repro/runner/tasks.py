@@ -1,9 +1,12 @@
-"""Task model: spawn-safe descriptors, outcomes, and the worker entry.
+"""Task model: spawn-safe descriptors, outcomes, and the worker loop.
 
 A task is an :class:`~repro.experiments.common.ExperimentSpec` plus the
 sweep-wide scale.  Workers never receive callables — only the module
 and function *names* — so descriptors survive any multiprocessing
-start method (``fork`` and ``spawn`` alike).
+start method (``fork`` and ``spawn`` alike).  A worker runs jobs one
+after another until it is told to stop or a job fails: it never runs
+anything after an error, so the orchestrator gives every retry a new
+process.
 """
 
 from __future__ import annotations
@@ -58,31 +61,44 @@ class TaskOutcome:
         }
 
 
-def child_entry(conn, module: str, func: str, kwargs: dict[str, Any],
-                extra_sys_path: list[str]) -> None:
-    """Worker-process entry: import, run, ship the serialized result.
+def worker_loop(conn, extra_sys_path: list[str]) -> None:
+    """Worker-process entry: receive ``(module, func, kwargs)`` jobs on
+    the duplex pipe ``conn``, import, run, answer each with ``("ok",
+    result dict)`` or ``("error", error_info)``.
 
-    Any exception (including SystemExit from the experiment) is caught
-    and reported over the pipe; a worker that dies before sending is
+    Returns on EOF, on a ``None`` job, and right after sending an
+    error: any exception (including SystemExit from the experiment)
+    ends the worker, so nothing runs in a process a failure may have
+    left in a bad state.  A worker that dies before answering is
     detected by the parent via the exit code.
     """
+    for entry in reversed(extra_sys_path):
+        if entry not in sys.path:
+            sys.path.insert(0, entry)
     try:
-        for entry in reversed(extra_sys_path):
-            if entry not in sys.path:
-                sys.path.insert(0, entry)
-        fn = getattr(importlib.import_module(module), func)
-        result = fn(**kwargs)
-        if not isinstance(result, ExperimentResult):
-            raise TypeError(
-                f"{module}.{func} returned {type(result).__name__}, "
-                "expected ExperimentResult"
-            )
-        conn.send(("ok", result.to_dict()))
-    except BaseException as exc:  # noqa: BLE001 - isolation boundary
-        try:
-            conn.send(("error", error_info(exc)))
-        except (BrokenPipeError, OSError):
-            pass
+        while True:
+            try:
+                job = conn.recv()
+            except EOFError:
+                return
+            if job is None:
+                return
+            module, func, kwargs = job
+            try:
+                fn = getattr(importlib.import_module(module), func)
+                result = fn(**kwargs)
+                if not isinstance(result, ExperimentResult):
+                    raise TypeError(
+                        f"{module}.{func} returned {type(result).__name__}, "
+                        "expected ExperimentResult"
+                    )
+                conn.send(("ok", result.to_dict()))
+            except BaseException as exc:  # noqa: BLE001 - isolation boundary
+                try:
+                    conn.send(("error", error_info(exc)))
+                except OSError:
+                    pass
+                return
     finally:
         try:
             conn.close()

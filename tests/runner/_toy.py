@@ -9,7 +9,10 @@ identical no matter which worker runs them, in which order.
 from __future__ import annotations
 
 import os
+import struct
+import sys
 import time
+from multiprocessing.connection import Connection
 from pathlib import Path
 
 from repro.experiments.common import ExperimentResult
@@ -47,6 +50,38 @@ def run_sleep(scale: float = 1.0, seconds: float = 30.0) -> ExperimentResult:
 
 def run_hard_crash(scale: float = 1.0) -> ExperimentResult:
     os._exit(13)
+
+
+def run_recording_pid(scale: float = 1.0, path: str = "",
+                      then: str = "ok") -> ExperimentResult:
+    """Write the worker's pid to ``path`` (outside the result, which
+    stays a function of the kwargs), then return (``"ok"``), raise
+    (``"raise"``), die without a word (``"crash"``) or hang
+    (``"hang"``)."""
+    Path(path).write_text(str(os.getpid()))
+    if then == "raise":
+        raise RuntimeError("raised after recording the pid")
+    if then == "crash":
+        os._exit(13)
+    if then == "hang":
+        time.sleep(30.0)
+    return run_ok(scale=scale, label=then)
+
+
+def run_stalled_reply(scale: float = 1.0, path: str = "",
+                      seconds: float = 20.0) -> ExperimentResult:
+    """Start a reply on the worker's result pipe and stall mid-frame:
+    a header announcing 1000 bytes, 10 of them, ``seconds`` of sleep,
+    then exit without another byte."""
+    Path(path).write_text(str(os.getpid()))
+    frame, conn = sys._getframe(), None
+    while conn is None:  # the worker's end, held by a caller's frame
+        frame = frame.f_back
+        conn = next((value for value in frame.f_locals.values()
+                     if isinstance(value, Connection)), None)
+    os.write(conn.fileno(), struct.pack("!i", 1000) + b"x" * 10)
+    time.sleep(seconds)
+    os._exit(0)
 
 
 def run_session(scale: float = 1.0, seed: int = 5) -> ExperimentResult:

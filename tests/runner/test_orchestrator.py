@@ -4,6 +4,8 @@ timeouts, and cache integration."""
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -29,6 +31,14 @@ def orchestrate(specs, **kw):
 
 
 GRID = [toy_spec(f"TOY-{seed}", seed=seed) for seed in range(4)]
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie nobody reaped."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().split(")")[-1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestDeterminism:
@@ -192,6 +202,125 @@ class TestWaitsInsteadOfPolling:
         assert orch.outcomes[0].wall_s >= kwargs.get("seconds", 0)
         assert 1 <= len(passes) <= 5
         assert sleeps == []
+
+
+class TestWorkerLifecycle:
+    """One long-lived worker per slot: reused after a success, retired
+    after any failure, replaced if it dies idle, joined by the end of
+    ``run()``.  The toys write their pid to a file so that results stay
+    pure functions of their kwargs."""
+
+    @staticmethod
+    def pid_spec(tmp_path, name, then="ok"):
+        return toy_spec(name, func="run_recording_pid",
+                        path=str(tmp_path / name), then=then)
+
+    @staticmethod
+    def pid(tmp_path, name):
+        return int((tmp_path / name).read_text())
+
+    def test_two_ok_tasks_share_one_worker(self, tmp_path):
+        orch = orchestrate([self.pid_spec(tmp_path, "A"),
+                            self.pid_spec(tmp_path, "B")], jobs=1)
+        orch.run()
+        assert [o.status for o in orch.outcomes] == ["ok", "ok"]
+        assert self.pid(tmp_path, "A") == self.pid(tmp_path, "B")
+
+    @pytest.mark.parametrize("then", ["raise", "crash", "hang"])
+    def test_the_task_after_a_failure_runs_in_a_new_process(
+            self, tmp_path, then):
+        orch = orchestrate([self.pid_spec(tmp_path, "BAD", then=then),
+                            self.pid_spec(tmp_path, "NEXT")],
+                           jobs=1, retries=0, timeout=0.5)
+        orch.run()
+        assert [o.status for o in orch.outcomes] == ["failed", "ok"]
+        assert orch.outcomes[0].error["type"] == {
+            "raise": "RuntimeError", "crash": "WorkerCrash",
+            "hang": "TaskTimeout"}[then]
+        assert self.pid(tmp_path, "BAD") != self.pid(tmp_path, "NEXT")
+
+    def test_a_worker_killed_while_idle_is_replaced_free_of_charge(
+            self, tmp_path):
+        def kill_the_idle_worker(event):
+            if event.kind == "done" and event.task_id == "FIRST":
+                (worker,) = multiprocessing.active_children()
+                worker.kill()
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+
+        orch = orchestrate([self.pid_spec(tmp_path, "FIRST"),
+                            self.pid_spec(tmp_path, "SECOND")],
+                           jobs=1, retries=0, on_event=kill_the_idle_worker)
+        orch.run()
+        second = orch.outcomes[1]
+        assert (second.status, second.attempts) == ("ok", 1)
+        assert self.pid(tmp_path, "FIRST") != self.pid(tmp_path, "SECOND")
+
+    @pytest.mark.parametrize("then", ["ok", "raise", "crash", "hang"])
+    def test_no_worker_outlives_the_run(self, tmp_path, then):
+        specs = [self.pid_spec(tmp_path, f"T{i}", then=then if i == 1 else "ok")
+                 for i in range(4)]
+        orch = orchestrate(specs, jobs=2, retries=0, timeout=0.5)
+        orch.run()
+        assert multiprocessing.active_children() == []
+        assert [o.status for o in orch.outcomes].count("ok") == (
+            4 if then == "ok" else 3)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                        reason="reads process states from /proc")
+    def test_idle_workers_exit_when_the_orchestrator_is_killed(self, tmp_path):
+        """A worker drops the copies of the parent's pipe ends it
+        inherits, so the parent's death is an EOF it returns on."""
+        marker = tmp_path / "both-done"
+        script = (
+            "import time\n"
+            "from repro.experiments.common import ExperimentSpec\n"
+            "from repro.runner import Orchestrator\n"
+            "def hold(event):\n"
+            "    if event.kind == 'done' and event.task_id == 'B':\n"
+            f"        open({str(marker)!r}, 'w').close()\n"
+            "        time.sleep(60)\n"
+            f"specs = [ExperimentSpec(name, {TOY!r}, 'run_recording_pid',\n"
+            f"    kwargs=(('path', {str(tmp_path)!r} + '/' + name),))\n"
+            "    for name in 'AB']\n"
+            "Orchestrator(specs, jobs=2, on_event=hold,\n"
+            f"             extra_sys_path=[{REPO_ROOT!r}]).run()\n")
+        parent = subprocess.Popen([sys.executable, "-c", script], env={
+            **os.environ, "PYTHONPATH": str(Path(REPO_ROOT) / "src")})
+        try:
+            deadline = time.monotonic() + 30
+            while not marker.exists():
+                assert parent.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+        finally:
+            parent.kill()
+            parent.wait()
+        pids = {self.pid(tmp_path, name) for name in "AB"}
+        deadline = time.monotonic() + 10
+        while pids and time.monotonic() < deadline:
+            pids = {pid for pid in pids if _running(pid)}
+            time.sleep(0.05)
+        for pid in pids:
+            os.kill(pid, 9)
+        assert pids == set()
+
+    def test_a_reply_stalled_mid_write_times_out(self, tmp_path):
+        """The stalled worker has written a partial frame: the parent
+        must not block reading the rest, but time the task out, retire
+        the worker and let its siblings finish."""
+        specs = [toy_spec("STALL", func="run_stalled_reply",
+                          path=str(tmp_path / "STALL"), seconds=20.0),
+                 toy_spec("OK1", seed=1), toy_spec("OK2", seed=2)]
+        orch = orchestrate(specs, jobs=2, timeout=2.0, retries=0)
+        t0 = time.perf_counter()
+        orch.run()
+        assert time.perf_counter() - t0 < 2.0 + 2.0
+        by_id = {o.id: o for o in orch.outcomes}
+        assert by_id["STALL"].error["type"] == "TaskTimeout"
+        assert by_id["OK1"].status == by_id["OK2"].status == "ok"
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ProcessLookupError):
+            os.kill(self.pid(tmp_path, "STALL"), 0)
 
 
 class TestCacheIntegration:
