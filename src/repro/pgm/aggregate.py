@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..simulator.engine import Timer
 from . import constants as C
-from .receiver import PgmReceiver
+from .receiver import PgmReceiver, min_of_uniforms
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..simulator.topology import Network, SubtreePlan
@@ -235,9 +235,7 @@ class AnalyticBank:
         return self._rep
 
     def draw(self, bound: float) -> tuple[float, str]:
-        n = self.size
-        u = self._rng.random()
-        delay = bound * (1.0 - (1.0 - u) ** (1.0 / n))
+        delay = min_of_uniforms(self._rng.random(), self.size, bound)
         return delay, self._plan.identity(self._subtree,
                                           self._representative())
 
@@ -321,11 +319,13 @@ class TailProxy(PgmReceiver):
         self._manager.observe_backoff(delay)
         return delay
 
-    def _storm_jitter(self) -> float:
+    def _storm_jitter(self, k: int) -> float:
         if self.bank.size == 0:
-            return super()._storm_jitter()
-        delay, _ = self.bank.draw(self.storm_spacing)
-        return delay
+            return super()._storm_jitter(k)
+        # The members' earliest uniform, mapped through the k-gap
+        # order statistic — each member's own min-of-k, minimised.
+        u, _ = self.bank.draw(1.0)
+        return min_of_uniforms(u, k, self.storm_spacing)
 
     # -- synthetic feedback --------------------------------------------------
 

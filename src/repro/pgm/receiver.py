@@ -19,6 +19,7 @@ election without requesting a repair.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -34,6 +35,14 @@ from .misbehavior import Misbehavior, make_behavior
 from .packets import Ack, Nak, Ncf, OData, RData, Spm, decode
 
 
+def min_of_uniforms(u: float, k: int, bound: float) -> float:
+    """The minimum of ``k`` iid U(0, bound) draws, from one uniform
+    ``u`` through the order-statistic inverse CDF
+    ``bound * (1 - (1 - u)**(1/k))``.  Monotone in ``u``, so the
+    minimum over several ``u`` maps to the minimum of their images."""
+    return bound * (1.0 - (1.0 - u) ** (1.0 / k))
+
+
 @dataclass
 class _NakState:
     """Per-missing-sequence NAK state machine.
@@ -41,6 +50,9 @@ class _NakState:
     States: BACKOFF (timer running before first/again NAK) ->
     AWAIT_NCF (NAK sent, waiting for confirmation; retry on timer) ->
     CONFIRMED (NCF seen, waiting for RDATA; re-NAK on timer).
+    PACED: the NAK fell due inside the §3.8 storm window; the gap sits
+    on the receiver's waiting list with no timer of its own until the
+    pacer serves it (or the storm ends and it gets its timer back).
     """
 
     seq: int
@@ -75,7 +87,15 @@ class PgmReceiver:
         storm_threshold / storm_spacing: NAK pacing (§3.8): when more
             than ``storm_threshold`` repairs are pending, consecutive
             NAK transmissions are spaced at least ``storm_spacing``
-            seconds apart.
+            seconds apart.  A NAK that falls due sooner than
+            ``storm_spacing`` after the last one joins a waiting list
+            served by one pacer timer: after each NAK the next leaves
+            at ``last + storm_spacing + min of k U(0, storm_spacing)``
+            for the k waiting gaps, and goes to one of them chosen
+            uniformly.  A gap that joins mid-round with an earlier
+            draw of its own takes the round; once no more than
+            ``storm_threshold`` repairs are pending, each waiting gap
+            gets its own timer back.
     """
 
     def __init__(
@@ -128,6 +148,12 @@ class PgmReceiver:
         self.storm_threshold = storm_threshold
         self.storm_spacing = storm_spacing
         self._last_nak_time = -1e9
+        #: PACED gaps in the order they fell due (a dict for O(1)
+        #: removal; never iterated as a set), the one pacer timer that
+        #: serves them, and the gap the armed round was drawn for
+        self._paced: dict[int, None] = {}
+        self._pacer = Timer(self.sim, self._pace_tick)
+        self._pace_winner: Optional[int] = None
         self._repair_hist = (
             telemetry.histogram("repair.latency_s")
             if telemetry is not None else Histogram("repair.latency_s")
@@ -264,7 +290,7 @@ class PgmReceiver:
         # repair arriving for an open gap closes one NAK round-trip.
         state = self._nak_states.pop(msg.seq, None)
         if state is not None:
-            state.timer.cancel()
+            self._retire(msg.seq, state)
             if is_repair:
                 self._repair_hist.observe(self.sim.now - state.opened)
         for gap in outcome.new_gaps:
@@ -318,7 +344,23 @@ class PgmReceiver:
     def _drop_nak_state(self, seq: int) -> None:
         state = self._nak_states.pop(seq, None)
         if state is not None:
+            self._retire(seq, state)
+
+    def _retire(self, seq: int, state: _NakState) -> None:
+        """Stop a gap that left ``_nak_states`` (the storm may end with it)."""
+        if state.state == "PACED":
+            self._unpace(seq, state)
+        else:
             state.timer.cancel()
+        if self._paced and len(self._nak_states) <= self.storm_threshold:
+            self._end_storm()
+
+    def _clear_nak_states(self) -> None:
+        for state in self._nak_states.values():
+            state.timer.cancel()
+        self._nak_states.clear()
+        self._paced.clear()
+        self._pacer.cancel()
 
     def _nak_timer_fired(self, seq: int) -> None:
         state = self._nak_states.get(seq)
@@ -329,17 +371,22 @@ class PgmReceiver:
             state.state = "BACKOFF"
             state.timer.restart(self._backoff_delay(seq))
             return
-        # BACKOFF or AWAIT_NCF: (re)send the NAK.
-        if state.attempts >= self.nak_max_retries:
-            self._abandon(seq, exhausted=True)
-            return
-        if len(self._nak_states) > self.storm_threshold:
+        # BACKOFF or AWAIT_NCF: the NAK is due.
+        if (state.attempts < self.nak_max_retries
+                and len(self._nak_states) > self.storm_threshold):
             # §3.8 NAK-storm pacing: with many repairs pending, space
             # NAK transmissions out instead of bursting them.
             wait = self._last_nak_time + self.storm_spacing - self.sim.now
             if wait > 0:
-                state.timer.restart(wait + self._storm_jitter())
+                self._pace(seq, state, wait)
                 return
+        self._nak_due(seq, state)
+
+    def _nak_due(self, seq: int, state: _NakState) -> None:
+        """(Re)send ``seq``'s NAK now, or abandon it at the attempt cap."""
+        if state.attempts >= self.nak_max_retries:
+            self._abandon(seq, exhausted=True)
+            return
         state.attempts += 1
         self._send_nak(seq)
         if self.reliable:
@@ -348,6 +395,72 @@ class PgmReceiver:
         else:
             # Report-only mode: one NAK per loss event, no repair loop.
             self._drop_nak_state(seq)
+
+    # -- §3.8 storm pacer ----------------------------------------------------
+    # One timer serves every gap whose NAK fell due inside the spacing
+    # window.  A round is one draw for the whole list — the earliest of
+    # the k waiting gaps' jitters and a uniformly chosen winner — which
+    # is, in distribution, what k per-gap timers each re-armed at
+    # ``last + spacing + U(0, spacing)`` would produce.
+
+    def _pace(self, seq: int, state: _NakState, wait: float) -> None:
+        """Put a due gap on the waiting list; its own draw takes the
+        round when it beats the armed one (or no round is armed)."""
+        state.state = "PACED"
+        self._paced[seq] = None
+        delay = wait + self._storm_jitter(1)
+        pacer = self._pacer
+        expiry = pacer.expiry
+        if expiry is None or self.sim.now + delay < expiry:
+            pacer.restart(delay)
+            self._pace_winner = seq
+
+    def _unpace(self, seq: int, state: _NakState) -> None:
+        """Take ``seq`` off the waiting list; the pacer stops with it."""
+        del self._paced[seq]
+        state.state = "BACKOFF"
+        if not self._paced:
+            self._pacer.cancel()
+
+    def _end_storm(self) -> None:
+        """No more than ``storm_threshold`` repairs are pending: every
+        waiting gap gets its own timer back, due within one spacing as
+        its re-armed timer would have been."""
+        for waiting in self._paced:
+            state = self._nak_states[waiting]
+            state.state = "BACKOFF"
+            state.timer.start(self._storm_jitter(1))
+        self._paced.clear()
+        self._pacer.cancel()
+
+    def _any_paced(self) -> int:
+        """A waiting gap chosen uniformly."""
+        paced = self._paced
+        return next(itertools.islice(paced, self.rng.randrange(len(paced)), None))
+
+    def _draw_round(self) -> None:
+        """Arm the pacer for the next NAK out of the waiting list."""
+        wait = max(self._last_nak_time + self.storm_spacing - self.sim.now, 0.0)
+        self._pacer.start(wait + self._storm_jitter(len(self._paced)))
+        self._pace_winner = self._any_paced()
+
+    def _pace_tick(self) -> None:
+        # The list is non-empty and the storm still on: whatever empties
+        # the list or ends the storm also stops the pacer.
+        if self._last_nak_time + self.storm_spacing > self.sim.now:
+            # A NAK outside the round left since the draw: every
+            # waiting gap draws again from the new window.
+            self._draw_round()
+            return
+        seq = self._pace_winner
+        if seq not in self._paced:
+            # The winner was repaired or confirmed before its tick.
+            seq = self._any_paced()
+        state = self._nak_states[seq]
+        self._unpace(seq, state)
+        self._nak_due(seq, state)
+        if self._paced:
+            self._draw_round()
 
     def _abandon(self, seq: int, exhausted: bool = False) -> None:
         self._drop_nak_state(seq)
@@ -381,9 +494,7 @@ class PgmReceiver:
         the live edge, salvaging any already-received packets below it
         on the way out."""
         self.resyncs += 1
-        for state in self._nak_states.values():
-            state.timer.cancel()
-        self._nak_states.clear()
+        self._clear_nak_states()
         skipped = self.cc.resync(live_lead)
         if self.reliable and self.deliver is not None:
             lost = 0
@@ -444,7 +555,9 @@ class PgmReceiver:
         state = self._nak_states.get(ncf.seq)
         if state is None:
             return
-        if state.state in ("BACKOFF", "AWAIT_NCF"):
+        if state.state in ("BACKOFF", "AWAIT_NCF", "PACED"):
+            if state.state == "PACED":
+                self._unpace(ncf.seq, state)
             self.naks_suppressed_by_ncf += 1
             state.state = "CONFIRMED"
             state.timer.restart(self.nak_rdata_ivl)
@@ -494,9 +607,10 @@ class PgmReceiver:
         """Desynchronisation jitter before an elicited fake NAK."""
         return self.rng.uniform(0, self.nak_bo_ivl / 4)
 
-    def _storm_jitter(self) -> float:
-        """Extra spacing jitter in the §3.8 NAK-storm pacing regime."""
-        return self.rng.uniform(0, self.storm_spacing)
+    def _storm_jitter(self, k: int) -> float:
+        """Extra spacing jitter in the §3.8 NAK-storm pacing regime: the
+        earliest of ``k`` waiting gaps' U(0, storm_spacing) draws."""
+        return min_of_uniforms(self.rng.random(), k, self.storm_spacing)
 
     def _send_ack(self, ack_seq: int) -> None:
         if self._closed:
@@ -530,9 +644,7 @@ class PgmReceiver:
 
     def close(self) -> None:
         self._closed = True
-        for state in self._nak_states.values():
-            state.timer.cancel()
-        self._nak_states.clear()
+        self._clear_nak_states()
         for kind in list(self.behaviors):
             self.misbehave_stop(kind)
 

@@ -99,8 +99,10 @@ class TestHistoryRecovery:
 
 
 class TestNakStormPacing:
-    def test_paced_naks_are_spaced(self):
-        """A joiner requesting lots of history must not burst NAKs."""
+    @staticmethod
+    def storm(**rx_kwargs):
+        """A joiner at t=15 s NAKs 400 packets of history.  Returns its
+        NAK times and the engine events processed in 15-25 s."""
         net = dumbbell(1, 2, NON_LOSSY, seed=35)
         session = create_session(net, "h0", ["r0"])
         nak_times = []
@@ -112,8 +114,7 @@ class TestNakStormPacing:
             net.set_group(session.group, "h0", session.members)
             rx = PgmReceiver(
                 net.host("r1"), session.group, session.tsi, "h0",
-                recover_history=True, history_limit=400,
-                storm_threshold=16, storm_spacing=0.05,
+                recover_history=True, history_limit=400, **rx_kwargs,
             )
             original = rx._send_nak
 
@@ -125,39 +126,32 @@ class TestNakStormPacing:
             session.receivers.append(rx)
 
         net.sim.schedule_at(15.0, join)
+        net.run(until=15.0)
+        before = net.sim.events_processed
         net.run(until=25.0)
+        return nak_times, net.sim.events_processed - before
+
+    def test_paced_naks_are_spaced(self):
+        """A joiner requesting lots of history must not burst NAKs."""
+        nak_times, _ = self.storm(storm_threshold=16, storm_spacing=0.05)
         assert len(nak_times) > 20
         # during the storm, consecutive NAKs respect the spacing floor
         storm = [t for t in nak_times if t < 17.0]
         gaps = [b - a for a, b in zip(storm, storm[1:])]
         assert gaps and min(gaps) >= 0.04
 
+    def test_a_storm_costs_one_wakeup_per_nak(self):
+        """One pacer serves the waiting gaps: a per-gap re-arm woke
+        every waiting gap after each NAK (67.9k events for these 200
+        NAKs)."""
+        nak_times, events = self.storm(storm_threshold=16, storm_spacing=0.05)
+        assert len(nak_times) == 200
+        assert min(b - a for a, b in zip(nak_times, nak_times[1:])) >= 0.05
+        assert events < 10_000
+
     def test_unpaced_joiner_bursts(self):
-        net = dumbbell(1, 2, NON_LOSSY, seed=35)
-        session = create_session(net, "h0", ["r0"])
-        nak_times = []
-
-        def join():
-            from repro.pgm.receiver import PgmReceiver
-
-            session.members.append("r1")
-            net.set_group(session.group, "h0", session.members)
-            rx = PgmReceiver(
-                net.host("r1"), session.group, session.tsi, "h0",
-                recover_history=True, history_limit=400,
-                storm_threshold=10_000,  # pacing effectively off
-            )
-            original = rx._send_nak
-
-            def tap(seq, fake=False):
-                nak_times.append(net.sim.now)
-                original(seq, fake)
-
-            rx._send_nak = tap
-            session.receivers.append(rx)
-
-        net.sim.schedule_at(15.0, join)
-        net.run(until=25.0)
+        # pacing effectively off
+        nak_times, _ = self.storm(storm_threshold=10_000)
         storm = [t for t in nak_times if t < 15.2]
         # without pacing the whole backlog is NAKed within the backoff window
         assert len(storm) > 100
