@@ -293,6 +293,10 @@ def create_session(
     rule is auto-configured from ``filter_w``/``estimator``.  All
     handles live on the returned session, including the telemetry
     registry (``session.metrics``).
+
+    A receiver with no unicast route back to ``sender_host`` (its NAKs
+    and ACKs would all be dropped) raises ``routing.NoPath`` before
+    anything is installed.
     """
     cfg = config if config is not None else SessionConfig()
     if kwargs:
@@ -316,6 +320,8 @@ def create_session(
             )
         if not receiver_hosts:
             receiver_hosts = plan.session_hosts()
+    for host_name in receiver_hosts:  # NAKs and ACKs go back by unicast
+        net.require_route(host_name, sender_host)
 
     tsi = cfg.tsi if cfg.tsi is not None else net.next_tsi()
     group = cfg.group if cfg.group is not None else f"mc:pgm{tsi}"
@@ -440,10 +446,12 @@ def add_receiver(
     tree graft a real network performs.
 
     A name that is not a host of ``net`` (``KeyError``; ``TypeError``
-    for a router), is already a member (``ValueError``) or that the
-    source cannot reach (``routing.NoPath``) is rejected here, at the
-    call, whatever ``at`` says, and a join that fails leaves the
-    member list, the tree and the host untouched.
+    for a router), is already a member (``ValueError``), that the
+    source cannot reach, or that has no unicast route back to the
+    source — e.g. a host wired after the last ``build_routes()``
+    (``routing.NoPath``) — is rejected here, at the call, whatever
+    ``at`` says, and a join that fails leaves the member list, the tree
+    and the host untouched.
     """
     source = session.sender.host.name
 
@@ -455,6 +463,7 @@ def add_receiver(
             )
         if host_name not in net.source_paths(source):
             raise NoPath(f"no path to {host_name} from {source}")
+        net.require_route(host_name, source)
 
     def _join() -> None:
         _check()  # the member list may have changed since the call

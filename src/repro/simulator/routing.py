@@ -7,14 +7,19 @@ shortest-path tree for each (group, source) pair — the same structure
 IP multicast (DVMRP/PIM) would build over these topologies, and the
 one the paper's ns-2 scenarios assume.
 
-The topologies are trees of a few dozen nodes, so the graph is a plain
-adjacency mapping and the solve a ``heapq`` Dijkstra.
+The graph is a plain adjacency mapping and the solve a ``heapq``
+Dijkstra.  The paper's topologies have a few dozen nodes, but the
+hybrid 10^6-receiver topology has 386 and a real-member one 1000+,
+almost all of them hosts on a single access link.  So unicast tables
+cost one solve per node with more than one outgoing link; a
+single-homed node reuses its neighbour's (see
+:func:`install_unicast_routes`).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .node import Node
 
@@ -43,44 +48,78 @@ def build_graph(nodes: Mapping[str, Node], delays: Mapping[tuple[str, str], floa
     return graph
 
 
-def shortest_paths(graph: Graph, source: str) -> dict[str, list[str]]:
-    """Path from ``source`` to every node it reaches: one Dijkstra solve.
+def shortest_path_tree(graph: Graph, source: str) -> dict[str, Optional[str]]:
+    """One Dijkstra solve: every node ``source`` reaches, mapped to its
+    predecessor on the shortest path (``None`` for ``source``), in the
+    order the solve settles them — a node always after its predecessor.
 
     Weights are non-negative (``Link`` rejects a negative delay).
     Equal-cost alternatives resolve as in networkx's
     ``single_source_dijkstra_path``, the reference
-    ``tests/simulator/test_routing.py`` compares against: a path is
-    replaced on strict improvement only, and equal distances leave the
-    fringe in the order they were pushed.
+    ``tests/simulator/test_routing.py`` compares against: a predecessor
+    is replaced on strict improvement only, and equal distances leave
+    the fringe in the order they were pushed.
     """
-    paths = {source: [source]}
+    settled: dict[str, Optional[str]] = {}
     dist = {source: 0.0}
-    fringe = [(0.0, 0, source)]
+    fringe: list = [(0.0, 0, source, None)]
     pushed = 0
     while fringe:
-        d, _, u = heapq.heappop(fringe)
+        d, _, u, parent = heapq.heappop(fringe)
         if d > dist[u]:
             continue  # superseded by a shorter path found later
+        settled[u] = parent
         for v, weight in graph[u].items():
             through_u = d + weight
             if v not in dist or through_u < dist[v]:
                 dist[v] = through_u
                 pushed += 1
-                heapq.heappush(fringe, (through_u, pushed, v))
-                paths[v] = paths[u] + [v]
+                heapq.heappush(fringe, (through_u, pushed, v, u))
+    return settled
+
+
+def shortest_paths(graph: Graph, source: str) -> dict[str, list[str]]:
+    """Path from ``source`` to every node it reaches."""
+    paths: dict[str, list[str]] = {}
+    for v, u in shortest_path_tree(graph, source).items():
+        paths[v] = [v] if u is None else paths[u] + [v]
     return paths
+
+
+def first_hops(graph: Graph, source: str) -> dict[str, str]:
+    """First hop from ``source`` towards every other node it reaches:
+    the same solve as :func:`shortest_paths`, read for the next hop
+    only."""
+    hops: dict[str, str] = {}
+    for v, u in shortest_path_tree(graph, source).items():
+        if u is not None:
+            hops[v] = v if u == source else hops[u]
+    return hops
 
 
 def install_unicast_routes(graph: Graph, nodes: Mapping[str, Node]) -> None:
     """Install next-hop entries for every reachable destination at
-    every node.  Overwrites existing unicast tables."""
-    for src in nodes:
-        table: dict[str, str] = {}
-        for dst, path in shortest_paths(graph, src).items():
-            if dst == src or len(path) < 2:
-                continue
-            table[dst] = path[1]
-        nodes[src].unicast_routes = table
+    every node.  Overwrites existing unicast tables.
+
+    A node with exactly one outgoing link (a host, a dead-end router)
+    sends everything through it, so it costs no solve: it reaches
+    what that neighbour reaches, itself excepted, all via the
+    neighbour.  Every other node gets one :func:`first_hops` solve, and
+    so does a single-homed node that another single-homed node copies,
+    so no table is ever copied from a copy.
+    """
+    via = {u: next(iter(out)) for u, out in graph.items() if len(out) == 1}
+    copied_from = set(via.values())
+    tables = {u: first_hops(graph, u) for u in graph
+              if u not in via or u in copied_from}
+    for u, neighbour in via.items():
+        if u not in tables:
+            table = dict.fromkeys(tables[neighbour], neighbour)
+            table[neighbour] = neighbour
+            table.pop(u, None)
+            tables[u] = table
+    for name, node in nodes.items():
+        node.unicast_routes = tables[name]
 
 
 def compute_multicast_tree(

@@ -173,6 +173,14 @@ class Network:
         for node in self.nodes.values():
             node.hop_limit = hop_limit
 
+    def require_route(self, src: str, dst: str) -> None:
+        """Raise :class:`routing.NoPath` unless ``src`` has a unicast
+        next hop towards ``dst`` (``KeyError`` for an unknown ``src``)."""
+        if self.nodes[src].unicast_next_hop(dst) is None:
+            raise routing.NoPath(
+                f"no unicast route from {src} to {dst}: call "
+                "build_routes() after wiring the topology")
+
     def source_paths(self, source: str) -> dict[str, list[str]]:
         """Shortest path from ``source`` to every node it reaches,
         solved once per source until the topology changes."""
@@ -343,9 +351,13 @@ def dumbbell_subtrees(
     exact simulation, O(N) construction).  In ``members="virtual"``
     mode each subtree gets one aggregate host (``t{k}agg``) and
     ``slots`` promotion slot hosts (``t{k}s{j}``) — node count is
-    O(subtrees * slots) regardless of ``n_receivers``, so a
-    million-receiver topology constructs in milliseconds.  The layout
-    is recorded on the returned network as ``net.subtree_plan`` for
+    O(subtrees * slots) regardless of ``n_receivers``.  Routing costs
+    one solve per router over every node (hosts copy their router's
+    table), measured on a 2-CPU x86 host under CPython 3.11: 10^6
+    receivers in 64 subtrees (386 nodes) build in ≈30 ms, in 256
+    subtrees (1538 nodes) in ≈0.45 s, and 2000 real members in 16
+    subtrees (2018 nodes) in ≈0.2 s.  The layout is recorded on the
+    returned network as ``net.subtree_plan`` for
     :func:`repro.pgm.create_session`'s ``aggregate=`` mode.
     """
     if n_receivers < 1:

@@ -85,7 +85,14 @@ def create_tcp_flow(
     delayed_acks: bool = False,
     max_segments: Optional[int] = None,
 ) -> TcpFlow:
-    """Create and schedule one bulk TCP connection on ``net``."""
+    """Create and schedule one bulk TCP connection on ``net``.
+
+    Hosts with no unicast route to each other, in either direction
+    (e.g. one wired after the last ``build_routes()``), raise
+    ``routing.NoPath`` here rather than losing every segment or ACK.
+    """
+    net.require_route(src_host, dst_host)
+    net.require_route(dst_host, src_host)
     flow_id = net.next_flow_id()
     sender = TcpSender(
         net.host(src_host),

@@ -8,7 +8,7 @@ import pytest
 from repro.core.sender_cc import CcConfig
 from repro.pgm import SUMMARY_SCHEMA, add_receiver, create_session
 from repro.pgm.session import SessionConfig
-from repro.simulator import NON_LOSSY, dumbbell, dumbbell_subtrees
+from repro.simulator import LOSSY, NON_LOSSY, dumbbell, dumbbell_subtrees, star
 from repro.simulator.routing import NoPath
 
 #: every v1 summary key remains part of the pgmcc.session-summary/v2
@@ -211,6 +211,30 @@ class TestReceiverIndex:
         add_receiver(net, session, "r1")
         assert session.members == ["r0", "r1"]
         assert net.router("R1").multicast_routes[session.group] == ("r0", "r1")
+        session.close()
+
+    def test_a_host_wired_after_build_routes_is_rejected_at_the_call(self):
+        """The source reaches it (the tree is solved on demand) but it
+        has no unicast route back: every NAK it sent used to die at the
+        host, as unrecoverable loss."""
+        net = star(3, LOSSY, seed=1)
+        net.add_host("late")
+        net.duplex_link("R0", "late", LOSSY)
+        unrouted = "no unicast route from late to src.*build_routes"
+        with pytest.raises(NoPath, match=unrouted):
+            create_session(net, "src", ["r0", "late"])
+        assert net.host("late").groups == set()
+        session = create_session(net, "src", ["r0"], stop_at=8.0)
+        with pytest.raises(NoPath, match=unrouted):
+            add_receiver(net, session, "late", at=2.0)
+        assert session.members == ["r0"]
+        net.build_routes()
+        add_receiver(net, session, "late", at=2.0)
+        net.run(until=10.0)
+        late = session.receiver("late")
+        assert late.odata_received > 0 and late.naks_sent > 0
+        assert net.host("late").packets_dropped_no_route == 0
+        assert session.summary()["unrecoverable_data_loss"] == 0
         session.close()
 
     def test_lookup_survives_direct_list_append(self):

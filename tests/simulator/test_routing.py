@@ -1,8 +1,9 @@
 """Direct unit tests for route computation.
 
 networkx is the reference here and nowhere else: ``routing`` solves
-its own shortest paths, and the two oracles below (drawn digraphs, the
-paper's topologies) require them to be networkx's, tie for tie.
+its own shortest paths, and the oracles below (drawn digraphs, the
+paper's topologies) require its paths, trees and unicast next hops to
+be networkx's, tie for tie.
 """
 
 import random
@@ -24,6 +25,7 @@ from repro.simulator import (
     star,
 )
 from repro.simulator import routing
+from repro.simulator.node import Node
 from repro.simulator.routing import (
     HOP_BIAS,
     NoPath,
@@ -161,27 +163,59 @@ def reference_digraph(nx, nodes, weights):
 
 
 NODES = "abcdefgh"
+#: single-homed by construction: ``s`` hangs off a drawn node, ``t -> u``
+#: is a two-node stub chain into another, ``v`` is isolated
+STUBS = "stuv"
 #: few distinct weights, so equal-cost alternatives are the rule;
 #: 0.1 + 0.2 != 0.3 keeps a float near-tie in the draw
-EDGES = st.dictionaries(
-    st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)),
-    st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0]),
-    max_size=24,
-).flatmap(lambda edges: st.permutations(list(edges.items()))).map(dict)
+WEIGHTS = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0])
 
 
-@settings(max_examples=300, deadline=None)
-@given(weights=EDGES, source=st.sampled_from(NODES))
-def test_shortest_paths_are_networkx_single_source_dijkstra(nx, weights, source):
-    """Same path to every reachable node and the same key set,
-    whatever the ties, zero-weight edges, unreachable nodes and
-    edge-insertion order."""
-    graph = {name: {} for name in NODES}
+@st.composite
+def edges(draw):
+    """Directed edge -> weight over NODES + STUBS, in a drawn
+    insertion order."""
+    weights = draw(st.dictionaries(
+        st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)),
+        WEIGHTS, max_size=24))
+    s_at, u_at = draw(st.sampled_from(NODES)), draw(st.sampled_from(NODES))
+    for edge in (("s", s_at), (s_at, "s"), ("t", "u"), ("u", u_at), (u_at, "t")):
+        weights[edge] = draw(WEIGHTS)
+    return dict(draw(st.permutations(list(weights.items()))))
+
+
+EDGES = edges()
+
+
+def adjacency(weights):
+    graph = {name: {} for name in NODES + STUBS}
     for (u, v), weight in weights.items():
         graph[u][v] = weight
-    reference = nx.single_source_dijkstra_path(
-        reference_digraph(nx, NODES, weights), source, weight="weight")
-    assert shortest_paths(graph, source) == reference
+    return graph
+
+
+def networkx_first_hops(nx, reference, source):
+    paths = nx.single_source_dijkstra_path(reference, source, weight="weight")
+    return {dst: path[1] for dst, path in paths.items() if dst != source}
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=EDGES)
+def test_shortest_paths_are_networkx_single_source_dijkstra(nx, weights):
+    """From every source, the same path to every reachable node and the
+    same key set; and every node's unicast table, solved or copied from
+    a single-homed node's neighbour, holds exactly networkx's first hop
+    to every other node it reaches — whatever the ties, zero-weight
+    edges, stub chains, unreachable nodes and edge-insertion order."""
+    graph = adjacency(weights)
+    nodes = {name: Node(None, name) for name in graph}
+    install_unicast_routes(graph, nodes)
+    reference = reference_digraph(nx, nodes, weights)
+    for source, node in nodes.items():
+        paths = nx.single_source_dijkstra_path(reference, source, weight="weight")
+        assert shortest_paths(graph, source) == paths
+        assert node.unicast_routes == {
+            dst: path[1] for dst, path in paths.items() if dst != source}
 
 
 def per_member_dijkstra_routes(nx, net, source, members):
@@ -206,6 +240,37 @@ TOPOLOGIES = {
     "ecmp_equal_cost": lambda: (build_multipath(4, delay_skew=0.0), "src"),
     "ecmp_skewed": lambda: (build_multipath(5, delay_skew=0.040), "src"),
 }
+
+
+class TestUnicastTables:
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_tables_are_networkx_first_hops(self, nx, topology):
+        net, _ = TOPOLOGIES[topology]()
+        reference = reference_digraph(nx, net.nodes, {
+            edge: delay + HOP_BIAS for edge, delay in net.link_delays.items()})
+        tables = {name: node.unicast_routes for name, node in net.nodes.items()}
+        assert tables == {name: networkx_first_hops(nx, reference, name)
+                          for name in net.nodes}
+        # one dict per node: a host's table is never its neighbour's
+        assert len({id(table) for table in tables.values()}) == len(tables)
+
+    @pytest.mark.parametrize("build, solved", [
+        (lambda: dumbbell_subtrees(10**6, subtrees=64),
+         {"R0"} | {f"T{k}" for k in range(64)}),
+        (lambda: star(100, LEAF), {"R0"}),
+    ], ids=["hybrid_1e6", "star_100"])
+    def test_one_solve_per_node_with_more_than_one_link(
+            self, monkeypatch, build, solved):
+        """Hosts (320 of the hybrid topology's 386 nodes, 101 of the
+        star's 102) copy their router's table instead of solving."""
+        solves = []
+        real = routing.shortest_path_tree
+        monkeypatch.setattr(
+            routing, "shortest_path_tree",
+            lambda graph, src: solves.append(src) or real(graph, src))
+        build()
+        assert len(solves) == len(solved)
+        assert set(solves) == solved
 
 
 class TestStoredSourcePaths:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simulator import LOSSY, NON_LOSSY, LinkSpec, Network, dumbbell
+from repro.simulator.routing import NoPath
 from repro.tcp import TcpAck, TcpSegment, create_tcp_flow
 from repro.tcp.sender import DUPACK_THRESHOLD, TcpSender
 from repro.tcp.receiver import TcpReceiver
@@ -215,6 +216,20 @@ class TestEndToEnd:
         net.run(until=30.0)
         assert f1.sender.snd_una == 50
         assert f2.sender.snd_una == 70
+
+    def test_a_flow_without_a_route_either_way_is_rejected_at_the_call(self):
+        net = Network(seed=8)
+        for h in ("a", "b"):
+            net.add_host(h)
+        net.add_router("R")
+        net.duplex_link("a", "R", NON_LOSSY)
+        net.simplex_link("R", "b", NON_LOSSY)  # b cannot answer
+        net.build_routes()
+        with pytest.raises(NoPath, match="from b to a.*build_routes"):
+            create_tcp_flow(net, "a", "b")  # no way back for the ACKs
+        with pytest.raises(NoPath, match="from b to a.*build_routes"):
+            create_tcp_flow(net, "b", "a")  # no way out for the data
+        assert net.next_flow_id() == 1  # neither call got as far as an id
 
     def test_stop_at_ends_flow(self):
         net = dumbbell(1, 1, NON_LOSSY, seed=7)
