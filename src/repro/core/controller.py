@@ -33,10 +33,9 @@ calls in here:
 ``send_delay(now)``
     ``0.0`` = send now, a positive float = rate-paced (call again in
     that many seconds), ``None`` = blocked until feedback arrives.
-``params() / state_summary()``
-    the versioned, JSON-serializable configuration and state
-    documents (``pgmcc.controller-params/v1`` /
-    ``pgmcc.controller-state/v1``).
+``state_summary()``
+    the versioned, JSON-serializable state document
+    (``pgmcc.controller-state/v1``) the session summary embeds.
 
 Every backend also exposes ``window`` — a
 :class:`~repro.core.window.WindowController` or a view with the same
@@ -66,8 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .reports import ReceiverReport
     from .sender_cc import CcConfig
 
-#: schema tag on :meth:`Controller.params` documents
-PARAMS_SCHEMA = "pgmcc.controller-params/v1"
 #: schema tag on :meth:`Controller.state_summary` documents
 STATE_SCHEMA = "pgmcc.controller-state/v1"
 
@@ -114,9 +111,6 @@ class Controller(Protocol):
         ...
 
     def kick(self, clear_ignore: bool = False) -> None:  # pragma: no cover
-        ...
-
-    def params(self) -> dict:  # pragma: no cover - protocol
         ...
 
     def state_summary(self) -> dict:  # pragma: no cover - protocol
@@ -173,17 +167,6 @@ class WindowBackend:
         self.window.tokens = max(self.window.tokens, 1.0)
         if clear_ignore:
             self.window.ignore_acks = 0
-
-    def params(self) -> dict:
-        return {
-            "schema": PARAMS_SCHEMA,
-            "name": self.name,
-            "kind": self.kind,
-            "congestion_signals": list(self.congestion_signals),
-            "ssthresh": self.window.initial_ssthresh,
-            "adaptive_ssthresh": self.window.adaptive_ssthresh,
-            "max_tokens": self.window.max_tokens,
-        }
 
     def state_summary(self) -> dict:
         return {

@@ -46,12 +46,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .controller import (
-    PARAMS_SCHEMA,
-    STATE_SCHEMA,
-    WindowBackend,
-    register_controller,
-)
+from .controller import STATE_SCHEMA, WindowBackend, register_controller
 from .tfrc_loss import LossIntervalEstimator
 from .throughput_models import PadhyeModel
 from .window import WindowController
@@ -86,12 +81,6 @@ class JainController(WindowBackend):
         # ssthresh=1: no exponential opening phase — the scheme is pure
         # additive increase (one packet per window) from W = 1.
         super().__init__(_JainWindow(ssthresh=1, max_tokens=cc.max_tokens))
-
-    def params(self) -> dict:
-        doc = super().params()
-        doc["increase"] = "additive (1 per window)"
-        doc["decrease"] = "reset to 1 on timeout"
-        return doc
 
 
 # -- AIMD with tunable decrease factor ----------------------------------------
@@ -143,11 +132,6 @@ class AimdController(WindowBackend):
             max_tokens=cc.max_tokens,
             adaptive_ssthresh=cc.adaptive_ssthresh,
         ))
-
-    def params(self) -> dict:
-        doc = super().params()
-        doc["beta"] = self.window.beta
-        return doc
 
 
 # -- TFRC-equation rate controller --------------------------------------------
@@ -226,7 +210,6 @@ class TfrcController:
         self.intervals = LossIntervalEstimator()
         self.min_rate_pps = min_rate_pps
         self.max_rate_pps = max_rate_pps
-        self.initial_rate_pps = initial_rate_pps
         self.rtt_fallback = rtt_fallback
         self.bucket_cap = bucket_cap
         self.rate_pps = min(max(initial_rate_pps, min_rate_pps), max_rate_pps)
@@ -327,21 +310,6 @@ class TfrcController:
         self.rate_pps = min(self.max_rate_pps, max(self.min_rate_pps, rate))
 
     # -- documents ---------------------------------------------------------
-
-    def params(self) -> dict:
-        return {
-            "schema": PARAMS_SCHEMA,
-            "name": self.name,
-            "kind": self.kind,
-            "congestion_signals": list(self.congestion_signals),
-            "min_rate_pps": self.min_rate_pps,
-            "max_rate_pps": self.max_rate_pps,
-            "initial_rate_pps": self.initial_rate_pps,
-            "b": self.model.b,
-            "rto_rtts": self.model.rto_rtts,
-            "rtt_fallback": self.rtt_fallback,
-            "bucket_cap": self.bucket_cap,
-        }
 
     def state_summary(self) -> dict:
         return {

@@ -24,8 +24,8 @@ entries through the same call::
 
 Re-registering an id raises — the registry is process-global and a
 silent overwrite would poison sweep/digest reproducibility.
-``python -m repro.runner`` and ``python -m repro.sweep`` are the two
-ways to run what is registered here.
+``python -m repro.runner`` runs what is registered here, by id or
+through a sweep spec that names it.
 """
 
 from __future__ import annotations

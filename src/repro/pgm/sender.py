@@ -186,6 +186,7 @@ class PgmSender:
         self.odata_sent = 0
         self.rdata_sent = 0
         self.naks_received = 0
+        self.ncfs_sent = 0
         self.acks_received = 0
         self.bytes_sent = 0
         self.malformed_dropped = 0
@@ -345,6 +346,7 @@ class PgmSender:
         # exhausted its repair budget and its RDATA is skipped.
         ncf = Ncf(self.tsi, nak.seq)
         self.host.send(Packet(self.host.name, self.group, 64, ncf, C.PROTO))
+        self.ncfs_sent += 1
         if nak.fake or not self.reliable or not allow_repair:
             return
         for seq in nak.all_seqs():

@@ -183,8 +183,8 @@ class PgmSession:
         ``phases``, ``repair_latency`` and ``stall_duration`` come from
         the registry's push instruments.  The key set is stable —
         documented in docs/API.md — and only grows within a schema
-        major: v2 is v1 plus the ``recovery`` block and
-        ``stall_duration``, every v1 key intact.
+        major: v2 is v1 plus the ``recovery`` block, ``stall_duration``
+        and ``ncfs_sent``, every v1 key intact.
         """
         controller = self.sender.controller
         watchdog = self.sender.watchdog
@@ -227,6 +227,7 @@ class PgmSession:
             "bytes_sent": self.sender.bytes_sent,
             "acks_received": self.sender.acks_received,
             "naks_received": self.sender.naks_received,
+            "ncfs_sent": self.sender.ncfs_sent,
             "nak_origins": dict(self.sender.nak_origins),
             "acker": self.sender.current_acker,
             "acker_switches": self.acker_switches,

@@ -13,7 +13,8 @@ across cores.  This package provides:
   (experiment, kwargs, source fingerprint), shared between runner
   and sweep invocations;
 * run manifests (``pgmcc.run-manifest/v2``);
-* the ``python -m repro.runner`` CLI.
+* the ``python -m repro.runner`` CLI, over experiment ids or one
+  ``repro.sweep`` spec file.
 
 See ``docs/API.md`` for the task model, cache key, and schemas.
 """

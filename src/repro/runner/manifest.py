@@ -20,8 +20,9 @@ from ..experiments.common import canonical_json
 from .tasks import TaskOutcome
 
 #: v2: additive — an optional top-level ``sweep`` block (the declarative
-#: spec a sweep run expanded from, plus each task's axis assignment);
-#: every v1 key is unchanged and non-sweep manifests omit the block.
+#: spec a sweep run expanded from, each task's axis assignment and the
+#: sweep report's deterministic sections); every v1 key is unchanged
+#: and non-sweep manifests omit the block.
 MANIFEST_SCHEMA = "pgmcc.run-manifest/v2"
 
 

@@ -207,6 +207,7 @@ class Orchestrator:
         declarative spec this task list was expanded from (attached
         verbatim by ``repro.sweep``)."""
         started = time.perf_counter()
+        run_id = run_id or time.strftime("run-%Y%m%d-%H%M%S")
         # before any fork: the digest describes the tree workers inherit
         source = (self.cache.source_digest() if self.cache is not None
                   else source_fingerprint())
@@ -244,7 +245,7 @@ class Orchestrator:
         wall = time.perf_counter() - started
         return build_manifest(
             self.outcomes,
-            run_id=run_id or time.strftime("run-%Y%m%d-%H%M%S"),
+            run_id=run_id,
             scale=self.scale, jobs=self.jobs,
             cache_enabled=self.cache is not None,
             source_digest=source, wall_s=wall, sweep=sweep)

@@ -14,9 +14,10 @@ Library use::
     run = sweep("examples/sweeps/arena_matrix.toml", jobs=4, scale=0.05)
     print(run.report["ranked"])
 
-CLI use::
+The command line is the runner's: a spec file in place of experiment
+ids runs it, ``--list`` prints its expanded tasks::
 
-    python -m repro.sweep run examples/sweeps/arena_matrix.toml -j auto
+    python -m repro.runner examples/sweeps/arena_matrix.toml -j auto
 """
 
 from .aggregate import SweepCell, axis_deltas, ranked_rows

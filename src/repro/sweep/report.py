@@ -5,8 +5,9 @@ The report splits, like the run manifest, into *what was computed*
 deltas, ranked table, custom aggregate) and *how this run went* (cache
 hits, wall times).  ``report_digest`` covers only the first group, so
 the same spec at the same scale yields a byte-identical digest whether
-it ran ``-j1``, ``-jN`` or entirely from cache — that equality is
-asserted in CI.
+it ran ``-j1``, ``-jN`` or entirely from cache (``tests/sweep``
+asserts that equality).  The deterministic sections also ride in the
+run manifest's ``sweep`` block (see :mod:`repro.sweep.run`).
 """
 
 from __future__ import annotations

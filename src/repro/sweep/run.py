@@ -4,7 +4,9 @@ One call takes a spec (a :class:`SweepSpec`, a plain dict, or a path
 to a ``.toml``/``.json`` file), expands it, runs the cells through the
 :class:`~repro.runner.orchestrator.Orchestrator` (cache, worker
 isolation, retries included), and returns a :class:`SweepRun` bundling
-the manifest, the joined cells and the typed report.
+the manifest, the joined cells and the typed report.  The manifest's
+``sweep`` block holds the report's deterministic sections, so the
+manifest alone records what the sweep computed.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from .report import build_report
 from .spec import SweepSpec, load_spec, spec_from_dict
 
 __all__ = ["SweepRun", "sweep"]
+
+#: the report's deterministic sections the manifest's ``sweep`` block
+#: carries next to the spec and the task axes (``aggregate`` only when
+#: the spec names a hook)
+MANIFEST_SECTIONS = ("metrics", "axis_deltas", "ranked", "aggregate")
 
 
 @dataclass
@@ -90,5 +97,7 @@ def sweep(spec: Union[SweepSpec, dict, str, Path], *,
                "tasks": {task.id: task.axes_dict for task in tasks}})
     cells = collect_cells(tasks, orch.outcomes)
     report = build_report(spec, cells, manifest)
+    manifest["sweep"].update(
+        (key, report[key]) for key in MANIFEST_SECTIONS if key in report)
     return SweepRun(spec=spec, tasks=tasks, cells=cells,
                     manifest=manifest, report=report)

@@ -2,8 +2,8 @@
 
 A :class:`SweepSpec` declares *what to compare* — one registered
 experiment, a set of axes with candidate values, an expansion mode —
-and nothing about *how to run it* (jobs, caching, report paths are
-CLI/library concerns).  The spec is frozen and canonically
+and nothing about *how to run it* (jobs and caching are the runner's
+and the library caller's concerns).  The spec is frozen and canonically
 serializable, so it can ride inside run manifests and sweep reports
 and participate in digests.
 

@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.controller import (
     KINDS,
-    PARAMS_SCHEMA,
     STATE_SCHEMA,
     Controller,
     controller_names,
@@ -79,17 +78,13 @@ def test_window_view_surface(name):
 
 
 @pytest.mark.parametrize("name", ALL)
-def test_params_and_state_are_serializable_documents(name):
+def test_state_is_a_serializable_document(name):
     ctl = fresh(name)
-    params = ctl.params()
     state = ctl.state_summary()
-    assert params["schema"] == PARAMS_SCHEMA
     assert state["schema"] == STATE_SCHEMA
-    for doc in (params, state):
-        assert doc["name"] == name
-        assert doc["kind"] == ctl.kind
-        round_tripped = json.loads(json.dumps(doc, sort_keys=True))
-        assert round_tripped == doc
+    assert state["name"] == name
+    assert state["kind"] == ctl.kind
+    assert json.loads(json.dumps(state, sort_keys=True)) == state
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -222,7 +217,7 @@ def test_duplicate_registration_rejected():
 
 def test_backend_params_forwarded():
     ctl = make_controller("aimd", CcConfig(), beta=0.9)
-    assert ctl.params()["beta"] == 0.9
+    assert ctl.window.beta == 0.9
     with pytest.raises(ValueError):
         make_controller("aimd", CcConfig(), beta=1.5)
 

@@ -94,25 +94,24 @@ def test_documented_cli_flags_exist():
 
 
 def test_documented_entry_points_exist():
-    """Every ``python -m repro.<mod>`` the docs name can be run that
-    way and every ``pgmcc-<name>`` is an installed console script, so a
-    deleted front door cannot live on in the docs."""
+    """The repo has one front door: ``repro.runner`` is the only
+    ``python -m repro.<mod>`` the docs name and ``pgmcc-runner`` the
+    only console script, both of them real, so a deleted front door
+    cannot live on in the docs."""
     text = "\n".join(doc.read_text()
                      for doc in check_docs.iter_markdown(ROOT))
     modules = set(re.findall(r"python3?\s+-m\s+(repro(?:\.\w+)*)", text))
     scripts = set(re.findall(r"`(pgmcc-[a-z]+)\b", text))
-    assert "repro.runner" in modules and "pgmcc-sweep" in scripts
+    assert modules == {"repro.runner"}
+    assert scripts == {"pgmcc-runner"}
 
-    def runnable(name: str) -> bool:
-        path = ROOT / "src" / Path(*name.split("."))
-        module = path.with_suffix(".py")
-        return ((path / "__main__.py").is_file() or module.is_file()
-                and 'if __name__ == "__main__"' in module.read_text())
-
+    runnable = {path.parent.relative_to(ROOT / "src").as_posix()
+                .replace("/", ".")
+                for path in (ROOT / "src" / "repro").rglob("__main__.py")}
     installed = set(re.findall(r"^(pgmcc-[a-z]+) = ",
                                (ROOT / "pyproject.toml").read_text(), re.M))
-    assert sorted(m for m in modules if not runnable(m)) == []
-    assert sorted(scripts - installed) == []
+    assert runnable == modules
+    assert installed == scripts
 
 
 @pytest.mark.parametrize(

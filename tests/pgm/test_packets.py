@@ -1,4 +1,8 @@
-"""EXP-F1 — byte-level round-trips of the Fig. 1 packet formats."""
+"""EXP-F1 — byte-level round-trips of the Fig. 1 packet formats, and
+``decode``'s contract on hostile bytes."""
+
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -173,3 +177,83 @@ class TestPropertyRoundTrips:
         assert back.ack_seq == ack_seq
         assert back.bitmask == bitmap
         assert back.report.rx_id == report.rx_id
+
+
+#: a valid message of each kind, the seed every mutant starts from
+MESSAGES = {
+    "spm": st.builds(Spm, tsis, seqs, seqs, seqs, rx_ids),
+    "odata": st.builds(OData, tsis, seqs, seqs,
+                       st.integers(min_value=0, max_value=9000),
+                       timestamp=st.floats(min_value=0, max_value=1e6),
+                       acker_id=st.one_of(st.none(), rx_ids),
+                       elicit_nak=st.booleans(),
+                       payload=st.binary(max_size=32)),
+    "rdata": st.builds(RData, tsis, seqs, seqs,
+                       st.integers(min_value=0, max_value=9000),
+                       timestamp=st.floats(min_value=0, max_value=1e6),
+                       payload=st.binary(max_size=32)),
+    "nak": st.builds(Nak, tsis, seqs, reports(), st.booleans(),
+                     st.lists(seqs, max_size=5).map(tuple)),
+    "ncf": st.builds(Ncf, tsis, seqs),
+    "ack": st.builds(Ack, tsis, seqs, seqs, reports()),
+}
+
+_CRC_AT = C.HEADER_SIZE - 4
+
+
+def reseal(data: bytes) -> bytes:
+    """Stamp the checksum ``data`` would carry if it had been packed,
+    so a mutant gets past the CRC and into the field decoders."""
+    if len(data) < C.HEADER_SIZE:
+        return data
+    zeroed = data[:_CRC_AT] + bytes(4) + data[C.HEADER_SIZE:]
+    return (zeroed[:_CRC_AT] + struct.pack("!I", zlib.crc32(zeroed))
+            + zeroed[C.HEADER_SIZE:])
+
+
+@st.composite
+def mutants(draw, kind: str) -> bytes:
+    """A packed ``kind`` message after one to three byte-level edits:
+    a bit flipped, a byte overwritten, the tail cut off or extended."""
+    data = bytearray(draw(MESSAGES[kind]).pack())
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        edit = draw(st.sampled_from(("flip", "overwrite", "cut", "extend")))
+        if edit == "extend" or not data:
+            data += draw(st.binary(min_size=1, max_size=16))
+            continue
+        at = draw(st.integers(min_value=0, max_value=len(data) - 1))
+        if edit == "flip":
+            data[at] ^= 1 << draw(st.integers(min_value=0, max_value=7))
+        elif edit == "overwrite":
+            data[at] = draw(st.integers(min_value=0, max_value=255))
+        else:
+            del data[at:]
+    return reseal(bytes(data))
+
+
+class TestHostileBytes:
+    """``decode``'s documented contract: whatever the bytes, it returns
+    a message or raises ``ValueError`` — never another exception, and
+    never a message that cannot be packed and decoded again."""
+
+    @pytest.mark.parametrize("kind", sorted(MESSAGES))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_mutant_decodes_to_a_message_or_raises_value_error(self, kind,
+                                                                 data):
+        raw = data.draw(mutants(kind))
+        try:
+            msg = decode(raw)
+        except ValueError:
+            return
+        assert type(decode(msg.pack())) is type(msg)
+
+    def test_reseal_reaches_the_field_decoders(self):
+        """The oracle's premise: a resealed mutant passes the CRC, so a
+        rejection comes from a field decoder, not the checksum."""
+        raw = bytearray(Ncf(9, 1).pack())
+        del raw[-1]  # a 3-byte NCF body: the CRC alone would catch it
+        with pytest.raises(ValueError, match="checksum"):
+            decode(bytes(raw))
+        with pytest.raises(ValueError, match="malformed"):
+            decode(reseal(bytes(raw)))

@@ -29,7 +29,7 @@ RECEIVER_V1_KEYS = {
 }
 
 #: keys v2 adds on top of v1.
-SUMMARY_V2_NEW_KEYS = {"stall_duration", "recovery"}
+SUMMARY_V2_NEW_KEYS = {"stall_duration", "recovery", "ncfs_sent"}
 
 RECEIVER_V2_NEW_KEYS = {"resyncs"}
 
@@ -320,6 +320,17 @@ class TestSummarySchema:
         assert set(recovery) == RECOVERY_KEYS
         assert recovery["watchdog"] is True
         assert recovery["state"] == "normal"
+        session.close()
+
+    def test_the_source_confirms_every_nak_it_receives(self):
+        """One multicast NCF per NAK reaching the source: the count the
+        join-time storm is measured by."""
+        net = star(4, LOSSY, seed=3)
+        session = create_session(net, "src", ["r0", "r1", "r2", "r3"])
+        net.run(until=10.0)
+        summary = session.summary()
+        assert summary["naks_received"] > 0
+        assert summary["ncfs_sent"] == summary["naks_received"]
         session.close()
 
     def test_summary_round_trips_through_json(self):
