@@ -50,12 +50,12 @@ def render_time_seq(
     """
     if mark_kinds is None:
         mark_kinds = {"nak": "o", "acker-switch": "|"}
-    records = [r for r in trace.records if t0 <= r.time < t1]
-    data = [r for r in records if r.kind in data_kinds]
-    if not data:
+    window = trace.between(t0, t1)
+    seqs = [r.seq for r in window if r.kind in data_kinds]
+    if not seqs:
         return "(no data records in window)"
-    seq_min = min(r.seq for r in data)
-    seq_max = max(r.seq for r in data)
+    seq_min = min(seqs)
+    seq_max = max(seqs)
     seq_span = max(seq_max - seq_min, 1)
     span = t1 - t0
 
@@ -66,12 +66,11 @@ def render_time_seq(
         y = min(height - 1, int(height * (seq - seq_min) / seq_span))
         grid[height - 1 - y][x] = glyph
 
-    for r in data:
-        put(r.time, r.seq, ".")
+    for r in window:
+        if r.kind in data_kinds:
+            put(r.time, r.seq, ".")
     for kind, glyph in mark_kinds.items():
-        for r in records:
-            if r.kind != kind:
-                continue
+        for r in window.of_kind(kind):
             if glyph == "|":
                 x = min(width - 1, int(width * (r.time - t0) / span))
                 for row in grid:

@@ -44,8 +44,8 @@ def bandwidth_series(
     n_bins = max(1, int(round((t1 - t0) / bin_width)))
     bits = [0] * n_bins
     wanted = set(kinds)
-    for record in trace.records:
-        if record.kind not in wanted or not t0 <= record.time < t1:
+    for record in trace.between(t0, t1):
+        if record.kind not in wanted:
             continue
         index = min(n_bins - 1, int((record.time - t0) / bin_width))
         bits[index] += record.nbytes * 8
@@ -83,7 +83,7 @@ def cumulative_bytes(trace: FlowTrace, kinds: tuple[str, ...] = ("data",)) -> li
     wanted = set(kinds)
     total = 0
     series = []
-    for record in trace.records:
+    for record in trace:
         if record.kind in wanted:
             total += record.nbytes
             series.append((record.time, total))

@@ -198,7 +198,7 @@ def run_churn(scale: float = 1.0, seed: int = 73, n_receivers: int = 8,
 
 
 def _longest_data_gap(trace, t0: float, t1: float) -> float:
-    times = [r.time for r in trace.records if r.kind == "data" and t0 <= r.time < t1]
+    times = trace.between(t0, t1).times("data")
     if len(times) < 2:
         return t1 - t0
     return max(b - a for a, b in zip(times, times[1:]))

@@ -49,9 +49,12 @@ class TestRenderTimeSeq:
         assert body[0].rstrip()[-1] == "."
 
     def test_mark_overlays(self):
-        trace = steady_trace()
-        trace.log(10.0, "nak", 100)
-        trace.log(15.0, "acker-switch", 0)
+        marks = {100: ("nak", 100), 150: ("acker-switch", 0)}
+        trace = FlowTrace()
+        for i in range(200):  # steady_trace() with marks at 10 s and 15 s
+            trace.log(i / 10, "data", i, 1000)
+            if i in marks:
+                trace.log(i / 10, *marks[i])
         out = render_time_seq(trace, 0, 20, width=40, height=10)
         assert "o" in out
         assert "|" in out

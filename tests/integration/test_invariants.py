@@ -4,6 +4,8 @@ These are the properties a downstream user relies on implicitly; they
 are checked over full protocol runs, not synthetic inputs.
 """
 
+from itertools import islice
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,7 +61,7 @@ class TestDeterminism:
             session.acker_switches,
             tcp.sender.segments_sent,
             tcp.sender.retransmissions,
-            tuple(session.trace.records[:50]),
+            tuple(islice(session.trace, 50)),
         )
         session.close()
         tcp.close()

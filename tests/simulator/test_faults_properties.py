@@ -101,7 +101,7 @@ def run_traced(plan: FaultPlan, seed: int) -> bytes:
     net = dumbbell(1, 2, BOTTLENECK, seed=seed)
     session = create_session(net, "h0", ["r0", "r1"], faults=plan)
     net.run(until=10.0)
-    payload = "\n".join(repr(r) for r in session.trace.records)
+    payload = "\n".join(repr(r) for r in session.trace)
     return payload.encode()
 
 

@@ -122,7 +122,7 @@ class TestDeterminism:
             session = create_session(
                 net, "h0", ["r0", "r1"], faults=FaultPlan((episode,)))
             net.run(until=6.0)
-            trace = "\n".join(repr(r) for r in session.trace.records)
+            trace = "\n".join(repr(r) for r in session.trace)
             session.close()
             return trace
 
