@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import inspect
 import json
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -210,11 +211,11 @@ class ExperimentSpec:
     (some experiments run at half duration in the full report).
 
     ``params`` is the experiment's declared parameter schema
-    (:class:`ParamSpec` rows).  An empty schema means *undeclared* —
-    anything goes, for back compatibility; a non-empty schema is
-    enforced by :meth:`validate_kwargs` before any worker starts, and
-    is part of the result-cache fingerprint (a schema change
-    invalidates stale cached results).
+    (:class:`ParamSpec` rows), enforced by :meth:`validate_kwargs`
+    before any worker starts and part of the result-cache fingerprint
+    (a schema change invalidates stale cached results).  With no
+    declared schema the signature of the function the spec names is
+    the schema for names.
     """
 
     id: str
@@ -226,7 +227,7 @@ class ExperimentSpec:
     #: spec stays hashable; values must be picklable
     kwargs: tuple[tuple[str, Any], ...] = ()
     description: str = ""
-    #: declared parameter schema (empty = undeclared, permissive)
+    #: declared parameter schema (empty: the function's signature)
     params: tuple[ParamSpec, ...] = ()
     #: hidden specs are resolvable by id (sweep cells) but excluded
     #: from the default full-registry report/sweep
@@ -250,24 +251,30 @@ class ExperimentSpec:
         return None
 
     def validate_kwargs(self, kwargs: dict[str, Any]) -> None:
-        """Check ``kwargs`` against the declared schema.
+        """Check ``kwargs`` against the schema.
 
         Raises ``TypeError`` for unknown names or type mismatches and
-        ``ValueError`` for out-of-range/out-of-choices values.  A spec
-        with no declared schema accepts anything (``scale`` is still
-        type-checked — every experiment takes it).
+        ``ValueError`` for out-of-range/out-of-choices values.  With no
+        declared schema a name must be one the spec's function takes
+        (imported only then; ``**kwargs`` takes any), and ``scale`` is
+        still type-checked — every experiment takes it.
         """
-        declared = {p.name for p in self.params}
         for name, value in kwargs.items():
             spec = self.param(name)
-            if spec is None:
-                if not declared:
-                    continue  # undeclared schema: permissive
-                known = ", ".join(sorted(declared | {"scale"}))
-                raise TypeError(
-                    f"{self.id}: unknown parameter {name!r} "
-                    f"(declared: {known})")
-            spec.check(value, where=f"{self.id}: ")
+            if spec is not None:
+                spec.check(value, where=f"{self.id}: ")
+                continue
+            known = {p.name for p in self.params}
+            if not known:
+                params = inspect.signature(self.resolve()).parameters
+                known = {n for n, p in params.items()
+                         if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)}
+                if name in known or any(p.kind is p.VAR_KEYWORD
+                                        for p in params.values()):
+                    continue
+            raise TypeError(
+                f"{self.id}: unknown parameter {name!r}, not in its schema "
+                f"(takes: {', '.join(sorted(known | {'scale'}))})")
 
     def schema_doc(self) -> list[dict[str, Any]]:
         """The declared schema as JSON-safe rows (``scale`` included),

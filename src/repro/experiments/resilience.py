@@ -59,6 +59,7 @@ from ..simulator import (
     FaultPlan,
     NodeCrash,
     Partition,
+    Timer,
     dumbbell,
 )
 from .common import ExperimentResult
@@ -110,21 +111,27 @@ class DeliverySampler:
 
     Scheduled like any other event, so the sample series — and every
     metric derived from it — is deterministic for a ``(seed, plan)``
-    pair regardless of host timing or worker count.
+    pair regardless of host timing or worker count.  A session probe:
+    ``session.close()`` stops it and leaves the heap drainable.
     """
 
-    def __init__(self, sim, receivers, dt: float = SAMPLE_DT):
-        self.sim = sim
-        self.receivers = receivers
+    def __init__(self, session, dt: float = SAMPLE_DT):
+        self.sim = session.network.sim
+        self.receivers = session.receivers
         self.dt = dt
         #: [(t, total delivered at t), ...] from t=0
         self.samples: list[tuple[float, int]] = []
+        self._timer = Timer(self.sim, self._tick)
+        session.metrics.add_probe(self)
         self._tick()
 
     def _tick(self) -> None:
         self.samples.append(
             (self.sim.now, sum(rx.delivered for rx in self.receivers)))
-        self.sim.schedule(self.dt, self._tick)
+        self._timer.restart(self.dt)
+
+    def stop(self) -> None:
+        self._timer.cancel()
 
     def rates(self) -> list[tuple[float, float, float]]:
         """Per-bin delivery rates: ``[(t_start, t_end, pkts/s), ...]``."""
@@ -211,7 +218,7 @@ def run_bout(controller: str, scenario: str, duration: float,
             check_invariants=True, strict_invariants=True,
         ),
     )
-    sampler = DeliverySampler(net.sim, session.receivers)
+    sampler = DeliverySampler(session)
     backend_kind = session.sender.controller.backend.kind
     net.run(until=duration)
     session.invariants.verify_now()

@@ -29,18 +29,19 @@ State machine (see DESIGN.md §8 for the timer diagram)::
     DEGRADED --NAK arrives-->  SUSPECT   (feedback path back, re-elect)
     any      --ACK arrives-->  NORMAL    (records time-to-recover)
 
-Every transition is appended to :attr:`LivenessWatchdog.transitions`
-and traced by the owning sender; the degraded phase is a telemetry
-span (``degraded``), so degraded residence time lands in
-``summary()["phases"]`` and the session-metrics export.
+Each transition is one ``liveness-<state>`` record in the sender's log
+and nothing else: transitions, degraded time (the ``degraded`` phase)
+and time-to-recover samples are read off it by
+:func:`repro.pgm.telemetry.read_log`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from ..simulator.engine import Timer
+from ..simulator.trace import FlowTrace
 
 #: watchdog states
 NORMAL = "normal"
@@ -100,10 +101,8 @@ class LivenessWatchdog:
         on_probe: called once per degraded-mode probe interval and on
             every demotion; the transport should push an elicit-marked
             packet out (the sender's ``_liveness_probe``).
-        spans: the :class:`~repro.telemetry.registry.SpanTracker`
-            receiving the ``degraded`` span.
-        on_transition: optional ``fn(old, new, reason)`` observer
-            (the sender's trace hook).
+        trace: the log the transitions are written into (the
+            sender's); a private one when not given.
     """
 
     def __init__(
@@ -112,35 +111,24 @@ class LivenessWatchdog:
         controller,
         config: Optional[LivenessConfig] = None,
         on_probe: Optional[Callable[[], None]] = None,
-        spans=None,
-        on_transition: Optional[Callable[[str, str, str], None]] = None,
+        trace: Optional[FlowTrace] = None,
     ):
         self.sim = sim
         self.controller = controller
         self.config = config or LivenessConfig()
         self.on_probe = on_probe
-        self.spans = spans
-        self.on_transition = on_transition
+        self.trace = trace if trace is not None else FlowTrace()
         self.state = NORMAL
         self.closed = False
         self._timer = Timer(sim, self._on_timeout)
         self._probe_timer = Timer(sim, self._degraded_probe)
         #: demotions this suspicion episode (resets on recovery)
         self._episode_demotions = 0
-        self._suspect_since: Optional[float] = None
-        self._degraded_since: Optional[float] = None
-        self._degraded_accum = 0.0
         self.repair_budget_left = self.config.degraded_repair_budget
-        # counters / audit log
         self.demotions = 0
         self.degraded_entries = 0
         self.probes_sent = 0
         self.repairs_blocked = 0
-        #: recovery times: seconds from first suspicion to the ACK that
-        #: ended the episode.
-        self.ttr_samples: List[float] = []
-        #: (time, old_state, new_state, reason) audit log
-        self.transitions: List[Tuple[float, str, str, str]] = []
 
     # -- introspection -----------------------------------------------------
 
@@ -148,30 +136,15 @@ class LivenessWatchdog:
     def degraded(self) -> bool:
         return self.state == DEGRADED
 
-    @property
-    def ttr_last_s(self) -> float:
-        """Most recent time-to-recover (0.0 before any recovery)."""
-        return self.ttr_samples[-1] if self.ttr_samples else 0.0
-
-    @property
-    def degraded_time_s(self) -> float:
-        """Total degraded-mode residence time, live span included."""
-        total = self._degraded_accum
-        if self._degraded_since is not None:
-            total += self.sim.now - self._degraded_since
-        return total
-
     def summary(self) -> dict:
-        """The ``recovery`` block for ``session.summary()`` (v2)."""
+        """State and counters for ``session.summary()["recovery"]``
+        (the block's degraded time and TTRs are read off the log)."""
         return {
             "state": self.state,
             "demotions": self.demotions,
             "degraded_entries": self.degraded_entries,
-            "degraded_time_s": self.degraded_time_s,
             "probes_sent": self.probes_sent,
             "repairs_blocked": self.repairs_blocked,
-            "ttr_last_s": self.ttr_last_s,
-            "ttr_samples": list(self.ttr_samples),
         }
 
     # -- controller hooks --------------------------------------------------
@@ -188,12 +161,8 @@ class LivenessWatchdog:
         if self.closed:
             return
         if self.state != NORMAL:
-            if self._suspect_since is not None:
-                self.ttr_samples.append(self.sim.now - self._suspect_since)
-            if self.state == DEGRADED:
-                self._leave_degraded()
-            self._transition(NORMAL, "ack")
-            self._suspect_since = None
+            self._probe_timer.cancel()  # armed only while degraded
+            self._transition(NORMAL)
             self._episode_demotions = 0
         self._timer.restart(self._timeout())
 
@@ -204,8 +173,8 @@ class LivenessWatchdog:
         work again."""
         if self.closed or self.state != DEGRADED:
             return
-        self._leave_degraded()
-        self._transition(SUSPECT, "nak")
+        self._probe_timer.cancel()
+        self._transition(SUSPECT)
         self._timer.restart(self._timeout())
 
     # -- timers ------------------------------------------------------------
@@ -233,8 +202,7 @@ class LivenessWatchdog:
             # the next transmission re-arms us.
             return
         if self.state == NORMAL:
-            self._suspect_since = self.sim.now
-            self._transition(SUSPECT, "ack-timeout")
+            self._transition(SUSPECT)
             self._demote()
         elif self._episode_demotions >= self.config.max_demotions:
             self._enter_degraded()
@@ -251,25 +219,14 @@ class LivenessWatchdog:
             self.on_probe()
 
     def _enter_degraded(self) -> None:
-        self._transition(DEGRADED, "demotions-exhausted")
+        self._transition(DEGRADED)
         self.degraded_entries += 1
-        self._degraded_since = self.sim.now
-        if self.spans is not None:
-            self.spans.begin("degraded", self.sim.now)
         self.repair_budget_left = self.config.degraded_repair_budget
         # One controlled W=T=1 restart (counted in controller.restarts
         # so the invariant checker resyncs), then rate-floor probing.
         self.controller.degraded_restart()
         self._timer.cancel()
         self._probe_timer.restart(self.config.degraded_interval)
-
-    def _leave_degraded(self) -> None:
-        if self._degraded_since is not None:
-            self._degraded_accum += self.sim.now - self._degraded_since
-            self._degraded_since = None
-        if self.spans is not None:
-            self.spans.end("degraded", self.sim.now)
-        self._probe_timer.cancel()
 
     def _degraded_probe(self) -> None:
         if self.closed or self.state != DEGRADED:
@@ -298,16 +255,12 @@ class LivenessWatchdog:
         self.closed = True
         self._timer.cancel()
         self._probe_timer.cancel()
-        if self._degraded_since is not None:
-            self._degraded_accum += self.sim.now - self._degraded_since
-            self._degraded_since = None
 
-    def _transition(self, new: str, reason: str) -> None:
-        old = self.state
+    def _transition(self, new: str) -> None:
         self.state = new
-        self.transitions.append((self.sim.now, old, new, reason))
-        if self.on_transition is not None:
-            self.on_transition(old, new, reason)
+        # seq: the next ODATA sequence, as on the sender's own records
+        self.trace.log(self.sim.now, f"liveness-{new}",
+                       self.controller.last_tx_seq + 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

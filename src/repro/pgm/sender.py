@@ -17,7 +17,6 @@ from typing import Callable, Optional, Protocol
 
 from ..core.sender_cc import CcConfig, SenderController
 from ..simulator.engine import Timer
-from ..telemetry.registry import MetricsRegistry
 from ..simulator.node import Host
 from ..simulator.packet import Packet
 from ..simulator.trace import FlowTrace
@@ -124,7 +123,6 @@ class PgmSender:
         spm_ivl: float = C.SPM_IVL,
         payload_size: int = C.DEFAULT_PAYLOAD,
         guard: Optional[FeedbackGuard] = None,
-        telemetry=None,
     ):
         self.host = host
         self.sim = host.sim
@@ -132,8 +130,10 @@ class PgmSender:
         self.tsi = tsi
         self.source = source if source is not None else BulkSource(payload_size)
         self.reliable = reliable
-        #: "data"/"rdata"/"nak"/"ack"/"acker-switch"/"cc-loss"/"stall"
-        #: records
+        #: the one record of every protocol edge (pgm.telemetry.read_log):
+        #: "start"/"close", "data"/"rdata", "nak", "ack" (nbytes 1: clean,
+        #: new data acked and no loss reaction), "window", "cc-loss",
+        #: "stall", "acker-switch"/"acker-evict", watchdog "liveness-*"
         self.trace = FlowTrace()
         self.on_token = on_token
         if (cc is not None and not cc.enabled) and max_rate_bps is None:
@@ -160,14 +160,6 @@ class PgmSender:
         self._pump_timer = Timer(self.sim, self._pump)
         self._started = False
         self._closed = False
-        # A sender built without a session keeps its own registry.
-        registry = telemetry if telemetry is not None else MetricsRegistry()
-        #: protocol-phase spans (slow start, loss recovery, stall)
-        self._spans = registry.spans
-        #: stall durations (stall restart -> next clean ACK); the p99
-        #: the resilience experiments report.
-        self._stall_hist = registry.histogram("stall.duration_s")
-        self._stall_began: Optional[float] = None
         #: optional acker-liveness watchdog (cc.liveness, DESIGN.md §8)
         self.watchdog: Optional[LivenessWatchdog] = None
         cc_config = self.controller.config
@@ -177,8 +169,7 @@ class PgmSender:
                 self.controller,
                 LivenessConfig(**dict(cc_config.liveness_params)),
                 on_probe=self._liveness_probe,
-                spans=self._spans,
-                on_transition=self._log_liveness,
+                trace=self.trace,
             )
             self.controller.attach_watchdog(self.watchdog)
         # statistics
@@ -204,7 +195,7 @@ class PgmSender:
         if self._started:
             raise RuntimeError("sender already started")
         self._started = True
-        self._spans.begin("slow_start", self.sim.now)
+        self.trace.log(self.sim.now, "start", self.next_seq)
         self._send_spm()
         self._pump()
 
@@ -213,7 +204,7 @@ class PgmSender:
         self._spm_timer.cancel()
         self._pump_timer.cancel()
         self.controller.close()
-        self._spans.close_all(self.sim.now)
+        self.trace.log(self.sim.now, "close", self.next_seq)
 
     # -- transmit pump -----------------------------------------------------------
 
@@ -333,12 +324,8 @@ class PgmSender:
             allow_repair = not verdict.drop
             if not allow_control:
                 self.guard_naks_blocked += 1
-        if allow_control:
-            before = self.controller.current_acker
-            switched = self.controller.on_nak(nak.report)
-            if switched:
-                self.trace.log(self.sim.now, "acker-switch", nak.seq)
-                self._log_switch(before, self.controller.current_acker)
+        if allow_control and self.controller.on_nak(nak.report):
+            self.trace.log(self.sim.now, "acker-switch", nak.seq)
         # Confirm the NAK downstream so other receivers suppress
         # theirs.  Repairs flow even for quarantined receivers —
         # quarantine removes control influence, never reliability —
@@ -359,12 +346,6 @@ class PgmSender:
             evicted = self.controller.evict_acker()
             if evicted is not None:
                 self.trace.log(self.sim.now, "acker-evict", self.next_seq)
-
-    def _log_switch(self, old: Optional[str], new: Optional[str]) -> None:
-        # One span per acker reign: each switch closes the previous
-        # reign (no-op on the first election) and opens the next.
-        self._spans.end("acker_reign", self.sim.now)
-        self._spans.begin("acker_reign", self.sim.now)
 
     def _maybe_repair(self, seq: int) -> None:
         entry = self._tx_window.get(seq)
@@ -418,23 +399,14 @@ class PgmSender:
                 self.guard_acks_blocked += 1
                 return
         digest = self.controller.on_ack(ack.ack_seq, ack.bitmask, ack.report)
-        self.trace.log(self.sim.now, "ack", ack.ack_seq)
+        clean = not digest.reacted and len(digest.newly_acked) > 0
+        self.trace.log(self.sim.now, "ack", ack.ack_seq, int(clean))
         if digest.reacted or self.acks_received % self.WINDOW_SAMPLE_EVERY == 0:
             self.trace.log(
                 self.sim.now, "window", int(self.controller.window.w * 100)
             )
         if digest.reacted:
             self.trace.log(self.sim.now, "cc-loss", ack.ack_seq)
-            # First loss reaction ends slow start; every reaction opens
-            # (or restarts) a recovery phase that the next clean ACK ends.
-            self._spans.end("slow_start", self.sim.now)
-            self._spans.begin("loss_recovery", self.sim.now)
-        elif digest.newly_acked:
-            self._spans.end("loss_recovery", self.sim.now)
-            self._spans.end("stall", self.sim.now)
-            if self._stall_began is not None:
-                self._stall_hist.observe(self.sim.now - self._stall_began)
-                self._stall_began = None
         self._pump()
 
     # -- SPM heartbeat ------------------------------------------------------
@@ -450,9 +422,6 @@ class PgmSender:
 
     def _log_stall(self) -> None:
         self.trace.log(self.sim.now, "stall", self.next_seq)
-        self._spans.begin("stall", self.sim.now)
-        if self._stall_began is None:
-            self._stall_began = self.sim.now
 
     # -- liveness watchdog ---------------------------------------------------
 
@@ -467,9 +436,6 @@ class PgmSender:
         if not self.controller.backend.can_send:
             self.controller.backend.kick()
         self._pump()
-
-    def _log_liveness(self, old: str, new: str, reason: str) -> None:
-        self.trace.log(self.sim.now, f"liveness-{new}", self.next_seq)
 
     # -- introspection -----------------------------------------------------
 

@@ -18,7 +18,8 @@ override any ``config`` fields.  New code should construct a
 
 Every session owns a telemetry registry (``session.metrics``,
 :mod:`repro.telemetry`): pull-bindings over the protocol counters, a
-sim-clock sampling probe and the sender's phase spans, exported as a
+sim-clock sampling probe and a view over the sender's log (its phase
+spans, stall histogram and liveness gauges), exported as a
 ``pgmcc.session-metrics/v1`` document.
 """
 
@@ -40,7 +41,7 @@ from .invariants import InvariantChecker
 from .network_element import PgmNetworkElement
 from .receiver import PgmReceiver
 from .sender import DataSource, PgmSender
-from .telemetry import bind_session_metrics
+from .telemetry import bind_session_metrics, read_log
 
 #: schema tag on :meth:`PgmSession.summary` documents.  v2 adds the
 #: ``recovery`` block (liveness watchdog, resyncs, TTR) and the
@@ -180,15 +181,16 @@ class PgmSession:
         The scalar keys read the same live counters the session's
         metric bindings sample (see :mod:`repro.pgm.telemetry`), so a
         summary agrees with a simultaneous ``metrics.export()``;
-        ``phases``, ``repair_latency`` and ``stall_duration`` come from
-        the registry's push instruments.  The key set is stable —
+        ``phases``, ``stall_duration`` and the recovery block's degraded
+        time and TTRs are read off the sender's log (``read_log``).
+        The key set is stable —
         documented in docs/API.md — and only grows within a schema
         major: v2 is v1 plus the ``recovery`` block, ``stall_duration``
         and ``ncfs_sent``, every v1 key intact.
         """
         controller = self.sender.controller
         watchdog = self.sender.watchdog
-        spans = self.metrics.spans.snapshot()
+        log = read_log(self.trace, self.network.sim.now)
         histograms = self.metrics.snapshot()["histograms"]
         repair = histograms.get("repair.latency_s")
         unrecoverable = sum(
@@ -201,11 +203,11 @@ class PgmSession:
             "state": "normal",
             "demotions": 0,
             "degraded_entries": 0,
-            "degraded_time_s": 0.0,
+            "degraded_time_s": log.degraded_time_s,
             "probes_sent": 0,
             "repairs_blocked": 0,
-            "ttr_last_s": 0.0,
-            "ttr_samples": [],
+            "ttr_last_s": log.ttr_samples[-1] if log.ttr_samples else 0.0,
+            "ttr_samples": log.ttr_samples,
         }
         if watchdog is not None:
             recovery.update(watchdog.summary())
@@ -239,9 +241,9 @@ class PgmSession:
             "malformed_dropped": self.malformed_dropped(),
             "unrecoverable_data_loss": unrecoverable,
             "guard": self.guard.summary() if self.guard is not None else None,
-            "phases": spans["stats"],
+            "phases": log.phases,
             "repair_latency": repair,
-            "stall_duration": histograms.get("stall.duration_s"),
+            "stall_duration": log.stall.snapshot(),
             "recovery": recovery,
             "aggregate": aggregate,
             "receivers": {
@@ -354,7 +356,6 @@ def create_session(
         on_token=cfg.on_token,
         payload_size=cfg.payload_size,
         guard=guard_obj,
-        telemetry=registry,
     )
     session = PgmSession(net, sender, [], group, tsi,
                          members=list(receiver_hosts), metrics=registry,

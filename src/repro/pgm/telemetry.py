@@ -47,8 +47,8 @@ name                         kind     source
 ``rx.count``                 gauge    current group size
 ``rx.max_loss_rate``         gauge    worst receiver loss estimate
 ``rx.mean_loss_rate``        gauge    mean receiver loss estimate
-``liveness.degraded_time_s`` gauge    degraded-mode residence time
-``liveness.ttr_last_s``      gauge    latest time-to-recover sample
+``liveness.degraded_time_s`` gauge    degraded-mode residence time (log)
+``liveness.ttr_last_s``      gauge    latest time-to-recover sample (log)
 ===========================  =======  ====================================
 
 The ``liveness.*`` instruments are always bound (0 when no watchdog is
@@ -58,25 +58,129 @@ only the *schema version* grows, never per-config key churn.
 Sim-clock series (probe, default every ``interval`` seconds):
 ``cc.window`` (W), ``cc.tokens`` (T), ``rx.max_loss_rate``.
 
-Push instruments written by the agents themselves: histogram
-``repair.latency_s`` (gap-open to RDATA arrival, the NAK repair
-round-trip) and the sender's protocol-phase spans ``slow_start``,
-``loss_recovery``, ``stall`` (see :class:`PgmSender`).
+The receivers push one histogram, ``repair.latency_s`` (gap-open to
+RDATA arrival, the NAK repair round-trip).  The sender's protocol
+edges are records of its log, read off it by :func:`read_log` at
+snapshot time into the phase spans (the export's ``spans``), the
+``stall.duration_s`` histogram and the gauges marked (log).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from ..telemetry import TimeSeriesProbe
+from ..simulator.trace import FlowTrace
+from ..telemetry import Histogram, TimeSeriesProbe
+from .liveness import DEGRADED, NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .session import PgmSession
 
-__all__ = ["bind_session_metrics", "DEFAULT_PROBE_INTERVAL"]
+__all__ = ["bind_session_metrics", "read_log", "LogView",
+           "DEFAULT_PROBE_INTERVAL"]
 
 #: sim-clock sampling period of the session probe (seconds)
 DEFAULT_PROBE_INTERVAL = 1.0
+
+
+class LogView(NamedTuple):
+    """What :func:`read_log` reads off a sender's log: ``{count,
+    total_s, mean_s, max_s}`` per phase over its ended spans, the
+    phases still open, the stall-streak histogram, degraded time (a
+    live degraded span included), time-to-recover samples (each
+    ``->normal`` minus the last ``normal->suspect``) and the watchdog's
+    ``(time, old, new, reason)`` transitions."""
+
+    phases: dict[str, dict[str, float]]
+    open: list[str]
+    stall: Histogram
+    degraded_time_s: float
+    ttr_samples: list[float]
+    transitions: list[tuple[float, str, str, str]]
+
+
+def read_log(trace: FlowTrace, now: float) -> LogView:
+    """Walk a sender's log once; the phase rules, all in one place:
+
+    * ``start`` opens ``slow_start``, the first ``cc-loss`` ends it;
+    * ``cc-loss`` opens ``loss_recovery`` and ``stall`` opens ``stall``;
+      a clean ACK (``ack`` with ``nbytes`` 1) ends both;
+    * ``acker-switch`` ends one ``acker_reign`` and opens the next;
+    * ``liveness-degraded`` opens ``degraded``, leaving degraded ends it;
+    * ``close`` ends whatever is open.
+
+    Opening an open phase restarts it; ending a closed one does
+    nothing.  ``now`` times a live degraded span.
+    """
+    began: dict[str, float] = {}  # open phase -> its start
+    stats: dict[str, list] = {}  # phase -> [count, total, max]
+
+    def end(name: str, t: float) -> None:
+        if name in began:
+            elapsed = t - began.pop(name)
+            row = stats.setdefault(name, [0, 0.0, elapsed])
+            row[0] += 1
+            row[1] += elapsed
+            row[2] = max(row[2], elapsed)
+
+    stall = Histogram("stall.duration_s")
+    streak_began = None
+    state = NORMAL
+    suspect_since = None
+    ttr: list[float] = []
+    transitions: list[tuple[float, str, str, str]] = []
+    for t, kind, _, nbytes in trace.rows():
+        if kind == "ack":
+            if nbytes:
+                end("loss_recovery", t)
+                end("stall", t)
+                if streak_began is not None:
+                    stall.observe(t - streak_began)
+                    streak_began = None
+        elif kind == "cc-loss":
+            end("slow_start", t)
+            began["loss_recovery"] = t
+        elif kind == "stall":
+            began["stall"] = t
+            if streak_began is None:
+                streak_began = t
+        elif kind == "acker-switch":
+            end("acker_reign", t)
+            began["acker_reign"] = t
+        elif kind == "start":
+            began["slow_start"] = t
+        elif kind == "close":
+            for name in list(began):
+                end(name, t)
+        elif kind.startswith("liveness-"):
+            new = kind[9:]  # the state after "liveness-"
+            if state == DEGRADED:
+                end("degraded", t)
+            if new == NORMAL:
+                reason = "ack"
+                if suspect_since is not None:
+                    ttr.append(t - suspect_since)
+                suspect_since = None
+            elif new == DEGRADED:
+                reason = "demotions-exhausted"
+                began["degraded"] = t
+            elif state == DEGRADED:
+                reason = "nak"
+            else:
+                reason = "ack-timeout"
+                suspect_since = t
+            transitions.append((t, state, new, reason))
+            state = new
+
+    degraded = stats["degraded"][1] if "degraded" in stats else 0.0
+    if "degraded" in began:
+        degraded += now - began["degraded"]
+    phases = {
+        name: {"count": count, "total_s": total,
+               "mean_s": total / count, "max_s": peak}
+        for name, (count, total, peak) in sorted(stats.items())
+    }
+    return LogView(phases, sorted(began), stall, degraded, ttr, transitions)
 
 
 def bind_session_metrics(session: "PgmSession") -> None:
@@ -109,12 +213,6 @@ def bind_session_metrics(session: "PgmSession") -> None:
          lambda: sender.watchdog.demotions if sender.watchdog else 0)
     bind("liveness.degraded_entries",
          lambda: sender.watchdog.degraded_entries if sender.watchdog else 0)
-    bind("liveness.degraded_time_s",
-         lambda: (sender.watchdog.degraded_time_s
-                  if sender.watchdog else 0.0), kind="gauge")
-    bind("liveness.ttr_last_s",
-         lambda: (sender.watchdog.ttr_last_s
-                  if sender.watchdog else 0.0), kind="gauge")
     bind("guard.acks_blocked", lambda: sender.guard_acks_blocked)
     bind("guard.naks_blocked", lambda: sender.guard_naks_blocked)
     bind("guard.quarantines",
@@ -161,6 +259,20 @@ def bind_session_metrics(session: "PgmSession") -> None:
     bind("rx.mean_loss_rate",
          lambda: (sum(rx.loss_rate for rx in receivers) / len(receivers)
                   if receivers else 0.0), kind="gauge")
+
+    def log_view() -> dict:
+        log = read_log(sender.trace, sim.now)
+        return {
+            "gauges": {
+                "liveness.degraded_time_s": log.degraded_time_s,
+                "liveness.ttr_last_s": (log.ttr_samples[-1]
+                                        if log.ttr_samples else 0.0),
+            },
+            "histograms": {"stall.duration_s": log.stall.snapshot()},
+            "spans": {"stats": log.phases, "open": log.open},
+        }
+
+    registry.add_view(log_view)
 
     probe = TimeSeriesProbe(sim, registry, DEFAULT_PROBE_INTERVAL)
     probe.sample("cc.window", lambda: controller.window.w)

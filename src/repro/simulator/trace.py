@@ -116,5 +116,10 @@ class FlowTrace:
         """The rows in log order, built one at a time."""
         return map(TraceRecord, self._time, self._kind, self._seq, self._nbytes)
 
+    def rows(self) -> Iterator[tuple[float, str, int, int]]:
+        """The rows in log order as plain ``(time, kind, seq, nbytes)``
+        tuples: the cheap way to walk the whole log."""
+        return zip(self._time, self._kind, self._seq, self._nbytes)
+
     def __len__(self) -> int:
         return len(self._kind)

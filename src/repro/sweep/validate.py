@@ -96,22 +96,15 @@ def spec_errors(spec: SweepSpec) -> list[str]:
 
 def _check_values(experiment: ExperimentSpec, name: str,
                   values: Any) -> list[str]:
-    """Type/range-check candidate values against the declared schema."""
+    """Check candidate values the way the runner will: one
+    :meth:`ExperimentSpec.validate_kwargs` call per value."""
     errors = []
-    declared = {p.name for p in experiment.params}
-    param = experiment.param(name)
-    if param is None:
-        if declared:
-            errors.append(
-                f"parameter {name!r} is not in {experiment.id}'s schema "
-                f"(declared: {', '.join(sorted(declared | {'scale'}))})")
-        return errors  # undeclared schema: permissive
     for value in values:
         try:
-            param.check(value, where=f"{experiment.id}: ")
+            experiment.validate_kwargs({name: value})
         except (TypeError, ValueError) as exc:
             errors.append(str(exc))
-    return errors
+    return list(dict.fromkeys(errors))  # an unknown name once, not per value
 
 
 def validate_spec(spec: SweepSpec) -> None:

@@ -1,4 +1,4 @@
-"""Unified telemetry: metric registries, instruments, spans, probes.
+"""Unified telemetry: metric registries, instruments, views, probes.
 
 The layer every figure in the paper is read off: protocol components
 expose their state through per-session :class:`MetricsRegistry`
@@ -10,8 +10,7 @@ Public surface::
 
     from repro.telemetry import (
         MetricsRegistry, METRICS_SCHEMA,
-        Histogram, TimeSeries,
-        SpanTracker, TimeSeriesProbe,
+        Histogram, TimeSeries, TimeSeriesProbe,
     )
 
 Design rules:
@@ -19,8 +18,10 @@ Design rules:
 * hot-path counters stay plain attributes; registries *pull* them via
   ``bind(name, fn)`` at snapshot time — instrumentation adds nothing
   to the paths that increment them;
-* push instruments (histograms, spans, series) are reserved for
-  low-rate events;
+* push instruments (histograms, series) are reserved for low-rate
+  events;
+* what a component already logs is read off its log by a view
+  (``add_view``), never tallied a second time beside it;
 * every recorded value derives from simulated state, never wall time,
   so exports are deterministic and digest-stable across ``-j``;
 * bounded reservoirs (stride decimation) cap memory for arbitrarily
@@ -33,12 +34,11 @@ is read off ``benchmarks/perf`` (the ``telemetry`` layer and
 
 from .instruments import Histogram, TimeSeries
 from .probes import TimeSeriesProbe
-from .registry import METRICS_SCHEMA, MetricsRegistry, SpanTracker
+from .registry import METRICS_SCHEMA, MetricsRegistry
 
 __all__ = [
     "METRICS_SCHEMA",
     "MetricsRegistry",
-    "SpanTracker",
     "Histogram",
     "TimeSeries",
     "TimeSeriesProbe",

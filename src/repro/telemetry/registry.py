@@ -2,17 +2,19 @@
 
 A :class:`MetricsRegistry` is the single container every protocol
 component writes into (or is *read from* — see below) for one session,
-flow, or network.  Values come in two flavours:
+flow, or network.  Values come in three flavours:
 
-* **push** instruments (``histogram`` / ``timeseries``, and the span
-  tracker): get-or-create by name, written by the component itself.
-  Used only for low-rate events (repair completions, span edges,
-  probe ticks).
+* **push** instruments (``histogram`` / ``timeseries``): get-or-create
+  by name, written by the component itself.  Used only for low-rate
+  events (repair completions, probe ticks).
 * **pull** bindings (``bind(name, fn)``): a zero-argument callable
   sampled at :meth:`snapshot` time.  Every counter and gauge is one:
   the plain-attribute counters (``sender.odata_sent`` and friends)
   are exported without adding a single instruction to the paths that
   increment them — the registry reads the attribute when asked.
+* **views** (``add_view(fn)``): export sections read off a record
+  stream once per :meth:`snapshot` — a PGM session's ``spans`` and
+  more come from the sender's log (:mod:`repro.pgm.telemetry`).
 
 Sim-clock sampling probes (:class:`~repro.telemetry.probes
 .TimeSeriesProbe`) register themselves via :meth:`add_probe` so
@@ -27,11 +29,11 @@ Export schema ``pgmcc.session-metrics/v1`` (:meth:`MetricsRegistry
       "enabled": true,                  # constant, kept for v1 readers
       "meta": {...},                    # tsi, group, caller-supplied
       "counters": {name: int},          # pull-bound
-      "gauges": {name: number},         # pull-bound
+      "gauges": {name: number},         # pull-bound or a view's
       "histograms": {name: {count, total, min, max, mean, p50, p90, p99}},
       "series": {name: {count, stride, points: [[t, v], ...]}},
       "spans": {"stats": {name: {count, total_s, mean_s, max_s}},
-                 "open": [name, ...]}
+                 "open": [name, ...]}    # a view's
     }
 
 Every value derives from simulated state (sim clock, protocol
@@ -41,71 +43,13 @@ a fixed seed and digest-stable across ``-j1`` / ``-jN`` runner sweeps.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .instruments import Histogram, TimeSeries
 
 METRICS_SCHEMA = "pgmcc.session-metrics/v1"
 
-__all__ = ["METRICS_SCHEMA", "MetricsRegistry", "SpanTracker"]
-
-
-class SpanTracker:
-    """Named interval timing on an external (simulated) clock.
-
-    ``begin``/``end`` take the current time explicitly so the tracker
-    works with any clock source and stays trivially deterministic.
-    ``begin`` on an open span restarts it; ``end`` without a matching
-    ``begin`` is a no-op — protocol phase edges (slow start ending,
-    recovery re-entered) are naturally idempotent that way.
-    """
-
-    __slots__ = ("_open", "_stats")
-
-    def __init__(self) -> None:
-        self._open: dict[str, float] = {}
-        #: name -> [count, total, max]
-        self._stats: dict[str, list[float]] = {}
-
-    def begin(self, name: str, now: float) -> None:
-        self._open[name] = now
-
-    def end(self, name: str, now: float) -> None:
-        started = self._open.pop(name, None)
-        if started is None:
-            return
-        elapsed = now - started
-        stats = self._stats.get(name)
-        if stats is None:
-            self._stats[name] = [1, elapsed, elapsed]
-        else:
-            stats[0] += 1
-            stats[1] += elapsed
-            if elapsed > stats[2]:
-                stats[2] = elapsed
-
-    def close_all(self, now: float) -> None:
-        """End every open span (session teardown)."""
-        for name in list(self._open):
-            self.end(name, now)
-
-    @property
-    def open(self) -> list[str]:
-        return sorted(self._open)
-
-    def stats(self, name: str) -> Optional[dict[str, float]]:
-        stats = self._stats.get(name)
-        if stats is None:
-            return None
-        count, total, peak = stats
-        return {"count": int(count), "total_s": total,
-                "mean_s": total / count, "max_s": peak}
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "stats": {name: self.stats(name) for name in sorted(self._stats)},
-            "open": self.open,
-        }
+__all__ = ["METRICS_SCHEMA", "MetricsRegistry"]
 
 
 class MetricsRegistry:
@@ -117,7 +61,7 @@ class MetricsRegistry:
         #: pull bindings: name -> (kind, fn)
         self._bindings: dict[str, tuple[str, Callable[[], float]]] = {}
         self._probes: list[Any] = []
-        self.spans = SpanTracker()
+        self._views: list[Callable[[], dict[str, Any]]] = []
         #: identification fields copied into the export document
         self.meta: dict[str, Any] = {}
 
@@ -149,6 +93,11 @@ class MetricsRegistry:
             raise ValueError(f"unknown binding kind {kind!r}")
         self._bindings[name] = (kind, fn)
 
+    def add_view(self, fn: Callable[[], dict[str, Any]]) -> None:
+        """Register ``fn``, called once per :meth:`snapshot`; the
+        ``{section: {name: value}}`` it returns is merged in."""
+        self._views.append(fn)
+
     # -- probes ---------------------------------------------------------
 
     def add_probe(self, probe: Any) -> Any:
@@ -164,19 +113,23 @@ class MetricsRegistry:
     # -- export ---------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
-        counters: dict[str, float] = {}
-        gauges: dict[str, float] = {}
-        for name, (kind, fn) in self._bindings.items():
-            (counters if kind == "counter" else gauges)[name] = fn()
-        return {
-            "counters": dict(sorted(counters.items())),
-            "gauges": dict(sorted(gauges.items())),
+        snap: dict[str, dict[str, Any]] = {
+            "counters": {},
+            "gauges": {},
             "histograms": {name: h.snapshot()
-                           for name, h in sorted(self._histograms.items())},
+                           for name, h in self._histograms.items()},
             "series": {name: s.snapshot()
-                       for name, s in sorted(self._series.items())},
-            "spans": self.spans.snapshot(),
+                       for name, s in self._series.items()},
+            "spans": {"stats": {}, "open": []},
         }
+        for name, (kind, fn) in self._bindings.items():
+            snap[f"{kind}s"][name] = fn()  # "counters" / "gauges"
+        for view in self._views:
+            for section, values in view().items():
+                snap[section].update(values)
+        for section in ("counters", "gauges", "histograms", "series"):
+            snap[section] = dict(sorted(snap[section].items()))
+        return snap
 
     def export(self, **meta: Any) -> dict[str, Any]:
         """The versioned ``pgmcc.session-metrics/v1`` document."""

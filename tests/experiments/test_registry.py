@@ -19,6 +19,10 @@ from repro.experiments.registry import (
 )
 
 
+def takes_anything(scale=1.0, **kwargs):  # pragma: no cover - never run
+    raise AssertionError
+
+
 @pytest.fixture
 def scratch_registry(monkeypatch):
     """Run a test against a private copy of the process-global registry."""
@@ -167,10 +171,28 @@ class TestValidateKwargs:
             self.SPEC.validate_kwargs({"seed": -1})
 
     def test_scale_always_checked(self):
-        undeclared = ExperimentSpec("EXP-UD", "m")
-        undeclared.validate_kwargs({"anything": object()})  # permissive
+        undeclared = ExperimentSpec("EXP-UD", __name__, "takes_anything")
+        undeclared.validate_kwargs({"anything": object()})  # **kwargs
         with pytest.raises(TypeError):
             undeclared.validate_kwargs({"scale": "fast"})
+
+    def test_undeclared_schema_is_the_function_signature(self):
+        spec = get_experiment("EXP-F4")
+        assert not spec.params
+        spec.validate_kwargs({"scale": 0.1, "seed": 3, "c": 0.5})
+        with pytest.raises(TypeError,
+                           match="'cc'.*c, delayed_acks, scale, seed"):
+            spec.validate_kwargs({"cc": 3})
+
+    def test_scale_alone_resolves_nothing(self, monkeypatch):
+        # a plain registry run passes only scale: checking it never
+        # looks up (imports) an experiment's function
+        def no_resolve(spec):
+            raise AssertionError(f"{spec.id} resolved")
+
+        monkeypatch.setattr(ExperimentSpec, "resolve", no_resolve)
+        for spec in registered_specs(include_hidden=True):
+            spec.validate_kwargs(spec.call_kwargs(0.1))
 
     def test_orchestrator_validates_before_running(self):
         from repro.runner.orchestrator import Orchestrator

@@ -9,6 +9,8 @@ import pytest
 from repro.experiments import resilience
 from repro.experiments.registry import get_experiment
 from repro.experiments.resilience import DeliverySampler
+from repro.pgm import create_session
+from repro.simulator import NON_LOSSY, dumbbell
 
 
 class _FixedSampler(DeliverySampler):
@@ -70,6 +72,29 @@ class TestTtrMath:
         ttr = sampler.time_to_recover(fault_at=4.0, heal_at=6.0,
                                       pre_window=3.0)
         assert ttr == pytest.approx(1.0)
+
+
+class TestSamplerLifecycle:
+    def test_heap_drains_after_close(self):
+        net = dumbbell(1, resilience.N_RECEIVERS, NON_LOSSY, seed=31)
+        session = create_session(
+            net, "h0", [f"r{i}" for i in range(resilience.N_RECEIVERS)])
+        sampler = DeliverySampler(session)
+        net.run(until=2.0)
+        session.close()
+        ticks = len(sampler.samples)
+        net.sim.run(max_events=200_000)
+        assert net.sim.pending() == 0
+        assert net.sim.now < 3.0  # nothing but in-flight packets ran on
+        assert len(sampler.samples) == ticks
+
+    def test_samples_every_dt_from_construction(self):
+        net = dumbbell(1, 1, NON_LOSSY, seed=31)
+        session = create_session(net, "h0", ["r0"])
+        sampler = DeliverySampler(session, dt=0.5)
+        net.run(until=2.0)
+        assert [t for t, _ in sampler.samples] == [0.0, 0.5, 1.0, 1.5, 2.0]
+        session.close()
 
 
 def test_registered_and_resolvable():

@@ -7,6 +7,7 @@ from repro.core.sender_cc import CcConfig
 from repro.pgm import LivenessConfig, LivenessWatchdog, create_session
 from repro.pgm.liveness import DEGRADED, NORMAL, SUSPECT
 from repro.pgm.session import SessionConfig
+from repro.pgm.telemetry import read_log
 from repro.simulator import (
     ACKER,
     NON_LOSSY,
@@ -16,6 +17,11 @@ from repro.simulator import (
     Partition,
     dumbbell,
 )
+
+
+def _log(session):
+    """What the sender's log says about the watchdog so far."""
+    return read_log(session.trace, session.network.sim.now)
 
 
 def _session(net, liveness=True, faults=None, **params):
@@ -64,7 +70,7 @@ class TestHealthySession:
         assert watchdog.state == NORMAL
         assert watchdog.demotions == 0
         assert watchdog.degraded_entries == 0
-        assert watchdog.transitions == []
+        assert _log(session).transitions == []
 
     def test_idle_sender_stands_down(self):
         # A finished transmission must not look like a dead acker.
@@ -85,7 +91,7 @@ class TestAckerCrash:
         watchdog = session.sender.watchdog
         assert watchdog.demotions >= 1
         assert watchdog.state == NORMAL  # recovered
-        assert watchdog.ttr_samples  # the episode was measured
+        assert _log(session).ttr_samples  # the episode was measured
         # the election moved off the dead receiver
         assert session.sender.controller.current_acker is not None
 
@@ -152,8 +158,9 @@ class TestDegradedMode:
         assert watchdog.degraded_entries >= 1
         assert watchdog.probes_sent >= 1
         assert watchdog.state == NORMAL
-        assert watchdog.degraded_time_s > 0
-        reasons = [r for _, _, _, r in watchdog.transitions]
+        log = _log(session)
+        assert log.degraded_time_s > 0
+        reasons = [r for _, _, _, r in log.transitions]
         assert "demotions-exhausted" in reasons
 
     def test_stall_counter_frozen_while_degraded(self):
@@ -167,9 +174,8 @@ class TestDegradedMode:
 
     def test_nak_exits_degraded_to_suspect(self):
         net, session = self._blackout()
-        watchdog = session.sender.watchdog
         net.run(until=25.0)
-        trans = [(old, new, r) for _, old, new, r in watchdog.transitions]
+        trans = [(old, new, r) for _, old, new, r in _log(session).transitions]
         assert (DEGRADED, SUSPECT, "nak") in trans or \
                (DEGRADED, NORMAL, "ack") in [(o, n, r) for o, n, r in trans]
 
@@ -203,11 +209,16 @@ class TestDegradedMode:
     def test_summary_has_fixed_keys(self):
         net, session = self._blackout()
         net.run(until=10.0)
-        summary = session.sender.watchdog.summary()
-        assert set(summary) == {
-            "state", "demotions", "degraded_entries", "degraded_time_s",
-            "probes_sent", "repairs_blocked", "ttr_last_s", "ttr_samples",
+        # the watchdog's own state and counters ...
+        assert set(session.sender.watchdog.summary()) == {
+            "state", "demotions", "degraded_entries", "probes_sent",
+            "repairs_blocked",
         }
+        # ... and what the recovery block reads off the log beside them
+        recovery = session.summary()["recovery"]
+        log = _log(session)
+        assert recovery["degraded_time_s"] == log.degraded_time_s > 0
+        assert recovery["ttr_samples"] == log.ttr_samples
 
 
 class TestPartitionRecovery:
@@ -220,7 +231,7 @@ class TestPartitionRecovery:
         net.run(until=30.0)
         watchdog = session.sender.watchdog
         assert watchdog.state == NORMAL
-        assert watchdog.ttr_samples
+        assert _log(session).ttr_samples
         # deliveries resumed after the heal
         assert all(rx.delivered > 0 for rx in session.receivers)
 

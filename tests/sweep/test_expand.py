@@ -3,10 +3,16 @@
 import pytest
 
 import tests.sweep._toy  # noqa: F401 - registers TOY-SWEEP
+from repro.experiments.common import ExperimentSpec
+from repro.experiments.registry import _REGISTRY
 from repro.sweep import SweepSpec, SweepValidationError, expand
 from repro.sweep.validate import spec_errors
 
 TOY = "TOY-SWEEP"
+
+
+def takes_anything(scale=1.0, **kwargs):  # pragma: no cover - never run
+    raise AssertionError
 
 
 def kwargs_of(task):
@@ -140,11 +146,23 @@ class TestValidation:
         errors = spec_errors(spec)
         assert len(errors) >= 3  # bad choice, bad range, zip mismatch
 
-    def test_undeclared_schema_is_permissive(self):
-        # EXP-F2 declares no params: any axis name passes validation
-        spec = SweepSpec(name="v", experiment="EXP-F2",
+    def test_undeclared_schema_is_permissive(self, monkeypatch):
+        # an experiment with no declared params whose function takes
+        # **kwargs accepts any axis name
+        monkeypatch.setitem(_REGISTRY, "EXP-TEST-ANY", ExperimentSpec(
+            "EXP-TEST-ANY", __name__, "takes_anything"))
+        spec = SweepSpec(name="v", experiment="EXP-TEST-ANY",
                          axes={"anything": [1, 2]})
         assert spec_errors(spec) == []
+
+    def test_undeclared_schema_is_the_function_signature(self):
+        # EXP-F4 declares no params: its function's keywords are the
+        # schema, so a typo'd axis fails here, not in every worker
+        spec = SweepSpec(name="x", experiment="EXP-F4", axes={"cc": (1, 2)})
+        errors = spec_errors(spec)
+        assert len(errors) == 1 and "'cc'" in errors[0]
+        assert spec_errors(SweepSpec(name="x", experiment="EXP-F4",
+                                     axes={"c": (0.5, 1.0)})) == []
 
     def test_experiment_id_spelling_normalized(self):
         spec = SweepSpec(name="v", experiment="toy_sweep",

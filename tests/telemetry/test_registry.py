@@ -1,11 +1,13 @@
-"""Registry semantics: get-or-create, pull bindings, spans, export
-schema, probe teardown."""
+"""Registry semantics: get-or-create, pull bindings, views, the phase
+spans read off a sender's log, export schema, probe teardown."""
 
 import json
 
 import pytest
 
-from repro.telemetry import METRICS_SCHEMA, MetricsRegistry, SpanTracker
+from repro.pgm.telemetry import read_log
+from repro.simulator.trace import FlowTrace
+from repro.telemetry import METRICS_SCHEMA, MetricsRegistry
 
 
 class TestInstrumentsByName:
@@ -47,38 +49,67 @@ class TestBindings:
 
 
 class TestSpans:
+    """The phase-span rules, checked through a sender's log: a phase
+    is a pair of records, and :func:`read_log` times it."""
+
+    @staticmethod
+    def _read(*records, now=None):
+        trace = FlowTrace()
+        for time, kind, *nbytes in records:
+            trace.log(time, kind, 0, *nbytes)
+        return read_log(trace, records[-1][0] if now is None else now)
+
     def test_begin_end_accumulates(self):
-        spans = SpanTracker()
-        spans.begin("phase", 1.0)
-        spans.end("phase", 3.5)
-        spans.begin("phase", 10.0)
-        spans.end("phase", 11.0)
-        stats = spans.stats("phase")
+        log = self._read((1.0, "cc-loss"), (3.5, "ack", 1),
+                         (10.0, "cc-loss"), (11.0, "ack", 1))
+        stats = log.phases["loss_recovery"]
         assert stats["count"] == 2
         assert stats["total_s"] == pytest.approx(3.5)
         assert stats["max_s"] == pytest.approx(2.5)
         assert stats["mean_s"] == pytest.approx(1.75)
 
     def test_end_without_begin_is_noop(self):
-        spans = SpanTracker()
-        spans.end("ghost", 5.0)
-        assert spans.stats("ghost") is None
+        log = self._read((5.0, "ack", 1))
+        assert log.phases == {}
+        assert log.stall.count == 0
 
     def test_rebegin_restarts(self):
-        spans = SpanTracker()
-        spans.begin("p", 0.0)
-        spans.begin("p", 10.0)  # restart supersedes the first begin
-        spans.end("p", 11.0)
-        assert spans.stats("p")["total_s"] == pytest.approx(1.0)
+        # a second stall restarts the stall span ...
+        log = self._read((0.0, "stall"), (10.0, "stall"), (11.0, "ack", 1))
+        assert log.phases["stall"]["total_s"] == pytest.approx(1.0)
+        # ... while the stall streak is timed from its first stall
+        assert log.stall.max == pytest.approx(11.0)
 
     def test_close_all_ends_open_spans(self):
-        spans = SpanTracker()
-        spans.begin("a", 0.0)
-        spans.begin("b", 1.0)
-        spans.close_all(4.0)
-        assert spans.open == []
-        assert spans.stats("a")["total_s"] == pytest.approx(4.0)
-        assert spans.stats("b")["total_s"] == pytest.approx(3.0)
+        log = self._read((0.0, "start"), (1.0, "stall"), (4.0, "close"),
+                         now=9.0)
+        assert log.open == []
+        assert log.phases["slow_start"]["total_s"] == pytest.approx(4.0)
+        assert log.phases["stall"]["total_s"] == pytest.approx(3.0)
+
+
+class TestViews:
+    def test_view_sections_merge_and_sort(self):
+        reg = MetricsRegistry()
+        reg.bind("z", lambda: 1.0, kind="gauge")
+        reg.histogram("b").observe(1.0)
+        state = {"calls": 0}
+
+        def view():
+            state["calls"] += 1
+            return {"gauges": {"a": 2.0}, "histograms": {"a": {"count": 0}},
+                    "spans": {"stats": {"p": {"count": 1}}, "open": ["q"]}}
+
+        reg.add_view(view)
+        snap = reg.snapshot()
+        assert state["calls"] == 1  # one call per snapshot
+        assert list(snap["gauges"]) == ["a", "z"]
+        assert list(snap["histograms"]) == ["a", "b"]
+        assert snap["spans"] == {"stats": {"p": {"count": 1}}, "open": ["q"]}
+
+    def test_no_view_leaves_spans_empty(self):
+        assert MetricsRegistry().snapshot()["spans"] == {"stats": {},
+                                                         "open": []}
 
 
 class TestExport:

@@ -51,7 +51,8 @@ class TestSessionMetrics:
     def test_sender_phase_spans(self):
         net, session = lossy_session(seconds=30.0)
         session.close()
-        stats = session.metrics.spans.snapshot()["stats"]
+        stats = session.summary()["phases"]
+        assert session.metrics.export()["spans"]["stats"] == stats
         assert "slow_start" in stats
         assert stats["slow_start"]["count"] >= 1
         assert "loss_recovery" in stats
