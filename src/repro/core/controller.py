@@ -34,8 +34,8 @@ calls in here:
     ``0.0`` = send now, a positive float = rate-paced (call again in
     that many seconds), ``None`` = blocked until feedback arrives.
 ``state_summary()``
-    the versioned, JSON-serializable state document
-    (``pgmcc.controller-state/v1``) the session summary embeds.
+    the JSON-serializable state the session summary embeds as
+    ``controller_state``.
 
 Every backend also exposes ``window`` — a
 :class:`~repro.core.window.WindowController` or a view with the same
@@ -64,9 +64,6 @@ from .window import WindowController
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .reports import ReceiverReport
     from .sender_cc import CcConfig
-
-#: schema tag on :meth:`Controller.state_summary` documents
-STATE_SCHEMA = "pgmcc.controller-state/v1"
 
 #: the valid ``Controller.kind`` values
 KINDS = ("window", "rate")
@@ -170,7 +167,6 @@ class WindowBackend:
 
     def state_summary(self) -> dict:
         return {
-            "schema": STATE_SCHEMA,
             "name": self.name,
             "kind": self.kind,
             "w": self.window.w,

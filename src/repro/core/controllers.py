@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .controller import STATE_SCHEMA, WindowBackend, register_controller
+from .controller import WindowBackend, register_controller
 from .tfrc_loss import LossIntervalEstimator
 from .throughput_models import PadhyeModel
 from .window import WindowController
@@ -313,7 +313,6 @@ class TfrcController:
 
     def state_summary(self) -> dict:
         return {
-            "schema": STATE_SCHEMA,
             "name": self.name,
             "kind": self.kind,
             "rate_pps": self.rate_pps,

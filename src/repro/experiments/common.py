@@ -180,7 +180,7 @@ class ParamSpec:
                              f"{self.high!r}")
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe schema row (``pgmcc.param-schema/v1`` entry)."""
+        """JSON-safe row of :meth:`ExperimentSpec.schema_doc`."""
         doc: dict[str, Any] = {"name": self.name, "type": self.type}
         if self.default is not None:
             doc["default"] = self.default

@@ -31,7 +31,7 @@ bin whose group-wide delivery rate reaches
 The SLO oracle is ``TTR <= TTR_SLO_S`` (:data:`TTR_SLO_RTT_MULTIPLE`
 path RTTs).  Each cell also reports p99 stall duration, the fraction
 of pre-fault goodput retained at the end of the run, resyncs and
-unrecoverable loss from the ``recovery`` block of the v2 summary.
+unrecoverable loss from the ``recovery`` block of the session summary.
 
 One extra baseline cell re-runs the pgmcc acker-crash scenario with
 the watchdog *disabled*, so the report can state the watchdog's value

@@ -28,7 +28,6 @@ from .rate_limiter import TokenBucket
 from .receiver import PgmReceiver
 from .sender import BulkSource, DataSource, FiniteSource, PgmSender
 from .session import (
-    SUMMARY_SCHEMA,
     PgmSession,
     SessionConfig,
     add_receiver,
@@ -74,7 +73,6 @@ __all__ = [
     "PgmSender",
     "PgmSession",
     "SessionConfig",
-    "SUMMARY_SCHEMA",
     "add_receiver",
     "create_session",
     "enable_network_elements",

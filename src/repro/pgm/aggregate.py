@@ -74,29 +74,7 @@ __all__ = [
     "MirrorBank",
     "AnalyticBank",
     "TailProxy",
-    "AGGREGATE_SUMMARY_KEYS",
 ]
-
-#: fixed key set of the ``aggregate`` block in
-#: ``pgmcc.session-summary/v2`` documents (present, zeroed, when the
-#: session runs without the subsystem).
-AGGREGATE_SUMMARY_KEYS = (
-    "enabled", "population", "subtrees", "exact_cohort", "tail",
-    "sampled", "promotions", "demotions", "promotions_deferred",
-    "synthetic_naks", "synthetic_fake_naks", "predicted_acker", "modes",
-)
-
-
-def empty_aggregate_summary() -> dict:
-    """The ``aggregate`` summary block of a session without the
-    subsystem — same keys, zero values."""
-    return {
-        "enabled": False, "population": 0, "subtrees": 0,
-        "exact_cohort": 0, "tail": 0, "sampled": 0, "promotions": 0,
-        "demotions": 0, "promotions_deferred": 0, "synthetic_naks": 0,
-        "synthetic_fake_naks": 0, "predicted_acker": None,
-        "modes": {"mirror": 0, "analytic": 0},
-    }
 
 
 @dataclass(frozen=True)
@@ -763,22 +741,15 @@ class AggregateManager:
         self._backoff_hist = registry.histogram("agg.synthetic_backoff_s")
 
     def summary(self) -> dict:
-        """The fixed-key ``aggregate`` block of session summaries."""
+        """What ``session.summary()["aggregate"]`` reads here; the rest
+        of the block is the ``agg.*`` metrics."""
         modes = {"mirror": 0, "analytic": 0}
         for subtree in self.subtrees:
             modes[subtree.bank.mode] += 1
         return {
             "enabled": True,
-            "population": self.population,
             "subtrees": len(self.subtrees),
-            "exact_cohort": self.exact_count(),
-            "tail": self.tail_count(),
             "sampled": self.sampled_count,
-            "promotions": self.promotions,
-            "demotions": self.demotions,
-            "promotions_deferred": self.promotions_deferred,
-            "synthetic_naks": self.synthetic_naks(),
-            "synthetic_fake_naks": self.synthetic_fake_naks(),
             "predicted_acker": self.predicted_acker,
             "modes": modes,
         }

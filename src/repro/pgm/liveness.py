@@ -137,12 +137,10 @@ class LivenessWatchdog:
         return self.state == DEGRADED
 
     def summary(self) -> dict:
-        """State and counters for ``session.summary()["recovery"]``
-        (the block's degraded time and TTRs are read off the log)."""
+        """What ``session.summary()["recovery"]`` reads here; the rest
+        of the block is the session's ``liveness.*`` metrics."""
         return {
             "state": self.state,
-            "demotions": self.demotions,
-            "degraded_entries": self.degraded_entries,
             "probes_sent": self.probes_sent,
             "repairs_blocked": self.repairs_blocked,
         }

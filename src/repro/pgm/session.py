@@ -20,7 +20,8 @@ Every session owns a telemetry registry (``session.metrics``,
 :mod:`repro.telemetry`): pull-bindings over the protocol counters, a
 sim-clock sampling probe and a view over the sender's log (its phase
 spans, stall histogram and liveness gauges), exported as a
-``pgmcc.session-metrics/v1`` document.
+``pgmcc.session-metrics/v1`` document.  :meth:`PgmSession.summary`
+renders one snapshot of it.
 """
 
 from __future__ import annotations
@@ -38,17 +39,11 @@ from ..telemetry import MetricsRegistry
 from . import constants as C
 from .guard import FeedbackGuard, GuardConfig
 from .invariants import InvariantChecker
+from .liveness import NORMAL
 from .network_element import PgmNetworkElement
 from .receiver import PgmReceiver
 from .sender import DataSource, PgmSender
-from .telemetry import bind_session_metrics, read_log
-
-#: schema tag on :meth:`PgmSession.summary` documents.  v2 adds the
-#: ``recovery`` block (liveness watchdog, resyncs, TTR) and the
-#: ``stall_duration`` histogram on top of v1 — per the API.md
-#: versioning rules every v1 key is retained, so v1 consumers keep
-#: working unchanged.
-SUMMARY_SCHEMA = "pgmcc.session-summary/v2"
+from .telemetry import LogView, bind_session_metrics, render_snapshot
 
 
 @dataclass
@@ -127,6 +122,8 @@ class PgmSession:
     #: the options the session was created with; late joiners and
     #: promoted aggregate members are built from it
     config: SessionConfig = field(default_factory=SessionConfig, repr=False)
+    #: the sender's log as the latest ``metrics.snapshot()`` read it
+    log: Optional[LogView] = field(default=None, repr=False, compare=False)
     #: rx_id -> receiver index backing :meth:`receiver`
     _rx_index: dict[str, PgmReceiver] = field(
         default_factory=dict, repr=False, compare=False
@@ -176,76 +173,41 @@ class PgmSession:
         self.metrics.close()
 
     def summary(self) -> dict:
-        """One-call session statistics: ``pgmcc.session-summary/v2``.
+        """One-call session statistics: a rendering of one
+        ``self.metrics.snapshot()``.
 
-        The scalar keys read the same live counters the session's
-        metric bindings sample (see :mod:`repro.pgm.telemetry`), so a
-        summary agrees with a simultaneous ``metrics.export()``;
-        ``phases``, ``stall_duration`` and the recovery block's degraded
-        time and TTRs are read off the sender's log (``read_log``).
-        The key set is stable —
-        documented in docs/API.md — and only grows within a schema
-        major: v2 is v1 plus the ``recovery`` block, ``stall_duration``
-        and ``ncfs_sent``, every v1 key intact.
+        Each value the registry carries is read off that snapshot under
+        its metric name (:data:`~repro.pgm.telemetry.SUMMARY_LEAVES`),
+        so a summary agrees with a simultaneous ``metrics.export()`` by
+        construction and the sender's log is walked once.  The rest —
+        identities, the controller's and the guard's state, the
+        watchdog's state and probe counters, TTR samples and the
+        per-receiver rows — is read where it lives.  The key set is
+        fixed (docs/API.md), watchdog and aggregate mode or not.
         """
-        controller = self.sender.controller
-        watchdog = self.sender.watchdog
-        log = read_log(self.trace, self.network.sim.now)
-        histograms = self.metrics.snapshot()["histograms"]
-        repair = histograms.get("repair.latency_s")
-        unrecoverable = sum(
-            rx.unrecoverable_data_loss for rx in self.receivers
-        )
-        # Fixed key set whether or not the watchdog is attached, so
-        # consumers never key-check per session.
-        recovery = {
-            "watchdog": watchdog is not None,
-            "state": "normal",
-            "demotions": 0,
-            "degraded_entries": 0,
-            "degraded_time_s": log.degraded_time_s,
-            "probes_sent": 0,
-            "repairs_blocked": 0,
-            "ttr_last_s": log.ttr_samples[-1] if log.ttr_samples else 0.0,
-            "ttr_samples": log.ttr_samples,
-        }
-        if watchdog is not None:
-            recovery.update(watchdog.summary())
-        recovery["resyncs"] = sum(rx.resyncs for rx in self.receivers)
-        recovery["unrecoverable_loss"] = unrecoverable
-        # Fixed key set whether or not the hybrid subsystem is on.
-        from .aggregate import empty_aggregate_summary
-
-        aggregate = (
-            self.aggregate.summary() if self.aggregate is not None
-            else empty_aggregate_summary()
-        )
+        sender = self.sender
+        controller = sender.controller
+        doc = render_snapshot(self.metrics.snapshot())
+        recovery = doc["recovery"]
+        recovery.update(watchdog=sender.watchdog is not None, state=NORMAL,
+                        probes_sent=0, repairs_blocked=0,
+                        ttr_samples=self.log.ttr_samples)
+        if sender.watchdog is not None:
+            recovery.update(sender.watchdog.summary())
+        doc["aggregate"].update(
+            self.aggregate.summary() if self.aggregate is not None else
+            {"enabled": False, "subtrees": 0, "sampled": 0,
+             "predicted_acker": None, "modes": {"mirror": 0, "analytic": 0}})
         return {
-            "schema": SUMMARY_SCHEMA,
             "tsi": self.tsi,
             "group": self.group,
-            "odata_sent": self.sender.odata_sent,
-            "rdata_sent": self.sender.rdata_sent,
-            "bytes_sent": self.sender.bytes_sent,
-            "acks_received": self.sender.acks_received,
-            "naks_received": self.sender.naks_received,
-            "ncfs_sent": self.sender.ncfs_sent,
-            "nak_origins": dict(self.sender.nak_origins),
-            "acker": self.sender.current_acker,
-            "acker_switches": self.acker_switches,
-            "acker_evictions": controller.acker_evictions,
-            "stalls": controller.stalls,
-            "window": controller.window.w,
+            **doc,
+            "ncfs_sent": sender.ncfs_sent,
+            "nak_origins": dict(sender.nak_origins),
+            "acker": sender.current_acker,
             "controller": controller.backend.name,
             "controller_state": controller.backend.state_summary(),
-            "malformed_dropped": self.malformed_dropped(),
-            "unrecoverable_data_loss": unrecoverable,
             "guard": self.guard.summary() if self.guard is not None else None,
-            "phases": log.phases,
-            "repair_latency": repair,
-            "stall_duration": log.stall.snapshot(),
-            "recovery": recovery,
-            "aggregate": aggregate,
             "receivers": {
                 rx.rx_id: {
                     "odata_received": rx.odata_received,
@@ -261,13 +223,6 @@ class PgmSession:
                 for rx in self.receivers
             },
         }
-
-    def malformed_dropped(self) -> int:
-        """Corrupted-packet drops across every session ingress."""
-        total = self.sender.malformed_dropped + self.sender.insane_dropped
-        for rx in self.receivers:
-            total += rx.malformed_dropped + rx.insane_dropped
-        return total
 
 
 def create_session(

@@ -7,7 +7,9 @@ lived — plain attributes on :class:`PgmSender`, :class:`PgmReceiver`,
 the registry just knows how to read them, so the bindings add nothing
 to the paths that increment them.
 
-Metric names (the stable ``pgmcc.session-metrics/v1`` key set):
+Metric names (the stable ``pgmcc.session-metrics/v1`` key set;
+``PgmSession.summary()`` renders those :data:`SUMMARY_LEAVES` names,
+read by :func:`render_snapshot`):
 
 ===========================  =======  ====================================
 name                         kind     source
@@ -53,7 +55,8 @@ name                         kind     source
 
 The ``liveness.*`` instruments are always bound (0 when no watchdog is
 attached) so the exported key set is identical across configurations —
-only the *schema version* grows, never per-config key churn.
+only the *schema version* grows, never per-config key churn.  An
+aggregate session adds the ``agg.*`` set (docs/API.md).
 
 Sim-clock series (probe, default every ``interval`` seconds):
 ``cc.window`` (W), ``cc.tokens`` (T), ``rx.max_loss_rate``.
@@ -77,10 +80,64 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .session import PgmSession
 
 __all__ = ["bind_session_metrics", "read_log", "LogView",
-           "DEFAULT_PROBE_INTERVAL"]
+           "render_snapshot", "SUMMARY_LEAVES", "DEFAULT_PROBE_INTERVAL"]
 
 #: sim-clock sampling period of the session probe (seconds)
 DEFAULT_PROBE_INTERVAL = 1.0
+
+#: summary key -> the export leaf (``section.metric``) it renders; a
+#: tuple of leaves renders their sum, and a ``recovery.`` or
+#: ``aggregate.`` key lands in that block of the summary.
+SUMMARY_LEAVES: dict[str, str | tuple[str, ...]] = {
+    "odata_sent": "counters.sender.odata_sent",
+    "rdata_sent": "counters.sender.rdata_sent",
+    "bytes_sent": "counters.sender.bytes_sent",
+    "acks_received": "counters.sender.acks_received",
+    "naks_received": "counters.sender.naks_received",
+    "acker_switches": "counters.cc.acker_switches",
+    "acker_evictions": "counters.cc.acker_evictions",
+    "stalls": "counters.cc.stalls",
+    "window": "gauges.cc.window_w",
+    "malformed_dropped": ("counters.sender.ingress_dropped",
+                          "counters.rx.ingress_dropped"),
+    "unrecoverable_data_loss": "counters.rx.unrecoverable_loss",
+    "repair_latency": "histograms.repair.latency_s",
+    "stall_duration": "histograms.stall.duration_s",
+    "phases": "spans.stats",
+    "recovery.degraded_time_s": "gauges.liveness.degraded_time_s",
+    "recovery.ttr_last_s": "gauges.liveness.ttr_last_s",
+    "recovery.demotions": "counters.liveness.demotions",
+    "recovery.degraded_entries": "counters.liveness.degraded_entries",
+    "recovery.resyncs": "counters.rx.resyncs",
+    "recovery.unrecoverable_loss": "counters.rx.unrecoverable_loss",
+    "aggregate.promotions": "counters.agg.promotions",
+    "aggregate.demotions": "counters.agg.demotions",
+    "aggregate.promotions_deferred": "counters.agg.promotions_deferred",
+    "aggregate.synthetic_naks": "counters.agg.synthetic_naks",
+    "aggregate.synthetic_fake_naks": "counters.agg.synthetic_fake_naks",
+    "aggregate.population": "gauges.agg.population",
+    "aggregate.exact_cohort": "gauges.agg.exact_cohort",
+    "aggregate.tail": "gauges.agg.tail",
+}
+
+
+def render_snapshot(snap: dict) -> dict:
+    """:data:`SUMMARY_LEAVES` read off ``snap`` (a
+    ``MetricsRegistry.snapshot()``), nested by block.  A counter or
+    gauge the snapshot lacks reads 0 (``agg.*`` without aggregate
+    mode), a histogram it lacks None (``repair.latency_s`` before any
+    receiver has one)."""
+
+    def leaf(path: str):
+        section, name = path.split(".", 1)
+        return snap[section].get(name, None if section == "histograms" else 0)
+
+    doc: dict = {"recovery": {}, "aggregate": {}}
+    for key, path in SUMMARY_LEAVES.items():
+        block, _, name = key.rpartition(".")
+        (doc[block] if block else doc)[name] = (
+            leaf(path) if isinstance(path, str) else sum(map(leaf, path)))
+    return doc
 
 
 class LogView(NamedTuple):
@@ -261,7 +318,7 @@ def bind_session_metrics(session: "PgmSession") -> None:
                   if receivers else 0.0), kind="gauge")
 
     def log_view() -> dict:
-        log = read_log(sender.trace, sim.now)
+        log = session.log = read_log(sender.trace, sim.now)
         return {
             "gauges": {
                 "liveness.degraded_time_s": log.degraded_time_s,

@@ -72,6 +72,20 @@ def test_no_env_var_switches():
     assert hits == []
 
 
+def test_schema_tags_are_documented_and_real():
+    """Every ``pgmcc.<name>/v<N>`` tag under ``src/`` is documented in
+    docs/API.md, and every tag a page under docs/ names is one ``src/``
+    spells, so neither a new document nor a retired one can drift."""
+    pattern = re.compile(r"pgmcc\.[a-z][a-z-]*/v\d+")
+    in_src = {tag for path in (ROOT / "src").rglob("*.py")
+              for tag in pattern.findall(path.read_text())}
+    in_api = set(pattern.findall((ROOT / "docs" / "API.md").read_text()))
+    in_docs = {tag for path in (ROOT / "docs").glob("*.md")
+               for tag in pattern.findall(path.read_text())}
+    undocumented, retired = sorted(in_src - in_api), sorted(in_docs - in_src)
+    assert (undocumented, retired) == ([], [])
+
+
 def test_documented_cli_flags_exist():
     """Every ``--long-option`` the docs mention is defined by an
     ``add_argument`` of one of the repo's own CLIs, so a deleted flag

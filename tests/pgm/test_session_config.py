@@ -1,21 +1,20 @@
 """SessionConfig construction API: config objects, the legacy kwargs
-shim, summary schema stability and the indexed receiver lookup."""
+shim, summary key-set stability and the indexed receiver lookup."""
 
 import dataclasses
 
 import pytest
 
 from repro.core.sender_cc import CcConfig
-from repro.pgm import SUMMARY_SCHEMA, add_receiver, create_session
+from repro.pgm import add_receiver, create_session
 from repro.pgm.session import SessionConfig
 from repro.simulator import LOSSY, NON_LOSSY, dumbbell, dumbbell_subtrees, star
 from repro.simulator.routing import NoPath
 
-#: every v1 summary key remains part of the pgmcc.session-summary/v2
-#: contract — keys may be added in later versions but never removed or
-#: renamed, so v1 consumers keep working against v2 summaries.
+#: the summary's first keys: keys may be added but never removed or
+#: renamed.
 SUMMARY_V1_KEYS = {
-    "schema", "tsi", "group", "odata_sent", "rdata_sent", "bytes_sent",
+    "tsi", "group", "odata_sent", "rdata_sent", "bytes_sent",
     "acks_received", "naks_received", "nak_origins", "acker",
     "acker_switches", "acker_evictions", "stalls", "window",
     "malformed_dropped", "unrecoverable_data_loss", "guard", "phases",
@@ -289,7 +288,7 @@ class TestSummarySchema:
         session = create_session(net, "h0", ["r0", "r1"])
         net.run(until=10.0)
         summary = session.summary()
-        assert summary["schema"] == SUMMARY_SCHEMA == "pgmcc.session-summary/v2"
+        assert "schema" not in summary
         assert SUMMARY_V1_KEYS <= set(summary)
         for rx_summary in summary["receivers"].values():
             assert RECEIVER_V1_KEYS <= set(rx_summary)

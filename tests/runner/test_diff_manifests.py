@@ -81,6 +81,12 @@ def test_cli_exit_status_and_output(tmp_path, capsys):
     pytest.param('{"tasks": {"EXP-A": {}}}', "no 'tasks' list",
                  id="tasks-not-a-list"),
     pytest.param("[1, 2]", "no 'tasks' list", id="not-an-object"),
+    pytest.param('{"tasks": [1]}', "not an object with a string 'id'",
+                 id="task-not-an-object"),
+    pytest.param('{"tasks": [{"result": 1}]}',
+                 "not an object with a string 'id'", id="task-without-id"),
+    pytest.param('{"tasks": [{"id": "EXP-A"}, {"id": "EXP-A"}]}',
+                 "'EXP-A' appears twice", id="duplicate-task-id"),
 ])
 def test_a_file_that_is_no_manifest_is_a_usage_error(text, reason, tmp_path,
                                                      capsys):

@@ -3,8 +3,11 @@ probe lifecycle inside a real session."""
 
 import json
 
-from repro.pgm import SUMMARY_SCHEMA, create_session
-from repro.simulator import LinkSpec, dumbbell
+from repro.core.sender_cc import CcConfig
+from repro.pgm import SessionConfig, create_session, enable_network_elements
+from repro.pgm.telemetry import SUMMARY_LEAVES
+from repro.simulator import LinkSpec, dumbbell, dumbbell_subtrees
+from repro.simulator.faults import ControlBlackhole, FaultPlan
 from repro.telemetry import METRICS_SCHEMA
 
 LOSSY = LinkSpec(rate_bps=500_000, delay=0.050, queue_slots=30,
@@ -73,17 +76,82 @@ class TestSessionMetrics:
         session.close()
 
 
+#: every summary value the export carries: summary path -> the export
+#: leaves it shows, ``(section, name)``; two leaves show their sum
+SHARED = {
+    "odata_sent": [("counters", "sender.odata_sent")],
+    "rdata_sent": [("counters", "sender.rdata_sent")],
+    "bytes_sent": [("counters", "sender.bytes_sent")],
+    "acks_received": [("counters", "sender.acks_received")],
+    "naks_received": [("counters", "sender.naks_received")],
+    "acker_switches": [("counters", "cc.acker_switches")],
+    "acker_evictions": [("counters", "cc.acker_evictions")],
+    "stalls": [("counters", "cc.stalls")],
+    "window": [("gauges", "cc.window_w")],
+    "malformed_dropped": [("counters", "sender.ingress_dropped"),
+                          ("counters", "rx.ingress_dropped")],
+    "unrecoverable_data_loss": [("counters", "rx.unrecoverable_loss")],
+    "repair_latency": [("histograms", "repair.latency_s")],
+    "stall_duration": [("histograms", "stall.duration_s")],
+    "phases": [("spans", "stats")],
+    "recovery.degraded_time_s": [("gauges", "liveness.degraded_time_s")],
+    "recovery.ttr_last_s": [("gauges", "liveness.ttr_last_s")],
+    "recovery.demotions": [("counters", "liveness.demotions")],
+    "recovery.degraded_entries": [("counters", "liveness.degraded_entries")],
+    "recovery.resyncs": [("counters", "rx.resyncs")],
+    "recovery.unrecoverable_loss": [("counters", "rx.unrecoverable_loss")],
+    "aggregate.promotions": [("counters", "agg.promotions")],
+    "aggregate.demotions": [("counters", "agg.demotions")],
+    "aggregate.promotions_deferred": [("counters", "agg.promotions_deferred")],
+    "aggregate.synthetic_naks": [("counters", "agg.synthetic_naks")],
+    "aggregate.synthetic_fake_naks": [("counters", "agg.synthetic_fake_naks")],
+    "aggregate.population": [("gauges", "agg.population")],
+    "aggregate.exact_cohort": [("gauges", "agg.exact_cohort")],
+    "aggregate.tail": [("gauges", "agg.tail")],
+}
+
+
+def blackhole_session():
+    """Lossy, watchdog and guard on, feedback cut for 4 s: stalls,
+    demotions and a degraded span."""
+    net = dumbbell(1, 2, LOSSY, seed=11)
+    plan = FaultPlan((ControlBlackhole(a="R1", b="R0", at=3.0, duration=4.0,
+                                       kinds=("Ack", "Nak")),))
+    session = create_session(net, "h0", ["r0", "r1"], config=SessionConfig(
+        cc=CcConfig(liveness=True), faults=plan, guard=True))
+    net.run(until=12.0)
+    return session
+
+
+def aggregate_session():
+    net = dumbbell_subtrees(24, subtrees=2, seed=5, bottleneck=LinkSpec(
+        rate_bps=2_000_000, delay=0.02))
+    session = create_session(net, "h0", [],
+                             config=SessionConfig(aggregate=True))
+    enable_network_elements(net, telemetry=session.metrics)
+    net.run(until=4.0)
+    return session
+
+
 class TestSummaryInteroperability:
     def test_summary_matches_metrics_export(self):
-        net, session = lossy_session(seconds=15.0)
-        summary = session.summary()
-        doc = session.metrics.export()
-        assert summary["schema"] == SUMMARY_SCHEMA
-        assert summary["odata_sent"] == doc["counters"]["sender.odata_sent"]
-        assert summary["stalls"] == doc["counters"]["cc.stalls"]
-        assert summary["acker_switches"] == doc["counters"]["cc.acker_switches"]
-        assert summary["window"] == doc["gauges"]["cc.window_w"]
-        session.close()
+        """One row per shared value: the summary shows the export's."""
+        assert set(SHARED) == set(SUMMARY_LEAVES)
+        for session in (blackhole_session(), aggregate_session()):
+            summary = session.summary()
+            doc = session.metrics.export()
+            assert "schema" not in summary
+            for path, leaves in SHARED.items():
+                value = summary
+                for key in path.split("."):
+                    value = value[key]
+                if session.aggregate is None and path.startswith("aggregate."):
+                    assert value == 0, path  # the zeroed block
+                    continue
+                shown = [doc[section][name] for section, name in leaves]
+                assert value == (shown[0] if len(shown) == 1
+                                 else sum(shown)), path
+            session.close()
 
     def test_summary_phases_and_repair_latency_sections(self):
         net, session = lossy_session(seconds=20.0)

@@ -76,6 +76,14 @@ def load(name: str) -> dict:
         raise ValueError(f"{name}: {exc}") from None
     if not (isinstance(doc, dict) and isinstance(doc.get("tasks"), list)):
         raise ValueError(f"{name}: not a run manifest (no 'tasks' list)")
+    seen = set()
+    for i, task in enumerate(doc["tasks"]):
+        if not (isinstance(task, dict) and isinstance(task.get("id"), str)):
+            raise ValueError(f"{name}: task {i} is not an object with a "
+                             "string 'id'")
+        if task["id"] in seen:
+            raise ValueError(f"{name}: task id {task['id']!r} appears twice")
+        seen.add(task["id"])
     return doc
 
 
