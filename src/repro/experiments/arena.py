@@ -266,34 +266,6 @@ def aggregate_cells(cells: list) -> dict:
     return matrix_table(bouts)
 
 
-def render_markdown(result: ExperimentResult) -> str:
-    """The ranked comparison as a standalone markdown report."""
-    lines = [
-        "# EXP-ARENA — controller head-to-head",
-        "",
-        f"Scenarios: {', '.join(SCENARIOS)} · "
-        f"fairness envelope {FAIRNESS_ENVELOPE[0]}–"
-        f"{FAIRNESS_ENVELOPE[1]}",
-        "",
-    ]
-    if result.rows:
-        cols = list(result.rows[0].keys())
-        lines.append("| " + " | ".join(cols) + " |")
-        lines.append("|" + "|".join("---" for _ in cols) + "|")
-        for row in result.rows:
-            lines.append("| " + " | ".join(str(row.get(c, "")) for c in cols)
-                         + " |")
-    lines += [
-        "",
-        f"- pgmcc in envelope: **{result.metrics.get('pgmcc_in_envelope')}**",
-        f"- harness discriminates: **{result.metrics.get('discriminates')}**",
-        "",
-        result.expectation,
-        "",
-    ]
-    return "\n".join(lines)
-
-
 def run(scale: float = 1.0, seed: int = 23, n_receivers: int = 4,
         controllers: Optional[tuple[str, ...]] = None) -> ExperimentResult:
     duration = 120.0 * scale
@@ -330,5 +302,4 @@ def run(scale: float = 1.0, seed: int = 23, n_receivers: int = 4,
                     "invariant_violations", "quarantines"):
             result.metrics[f"{prefix}:{key}"] = bout[key]
     result.metrics.update(table["metrics"])
-    result.metrics["markdown_report"] = render_markdown(result)
     return result

@@ -283,47 +283,6 @@ def run_cell(scale: float = 1.0, seed: int = 31,
     return result
 
 
-def render_markdown(result: ExperimentResult) -> str:
-    """The recovery matrix as a standalone markdown report."""
-    lines = [
-        "# EXP-RESILIENCE — partition-tolerant recovery",
-        "",
-        f"Scenarios: {', '.join(SCENARIOS)} · SLO: TTR ≤ "
-        f"{TTR_SLO_S:.1f}s ({TTR_SLO_RTT_MULTIPLE:.0f} × "
-        f"{BASE_RTT_S:.1f}s path RTT; rate-based backends "
-        f"{RATE_TTR_SLO_S:.1f}s) · recovery threshold "
-        f"{int(RECOVERY_FRACTION * 100)}% of pre-fault delivery rate",
-        "",
-    ]
-    if result.rows:
-        cols = list(result.rows[0].keys())
-        lines.append("| " + " | ".join(cols) + " |")
-        lines.append("|" + "|".join("---" for _ in cols) + "|")
-        for row in result.rows:
-            lines.append("| " + " | ".join(str(row.get(c, "")) for c in cols)
-                         + " |")
-    lines += [
-        "",
-        "## Watchdog vs stall timer (pgmcc, acker-crash)",
-        "",
-        "| detector | TTR (s) |",
-        "|---|---|",
-        f"| liveness watchdog | {result.metrics.get('ttr_watchdog_s')} |",
-        f"| stall timer only | {result.metrics.get('ttr_stall_only_s')} |",
-        "",
-        f"- watchdog faster: **{result.metrics.get('watchdog_faster')}** "
-        f"(improvement {result.metrics.get('ttr_improvement_s')}s)",
-        f"- all cells recovered: **{result.metrics.get('all_recovered')}**",
-        f"- all cells within SLO: **{result.metrics.get('all_slo_ok')}**",
-        f"- invariant violations: "
-        f"**{result.metrics.get('total_invariant_violations')}**",
-        "",
-        result.expectation,
-        "",
-    ]
-    return "\n".join(lines)
-
-
 def run(scale: float = 1.0, seed: int = 31,
         controllers: Optional[tuple[str, ...]] = None) -> ExperimentResult:
     duration = 60.0 * scale
@@ -378,5 +337,4 @@ def run(scale: float = 1.0, seed: int = 31,
         result.metrics["ttr_improvement_s"] = improvement
         result.metrics["watchdog_faster"] = (
             improvement is not None and improvement > 0)
-    result.metrics["markdown_report"] = render_markdown(result)
     return result

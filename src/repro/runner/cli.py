@@ -149,7 +149,7 @@ def _run_sweep(args: argparse.Namespace, path: str) -> tuple[dict, list[str]]:
                 cache_dir=None if args.no_cache else args.cache_dir,
                 timeout=args.timeout, retries=args.retries,
                 on_event=None if args.quiet else event_printer())
-    return run.manifest, [render_markdown(run.report)]
+    return run.manifest, [render_markdown(run.manifest)]
 
 
 def _run_experiments(args: argparse.Namespace,

@@ -21,8 +21,9 @@ from .tasks import TaskOutcome
 
 #: v2: additive — an optional top-level ``sweep`` block (the declarative
 #: spec a sweep run expanded from, each task's axis assignment and the
-#: sweep report's deterministic sections); every v1 key is unchanged
-#: and non-sweep manifests omit the block.
+#: tables aggregated from its cells: the sweep's one document, which
+#: the printed sweep report renders); every v1 key is unchanged and
+#: non-sweep manifests omit the block.
 MANIFEST_SCHEMA = "pgmcc.run-manifest/v2"
 
 

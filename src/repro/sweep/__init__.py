@@ -6,13 +6,15 @@ experiment, the parameter axes to vary, and an expansion mode
 (``grid`` / ``zip`` / ``ablate``).  Expansion produces ordinary
 orchestrator tasks (cached, isolated, retried); aggregation produces
 per-axis deltas, a ranked table and optional experiment-specific
-tables.
+tables.  A sweep writes one document, the run manifest: those tables
+sit in its ``sweep`` block, and ``render_markdown(manifest)`` is the
+printed report.
 
 Library use::
 
     from repro.sweep import sweep
     run = sweep("examples/sweeps/arena_matrix.toml", jobs=4, scale=0.05)
-    print(run.report["ranked"])
+    print(run.manifest["sweep"]["ranked"])
 
 The command line is the runner's: a spec file in place of experiment
 ids runs it, ``--list`` prints its expanded tasks::
@@ -22,26 +24,18 @@ ids runs it, ``--list`` prints its expanded tasks::
 
 from .aggregate import SweepCell, axis_deltas, ranked_rows
 from .expand import SweepTask, expand
-from .report import (
-    SWEEP_REPORT_SCHEMA,
-    build_report,
-    render_markdown,
-    report_digest,
-)
+from .report import render_markdown, report_digest
 from .run import SweepRun, sweep
-from .spec import AblationSpec, SweepSpec, load_spec, spec_from_dict
+from .spec import SweepSpec, load_spec, spec_from_dict
 from .validate import SweepValidationError, spec_errors, validate_spec
 
 __all__ = [
-    "AblationSpec",
-    "SWEEP_REPORT_SCHEMA",
     "SweepCell",
     "SweepRun",
     "SweepSpec",
     "SweepTask",
     "SweepValidationError",
     "axis_deltas",
-    "build_report",
     "expand",
     "load_spec",
     "ranked_rows",

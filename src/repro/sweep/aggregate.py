@@ -44,9 +44,6 @@ class SweepCell:
     task: SweepTask
     status: str
     result: Optional[ExperimentResult]
-    result_digest: Optional[str]
-    cache_hit: bool
-    wall_s: float
 
     @property
     def ok(self) -> bool:
@@ -59,10 +56,8 @@ def collect_cells(tasks: list[SweepTask], outcomes) -> list[SweepCell]:
     cells = []
     for task in tasks:
         outcome = by_id[task.id]
-        cells.append(SweepCell(
-            task=task, status=outcome.status, result=outcome.result,
-            result_digest=outcome.result_digest,
-            cache_hit=outcome.cache_hit, wall_s=outcome.wall_s))
+        cells.append(SweepCell(task=task, status=outcome.status,
+                               result=outcome.result))
     return cells
 
 
@@ -152,13 +147,11 @@ def ranked_rows(spec: SweepSpec, cells: list[SweepCell]) -> list[dict]:
 def run_custom_aggregate(spec: SweepSpec,
                          cells: list[SweepCell]) -> Optional[dict]:
     """Resolve and run the spec's ``module:function`` hook (None when
-    the spec names none).  The hook sees only ok cells."""
+    the spec names none; ``spec_errors`` has checked that it resolves).
+    The hook sees only ok cells."""
     if not spec.aggregate:
         return None
     module, _, func = spec.aggregate.partition(":")
-    if not func:
-        raise ValueError(f"aggregate hook {spec.aggregate!r} must be "
-                         "'module:function'")
     fn = getattr(importlib.import_module(module), func)
     payload = [(c.task.axes_dict, c.result) for c in cells if c.ok]
     out = fn(payload)

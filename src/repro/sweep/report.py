@@ -1,101 +1,26 @@
-"""Sweep reports: one JSON document, one markdown rendering.
+"""The sweep report: a markdown rendering of a sweep's run manifest.
 
-The report splits, like the run manifest, into *what was computed*
-(spec, expanded cells, per-cell result digests and metrics, axis
-deltas, ranked table, custom aggregate) and *how this run went* (cache
-hits, wall times).  ``report_digest`` covers only the first group, so
-the same spec at the same scale yields a byte-identical digest whether
-it ran ``-j1``, ``-jN`` or entirely from cache (``tests/sweep``
-asserts that equality).  The deterministic sections also ride in the
-run manifest's ``sweep`` block (see :mod:`repro.sweep.run`).
+A sweep writes one document, the run manifest.  Its ``sweep`` block
+holds what the sweep computed on top of the cells (spec, task axes,
+``metrics``, ``axis_deltas``, ``ranked``, ``aggregate``; see
+:mod:`repro.sweep.run`), and its ``results_digest`` is the same
+whether the sweep ran ``-j1``, ``-jN`` or entirely from cache
+(``tests/sweep`` asserts that equality).  :func:`render_markdown`
+reads nothing but the manifest, so any saved manifest re-renders its
+own report.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any
 
-from ..experiments.common import canonical_json
-from .aggregate import (
-    SweepCell,
-    axis_deltas,
-    ranked_rows,
-    run_custom_aggregate,
-    shared_numeric_metrics,
-)
-from .spec import SweepSpec
-
-__all__ = ["SWEEP_REPORT_SCHEMA", "build_report", "render_markdown",
-           "report_digest"]
-
-SWEEP_REPORT_SCHEMA = "pgmcc.sweep-report/v1"
-
-#: per-task report keys that vary run to run and are excluded from the
-#: report digest (everything else in a task row is deterministic)
-_VOLATILE_TASK_KEYS = ("cache_hit", "wall_s")
-_VOLATILE_TOP_KEYS = ("run", "report_digest")
+__all__ = ["render_markdown", "report_digest"]
 
 
-def report_digest(report: dict[str, Any]) -> str:
-    """Digest over the deterministic sections only (see module doc)."""
-    doc = {k: v for k, v in report.items() if k not in _VOLATILE_TOP_KEYS}
-    doc["tasks"] = [
-        {k: v for k, v in task.items() if k not in _VOLATILE_TASK_KEYS}
-        for task in report["tasks"]]
-    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
-
-
-def build_report(spec: SweepSpec, cells: list[SweepCell],
-                 manifest: dict[str, Any]) -> dict[str, Any]:
-    """Assemble the full sweep-report document."""
-    metrics = shared_numeric_metrics(cells, spec.metrics)
-    tasks = []
-    for cell in cells:
-        row: dict[str, Any] = {
-            "id": cell.task.id,
-            "axes": cell.task.axes_dict,
-            "status": cell.status,
-            "result_digest": cell.result_digest,
-            "cache_hit": cell.cache_hit,
-            "wall_s": round(cell.wall_s, 3),
-        }
-        if cell.ok:
-            row["metrics"] = {m: cell.result.metrics[m] for m in metrics}
-        tasks.append(row)
-
-    report: dict[str, Any] = {
-        "schema": SWEEP_REPORT_SCHEMA,
-        "spec": spec.to_dict(),
-        "scale": spec.scale,
-        "metrics": metrics,
-        "tasks": tasks,
-        "totals": {
-            "tasks": len(cells),
-            "ok": sum(1 for c in cells if c.ok),
-            "failed": sum(1 for c in cells if c.status == "failed"),
-        },
-        "axis_deltas": axis_deltas(spec, cells),
-        "ranked": ranked_rows(spec, cells),
-        "results_digest": manifest.get("results_digest"),
-    }
-    aggregate = run_custom_aggregate(spec, cells)
-    if aggregate is not None:
-        report["aggregate"] = aggregate
-    report = json.loads(canonical_json(report))
-
-    # the volatile section last, outside the digest
-    report["run"] = {
-        "run_id": manifest.get("run_id"),
-        "jobs": manifest.get("jobs"),
-        "cache_hits": sum(1 for c in cells if c.cache_hit),
-        "wall_s": manifest.get("totals", {}).get("wall_s"),
-    }
-    report["report_digest"] = report_digest(report)
-    return report
-
-
-# -- markdown rendering ---------------------------------------------------
+# ``benchmarks/perf/child.py`` still calls ``report_digest(run.report)``:
+# a name for the manifest's digest until the harness moves (ROADMAP item 2)
+def report_digest(doc: dict[str, Any]) -> str:
+    return doc["results_digest"]
 
 
 def _fmt(value: Any) -> str:
@@ -114,41 +39,44 @@ def _table(headers: list[str], rows: list[list[Any]]) -> list[str]:
     return lines
 
 
-def render_markdown(report: dict[str, Any]) -> str:
-    """Human-readable rendering of a sweep-report document."""
-    spec = report["spec"]
-    totals = report["totals"]
+def render_markdown(manifest: dict[str, Any]) -> str:
+    """Human-readable rendering of a sweep's run manifest."""
+    block = manifest["sweep"]
+    spec = block["spec"]
+    totals = manifest["totals"]
     lines = [f"# Sweep report: {spec['name']}", ""]
     if spec.get("description"):
         lines += [spec["description"], ""]
     lines += [
         f"- experiment: `{spec['experiment']}` (mode `{spec['mode']}`, "
-        f"scale {_fmt(report['scale'])})",
+        f"scale {_fmt(manifest['scale'])})",
         f"- tasks: {totals['tasks']} ({totals['ok']} ok, "
         f"{totals['failed']} failed)",
-        f"- report digest: `{report['report_digest']}`",
+        f"- results digest: `{manifest['results_digest']}`",
         "",
     ]
 
-    metrics = report["metrics"]
-    axis_names = sorted({name for task in report["tasks"]
-                         for name in task["axes"]})
+    metrics = block["metrics"]
+    axis_names = sorted({name for axes in block["tasks"].values()
+                         for name in axes})
     headers = ["task"] + axis_names + metrics + ["status"]
     rows = []
-    for task in report["tasks"]:
+    for task in manifest["tasks"]:
+        axes = block["tasks"][task["id"]]
+        values = task["result"]["metrics"] if task["result"] else {}
         row: list[Any] = [f"`{task['id']}`"]
-        row += [_fmt(task["axes"].get(a, "")) for a in axis_names]
-        row += [_fmt(task.get("metrics", {}).get(m, "")) for m in metrics]
+        row += [_fmt(axes.get(a, "")) for a in axis_names]
+        row += [_fmt(values.get(m, "")) for m in metrics]
         row.append(task["status"] + (" (cached)" if task["cache_hit"]
                                      else ""))
         rows.append(row)
     lines += ["## Cells", ""] + _table(headers, rows) + [""]
 
-    if report["axis_deltas"]:
+    if block["axis_deltas"]:
         lines += ["## Per-axis deltas", "",
                   "Mean of each shared metric per axis value; deltas are "
                   "against the axis's first declared value.", ""]
-        for entry in report["axis_deltas"]:
+        for entry in block["axis_deltas"]:
             lines += [f"### axis `{entry['axis']}` "
                       f"(baseline `{_fmt(entry['baseline'])}`)", ""]
             headers = ["value", "n"] + [f"{m}" for m in metrics] \
@@ -163,15 +91,15 @@ def render_markdown(report: dict[str, Any]) -> str:
                 rows.append(row)
             lines += _table(headers, rows) + [""]
 
-    if report["ranked"]:
+    if block["ranked"]:
         rank_by = spec["report"]["rank_by"]
         lines += [f"## Ranked by `{rank_by}`", ""]
-        rest = sorted(set(report["ranked"][0]) - {"rank", "task"})
+        rest = sorted(set(block["ranked"][0]) - {"rank", "task"})
         headers = ["rank", "task"] + rest
-        rows = [[_fmt(row[h]) for h in headers] for row in report["ranked"]]
+        rows = [[_fmt(row[h]) for h in headers] for row in block["ranked"]]
         lines += _table(headers, rows) + [""]
 
-    aggregate = report.get("aggregate")
+    aggregate = block.get("aggregate")
     if aggregate:
         lines += ["## Aggregate", ""]
         if aggregate.get("metrics"):

@@ -4,30 +4,35 @@ One call takes a spec (a :class:`SweepSpec`, a plain dict, or a path
 to a ``.toml``/``.json`` file), expands it, runs the cells through the
 :class:`~repro.runner.orchestrator.Orchestrator` (cache, worker
 isolation, retries included), and returns a :class:`SweepRun` bundling
-the manifest, the joined cells and the typed report.  The manifest's
-``sweep`` block holds the report's deterministic sections, so the
-manifest alone records what the sweep computed.
+the manifest and the joined cells.  The manifest is the sweep's one
+document: its ``sweep`` block holds the spec, each task's axes and the
+sections aggregated from the cells (``metrics``, ``axis_deltas``,
+``ranked`` and, when the spec names a hook, ``aggregate``), and
+:func:`~repro.sweep.report.render_markdown` renders the report from it.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
+from ..experiments.common import canonical_json
 from ..runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from ..runner.orchestrator import Orchestrator
-from .aggregate import SweepCell, collect_cells
+from .aggregate import (
+    SweepCell,
+    axis_deltas,
+    collect_cells,
+    ranked_rows,
+    run_custom_aggregate,
+    shared_numeric_metrics,
+)
 from .expand import SweepTask, expand
-from .report import build_report
 from .spec import SweepSpec, load_spec, spec_from_dict
 
 __all__ = ["SweepRun", "sweep"]
-
-#: the report's deterministic sections the manifest's ``sweep`` block
-#: carries next to the spec and the task axes (``aggregate`` only when
-#: the spec names a hook)
-MANIFEST_SECTIONS = ("metrics", "axis_deltas", "ranked", "aggregate")
 
 
 @dataclass
@@ -38,12 +43,15 @@ class SweepRun:
     tasks: list[SweepTask]
     cells: list[SweepCell]
     manifest: dict[str, Any]
-    report: dict[str, Any]
+
+    #: ``benchmarks/perf/child.py`` still reads ``run.report``: a name
+    #: for the manifest until the harness moves (ROADMAP item 2)
+    report = property(lambda self: self.manifest)
 
     @property
     def ok(self) -> bool:
         """Every cell succeeded."""
-        return self.report["totals"]["failed"] == 0
+        return self.manifest["totals"]["failed"] == 0
 
     @property
     def results(self) -> dict[str, Any]:
@@ -96,8 +104,11 @@ def sweep(spec: Union[SweepSpec, dict, str, Path], *,
         sweep={"spec": spec.to_dict(),
                "tasks": {task.id: task.axes_dict for task in tasks}})
     cells = collect_cells(tasks, orch.outcomes)
-    report = build_report(spec, cells, manifest)
-    manifest["sweep"].update(
-        (key, report[key]) for key in MANIFEST_SECTIONS if key in report)
-    return SweepRun(spec=spec, tasks=tasks, cells=cells,
-                    manifest=manifest, report=report)
+    sections = {"metrics": shared_numeric_metrics(cells, spec.metrics),
+                "axis_deltas": axis_deltas(spec, cells),
+                "ranked": ranked_rows(spec, cells)}
+    aggregate = run_custom_aggregate(spec, cells)
+    if aggregate is not None:
+        sections["aggregate"] = aggregate
+    manifest["sweep"].update(json.loads(canonical_json(sections)))
+    return SweepRun(spec=spec, tasks=tasks, cells=cells, manifest=manifest)

@@ -4,8 +4,8 @@ A :class:`SweepSpec` declares *what to compare* — one registered
 experiment, a set of axes with candidate values, an expansion mode —
 and nothing about *how to run it* (jobs and caching are the runner's
 and the library caller's concerns).  The spec is frozen and canonically
-serializable, so it can ride inside run manifests and sweep reports
-and participate in digests.
+serializable, so it can ride inside run manifests and participate in
+digests.
 
 Expansion modes (see :mod:`repro.sweep.expand`):
 
@@ -20,8 +20,7 @@ Expansion modes (see :mod:`repro.sweep.expand`):
     ablation study.
 
 ``seeds`` is an implicit extra grid axis bound to the experiment's
-``seed`` parameter.  An :class:`AblationSpec` is just a ``SweepSpec``
-whose mode defaults to ``ablate``.
+``seed`` parameter.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Any
 
 from ..experiments.common import canonical_json
 
-__all__ = ["AblationSpec", "SweepSpec", "load_spec", "spec_from_dict"]
+__all__ = ["SweepSpec", "load_spec", "spec_from_dict"]
 
 #: valid expansion modes
 MODES = ("grid", "zip", "ablate")
@@ -138,14 +137,6 @@ class SweepSpec:
         return canonical_json(self.to_dict())
 
 
-@dataclass(frozen=True)
-class AblationSpec(SweepSpec):
-    """A one-factor-at-a-time ablation: ``SweepSpec`` with
-    ``mode="ablate"`` as the default."""
-
-    mode: str = "ablate"
-
-
 #: spec keys that live under the optional ``[report]`` table in files
 _REPORT_KEYS = ("rank_by", "rank_descending", "aggregate", "metrics")
 
@@ -180,8 +171,7 @@ def spec_from_dict(doc: dict[str, Any]) -> SweepSpec:
     for required in ("name", "experiment"):
         if required not in data:
             raise TypeError(f"sweep spec needs a {required!r} key")
-    cls = AblationSpec if data.get("mode") == "ablate" else SweepSpec
-    return cls(**data)
+    return SweepSpec(**data)
 
 
 def load_spec(path: Any) -> SweepSpec:

@@ -4,13 +4,14 @@ Everything that can be wrong *before* a worker starts is collected
 here and raised as one :class:`SweepValidationError` listing every
 problem — an unknown experiment id, a typo'd axis, a value outside
 the declared :class:`~repro.experiments.common.ParamSpec` bounds, a
-``zip`` length mismatch.  Per-value type/range checking reuses the
-experiment's own schema, so the sweep DSL and the orchestrator agree
-on what is legal.
+``zip`` length mismatch, an aggregate hook that does not resolve.
+Per-value type/range checking reuses the experiment's own schema, so
+the sweep DSL and the orchestrator agree on what is legal.
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import Any
 
 from ..experiments.common import ExperimentSpec
@@ -50,6 +51,8 @@ def spec_errors(spec: SweepSpec) -> list[str]:
                       f"(one of {', '.join(MODES)})")
     if spec.scale <= 0:
         errors.append(f"scale must be positive, got {spec.scale!r}")
+    if spec.aggregate:
+        errors.extend(_hook_errors(spec.aggregate))
 
     experiment = _experiment(spec)
     if experiment is None:
@@ -92,6 +95,23 @@ def spec_errors(spec: SweepSpec) -> list[str]:
     if spec.mode == "ablate" and not spec.axes:
         errors.append("ablate mode without axes has nothing to ablate")
     return errors
+
+
+def _hook_errors(hook: str) -> list[str]:
+    """Resolve the ``module:function`` aggregate hook the way the sweep
+    will call it, after every cell has run."""
+    module, _, func = hook.partition(":")
+    if not (module and func):
+        return [f"aggregate hook {hook!r} must be 'module:function'"]
+    try:
+        fn = getattr(importlib.import_module(module), func, None)
+    except ImportError as exc:
+        return [f"aggregate hook {hook!r}: cannot import {module!r} "
+                f"({exc})"]
+    if not callable(fn):
+        return [f"aggregate hook {hook!r}: {module!r} has no function "
+                f"{func!r}"]
+    return []
 
 
 def _check_values(experiment: ExperimentSpec, name: str,

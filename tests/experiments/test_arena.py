@@ -45,14 +45,6 @@ def test_invariants_hold_everywhere(result):
     assert violations == [0] * len(result.rows)
 
 
-def test_markdown_report(result):
-    md = result.metrics["markdown_report"]
-    assert md.startswith("# EXP-ARENA")
-    assert "| rank |" in md or "| 1 |" in md
-    for row in result.rows:
-        assert row["controller"] in md
-
-
 def test_digest_stable_and_json_safe(result):
     doc = result.to_dict()
     json.dumps(doc)  # fully serializable

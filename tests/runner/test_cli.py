@@ -13,6 +13,7 @@ import pytest
 import tests.sweep._toy  # noqa: F401 - registers TOY-SWEEP
 from repro.experiments.common import ExperimentSpec
 from repro.runner.cli import main
+from repro.sweep import render_markdown
 
 #: a two-cell sweep over the pure toy experiment (score = 10·gain for
 #: mode a, 30·gain for mode b; cost = 100·scale)
@@ -201,6 +202,18 @@ class TestSpecUsage:
         assert err.startswith(f"{spec}: 2 problem(s)\n")
         assert "'z'" in err and "typo" in err
 
+    def test_an_aggregate_hook_that_does_not_resolve_exits_two(self,
+                                                               tmp_path,
+                                                               capsys):
+        spec = write_spec(tmp_path, report={
+            "aggregate": "repro.experiments.arena:no_such_hook"})
+        assert main([spec, "--quiet", "--no-cache",
+                     "--manifest", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{spec}: 1 problem(s)\n")
+        assert "has no function 'no_such_hook'" in err
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("doc, expected", [
         pytest.param(None, "No such file", id="unreadable"),
         pytest.param("{not json", "error: Expecting property name",
@@ -292,6 +305,11 @@ class TestSpecRun:
         assert "## Ranked by `score`" in out
         assert "2/2 ok, 0 failed" in out
         assert f"results digest: {manifest['results_digest']}" in out
+
+    def test_the_printed_report_renders_the_saved_manifest(self, run):
+        rc, manifest, out = run()
+        assert rc == 0
+        assert out.startswith(render_markdown(manifest) + "\n\n2/2 ok")
 
     def test_no_report_silences_the_sweep_report(self, run):
         rc, _, out = run("--no-report")

@@ -62,6 +62,34 @@ def test_task_on_one_side_only_is_a_difference():
                      "EXP-B: status: '<missing>' -> 'ok'"]
 
 
+def sweep_manifest(ranked):
+    doc = manifest()
+    doc["sweep"] = {"spec": {"name": "s"}, "tasks": {"EXP-A": {"x": 1}},
+                    "ranked": [{"rank": 1, "task": task} for task in ranked]}
+    return doc
+
+
+def test_the_sweep_block_is_one_more_task(tmp_path):
+    """A sweep's ranking lives in its manifest's ``sweep`` block only."""
+    a, b = sweep_manifest(["EXP-A", "EXP-B"]), sweep_manifest(["EXP-B", "EXP-A"])
+    assert diff_manifests.diff_manifests(a, b) == [
+        "sweep: ranked.0.task: 'EXP-A' -> 'EXP-B'",
+        "sweep: ranked.1.task: 'EXP-B' -> 'EXP-A'"]
+    paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+    for path, doc in zip(paths, (a, b)):
+        Path(path).write_text(json.dumps(doc))
+    assert diff_manifests.main(paths) == 1
+
+
+def test_a_sweep_block_on_one_side_only_is_a_difference():
+    lines = diff_manifests.diff_manifests(sweep_manifest(["EXP-A"]),
+                                          manifest())
+    assert lines == ["sweep: spec.name: 's' -> '<missing>'",
+                     "sweep: tasks.EXP-A.x: 1 -> '<missing>'",
+                     "sweep: ranked.0.rank: 1 -> '<missing>'",
+                     "sweep: ranked.0.task: 'EXP-A' -> '<missing>'"]
+
+
 def test_cli_exit_status_and_output(tmp_path, capsys):
     paths = []
     for name, doc in (("a", manifest(events=100)), ("b", manifest(events=60))):
@@ -76,7 +104,7 @@ def test_cli_exit_status_and_output(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, reason", [
     pytest.param("not json {", "Expecting value", id="not-json"),
-    pytest.param('{"schema": "pgmcc.sweep-report/v1"}', "no 'tasks' list",
+    pytest.param('{"schema": "pgmcc.session-metrics/v1"}', "no 'tasks' list",
                  id="another-document"),
     pytest.param('{"tasks": {"EXP-A": {}}}', "no 'tasks' list",
                  id="tasks-not-a-list"),

@@ -140,6 +140,25 @@ class TestValidation:
         with pytest.raises(SweepValidationError, match="conflicts"):
             expand(spec)
 
+    @pytest.mark.parametrize("hook, expected", [
+        pytest.param("no-colon", "must be 'module:function'", id="shape"),
+        pytest.param("repro.no_such_module:f", "cannot import",
+                     id="module"),
+        pytest.param("repro.experiments.arena:no_such_hook",
+                     "has no function 'no_such_hook'", id="function"),
+        pytest.param("repro.experiments.arena:SCENARIOS",
+                     "has no function 'SCENARIOS'", id="not-callable"),
+    ])
+    def test_aggregate_hook_must_resolve(self, hook, expected):
+        """Checked before any cell runs, not after the last one."""
+        spec = SweepSpec(name="v", experiment=TOY, axes={"mode": ["a"]},
+                         aggregate=hook)
+        errors = spec_errors(spec)
+        assert len(errors) == 1 and expected in errors[0]
+        assert spec_errors(SweepSpec(
+            name="v", experiment=TOY, axes={"mode": ["a"]},
+            aggregate="repro.experiments.arena:aggregate_cells")) == []
+
     def test_every_problem_reported_at_once(self):
         spec = SweepSpec(name="v", experiment=TOY, mode="zip",
                          axes={"mode": ["z", "a"], "gain": [-1.0]})

@@ -54,18 +54,19 @@ class TestArenaParity:
         return arena.run(scale=SCALE)
 
     def test_every_cell_ok(self, sweep_run):
-        assert sweep_run.report["totals"] == {
-            "tasks": 12, "ok": 12, "failed": 0}
+        totals = sweep_run.manifest["totals"]
+        assert (totals["tasks"], totals["ok"], totals["failed"]) == (12, 12, 0)
 
     def test_ranked_table_matches_monolithic_run(self, sweep_run, mono):
-        agg = sweep_run.report["aggregate"]
+        agg = sweep_run.manifest["sweep"]["aggregate"]
         assert agg["rows"] == mono.rows
         for key in ("pgmcc_in_envelope", "discriminates"):
             assert agg["metrics"][key] == mono.metrics[key]
 
     def test_cell_metrics_match_monolithic_bouts(self, sweep_run, mono):
-        for task in sweep_run.report["tasks"]:
-            controller = task["axes"]["controller"]
-            scenario = task["axes"]["scenario"]
-            assert (task["metrics"]["goodput_bps"]
+        axes = sweep_run.manifest["sweep"]["tasks"]
+        for task in sweep_run.manifest["tasks"]:
+            controller = axes[task["id"]]["controller"]
+            scenario = axes[task["id"]]["scenario"]
+            assert (task["result"]["metrics"]["goodput_bps"]
                     == mono.metrics[f"{controller}:{scenario}:goodput_bps"])

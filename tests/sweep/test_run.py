@@ -1,8 +1,10 @@
-"""End-to-end ``sweep()`` runs: reports, digests, manifests, caching."""
+"""End-to-end ``sweep()`` runs: manifests, digests, caching, the report."""
 
 import pytest
 
 import tests.sweep._toy  # noqa: F401 - registers TOY-SWEEP
+from repro.runner.manifest import results_digest
+from repro.runner.tasks import TaskOutcome
 from repro.sweep import SweepSpec, report_digest, sweep
 from tests.runner.test_orchestrator import REPO_ROOT
 
@@ -31,28 +33,29 @@ def run_toy(spec, **kw):
 class TestSweepRun:
     def test_report_shape(self):
         run = run_toy(toy_spec())
-        report = run.report
-        assert report["schema"] == "pgmcc.sweep-report/v1"
+        manifest, block = run.manifest, run.manifest["sweep"]
         assert run.ok
-        assert report["totals"] == {"tasks": 4, "ok": 4, "failed": 0}
-        assert report["metrics"] == ["score", "cost"]
-        assert len(report["tasks"]) == 4
+        totals = manifest["totals"]
+        assert (totals["tasks"], totals["ok"], totals["failed"]) == (4, 4, 0)
+        assert block["metrics"] == ["score", "cost"]
+        assert len(manifest["tasks"]) == 4
         # mode=a gain=1: score 10; mode=b gain=2: score 60
-        scores = {t["id"]: t["metrics"]["score"] for t in report["tasks"]}
+        scores = {t["id"]: t["result"]["metrics"]["score"]
+                  for t in manifest["tasks"]}
         assert scores["toy-run/mode=a,gain=1.0"] == 10.0
         assert scores["toy-run/mode=b,gain=2.0"] == 60.0
-        assert report["ranked"][0]["score"] == 10.0
-        assert {d["axis"] for d in report["axis_deltas"]} == {"mode", "gain"}
-        assert report["results_digest"] == run.manifest["results_digest"]
-        assert report["report_digest"] == report_digest(report)
+        assert block["ranked"][0]["score"] == 10.0
+        assert {d["axis"] for d in block["axis_deltas"]} == {"mode", "gain"}
+        assert "aggregate" not in block  # the spec names no hook
         assert run.results["toy-run/mode=a,gain=1.0"].metrics["score"] == 10.0
 
     def test_scale_override_reaches_cells(self):
         run = run_toy(toy_spec(axes={"mode": ["a"]}), scale=0.25)
         # cost = 100 * scale (+0 for flag=False)
-        [task] = run.report["tasks"]
-        assert task["metrics"]["cost"] == 25.0
-        assert run.report["scale"] == 0.25
+        [task] = run.manifest["tasks"]
+        assert task["result"]["metrics"]["cost"] == 25.0
+        assert run.manifest["scale"] == 0.25
+        assert run.manifest["sweep"]["spec"]["scale"] == 0.25
 
     def test_manifest_carries_the_sweep_block(self):
         run = run_toy(toy_spec())
@@ -68,24 +71,25 @@ class TestSweepRun:
         serial = run_toy(spec, cache_dir=cache)
         parallel = run_toy(spec, jobs=4)
         cached = run_toy(spec, cache_dir=cache)
-        digests = {r.report["report_digest"]
-                   for r in (serial, parallel, cached)}
-        assert len(digests) == 1
-        assert cached.report["run"]["cache_hits"] == 4
-        assert serial.report["run"]["cache_hits"] == 0
+        manifests = [r.manifest for r in (serial, parallel, cached)]
+        assert len({m["results_digest"] for m in manifests}) == 1
+        assert all(m["sweep"] == serial.manifest["sweep"] for m in manifests)
+        assert cached.manifest["totals"]["cache_hits"] == 4
+        assert serial.manifest["totals"]["cache_hits"] == 0
 
     def test_failed_cell_reported_siblings_complete(self):
         # gain=13 is the toy's deterministic failure cell: its sibling
-        # still completes and the report carries both outcomes.
+        # still completes and the manifest carries both outcomes.
         spec = SweepSpec(name="toy-fail", experiment=TOY,
                          axes={"gain": [1.0, 13.0]}, scale=0.5,
                          metrics=("score",))
         run = run_toy(spec, retries=0)
         assert not run.ok
-        assert run.report["totals"] == {"tasks": 2, "ok": 1, "failed": 1}
-        by_id = {t["id"]: t for t in run.report["tasks"]}
+        totals = run.manifest["totals"]
+        assert (totals["tasks"], totals["ok"], totals["failed"]) == (2, 1, 1)
+        by_id = {t["id"]: t for t in run.manifest["tasks"]}
         assert by_id["toy-fail/gain=13.0"]["status"] == "failed"
-        assert by_id["toy-fail/gain=1.0"]["metrics"]["score"] == 10.0
+        assert by_id["toy-fail/gain=1.0"]["result"]["metrics"]["score"] == 10.0
 
     def test_baseline_is_a_name_whose_one_value_is_none(self):
         """``benchmarks/perf/child.py`` spells ``baseline=None``; there
@@ -94,13 +98,23 @@ class TestSweepRun:
         with pytest.raises(TypeError, match="run.py compare"):
             run_toy(toy_spec(axes={"mode": ["a"]}), baseline="x")
 
+    def test_report_and_report_digest_are_names_for_the_manifest(self):
+        """``benchmarks/perf/child.py`` reads ``report_digest(run.report)``
+        and ``run.report["totals"]["ok"]``."""
+        run = run_toy(toy_spec(axes={"mode": ["a"]}))
+        assert report_digest(run.report) == run.manifest["results_digest"]
+        assert run.report["totals"]["ok"] == 1
+
     def test_report_digest_ignores_volatile_sections(self):
-        run1 = run_toy(toy_spec())
-        report = dict(run1.report)
-        mutated = dict(report)
-        mutated["run"] = {"run_id": "other", "jobs": 99,
-                         "cache_hits": 7, "wall_s": 1e9}
-        assert report_digest(mutated) == report_digest(report)
+        """The digest sees each task's id and result digest, nothing of
+        how the run went."""
+        run = run_toy(toy_spec())
+        replayed = [TaskOutcome(id=t["id"], status=t["status"],
+                                result_digest=t["result_digest"],
+                                attempts=7, wall_s=1e9, worker=99,
+                                cache_hit=True)
+                    for t in run.manifest["tasks"]]
+        assert results_digest(replayed) == run.manifest["results_digest"]
 
     def test_validation_failure_raises_before_any_run(self):
         from repro.sweep import SweepValidationError
@@ -117,8 +131,9 @@ class TestSweepRun:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         from_file = run_toy(path)
-        assert (from_dict.report["report_digest"]
-                == from_file.report["report_digest"])
+        assert (from_dict.manifest["results_digest"]
+                == from_file.manifest["results_digest"])
+        assert from_dict.manifest["sweep"] == from_file.manifest["sweep"]
 
 
 class TestMarkdown:
@@ -127,7 +142,7 @@ class TestMarkdown:
 
         spec = toy_spec(seeds=(1, 2), description="toy sweep test")
         run = run_toy(spec)
-        text = render_markdown(run.report)
+        text = render_markdown(run.manifest)
         assert "# Sweep report: toy-run" in text
         assert "toy sweep test" in text
         assert "## Cells" in text

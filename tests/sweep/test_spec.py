@@ -1,10 +1,10 @@
-"""SweepSpec/AblationSpec construction, dict and file loading."""
+"""SweepSpec construction, dict and file loading."""
 
 import json
 
 import pytest
 
-from repro.sweep import AblationSpec, SweepSpec, load_spec, spec_from_dict
+from repro.sweep import SweepSpec, load_spec, spec_from_dict
 
 
 class TestConstruction:
@@ -19,8 +19,8 @@ class TestConstruction:
         hash(spec)  # frozen + fully tupled
 
     def test_ablation_spec_defaults_to_ablate_mode(self):
-        assert AblationSpec(name="a", experiment="E",
-                            axes={"x": [1]}).mode == "ablate"
+        assert SweepSpec(name="a", experiment="E", mode="ablate",
+                         axes={"x": [1]}).mode == "ablate"
         assert SweepSpec(name="s", experiment="E").mode == "grid"
 
     def test_to_dict_round_trips_through_from_dict(self):
@@ -60,7 +60,8 @@ class TestFromDict:
     def test_mode_ablate_yields_ablation_spec(self):
         spec = spec_from_dict({"name": "s", "experiment": "E",
                                "mode": "ablate", "axes": {"x": [1]}})
-        assert isinstance(spec, AblationSpec)
+        assert spec == SweepSpec(name="s", experiment="E", mode="ablate",
+                                 axes={"x": [1]})
 
     def test_non_dict_rejected(self):
         with pytest.raises(TypeError):

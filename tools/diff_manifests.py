@@ -4,8 +4,10 @@
 ``python -m repro.runner --manifest PATH`` writes one document per run;
 its ``results_digest`` says *whether* two runs agree, this says *where*
 they do not.  Tasks are matched by id and every leaf of each task is
-compared, except what legitimately differs between two runs of the same
-simulation:
+compared; a sweep manifest's ``sweep`` block (spec, task axes, axis
+deltas, ranking, aggregate table) is compared as one more task named
+``sweep``.  Skipped is what legitimately differs between two runs of
+the same simulation:
 
 * how the run went — the per-task ``wall_s``, ``worker``, ``attempts``
   and ``cache_hit`` fields;
@@ -50,10 +52,18 @@ def leaves(node, path=()):
         yield from leaves(value, path + (str(key),))
 
 
+def entries(doc: dict) -> dict:
+    """Task id -> task, then the ``sweep`` block when there is one."""
+    out = {task["id"]: task for task in doc["tasks"]}
+    if "sweep" in doc:
+        out["sweep"] = doc["sweep"]
+    return out
+
+
 def diff_manifests(parent: dict, change: dict, ignore=()) -> list[str]:
     """Every differing leaf as a printable line, in task order."""
     suffixes = tuple("." + key for key in ignore)
-    tasks = [{t["id"]: t for t in doc["tasks"]} for doc in (parent, change)]
+    tasks = [entries(doc) for doc in (parent, change)]
     lines = []
     for task_id in dict.fromkeys([*tasks[0], *tasks[1]]):
         sides = [dict(leaves(side.get(task_id, {}))) for side in tasks]
