@@ -6,16 +6,16 @@ ACK therefore carries ``ack_seq`` (the data packet that elicited it)
 plus a 32-bit bitmap over the most recent 32 packets, so every ACK is
 effectively transmitted multiple times.
 
-The tracker keeps the set of outstanding (sent, not yet acknowledged)
-ODATA sequence numbers.  For each incoming ACK it:
+The tracker keeps the outstanding (sent, not yet acknowledged) ODATA
+sequence numbers in send order and walks them, per ACK, from the front
+up to ``ack_seq`` — the acked packet plus any holes, not the window:
 
-1. marks every sequence the bitmap reports received (recovering lost
-   and reordered ACKs) — each *newly* acknowledged data packet is one
+1. a packet the bitmap reports received is newly acknowledged — one
    ACK event for the window controller, keeping the token supply equal
-   to the delivered packet count;
-2. counts, for each still-outstanding packet older than ``ack_seq``,
-   one more "subsequent ACK that missed it"; at the dupack threshold
-   (3) the packet is declared lost.
+   to the delivered packet count (the bitmap recovers lost ACKs);
+2. an older one it does not report, covered or not, counts one more
+   "subsequent ACK that missed it"; at the dupack threshold (3) the
+   packet is declared lost.
 
 Retransmissions (RDATA) are never ACKed and never tracked.
 """
@@ -77,8 +77,9 @@ class AckTracker:
         if dupack_threshold < 1:
             raise ValueError("dupack_threshold must be >= 1")
         self.dupack_threshold = dupack_threshold
-        #: outstanding seq -> count of subsequent ACKs that missed it
+        #: outstanding seq -> count of subsequent ACKs that missed it, in send order
         self._outstanding: dict[int, int] = {}
+        self._last_sent = -1
         self.highest_ack_seq: int = -1
         self.acks_received = 0
         self.duplicate_acks = 0
@@ -86,14 +87,16 @@ class AckTracker:
     # -- sender events -------------------------------------------------------
 
     def on_data_sent(self, seq: int) -> None:
-        """Record an original ODATA transmission."""
-        if seq in self._outstanding:
-            raise ValueError(f"sequence {seq} already outstanding")
+        """Record an original ODATA transmission, in ascending order."""
+        if seq <= self._last_sent:
+            raise ValueError(f"sequence {seq} sent after {self._last_sent}")
+        self._last_sent = seq
         self._outstanding[seq] = 0
 
     def reset(self) -> None:
         """Forget everything (stall restart)."""
         self._outstanding.clear()
+        self._last_sent = -1
         self.highest_ack_seq = -1
 
     # -- ACK processing --------------------------------------------------------
@@ -107,25 +110,19 @@ class AckTracker:
             self.duplicate_acks += 1
         self.highest_ack_seq = max(self.highest_ack_seq, ack_seq)
 
-        # 1. Harvest everything the bitmap says was received.
-        for k in range(BITMAP_BITS):
-            seq = ack_seq - k
-            if seq < 0:
+        table = self._outstanding
+        for seq, misses in table.items():
+            if seq > ack_seq:
                 break
-            if bitmap & (1 << k) and seq in self._outstanding:
-                del self._outstanding[seq]
+            if ack_seq - seq < BITMAP_BITS and bitmap >> (ack_seq - seq) & 1:
                 outcome.newly_acked.append(seq)
-        outcome.newly_acked.sort()
-
-        # 2. Dupack accounting for still-missing older packets.
-        for seq in list(self._outstanding):
-            if seq >= ack_seq:
-                continue
-            self._outstanding[seq] += 1
-            if self._outstanding[seq] >= self.dupack_threshold:
-                del self._outstanding[seq]
-                outcome.losses.append(seq)
-        outcome.losses.sort()
+            elif seq < ack_seq:
+                if misses + 1 >= self.dupack_threshold:
+                    outcome.losses.append(seq)
+                else:
+                    table[seq] = misses + 1
+        for seq in outcome.newly_acked + outcome.losses:
+            del table[seq]
         return outcome
 
     # -- introspection -----------------------------------------------------

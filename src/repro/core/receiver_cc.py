@@ -1,10 +1,10 @@
 """Receiver-side congestion-control state (§3.2, §3.3).
 
 Each receiver keeps a constant amount of state: the low-pass loss
-filter, the highest sequence number seen (``rxw_lead``) and a recent
-receive set from which ACK bitmaps are built.  This module owns the
-*measurement* logic only; NAK scheduling/suppression policy lives with
-the PGM receiver.
+filter, the highest sequence number seen (``rxw_lead``) and a receive
+bitmap in the ACK bitmap's layout, anchored at the lead.  This module
+owns the *measurement* logic only; NAK scheduling/suppression policy
+lives with the PGM receiver.
 """
 
 from __future__ import annotations
@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .acktrack import BITMAP_BITS, build_bitmap
+from .acktrack import BITMAP_BITS
 from .loss_filter import DEFAULT_W, LossRateFilter
 from .reports import ReceiverReport
 
-#: Prune the receive set this far behind the lead; well beyond both the
-#: bitmap width and any plausible reordering in our topologies.
+#: Prune the receive bitmap this far behind the lead; well beyond both
+#: the ACK bitmap width and any plausible reordering in our topologies.
 _PRUNE_MARGIN = 4 * BITMAP_BITS
+_ACK_MASK = (1 << BITMAP_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,8 @@ class ReceiverController:
         else:
             raise ValueError(f"unknown loss estimator {estimator!r}")
         self.rxw_lead: int = -1
-        self._received: set[int] = set()
+        #: bit k set iff sequence ``rxw_lead - k`` was received
+        self._received_bits = 0
         self._prune_floor = 0
         self.data_packets = 0
         self.duplicates = 0
@@ -92,18 +94,18 @@ class ReceiverController:
         if sender_timestamp is not None:
             self._last_tstamp = sender_timestamp
             self._last_tstamp_rx_time = now
-        received = self._received
-        if seq in received:
+        lead = self.rxw_lead
+        if seq <= lead and self._received_bits >> (lead - seq) & 1:
             self.duplicates += 1
             return _DUPLICATE
 
         self.data_packets += 1
-        received.add(seq)
-        lead = self.rxw_lead
         if seq <= lead:
             # unseen and behind the lead: the slot was already counted
             # as lost when the gap opened
+            self._received_bits |= 1 << (lead - seq)
             return _FILLED
+        self._received_bits = self._received_bits << (seq - lead) | 1
         outcome = _ADVANCED
         observer = self.sample_observer
         # The first packet ever seen (lead < 0) anchors the receive
@@ -135,17 +137,17 @@ class ReceiverController:
         if new_lead <= self.rxw_lead:
             return 0
         old_lead = self.rxw_lead
-        skipped = new_lead - old_lead - 1 if old_lead >= 0 else 0
-        skipped -= sum(1 for s in self._received if old_lead < s < new_lead)
+        self._received_bits <<= new_lead - old_lead
         self.rxw_lead = new_lead
         self._maybe_prune()
-        return max(skipped, 0)
+        # every received sequence is <= old_lead: the skipped span holds none
+        return new_lead - old_lead - 1 if old_lead >= 0 else 0
 
     def _maybe_prune(self) -> None:
         floor = self.rxw_lead - _PRUNE_MARGIN
         if floor - self._prune_floor < _PRUNE_MARGIN:
             return
-        self._received = {s for s in self._received if s >= floor}
+        self._received_bits &= (1 << (self.rxw_lead - floor + 1)) - 1
         self._prune_floor = floor
 
     # -- report / ACK construction ---------------------------------------------
@@ -166,11 +168,12 @@ class ReceiverController:
         )
 
     def ack_bitmap(self, ack_seq: int) -> int:
-        """32-bit receive bitmap for an ACK elicited by ``ack_seq``."""
-        return build_bitmap(ack_seq, self._received)
+        """32-bit receive bitmap for an ACK elicited by ``ack_seq``, a
+        received sequence and so at or behind ``rxw_lead``."""
+        return self._received_bits >> (self.rxw_lead - ack_seq) & _ACK_MASK
 
     def has_received(self, seq: int) -> bool:
-        return seq in self._received
+        return seq <= self.rxw_lead and bool(self._received_bits >> (self.rxw_lead - seq) & 1)
 
     @property
     def loss_rate(self) -> float:

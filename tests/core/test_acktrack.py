@@ -55,6 +55,23 @@ class TestTrackerBasics:
         with pytest.raises(ValueError):
             tracker.on_data_sent(0)
 
+    def test_out_of_order_send_rejected(self):
+        """``on_ack`` walks the table in send order, so a send that
+        does not exceed the last one fails early; ``reset()`` re-opens
+        the table."""
+        tracker = AckTracker()
+        tracker.on_data_sent(5)
+        with pytest.raises(ValueError):
+            tracker.on_data_sent(3)
+        with pytest.raises(ValueError):
+            tracker.on_data_sent(5)
+        tracker.on_ack(5, build_bitmap(5, {5}))
+        with pytest.raises(ValueError):
+            tracker.on_data_sent(4)  # still rejected once 5 is acked
+        tracker.reset()
+        tracker.on_data_sent(0)
+        assert tracker.outstanding() == [0]
+
     def test_simple_ack_clears_outstanding(self):
         tracker = AckTracker()
         tracker.on_data_sent(0)
@@ -193,3 +210,42 @@ class TestTrackerProperties:
             outs = tracker.outstanding()
             assert len(outs) == len(set(outs))
             assert tracker.outstanding_count >= 0
+
+
+class _CountingTable(dict):
+    """An outstanding table that counts the entries a walk visits."""
+
+    visits = 0
+
+    def __iter__(self):
+        for key in super().__iter__():
+            self.visits += 1
+            yield key
+
+    def items(self):
+        for item in super().items():
+            self.visits += 1
+            yield item
+
+
+class TestAckWork:
+    def test_an_ack_visits_the_holes_and_the_acked_packet_only(self):
+        """1000 packets in flight, in-order ACKs, one hole: each ACK
+        walks the entries at or below ``ack_seq`` plus the first one
+        past it, not the whole table."""
+        in_flight, hole = 1000, 100
+        tracker = AckTracker()
+        tracker._outstanding = table = _CountingTable()
+        for seq in range(in_flight):
+            tracker.on_data_sent(seq)
+        received: set[int] = set()
+        for seq in range(2 * in_flight):
+            if seq != hole:
+                received.add(seq)
+                holes = int(tracker.is_outstanding(hole))
+                table.visits = 0
+                tracker.on_ack(seq, build_bitmap(seq, received))
+                assert table.visits <= holes + 2
+            tracker.on_data_sent(seq + in_flight)
+            assert tracker.outstanding_count >= in_flight - 1
+        assert not tracker.is_outstanding(hole)

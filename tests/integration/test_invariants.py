@@ -86,7 +86,7 @@ class TestStateBounds:
         assert len(ctl._send_times) < 400
         for rx in session.receivers:
             assert len(rx._nak_states) < 100
-            assert len(rx.cc._received) < 5000
+            assert rx.cc._received_bits.bit_length() < 5000
 
     def test_trace_is_the_only_unbounded_structure(self):
         net = dumbbell(1, 1, NON_LOSSY, seed=45)

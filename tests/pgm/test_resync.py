@@ -38,6 +38,17 @@ class TestCcResync:
         skipped = cc.resync(104)
         assert skipped == 104 - 51 - 1
 
+    def test_skipped_span_never_holds_a_received_packet(self):
+        """Every received sequence is at or behind the lead, so a jump
+        skips exactly the sequences between the old and the new lead,
+        whatever arrived before it: gaps, repairs, duplicates."""
+        cc = self._primed()
+        for seq in (9, 7, 7, 300, 5, 150, 301, 1):
+            cc.on_data(seq, now=6.0)
+        assert cc.resync(1000) == 1000 - 301 - 1
+        assert cc.resync(1001) == 0
+        assert ReceiverController("r1").resync(50) == 0  # nothing seen yet
+
     def test_backward_or_equal_jump_is_a_noop(self):
         cc = self._primed()
         assert cc.resync(4) == 0
