@@ -47,7 +47,7 @@ class Node:
         self.name = name
         #: outgoing links keyed by neighbour node name
         self.links: dict[str, Link] = {}
-        #: unicast forwarding: destination host -> next-hop neighbour
+        #: unicast forwarding: destination -> next-hop neighbour (shared)
         self.unicast_routes: dict[Address, str] = {}
         #: multicast forwarding: group -> set of downstream neighbours
         self.multicast_routes: dict[Address, tuple[str, ...]] = {}
@@ -106,12 +106,15 @@ class Node:
         return link.send(packet)
 
     def unicast_next_hop(self, dst: Address) -> Optional[str]:
+        if dst == self.name:
+            return None
         return self.unicast_routes.get(dst)
 
     def forward_unicast(self, packet: Packet) -> bool:
-        """Send towards ``packet.dst`` using the unicast table."""
-        nh = self.unicast_routes.get(packet.dst)
-        if nh is None:
+        """Send towards ``packet.dst``; no route to this node itself."""
+        dst = packet.dst
+        nh = self.unicast_routes.get(dst)
+        if nh is None or dst == self.name:
             self.packets_dropped_no_route += 1
             return False
         return self.send_via(nh, packet)

@@ -11,9 +11,10 @@ The graph is a plain adjacency mapping and the solve a ``heapq``
 Dijkstra.  The paper's topologies have a few dozen nodes, but the
 hybrid 10^6-receiver topology has 386 and a real-member one 1000+,
 almost all of them hosts on a single access link.  So unicast tables
-cost one solve per node with more than one outgoing link; a
-single-homed node reuses its neighbour's (see
-:func:`install_unicast_routes`).
+cost one solve per node with more than one outgoing link, and every
+single-homed node behind the same neighbour shares one table (see
+:func:`install_unicast_routes`): route memory grows with routers x
+nodes, not nodes².
 """
 
 from __future__ import annotations
@@ -102,22 +103,24 @@ def install_unicast_routes(graph: Graph, nodes: Mapping[str, Node]) -> None:
     every node.  Overwrites existing unicast tables.
 
     A node with exactly one outgoing link (a host, a dead-end router)
-    sends everything through it, so it costs no solve: it reaches
-    what that neighbour reaches, itself excepted, all via the
-    neighbour.  Every other node gets one :func:`first_hops` solve, and
-    so does a single-homed node that another single-homed node copies,
-    so no table is ever copied from a copy.
+    sends everything through it, so it costs no solve: every node
+    behind one neighbour shares one table, all that neighbour reaches
+    via the neighbour.  The table may name its owner, so "no route to
+    yourself" is the readers' rule (:meth:`Node.unicast_next_hop`,
+    :meth:`Node.forward_unicast`).  Sharing is safe because no table is
+    mutated once installed: a rebuild replaces them.  Every other node
+    gets one :func:`first_hops` solve, and so does a single-homed node
+    that another hangs off, so no table derives from a derived one.
     """
     via = {u: next(iter(out)) for u, out in graph.items() if len(out) == 1}
-    copied_from = set(via.values())
+    shared = dict.fromkeys(via.values())  # neighbour -> its hosts' table
     tables = {u: first_hops(graph, u) for u in graph
-              if u not in via or u in copied_from}
+              if u not in via or u in shared}
+    for neighbour in shared:
+        table = shared[neighbour] = dict.fromkeys(tables[neighbour], neighbour)
+        table[neighbour] = neighbour
     for u, neighbour in via.items():
-        if u not in tables:
-            table = dict.fromkeys(tables[neighbour], neighbour)
-            table[neighbour] = neighbour
-            table.pop(u, None)
-            tables[u] = table
+        tables.setdefault(u, shared[neighbour])
     for name, node in nodes.items():
         node.unicast_routes = tables[name]
 

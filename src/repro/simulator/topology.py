@@ -31,6 +31,8 @@ class LinkSpec:
 
     Exactly one of ``queue_slots`` / ``queue_bytes`` is normally set;
     setting neither gives the paper's default of 30 slots.
+    ``loss_rate`` must lie in [0, 1]; only a lossy link draws, so only
+    it gets a random stream.
     """
 
     rate_bps: float
@@ -39,14 +41,18 @@ class LinkSpec:
     queue_bytes: Optional[int] = None
     loss_rate: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.loss_rate <= 1.0:
+            raise ValueError(f"loss_rate must be in [0, 1], not {self.loss_rate!r}")
+
     def make_queue(self) -> DropTailQueue:
         if self.queue_slots is None and self.queue_bytes is None:
             return DropTailQueue(max_slots=30)
         return DropTailQueue(max_slots=self.queue_slots, max_bytes=self.queue_bytes)
 
-    def make_loss(self, rng) -> LossModel:
+    def make_loss(self, streams: RngRegistry, name: str) -> LossModel:
         if self.loss_rate > 0.0:
-            return BernoulliLoss(self.loss_rate, rng)
+            return BernoulliLoss(self.loss_rate, streams.stream(name))
         return NoLoss()
 
 
@@ -133,7 +139,7 @@ class Network:
             rate_bps=spec.rate_bps,
             delay=spec.delay,
             queue=spec.make_queue(),
-            loss=spec.make_loss(self.rng.stream(f"loss:{name}")),
+            loss=spec.make_loss(self.rng, f"loss:{name}"),
         )
         link.connect(lambda packet, _dst=dst, _from=a: _dst.receive(packet, _from))
         src.attach_link(b, link)
@@ -352,11 +358,11 @@ def dumbbell_subtrees(
     mode each subtree gets one aggregate host (``t{k}agg``) and
     ``slots`` promotion slot hosts (``t{k}s{j}``) — node count is
     O(subtrees * slots) regardless of ``n_receivers``.  Routing costs
-    one solve per router over every node (hosts copy their router's
+    one solve per router over every node (a router's hosts share one
     table), measured on a 2-CPU x86 host under CPython 3.11: 10^6
-    receivers in 64 subtrees (386 nodes) build in ≈30 ms, in 256
-    subtrees (1538 nodes) in ≈0.45 s, and 2000 real members in 16
-    subtrees (2018 nodes) in ≈0.2 s.  The layout is recorded on the
+    receivers in 64 subtrees (386 nodes) build in ≈27 ms, in 256
+    subtrees (1538 nodes) in ≈0.42 s, and 2000 real members in 16
+    subtrees (2018 nodes) in ≈0.05 s.  The layout is recorded on the
     returned network as ``net.subtree_plan`` for
     :func:`repro.pgm.create_session`'s ``aggregate=`` mode.
     """

@@ -20,6 +20,7 @@ from repro.simulator import (
     Host,
     LinkSpec,
     Network,
+    Packet,
     dumbbell,
     dumbbell_subtrees,
     star,
@@ -88,6 +89,32 @@ class TestUnicast:
         graph = build_graph(net.nodes, net.link_delays)
         install_unicast_routes(graph, net.nodes)
         assert "a" not in net.nodes["a"].unicast_routes
+
+    def test_single_homed_host_sending_to_itself_has_no_route(self):
+        net = dumbbell(1, 1, NON_LOSSY)
+        host, link = net.host("h0"), net.link("h0", "R0")
+        before = host.packets_dropped_no_route
+        assert host.send(Packet("h0", "h0", 100)) is False
+        assert host.packets_dropped_no_route == before + 1
+        assert link.sent == 0
+
+    def test_dead_end_router_drops_unicast_to_itself(self):
+        """``D`` hangs off ``R`` alone, so it shares ``R``'s derived
+        table, which routes ``D`` back via ``R``: the packet must be
+        dropped, not bounced."""
+        net = dumbbell(1, 1, NON_LOSSY)
+        net.add_router("D")
+        net.duplex_link("R0", "D", ACCESS)
+        net.build_routes()
+        dead_end, link = net.router("D"), net.link("D", "R0")
+        dead_end.receive(Packet("h0", "D", 100), from_node="R0")
+        assert dead_end.packets_dropped_no_route == 1
+        assert link.sent == 0
+
+    def test_require_route_to_yourself_raises(self):
+        net = dumbbell(1, 1, NON_LOSSY)
+        with pytest.raises(NoPath):
+            net.require_route("h0", "h0")
 
     def test_unreachable_destination_raises_at_send_time_only(self):
         """Partitioned nodes simply get no route entry."""
@@ -194,19 +221,26 @@ def adjacency(weights):
     return graph
 
 
-def networkx_first_hops(nx, reference, source):
-    paths = nx.single_source_dijkstra_path(reference, source, weight="weight")
-    return {dst: path[1] for dst, path in paths.items() if dst != source}
+def networkx_next_hops(paths, source, names):
+    """networkx's first hop from ``source`` to every name, ``None`` for
+    ``source`` itself and for every name it does not reach."""
+    return {dst: paths[dst][1] if dst in paths and dst != source else None
+            for dst in names}
+
+
+def next_hops(node, names):
+    return {dst: node.unicast_next_hop(dst) for dst in names}
 
 
 @settings(max_examples=200, deadline=None)
 @given(weights=EDGES)
 def test_shortest_paths_are_networkx_single_source_dijkstra(nx, weights):
     """From every source, the same path to every reachable node and the
-    same key set; and every node's unicast table, solved or copied from
-    a single-homed node's neighbour, holds exactly networkx's first hop
-    to every other node it reaches — whatever the ties, zero-weight
-    edges, stub chains, unreachable nodes and edge-insertion order."""
+    same key set; and every node's next hop, solved or shared from a
+    single-homed node's neighbour, is exactly networkx's first hop to
+    every node name (none to itself or to a node it does not reach) —
+    whatever the ties, zero-weight edges, stub chains, unreachable
+    nodes and edge-insertion order."""
     graph = adjacency(weights)
     nodes = {name: Node(None, name) for name in graph}
     install_unicast_routes(graph, nodes)
@@ -214,8 +248,7 @@ def test_shortest_paths_are_networkx_single_source_dijkstra(nx, weights):
     for source, node in nodes.items():
         paths = nx.single_source_dijkstra_path(reference, source, weight="weight")
         assert shortest_paths(graph, source) == paths
-        assert node.unicast_routes == {
-            dst: path[1] for dst, path in paths.items() if dst != source}
+        assert next_hops(node, nodes) == networkx_next_hops(paths, source, nodes)
 
 
 def per_member_dijkstra_routes(nx, net, source, members):
@@ -248,11 +281,23 @@ class TestUnicastTables:
         net, _ = TOPOLOGIES[topology]()
         reference = reference_digraph(nx, net.nodes, {
             edge: delay + HOP_BIAS for edge, delay in net.link_delays.items()})
-        tables = {name: node.unicast_routes for name, node in net.nodes.items()}
-        assert tables == {name: networkx_first_hops(nx, reference, name)
-                          for name in net.nodes}
-        # one dict per node: a host's table is never its neighbour's
-        assert len({id(table) for table in tables.values()}) == len(tables)
+        for name, node in net.nodes.items():
+            paths = nx.single_source_dijkstra_path(reference, name, weight="weight")
+            assert (next_hops(node, net.nodes)
+                    == networkx_next_hops(paths, name, net.nodes)), name
+
+    @pytest.mark.parametrize("build, distinct", [
+        (lambda: dumbbell_subtrees(10**6, subtrees=64), 130),
+        (lambda: dumbbell_subtrees(2000, subtrees=16, members="real"), 34),
+        (lambda: star(100, LEAF), 2),
+        (lambda: dumbbell(2, 4, NON_LOSSY), 4),
+    ], ids=["hybrid_1e6", "real_2000", "star_100", "dumbbell_2_4"])
+    def test_single_homed_nodes_share_one_table_per_neighbour(self, build, distinct):
+        """One table per solved node plus one per neighbour that
+        single-homed nodes hang off, whatever the number of hosts."""
+        net = build()
+        tables = {id(node.unicast_routes) for node in net.nodes.values()}
+        assert len(tables) == distinct
 
     @pytest.mark.parametrize("build, solved", [
         (lambda: dumbbell_subtrees(10**6, subtrees=64),
@@ -262,7 +307,7 @@ class TestUnicastTables:
     def test_one_solve_per_node_with_more_than_one_link(
             self, monkeypatch, build, solved):
         """Hosts (320 of the hybrid topology's 386 nodes, 101 of the
-        star's 102) copy their router's table instead of solving."""
+        star's 102) share their router's table instead of solving."""
         solves = []
         real = routing.shortest_path_tree
         monkeypatch.setattr(

@@ -1,5 +1,7 @@
 """Tests for network construction, routing and multicast trees."""
 
+import math
+
 import pytest
 
 from repro.simulator import (
@@ -10,9 +12,11 @@ from repro.simulator import (
     Network,
     Packet,
     dumbbell,
+    dumbbell_subtrees,
     star,
     two_bottleneck,
 )
+from repro.simulator.rng import RngRegistry
 
 
 class TestLinkSpec:
@@ -35,15 +39,52 @@ class TestLinkSpec:
         assert LOSSY.loss_rate == 0.03
 
     def test_loss_model_selection(self):
-        import random
-
-        assert LinkSpec(1000, 0.0).make_loss(random.Random(1)).__class__.__name__ == "NoLoss"
+        streams = RngRegistry(1)
+        assert LinkSpec(1000, 0.0).make_loss(streams, "x").__class__.__name__ == "NoLoss"
         assert (
             LinkSpec(1000, 0.0, loss_rate=0.1)
-            .make_loss(random.Random(1))
+            .make_loss(streams, "x")
             .__class__.__name__
             == "BernoulliLoss"
         )
+
+    @pytest.mark.parametrize("rate", [-0.1, math.nan, 1.5])
+    def test_bad_loss_rate_raises_where_the_spec_is_written(self, rate):
+        with pytest.raises(ValueError, match="loss_rate"):
+            LinkSpec(1000, 0.0, loss_rate=rate)
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_loss_rate_bounds_are_accepted(self, rate):
+        assert LinkSpec(1000, 0.0, loss_rate=rate).loss_rate == rate
+
+
+class TestLossStreams:
+    @pytest.fixture
+    def requested(self, monkeypatch):
+        names = []
+        real = RngRegistry.stream
+        monkeypatch.setattr(RngRegistry, "stream",
+                            lambda self, name: names.append(name) or real(self, name))
+        return names
+
+    @pytest.mark.parametrize("build, lossy", [
+        (lambda: dumbbell(2, 4, NON_LOSSY), set()),
+        (lambda: dumbbell_subtrees(10**6, subtrees=64), set()),
+        (lambda: dumbbell(2, 4, LOSSY), {"loss:R0->R1", "loss:R1->R0"}),
+    ], ids=["dumbbell", "hybrid_1e6", "dumbbell_lossy"])
+    def test_only_a_lossy_link_requests_a_stream(self, requested, build, lossy):
+        build()
+        assert {name for name in requested if name.startswith("loss:")} == lossy
+
+    def test_lossy_link_draws_its_named_stream(self):
+        net = Network(seed=11)
+        net.add_host("a")
+        net.add_host("b")
+        link = net.simplex_link("a", "b", LinkSpec(1000, 0.0, loss_rate=0.3))
+        fresh = RngRegistry(11).stream("loss:a->b")
+        packet = Packet("a", "b", 10)
+        assert ([link.loss.should_drop(packet) for _ in range(200)]
+                == [fresh.random() < 0.3 for _ in range(200)])
 
 
 class TestNetworkConstruction:
