@@ -33,18 +33,15 @@ from typing import Optional
 
 from ..analysis import throughput_bps
 from ..core.sender_cc import CcConfig
-from ..pgm import constants as C
-from ..pgm import create_session
-from ..simulator import (
-    NON_LOSSY,
+from ..pgm import (
     AckReplay,
-    FaultPlan,
     GreedyAcker,
-    LinkImpairment,
     NakStorm,
     Throttler,
-    dumbbell,
+    create_session,
 )
+from ..pgm import constants as C
+from ..simulator import NON_LOSSY, FaultPlan, LinkImpairment, dumbbell
 from ..tcp import create_tcp_flow
 from .common import ExperimentResult, kbps
 

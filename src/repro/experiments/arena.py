@@ -47,16 +47,9 @@ from typing import Any, Optional
 from ..analysis import throughput_bps, throughput_ratio
 from ..core.controller import controller_names
 from ..core.sender_cc import CcConfig
-from ..pgm import create_session
+from ..pgm import GreedyAcker, create_session
 from ..pgm.session import SessionConfig
-from ..simulator import (
-    LOSSY,
-    NON_LOSSY,
-    FaultPlan,
-    GreedyAcker,
-    LinkImpairment,
-    dumbbell,
-)
+from ..simulator import LOSSY, NON_LOSSY, FaultPlan, LinkImpairment, dumbbell
 from ..tcp import create_tcp_flow
 from .common import ExperimentResult, kbps
 

@@ -21,7 +21,14 @@ from .fec import FecAssembler, FecPayload, FecSource, attach_fec_receiver
 from .guard import FeedbackGuard, GuardConfig, GuardVerdict
 from .invariants import InvariantChecker, InvariantViolation, Violation
 from .liveness import LivenessConfig, LivenessWatchdog
-from .misbehavior import Misbehavior, make_behavior
+from .misbehavior import (
+    AckReplay,
+    GreedyAcker,
+    Misbehavior,
+    NakStorm,
+    SilentJoiner,
+    Throttler,
+)
 from .network_element import PgmNetworkElement
 from .packets import Ack, Nak, Ncf, OData, PgmMessage, RData, Spm, decode
 from .rate_limiter import TokenBucket
@@ -45,8 +52,12 @@ __all__ = [
     "FeedbackGuard",
     "GuardConfig",
     "GuardVerdict",
+    "AckReplay",
+    "GreedyAcker",
     "Misbehavior",
-    "make_behavior",
+    "NakStorm",
+    "SilentJoiner",
+    "Throttler",
     "InvariantChecker",
     "InvariantViolation",
     "Violation",

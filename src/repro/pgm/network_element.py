@@ -63,11 +63,6 @@ class PgmNetworkElement:
         self.selective_repair = selective_repair
         self.state_lifetime = state_lifetime
         self.repair_linger = repair_linger
-        #: fault-injection hook: a disabled NE passes every packet
-        #: through untouched, degrading the router to plain forwarding
-        #: (the incremental-deployment fallback, §3.1).  Existing NAK
-        #: state is retained for when the element comes back.
-        self.enabled = True
         self._nak_state: dict[tuple[int, int], _NakEntry] = {}
         self._fake_seen: dict[tuple[int, int], float] = {}
         #: (tsi, branch) -> member count an aggregate proxy stands for
@@ -121,8 +116,6 @@ class PgmNetworkElement:
             except ValueError:
                 self.malformed_dropped += 1
                 return True
-            return False
-        if not self.enabled:
             return False
         if isinstance(msg, Spm):
             return self._handle_spm(packet, msg, from_node)

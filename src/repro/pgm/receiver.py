@@ -31,7 +31,7 @@ from ..simulator.node import Host
 from ..simulator.packet import Packet
 from ..telemetry.instruments import Histogram
 from . import constants as C
-from .misbehavior import Misbehavior, make_behavior
+from .misbehavior import Activation
 from .packets import Ack, Nak, Ncf, OData, RData, Spm, decode
 
 
@@ -160,9 +160,9 @@ class PgmReceiver:
         )
         self._nak_states: dict[int, _NakState] = {}
         self._closed = False
-        #: active misbehaviours, by kind (normally empty — installed by
-        #: the fault injector's receiver-misbehavior episodes)
-        self.behaviors: dict[str, Misbehavior] = {}
+        #: active misbehaviours, by kind (normally empty — filed here by
+        #: the ``start`` of a :mod:`repro.pgm.misbehavior` episode)
+        self.behaviors: dict[str, Activation] = {}
         #: in-order delivery state (reliable mode)
         self._pending_delivery: dict[int, tuple[int, bytes]] = {}
         self._next_deliver = 0
@@ -189,22 +189,6 @@ class PgmReceiver:
         self.acks_replayed = 0
         self._last_spm_lead = -1
         host.register_agent(C.PROTO, self)
-
-    # -- misbehaviour control (driven by the fault injector) -----------------
-
-    def misbehave_start(self, kind: str, now: float, rng: random.Random,
-                        **params) -> None:
-        """Switch on a misbehaviour episode (idempotent per kind)."""
-        self.misbehave_stop(kind)
-        behavior = make_behavior(kind, self, rng, **params)
-        self.behaviors[kind] = behavior
-        behavior.start(now)
-
-    def misbehave_stop(self, kind: str) -> None:
-        """Switch a misbehaviour off again (no-op when not active)."""
-        behavior = self.behaviors.pop(kind, None)
-        if behavior is not None:
-            behavior.stop()
 
     # -- receive dispatch ---------------------------------------------------
 
@@ -567,16 +551,16 @@ class PgmReceiver:
     def _report(self, context: str = "nak"):
         report = self.cc.report(include_timestamp=self.echo_timestamps, now=self.sim.now)
         if self.behaviors:
-            for behavior in self.behaviors.values():
-                report = behavior.mutate_report(report, context)
+            for act in self.behaviors.values():
+                report = act.episode.mutate_report(act, report, context)
         return report
 
     def _send_nak(self, seq: int, fake: bool = False) -> None:
         if self._closed:
             return
         if self.behaviors:
-            for behavior in self.behaviors.values():
-                if behavior.suppress_nak(seq, fake):
+            for act in self.behaviors.values():
+                if act.episode.suppress_nak(act, seq, fake):
                     self.naks_suppressed += 1
                     return
         nak = Nak(self.tsi, seq, self._report(), fake=fake)
@@ -617,20 +601,20 @@ class PgmReceiver:
             return
         bitmap = self.cc.ack_bitmap(ack_seq)
         if self.behaviors:
-            for behavior in self.behaviors.values():
-                if behavior.suppress_ack(ack_seq):
+            for act in self.behaviors.values():
+                if act.episode.suppress_ack(act, ack_seq):
                     self.acks_suppressed += 1
                     return
-            for behavior in self.behaviors.values():
-                bitmap = behavior.mutate_bitmap(ack_seq, bitmap)
+            for act in self.behaviors.values():
+                bitmap = act.episode.mutate_bitmap(act, ack_seq, bitmap)
         ack = Ack(self.tsi, ack_seq, bitmap, self._report("ack"))
         self.host.send(
             Packet(self.host.name, self.source_addr, ack.wire_size(), ack, C.PROTO)
         )
         self.acks_sent += 1
         if self.behaviors:
-            for behavior in self.behaviors.values():
-                behavior.on_ack_sent(ack)
+            for act in self.behaviors.values():
+                act.episode.on_ack_sent(act, ack)
 
     # -- introspection -----------------------------------------------------
 
@@ -645,8 +629,8 @@ class PgmReceiver:
     def close(self) -> None:
         self._closed = True
         self._clear_nak_states()
-        for kind in list(self.behaviors):
-            self.misbehave_stop(kind)
+        for act in list(self.behaviors.values()):
+            act.episode.stop(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

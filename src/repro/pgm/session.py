@@ -32,6 +32,7 @@ from typing import Any, Callable, Optional
 
 from ..core.loss_filter import DEFAULT_W
 from ..core.sender_cc import CcConfig
+from ..simulator.faults import ACKER, ReceiverEpisode
 from ..simulator.routing import NoPath
 from ..simulator.topology import Network
 from ..simulator.trace import FlowTrace
@@ -241,8 +242,10 @@ def create_session(
 
     ``faults`` takes a :class:`~repro.simulator.faults.FaultPlan` and
     compiles it onto the network with this session resolving the
-    :data:`~repro.simulator.faults.ACKER` sentinel and receiver names
-    for misbehavior episodes; ``check_invariants=True`` attaches a
+    :data:`~repro.simulator.faults.ACKER` sentinel and the receivers
+    of its :mod:`~repro.pgm.misbehavior` episodes (``ValueError`` for
+    an episode naming a host that is not one of this session's
+    receivers); ``check_invariants=True`` attaches a
     runtime :class:`~repro.pgm.invariants.InvariantChecker`
     (``strict_invariants=False`` collects violations instead of
     raising).  ``guard`` enables the sender-side
@@ -339,6 +342,11 @@ def create_session(
                     return rx
             return None
 
+        for ep in cfg.faults.episodes:
+            if (isinstance(ep, ReceiverEpisode) and ep.receiver != ACKER
+                    and _receiver_lookup(ep.receiver) is None):
+                raise ValueError(
+                    f"{ep.receiver!r} is not a receiver of this session: {ep!r}")
         session.fault_injector = net.install_faults(
             cfg.faults,
             acker_lookup=lambda: sender.current_acker,

@@ -18,26 +18,19 @@ from .engine import (
 )
 from .faults import (
     ACKER,
-    AckReplay,
     BurstLoss,
     ControlBlackhole,
     Corruption,
     Duplication,
-    ElementDown,
     FaultInjector,
     FaultPlan,
     FaultRecord,
-    FrozenLead,
-    GreedyAcker,
     LinkDown,
     LinkImpairment,
-    NakStorm,
     NodeCrash,
     NodePause,
-    NodeResume,
     Partition,
-    SilentJoiner,
-    Throttler,
+    ReceiverEpisode,
     flap_link,
 )
 from .link import Link
@@ -79,26 +72,19 @@ __all__ = [
     "cancel_event",
     "describe_event",
     "ACKER",
-    "AckReplay",
     "BurstLoss",
     "ControlBlackhole",
     "Corruption",
     "Duplication",
-    "ElementDown",
     "FaultInjector",
     "FaultPlan",
     "FaultRecord",
-    "FrozenLead",
-    "GreedyAcker",
     "LinkDown",
     "LinkImpairment",
-    "NakStorm",
     "NodeCrash",
     "NodePause",
-    "NodeResume",
     "Partition",
-    "SilentJoiner",
-    "Throttler",
+    "ReceiverEpisode",
     "flap_link",
     "Link",
     "BernoulliLoss",

@@ -9,9 +9,7 @@ declarative schedule of timed fault episodes, and a
 :class:`FaultInjector` compiles it onto the existing
 :class:`~repro.simulator.engine.Simulator` event heap, driving the
 hook points built into :class:`~repro.simulator.link.Link` and
-:class:`~repro.simulator.node.Node` (and, through duck typing, any
-router-resident interceptor exposing an ``enabled`` flag, such as
-:class:`~repro.pgm.network_element.PgmNetworkElement`).
+:class:`~repro.simulator.node.Node`.
 
 Episode catalogue::
 
@@ -29,28 +27,12 @@ Episode catalogue::
                      duration, kinds)   drop ACK/NAK/NCF/SPM on the link
                                         while data still flows
     NodePause(node, at, duration)       freeze a node's data plane
-    NodeResume(node, at)                explicit un-pause
     NodeCrash(node, at)                 permanent kill (node may be ACKER)
-    ElementDown(router, at, duration)   disable a router's interceptor
-
-Receiver-misbehavior episodes (the Byzantine-endpoint fault model)::
-
-    GreedyAcker(receiver, at, duration)   under-report loss, freeze lead
-    Throttler(receiver, at, duration)     over-report loss, drop own ACKs
-    FrozenLead(receiver, at, duration)    stale rxw_lead in every report
-    NakStorm(receiver, at, duration)      flood the source with NAKs
-    AckReplay(receiver, at, duration)     replay/duplicate the last ACK
-    SilentJoiner(receiver, at, duration)  join but emit no feedback
-
-These drive, through duck typing, any receiver agent exposing
-``misbehave_start(kind, now, rng, **params)`` / ``misbehave_stop(kind)``
-(our :class:`~repro.pgm.receiver.PgmReceiver` does, with the behaviour
-implementations in :mod:`repro.pgm.misbehavior`); resolution from the
-node name to the agent goes through the injector's ``receiver_lookup``
-callable, keeping this module protocol-agnostic.
+    ReceiverEpisode(receiver, at,       base of the protocol-defined
+                    duration)           receiver behaviours
 
 Determinism: every random decision (duplication, corruption, episode
-loss models, misbehaving-receiver decisions) draws from named
+loss models, receiver-episode decisions) draws from named
 :class:`~repro.simulator.rng.RngRegistry` streams keyed by link or
 receiver name, so the same ``(seed, plan)`` pair yields byte-identical
 traces run after run — the property the chaos test suite is built on.
@@ -64,8 +46,10 @@ are reference-counted, so nested outages compose.
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, ClassVar, Optional
 
 from .link import Link
 from .loss_models import BernoulliLoss
@@ -79,16 +63,24 @@ ACKER = "@acker"
 
 
 def _check_at(at: float) -> None:
-    if at < 0:
-        raise ValueError(f"episode time must be >= 0, got {at}")
+    if not 0 <= at < math.inf:
+        raise ValueError(f"episode time must be finite and >= 0, got {at}")
 
 
 def _check_duration(duration: Optional[float]) -> None:
-    if duration is not None and duration <= 0:
-        raise ValueError(f"episode duration must be > 0, got {duration}")
+    if duration is not None and not 0 < duration < math.inf:
+        raise ValueError(
+            f"episode duration must be finite and > 0, got {duration}")
 
 
-def _check_rate(name: str, rate: float) -> None:
+def check_positive(name: str, value: float) -> None:
+    """Raise unless ``value > 0`` (NaN fails the comparison too)."""
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+
+
+def check_rate(name: str, rate: float) -> None:
+    """Raise unless ``rate`` is a probability in [0, 1] (NaN fails)."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {rate}")
 
@@ -127,12 +119,12 @@ class LinkImpairment:
         _check_duration(self.duration)
         if self.rate_bps is None and self.delay is None and self.loss_rate is None:
             raise ValueError("LinkImpairment must change at least one knob")
-        if self.rate_bps is not None and self.rate_bps <= 0:
+        if self.rate_bps is not None and not self.rate_bps > 0:
             raise ValueError(f"rate_bps must be positive, got {self.rate_bps}")
-        if self.delay is not None and self.delay < 0:
+        if self.delay is not None and not self.delay >= 0:
             raise ValueError(f"delay cannot be negative, got {self.delay}")
         if self.loss_rate is not None:
-            _check_rate("loss_rate", self.loss_rate)
+            check_rate("loss_rate", self.loss_rate)
 
 
 @dataclass(frozen=True)
@@ -150,7 +142,7 @@ class BurstLoss:
     def __post_init__(self) -> None:
         _check_at(self.at)
         _check_duration(self.duration)
-        _check_rate("loss_rate", self.loss_rate)
+        check_rate("loss_rate", self.loss_rate)
 
 
 @dataclass(frozen=True)
@@ -167,7 +159,7 @@ class Duplication:
     def __post_init__(self) -> None:
         _check_at(self.at)
         _check_duration(self.duration)
-        _check_rate("rate", self.rate)
+        check_rate("rate", self.rate)
 
 
 @dataclass(frozen=True)
@@ -192,7 +184,7 @@ class Corruption:
     def __post_init__(self) -> None:
         _check_at(self.at)
         _check_duration(self.duration)
-        _check_rate("rate", self.rate)
+        check_rate("rate", self.rate)
         if self.mode not in ("drop", "mangle"):
             raise ValueError(f"mode must be 'drop' or 'mangle', got {self.mode!r}")
 
@@ -252,7 +244,7 @@ class ControlBlackhole:
 @dataclass(frozen=True)
 class NodePause:
     """Freeze ``node``'s data plane at ``at``; auto-resume after
-    ``duration`` (``None`` = until an explicit :class:`NodeResume`)."""
+    ``duration`` (``None`` = for the rest of the run)."""
 
     node: str
     at: float
@@ -261,17 +253,6 @@ class NodePause:
     def __post_init__(self) -> None:
         _check_at(self.at)
         _check_duration(self.duration)
-
-
-@dataclass(frozen=True)
-class NodeResume:
-    """Explicitly resume a paused node."""
-
-    node: str
-    at: float
-
-    def __post_init__(self) -> None:
-        _check_at(self.at)
 
 
 @dataclass(frozen=True)
@@ -288,197 +269,45 @@ class NodeCrash:
 
 
 @dataclass(frozen=True)
-class ElementDown:
-    """Disable the interceptor (PGM network element) on ``router``,
-    degrading it to plain forwarding; re-enable after ``duration``."""
+class ReceiverEpisode:
+    """Base of the receiver episodes: from ``at``, for ``duration``
+    seconds (``None`` = for the rest of the run), ``receiver`` behaves
+    as a subclass defines.  ``receiver`` may be the :data:`ACKER`
+    sentinel.
 
-    router: str
-    at: float
-    duration: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        _check_at(self.at)
-        _check_duration(self.duration)
-
-
-# -- receiver-misbehavior episodes ------------------------------------------
-
-
-@dataclass(frozen=True)
-class GreedyAcker:
-    """``receiver`` runs the ackership-capture + optimistic-ACK
-    attack: every report claims ``capture_loss`` (the loss rate feeds
-    only the §3.5 election metric, so the lie wins and holds the
-    acker seat) while a self-paced timer ACKs sequences up to the
-    SPM-advertised lead — received or not — with all-ones bitmaps, so
-    the window never sees a congestion signal and the ACK clock never
-    starves; the rate is driven faster than TCP-friendly."""
-
-    receiver: str
-    at: float
-    duration: Optional[float] = None
-    #: seconds between candidacy-refreshing fake NAKs
-    report_ivl: float = 0.25
-    #: loss fraction claimed on reports to win the election
-    capture_loss: float = 0.4
-    #: optimistic ACKs per second
-    ack_rate: float = 60.0
-
-    def __post_init__(self) -> None:
-        _check_at(self.at)
-        _check_duration(self.duration)
-        if self.report_ivl <= 0:
-            raise ValueError(f"report_ivl must be > 0, got {self.report_ivl}")
-        if not 0.0 < self.capture_loss <= 1.0:
-            raise ValueError(
-                f"capture_loss must be in (0, 1], got {self.capture_loss}")
-        if self.ack_rate <= 0:
-            raise ValueError(f"ack_rate must be > 0, got {self.ack_rate}")
-
-
-@dataclass(frozen=True)
-class Throttler:
-    """``receiver`` over-reports its loss rate (pinned at
-    ``loss_rate``) to win the election, then drops a fraction of its
-    own ACKs to slow the whole group down."""
-
-    receiver: str
-    at: float
-    duration: Optional[float] = None
-    loss_rate: float = 0.4
-    ack_drop_rate: float = 0.7
-    report_ivl: float = 0.25
-
-    def __post_init__(self) -> None:
-        _check_at(self.at)
-        _check_duration(self.duration)
-        _check_rate("loss_rate", self.loss_rate)
-        _check_rate("ack_drop_rate", self.ack_drop_rate)
-        if self.report_ivl <= 0:
-            raise ValueError(f"report_ivl must be > 0, got {self.report_ivl}")
-
-
-@dataclass(frozen=True)
-class FrozenLead:
-    """``receiver`` keeps reporting the ``rxw_lead`` it had when the
-    episode started (a stale/stuck report generator), inflating its
-    sequence-RTT without lying about loss."""
-
-    receiver: str
-    at: float
-    duration: Optional[float] = None
-    report_ivl: float = 0.25
-
-    def __post_init__(self) -> None:
-        _check_at(self.at)
-        _check_duration(self.duration)
-        if self.report_ivl <= 0:
-            raise ValueError(f"report_ivl must be > 0, got {self.report_ivl}")
-
-
-@dataclass(frozen=True)
-class NakStorm:
-    """``receiver`` floods the source with repair-requesting NAKs for
-    random already-transmitted sequences at ``rate`` per second."""
-
-    receiver: str
-    at: float
-    duration: float
-    rate: float = 200.0
-
-    def __post_init__(self) -> None:
-        _check_at(self.at)
-        _check_duration(self.duration)
-        if self.rate <= 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
-
-
-@dataclass(frozen=True)
-class AckReplay:
-    """``receiver`` re-sends ``copies`` verbatim copies of its most
-    recent ACK every ``interval`` seconds (duplicated stale feedback
-    skews dupack-based loss detection at the sender)."""
-
-    receiver: str
-    at: float
-    duration: float
-    copies: int = 3
-    interval: float = 0.05
-
-    def __post_init__(self) -> None:
-        _check_at(self.at)
-        _check_duration(self.duration)
-        if self.copies < 1:
-            raise ValueError(f"copies must be >= 1, got {self.copies}")
-        if self.interval <= 0:
-            raise ValueError(f"interval must be > 0, got {self.interval}")
-
-
-@dataclass(frozen=True)
-class SilentJoiner:
-    """``receiver`` stays subscribed but suppresses every ACK and NAK
-    it would send (a joined-but-mute group member)."""
+    This module only schedules the episode: the injector resolves
+    ``receiver`` to an agent through its ``receiver_lookup`` and calls
+    :meth:`start` and :meth:`stop` on it.  A subclass names its
+    behaviour in ``kind``, which prefixes the audit actions
+    (``<kind>-start`` / ``-stop`` / ``-skipped``), and implements both
+    methods.  An episode is a frozen value a plan may compile more
+    than once, so whatever one start creates lives on the agent.
+    """
 
     receiver: str
     at: float
     duration: Optional[float] = None
 
+    kind: ClassVar[str] = ""
+
     def __post_init__(self) -> None:
         _check_at(self.at)
         _check_duration(self.duration)
 
+    def start(self, agent, now: float, rng: random.Random) -> None:
+        """Switch the behaviour on; ``rng`` is the receiver's named
+        ``fault-rx:<name>`` stream."""
+        raise NotImplementedError
 
-#: Every episode type a plan may carry.
-FaultEpisode = Union[
-    LinkDown,
-    LinkImpairment,
-    BurstLoss,
-    Duplication,
-    Corruption,
-    Partition,
-    ControlBlackhole,
-    NodePause,
-    NodeResume,
-    NodeCrash,
-    ElementDown,
-    GreedyAcker,
-    Throttler,
-    FrozenLead,
-    NakStorm,
-    AckReplay,
-    SilentJoiner,
-]
+    def stop(self, agent) -> None:
+        """Switch the behaviour off again."""
+        raise NotImplementedError
 
-_RX_EPISODES = (GreedyAcker, Throttler, FrozenLead, NakStorm, AckReplay, SilentJoiner)
-
-_EPISODE_TYPES = (
-    LinkDown,
-    LinkImpairment,
-    BurstLoss,
-    Duplication,
-    Corruption,
-    Partition,
-    ControlBlackhole,
-    NodePause,
-    NodeResume,
-    NodeCrash,
-    ElementDown,
-) + _RX_EPISODES
 
 _LINK_EPISODES = (LinkDown, LinkImpairment, BurstLoss, Duplication, Corruption,
                   ControlBlackhole)
-
-#: Episode type -> (behaviour kind, parameter-field names) for the
-#: receiver-misbehavior episodes.  The kind string is the duck-typed
-#: contract with ``misbehave_start``/``misbehave_stop``.
-_RX_EPISODE_KINDS: dict[type, tuple[str, tuple[str, ...]]] = {
-    GreedyAcker: ("greedy-acker", ("report_ivl", "capture_loss", "ack_rate")),
-    Throttler: ("throttler", ("loss_rate", "ack_drop_rate", "report_ivl")),
-    FrozenLead: ("frozen-lead", ("report_ivl",)),
-    NakStorm: ("nak-storm", ("rate",)),
-    AckReplay: ("ack-replay", ("copies", "interval")),
-    SilentJoiner: ("silent-joiner", ()),
-}
+_EPISODE_TYPES = _LINK_EPISODES + (Partition, NodePause, NodeCrash,
+                                   ReceiverEpisode)
 
 
 def flap_link(
@@ -493,7 +322,7 @@ def flap_link(
     """Convenience: ``cycles`` down/up flaps of the ``a<->b`` link."""
     if cycles < 1:
         raise ValueError("cycles must be >= 1")
-    if down_for <= 0 or up_for <= 0:
+    if not (down_for > 0 and up_for > 0):
         raise ValueError("down_for and up_for must be positive")
     episodes = []
     t = first_at
@@ -512,7 +341,7 @@ class FaultPlan:
     compiled any number of times (each compilation is independent).
     """
 
-    episodes: tuple[FaultEpisode, ...] = ()
+    episodes: tuple = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "episodes", tuple(self.episodes))
@@ -531,8 +360,8 @@ class FaultPlan:
     def scaled(self, factor: float) -> "FaultPlan":
         """Scale every episode's ``at`` (and ``duration``) by ``factor``
         — the chaos analogue of the experiments' ``scale`` knob."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        if not 0 < factor < math.inf:
+            raise ValueError(f"scale factor must be finite and > 0, got {factor}")
         scaled = []
         for ep in self.episodes:
             changes = {"at": ep.at * factor}
@@ -566,15 +395,27 @@ class FaultPlan:
                         raise ValueError(f"unknown node {name!r} in {ep!r}")
                 if not _cut_links(net, ep):
                     raise ValueError(f"no links cross the cut in {ep!r}")
-            elif isinstance(ep, (NodePause, NodeResume, NodeCrash)):
+            elif isinstance(ep, (NodePause, NodeCrash)):
                 if ep.node != ACKER and ep.node not in net.nodes:
                     raise ValueError(f"unknown node {ep.node!r} in {ep!r}")
-            elif isinstance(ep, ElementDown):
-                if ep.router not in net.nodes:
-                    raise ValueError(f"unknown router {ep.router!r} in {ep!r}")
-            elif isinstance(ep, _RX_EPISODES):
+            elif isinstance(ep, ReceiverEpisode):
                 if ep.receiver != ACKER and ep.receiver not in net.nodes:
                     raise ValueError(f"unknown receiver {ep.receiver!r} in {ep!r}")
+
+
+def _knobs(ep) -> list[tuple[str, object]]:
+    """The ``(knob, value)`` pairs a link episode pushes, in order."""
+    if isinstance(ep, BurstLoss):
+        return [("loss", ep.loss_rate)]
+    if isinstance(ep, Duplication):
+        return [("dup", ep.rate)]
+    if isinstance(ep, Corruption):
+        return [("corrupt", (ep.rate, ep.mode))]
+    if isinstance(ep, ControlBlackhole):
+        return [("filter", frozenset(ep.kinds))]
+    return [(knob, value) for knob, value in (
+        ("rate_bps", ep.rate_bps), ("delay", ep.delay), ("loss", ep.loss_rate))
+        if value is not None]
 
 
 def _cut_links(net: "Network", ep: Partition) -> list[Link]:
@@ -674,10 +515,12 @@ class FaultInjector:
             acker's host name (or ``None``); required for plans using
             the :data:`ACKER` sentinel to do anything.
         receiver_lookup: callable mapping a receiver/host name to the
-            receiver agent carrying the ``misbehave_start``/``_stop``
-            hooks (or ``None``); required for the receiver-misbehavior
-            episodes to do anything.
-        validate: check the plan against the topology up front.
+            agent a :class:`ReceiverEpisode` starts and stops on (or
+            ``None``); without it, receiver episodes are recorded as
+            ``<kind>-skipped`` and do nothing.
+
+    The plan is checked against the topology up front
+    (:meth:`FaultPlan.validate_against`).
 
     All state changes are applied from simulator callbacks, so a
     compiled injector is fully deterministic with respect to the
@@ -691,7 +534,6 @@ class FaultInjector:
         plan: FaultPlan,
         acker_lookup: Optional[Callable[[], Optional[str]]] = None,
         receiver_lookup: Optional[Callable[[str], object]] = None,
-        validate: bool = True,
     ):
         self.net = net
         self.plan = plan
@@ -700,8 +542,7 @@ class FaultInjector:
         self.log: list[FaultRecord] = []
         self._overrides: dict[str, _LinkOverrides] = {}
         self._tokens = itertools.count(1)
-        if validate:
-            plan.validate_against(net)
+        plan.validate_against(net)
         for episode in plan.episodes:
             self._compile(episode)
 
@@ -741,76 +582,36 @@ class FaultInjector:
             self._overrides[link.name] = state
         return state
 
-    def _compile(self, ep: FaultEpisode) -> None:
-        if isinstance(ep, LinkDown):
-            for link in self._links_for(ep.a, ep.b, ep.both):
+    def _compile(self, ep) -> None:
+        duration = getattr(ep, "duration", None)
+        end = None if duration is None else ep.at + duration
+        if isinstance(ep, ReceiverEpisode):
+            self._at(ep.at, self._receiver_action, ep, True)
+            if end is not None:
+                self._at(end, self._receiver_action, ep, False)
+        elif isinstance(ep, (NodePause, NodeCrash)):
+            action = "pause" if isinstance(ep, NodePause) else "crash"
+            self._at(ep.at, self._node_action, ep.node, action)
+            if end is not None:
+                self._at(end, self._node_action, ep.node, "resume")
+        elif isinstance(ep, (LinkDown, Partition)):
+            links = (_cut_links(self.net, ep) if isinstance(ep, Partition)
+                     else self._links_for(ep.a, ep.b, ep.both))
+            for link in links:
                 state = self._override_state(link)
                 self._at(ep.at, self._link_down, state)
-                if ep.duration is not None:
-                    self._at(ep.at + ep.duration, self._link_up, state)
-        elif isinstance(ep, (LinkImpairment, BurstLoss)):
-            knobs: list[tuple[str, object]] = []
-            if isinstance(ep, BurstLoss):
-                knobs.append(("loss", ep.loss_rate))
-            else:
-                if ep.rate_bps is not None:
-                    knobs.append(("rate_bps", ep.rate_bps))
-                if ep.delay is not None:
-                    knobs.append(("delay", ep.delay))
-                if ep.loss_rate is not None:
-                    knobs.append(("loss", ep.loss_rate))
+                if end is not None:
+                    self._at(end, self._link_up, state)
+        else:
             for link in self._links_for(ep.a, ep.b, ep.both):
                 state = self._override_state(link)
-                for knob, value in knobs:
+                for knob, value in _knobs(ep):
                     if knob == "loss":
                         value = BernoulliLoss(value, state.loss_rng)
                     token = next(self._tokens)
                     self._at(ep.at, self._push, state, knob, token, value)
-                    self._at(ep.at + ep.duration, self._pop, state, knob, token)
-        elif isinstance(ep, (Duplication, Corruption)):
-            if isinstance(ep, Duplication):
-                knob, value = "dup", ep.rate
-            else:
-                knob, value = "corrupt", (ep.rate, ep.mode)
-            for link in self._links_for(ep.a, ep.b, ep.both):
-                state = self._override_state(link)
-                token = next(self._tokens)
-                self._at(ep.at, self._push, state, knob, token, value)
-                self._at(ep.at + ep.duration, self._pop, state, knob, token)
-        elif isinstance(ep, Partition):
-            for link in _cut_links(self.net, ep):
-                state = self._override_state(link)
-                self._at(ep.at, self._link_down, state)
-                if ep.duration is not None:
-                    self._at(ep.at + ep.duration, self._link_up, state)
-        elif isinstance(ep, ControlBlackhole):
-            for link in self._links_for(ep.a, ep.b, ep.both):
-                state = self._override_state(link)
-                token = next(self._tokens)
-                self._at(ep.at, self._push, state, "filter", token,
-                         frozenset(ep.kinds))
-                if ep.duration is not None:
-                    self._at(ep.at + ep.duration,
-                             self._pop, state, "filter", token)
-        elif isinstance(ep, NodePause):
-            self._at(ep.at, self._node_action, ep.node, "pause")
-            if ep.duration is not None:
-                self._at(ep.at + ep.duration, self._node_action, ep.node, "resume")
-        elif isinstance(ep, NodeResume):
-            self._at(ep.at, self._node_action, ep.node, "resume")
-        elif isinstance(ep, NodeCrash):
-            self._at(ep.at, self._node_action, ep.node, "crash")
-        elif isinstance(ep, ElementDown):
-            self._at(ep.at, self._element, ep.router, False)
-            if ep.duration is not None:
-                self._at(ep.at + ep.duration, self._element, ep.router, True)
-        elif isinstance(ep, _RX_EPISODES):
-            kind, fields = _RX_EPISODE_KINDS[type(ep)]
-            params = {name: getattr(ep, name) for name in fields}
-            self._at(ep.at, self._rx_behavior, ep.receiver, kind, True, params)
-            if ep.duration is not None:
-                self._at(ep.at + ep.duration,
-                         self._rx_behavior, ep.receiver, kind, False, params)
+                    if end is not None:
+                        self._at(end, self._pop, state, knob, token)
 
     # -- fire-time actions -------------------------------------------------
 
@@ -831,51 +632,35 @@ class FaultInjector:
         self._record(f"{knob}-restore", state.link.name)
 
     def _node_action(self, name: str, action: str) -> None:
-        node = self._resolve_node(name)
+        node = self.net.nodes.get(self._resolve(name))
         if node is None:
             self._record(f"{action}-skipped", name)
             return
         getattr(node, action)()
         self._record(action, node.name)
 
-    def _resolve_node(self, name: str):
-        if name == ACKER:
-            if self.acker_lookup is None:
-                return None
-            acker = self.acker_lookup()
-            if acker is None:
-                return None
-            return self.net.nodes.get(acker)
-        return self.net.nodes.get(name)
+    def _resolve(self, name: str) -> Optional[str]:
+        """``name``, or the current acker's for the :data:`ACKER`
+        sentinel (``None`` when there is none to ask or no acker)."""
+        if name != ACKER:
+            return name
+        return self.acker_lookup() if self.acker_lookup is not None else None
 
-    def _rx_behavior(self, name: str, kind: str, start: bool, params: dict) -> None:
-        resolved = name
-        if resolved == ACKER:
-            acker = self.acker_lookup() if self.acker_lookup is not None else None
-            if acker is None:
-                self._record(f"{kind}-skipped", name)
-                return
-            resolved = acker
-        agent = self.receiver_lookup(resolved) if self.receiver_lookup else None
-        if agent is None or not hasattr(agent, "misbehave_start"):
-            self._record(f"{kind}-skipped", resolved)
+    def _receiver_action(self, ep: ReceiverEpisode, start: bool) -> None:
+        name = self._resolve(ep.receiver)
+        agent = None
+        if name is not None and self.receiver_lookup is not None:
+            agent = self.receiver_lookup(name)
+        if agent is None:
+            self._record(f"{ep.kind}-skipped", name or ep.receiver)
             return
         if start:
-            rng = self.net.rng.stream(f"fault-rx:{resolved}")
-            agent.misbehave_start(kind, self.net.sim.now, rng, **params)
-            self._record(f"{kind}-start", resolved)
+            ep.start(agent, self.net.sim.now,
+                     self.net.rng.stream(f"fault-rx:{name}"))
+            self._record(f"{ep.kind}-start", name)
         else:
-            agent.misbehave_stop(kind)
-            self._record(f"{kind}-stop", resolved)
-
-    def _element(self, router: str, enabled: bool) -> None:
-        node = self.net.nodes.get(router)
-        interceptor = getattr(node, "interceptor", None)
-        if interceptor is None or not hasattr(interceptor, "enabled"):
-            self._record("element-skipped", router)
-            return
-        interceptor.enabled = enabled
-        self._record("element-up" if enabled else "element-down", router)
+            ep.stop(agent)
+            self._record(f"{ep.kind}-stop", name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -206,22 +206,22 @@ class Network:
 
     # -- fault injection ---------------------------------------------------
 
-    def install_faults(self, plan, acker_lookup=None, validate: bool = True,
-                       receiver_lookup=None):
+    def install_faults(self, plan, acker_lookup=None, receiver_lookup=None):
         """Compile a :class:`~repro.simulator.faults.FaultPlan` onto
         this network's event heap; returns the
-        :class:`~repro.simulator.faults.FaultInjector`.
+        :class:`~repro.simulator.faults.FaultInjector`.  Raises
+        ``ValueError`` if the plan names a link or node the network
+        lacks.
 
         ``acker_lookup`` is a zero-argument callable resolving the
         :data:`~repro.simulator.faults.ACKER` sentinel at fire time;
-        ``receiver_lookup`` maps a receiver/host name to the protocol
-        agent driving receiver-misbehavior episodes
-        (``repro.pgm.create_session`` wires both automatically).
+        ``receiver_lookup`` maps a host name to the agent a
+        :class:`~repro.simulator.faults.ReceiverEpisode` starts and
+        stops on.  A protocol session supplies both.
         """
         from .faults import FaultInjector
 
         injector = FaultInjector(self, plan, acker_lookup=acker_lookup,
-                                 validate=validate,
                                  receiver_lookup=receiver_lookup)
         self.fault_injectors.append(injector)
         return injector

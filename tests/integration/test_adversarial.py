@@ -12,20 +12,17 @@ get one quarantined.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.pgm import create_session
+from repro.pgm import GreedyAcker, NakStorm, SilentJoiner, create_session
 from repro.simulator import (
     BurstLoss,
     Corruption,
     Duplication,
     FaultPlan,
-    GreedyAcker,
     LinkDown,
     LinkImpairment,
     LinkSpec,
-    NakStorm,
     NodeCrash,
     NodePause,
-    SilentJoiner,
     dumbbell,
 )
 

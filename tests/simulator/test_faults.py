@@ -1,7 +1,5 @@
 """Unit tests for the deterministic fault-injection subsystem."""
 
-import types
-
 import pytest
 
 from repro.simulator import (
@@ -9,7 +7,6 @@ from repro.simulator import (
     BurstLoss,
     Corruption,
     Duplication,
-    ElementDown,
     FaultInjector,
     FaultPlan,
     LinkDown,
@@ -18,7 +15,6 @@ from repro.simulator import (
     Network,
     NodeCrash,
     NodePause,
-    NodeResume,
     Packet,
     flap_link,
 )
@@ -255,30 +251,17 @@ class TestNodeFaults:
         assert b.fault_drops >= 1  # packets arriving while paused
         assert net.link("a", "b").delivered == net.link("a", "b").sent
 
-    def test_explicit_resume(self):
-        net = pair()
-        plan = FaultPlan((
-            NodePause("b", at=1.0),
-            NodeResume("b", at=3.0),
-        ))
-        injector = net.install_faults(plan)
-        states = []
-        for t in (2.0, 4.0):
-            net.sim.schedule_at(t, lambda: states.append(net.nodes["b"].paused))
-        net.run(until=5.0)
-        assert states == [True, False]
-        assert [r.action for r in injector.log] == ["pause", "resume"]
-
     def test_crash_is_permanent(self):
         net = pair()
         plan = FaultPlan((
             NodeCrash("b", at=1.0),
-            NodeResume("b", at=2.0),  # resume must not revive a corpse
+            NodePause("b", at=0.5, duration=1.5),  # resume must not revive a corpse
         ))
-        net.install_faults(plan)
+        injector = net.install_faults(plan)
         net.run(until=5.0)
         b = net.nodes["b"]
         assert not b.alive and b.faulted
+        assert [r.action for r in injector.log] == ["pause", "crash", "resume"]
 
     def test_acker_sentinel_without_lookup_is_skipped(self):
         net = pair()
@@ -297,43 +280,11 @@ class TestNodeFaults:
         assert not net.nodes["b"].alive
 
 
-class TestElementFaults:
-    def test_element_toggles_enabled(self):
-        net = Network()
-        net.add_host("a")
-        net.add_router("R")
-        net.add_host("b")
-        net.duplex_link("a", "R", FAST)
-        net.duplex_link("R", "b", FAST)
-        net.build_routes()
-        net.nodes["R"].interceptor = types.SimpleNamespace(enabled=True)
-        plan = FaultPlan((ElementDown("R", at=1.0, duration=1.0),))
-        injector = net.install_faults(plan)
-        states = []
-        for t in (1.5, 3.0):
-            net.sim.schedule_at(
-                t, lambda: states.append(net.nodes["R"].interceptor.enabled)
-            )
-        net.run(until=4.0)
-        assert states == [False, True]
-        assert [r.action for r in injector.log] == ["element-down", "element-up"]
-
-    def test_element_without_interceptor_skipped(self):
-        net = pair()
-        plan = FaultPlan((ElementDown("b", at=1.0),))
-        injector = net.install_faults(plan)
-        net.run(until=2.0)
-        assert [r.action for r in injector.log] == ["element-skipped"]
-
-
 class TestInjector:
     def test_validation_on_compile(self):
         net = pair()
         with pytest.raises(ValueError):
             FaultInjector(net, FaultPlan((LinkDown("a", "zz", at=0.0),)))
-        # opt-out compiles (actions targeting the missing link would fail
-        # at fire time, so only use validate=False for node sentinels)
-        FaultInjector(net, FaultPlan((NodeCrash("zz", at=0.0),)), validate=False)
 
     def test_audit_log_is_chronological(self):
         net = pair()

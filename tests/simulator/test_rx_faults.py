@@ -3,21 +3,27 @@ injector wiring, audit records, and (seed, plan) determinism."""
 
 import pytest
 
-from repro.pgm import create_session
-from repro.simulator import (
-    ACKER,
+from repro.pgm import (
     AckReplay,
-    FaultInjector,
-    FaultPlan,
-    FrozenLead,
     GreedyAcker,
-    LinkSpec,
     NakStorm,
     SilentJoiner,
     Throttler,
+    create_session,
+)
+from repro.simulator import (
+    ACKER,
+    FaultInjector,
+    FaultPlan,
+    LinkDown,
+    LinkImpairment,
+    LinkSpec,
+    NodePause,
     dumbbell,
+    flap_link,
 )
 
+NAN, INF = float("nan"), float("inf")
 BOTTLENECK = LinkSpec(rate_bps=300_000, delay=0.02, queue_slots=15)
 
 
@@ -58,6 +64,41 @@ class TestEpisodeValidation:
         with pytest.raises(ValueError):
             NakStorm("r0", at=0.0, duration=1.0, rate=0.0)
 
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: LinkDown("a", "b", at=NAN), id="at-nan"),
+        pytest.param(lambda: LinkDown("a", "b", at=INF), id="at-inf"),
+        pytest.param(lambda: LinkDown("a", "b", at=0.0, duration=NAN),
+                     id="duration-nan"),
+        pytest.param(lambda: LinkDown("a", "b", at=0.0, duration=INF),
+                     id="duration-inf"),
+        pytest.param(lambda: LinkImpairment("a", "b", at=0.0, duration=1.0,
+                                            rate_bps=NAN), id="rate_bps"),
+        pytest.param(lambda: LinkImpairment("a", "b", at=0.0, duration=1.0,
+                                            delay=NAN), id="delay"),
+        pytest.param(lambda: NodePause("b", at=NAN), id="pause-at"),
+        pytest.param(lambda: GreedyAcker("r0", at=0.0, report_ivl=NAN),
+                     id="report_ivl"),
+        pytest.param(lambda: GreedyAcker("r0", at=0.0, ack_rate=NAN),
+                     id="ack_rate"),
+        pytest.param(lambda: Throttler("r0", at=0.0, report_ivl=NAN),
+                     id="throttler-report_ivl"),
+        pytest.param(lambda: NakStorm("r0", at=0.0, duration=NAN, rate=NAN),
+                     id="storm-duration"),
+        pytest.param(lambda: NakStorm("r0", at=0.0, duration=1.0, rate=NAN),
+                     id="storm-rate"),
+        pytest.param(lambda: AckReplay("r0", at=0.0, duration=1.0,
+                                       interval=NAN), id="interval"),
+        pytest.param(lambda: flap_link("a", "b", 0.0, down_for=NAN,
+                                       up_for=1.0, cycles=2), id="flap"),
+        pytest.param(lambda: FaultPlan((LinkDown("a", "b", at=1.0),))
+                     .scaled(NAN), id="scaled-nan"),
+        pytest.param(lambda: FaultPlan((LinkDown("a", "b", at=1.0),))
+                     .scaled(INF), id="scaled-inf"),
+    ])
+    def test_non_finite_values_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     def test_plans_compose_with_link_faults(self):
         plan = FaultPlan((GreedyAcker("r0", at=1.0),)) + FaultPlan(
             (Throttler("r1", at=2.0, duration=3.0),)
@@ -82,6 +123,14 @@ class TestInjectorWiring:
             net, FaultPlan((SilentJoiner(ACKER, at=0.5, duration=1.0),)))
         net.run(until=1.0)
         assert injector.actions("silent-joiner-skipped")
+
+    @pytest.mark.parametrize("name", ["R0", "h0"])
+    def test_session_refuses_an_episode_for_a_non_receiver(self, name):
+        """A receiver episode the session could only skip at fire time
+        is refused when the session is built."""
+        with pytest.raises(ValueError, match="not a receiver of this session"):
+            create_session(small_net(), "h0", ["r0", "r1"],
+                           faults=FaultPlan((GreedyAcker(name, at=0.5),)))
 
     def test_start_and_stop_recorded(self):
         net = small_net()
@@ -111,7 +160,6 @@ class TestDeterminism:
     @pytest.mark.parametrize("episode", [
         GreedyAcker("r0", at=1.0, ack_rate=40.0),
         Throttler("r0", at=1.0),
-        FrozenLead("r0", at=1.0),
         NakStorm("r0", at=1.0, duration=4.0, rate=80.0),
         AckReplay("r0", at=1.0, duration=4.0),
         SilentJoiner("r0", at=1.0),

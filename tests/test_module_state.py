@@ -40,12 +40,8 @@ ALLOWED = {
         "constant table of the ParamSpec types, never written",
     "repro.pgm.constants.TYPE_NAMES":
         "constant table of the packet type names, never written",
-    "repro.pgm.misbehavior._BEHAVIORS":
-        "constant table of the episode kinds, never written",
     "repro.pgm.telemetry.SUMMARY_LEAVES":
         "constant table of the summary's export leaves, never written",
-    "repro.simulator.faults._RX_EPISODE_KINDS":
-        "constant table of the receiver episodes, never written",
 }
 
 #: values nothing can change in place
