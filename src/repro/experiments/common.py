@@ -13,6 +13,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -168,6 +169,8 @@ class ParamSpec:
             raise TypeError(
                 f"{label}: expected {self.type}, "
                 f"got {type(value).__name__} ({value!r})")
+        if self.type == "float" and not math.isfinite(value):
+            raise ValueError(f"{label}: {value!r} is not a finite number")
         if self.choices and value not in self.choices:
             raise ValueError(
                 f"{label}: {value!r} is not one of "

@@ -11,16 +11,10 @@ entries through the same call::
     from repro.experiments.registry import register_experiment
     from repro.experiments.common import ExperimentSpec, ParamSpec
 
-    # plain call with a ready-made spec ...
     register_experiment(ExperimentSpec(
         "EXP-MINE", "mypkg.experiments.mine",
-        description="my extension study"))
-
-    # ... or as a decorator on the runner function (the spec's
-    # module/func are filled in from the function itself)
-    @register_experiment("EXP-OTHER", description="another study",
-                         params=(ParamSpec("seed", "int", default=7),))
-    def run(scale=1.0, seed=7): ...
+        description="my extension study",
+        params=(ParamSpec("seed", "int", default=7),)))
 
 Re-registering an id raises — the registry is process-global and a
 silent overwrite would poison sweep/digest reproducibility.
@@ -30,7 +24,7 @@ through a sweep spec that names it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .common import ExperimentSpec, ParamSpec
 
@@ -46,39 +40,18 @@ __all__ = [
 _REGISTRY: dict[str, ExperimentSpec] = {}
 
 
-def register_experiment(spec: ExperimentSpec | str, /, **fields: Any):
-    """Register an experiment; also usable as a decorator.
-
-    Two spellings:
-
-    * ``register_experiment(ExperimentSpec(...))`` — plain call,
-      returns the spec;
-    * ``@register_experiment("EXP-X", ...)`` above the runner function
-      — ``module``/``func`` come from the function itself and the
-      function is returned unchanged.
+def register_experiment(spec: ExperimentSpec) -> ExperimentSpec:
+    """Register ``spec`` and return it.
 
     Raises ``ValueError`` on a duplicate id.
     """
-    if isinstance(spec, ExperimentSpec):
-        _add(spec)
-        return spec
-    exp_id = spec
-
-    def decorator(fn: Callable) -> Callable:
-        _add(ExperimentSpec(exp_id, module=fn.__module__,
-                            func=fn.__qualname__, **fields))
-        return fn
-
-    return decorator
-
-
-def _add(spec: ExperimentSpec) -> None:
     existing = _REGISTRY.get(spec.id)
     if existing is not None:
         raise ValueError(
             f"experiment {spec.id!r} is already registered "
             f"(by {existing.module}); ids are process-global")
     _REGISTRY[spec.id] = spec
+    return spec
 
 
 def registered_specs(include_hidden: bool = False) -> list[ExperimentSpec]:

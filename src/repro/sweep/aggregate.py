@@ -14,7 +14,7 @@ Three first-class products, all deterministic given the cells:
   spec, for experiment-specific tables the generic machinery cannot
   know (e.g. the arena's fairness-ranked controller table).  The hook
   receives ``[(axes_dict, ExperimentResult), ...]`` and returns a dict
-  with optional ``rows`` / ``metrics`` / ``markdown`` keys.
+  with optional ``rows`` / ``metrics`` keys.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def run_custom_aggregate(spec: SweepSpec,
     if not isinstance(out, dict):
         raise TypeError(f"aggregate hook {spec.aggregate!r} returned "
                         f"{type(out).__name__}, expected dict")
-    unknown = sorted(set(out) - {"rows", "metrics", "markdown"})
+    unknown = sorted(set(out) - {"rows", "metrics"})
     if unknown:
         raise ValueError(f"aggregate hook {spec.aggregate!r} returned "
                          f"unknown key(s): {', '.join(unknown)}")

@@ -111,6 +111,4 @@ def render_markdown(manifest: dict[str, Any]) -> str:
             rows = [[_fmt(row.get(h, "")) for h in headers]
                     for row in aggregate["rows"]]
             lines += _table(headers, rows) + [""]
-        if aggregate.get("markdown"):
-            lines += [str(aggregate["markdown"]), ""]
     return "\n".join(lines)

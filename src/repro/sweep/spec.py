@@ -133,9 +133,6 @@ class SweepSpec:
         }
         return json.loads(canonical_json(doc))
 
-    def digest_payload(self) -> str:
-        return canonical_json(self.to_dict())
-
 
 #: spec keys that live under the optional ``[report]`` table in files
 _REPORT_KEYS = ("rank_by", "rank_descending", "aggregate", "metrics")
@@ -157,8 +154,6 @@ def spec_from_dict(doc: dict[str, Any]) -> SweepSpec:
     if not isinstance(report, dict):
         raise TypeError("report must be a table/dict")
     for key, value in report.items():
-        if key == "descending":
-            key = "rank_descending"
         if key not in _REPORT_KEYS:
             raise TypeError(f"unknown report option {key!r} "
                             f"(one of {', '.join(_REPORT_KEYS)})")

@@ -12,6 +12,7 @@ the sweep DSL and the orchestrator agree on what is legal.
 from __future__ import annotations
 
 import importlib
+import math
 from typing import Any
 
 from ..experiments.common import ExperimentSpec
@@ -49,8 +50,8 @@ def spec_errors(spec: SweepSpec) -> list[str]:
     if spec.mode not in MODES:
         errors.append(f"unknown mode {spec.mode!r} "
                       f"(one of {', '.join(MODES)})")
-    if spec.scale <= 0:
-        errors.append(f"scale must be positive, got {spec.scale!r}")
+    if not 0 < spec.scale < math.inf:
+        errors.append(f"scale must be a finite number > 0, got {spec.scale!r}")
     if spec.aggregate:
         errors.extend(_hook_errors(spec.aggregate))
 

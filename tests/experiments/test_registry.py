@@ -38,15 +38,6 @@ class TestRegisterExperiment:
         assert get_experiment("EXP-TEST-PLAIN") is spec
         assert spec in registered_specs()
 
-    def test_decorator_fills_module_and_func(self, scratch_registry):
-        @register_experiment("EXP-TEST-DECO", description="decorated")
-        def my_runner(scale=1.0):  # pragma: no cover - never run
-            raise AssertionError
-
-        spec = get_experiment("EXP-TEST-DECO")
-        assert spec.module == my_runner.__module__
-        assert spec.func == my_runner.__qualname__
-
     def test_duplicate_id_raises(self, scratch_registry):
         with pytest.raises(ValueError, match="already registered"):
             register_experiment(ExperimentSpec(

@@ -143,15 +143,6 @@ class TestSessionConfig:
 
 
 class TestReceiverIndex:
-    def test_lookup_after_add_receiver(self):
-        net = dumbbell(1, 3, NON_LOSSY)
-        session = create_session(net, "h0", ["r0"])
-        add_receiver(net, session, "r1")
-        add_receiver(net, session, "r2", at=2.0)
-        net.run(until=5.0)
-        assert session.receiver("r1").rx_id == "r1"
-        assert session.receiver("r2").rx_id == "r2"
-
     @pytest.mark.parametrize("options", INHERITED_OPTIONS)
     def test_late_joiner_is_built_like_an_initial_receiver(self, options):
         # add_receiver used to re-ask for reliable/echo_timestamps/

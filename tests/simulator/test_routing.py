@@ -60,13 +60,6 @@ def diamond():
 
 
 class TestGraph:
-    def test_build_graph_edges_weighted_by_delay(self):
-        net = diamond()
-        graph = build_graph(net.nodes, net.link_delays)
-        assert list(graph["a"]) == ["top", "bot"]  # link-creation order
-        assert graph["a"]["top"] == 0.001 + HOP_BIAS
-        assert graph["a"]["top"] < graph["a"]["bot"]
-
     def test_directed(self):
         net = Network(seed=2)
         net.add_host("a")
@@ -77,13 +70,6 @@ class TestGraph:
 
 
 class TestUnicast:
-    def test_next_hops_follow_cheapest_path(self):
-        net = diamond()
-        graph = build_graph(net.nodes, net.link_delays)
-        install_unicast_routes(graph, net.nodes)
-        assert net.nodes["a"].unicast_routes["b"] == "top"
-        assert net.nodes["b"].unicast_routes["a"] == "top"
-
     def test_no_self_route(self):
         net = diamond()
         graph = build_graph(net.nodes, net.link_delays)
@@ -127,14 +113,6 @@ class TestUnicast:
 
 
 class TestMulticastTree:
-    def test_tree_is_union_of_shortest_paths(self):
-        net = diamond()
-        graph = build_graph(net.nodes, net.link_delays)
-        tree = compute_multicast_tree(shortest_paths(graph, "a"), "a", ["b"])
-        assert tree["a"] == {"top"}
-        assert tree["top"] == {"b"}
-        assert "bot" not in tree
-
     def test_source_as_member_skipped(self):
         net = diamond()
         graph = build_graph(net.nodes, net.link_delays)

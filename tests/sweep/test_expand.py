@@ -1,10 +1,12 @@
 """Expansion modes, task identity, and schema-backed validation."""
 
+import math
+
 import pytest
 
 import tests.sweep._toy  # noqa: F401 - registers TOY-SWEEP
 from repro.experiments.common import ExperimentSpec
-from repro.experiments.registry import _REGISTRY
+from repro.experiments.registry import _REGISTRY, get_experiment
 from repro.sweep import SweepSpec, SweepValidationError, expand
 from repro.sweep.validate import spec_errors
 
@@ -122,6 +124,22 @@ class TestValidation:
         spec = SweepSpec(name="v", experiment=TOY, axes={"seed": [True]})
         with pytest.raises(SweepValidationError, match="expected int"):
             expand(spec)
+
+    @pytest.mark.parametrize("fields", [
+        {"axes": {"gain": [math.nan]}},
+        {"base": {"gain": math.nan}},
+        {"scale": math.nan},
+        {"scale": math.inf},
+    ], ids=["axis-nan", "base-nan", "scale-nan", "scale-inf"])
+    def test_non_finite_numbers_rejected(self, fields):
+        """A spec file spells both (``scale = nan``, ``gain = inf``):
+        a float parameter is finite, a sweep's scale is in (0, inf)."""
+        spec = SweepSpec(name="v", experiment=TOY,
+                         **{"axes": {"mode": ["a"]}, **fields})
+        assert spec_errors(spec)
+        if "scale" in fields:
+            with pytest.raises(ValueError, match="finite"):
+                get_experiment(TOY).validate_kwargs(fields)
 
     def test_scale_axis_forbidden(self):
         spec = SweepSpec(name="v", experiment=TOY, axes={"scale": [0.5]})

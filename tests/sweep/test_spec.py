@@ -30,14 +30,14 @@ class TestConstruction:
                          rank_descending=True, metrics=("score",))
         again = spec_from_dict(spec.to_dict())
         assert again == spec
-        assert again.digest_payload() == spec.digest_payload()
+        assert again.to_dict() == spec.to_dict()
 
 
 class TestFromDict:
     def test_report_table_flattens(self):
         spec = spec_from_dict({
             "name": "s", "experiment": "E", "axes": {"x": [1]},
-            "report": {"rank_by": "score", "descending": True,
+            "report": {"rank_by": "score", "rank_descending": True,
                        "metrics": ["score"]},
         })
         assert spec.rank_by == "score"
