@@ -1,16 +1,6 @@
-"""Ablations over the design choices the paper calls out.
+"""The §5 future-work extensions implemented in this reproduction.
 
-* ABL-C (§3.5): sweep of the switch bias constant ``c`` — between 0.6
-  and 0.8 it removes unnecessary acker switches without hurting
-  selection accuracy; ``c = 1`` shows the spurious switches.
-* ABL-RTT (§3.2.1): sequence-based vs time-based RTT in the election —
-  the paper's NS runs found no better behaviour from timestamps.
-* ABL-DUP (§5): dupack threshold — preliminary tests showed no
-  significant fairness impact.
-* ABL-SS (§3.4): the fixed slow-start threshold of 6 packets.
-* ABL-NE (§3.7): NE suppression off / on / rx_loss-aware.
-
-Plus the §5 future-work extensions implemented in this reproduction:
+Each runs a topology of its own:
 
 * ABL-MODEL: the simple ``1/(RTT·√p)`` election model vs the full
   Padhye equation [15], in the footnote-3 scenario (a low-RTT but very
@@ -18,157 +8,14 @@ Plus the §5 future-work extensions implemented in this reproduction:
 * ABL-ADSS: adaptive slow-start threshold vs the fixed 6.
 * ABL-TFRC: the paper's low-pass loss filter vs TFRC's average loss
   interval method.
+
+The one-factor ablations of the paper's own choices are sweep studies
+over Figs. 4 and 5 (ABL-FIG4, ABL-RTT in :mod:`.registry`).
 """
 
 from __future__ import annotations
 
 from .common import ExperimentResult, kbps
-from . import fig4_inter_fairness, fig5_acker_selection, fig6_heterogeneous_rtt
-from ..simulator import NON_LOSSY
-
-
-def run_switch_bias(scale: float = 1.0, seed: int = 23,
-                    cs: tuple[float, ...] = (1.0, 0.9, 0.75, 0.6)) -> ExperimentResult:
-    """ABL-C: Fig. 4 topology (3 co-located receivers + TCP), c sweep."""
-    result = ExperimentResult(
-        name="abl-switch-bias",
-        params={"scale": scale, "seed": seed, "cs": cs},
-        expectation=(
-            "c in [0.6, 0.8] removes the (unnecessary) acker switches "
-            "seen at c=1 among equivalent receivers, with no accuracy "
-            "or throughput penalty"
-        ),
-    )
-    for c in cs:
-        case = fig4_inter_fairness.run_case(
-            NON_LOSSY, f"c={c}", 240.0 * scale, 80.0 * scale, 200.0 * scale,
-            c=c, seed=seed,
-        )
-        result.add_row(
-            c=c,
-            acker_switches=case["acker_switches"],
-            pgm_shared_kbps=kbps(case["pgm_shared"]),
-            tcp_shared_kbps=kbps(case["tcp_shared"]),
-            ratio=round(case["ratio"], 2),
-        )
-        result.metrics[f"c={c}:switches"] = case["acker_switches"]
-        result.metrics[f"c={c}:pgm_shared"] = case["pgm_shared"]
-        result.metrics[f"c={c}:ratio"] = case["ratio"]
-    return result
-
-
-def run_rtt_mode(scale: float = 1.0, seed: int = 29) -> ExperimentResult:
-    """ABL-RTT: Fig. 5 scenario under both RTT measurement modes."""
-    result = ExperimentResult(
-        name="abl-rtt-mode",
-        params={"scale": scale, "seed": seed},
-        expectation=(
-            "time-based RTT measurements do not yield any better "
-            "behaviour than sequence-based ones (same plateaus, similar "
-            "switch counts)"
-        ),
-    )
-    for mode in ("seq", "time"):
-        sub = fig5_acker_selection.run(scale=scale, seed=seed, rtt_mode=mode)
-        result.add_row(
-            rtt_mode=mode,
-            plateau1_kbps=kbps(sub.metrics["plateau1"]),
-            plateau2_kbps=kbps(sub.metrics["plateau2"]),
-            plateau3_kbps=kbps(sub.metrics["plateau3"]),
-            plateau4_kbps=kbps(sub.metrics["plateau4"]),
-            switches=sub.metrics["switch_count"],
-        )
-        for phase in (1, 2, 3, 4):
-            result.metrics[f"{mode}:plateau{phase}"] = sub.metrics[f"plateau{phase}"]
-        result.metrics[f"{mode}:switches"] = sub.metrics["switch_count"]
-    return result
-
-
-def run_dupack(scale: float = 1.0, seed: int = 31,
-               thresholds: tuple[int, ...] = (2, 3, 4, 5)) -> ExperimentResult:
-    """ABL-DUP: dupack threshold sweep on the non-lossy Fig. 4 case."""
-    result = ExperimentResult(
-        name="abl-dupack",
-        params={"scale": scale, "seed": seed, "thresholds": thresholds},
-        expectation="fairness with TCP is not significantly impacted",
-    )
-    for threshold in thresholds:
-        case = fig4_inter_fairness.run_case(
-            NON_LOSSY, f"dupack={threshold}", 240.0 * scale, 80.0 * scale,
-            200.0 * scale, dupack_threshold=threshold, seed=seed,
-        )
-        result.add_row(
-            dupack_threshold=threshold,
-            pgm_shared_kbps=kbps(case["pgm_shared"]),
-            tcp_shared_kbps=kbps(case["tcp_shared"]),
-            ratio=round(case["ratio"], 2),
-            pgm_stalls=case["pgm_stalls"],
-        )
-        result.metrics[f"dupack={threshold}:ratio"] = case["ratio"]
-        result.metrics[f"dupack={threshold}:pgm_shared"] = case["pgm_shared"]
-    return result
-
-
-def run_ssthresh(scale: float = 1.0, seed: int = 37,
-                 thresholds: tuple[int, ...] = (2, 6, 16, 64)) -> ExperimentResult:
-    """ABL-SS: the fixed exponential-opening limit (paper: 6)."""
-    result = ExperimentResult(
-        name="abl-ssthresh",
-        params={"scale": scale, "seed": seed, "thresholds": thresholds},
-        expectation=(
-            "6 packets opens past the dupack threshold without the "
-            "over-aggression of a large adaptive threshold; tiny values "
-            "risk stalls with low network buffering"
-        ),
-    )
-    for threshold in thresholds:
-        case = fig4_inter_fairness.run_case(
-            NON_LOSSY, f"ssthresh={threshold}", 240.0 * scale, 80.0 * scale,
-            200.0 * scale, ssthresh=threshold, seed=seed,
-        )
-        result.add_row(
-            ssthresh=threshold,
-            pgm_shared_kbps=kbps(case["pgm_shared"]),
-            tcp_shared_kbps=kbps(case["tcp_shared"]),
-            ratio=round(case["ratio"], 2),
-            pgm_stalls=case["pgm_stalls"],
-        )
-        result.metrics[f"ssthresh={threshold}:ratio"] = case["ratio"]
-        result.metrics[f"ssthresh={threshold}:stalls"] = case["pgm_stalls"]
-    return result
-
-
-def run_ne_suppression(scale: float = 1.0, seed: int = 41) -> ExperimentResult:
-    """ABL-NE: §3.7 — suppression does not break the election; the
-    rx_loss-aware rule forwards worse reports through NEs."""
-    result = ExperimentResult(
-        name="abl-ne-suppression",
-        params={"scale": scale, "seed": seed},
-        expectation=(
-            "suppression does not pose problems for the election at "
-            "small scale; the rx_loss rule lets reports with higher "
-            "loss through at minimal NE cost"
-        ),
-    )
-    duration = 240.0 * scale
-    for suppression, aware, label in (
-        (False, False, "no-NE"),
-        (True, False, "NE-suppression"),
-        (True, True, "NE-rx-loss-aware"),
-    ):
-        case = fig6_heterogeneous_rtt.run_case(suppression, aware, duration, seed)
-        result.add_row(
-            case=label,
-            pgm_kbps=kbps(case["pgm_rate"]),
-            tcp_kbps=kbps(case["tcp_rate"]),
-            ratio=round(case["ratio"], 2),
-            naks_at_source=case["naks_at_source"],
-            switches=case["switches"],
-        )
-        for key in ("pgm_rate", "tcp_rate", "ratio", "naks_at_source", "switches",
-                    "ne_naks_suppressed", "ne_naks_forwarded"):
-            result.metrics[f"{label}:{key}"] = case[key]
-    return result
 
 
 def run_throughput_model(scale: float = 1.0, seed: int = 47) -> ExperimentResult:
@@ -272,40 +119,6 @@ def run_adaptive_ssthresh(scale: float = 1.0, seed: int = 53) -> ExperimentResul
         ).count("cc-loss")
         session.close()
         tcp.close()
-    return result
-
-
-def run_delayed_acks(scale: float = 1.0, seed: int = 89) -> ExperimentResult:
-    """ABL-DELACK: §4.3 notes "there are no delayed ACKs in pgmcc"
-    while TCP usually delays them.  Compare fairness against a TCP
-    with and without delayed ACKs on the non-lossy bottleneck."""
-    from . import fig4_inter_fairness
-    from ..simulator import NON_LOSSY
-
-    result = ExperimentResult(
-        name="abl-delayed-acks",
-        params={"scale": scale, "seed": seed},
-        expectation=(
-            "delayed ACKs make TCP's window growth a little slower, "
-            "shifting the split modestly toward pgmcc; neither variant "
-            "changes the no-starvation outcome"
-        ),
-    )
-    for delayed in (False, True):
-        case = fig4_inter_fairness.run_case(
-            NON_LOSSY, f"delack={delayed}", 240.0 * scale, 80.0 * scale,
-            200.0 * scale, delayed_acks=delayed, seed=seed,
-        )
-        result.add_row(
-            tcp_delayed_acks=delayed,
-            pgm_shared_kbps=kbps(case["pgm_shared"]),
-            tcp_shared_kbps=kbps(case["tcp_shared"]),
-            ratio=round(case["ratio"], 2),
-        )
-        label = "delack" if delayed else "no-delack"
-        result.metrics[f"{label}:pgm"] = case["pgm_shared"]
-        result.metrics[f"{label}:tcp"] = case["tcp_shared"]
-        result.metrics[f"{label}:ratio"] = case["ratio"]
     return result
 
 

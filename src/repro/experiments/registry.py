@@ -16,6 +16,10 @@ entries through the same call::
         description="my extension study",
         params=(ParamSpec("seed", "int", default=7),)))
 
+A *study* is a :class:`~repro.sweep.SweepSpec` registered the same
+way, under its ``name``: plain data until it is listed or run, when
+the report runs every cell it expands to.
+
 Re-registering an id raises — the registry is process-global and a
 silent overwrite would poison sweep/digest reproducibility.
 ``python -m repro.runner`` runs what is registered here, by id or
@@ -24,8 +28,9 @@ through a sweep spec that names it.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
+from ..sweep.spec import SweepSpec
 from .common import ExperimentSpec, ParamSpec
 
 __all__ = [
@@ -33,35 +38,51 @@ __all__ = [
     "get_experiment",
     "register_experiment",
     "registered_specs",
+    "registered_studies",
     "resolve_experiment_id",
     "schema_for_target",
 ]
 
-_REGISTRY: dict[str, ExperimentSpec] = {}
+#: a registry entry: an experiment, or a study of one
+Entry = Union[ExperimentSpec, SweepSpec]
+
+_REGISTRY: dict[str, Entry] = {}
 
 
-def register_experiment(spec: ExperimentSpec) -> ExperimentSpec:
-    """Register ``spec`` and return it.
+def _id(entry: Entry) -> str:
+    return entry.name if isinstance(entry, SweepSpec) else entry.id
+
+
+def register_experiment(spec: Entry) -> Entry:
+    """Register an experiment or a study and return it.
 
     Raises ``ValueError`` on a duplicate id.
     """
-    existing = _REGISTRY.get(spec.id)
-    if existing is not None:
-        raise ValueError(
-            f"experiment {spec.id!r} is already registered "
-            f"(by {existing.module}); ids are process-global")
-    _REGISTRY[spec.id] = spec
+    if _id(spec) in _REGISTRY:
+        raise ValueError(f"experiment {_id(spec)!r} is already registered; "
+                         "ids are process-global")
+    _REGISTRY[_id(spec)] = spec
     return spec
 
 
 def registered_specs(include_hidden: bool = False) -> list[ExperimentSpec]:
-    """Registered specs in registration order (report entries only by
-    default; ``include_hidden=True`` adds sweep-cell entries)."""
-    return [s for s in _REGISTRY.values() if include_hidden or not s.hidden]
+    """Registered experiments in registration order (report entries
+    only by default; ``include_hidden=True`` adds sweep-cell entries)."""
+    return [s for s in _REGISTRY.values() if isinstance(s, ExperimentSpec)
+            and (include_hidden or not s.hidden)]
+
+
+def registered_studies() -> list[SweepSpec]:
+    """Registered studies in registration order."""
+    return [s for s in _REGISTRY.values() if isinstance(s, SweepSpec)]
 
 
 def experiment_ids(include_hidden: bool = False) -> list[str]:
-    return [s.id for s in registered_specs(include_hidden)]
+    """Every report entry's id, experiments and studies, in
+    registration order (``include_hidden=True`` adds sweep cells)."""
+    return [key for key, entry in _REGISTRY.items()
+            if include_hidden or isinstance(entry, SweepSpec)
+            or not entry.hidden]
 
 
 def resolve_experiment_id(exp_id: str) -> Optional[str]:
@@ -71,10 +92,10 @@ def resolve_experiment_id(exp_id: str) -> Optional[str]:
     return canonical.get(str(exp_id).upper().replace("_", "-"))
 
 
-def get_experiment(exp_id: str) -> ExperimentSpec:
-    """Spec for an id (normalized spelling accepted; hidden sweep-cell
-    specs resolve like any other).  Raises ``KeyError`` listing the
-    known ids on an unknown one."""
+def get_experiment(exp_id: str) -> Entry:
+    """Experiment or study for an id (normalized spelling accepted;
+    hidden sweep-cell specs resolve like any other).  Raises
+    ``KeyError`` listing the known ids on an unknown one."""
     resolved = resolve_experiment_id(exp_id)
     if resolved is None:
         raise KeyError(
@@ -93,7 +114,7 @@ def schema_for_target(target: str) -> Optional[list[dict[str, Any]]]:
     their cache keys shared.  Returns ``None`` when no registered
     experiment matches the target or the schema is undeclared.
     """
-    for spec in _REGISTRY.values():
+    for spec in registered_specs(include_hidden=True):
         if f"{spec.module}:{spec.func}" == target and spec.params:
             return spec.schema_doc()
     return None
@@ -133,16 +154,6 @@ _BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
                                      default=(1, 10, 40),
                                      help="receiver-group sizes to compare"),),
                    description="drop-to-zero: feedback aggregation collapse"),
-    ExperimentSpec("ABL-C", "repro.experiments.ablations", "run_switch_bias",
-                   scale_factor=0.5, description="ablation: acker switch bias c"),
-    ExperimentSpec("ABL-RTT", "repro.experiments.ablations", "run_rtt_mode",
-                   scale_factor=0.5, description="ablation: time vs seq RTT mode"),
-    ExperimentSpec("ABL-DUP", "repro.experiments.ablations", "run_dupack",
-                   scale_factor=0.5, description="ablation: dupack threshold"),
-    ExperimentSpec("ABL-SS", "repro.experiments.ablations", "run_ssthresh",
-                   scale_factor=0.5, description="ablation: initial ssthresh"),
-    ExperimentSpec("ABL-NE", "repro.experiments.ablations", "run_ne_suppression",
-                   scale_factor=0.5, description="ablation: NE NAK suppression"),
     ExperimentSpec("ABL-MODEL", "repro.experiments.ablations", "run_throughput_model",
                    scale_factor=0.5, description="ablation: RTT^2*p throughput models"),
     ExperimentSpec("ABL-ADSS", "repro.experiments.ablations", "run_adaptive_ssthresh",
@@ -159,10 +170,6 @@ _BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
                    scale_factor=0.5, description="chaos: scripted faults + invariants"),
     ExperimentSpec("EXP-ADV", "repro.experiments.adversarial", scale_factor=0.5,
                    description="adversarial: misbehaving receivers vs guard"),
-    ExperimentSpec("ABL-DELACK", "repro.experiments.ablations", "run_delayed_acks",
-                   scale_factor=0.5, description="ablation: TCP delayed ACKs"),
-    ExperimentSpec("EXP-SWEEP", "repro.experiments.fairness_sweep", scale_factor=0.5,
-                   description="fairness over the 4.3 configuration grid"),
     ExperimentSpec("EXP-SCALE", "repro.experiments.scalability", scale_factor=0.5,
                    description="scalability: exact ladder to 200, hybrid to 10^6"),
     ExperimentSpec("EXP-ARENA", "repro.experiments.arena", scale_factor=0.5,
@@ -195,7 +202,40 @@ _BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
                            ParamSpec("liveness", "bool", default=True)),
                    description="one recovery bout: controller x fault "
                                "x watchdog on/off"),
+    ExperimentSpec("EXP-F4-CELL", "repro.experiments.fig4_inter_fairness",
+                   "run_cell", hidden=True,
+                   description="one non-lossy Fig. 4 case: c, dupack "
+                               "threshold, ssthresh, delayed ACKs"),
+    ExperimentSpec("EXP-SWEEP-CELL", "repro.experiments.fairness_sweep",
+                   "run_cell", hidden=True,
+                   description="one 4.3 bottleneck: rate x queue x loss"),
 )
 
-for _spec in _BUILTIN_SPECS:
+#: Built-in studies, registered after the experiments: each is a sweep
+#: over one of them, and a report that names a study runs its cells.
+#: Their ``scale`` is the factor a ``scale_factor`` would be.
+_BUILTIN_STUDIES: tuple[SweepSpec, ...] = (
+    SweepSpec("ABL-FIG4", "EXP-F4-CELL", mode="ablate", scale=0.5,
+              base={"seed": 23, "c": 1.0, "dupack_threshold": 3,
+                    "ssthresh": 6, "delayed_acks": False},
+              axes={"c": [0.9, 0.75, 0.6], "dupack_threshold": [2, 4, 5],
+                    "ssthresh": [2, 16, 64], "delayed_acks": [True]},
+              description="ablations on the non-lossy Fig. 4 case: "
+                          "switch bias c (3.5), dupack threshold (5), "
+                          "initial ssthresh (3.4), TCP delayed ACKs"),
+    SweepSpec("ABL-RTT", "EXP-F5", mode="ablate", scale=0.5,
+              base={"seed": 29, "rtt_mode": "seq"},
+              axes={"rtt_mode": ["time"]},
+              description="ablation: time vs seq RTT mode (3.2.1) on the "
+                          "Fig. 5 scenario"),
+    SweepSpec("EXP-SWEEP", "EXP-SWEEP-CELL", scale=0.5,
+              base={"seed": 83},
+              axes={"rate": [250_000, 500_000, 1_000_000],
+                    "queue_slots": [10, 30, 60],
+                    "loss": [0.0, 0.02]},
+              rank_by="ratio", rank_descending=True,
+              description="fairness over the 4.3 configuration grid"),
+)
+
+for _spec in _BUILTIN_SPECS + _BUILTIN_STUDIES:
     register_experiment(_spec)

@@ -1,7 +1,9 @@
 """``python -m repro.runner`` — the parallel, cached experiment runner.
 
 It runs registered experiments by id, or one declarative sweep spec
-(a ``.toml`` or ``.json`` file; see docs/SWEEPS.md), never both.
+(a ``.toml`` or ``.json`` file; see docs/SWEEPS.md), never both.  A
+registered study among the ids adds its cells to the task list; a
+study named alone runs as a sweep, like a spec file.
 
 Examples::
 
@@ -12,23 +14,31 @@ Examples::
     python -m repro.runner -j auto --scale 0.1 --manifest results/run.json
     python -m repro.runner --list examples/sweeps/arena_matrix.toml
     python -m repro.runner examples/sweeps/ci_smoke.toml -j 2 --scale 0.05
+    python -m repro.runner --list ABL-FIG4         # a study's cells
+    python -m repro.runner ABL-FIG4 --scale 0.1    # one study: a sweep
 
-A spec is validated before anything runs; ``--list SPEC`` prints its
-expanded task list.  Exit status: 0 when every task succeeded, 1 when
-any task is reported failed, 2 on usage errors (an unknown experiment
-id; an invalid, unreadable or wrongly shaped spec; ids mixed with a
-spec, or two specs).
+A spec is validated before anything runs; ``--list SPEC`` (or
+``--list STUDY``) prints its expanded task list.  At ``--scale S`` a
+study's cells run at ``S`` times the study's own ``scale``, while
+``--scale`` replaces a spec file's.  Exit status: 0 when every task
+succeeded, 1 when any task is reported failed, 2 on usage errors (an
+unknown experiment id; an invalid, unreadable or wrongly shaped spec;
+ids mixed with a spec, or two specs).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from ..experiments.registry import get_experiment, registered_specs
-from ..sweep import (SweepValidationError, expand, load_spec,
+from ..experiments.common import ExperimentSpec
+from ..experiments.registry import (experiment_ids, get_experiment,
+                                    registered_specs, registered_studies,
+                                    resolve_experiment_id)
+from ..sweep import (SweepSpec, SweepValidationError, expand, load_spec,
                      render_markdown, sweep)
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .events import event_printer
@@ -50,10 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parallel experiment orchestrator with "
                     "content-addressed result caching.")
     parser.add_argument("experiments", nargs="*", metavar="EXP-ID|SPEC",
-                        help="experiment ids (default: all; see --list; a "
-                             "leading 'run' token and lowercase/underscore "
-                             "id spellings are accepted) or one .toml/.json "
-                             "sweep spec")
+                        help="experiment or study ids (default: all; see "
+                             "--list; a leading 'run' token and "
+                             "lowercase/underscore id spellings are "
+                             "accepted) or one .toml/.json sweep spec")
     parser.add_argument("-j", "--jobs", type=jobs_arg, default=1,
                         help="worker processes, or 'auto' for one per core "
                              "(default: 1)")
@@ -78,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="retries per failing task (default: 1)")
     parser.add_argument("--list", action="store_true",
                         help="print the experiment registry, or a spec's "
-                             "expanded task list, and exit")
+                             "or a study's expanded task list, and exit")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress telemetry on stderr")
     parser.add_argument("--no-report", action="store_true",
@@ -117,35 +127,55 @@ def list_registry(file=None) -> None:
               f"{target:<28} {spec.description}{tag}", file=out)
         for doc in spec.schema_doc():
             print(f"{'':<{width}}    {_format_param(doc)}", file=out)
+    for study in registered_studies():
+        target = f"{study.mode} {study.experiment}"
+        print(f"{study.name:<{width}}  x{study.scale:<4g} {target:<28} "
+              f"{study.description} [study]", file=out)
 
 
-def _load_sweep(path: str):
-    """The spec at ``path`` and its expanded tasks; every problem with
-    it — unreadable, wrongly shaped, invalid — is a ``UsageError``."""
+def _load_sweep(args: argparse.Namespace, names: list[str]):
+    """``(name, spec, tasks)`` for the one sweep the command line names
+    — a spec file, or a study named alone — at the scale it runs at;
+    None for experiment ids.  Every problem with a spec — unreadable,
+    wrongly shaped, invalid — is a ``UsageError``."""
+    source = names[0]
     try:
-        spec = load_spec(path)
-        return spec, expand(spec)
+        if not any(name.endswith(SPEC_SUFFIXES) for name in names):
+            study = (get_experiment(source) if len(names) == 1
+                     and resolve_experiment_id(source) else None)
+            if not isinstance(study, SweepSpec):
+                return None
+            source = study.name
+            spec = dataclasses.replace(
+                study, scale=study.scale * (args.scale or 1.0))
+        elif len(names) > 1:
+            raise UsageError("error: give experiment ids or one sweep "
+                             f"spec, not {' '.join(names)}")
+        else:
+            spec = load_spec(source)
+            if args.scale is not None:
+                spec = dataclasses.replace(spec, scale=args.scale)
+        return source, spec, expand(spec)
     except SweepValidationError as exc:
         raise UsageError("\n".join(
-            [f"{path}: {len(exc.errors)} problem(s)",
+            [f"{source}: {len(exc.errors)} problem(s)",
              *(f"  - {error}" for error in exc.errors)])) from None
     except (OSError, ValueError, TypeError, RuntimeError) as exc:
         raise UsageError(f"error: {exc}") from None
 
 
-def _list_tasks(path: str) -> None:
-    spec, tasks = _load_sweep(path)
+def _list_tasks(source: str, spec: SweepSpec, tasks: list) -> None:
     for task in tasks:
         kwargs = ", ".join(f"{k}={v!r}" for k, v in task.spec.kwargs)
         print(f"{task.id:<50}  {kwargs}")
-    print(f"{path}: {len(tasks)} task(s) over {spec.experiment}, "
+    print(f"{source}: {len(tasks)} task(s) over {spec.experiment}, "
           f"mode {spec.mode}")
 
 
-def _run_sweep(args: argparse.Namespace, path: str) -> tuple[dict, list[str]]:
-    """Run the spec at ``path``: its manifest and markdown report."""
-    spec, _ = _load_sweep(path)
-    run = sweep(spec, jobs=args.jobs, scale=args.scale,
+def _run_sweep(args: argparse.Namespace,
+               spec: SweepSpec) -> tuple[dict, list[str]]:
+    """Run one sweep: its manifest and markdown report."""
+    run = sweep(spec, jobs=args.jobs,
                 cache_dir=None if args.no_cache else args.cache_dir,
                 timeout=args.timeout, retries=args.retries,
                 on_event=None if args.quiet else event_printer())
@@ -154,11 +184,17 @@ def _run_sweep(args: argparse.Namespace, path: str) -> tuple[dict, list[str]]:
 
 def _run_experiments(args: argparse.Namespace,
                      ids: list[str]) -> tuple[dict, list[str]]:
-    """Run registered experiments: the manifest and one report table
-    per experiment that produced a result."""
+    """Run the experiments ``ids`` name (every report entry by
+    default), each study among them as its cells, whose scale factor
+    carries the study's ``scale``: the manifest and one report table
+    per task that produced a result."""
+    specs: list[ExperimentSpec] = []
     try:
-        specs = ([get_experiment(exp_id) for exp_id in ids]
-                 or registered_specs())
+        for entry in map(get_experiment, ids or experiment_ids()):
+            specs += ([dataclasses.replace(
+                task.spec, scale_factor=entry.scale * task.spec.scale_factor)
+                for task in expand(entry)]
+                if isinstance(entry, SweepSpec) else [entry])
     except KeyError as exc:
         raise UsageError(f"error: {exc.args[0]}") from None
     orch = Orchestrator(
@@ -186,19 +222,17 @@ def main(argv: list[str] | None = None) -> int:
         # runners); ids themselves are normalized in get_experiment.
         names = names[1:]
     try:
-        if not any(name.endswith(SPEC_SUFFIXES) for name in names):
+        named = _load_sweep(args, names) if names else None
+        if named is None:
             if args.list:
                 list_registry()
                 return 0
             manifest, report = _run_experiments(args, names)
-        elif len(names) > 1:
-            raise UsageError("error: give experiment ids or one sweep spec, "
-                             f"not {' '.join(names)}")
         elif args.list:
-            _list_tasks(names[0])
+            _list_tasks(*named)
             return 0
         else:
-            manifest, report = _run_sweep(args, names[0])
+            manifest, report = _run_sweep(args, named[1])
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -6,7 +6,8 @@ Three first-class products, all deterministic given the cells:
   group the cells by that axis's value and compare the mean of every
   shared numeric metric against the axis's *first declared value* (the
   baseline).  This is the sweep-level answer to "what did changing X
-  do, averaged over everything else?".
+  do, averaged over everything else?".  In ``ablate`` mode the
+  baseline is the base cell, at the axis's ``base`` value.
 * **ranked table** — cells ordered by one metric
   (``spec.rank_by``), ascending by default (ranks are
   distances/scores more often than rewards).
@@ -94,20 +95,32 @@ def axis_deltas(spec: SweepSpec, cells: list[SweepCell]) -> list[dict]:
 
     One entry per axis with >1 distinct declared value (the implicit
     ``seeds`` axis included); each entry carries per-value group means
-    and their delta against the axis's first declared value.
+    and their delta against the axis's first declared value — in
+    ``ablate`` mode, against the base cell.
     """
     metrics = shared_numeric_metrics(cells, spec.metrics)
+    base = spec.base_dict
+    ablate = spec.mode == "ablate"
     axes: list[tuple[str, tuple[Any, ...]]] = [
-        (name, values) for name, values in spec.axes if len(values) > 1]
+        (name, (base[name], *values) if ablate else values)
+        for name, values in spec.axes]
+    axes = [(name, values) for name, values in axes if len(values) > 1]
     if len(spec.seeds) > 1:
         axes.append(("seed", spec.seeds))
+
+    def value_of(cell: SweepCell, axis: str) -> Any:
+        assignment = cell.task.axes_dict
+        if ablate and set(assignment) <= {"seed"}:  # the base cell
+            assignment = {**base, **assignment}
+        return assignment.get(axis)
+
     out: list[dict] = []
     for axis, declared in axes:
         groups = []
         baseline_means: dict[str, float] = {}
         for value in declared:
             members = [c for c in cells
-                       if c.ok and c.task.axes_dict.get(axis) == value]
+                       if c.ok and value_of(c, axis) == value]
             if not members:
                 continue
             means = {m: round(_mean([c.result.metrics[m] for c in members]),

@@ -75,7 +75,8 @@ def render_markdown(manifest: dict[str, Any]) -> str:
     if block["axis_deltas"]:
         lines += ["## Per-axis deltas", "",
                   "Mean of each shared metric per axis value; deltas are "
-                  "against the axis's first declared value.", ""]
+                  "against the axis's first declared value (in ablate "
+                  "mode, the base cell).", ""]
         for entry in block["axis_deltas"]:
             lines += [f"### axis `{entry['axis']}` "
                       f"(baseline `{_fmt(entry['baseline'])}`)", ""]

@@ -17,7 +17,8 @@ Expansion modes (see :mod:`repro.sweep.expand`):
 ``ablate``
     One baseline task from ``base`` alone, plus one task per axis
     value that changes *only that axis* — the one-factor-at-a-time
-    ablation study.
+    ablation study.  ``base`` holds every axis's baseline value, and
+    no axis lists it again.
 
 ``seeds`` is an implicit extra grid axis bound to the experiment's
 ``seed`` parameter.
@@ -72,7 +73,8 @@ class SweepSpec:
     mode: str = "grid"
     #: (axis name, candidate values) in declaration order — the order
     #: is meaningful: grid expansion nests rightmost-fastest, and the
-    #: first value of each axis is that axis's delta baseline
+    #: first value of each axis is that axis's delta baseline (in
+    #: ``ablate`` mode the baseline is the axis's ``base`` value)
     axes: tuple[tuple[str, tuple[Any, ...]], ...] = ()
     #: parameters shared by every task
     base: tuple[tuple[str, Any], ...] = ()

@@ -95,6 +95,16 @@ def spec_errors(spec: SweepSpec) -> list[str]:
             errors.append(f"zip mode needs equal-length axes, got {lengths}")
     if spec.mode == "ablate" and not spec.axes:
         errors.append("ablate mode without axes has nothing to ablate")
+    if spec.mode == "ablate":
+        # the base cell is every axis's baseline: it must hold a value
+        # for each, and no ablated cell may repeat it
+        base = spec.base_dict
+        for axis, values in spec.axes:
+            if axis not in base:
+                errors.append(f"ablated axis {axis!r} has no base value")
+            elif base[axis] in values:
+                errors.append(f"ablated axis {axis!r} repeats its base "
+                              f"value {base[axis]!r}")
     return errors
 
 

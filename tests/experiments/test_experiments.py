@@ -18,6 +18,16 @@ from repro.experiments import (
     fig7_uncorrelated_loss,
     unreliable_mode,
 )
+from repro.experiments.registry import get_experiment
+from repro.sweep import expand
+
+
+def study_cells(study_id, scale):
+    """Task id -> result for each of the study's cells, run as the
+    report runs it at ``--scale scale``."""
+    study = get_experiment(study_id)
+    return {task.id: task.spec.run(scale * study.scale)
+            for task in expand(study)}
 
 
 @pytest.fixture(scope="module")
@@ -220,38 +230,67 @@ class TestUnreliableMode:
         )
 
 
+@pytest.fixture(scope="module")
+def abl_fig4():
+    """ABL-FIG4's 11 cells at 60 simulated seconds each: task id ->
+    metrics."""
+    return {task_id: result.metrics
+            for task_id, result in study_cells("ABL-FIG4", 0.5).items()}
+
+
 class TestAblations:
-    def test_switch_bias_reduces_switches(self):
-        cs = (1.0, 0.9, 0.75, 0.6)
-        result = ablations.run_switch_bias(scale=0.25, cs=cs)
+    def test_switch_bias_reduces_switches(self, abl_fig4):
+        cells = {c: abl_fig4[f"ABL-FIG4/c={c}"] for c in (0.9, 0.75, 0.6)}
+        cells[1.0] = abl_fig4["ABL-FIG4/base"]
         for c in (0.75, 0.6):
-            assert (
-                result.metrics[f"c={c}:switches"]
-                <= result.metrics["c=1.0:switches"]
-            )
-        for c in cs:
-            assert result.metrics[f"c={c}:ratio"] < 4.5  # fairness intact
+            assert cells[c]["acker_switches"] <= cells[1.0]["acker_switches"]
+        for cell in cells.values():
+            assert cell["ratio"] < 4.5  # fairness intact
         # throughput unaffected by the bias
-        assert result.metrics["c=0.75:pgm_shared"] == pytest.approx(
-            result.metrics["c=1.0:pgm_shared"], rel=0.6
+        assert cells[0.75]["pgm_shared"] == pytest.approx(
+            cells[1.0]["pgm_shared"], rel=0.6
         )
 
     def test_rtt_modes_equivalent(self):
-        result = ablations.run_rtt_mode(scale=0.25)
+        cells = study_cells("ABL-RTT", 0.5)
+        seq, time = cells["ABL-RTT/base"], cells["ABL-RTT/rtt_mode=time"]
         for phase in (1, 2, 3, 4):
-            assert result.metrics[f"time:plateau{phase}"] == pytest.approx(
-                result.metrics[f"seq:plateau{phase}"], rel=0.3
+            assert time.metrics[f"plateau{phase}"] == pytest.approx(
+                seq.metrics[f"plateau{phase}"], rel=0.3
             )
 
-    def test_dupack_thresholds_all_fair(self):
-        result = ablations.run_dupack(scale=0.25, thresholds=(2, 3, 4, 5))
-        for threshold in (2, 3, 4, 5):
-            assert result.metrics[f"dupack={threshold}:ratio"] < 4.5
+    def test_dupack_thresholds_all_fair(self, abl_fig4):
+        for task_id in ("ABL-FIG4/dupack_threshold=2", "ABL-FIG4/base",
+                        "ABL-FIG4/dupack_threshold=4",
+                        "ABL-FIG4/dupack_threshold=5"):
+            assert abl_fig4[task_id]["ratio"] < 4.5
 
-    def test_ssthresh_six_avoids_stalls(self):
-        result = ablations.run_ssthresh(scale=0.25, thresholds=(6,))
-        assert result.metrics["ssthresh=6:stalls"] <= 2
-        assert result.metrics["ssthresh=6:ratio"] < 4.5
+    def test_ssthresh_six_avoids_stalls(self, abl_fig4):
+        assert abl_fig4["ABL-FIG4/base"]["pgm_stalls"] <= 2
+        assert abl_fig4["ABL-FIG4/base"]["ratio"] < 4.5
+
+    def test_studies_expand_to_the_loops_they_replace(self):
+        """ABL-FIG4's cells are the 14 sessions of the ABL-C, ABL-DUP,
+        ABL-SS and ABL-DELACK loops less three repeats of the paper's
+        setting; EXP-SWEEP's are the old 18-cell grid, in its order."""
+        def knobs(study_id, names):
+            return [tuple(dict(task.spec.kwargs)[n] for n in names)
+                    for task in expand(get_experiment(study_id))]
+
+        loops = ([(c, 3, 6, False) for c in (1.0, 0.9, 0.75, 0.6)]
+                 + [(1.0, d, 6, False) for d in (2, 3, 4, 5)]
+                 + [(1.0, 3, s, False) for s in (2, 6, 16, 64)]
+                 + [(1.0, 3, 6, delack) for delack in (False, True)])
+        cells = knobs("ABL-FIG4",
+                      ("c", "dupack_threshold", "ssthresh", "delayed_acks"))
+        assert repr(cells) == repr(list(dict.fromkeys(loops)))
+        assert knobs("ABL-FIG4", ("seed",)) == [(23,)] * 11
+        grid = [(rate, queue, loss)
+                for rate in (250_000, 500_000, 1_000_000)
+                for queue in (10, 30, 60)
+                for loss in (0.0, 0.02)]
+        cells = knobs("EXP-SWEEP", ("rate", "queue_slots", "loss"))
+        assert repr(cells) == repr(grid)
 
     def test_padhye_model_flags_lossy_receiver(self):
         result = ablations.run_throughput_model(scale=0.3)
@@ -312,21 +351,24 @@ class TestScalability:
 
 class TestFairnessSweep:
     def test_reduced_grid_no_starvation(self):
-        from repro.experiments import fairness_sweep
-
+        study = get_experiment("EXP-SWEEP")
         grid = ((250_000, 10, 0.0), (500_000, 30, 0.02), (1_000_000, 60, 0.0))
-        result = fairness_sweep.run(scale=0.3, grid=grid)
-        assert result.metrics["worst_ratio"] < 4.0
-        for row in result.rows:
-            assert row["pgm_kbps"] > 0.05 * row["rate_kbps"]
-            assert row["tcp_kbps"] > 0.05 * row["rate_kbps"]
+        cells = [task.spec.run(0.6 * study.scale).metrics
+                 for task in expand(study)
+                 if (task.axes_dict["rate"], task.axes_dict["queue_slots"],
+                     task.axes_dict["loss"]) in grid]
+        assert len(cells) == 3
+        for (rate, _, _), cell in zip(grid, cells):
+            assert cell["ratio"] < 4.0
+            assert cell["pgm"] > 0.05 * rate
+            assert cell["tcp"] > 0.05 * rate
 
-    def test_delayed_acks_fair_both_ways(self):
-        result = ablations.run_delayed_acks(scale=0.3)
-        for label in ("delack", "no-delack"):
-            assert result.metrics[f"{label}:ratio"] < 4.0
-            assert result.metrics[f"{label}:pgm"] > 50_000
-            assert result.metrics[f"{label}:tcp"] > 50_000
+    def test_delayed_acks_fair_both_ways(self, abl_fig4):
+        for task_id in ("ABL-FIG4/base", "ABL-FIG4/delayed_acks=True"):
+            cell = abl_fig4[task_id]
+            assert cell["ratio"] < 4.0
+            assert cell["pgm_shared"] > 50_000
+            assert cell["tcp_shared"] > 50_000
 
 
 class TestRobustness:

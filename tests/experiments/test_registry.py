@@ -10,13 +10,17 @@ import pytest
 from repro.experiments.common import ExperimentSpec, ParamSpec
 from repro.experiments.registry import (
     _BUILTIN_SPECS,
+    _BUILTIN_STUDIES,
     _REGISTRY,
+    experiment_ids,
     get_experiment,
     register_experiment,
     registered_specs,
+    registered_studies,
     resolve_experiment_id,
     schema_for_target,
 )
+from repro.sweep import SweepSpec
 
 
 def takes_anything(scale=1.0, **kwargs):  # pragma: no cover - never run
@@ -45,6 +49,18 @@ class TestRegisterExperiment:
         with pytest.raises(ValueError, match="already registered"):
             register_experiment(get_experiment("EXP-F2"))
 
+    def test_a_study_shares_the_id_namespace(self, scratch_registry):
+        with pytest.raises(ValueError, match="already registered"):
+            register_experiment(SweepSpec(name="EXP-F2",
+                                          experiment="EXP-F3"))
+        study = register_experiment(SweepSpec(
+            name="ABL-TEST", experiment="EXP-F2", mode="ablate",
+            base={"seed": 1}, axes={"seed": [2]}))
+        assert get_experiment("abl_test") is study
+        assert registered_studies()[-1] is study
+        assert experiment_ids()[-1] == "ABL-TEST"
+        assert study not in registered_specs(include_hidden=True)
+
     def test_spec_or_id_required(self):
         with pytest.raises(TypeError):
             register_experiment()
@@ -69,7 +85,15 @@ class TestLookups:
              "print(*r.experiment_ids(include_hidden=True))"],
             capture_output=True, text=True, timeout=120, check=True,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-        assert proc.stdout.split() == [s.id for s in _BUILTIN_SPECS]
+        assert proc.stdout.split() == (
+            [s.id for s in _BUILTIN_SPECS]
+            + [s.name for s in _BUILTIN_STUDIES])
+
+    def test_the_loops_studies_replaced_are_gone(self):
+        assert [s.name for s in registered_studies()] == [
+            "ABL-FIG4", "ABL-RTT", "EXP-SWEEP"]
+        for old in ("ABL-C", "ABL-DUP", "ABL-SS", "ABL-DELACK", "ABL-NE"):
+            assert resolve_experiment_id(old) is None
 
     def test_hidden_specs_excluded_from_view_but_resolvable(self):
         ids = [s.id for s in registered_specs()]

@@ -12,8 +12,9 @@ import pytest
 
 import tests.sweep._toy  # noqa: F401 - registers TOY-SWEEP
 from repro.experiments.common import ExperimentSpec
+from repro.experiments.registry import _REGISTRY
 from repro.runner.cli import main
-from repro.sweep import render_markdown
+from repro.sweep import SweepSpec, render_markdown
 
 #: a two-cell sweep over the pure toy experiment (score = 10·gain for
 #: mode a, 30·gain for mode b; cost = 100·scale)
@@ -87,6 +88,13 @@ class TestListing:
     @pytest.mark.parametrize("flag, value, expected", BAD_OPTION_VALUES)
     def test_bad_jobs_is_usage_error(self, flag, value, expected, capsys):
         assert_usage_error(["EXP-F2", flag, value], expected, capsys)
+
+    def test_list_names_the_studies(self, capsys):
+        assert main(["--list"]) == 0
+        out = capsys.readouterr().out
+        studies = [line.split()[0] for line in out.splitlines()
+                   if line.endswith("[study]")]
+        assert studies == ["ABL-FIG4", "ABL-RTT", "EXP-SWEEP"]
 
     def test_unknown_id_helpful_error(self, capsys):
         assert main(["EXP-TYPO"]) == 2
@@ -338,3 +346,47 @@ class TestSpecRun:
         assert manifest["totals"]["failed"] == 2
         assert ("--- FAILED cli-toy/mode=a (RuntimeError: unlucky gain) ---"
                 in out)
+
+
+class TestStudy:
+    """A registered study: alone it runs as a sweep, among other ids its
+    cells join the flat task list; either way at ``--scale S`` a cell
+    runs at S times the study's own scale."""
+
+    @pytest.fixture(autouse=True)
+    def toy_study(self, monkeypatch):
+        monkeypatch.setitem(_REGISTRY, "TOY-STUDY", SweepSpec(
+            name="TOY-STUDY", experiment="TOY-SWEEP", mode="ablate",
+            scale=0.5, base={"gain": 2.0, "mode": "a"},
+            axes={"gain": [5.0]}, metrics=("score", "cost")))
+
+    def run(self, tmp_path, capsys, *argv):
+        manifest = tmp_path / "manifest.json"
+        rc = main([*argv, "--quiet", "--no-cache", "--scale", "0.5",
+                   "--manifest", str(manifest)])
+        return rc, json.loads(manifest.read_text()), capsys.readouterr().out
+
+    def test_list_prints_its_cells(self, capsys):
+        assert main(["--list", "toy_study"]) == 0
+        out = capsys.readouterr().out
+        assert "TOY-STUDY/gain=5.0" in out
+        assert out.endswith("TOY-STUDY: 2 task(s) over TOY-SWEEP, "
+                            "mode ablate\n")
+
+    def test_alone_it_is_a_sweep(self, tmp_path, capsys):
+        rc, manifest, out = self.run(tmp_path, capsys, "TOY-STUDY")
+        assert rc == 0
+        assert manifest["scale"] == 0.25
+        (gain,) = manifest["sweep"]["axis_deltas"]
+        assert gain["baseline"] == 2.0
+        assert gain["groups"][1]["deltas"]["score"] == 30.0
+        assert "# Sweep report: TOY-STUDY" in out
+
+    def test_among_ids_its_cells_join_the_task_list(self, tmp_path, capsys):
+        rc, manifest, _ = self.run(tmp_path, capsys, "TOY-STUDY", "TOY-SWEEP")
+        assert rc == 0
+        assert "sweep" not in manifest
+        costs = {task["id"]: task["result"]["metrics"]["cost"]
+                 for task in manifest["tasks"]}
+        assert costs == {"TOY-STUDY/base": 25.0, "TOY-STUDY/gain=5.0": 25.0,
+                         "TOY-SWEEP": 50.0}

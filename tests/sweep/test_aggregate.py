@@ -71,6 +71,26 @@ class TestAxisDeltas:
         gain = by_axis["gain"]
         assert gain["groups"][1]["deltas"]["score"] == 20.0
 
+    def test_ablate_baseline_is_the_base_cell(self):
+        """Not the axis's first declared value: the ``…/base`` cell,
+        which holds no axis, at the axis's ``base`` value."""
+        spec = SweepSpec(name="ab", experiment=TOY, mode="ablate",
+                         base={"gain": 2.0, "mode": "a"},
+                         axes={"gain": [5.0, 7.0], "mode": ["b"]})
+        by_axis = {d["axis"]: d
+                   for d in axis_deltas(spec, make_cells(spec, toy_metrics))}
+        gain = by_axis["gain"]
+        assert gain["baseline"] == 2.0
+        assert [(g["value"], g["n"]) for g in gain["groups"]] == [
+            (2.0, 1), (5.0, 1), (7.0, 1)]
+        assert gain["groups"][0]["means"]["score"] == 20.0
+        assert [g["deltas"]["score"] for g in gain["groups"][1:]] == [
+            30.0, 50.0]
+        # a one-value axis still has its baseline to differ from
+        mode = by_axis["mode"]
+        assert (mode["baseline"], mode["groups"][1]["deltas"]) == (
+            "a", {"score": 40.0})
+
     def test_single_value_axes_skipped(self):
         spec = SweepSpec(name="d", experiment=TOY,
                          axes={"mode": ["a"], "gain": [1.0, 2.0]})

@@ -74,21 +74,35 @@ class TestZip:
 class TestAblate:
     def test_baseline_plus_one_change_per_value(self):
         spec = SweepSpec(name="ab", experiment=TOY, mode="ablate",
-                         base={"gain": 2.0},
+                         base={"gain": 2.0, "mode": "a"},
                          axes={"mode": ["b"], "gain": [5.0, 7.0]})
         tasks = expand(spec)
         assert [t.id for t in tasks] == [
             "ab/base", "ab/mode=b", "ab/gain=5.0", "ab/gain=7.0"]
         # the baseline is base-only; each ablation changes one axis
-        assert kwargs_of(tasks[0]) == {"gain": 2.0}
+        assert kwargs_of(tasks[0]) == {"gain": 2.0, "mode": "a"}
         assert kwargs_of(tasks[1]) == {"gain": 2.0, "mode": "b"}
-        assert kwargs_of(tasks[2]) == {"gain": 5.0}
+        assert kwargs_of(tasks[2]) == {"gain": 5.0, "mode": "a"}
 
     def test_ablate_without_axes_rejected(self):
         spec = SweepSpec(name="ab", experiment=TOY, mode="ablate",
                          base={"gain": 2.0})
         with pytest.raises(SweepValidationError, match="nothing to ablate"):
             expand(spec)
+
+    def test_an_axis_value_equal_to_its_base_is_rejected(self):
+        """``ab/gain=2.0`` would run the baseline a second time."""
+        spec = SweepSpec(name="ab", experiment=TOY, mode="ablate",
+                         base={"gain": 2.0}, axes={"gain": [2.0, 7.0]})
+        assert spec_errors(spec) == [
+            "ablated axis 'gain' repeats its base value 2.0"]
+
+    def test_an_axis_without_a_base_value_is_rejected(self):
+        """The base cell is every axis's baseline, so it needs a value."""
+        spec = SweepSpec(name="ab", experiment=TOY, mode="ablate",
+                         base={"gain": 2.0},
+                         axes={"gain": [5.0], "mode": ["b"]})
+        assert spec_errors(spec) == ["ablated axis 'mode' has no base value"]
 
 
 class TestValidation:

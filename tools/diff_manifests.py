@@ -22,8 +22,9 @@ Usage::
         --ignore telemetry.counters.net.events_processed
 
 Prints one line per differing leaf (``task: path: parent -> change``)
-and exits 1 if there is one, 0 with no output otherwise; 2 when a file
-cannot be read as a manifest.
+and one per task that only one side has (``task: only in parent`` or
+``task: only in change``), and exits 1 if there is one, 0 with no
+output otherwise; 2 when a file cannot be read as a manifest.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import sys
 
 #: per-task fields that describe the run, not the result
 RUN_FIELDS = {"wall_s", "worker", "attempts", "cache_hit", "result_digest"}
-_MISSING = "<missing>"
 
 
 def leaves(node, path=()):
@@ -61,16 +61,23 @@ def entries(doc: dict) -> dict:
 
 
 def diff_manifests(parent: dict, change: dict, ignore=()) -> list[str]:
-    """Every differing leaf as a printable line, in task order."""
+    """Every differing leaf, and every task one side lacks, as a
+    printable line, in task order."""
     suffixes = tuple("." + key for key in ignore)
     tasks = [entries(doc) for doc in (parent, change)]
     lines = []
     for task_id in dict.fromkeys([*tasks[0], *tasks[1]]):
-        sides = [dict(leaves(side.get(task_id, {}))) for side in tasks]
+        if task_id not in tasks[1]:
+            lines.append(f"{task_id}: only in parent")
+            continue
+        if task_id not in tasks[0]:
+            lines.append(f"{task_id}: only in change")
+            continue
+        sides = [dict(leaves(side[task_id])) for side in tasks]
         for path in dict.fromkeys([*sides[0], *sides[1]]):
             if path in ignore or path.endswith(suffixes):
                 continue
-            a, b = (side.get(path, _MISSING) for side in sides)
+            a, b = (side.get(path, "<missing>") for side in sides)
             if a != b:
                 lines.append(f"{task_id}: {path}: {a!r} -> {b!r}")
     return lines
