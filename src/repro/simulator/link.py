@@ -15,9 +15,11 @@ arrival, whether or not it had to wait.  A FIFO's departures are
 arithmetic: the packet starts serialising at ``start`` — now on an idle
 wire, otherwise the instant the one ahead of it ends (``_free_at``) —
 ends at ``done = start + size * 8 / rate`` and arrives at ``done +
-delay``, scheduled on the spot.  Those are the float expressions an
-end-of-serialisation event at ``done`` would evaluate, so arrival times
-are bit-identical to that textbook two-event model.  Queue occupancy is
+delay``, posted on the spot (``Simulator.post_at``: the copies a
+multicast fan-out accepts for one arrival instant share a heap entry).
+Those are the float expressions an end-of-serialisation event at
+``done`` would evaluate, so arrival times are bit-identical to that
+textbook two-event model.  Queue occupancy is
 therefore a function of the clock: a waiting packet whose ``start <=
 now`` has left the queue for the wire (a departure comes before an
 arrival at the same instant).  The link settles that before every offer
@@ -55,6 +57,7 @@ path is unaffected.  Fault semantics:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, Optional
 
@@ -73,10 +76,10 @@ class Link:
     Args:
         sim: the event engine.
         name: label used in traces ("L1", "r0->s0", ...).
-        rate_bps: capacity in bits per second.  Assignable mid-run:
-            validated, and packets still waiting are re-timed.
-        delay: one-way propagation delay in seconds; assignable
-            likewise.
+        rate_bps: capacity in bits per second, positive.  Assignable
+            mid-run: validated, and packets still waiting are re-timed.
+        delay: one-way propagation delay in seconds, finite and
+            non-negative; assignable likewise.
         queue: output queue; defaults to a 30-slot drop-tail FIFO
             (the paper's most common configuration).
         loss: random-loss model applied on ingress.
@@ -96,7 +99,7 @@ class Link:
     ):
         self.sim = sim
         self.name = name
-        #: ``(start, arrival event, packet)`` of every packet the queue
+        #: ``(start, arrival handle, packet)`` of every packet the queue
         #: holds, in FIFO order; allocated by the first packet to wait,
         #: so a link that never queues owns no container for it
         self._waiting: Optional[deque] = None
@@ -141,8 +144,8 @@ class Link:
 
     @rate_bps.setter
     def rate_bps(self, value: float) -> None:
-        if value <= 0:
-            raise ValueError("rate_bps must be positive")
+        if not value > 0:  # NaN too
+            raise ValueError(f"rate_bps must be positive, not {value!r}")
         self._rate_bps = value
         self._retime()
 
@@ -152,8 +155,9 @@ class Link:
 
     @delay.setter
     def delay(self, value: float) -> None:
-        if value < 0:
-            raise ValueError("delay cannot be negative")
+        if not 0.0 <= value < math.inf:
+            raise ValueError(
+                f"delay cannot be negative, NaN or infinite, not {value!r}")
         self._delay = value
         self._retime()
 
@@ -172,7 +176,7 @@ class Link:
         for _, arrival, packet in waiting:
             sim.cancel(arrival)
             done = start + packet.size * 8.0 / rate
-            arrival = sim.schedule_at(done + delay, self._deliver, packet)
+            arrival = sim.post_at(done + delay, self._deliver, packet)
             retimed.append((start, arrival, packet))
             start = done
         self._free_at = start
@@ -246,7 +250,7 @@ class Link:
             start = sim.now
         # (start + tx) + delay, as an event at ``done`` would compute it
         self._free_at = done = start + packet.size * 8.0 / self._rate_bps
-        arrival = sim.schedule_at(done + self._delay, self._deliver, packet)
+        arrival = sim.post_at(done + self._delay, self._deliver, packet)
         if waits:
             if self._waiting is None:
                 self._waiting = deque()

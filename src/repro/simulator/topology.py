@@ -12,6 +12,7 @@ two-bottleneck tree (Fig. 5) and a star of independent links (Fig. 7).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,8 +32,9 @@ class LinkSpec:
 
     Exactly one of ``queue_slots`` / ``queue_bytes`` is normally set;
     setting neither gives the paper's default of 30 slots.
-    ``loss_rate`` must lie in [0, 1]; only a lossy link draws, so only
-    it gets a random stream.
+    ``rate_bps`` must be positive, ``delay`` finite and non-negative
+    (a NaN would halt the event loop), and ``loss_rate`` must lie in
+    [0, 1]; only a lossy link draws, so only it gets a random stream.
     """
 
     rate_bps: float
@@ -42,6 +44,11 @@ class LinkSpec:
     loss_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        if not self.rate_bps > 0:
+            raise ValueError(f"rate_bps must be positive, not {self.rate_bps!r}")
+        if not 0.0 <= self.delay < math.inf:
+            raise ValueError(
+                f"delay cannot be negative, NaN or infinite, not {self.delay!r}")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(f"loss_rate must be in [0, 1], not {self.loss_rate!r}")
 

@@ -3,8 +3,9 @@
 The engine dispatches same-timestamp events in insertion order, and
 two PRs have had to ask whether a result depended on it (DESIGN.md §6,
 "Link event model").  Here the question is a test: a test-local
-``Simulator`` subclass breaks ties by a seeded random number instead,
-three small shapes of what the repo runs — the Fig. 4 dumbbell with
+``Simulator`` subclass breaks ties by a seeded random number instead
+(and gives every link arrival an entry of its own, so no two copies of
+a multicast packet share one and dispatch together), three small shapes of what the repo runs — the Fig. 4 dumbbell with
 TCP, a Fig. 7 star with late joiners, a hybrid aggregate cell with
 network elements — run under five such shuffles, and every leaf of
 ``session.summary()`` and ``session.metrics.export()`` must equal the
@@ -67,6 +68,10 @@ class ShuffledSimulator(Simulator):
         self._seq += 1
         heapq.heappush(self._heap, ev)
         return ev
+
+    def post_at(self, time, fn, *args):
+        # never a shared entry: every link arrival is shuffled on its own
+        return self.schedule_at(time, fn, *args)
 
 
 def fig4_dumbbell_with_tcp():
@@ -157,3 +162,26 @@ def test_the_shuffle_does_reorder_ties():
         assert log[0] == "first" and sorted(log[1:]) == list(range(6))
         orders.add(tuple(log))
     assert len(orders) > 1
+
+
+def test_the_shuffle_shares_no_heap_entry(monkeypatch):
+    """Every delivery is shuffled on its own: under the subclass every
+    live heap entry is one event (``pending()`` equals the live entries
+    at every checkpoint), while on the same shape the insertion-order
+    engine does share entries among link arrivals."""
+    def shared_checkpoints(shuffle):
+        with monkeypatch.context() as patch:
+            if shuffle is not None:
+                patch.setattr(topology, "Simulator",
+                              lambda: ShuffledSimulator(shuffle))
+            net, session, _ = star_with_late_joiners()
+        sim, shared = net.sim, 0
+        for step in range(1, 41):
+            net.run(until=step * 0.25)
+            live = sum(1 for ev in sim._heap if ev[2] is not None)
+            shared += sim.pending() > live
+        session.close()
+        return shared
+
+    assert shared_checkpoints(None) > 0
+    assert shared_checkpoints(1) == 0

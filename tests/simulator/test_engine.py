@@ -198,3 +198,135 @@ class TestEventHandles:
         text = describe_event(ev)
         assert "secret-arg" not in text
         assert "cancelled" in text
+
+
+class TestNotANumber:
+    """``delay < 0`` is False for NaN: a NaN time has to be refused in
+    its own right, or it sits at the top of the heap and halts the run
+    (``heap[0][0] <= until`` is False too)."""
+
+    def test_schedule_rejects_nan(self, sim):
+        with pytest.raises(ValueError):
+            sim.schedule(float("nan"), lambda: None)
+
+    def test_schedule_at_rejects_nan(self, sim):
+        with pytest.raises(ValueError):
+            sim.schedule_at(float("nan"), lambda: None)
+
+    def test_post_at_rejects_nan(self, sim):
+        sim.post_at(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.post_at(float("nan"), lambda: None)
+
+    def test_a_refused_nan_leaves_the_run_intact(self, sim):
+        fired = []
+        sim.schedule(1.0, fired.append, 1)
+        with pytest.raises(ValueError):
+            sim.schedule(float("nan"), fired.append, "nan")
+        sim.run(until=10.0)
+        assert fired == [1] and sim.pending() == 0
+
+
+def _entries(sim):
+    return len(sim._heap)
+
+
+class TestPosts:
+    """``post_at``: back-to-back posts for one future instant share one
+    heap entry, and every member is still its own event."""
+
+    def test_back_to_back_posts_share_one_entry(self, sim):
+        order = []
+        for tag in range(4):
+            sim.post_at(1.0, order.append, tag)
+        assert _entries(sim) == 1 and sim.pending() == 4
+        sim.run()
+        assert order == [0, 1, 2, 3]
+        assert sim.events_processed == 4 and sim.now == 1.0
+
+    def test_a_schedule_in_between_starts_a_new_entry(self, sim):
+        order = []
+        sim.post_at(1.0, order.append, "a")
+        sim.schedule_at(1.0, order.append, "timer")
+        sim.post_at(1.0, order.append, "b")
+        sim.post_at(2.0, order.append, "c")
+        sim.post_at(1.0, order.append, "d")
+        assert _entries(sim) == 5
+        sim.run()
+        assert order == ["a", "timer", "b", "d", "c"]
+
+    def test_no_post_joins_an_entry_due_now(self, sim):
+        order = []
+
+        def post_twice():
+            sim.post_at(sim.now, order.append, "x")
+            sim.post_at(sim.now, order.append, "y")
+
+        sim.post_at(1.0, post_twice)
+        sim.run(max_events=1)
+        assert _entries(sim) == 2
+        sim.run()
+        assert order == ["x", "y"]
+
+    def test_a_post_after_a_drained_run_starts_a_new_entry(self, sim):
+        # the cancelled entry was popped and discarded without moving
+        # the clock: a post for its instant must not join it
+        handle = sim.post_at(5.0, print, "gone")
+        sim.cancel(handle)
+        sim.run()
+        assert sim.now == 0.0
+        fired = []
+        sim.post_at(5.0, fired.append, "kept")
+        sim.run()
+        assert fired == ["kept"]
+
+    def test_detaching_one_member(self, sim):
+        order = []
+        handles = [sim.post_at(1.0, order.append, tag) for tag in range(3)]
+        sim.cancel(handles[1])
+        assert sim.pending() == 2
+        sim.run()
+        assert order == [0, 2]
+
+    def test_the_first_posts_handle_names_its_member(self, sim):
+        first = sim.post_at(1.0, print, "first")
+        second = sim.post_at(1.0, print, "second")
+        assert "first" in describe_event(first)
+        assert "second" in describe_event(second)
+        cancel_event(first)
+        assert "cancelled" in describe_event(first)
+        assert "second" in describe_event(second)
+        assert sim.pending() == 1
+
+    def test_max_events_stops_inside_an_entry_and_resumes_there(self, sim):
+        order = []
+        for tag in range(5):
+            sim.post_at(1.0, order.append, tag)
+        sim.schedule_at(1.0, order.append, "after")
+        sim.run(max_events=2)
+        assert order == [0, 1] and sim.pending() == 4
+        sim.run(max_events=2)
+        assert order == [0, 1, 2, 3]
+        sim.run()
+        assert order == [0, 1, 2, 3, 4, "after"]
+        assert sim.events_processed == 6
+
+    def test_a_raising_member_leaves_the_rest_queued(self, sim):
+        """As separate events would: the raiser is consumed, uncounted,
+        and the members behind it run on the next ``run()``."""
+        order = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.post_at(1.0, order.append, "a")
+        sim.post_at(1.0, boom)
+        sim.post_at(1.0, order.append, "c")
+        sim.schedule_at(1.0, order.append, "timer")
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert order == ["a"]
+        assert sim.events_processed == 1 and sim.pending() == 2
+        sim.run()
+        assert order == ["a", "c", "timer"]
+        assert sim.events_processed == 3

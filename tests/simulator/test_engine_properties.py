@@ -4,11 +4,15 @@ Hypothesis drives :class:`Simulator` and the test-local
 :class:`NaiveSimulator` (a flat list re-sorted on every pop, sharing no
 code with ``engine.py``) through identical randomized workloads —
 schedules from callbacks, zero delays, same-tick ties, far-future
-events, cancellation and chunked runs — and requires the exact same
+events, back-to-back posts for one instant interleaved with schedules,
+cancellation of single members of a shared entry, and chunked runs
+whose event budget stops inside an entry — and requires the exact same
 dispatch sequence, clock, processed count and pending count.  The
+reference has no shared entries: a post is a plain schedule.  The
 dispatch sequence is the total (time, insertion-order) order, so any
-bug in the heap's tie-break numbering, its lazy cancellation or the
-resumption of a chunked run shows up as a counterexample.
+bug in the heap's tie-break numbering, its lazy cancellation, the
+joining of posts or the resumption of a chunked run shows up as a
+counterexample.
 """
 
 import pytest
@@ -30,7 +34,10 @@ class NaiveSimulator:
         self._inserted = 0
 
     def schedule(self, delay, fn, *args):
-        entry = (self.now + delay, self._inserted, fn, args)
+        return self.post_at(self.now + delay, fn, *args)
+
+    def post_at(self, time, fn, *args):
+        entry = (time, self._inserted, fn, args)
         self._inserted += 1
         self._queue.append(entry)
         return entry
@@ -56,19 +63,26 @@ class NaiveSimulator:
             self.now = until
 
 
-#: One scripted action per scheduled event: which follow-up delays to
-#: schedule (empty: leaf event) and which earlier handle to cancel
-#: (None: no cancellation).  Delays include 0.0 (same-tick ties) and
-#: huge values (far-future events parked deep in the heap).
+DELAYS = st.one_of(
+    st.just(0.0),
+    st.just(0.5),
+    st.floats(min_value=0.0, max_value=0.02),
+    st.floats(min_value=0.0, max_value=20.0),
+    st.floats(min_value=1e5, max_value=1e6),
+)
+
+#: One scripted action per scheduled event: which follow-ups to make
+#: (empty: leaf event) — ``schedule`` one event or ``post`` ``copies``
+#: back to back, ``delay`` from now — and which earlier handle to
+#: cancel (None: no cancellation).  Delays include 0.0 (same-tick ties;
+#: a post due now never joins) and huge values (far-future events
+#: parked deep in the heap).  Successive ``post``s with equal delays
+#: share an entry unless a ``schedule`` comes between them.
 ACTIONS = st.lists(
     st.tuples(
         st.lists(
-            st.one_of(
-                st.just(0.0),
-                st.floats(min_value=0.0, max_value=0.02),
-                st.floats(min_value=0.0, max_value=20.0),
-                st.floats(min_value=1e5, max_value=1e6),
-            ),
+            st.tuples(st.sampled_from(["schedule", "post"]), DELAYS,
+                      st.integers(min_value=1, max_value=4)),
             max_size=3,
         ),
         st.one_of(st.none(), st.integers(min_value=0, max_value=200)),
@@ -80,7 +94,8 @@ ACTIONS = st.lists(
 RUN_PLANS = st.lists(
     st.tuples(
         st.one_of(st.none(), st.floats(min_value=0.0, max_value=2e6)),
-        st.one_of(st.none(), st.integers(min_value=1, max_value=300)),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=5),
+                  st.integers(min_value=1, max_value=300)),
     ),
     min_size=1,
     max_size=4,
@@ -95,10 +110,15 @@ def execute(sim, actions, run_plan):
 
     def fire(tag):
         log.append((sim.now, tag))
-        delays, cancel_idx = actions[cursor[0] % len(actions)]
+        follow_ups, cancel_idx = actions[cursor[0] % len(actions)]
         cursor[0] += 1
-        for d in delays:
-            handles.append(sim.schedule(d, fire, len(handles)))
+        for kind, delay, copies in follow_ups:
+            if kind == "schedule":
+                handles.append(sim.schedule(delay, fire, len(handles)))
+                continue
+            time = sim.now + delay
+            for _ in range(copies):
+                handles.append(sim.post_at(time, fire, len(handles)))
         if cancel_idx is not None and handles:
             sim.cancel(handles[cancel_idx % len(handles)])
 
@@ -111,6 +131,9 @@ def execute(sim, actions, run_plan):
         # forever inside any time horizon.
         budget = 400 if max_events is None else min(max_events, 400)
         sim.run(until=until, max_events=budget)
+        # posts made between runs, as a test script or a driver would
+        for _ in range(2):
+            handles.append(sim.post_at(sim.now + 0.5, fire, len(handles)))
     return log, sim.now, sim.events_processed, sim.pending()
 
 

@@ -6,6 +6,7 @@ in ``test_link_properties.py``) runs on :class:`Link` and on the
 test-local :class:`ReferenceLink`, which shares no code with it.
 """
 
+import math
 import random
 from types import SimpleNamespace
 
@@ -120,6 +121,23 @@ class TestAccounting:
         sim.run()
         assert arrivals == [pytest.approx(0.2), pytest.approx(0.3)]
 
+    @pytest.mark.parametrize("knob, value", [
+        ("rate_bps", math.nan), ("delay", math.nan), ("delay", math.inf)])
+    def test_nan_and_infinite_knobs_are_refused(self, knob, value):
+        # a NaN arrival would sit at the top of the heap and halt the
+        # run: a timer due at t=1 would never fire
+        sim = Simulator()
+        link, _ = make_link(sim)
+        with pytest.raises(ValueError, match=knob):
+            setattr(link, knob, value)
+        with pytest.raises(ValueError, match=knob):
+            Link(sim, "bad", **{"rate_bps": 1000, "delay": 0.1, knob: value})
+        fired = []
+        sim.schedule(1.0, fired.append, "timer")
+        link.send(Packet("a", "b", 100))
+        sim.run(until=10.0)
+        assert fired == ["timer"] and link.delivered == 1
+
     def test_utilization(self):
         sim = Simulator()
         link, _ = make_link(sim, rate=8000.0, delay=0.0)
@@ -178,36 +196,40 @@ class ReferenceLink:
         self.deliver(packet)
 
 
-def run_script(kind, script, rate, delay, queue_limits):
-    """Drive one link through ``script`` and return what it did.
+def run_script(kind, script, rate, delay, queue_limits, fanout=1):
+    """Drive ``fanout`` links through ``script`` and return what they did.
 
     ``script`` is a list of ``(gap, op, arg)``: advance the clock by
     ``gap`` seconds — or, for ``"tx"``, to exactly the instant the last
     sent packet would finish serialising on an idle link — let every
     event due by then fire, then apply ``op``: ``"send"`` (``arg`` =
-    size), ``"down"``, ``"up"``, ``"rate"`` (assign ``rate_bps = arg``)
-    or ``"delay"`` (assign ``delay = arg``).  Ops are applied from
-    outside the event loop so an arrival that ties with an end of
-    serialisation always comes after it, on both links.
+    size; one packet object offered to every link in turn, as a
+    multicast fan-out does), or to the first link only ``"down"``,
+    ``"up"``, ``"rate"`` (assign ``rate_bps = arg``) or ``"delay"``
+    (assign ``delay = arg``).  Ops are applied from outside the event
+    loop so an arrival that ties with an end of serialisation always
+    comes after it, on both links.
     """
     sim = Simulator()
-    queue = DropTailQueue(**queue_limits)
+    queues = [DropTailQueue(**queue_limits) for _ in range(fanout)]
     state = []  # counters once every event due by each op has fired
-    deliveries = []
+    deliveries = {index: [] for index in range(fanout)}
 
     def check_conservation():
         if kind is Link:
-            assert link.conserves_packets()
+            assert all(link.conserves_packets() for link in links)
 
-    def deliver(packet):
-        deliveries.append((sim.now, packet.payload))
-        check_conservation()
+    def make(index, queue):
+        def deliver(packet):
+            deliveries[index].append((sim.now, packet.payload))
+            check_conservation()
+        if kind is Link:
+            return Link(sim, f"L{index}", rate_bps=rate, delay=delay,
+                        deliver=deliver, queue=queue)
+        return ReferenceLink(sim, rate, delay, queue, deliver)
 
-    if kind is Link:
-        link = Link(sim, "L", rate_bps=rate, delay=delay, deliver=deliver,
-                    queue=queue)
-    else:
-        link = ReferenceLink(sim, rate, delay, queue, deliver)
+    links = [make(index, queue) for index, queue in enumerate(queues)]
+    link = links[0]
     returns = []
     now = tx_end = 0.0
     for tag, (gap, op, arg) in enumerate(script):
@@ -216,7 +238,7 @@ def run_script(kind, script, rate, delay, queue_limits):
         if op == "send":
             packet = (Packet("a", "b", arg, payload=tag) if kind is Link
                       else SimpleNamespace(size=arg, payload=tag))
-            returns.append(link.send(packet))
+            returns.append(tuple(each.send(packet) for each in links))
             tx_end = now + arg * 8.0 / rate
         elif op == "rate":
             link.rate_bps = rate = arg
@@ -226,27 +248,35 @@ def run_script(kind, script, rate, delay, queue_limits):
             getattr(link, "set_" + op)()
         # occupancy as an outside reader sees it, read before the
         # conservation check gets a chance to settle anything
-        seen = link.queue
-        state.append((sim.now, link.sent, link.delivered, link.fault_drops,
-                      link.in_transit, len(seen), seen.bytes_queued,
-                      seen.enqueues, seen.drops, seen.peak_slots,
-                      seen.peak_bytes))
+        row = [sim.now]
+        for each in links:
+            seen = each.queue
+            row.append((each.sent, each.delivered, each.fault_drops,
+                        each.in_transit, len(seen), seen.bytes_queued,
+                        seen.enqueues, seen.drops, seen.peak_slots,
+                        seen.peak_bytes))
+        state.append(tuple(row))
         check_conservation()
     while sim.pending():
         sim.run(max_events=1)
         check_conservation()
-    return SimpleNamespace(deliveries=deliveries, returns=returns,
-                           state=state, events=sim.events_processed,
-                           delivered=link.delivered, enqueues=queue.enqueues)
+    if fanout == 1:
+        deliveries, returns = deliveries[0], [r for (r,) in returns]
+    return SimpleNamespace(
+        deliveries=deliveries, returns=returns, state=state,
+        events=sim.events_processed,
+        delivered=sum(each.delivered for each in links),
+        enqueues=sum(queue.enqueues for queue in queues))
 
 
-def assert_matches_reference(script, rate=8000.0, delay=0.1, **queue_limits):
+def assert_matches_reference(script, rate=8000.0, delay=0.1, fanout=1,
+                             **queue_limits):
     """Same deliveries at bit-identical times, same accept/drop
     answers, same counters at every step — in one event per delivered
     packet where the reference spends two."""
     queue_limits = queue_limits or {"max_slots": 2}
-    got = run_script(Link, script, rate, delay, queue_limits)
-    want = run_script(ReferenceLink, script, rate, delay, queue_limits)
+    got = run_script(Link, script, rate, delay, queue_limits, fanout)
+    want = run_script(ReferenceLink, script, rate, delay, queue_limits, fanout)
     assert got.deliveries == want.deliveries
     assert got.returns == want.returns
     assert got.state == want.state
@@ -310,6 +340,48 @@ class TestAgainstReference:
         # on the wire: 0.1 s + the old 0.1 s; waiting: 0.2 s + the new 0.02 s
         assert [t for t, _ in got.deliveries] == [pytest.approx(0.2),
                                                   pytest.approx(0.22)]
+
+
+class TestFanOutAgainstReference:
+    """Two links offered the same packets back to back, as one
+    ``forward_multicast`` call offers its copies: the two arrivals of a
+    packet share one heap entry, waiting or not, so a knob write on the
+    first link detaches its members from entries the second link's
+    arrivals stay in."""
+
+    def test_the_copies_of_a_burst_share_entries(self):
+        sim = Simulator()
+        links = [make_link(sim, queue=DropTailQueue(max_slots=4))[0]
+                 for _ in range(2)]
+        for tag in range(3):
+            packet = Packet("a", "b", 100, tag)
+            for link in links:
+                link.send(packet)
+        assert len(sim._heap) == 3 and sim.pending() == 6
+
+    def test_squeezed_while_sharing_entries(self):
+        got = assert_matches_reference(
+            burst(4) + [(0.05, "rate", 2000.0)] + burst(2), fanout=2,
+            max_slots=4)
+        # link 0's waiting packets serialise at 2000 bit/s from 0.1 s,
+        # link 1's keep their 8000 bit/s times (and its full queue
+        # refuses the last packet)
+        assert [t for t, _ in got.deliveries[1]] == pytest.approx(
+            [0.2, 0.3, 0.4, 0.5, 0.6])
+        assert got.deliveries[0][1][0] == pytest.approx(0.6)
+        assert got.returns[-1] == (False, False)
+
+    def test_delay_cut_while_sharing_entries(self):
+        got = assert_matches_reference(
+            burst(3) + [(0.15, "delay", 0.02)] + burst(2)
+            + [(0.3, "delay", 0.3)], fanout=2, max_slots=4)
+        assert got.delivered == 10
+
+    def test_down_link_beside_a_sharing_one(self):
+        assert_matches_reference(
+            burst(2) + [(0.01, "down", None)] + burst(2)
+            + [(0.0, "up", None)] + burst(2) + [("tx", "send", 40)],
+            fanout=2)
 
 
 class TestDepartureBeforeTyingArrival:

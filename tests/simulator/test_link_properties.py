@@ -3,7 +3,8 @@
 Hypothesis generates arrival scripts — packet sizes, gaps, bursts that
 overflow a 1-3 slot or byte-limited queue, arrivals at exactly the
 instant the wire frees, ``down``/``up`` mid-burst, ``rate_bps`` and
-``delay`` assigned while packets wait — and
+``delay`` assigned while packets wait, one link or two fed the same
+packets back to back (their arrivals share heap entries) — and
 ``assert_matches_reference`` (see ``test_link.py``) requires
 :class:`Link` to behave exactly like the two-events-per-packet
 :class:`ReferenceLink`: the same (time, packet) delivery sequence, the
@@ -57,9 +58,11 @@ QUEUES = st.one_of(
     rate=st.sampled_from([8000.0, 500_000.0, 2_000_000.0]),
     delay=st.sampled_from([0.0, 0.0005, 0.23]),
     queue=QUEUES,
+    fanout=st.sampled_from([1, 2]),
 )
-def test_link_matches_reference(script, rate, delay, queue):
-    assert_matches_reference(script, rate=rate, delay=delay, **queue)
+def test_link_matches_reference(script, rate, delay, queue, fanout):
+    assert_matches_reference(script, rate=rate, delay=delay, fanout=fanout,
+                             **queue)
 
 
 @settings(max_examples=100, deadline=None)

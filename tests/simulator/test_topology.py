@@ -57,6 +57,16 @@ class TestLinkSpec:
     def test_loss_rate_bounds_are_accepted(self, rate):
         assert LinkSpec(1000, 0.0, loss_rate=rate).loss_rate == rate
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan])
+    def test_bad_rate_raises_where_the_spec_is_written(self, rate):
+        with pytest.raises(ValueError, match="rate_bps"):
+            LinkSpec(rate, 0.01)
+
+    @pytest.mark.parametrize("delay", [-0.1, math.nan, math.inf])
+    def test_bad_delay_raises_where_the_spec_is_written(self, delay):
+        with pytest.raises(ValueError, match="delay"):
+            LinkSpec(1000, delay)
+
 
 class TestLossStreams:
     @pytest.fixture
@@ -218,6 +228,21 @@ class TestMulticast:
         net.host("src").send(Packet("src", "mc:g", 100, proto="raw"))
         net.run(until=1.0)
         assert len(hits) == 1
+
+    def test_one_multicast_packet_from_the_hub_is_one_heap_entry(self):
+        """The hub's 100 copies arrive at one instant and share one
+        engine entry.  The benchmark's ``engine.events`` counts
+        deliveries, so only a structural count shows grouping lost."""
+        net = star(100, ACCESS)
+        members = [f"r{i}" for i in range(100)]
+        net.set_group("mc:g", "src", members)
+        net.host("src").send(Packet("src", "mc:g", 100))
+        sim = net.sim
+        sim.run(max_events=1)  # src -> R0: the hub forwards 100 copies
+        assert sim.pending() == 100 and len(sim._heap) == 1
+        sim.run()
+        assert [net.host(m).packets_received for m in members] == [1] * 100
+        assert sim.events_processed == 101
 
 
 class TestCannedTopologies:

@@ -4,7 +4,8 @@
 Usage::
 
     python tools/mutants.py --sample 250            # the full audit
-    python tools/mutants.py --packages core --sample 50    # CI's sample
+    python tools/mutants.py --packages core --sample 50    # CI's samples
+    python tools/mutants.py --packages simulator --sample 50
 
 A *mutant* is one deterministic point change inside a function body of
 ``src/repro/<package>``:
