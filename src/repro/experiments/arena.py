@@ -3,9 +3,12 @@
 The paper's claim is architectural: *any* TCP-compatible window
 controller, clocked by the elected acker, makes the whole multicast
 group TCP-friendly (§3.4).  The arena tests that the harness can tell
-a TCP-friendly controller from an unfriendly one by running every
-registered backend (:mod:`repro.core.controller`) through the same
-scenario matrix:
+a TCP-friendly controller from an unfriendly one by running the four
+built-in backends (:mod:`repro.core.controller`) through the same
+scenario matrix.  EXP-ARENA is a registered study: a ``controller x
+scenario`` grid of :func:`run_cell` bouts, each cached and isolated
+on its own, whose ranked table :func:`aggregate_cells` builds.  The
+scenarios:
 
 ``clean-tcp``
     Fig. 4's scene — the session shares the non-lossy bottleneck with
@@ -35,17 +38,16 @@ lands *outside* the envelope — if every controller looked TCP-friendly
 the arena would be measuring nothing).
 
 Every session runs under the runtime invariant checker; the sessions
-are digest-stable, so the arena's manifest entry is identical across
-``-j1`` / ``-jN`` / cached runs.
+are digest-stable, so every cell's manifest entry and the study's
+block are identical across ``-j1`` / ``-jN`` / cached runs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Optional
+from typing import Any
 
 from ..analysis import throughput_bps, throughput_ratio
-from ..core.controller import controller_names
 from ..core.sender_cc import CcConfig
 from ..pgm import GreedyAcker, create_session
 from ..pgm.session import SessionConfig
@@ -104,8 +106,7 @@ def _scenario_net(scenario: str, duration: float, seed: int,
 
 
 def run_bout(controller: str, scenario: str, duration: float,
-             seed: int = 23, n_receivers: int = 4,
-             result: Optional[ExperimentResult] = None) -> dict:
+             seed: int = 23, n_receivers: int = 4) -> dict:
     """One controller through one scenario; returns the measurements."""
     net, extra, tcp_host = _scenario_net(scenario, duration, seed, n_receivers)
     session = create_session(
@@ -146,9 +147,6 @@ def run_bout(controller: str, scenario: str, duration: float,
         "quarantines": (summary["guard"]["quarantines"]
                         if summary["guard"] else 0),
     }
-    if result is not None:
-        result.attach_telemetry(session, seed=seed, controller=controller,
-                                scenario=scenario)
     session.close()
     if tcp is not None:
         tcp.close()
@@ -193,37 +191,12 @@ def rank_controllers(bouts: dict[tuple[str, str], dict]) -> list[dict]:
             for r in rows]
 
 
-def matrix_table(bouts: dict[tuple[str, str], dict]) -> dict:
-    """``{(controller, scenario): bout}`` -> the ranked rows and the two
-    harness oracles: the one table behind both :func:`run` and the
-    sweep's :func:`aggregate_cells`.
-
-    Controllers missing a scenario (a sweep over a sub-matrix) get no
-    row; the oracles need pgmcc's row.
-    """
-    complete = {name for name, _ in bouts
-                if all((name, s) in bouts for s in SCENARIOS)}
-    rows = rank_controllers({key: bout for key, bout in bouts.items()
-                             if key[0] in complete})
-    metrics: dict[str, object] = {}
-    if "pgmcc" in complete:
-        pgmcc_ratio = bouts[("pgmcc", "clean-tcp")]["fairness_ratio"]
-        metrics["pgmcc_in_envelope"] = in_envelope(pgmcc_ratio)
-        metrics["discriminates"] = any(
-            not in_envelope(bouts[(n, "clean-tcp")]["fairness_ratio"])
-            for n in complete if n != "pgmcc")
-    return {"rows": rows, "metrics": metrics}
-
-
 def run_cell(scale: float = 1.0, seed: int = 23, n_receivers: int = 4,
              controller: str = "pgmcc",
              scenario: str = "clean-tcp") -> ExperimentResult:
-    """One arena bout as a standalone experiment (the sweep cell).
-
-    The sweep DSL expands a ``controller x scenario`` grid into these,
-    so each bout is cached, isolated and retried independently; the
-    full ranked table is then rebuilt by :func:`aggregate_cells`.
-    """
+    """One arena bout: a cell of the EXP-ARENA study (and of any sweep
+    over ``EXP-ARENA-CELL``), cached, isolated and retried on its own;
+    :func:`aggregate_cells` ranks the controllers over the cells."""
     duration = 120.0 * scale
     result = ExperimentResult(
         name=f"arena-cell-{controller}-{scenario}",
@@ -245,54 +218,28 @@ def run_cell(scale: float = 1.0, seed: int = 23, n_receivers: int = 4,
 
 
 def aggregate_cells(cells: list) -> dict:
-    """Sweep aggregation hook: ranked table from expanded arena cells.
+    """The study's aggregate hook: the ranked rows and the two harness
+    oracles.
 
     ``cells`` is ``[(axes_dict, ExperimentResult), ...]`` as handed
-    over by :func:`repro.sweep.aggregate.run_custom_aggregate`.  Each
-    cell's first row is the raw bout, which is all
-    :func:`matrix_table` needs.
+    over by :func:`repro.sweep.aggregate.run_custom_aggregate`; each
+    cell's first row is the raw bout.  Controllers missing a scenario
+    (a sweep over a sub-matrix) get no row; the oracles need pgmcc's
+    row.
     """
     bouts = {}
     for _axes, result in cells:
         bout = result.rows[0]
         bouts[(bout["controller"], bout["scenario"])] = bout
-    return matrix_table(bouts)
-
-
-def run(scale: float = 1.0, seed: int = 23, n_receivers: int = 4,
-        controllers: Optional[tuple[str, ...]] = None) -> ExperimentResult:
-    duration = 120.0 * scale
-    names = tuple(controllers) if controllers else controller_names()
-    result = ExperimentResult(
-        name="controller-arena",
-        params={"scale": scale, "seed": seed, "n_receivers": n_receivers,
-                "controllers": list(names), "scenarios": list(SCENARIOS),
-                "envelope": list(FAIRNESS_ENVELOPE)},
-        expectation=(
-            "pgmcc's fairness ratio stays inside the documented envelope "
-            "in the clean-tcp scenario while at least one alternative "
-            "controller lands outside it (the harness discriminates); "
-            "all controllers hold the runtime invariants in every scenario"
-        ),
-    )
-    bouts: dict[tuple[str, str], dict] = {}
-    for name in names:
-        for scenario in SCENARIOS:
-            # Ship one session-metrics document: pgmcc under fault (the
-            # scenario whose histograms/spans the table summarizes).
-            attach = result if (name == "pgmcc" and scenario == "fault") else None
-            bouts[(name, scenario)] = run_bout(
-                name, scenario, duration, seed=seed,
-                n_receivers=n_receivers, result=attach,
-            )
-    table = matrix_table(bouts)
-    for row in table["rows"]:
-        result.add_row(**row)
-    for (name, scenario), bout in sorted(bouts.items()):
-        prefix = f"{name}:{scenario}"
-        for key in ("goodput_bps", "fairness_ratio", "repair_p99_s",
-                    "stall_s", "stalls", "rdata_sent", "unrecoverable",
-                    "invariant_violations", "quarantines"):
-            result.metrics[f"{prefix}:{key}"] = bout[key]
-    result.metrics.update(table["metrics"])
-    return result
+    complete = {name for name, _ in bouts
+                if all((name, s) in bouts for s in SCENARIOS)}
+    rows = rank_controllers({key: bout for key, bout in bouts.items()
+                             if key[0] in complete})
+    metrics: dict[str, object] = {}
+    if "pgmcc" in complete:
+        pgmcc_ratio = bouts[("pgmcc", "clean-tcp")]["fairness_ratio"]
+        metrics["pgmcc_in_envelope"] = in_envelope(pgmcc_ratio)
+        metrics["discriminates"] = any(
+            not in_envelope(bouts[(n, "clean-tcp")]["fairness_ratio"])
+            for n in complete if n != "pgmcc")
+    return {"rows": rows, "metrics": metrics}

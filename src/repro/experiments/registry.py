@@ -124,11 +124,6 @@ def schema_for_target(target: str) -> Optional[list[dict[str, Any]]]:
 # The built-in experiments
 # ---------------------------------------------------------------------------
 
-_SEED = ParamSpec("seed", "int", low=0, help="deterministic RNG seed")
-_CONTROLLERS = ParamSpec(
-    "controllers", "seq",
-    help="subset of registered controller backends (default: all)")
-
 #: Built-in experiments, registered in report order.  A spec is
 #: spawn-safe (module/func strings, no callables); ``repro.runner``
 #: shards the registry across a worker pool.
@@ -172,15 +167,6 @@ _BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
                    description="adversarial: misbehaving receivers vs guard"),
     ExperimentSpec("EXP-SCALE", "repro.experiments.scalability", scale_factor=0.5,
                    description="scalability: exact ladder to 200, hybrid to 10^6"),
-    ExperimentSpec("EXP-ARENA", "repro.experiments.arena", scale_factor=0.5,
-                   params=(_SEED, _CONTROLLERS,
-                           ParamSpec("n_receivers", "int", default=4, low=2)),
-                   description="controller arena: pgmcc vs jain/aimd/tfrc"),
-    ExperimentSpec("EXP-RESILIENCE", "repro.experiments.resilience",
-                   scale_factor=0.5,
-                   params=(_SEED, _CONTROLLERS),
-                   description="partition/blackhole/acker-crash recovery "
-                               "matrix with TTR SLO"),
     # -- sweep cells: one matrix cell per task, for the sweep DSL -----
     # (hidden: excluded from the default report, addressable by id)
     ExperimentSpec("EXP-ARENA-CELL", "repro.experiments.arena", "run_cell",
@@ -211,10 +197,41 @@ _BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
                    description="one 4.3 bottleneck: rate x queue x loss"),
 )
 
+#: the four built-in controller backends, pgmcc first: the delta
+#: baseline of a study's ``controller`` axis
+_CONTROLLERS = ("pgmcc", "aimd", "jain", "tfrc")
+
+#: what the recovery studies' reports show of each cell
+_RECOVERY_METRICS = ("ttr_s", "goodput_retained", "p99_stall_s", "resyncs",
+                     "invariant_violations")
+
 #: Built-in studies, registered after the experiments: each is a sweep
 #: over one of them, and a report that names a study runs its cells.
 #: Their ``scale`` is the factor a ``scale_factor`` would be.
 _BUILTIN_STUDIES: tuple[SweepSpec, ...] = (
+    SweepSpec("EXP-ARENA", "EXP-ARENA-CELL", scale=0.5,
+              base={"seed": 23, "n_receivers": 4},
+              axes={"controller": _CONTROLLERS,
+                    "scenario": ["clean-tcp", "fault", "adversary"]},
+              aggregate="repro.experiments.arena:aggregate_cells",
+              metrics=("goodput_bps", "repair_p99_s", "stall_s",
+                       "invariant_violations"),
+              description="controller arena: pgmcc vs jain/aimd/tfrc"),
+    SweepSpec("EXP-RESILIENCE", "EXP-RESILIENCE-CELL", scale=0.5,
+              base={"seed": 31, "liveness": True},
+              axes={"controller": _CONTROLLERS,
+                    "scenario": ["partition", "blackhole", "acker-crash"]},
+              aggregate="repro.experiments.resilience:aggregate_cells",
+              rank_by="ttr_s", metrics=_RECOVERY_METRICS,
+              description="partition/blackhole/acker-crash recovery "
+                          "matrix with TTR SLO"),
+    SweepSpec("ABL-WATCHDOG", "EXP-RESILIENCE-CELL", mode="ablate",
+              scale=0.5,
+              base={"seed": 31, "controller": "pgmcc",
+                    "scenario": "acker-crash", "liveness": True},
+              axes={"liveness": [False]}, metrics=_RECOVERY_METRICS,
+              description="ablation: acker-liveness watchdog vs the stall "
+                          "timer alone on the pgmcc acker crash"),
     SweepSpec("ABL-FIG4", "EXP-F4-CELL", mode="ablate", scale=0.5,
               base={"seed": 23, "c": 1.0, "dupack_threshold": 3,
                     "ssthresh": 6, "delayed_acks": False},

@@ -1,10 +1,12 @@
 """EXP-RESILIENCE: partition-tolerant session recovery under an SLO.
 
 The paper assumes the feedback path exists; this experiment measures
-what the reproduction does when it *doesn't*.  Every registered
-controller backend (:mod:`repro.core.controller`) runs — with the
-acker-liveness watchdog attached (``liveness=True``) — through three
-fault scenarios on the non-lossy dumbbell:
+what the reproduction does when it *doesn't*.  EXP-RESILIENCE is a
+registered study: each of the four built-in controller backends
+(:mod:`repro.core.controller`) runs — with the acker-liveness watchdog
+attached (``liveness=True``) — through three fault scenarios on the
+non-lossy dumbbell, one :func:`run_cell` bout per ``controller x
+scenario`` cell:
 
 ``partition``
     The topology is bisected between the routers for 15 % of the run:
@@ -33,14 +35,16 @@ path RTTs).  Each cell also reports p99 stall duration, the fraction
 of pre-fault goodput retained at the end of the run, resyncs and
 unrecoverable loss from the ``recovery`` block of the session summary.
 
-One extra baseline cell re-runs the pgmcc acker-crash scenario with
-the watchdog *disabled*, so the report can state the watchdog's value
-as a number: ``ttr_improvement_s = TTR(stall-only) - TTR(watchdog)``,
-asserted positive by the ``watchdog_faster`` oracle.
+:func:`aggregate_cells` gives the study its three oracles:
+``all_recovered``, ``all_slo_ok`` and ``total_invariant_violations``.
+The watchdog's value is the ABL-WATCHDOG study's: it re-runs the pgmcc
+acker-crash cell with the watchdog *disabled*, so its ``liveness``
+axis delta of ``ttr_s`` is TTR(stall-only) - TTR(watchdog), positive
+when the watchdog recovers faster.
 
 Every session runs under the strict runtime invariant checker — a
 single window/token-accounting violation during any fault or heal
-aborts the experiment.  Sessions are digest-stable, so the manifest
+aborts the cell.  Sessions are digest-stable, so every cell's manifest
 entry is identical across ``-j1`` / ``-jN`` / cached runs.
 """
 
@@ -48,7 +52,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.controller import controller_names
 from ..core.sender_cc import CcConfig
 from ..pgm import create_session
 from ..pgm.session import SessionConfig
@@ -98,12 +101,6 @@ SAMPLE_DT = 0.25
 
 #: number of group receivers (r0..rN-1 on the dumbbell's right side)
 N_RECEIVERS = 3
-
-#: the one watchdog-off ``(controller, scenario, liveness)`` cell of
-#: :func:`run`: the same crash with only the generic stall machinery
-#: (two backed-off stall restarts before an election is solicited)
-#: as the recovery path.
-BASELINE_CELL = ("pgmcc", "acker-crash", False)
 
 
 class DeliverySampler:
@@ -203,8 +200,7 @@ def _fault_plan(scenario: str, fault_at: float,
 
 
 def run_bout(controller: str, scenario: str, duration: float,
-             seed: int = 31, liveness: bool = True,
-             result: Optional[ExperimentResult] = None) -> dict:
+             seed: int = 31, liveness: bool = True) -> dict:
     """One controller through one fault scenario; returns the cell."""
     fault_at = 0.4 * duration
     fault_duration = 0.15 * duration
@@ -250,9 +246,6 @@ def run_bout(controller: str, scenario: str, duration: float,
         "stalls": summary["stalls"],
         "invariant_violations": len(session.invariants.violations),
     }
-    if result is not None:
-        result.attach_telemetry(session, seed=seed, controller=controller,
-                                scenario=scenario)
     session.close()
     return cell
 
@@ -260,12 +253,12 @@ def run_bout(controller: str, scenario: str, duration: float,
 def run_cell(scale: float = 1.0, seed: int = 31,
              controller: str = "pgmcc", scenario: str = "partition",
              liveness: bool = True) -> ExperimentResult:
-    """One resilience bout as a standalone experiment (the sweep cell).
-
-    Exposes ``liveness`` as a real parameter, so a sweep can state the
-    watchdog's value as a per-axis delta (``run()`` has the single
-    watchdog-off :data:`BASELINE_CELL`).
-    """
+    """One resilience bout: a cell of the EXP-RESILIENCE and
+    ABL-WATCHDOG studies (and of any sweep over
+    ``EXP-RESILIENCE-CELL``).  ``liveness=False`` leaves only the
+    generic stall machinery (two backed-off stall restarts before an
+    election is solicited) as the recovery path, so a study states the
+    watchdog's value as a per-axis delta."""
     duration = 60.0 * scale
     result = ExperimentResult(
         name=f"resilience-cell-{controller}-{scenario}",
@@ -283,58 +276,17 @@ def run_cell(scale: float = 1.0, seed: int = 31,
     return result
 
 
-def run(scale: float = 1.0, seed: int = 31,
-        controllers: Optional[tuple[str, ...]] = None) -> ExperimentResult:
-    duration = 60.0 * scale
-    names = tuple(controllers) if controllers else controller_names()
-    result = ExperimentResult(
-        name="resilience",
-        params={"scale": scale, "seed": seed, "controllers": list(names),
-                "scenarios": list(SCENARIOS), "ttr_slo_s": TTR_SLO_S,
-                "rate_ttr_slo_s": RATE_TTR_SLO_S,
-                "recovery_fraction": RECOVERY_FRACTION,
-                "n_receivers": N_RECEIVERS},
-        expectation=(
-            "every controller recovers from every fault scenario within "
-            "the TTR SLO with zero runtime-invariant violations, and the "
-            "liveness watchdog recovers the acker-crash strictly faster "
-            "than the generic stall timer alone"
-        ),
-    )
-    # table order: the watchdog-on matrix by (controller, scenario),
-    # the baseline cell last
-    matrix = sorted({(name, scenario, True)
-                     for name in names for scenario in SCENARIOS})
-    cells: dict[tuple[str, str, bool], dict] = {}
-    for key in matrix + [BASELINE_CELL]:
-        name, scenario, liveness = key
-        # Ship one session-metrics document: pgmcc under partition
-        # (the scenario the liveness gauges were built for).
-        attach = result if (name, scenario) == ("pgmcc", "partition") else None
-        cells[key] = run_bout(name, scenario, duration, seed=seed,
-                              liveness=liveness, result=attach)
-        result.add_row(**cells[key])
-    watchdog_on = [cells[key] for key in matrix]
+def aggregate_cells(cells: list) -> dict:
+    """The EXP-RESILIENCE study's aggregate hook: did every cell
+    recover, within its SLO tier, with no invariant violated?
 
-    for cell in watchdog_on:
-        prefix = f"{cell['controller']}:{cell['scenario']}"
-        for key in ("ttr_s", "slo_ok", "p99_stall_s", "goodput_retained",
-                    "resyncs", "unrecoverable", "invariant_violations"):
-            result.metrics[f"{prefix}:{key}"] = cell[key]
-
-    result.metrics["all_recovered"] = all(
-        c["ttr_s"] is not None for c in watchdog_on)
-    result.metrics["all_slo_ok"] = all(c["slo_ok"] for c in watchdog_on)
-    result.metrics["total_invariant_violations"] = sum(
-        c["invariant_violations"] for c in cells.values())
-    if "pgmcc" in names:
-        wd_ttr = cells[("pgmcc", "acker-crash", True)]["ttr_s"]
-        st_ttr = cells[BASELINE_CELL]["ttr_s"]
-        result.metrics["ttr_watchdog_s"] = wd_ttr
-        result.metrics["ttr_stall_only_s"] = st_ttr
-        improvement = (None if wd_ttr is None or st_ttr is None
-                       else round(st_ttr - wd_ttr, 3))
-        result.metrics["ttr_improvement_s"] = improvement
-        result.metrics["watchdog_faster"] = (
-            improvement is not None and improvement > 0)
-    return result
+    ``cells`` is ``[(axes_dict, ExperimentResult), ...]`` as handed
+    over by :func:`repro.sweep.aggregate.run_custom_aggregate`.
+    """
+    metrics = [result.metrics for _axes, result in cells]
+    return {"metrics": {
+        "all_recovered": all(m["recovered"] for m in metrics),
+        "all_slo_ok": all(m["slo_ok"] for m in metrics),
+        "total_invariant_violations": sum(
+            m["invariant_violations"] for m in metrics),
+    }}

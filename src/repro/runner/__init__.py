@@ -12,9 +12,9 @@ across cores.  This package provides:
 * :class:`ResultCache` — a content-addressed on-disk store keyed by
   (experiment, kwargs, source fingerprint), shared between runner
   and sweep invocations;
-* run manifests (``pgmcc.run-manifest/v2``);
-* the ``python -m repro.runner`` CLI, over experiment ids or one
-  ``repro.sweep`` spec file.
+* run manifests (``pgmcc.run-manifest/v3``);
+* the ``python -m repro.runner`` CLI, over experiment and study ids or
+  one ``repro.sweep`` spec file.
 
 See ``docs/API.md`` for the task model, cache key, and schemas.
 """

@@ -1,9 +1,11 @@
 """``python -m repro.runner`` — the parallel, cached experiment runner.
 
-It runs registered experiments by id, or one declarative sweep spec
-(a ``.toml`` or ``.json`` file; see docs/SWEEPS.md), never both.  A
-registered study among the ids adds its cells to the task list; a
-study named alone runs as a sweep, like a spec file.
+It runs registered experiments and studies by id, or one declarative
+sweep spec (a ``.toml`` or ``.json`` file; see docs/SWEEPS.md), never
+both.  Every entry takes one path: a study's cells join the task list
+and, once they have run, the study gets its block in the manifest and
+its section of the printed report, whether it was named alone, among
+other ids or in a spec file.
 
 Examples::
 
@@ -15,15 +17,16 @@ Examples::
     python -m repro.runner --list examples/sweeps/arena_matrix.toml
     python -m repro.runner examples/sweeps/ci_smoke.toml -j 2 --scale 0.05
     python -m repro.runner --list ABL-FIG4         # a study's cells
-    python -m repro.runner ABL-FIG4 --scale 0.1    # one study: a sweep
+    python -m repro.runner ABL-FIG4 --scale 0.1    # one study
 
-A spec is validated before anything runs; ``--list SPEC`` (or
-``--list STUDY``) prints its expanded task list.  At ``--scale S`` a
-study's cells run at ``S`` times the study's own ``scale``, while
-``--scale`` replaces a spec file's.  Exit status: 0 when every task
-succeeded, 1 when any task is reported failed, 2 on usage errors (an
-unknown experiment id; an invalid, unreadable or wrongly shaped spec;
-ids mixed with a spec, or two specs).
+A spec is validated before anything runs; ``--list NAMES`` prints the
+tasks the names expand to (``--list`` alone, the registry).  At
+``--scale S`` a study's cells run at ``S`` times the study's own
+``scale``, while ``--scale`` replaces a spec file's.  Exit status: 0
+when every task succeeded, 1 when any task is reported failed, 2 on
+usage errors (an unknown experiment id; an invalid, unreadable or
+wrongly shaped spec; ids mixed with a spec, or two specs; a task id
+given twice).
 """
 
 from __future__ import annotations
@@ -34,12 +37,10 @@ import json
 import sys
 from pathlib import Path
 
-from ..experiments.common import ExperimentSpec
 from ..experiments.registry import (experiment_ids, get_experiment,
-                                    registered_specs, registered_studies,
-                                    resolve_experiment_id)
-from ..sweep import (SweepSpec, SweepValidationError, expand, load_spec,
-                     render_markdown, sweep)
+                                    registered_specs, registered_studies)
+from ..sweep import (SweepValidationError, expand_entries, load_spec,
+                     render_markdown, run_entries)
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .events import event_printer
 from .manifest import save_manifest, session_metrics_from_manifest
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="where to write the run manifest "
                              "(default: results/manifest-<run_id>.json)")
     parser.add_argument("--session-metrics", default=None, metavar="PATH",
-                        help="also write the sweep's pgmcc.session-metrics/v1 "
+                        help="also write the run's pgmcc.session-metrics/v1 "
                              "documents (one JSON array, task order)")
     parser.add_argument("--timeout", type=timeout_arg, default=1800.0,
                         help="per-task wall-clock timeout in seconds "
@@ -87,13 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--retries", type=retries_arg, default=1,
                         help="retries per failing task (default: 1)")
     parser.add_argument("--list", action="store_true",
-                        help="print the experiment registry, or a spec's "
-                             "or a study's expanded task list, and exit")
+                        help="print the experiment registry, or the tasks "
+                             "the given ids or spec expand to, and exit")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress telemetry on stderr")
     parser.add_argument("--no-report", action="store_true",
-                        help="skip the per-experiment report tables or the "
-                             "sweep report")
+                        help="skip the per-experiment report tables and "
+                             "the study reports")
     return parser
 
 
@@ -133,84 +134,54 @@ def list_registry(file=None) -> None:
               f"{study.description} [study]", file=out)
 
 
-def _load_sweep(args: argparse.Namespace, names: list[str]):
-    """``(name, spec, tasks)`` for the one sweep the command line names
-    — a spec file, or a study named alone — at the scale it runs at;
-    None for experiment ids.  Every problem with a spec — unreadable,
-    wrongly shaped, invalid — is a ``UsageError``."""
-    source = names[0]
+def _entries(args: argparse.Namespace,
+             names: list[str]) -> tuple[str | None, float, list]:
+    """``(source, scale, entries)`` for the command line's names: the
+    experiments and studies they give (every report entry by default)
+    at the runner's scale, ``--scale`` or 1.0; or one spec file, a
+    study whose own scale, replaced by ``--scale``, is the runner's.
+    ``source`` is the spec file's path (None for ids).  A name that
+    gives nothing runnable is a ``UsageError``."""
+    if not any(name.endswith(SPEC_SUFFIXES) for name in names):
+        try:
+            entries = [get_experiment(name)
+                       for name in names or experiment_ids()]
+        except KeyError as exc:
+            raise UsageError(f"error: {exc.args[0]}") from None
+        return None, args.scale or 1.0, entries
+    if len(names) > 1:
+        raise UsageError("error: give experiment ids or one sweep "
+                         f"spec, not {' '.join(names)}")
     try:
-        if not any(name.endswith(SPEC_SUFFIXES) for name in names):
-            study = (get_experiment(source) if len(names) == 1
-                     and resolve_experiment_id(source) else None)
-            if not isinstance(study, SweepSpec):
-                return None
-            source = study.name
-            spec = dataclasses.replace(
-                study, scale=study.scale * (args.scale or 1.0))
-        elif len(names) > 1:
-            raise UsageError("error: give experiment ids or one sweep "
-                             f"spec, not {' '.join(names)}")
-        else:
-            spec = load_spec(source)
-            if args.scale is not None:
-                spec = dataclasses.replace(spec, scale=args.scale)
-        return source, spec, expand(spec)
+        spec = load_spec(names[0])
+    except (OSError, ValueError, TypeError, RuntimeError) as exc:
+        raise UsageError(f"error: {exc}") from None
+    return (names[0], args.scale or spec.scale,
+            [dataclasses.replace(spec, scale=1.0)])
+
+
+def _plan(args: argparse.Namespace, names: list[str]):
+    """``(source, scale, specs, studies)``: the task list the names
+    expand to (:func:`repro.sweep.expand_entries`), every problem with
+    a study a ``UsageError`` listing them all."""
+    source, scale, entries = _entries(args, names)
+    try:
+        return (source, scale) + expand_entries(entries, scale)
     except SweepValidationError as exc:
         raise UsageError("\n".join(
-            [f"{source}: {len(exc.errors)} problem(s)",
+            [f"{source or exc.spec_name}: {len(exc.errors)} problem(s)",
              *(f"  - {error}" for error in exc.errors)])) from None
-    except (OSError, ValueError, TypeError, RuntimeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise UsageError(f"error: {exc}") from None
 
 
-def _list_tasks(source: str, spec: SweepSpec, tasks: list) -> None:
-    for task in tasks:
-        kwargs = ", ".join(f"{k}={v!r}" for k, v in task.spec.kwargs)
-        print(f"{task.id:<50}  {kwargs}")
-    print(f"{source}: {len(tasks)} task(s) over {spec.experiment}, "
-          f"mode {spec.mode}")
-
-
-def _run_sweep(args: argparse.Namespace,
-               spec: SweepSpec) -> tuple[dict, list[str]]:
-    """Run one sweep: its manifest and markdown report."""
-    run = sweep(spec, jobs=args.jobs,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                timeout=args.timeout, retries=args.retries,
-                on_event=None if args.quiet else event_printer())
-    return run.manifest, [render_markdown(run.manifest)]
-
-
-def _run_experiments(args: argparse.Namespace,
-                     ids: list[str]) -> tuple[dict, list[str]]:
-    """Run the experiments ``ids`` name (every report entry by
-    default), each study among them as its cells, whose scale factor
-    carries the study's ``scale``: the manifest and one report table
-    per task that produced a result."""
-    specs: list[ExperimentSpec] = []
-    try:
-        for entry in map(get_experiment, ids or experiment_ids()):
-            specs += ([dataclasses.replace(
-                task.spec, scale_factor=entry.scale * task.spec.scale_factor)
-                for task in expand(entry)]
-                if isinstance(entry, SweepSpec) else [entry])
-    except KeyError as exc:
-        raise UsageError(f"error: {exc.args[0]}") from None
-    orch = Orchestrator(
-        specs, scale=1.0 if args.scale is None else args.scale,
-        jobs=args.jobs,
-        cache=None if args.no_cache else ResultCache(args.cache_dir),
-        timeout=args.timeout, retries=args.retries,
-        on_event=None if args.quiet else event_printer())
-    manifest = orch.run()
-    report = []
-    for outcome in orch.outcomes:
-        if outcome.result is not None:
-            report += [f"\n##### {outcome.id} (wall {outcome.wall_s:.1f}s"
-                       f"{', cached' if outcome.cache_hit else ''})",
-                       outcome.result.report()]
-    return manifest, report
+def _list_tasks(source: str | None, specs: list, studies: list) -> None:
+    for spec in specs:
+        kwargs = ", ".join(f"{k}={v!r}" for k, v in spec.kwargs)
+        print(f"{spec.id:<50}  {kwargs}".rstrip())
+    for study, tasks in studies:
+        print(f"{source or study.name}: {len(tasks)} task(s) over "
+              f"{study.experiment}, mode {study.mode}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -221,21 +192,35 @@ def main(argv: list[str] | None = None) -> int:
         # subcommand-style spelling (common muscle memory from other
         # runners); ids themselves are normalized in get_experiment.
         names = names[1:]
+    if args.list and not names:
+        list_registry()
+        return 0
     try:
-        named = _load_sweep(args, names) if names else None
-        if named is None:
-            if args.list:
-                list_registry()
-                return 0
-            manifest, report = _run_experiments(args, names)
-        elif args.list:
-            _list_tasks(*named)
+        source, scale, specs, studies = _plan(args, names)
+        if args.list:
+            _list_tasks(source, specs, studies)
             return 0
-        else:
-            manifest, report = _run_sweep(args, named[1])
+        orch = Orchestrator(
+            specs, scale=scale, jobs=args.jobs,
+            cache=None if args.no_cache else ResultCache(args.cache_dir),
+            timeout=args.timeout, retries=args.retries,
+            on_event=None if args.quiet else event_printer())
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
+    except ValueError as exc:  # a task id given twice
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    manifest = run_entries(orch, studies)
+    cells = {task.id for _, tasks in studies for task in tasks}
+    report = [f"\n##### {outcome.id} (wall {outcome.wall_s:.1f}s"
+              f"{', cached' if outcome.cache_hit else ''})\n"
+              + outcome.result.report()
+              for outcome in orch.outcomes
+              if outcome.result is not None and outcome.id not in cells]
+    if studies:
+        report.append(render_markdown(manifest))
 
     manifest_path = Path(args.manifest or Path("results") /
                          f"manifest-{manifest['run_id']}.json")
@@ -248,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         metrics_path.write_text(json.dumps(docs, indent=2, sort_keys=True)
                                 + "\n")
         if not docs:
-            print("warning: no session-metrics documents in this sweep "
+            print("warning: no session-metrics documents in this run "
                   f"(wrote empty array to {metrics_path})", file=sys.stderr)
 
     if not args.no_report:

@@ -1,4 +1,4 @@
-"""Run manifests: the machine-readable record of one sweep.
+"""Run manifests: the machine-readable record of one run.
 
 The manifest separates *what was computed* from *how long it took*:
 ``results_digest`` covers only (experiment id, result digest) pairs in
@@ -19,29 +19,29 @@ from typing import Any
 from ..experiments.common import canonical_json
 from .tasks import TaskOutcome
 
-#: v2: additive — an optional top-level ``sweep`` block (the declarative
-#: spec a sweep run expanded from, each task's axis assignment and the
-#: tables aggregated from its cells: the sweep's one document, which
-#: the printed sweep report renders); every v1 key is unchanged and
-#: non-sweep manifests omit the block.
-MANIFEST_SCHEMA = "pgmcc.run-manifest/v2"
+#: v3: a top-level ``studies`` object, ``{name: block}``, in place of
+#: v2's one optional ``sweep`` block: each study among a run's entries
+#: gets the block a sweep used to (its spec, each task's axis
+#: assignment and the tables aggregated from its cells; see
+#: :mod:`repro.sweep.run`), and a run with no study has ``{}``.  Every
+#: other key is v2's.
+MANIFEST_SCHEMA = "pgmcc.run-manifest/v3"
 
 
 def results_digest(outcomes: list[TaskOutcome]) -> str:
-    """Digest of the deterministic content of a sweep."""
+    """Digest of the deterministic content of a run."""
     pairs = sorted((o.id, o.result_digest) for o in outcomes)
     return hashlib.sha256(canonical_json(pairs).encode()).hexdigest()
 
 
 def build_manifest(outcomes: list[TaskOutcome], *, run_id: str, scale: float,
                    jobs: int, cache_enabled: bool, source_digest: str,
-                   wall_s: float,
-                   sweep: dict[str, Any] | None = None) -> dict[str, Any]:
+                   wall_s: float) -> dict[str, Any]:
     ok = sum(1 for o in outcomes if o.status == "ok")
     failed = sum(1 for o in outcomes if o.status == "failed")
     hits = sum(1 for o in outcomes if o.cache_hit)
     serial = sum(o.wall_s for o in outcomes)
-    manifest = {
+    return {
         "schema": MANIFEST_SCHEMA,
         "run_id": run_id,
         "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -61,10 +61,9 @@ def build_manifest(outcomes: list[TaskOutcome], *, run_id: str, scale: float,
             "speedup": round(serial / wall_s, 2) if wall_s > 0 else None,
         },
         "results_digest": results_digest(outcomes),
+        #: filled by :func:`repro.sweep.run.run_entries`
+        "studies": {},
     }
-    if sweep is not None:
-        manifest["sweep"] = sweep
-    return manifest
 
 
 def save_manifest(manifest: dict[str, Any], path: os.PathLike | str) -> Path:

@@ -171,6 +171,13 @@ class Orchestrator:
             raise ValueError(
                 f"retries must be an integer >= 0, got {retries!r}")
         self.specs = list(specs)
+        seen: set[str] = set()
+        for spec in self.specs:
+            if spec.id in seen:
+                # a manifest, a cache replay and a diff all key tasks
+                # by id: a second task under one id would shadow the first
+                raise ValueError(f"task id {spec.id!r} is given twice")
+            seen.add(spec.id)
         self.scale = scale
         self.jobs = max(1, int(jobs))
         self.cache = cache
@@ -199,13 +206,8 @@ class Orchestrator:
 
     # -- public API --------------------------------------------------
 
-    def run(self, run_id: str | None = None,
-            sweep: dict[str, Any] | None = None) -> dict[str, Any]:
-        """Execute every task; returns the run manifest (a dict).
-
-        ``sweep`` is an optional manifest block describing the
-        declarative spec this task list was expanded from (attached
-        verbatim by ``repro.sweep``)."""
+    def run(self, run_id: str | None = None) -> dict[str, Any]:
+        """Execute every task; returns the run manifest (a dict)."""
         started = time.perf_counter()
         run_id = run_id or time.strftime("run-%Y%m%d-%H%M%S")
         # before any fork: the digest describes the tree workers inherit
@@ -248,7 +250,7 @@ class Orchestrator:
             run_id=run_id,
             scale=self.scale, jobs=self.jobs,
             cache_enabled=self.cache is not None,
-            source_digest=source, wall_s=wall, sweep=sweep)
+            source_digest=source, wall_s=wall)
 
     # -- execution ---------------------------------------------------
 

@@ -6,15 +6,16 @@ experiment, the parameter axes to vary, and an expansion mode
 (``grid`` / ``zip`` / ``ablate``).  Expansion produces ordinary
 orchestrator tasks (cached, isolated, retried); aggregation produces
 per-axis deltas, a ranked table and optional experiment-specific
-tables.  A sweep writes one document, the run manifest: those tables
-sit in its ``sweep`` block, and ``render_markdown(manifest)`` is the
-printed report.
+tables.  A run writes one document, the run manifest: those tables
+sit in the study's block of its ``studies`` object, and
+``render_markdown(manifest)`` is the printed report.  A registered
+study and a spec file take the same path (:mod:`repro.sweep.run`).
 
 Library use::
 
     from repro.sweep import sweep
     run = sweep("examples/sweeps/arena_matrix.toml", jobs=4, scale=0.05)
-    print(run.manifest["sweep"]["ranked"])
+    print(run.manifest["studies"]["arena-matrix"]["ranked"])
 
 The command line is the runner's: a spec file in place of experiment
 ids runs it, ``--list`` prints its expanded tasks::
@@ -25,7 +26,7 @@ ids runs it, ``--list`` prints its expanded tasks::
 from .aggregate import SweepCell, axis_deltas, ranked_rows
 from .expand import SweepTask, expand
 from .report import render_markdown, report_digest
-from .run import SweepRun, sweep
+from .run import SweepRun, expand_entries, run_entries, sweep
 from .spec import SweepSpec, load_spec, spec_from_dict
 from .validate import SweepValidationError, spec_errors, validate_spec
 
@@ -37,10 +38,12 @@ __all__ = [
     "SweepValidationError",
     "axis_deltas",
     "expand",
+    "expand_entries",
     "load_spec",
     "ranked_rows",
     "render_markdown",
     "report_digest",
+    "run_entries",
     "spec_errors",
     "spec_from_dict",
     "sweep",

@@ -1,11 +1,11 @@
-"""The sweep report: a markdown rendering of a sweep's run manifest.
+"""The sweep report: a markdown rendering of a run manifest's studies.
 
-A sweep writes one document, the run manifest.  Its ``sweep`` block
-holds what the sweep computed on top of the cells (spec, task axes,
-``metrics``, ``axis_deltas``, ``ranked``, ``aggregate``; see
-:mod:`repro.sweep.run`), and its ``results_digest`` is the same
-whether the sweep ran ``-j1``, ``-jN`` or entirely from cache
-(``tests/sweep`` asserts that equality).  :func:`render_markdown`
+A run writes one document, the run manifest.  Each block of its
+``studies`` object holds what the run computed on top of one study's
+cells (spec, task axes, ``metrics``, ``axis_deltas``, ``ranked``,
+``aggregate``; see :mod:`repro.sweep.run`), and its ``results_digest``
+is the same whether the run went ``-j1``, ``-jN`` or entirely from
+cache (``tests/sweep`` asserts that equality).  :func:`render_markdown`
 reads nothing but the manifest, so any saved manifest re-renders its
 own report.
 """
@@ -40,18 +40,26 @@ def _table(headers: list[str], rows: list[list[Any]]) -> list[str]:
 
 
 def render_markdown(manifest: dict[str, Any]) -> str:
-    """Human-readable rendering of a sweep's run manifest."""
-    block = manifest["sweep"]
+    """Human-readable rendering of every study block of a run
+    manifest, in name order."""
+    return "\n".join(_render_study(manifest, name)
+                     for name in sorted(manifest["studies"]))
+
+
+def _render_study(manifest: dict[str, Any], name: str) -> str:
+    block = manifest["studies"][name]
     spec = block["spec"]
-    totals = manifest["totals"]
+    tasks = [task for task in manifest["tasks"]
+             if task["id"] in block["tasks"]]
+    status = [task["status"] for task in tasks]
     lines = [f"# Sweep report: {spec['name']}", ""]
     if spec.get("description"):
         lines += [spec["description"], ""]
     lines += [
         f"- experiment: `{spec['experiment']}` (mode `{spec['mode']}`, "
-        f"scale {_fmt(manifest['scale'])})",
-        f"- tasks: {totals['tasks']} ({totals['ok']} ok, "
-        f"{totals['failed']} failed)",
+        f"scale {_fmt(spec['scale'])})",
+        f"- tasks: {len(tasks)} ({status.count('ok')} ok, "
+        f"{status.count('failed')} failed)",
         f"- results digest: `{manifest['results_digest']}`",
         "",
     ]
@@ -61,7 +69,7 @@ def render_markdown(manifest: dict[str, Any]) -> str:
                          for name in axes})
     headers = ["task"] + axis_names + metrics + ["status"]
     rows = []
-    for task in manifest["tasks"]:
+    for task in tasks:
         axes = block["tasks"][task["id"]]
         values = task["result"]["metrics"] if task["result"] else {}
         row: list[Any] = [f"`{task['id']}`"]

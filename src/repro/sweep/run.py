@@ -1,24 +1,32 @@
-"""The ``sweep()`` library entry point.
+"""One run path for experiments and studies, and ``sweep()`` on it.
 
-One call takes a spec (a :class:`SweepSpec`, a plain dict, or a path
-to a ``.toml``/``.json`` file), expands it, runs the cells through the
-:class:`~repro.runner.orchestrator.Orchestrator` (cache, worker
-isolation, retries included), and returns a :class:`SweepRun` bundling
-the manifest and the joined cells.  The manifest is the sweep's one
-document: its ``sweep`` block holds the spec, each task's axes and the
-sections aggregated from the cells (``metrics``, ``axis_deltas``,
-``ranked`` and, when the spec names a hook, ``aggregate``), and
-:func:`~repro.sweep.report.render_markdown` renders the report from it.
+A run's entries are experiments (:class:`ExperimentSpec`) and studies
+(:class:`SweepSpec`).  :func:`expand_entries` turns them into one task
+list — an experiment is one task, a study each cell it expands to — and
+one :class:`~repro.runner.orchestrator.Orchestrator` runs that list
+(cache, worker isolation, retries included).  :func:`run_entries` then
+gives each study its block in the manifest's ``studies`` object: the
+study's spec, each task's axes and the sections aggregated from its
+cells (``metrics``, ``axis_deltas``, ``ranked`` and, when the spec
+names a hook, ``aggregate``).  The manifest is the run's one document,
+and :func:`~repro.sweep.report.render_markdown` renders every block
+of it.
+
+A study's ``scale`` is a factor on the runner's scale, as an
+experiment's ``scale_factor`` is.  :func:`sweep` is the one-entry
+case: the spec's own scale (or ``scale=``) is the runner's, and the
+spec adds a factor of 1.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
-from ..experiments.common import canonical_json
+from ..experiments.common import ExperimentSpec, canonical_json
 from ..runner.cache import DEFAULT_CACHE_DIR, ResultCache
 from ..runner.orchestrator import Orchestrator
 from .aggregate import (
@@ -32,7 +40,64 @@ from .aggregate import (
 from .expand import SweepTask, expand
 from .spec import SweepSpec, load_spec, spec_from_dict
 
-__all__ = ["SweepRun", "sweep"]
+__all__ = ["SweepRun", "expand_entries", "run_entries", "sweep"]
+
+#: a study with its expanded tasks, at the scale its cells run at
+Study = tuple[SweepSpec, list[SweepTask]]
+
+
+def expand_entries(entries: list[Union[ExperimentSpec, SweepSpec]],
+                   scale: float) -> tuple[list[ExperimentSpec], list[Study]]:
+    """The task list ``entries`` run at runner scale ``scale``, in
+    entry order, and each study among them with its tasks.
+
+    A study's cells carry its ``scale`` in their ``scale_factor``; the
+    study comes back at the scale they run at (``scale`` times its
+    own), validated against it.  Raises
+    :class:`~repro.sweep.validate.SweepValidationError` on an invalid
+    study.
+    """
+    specs: list[ExperimentSpec] = []
+    studies: list[Study] = []
+    for entry in entries:
+        if not isinstance(entry, SweepSpec):
+            specs.append(entry)
+            continue
+        study = dataclasses.replace(entry, scale=scale * entry.scale)
+        tasks = expand(study)
+        cells = [task.spec for task in tasks]
+        if entry.scale != 1:
+            # a factor of 1 changes no cell, and copying 24 cells is
+            # 1.5 % of a cached 24-cell replay (2-CPU x86, CPython 3.11)
+            cells = [dataclasses.replace(
+                cell, scale_factor=entry.scale * cell.scale_factor)
+                for cell in cells]
+        specs += cells
+        studies.append((study, tasks))
+    return specs, studies
+
+
+def _block(study: SweepSpec, tasks: list[SweepTask],
+           cells: list[SweepCell]) -> dict[str, Any]:
+    sections = {"metrics": shared_numeric_metrics(cells, study.metrics),
+                "axis_deltas": axis_deltas(study, cells),
+                "ranked": ranked_rows(study, cells)}
+    aggregate = run_custom_aggregate(study, cells)
+    if aggregate is not None:
+        sections["aggregate"] = aggregate
+    return {"spec": study.to_dict(),
+            "tasks": {task.id: task.axes_dict for task in tasks},
+            **json.loads(canonical_json(sections))}
+
+
+def run_entries(orch: Orchestrator, studies: list[Study]) -> dict[str, Any]:
+    """Run the orchestrator's tasks; the manifest, with one block per
+    study in ``studies`` (from :func:`expand_entries`)."""
+    manifest = orch.run()
+    for study, tasks in studies:
+        manifest["studies"][study.name] = _block(
+            study, tasks, collect_cells(tasks, orch.outcomes))
+    return manifest
 
 
 @dataclass
@@ -84,31 +149,20 @@ def sweep(spec: Union[SweepSpec, dict, str, Path], *,
     spells ``baseline=None``, so ``None`` stays legal until the harness
     drops the keyword (DESIGN.md §6, switch audit).
     """
-    import dataclasses
-
     if baseline is not None:
         raise TypeError(
             "sweep() takes no baseline: the performance gate is "
             "benchmarks/perf/run.py compare")
     spec = _coerce_spec(spec)
-    if scale is not None:
-        spec = dataclasses.replace(spec, scale=scale)
-    tasks = expand(spec)
-
-    cache = None if cache_dir is None else ResultCache(cache_dir)
+    scale = spec.scale if scale is None else scale
+    specs, [(spec, tasks)] = expand_entries(
+        [dataclasses.replace(spec, scale=1.0)], scale)
     orch = Orchestrator(
-        [task.spec for task in tasks], scale=spec.scale, jobs=jobs,
-        cache=cache, timeout=timeout, retries=retries, on_event=on_event,
+        specs, scale=scale, jobs=jobs,
+        cache=None if cache_dir is None else ResultCache(cache_dir),
+        timeout=timeout, retries=retries, on_event=on_event,
         extra_sys_path=extra_sys_path)
-    manifest = orch.run(
-        sweep={"spec": spec.to_dict(),
-               "tasks": {task.id: task.axes_dict for task in tasks}})
-    cells = collect_cells(tasks, orch.outcomes)
-    sections = {"metrics": shared_numeric_metrics(cells, spec.metrics),
-                "axis_deltas": axis_deltas(spec, cells),
-                "ranked": ranked_rows(spec, cells)}
-    aggregate = run_custom_aggregate(spec, cells)
-    if aggregate is not None:
-        sections["aggregate"] = aggregate
-    manifest["sweep"].update(json.loads(canonical_json(sections)))
-    return SweepRun(spec=spec, tasks=tasks, cells=cells, manifest=manifest)
+    manifest = run_entries(orch, [(spec, tasks)])
+    return SweepRun(spec=spec, tasks=tasks,
+                    cells=collect_cells(tasks, orch.outcomes),
+                    manifest=manifest)

@@ -25,6 +25,7 @@ class SweepValidationError(ValueError):
     """A sweep spec failed validation; ``errors`` lists every problem."""
 
     def __init__(self, spec_name: str, errors: list[str]):
+        self.spec_name = spec_name
         self.errors = list(errors)
         lines = "\n".join(f"  - {e}" for e in self.errors)
         super().__init__(

@@ -90,14 +90,23 @@ class TestLookups:
             + [s.name for s in _BUILTIN_STUDIES])
 
     def test_the_loops_studies_replaced_are_gone(self):
+        from repro.experiments import arena, resilience
+
         assert [s.name for s in registered_studies()] == [
+            "EXP-ARENA", "EXP-RESILIENCE", "ABL-WATCHDOG",
             "ABL-FIG4", "ABL-RTT", "EXP-SWEEP"]
         for old in ("ABL-C", "ABL-DUP", "ABL-SS", "ABL-DELACK", "ABL-NE"):
             assert resolve_experiment_id(old) is None
+        # the monolithic matrix runners the arena and resilience
+        # studies replaced
+        for module, name in ((arena, "run"), (arena, "matrix_table"),
+                             (resilience, "run"),
+                             (resilience, "BASELINE_CELL")):
+            assert not hasattr(module, name), name
 
     def test_hidden_specs_excluded_from_view_but_resolvable(self):
         ids = [s.id for s in registered_specs()]
-        assert "EXP-ARENA" in ids
+        assert "EXP-F2" in ids
         assert "EXP-ARENA-CELL" not in ids
         assert "EXP-ARENA-CELL" in [
             s.id for s in registered_specs(include_hidden=True)]

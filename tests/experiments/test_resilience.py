@@ -1,4 +1,10 @@
-"""EXP-RESILIENCE smoke, oracle and TTR-math tests (fast scales)."""
+"""EXP-RESILIENCE smoke, oracle and TTR-math tests (fast scales).
+
+The EXP-RESILIENCE and ABL-WATCHDOG studies run once per module,
+through ``sweep()`` with the cache off; ``tests/sweep/test_run.py``
+pins that a study's results are the same at ``-j1``, ``-jN`` and from
+cache.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +13,12 @@ import json
 import pytest
 
 from repro.experiments import resilience
+from repro.experiments.common import ExperimentResult
 from repro.experiments.registry import get_experiment
 from repro.experiments.resilience import DeliverySampler
 from repro.pgm import create_session
 from repro.simulator import NON_LOSSY, dumbbell
+from repro.sweep import SweepSpec, sweep
 
 
 class _FixedSampler(DeliverySampler):
@@ -98,56 +106,93 @@ class TestSamplerLifecycle:
 
 
 def test_registered_and_resolvable():
-    spec = get_experiment("EXP-RESILIENCE")
-    assert spec.module == "repro.experiments.resilience"
-    assert get_experiment("exp_resilience") == spec
-    assert get_experiment("exp-resilience") == spec
+    study = get_experiment("EXP-RESILIENCE")
+    assert isinstance(study, SweepSpec)
+    assert (study.experiment, study.mode) == ("EXP-RESILIENCE-CELL", "grid")
+    assert study.base_dict["liveness"] is True
+    assert get_experiment("exp_resilience") == study
+    assert get_experiment("exp-resilience") == study
+    watchdog = get_experiment("abl_watchdog")
+    assert (watchdog.experiment, watchdog.mode) == ("EXP-RESILIENCE-CELL",
+                                                    "ablate")
+
+
+def run_study(name):
+    return sweep(get_experiment(name), scale=0.35, cache_dir=None)
 
 
 @pytest.fixture(scope="module")
-def result():
-    return resilience.run(scale=0.35)
+def run():
+    return run_study("EXP-RESILIENCE")
 
 
-def test_matrix_covers_every_backend_and_scenario(result):
+@pytest.fixture(scope="module")
+def watchdog():
+    return run_study("ABL-WATCHDOG")
+
+
+@pytest.fixture(scope="module")
+def metrics(run):
+    return run.manifest["studies"]["EXP-RESILIENCE"]["aggregate"]["metrics"]
+
+
+def test_matrix_covers_every_backend_and_scenario(run):
+    assert run.ok
     pairs = {(row["controller"], row["scenario"])
-             for row in result.rows if row["liveness"]}
-    for name in ("pgmcc", "jain", "aimd", "tfrc"):
-        for scenario in resilience.SCENARIOS:
-            assert (name, scenario) in pairs
-            assert f"{name}:{scenario}:ttr_s" in result.metrics
+             for row in (cell.result.rows[0] for cell in run.cells)
+             if row["liveness"]}
+    assert pairs == {(name, scenario)
+                     for name in ("pgmcc", "jain", "aimd", "tfrc")
+                     for scenario in resilience.SCENARIOS}
+    for cell in run.cells:
+        assert "ttr_s" in cell.result.metrics
 
 
-def test_every_cell_recovers_within_slo(result):
-    assert result.metrics["all_recovered"] is True
-    assert result.metrics["all_slo_ok"] is True
+def test_every_cell_recovers_within_slo(metrics):
+    assert metrics["all_recovered"] is True
+    assert metrics["all_slo_ok"] is True
 
 
-def test_zero_invariant_violations(result):
-    assert result.metrics["total_invariant_violations"] == 0
+def test_zero_invariant_violations(metrics, watchdog):
+    assert metrics["total_invariant_violations"] == 0
+    for cell in watchdog.cells:
+        assert cell.result.metrics["invariant_violations"] == 0
 
 
-def test_watchdog_beats_stall_timer(result):
-    assert result.metrics["watchdog_faster"] is True
-    assert result.metrics["ttr_improvement_s"] > 0
-    assert result.metrics["ttr_watchdog_s"] < result.metrics["ttr_stall_only_s"]
+def test_watchdog_beats_stall_timer(watchdog):
+    """The ``liveness`` axis delta is TTR(stall-only) - TTR(watchdog)."""
+    assert watchdog.ok
+    (axis,) = watchdog.manifest["studies"]["ABL-WATCHDOG"]["axis_deltas"]
+    assert (axis["axis"], axis["baseline"]) == ("liveness", True)
+    on, off = axis["groups"]
+    assert off["value"] is False
+    assert off["deltas"]["ttr_s"] > 0
+    assert on["means"]["ttr_s"] < off["means"]["ttr_s"]
 
 
-def test_baseline_row_is_liveness_off(result):
-    baselines = [row for row in result.rows if not row["liveness"]]
-    assert len(baselines) == 1
-    assert baselines[0]["controller"] == "pgmcc"
-    assert baselines[0]["scenario"] == "acker-crash"
+def test_baseline_row_is_liveness_off(watchdog):
+    rows = {cell.task.id: cell.result.rows[0] for cell in watchdog.cells}
+    assert set(rows) == {"ABL-WATCHDOG/base", "ABL-WATCHDOG/liveness=False"}
+    for row in rows.values():
+        assert (row["controller"], row["scenario"]) == ("pgmcc",
+                                                        "acker-crash")
+    assert rows["ABL-WATCHDOG/base"]["liveness"] is True
+    assert rows["ABL-WATCHDOG/liveness=False"]["liveness"] is False
 
 
-def test_rate_backends_get_the_wider_slo(result):
-    for row in result.rows:
+def test_rate_backends_get_the_wider_slo(run, watchdog):
+    for cell in run.cells + watchdog.cells:
+        row = cell.result.rows[0]
         expected = (resilience.TTR_SLO_S if row["kind"] == "window"
                     else resilience.RATE_TTR_SLO_S)
         assert row["slo_s"] == expected
 
 
-def test_digest_stable_and_json_safe(result):
-    doc = result.to_dict()
-    json.dumps(doc)  # fully serializable
-    assert result.digest() == resilience.run(scale=0.35).digest()
+def test_digest_stable_and_json_safe(run):
+    """Every cell survives the JSON round trip a cache replay and a
+    worker's reply take, with its digest; and the study's block is
+    plain JSON."""
+    json.dumps(run.manifest["studies"])
+    for cell in run.cells:
+        doc = json.loads(json.dumps(cell.result.to_dict()))
+        assert ExperimentResult.from_dict(doc).digest() == cell.result.digest()

@@ -94,7 +94,23 @@ class TestListing:
         out = capsys.readouterr().out
         studies = [line.split()[0] for line in out.splitlines()
                    if line.endswith("[study]")]
-        assert studies == ["ABL-FIG4", "ABL-RTT", "EXP-SWEEP"]
+        assert studies == ["EXP-ARENA", "EXP-RESILIENCE", "ABL-WATCHDOG",
+                           "ABL-FIG4", "ABL-RTT", "EXP-SWEEP"]
+
+    def test_list_of_names_prints_the_tasks_they_expand_to(self, capsys):
+        assert main(["--list", "EXP-F3", "ABL-WATCHDOG"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "EXP-F3", "ABL-WATCHDOG/base", "ABL-WATCHDOG/liveness=False",
+            "ABL-WATCHDOG:"]
+        assert lines[-1] == ("ABL-WATCHDOG: 2 task(s) over "
+                             "EXP-RESILIENCE-CELL, mode ablate")
+
+    def test_list_of_an_unknown_id_is_a_usage_error(self, capsys):
+        assert main(["--list", "NOPE"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown experiment id(s): NOPE" in captured.err
 
     def test_unknown_id_helpful_error(self, capsys):
         assert main(["EXP-TYPO"]) == 2
@@ -119,8 +135,8 @@ class TestSweep:
                    "--quiet", "--no-report"])
         assert rc == 0
         manifest = json.loads(open(paths["manifest"]).read())
-        assert manifest["schema"] == "pgmcc.run-manifest/v2"
-        assert "sweep" not in manifest  # only sweep runs carry the block
+        assert manifest["schema"] == "pgmcc.run-manifest/v3"
+        assert manifest["studies"] == {}  # no study among the entries
         assert manifest["totals"]["ok"] == 1
         assert manifest["tasks"][0]["id"] == "EXP-F2"
         assert manifest["tasks"][0]["result"]["name"] == "fig2-loss-filter"
@@ -272,6 +288,7 @@ class TestSpecUsage:
         pytest.param(["EXP-F2", "spec.json"], id="id-and-spec"),
         pytest.param(["spec.json", "EXP-F2"], id="spec-and-id"),
         pytest.param(["spec.json", "other.toml"], id="two-specs"),
+        pytest.param(["spec.json", "spec.json"], id="one-spec-twice"),
     ])
     def test_ids_mixed_with_a_spec_or_two_specs(self, names, tmp_path,
                                                 capsys):
@@ -300,9 +317,9 @@ class TestSpecRun:
             self, run):
         rc, manifest, out = run("-j", "2")
         assert rc == 0
-        assert manifest["schema"] == "pgmcc.run-manifest/v2"
+        assert manifest["schema"] == "pgmcc.run-manifest/v3"
         assert manifest["totals"]["ok"] == 2
-        block = manifest["sweep"]
+        block = manifest["studies"]["cli-toy"]
         assert block["spec"]["name"] == "cli-toy"
         assert block["tasks"]["cli-toy/mode=b"] == {"mode": "b"}
         assert block["metrics"] == ["score", "cost"]
@@ -335,7 +352,7 @@ class TestSpecRun:
         _, own, _ = run("--no-cache")
         _, given, _ = run("--no-cache", "--scale", "0.25")
         assert (own["scale"], given["scale"]) == (0.5, 0.25)
-        assert given["sweep"]["spec"]["scale"] == 0.25
+        assert given["studies"]["cli-toy"]["spec"]["scale"] == 0.25
         costs = {task["result"]["metrics"]["cost"] for task in given["tasks"]}
         assert costs == {25.0}
 
@@ -349,9 +366,9 @@ class TestSpecRun:
 
 
 class TestStudy:
-    """A registered study: alone it runs as a sweep, among other ids its
-    cells join the flat task list; either way at ``--scale S`` a cell
-    runs at S times the study's own scale."""
+    """A registered study, alone or among other ids: its cells join the
+    task list, at ``--scale S`` a cell runs at S times the study's own
+    scale, and the study gets its block in the manifest."""
 
     @pytest.fixture(autouse=True)
     def toy_study(self, monkeypatch):
@@ -376,17 +393,39 @@ class TestStudy:
     def test_alone_it_is_a_sweep(self, tmp_path, capsys):
         rc, manifest, out = self.run(tmp_path, capsys, "TOY-STUDY")
         assert rc == 0
-        assert manifest["scale"] == 0.25
-        (gain,) = manifest["sweep"]["axis_deltas"]
+        assert manifest["scale"] == 0.5  # the runner's
+        block = manifest["studies"]["TOY-STUDY"]
+        assert block["spec"]["scale"] == 0.25  # the cells'
+        (gain,) = block["axis_deltas"]
         assert gain["baseline"] == 2.0
         assert gain["groups"][1]["deltas"]["score"] == 30.0
         assert "# Sweep report: TOY-STUDY" in out
 
     def test_among_ids_its_cells_join_the_task_list(self, tmp_path, capsys):
-        rc, manifest, _ = self.run(tmp_path, capsys, "TOY-STUDY", "TOY-SWEEP")
+        _, alone, _ = self.run(tmp_path, capsys, "TOY-STUDY")
+        rc, manifest, out = self.run(tmp_path, capsys, "TOY-STUDY",
+                                     "TOY-SWEEP")
         assert rc == 0
-        assert "sweep" not in manifest
+        assert manifest["studies"] == alone["studies"]
+        assert "# Sweep report: TOY-STUDY" in out
+        assert "##### TOY-SWEEP (wall " in out
+        # the study has its report, not one table per cell
+        assert "##### TOY-STUDY/base" not in out
         costs = {task["id"]: task["result"]["metrics"]["cost"]
                  for task in manifest["tasks"]}
         assert costs == {"TOY-STUDY/base": 25.0, "TOY-STUDY/gain=5.0": 25.0,
                          "TOY-SWEEP": 50.0}
+
+    @pytest.mark.parametrize("names", [
+        pytest.param(["TOY-SWEEP", "toy_sweep"], id="experiment"),
+        pytest.param(["TOY-STUDY", "TOY-SWEEP", "TOY-STUDY"], id="study"),
+    ])
+    def test_a_task_id_given_twice_exits_two(self, names, tmp_path, capsys):
+        """One id, one task: a manifest, the cache and the study join
+        all key tasks by id.  Nothing runs."""
+        manifest = tmp_path / "manifest.json"
+        assert main([*names, "--no-cache", "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        task = "TOY-SWEEP" if names[0] == "TOY-SWEEP" else "TOY-STUDY/base"
+        assert err == f"error: task id {task!r} is given twice\n"
+        assert not manifest.exists()

@@ -24,8 +24,8 @@ def manifest(events=100, rate=1.5, wall=0.2, extra_task=False):
     }]
     if extra_task:
         tasks.append({"id": "EXP-B", "status": "ok", "result": {}})
-    return {"schema": "pgmcc.run-manifest/v2", "created": str(wall),
-            "tasks": tasks}
+    return {"schema": "pgmcc.run-manifest/v3", "created": str(wall),
+            "tasks": tasks, "studies": {}}
 
 
 def test_run_fields_never_count():
@@ -64,19 +64,23 @@ def test_task_on_one_side_only_is_a_difference():
     assert lines == ["EXP-B: only in parent"]
 
 
-def sweep_manifest(ranked):
+def sweep_manifest(ranked, name="s"):
     doc = manifest()
-    doc["sweep"] = {"spec": {"name": "s"}, "tasks": {"EXP-A": {"x": 1}},
-                    "ranked": [{"rank": 1, "task": task} for task in ranked]}
+    doc["studies"][name] = {
+        "spec": {"name": name}, "tasks": {"EXP-A": {"x": 1}},
+        "ranked": [{"rank": 1, "task": task} for task in ranked]}
     return doc
 
 
 def test_the_sweep_block_is_one_more_task(tmp_path):
-    """A sweep's ranking lives in its manifest's ``sweep`` block only."""
+    """A study's ranking lives in its block of the manifest's
+    ``studies`` only; each block is compared by the study's name."""
     a, b = sweep_manifest(["EXP-A", "EXP-B"]), sweep_manifest(["EXP-B", "EXP-A"])
+    for doc in (a, b):
+        doc["studies"].update(sweep_manifest(["EXP-A"], "t")["studies"])
     assert diff_manifests.diff_manifests(a, b) == [
-        "sweep: ranked.0.task: 'EXP-A' -> 'EXP-B'",
-        "sweep: ranked.1.task: 'EXP-B' -> 'EXP-A'"]
+        "studies.s: ranked.0.task: 'EXP-A' -> 'EXP-B'",
+        "studies.s: ranked.1.task: 'EXP-B' -> 'EXP-A'"]
     paths = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
     for path, doc in zip(paths, (a, b)):
         Path(path).write_text(json.dumps(doc))
@@ -85,8 +89,8 @@ def test_the_sweep_block_is_one_more_task(tmp_path):
 
 def test_a_sweep_block_on_one_side_only_is_a_difference():
     lines = diff_manifests.diff_manifests(sweep_manifest(["EXP-A"]),
-                                          manifest())
-    assert lines == ["sweep: only in parent"]
+                                          sweep_manifest(["EXP-A"], "t"))
+    assert lines == ["studies.s: only in parent", "studies.t: only in change"]
 
 
 def test_cli_exit_status_and_output(tmp_path, capsys):

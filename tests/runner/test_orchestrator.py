@@ -72,6 +72,12 @@ class TestDeterminism:
         with pytest.raises(ValueError, match=match):
             orchestrate(GRID, **{option: value})
 
+    def test_a_task_id_given_twice_is_rejected_before_any_worker(self):
+        """Two tasks under one id would shadow each other in the
+        manifest, even with different arguments."""
+        with pytest.raises(ValueError, match="'TOY-1' is given twice"):
+            orchestrate(GRID + [toy_spec("TOY-1", seed=9)])
+
     def test_timeout_zero_disables_like_none(self):
         orch = orchestrate([toy_spec("TOY-Z", func="run_sleep", seconds=0.2)],
                            timeout=0, retries=0)
@@ -388,8 +394,9 @@ class TestTelemetry:
 
     def test_manifest_schema_fields(self):
         manifest = orchestrate(GRID, jobs=1).run(run_id="rid")
-        assert manifest["schema"] == "pgmcc.run-manifest/v2"
+        assert manifest["schema"] == "pgmcc.run-manifest/v3"
         assert manifest["run_id"] == "rid"
+        assert manifest["studies"] == {}  # repro.sweep.run_entries fills it
         for task in manifest["tasks"]:
             assert {"id", "status", "attempts", "wall_s", "worker",
                     "cache_hit", "result_digest", "error",

@@ -33,7 +33,8 @@ def run_toy(spec, **kw):
 class TestSweepRun:
     def test_report_shape(self):
         run = run_toy(toy_spec())
-        manifest, block = run.manifest, run.manifest["sweep"]
+        manifest = run.manifest
+        block = manifest["studies"]["toy-run"]
         assert run.ok
         totals = manifest["totals"]
         assert (totals["tasks"], totals["ok"], totals["failed"]) == (4, 4, 0)
@@ -55,11 +56,11 @@ class TestSweepRun:
         [task] = run.manifest["tasks"]
         assert task["result"]["metrics"]["cost"] == 25.0
         assert run.manifest["scale"] == 0.25
-        assert run.manifest["sweep"]["spec"]["scale"] == 0.25
+        assert run.manifest["studies"]["toy-run"]["spec"]["scale"] == 0.25
 
     def test_manifest_carries_the_sweep_block(self):
         run = run_toy(toy_spec())
-        block = run.manifest["sweep"]
+        (block,) = run.manifest["studies"].values()
         assert block["spec"]["name"] == "toy-run"
         assert set(block["tasks"]) == {t.id for t in run.tasks}
         assert block["tasks"]["toy-run/mode=a,gain=1.0"] == {
@@ -73,7 +74,8 @@ class TestSweepRun:
         cached = run_toy(spec, cache_dir=cache)
         manifests = [r.manifest for r in (serial, parallel, cached)]
         assert len({m["results_digest"] for m in manifests}) == 1
-        assert all(m["sweep"] == serial.manifest["sweep"] for m in manifests)
+        assert all(m["studies"] == serial.manifest["studies"]
+                   for m in manifests)
         assert cached.manifest["totals"]["cache_hits"] == 4
         assert serial.manifest["totals"]["cache_hits"] == 0
 
@@ -133,7 +135,8 @@ class TestSweepRun:
         from_file = run_toy(path)
         assert (from_dict.manifest["results_digest"]
                 == from_file.manifest["results_digest"])
-        assert from_dict.manifest["sweep"] == from_file.manifest["sweep"]
+        assert (from_dict.manifest["studies"]
+                == from_file.manifest["studies"])
 
 
 class TestMarkdown:

@@ -4,10 +4,10 @@
 ``python -m repro.runner --manifest PATH`` writes one document per run;
 its ``results_digest`` says *whether* two runs agree, this says *where*
 they do not.  Tasks are matched by id and every leaf of each task is
-compared; a sweep manifest's ``sweep`` block (spec, task axes, axis
-deltas, ranking, aggregate table) is compared as one more task named
-``sweep``.  Skipped is what legitimately differs between two runs of
-the same simulation:
+compared; each block of the manifest's ``studies`` object (spec, task
+axes, axis deltas, ranking, aggregate table) is compared as one more
+task, named ``studies.NAME``.  Skipped is what legitimately differs
+between two runs of the same simulation:
 
 * how the run went — the per-task ``wall_s``, ``worker``, ``attempts``
   and ``cache_hit`` fields;
@@ -53,10 +53,10 @@ def leaves(node, path=()):
 
 
 def entries(doc: dict) -> dict:
-    """Task id -> task, then the ``sweep`` block when there is one."""
+    """Task id -> task, then ``studies.NAME`` -> each study's block."""
     out = {task["id"]: task for task in doc["tasks"]}
-    if "sweep" in doc:
-        out["sweep"] = doc["sweep"]
+    for name, block in doc.get("studies", {}).items():
+        out[f"studies.{name}"] = block
     return out
 
 
