@@ -226,20 +226,14 @@ def register_controller(name: str):
 
 
 register_controller("pgmcc")(PgmccController)
-
-
-def _ensure_builtins_loaded() -> None:
-    # The alternative backends live in repro.core.controllers and
-    # register on import; importing lazily here avoids a cycle
-    # (controllers -> throughput_models/tfrc_loss -> ...).
-    if "tfrc" not in _REGISTRY:
-        from . import controllers  # noqa: F401  (import-time registration)
+# The alternative backends register on import; importing them here,
+# after the registry exists, puts them in it before anyone can read it.
+from . import controllers  # noqa: E402,F401
 
 
 def controller_names() -> tuple[str, ...]:
     """Every registered backend name, sorted (registry order is not
     meaningful; sorted output keeps arena tables digest-stable)."""
-    _ensure_builtins_loaded()
     return tuple(sorted(_REGISTRY))
 
 
@@ -250,7 +244,6 @@ def make_controller(name: str, cc: "CcConfig", **params: Any) -> Controller:
     ``params`` are backend-specific (e.g. ``beta`` for ``aimd``).
     Unknown names raise ``KeyError`` listing the registry.
     """
-    _ensure_builtins_loaded()
     try:
         factory = _REGISTRY[name]
     except KeyError:

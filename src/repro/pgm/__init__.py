@@ -12,7 +12,6 @@ Public surface::
 from . import constants
 from .aggregate import (
     AggregateManager,
-    AggregateParams,
     MirrorBank,
     AnalyticBank,
     TailProxy,
@@ -45,7 +44,6 @@ from .session import (
 __all__ = [
     "constants",
     "AggregateManager",
-    "AggregateParams",
     "MirrorBank",
     "AnalyticBank",
     "TailProxy",

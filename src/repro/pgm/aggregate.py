@@ -25,7 +25,7 @@ would have seen from the full population.
 
 Member draws come from one of two banks:
 
-* :class:`MirrorBank` (tail <= ``mirror_threshold``): one persistent
+* :class:`MirrorBank` (tail <= :data:`MIRROR_THRESHOLD`): one persistent
   ``random.Random`` stream per member — the *same* registry streams
   exact-mode receivers would use — drawn in the same per-event order,
   so the min and argmin equal the exact simulation's.  This is what
@@ -41,12 +41,12 @@ tail identity (seen in ODATA ``acker_id``), or the guard grows
 suspicious of one, the :class:`AggregateManager` instantiates a full
 ``PgmReceiver`` for that identity on one of the subtree's reserved
 *slot hosts* (same access-link spec as every member) and removes it
-from the bank.  At session start the manager *pre-promotes* the
-predicted election winner — the member holding the globally smallest
-first fake-NAK jitter, peeked without consuming the draw — so hybrid
-runs elect the same first acker exact runs do.  **Demotion** returns a
-promoted member to the tail once it has been idle (not acker, not
-suspect, not sampled) for ``demote_after`` seconds.
+from the bank.  The first election needs no help: the proxy's first
+fake NAK carries the member that won the tail's jitter lottery, the
+sender elects it and names it in the next ODATA, and the proxy
+promotes it on sight.  **Demotion** returns a promoted member to the
+tail once it has been idle (not acker, not suspect, not sampled) for
+:data:`DEMOTE_AFTER` seconds.
 
 See DESIGN.md §9 for the architecture and the promotion state machine.
 """
@@ -68,7 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .session import PgmSession
 
 __all__ = [
-    "AggregateParams",
     "AggregateManager",
     "AggregateSubtree",
     "MirrorBank",
@@ -76,29 +75,21 @@ __all__ = [
     "TailProxy",
 ]
 
-
-@dataclass(frozen=True)
-class AggregateParams:
-    """Tunables of the hybrid-fidelity subsystem
-    (``SessionConfig.aggregate_params``)."""
-
-    #: seeded exact engines per subtree (ground-truth cohort)
-    sample: int = 1
-    #: largest tail simulated draw-for-draw (MirrorBank); larger tails
-    #: switch to the O(1) AnalyticBank.  A mirror stream costs ~3 KB
-    #: (Mersenne state), so this bounds per-subtree memory at ~1.5 MB.
-    mirror_threshold: int = 512
-    #: idle seconds before a promoted member returns to the tail
-    demote_after: float = 5.0
-    #: manager bookkeeping period (promotion/demotion sweep)
-    sweep_interval: float = 0.5
-    #: invariant tolerance: how long the acker may be an unpromoted
-    #: tail identity before ``aggregate-promotion`` fires
-    promotion_grace: float = 1.0
-    #: pre-promote the predicted first election winner at t=0
-    predict_acker: bool = True
-    #: guard suspicion above which a tail identity is promoted
-    suspect_threshold: float = 0.5
+#: seeded exact engines per subtree (ground-truth cohort)
+SAMPLE = 1
+#: largest tail simulated draw-for-draw (MirrorBank); larger tails
+#: switch to the O(1) AnalyticBank.  A mirror stream costs ~3 KB
+#: (Mersenne state), so this bounds per-subtree memory at ~1.5 MB.
+MIRROR_THRESHOLD = 512
+#: idle seconds before a promoted member returns to the tail
+DEMOTE_AFTER = 5.0
+#: manager bookkeeping period (promotion/demotion sweep)
+SWEEP_INTERVAL = 0.5
+#: invariant tolerance: how long the acker may be an unpromoted tail
+#: identity before ``aggregate-promotion`` fires
+PROMOTION_GRACE = 1.0
+#: guard suspicion above which a tail identity is promoted
+SUSPECT_THRESHOLD = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -134,18 +125,6 @@ class MirrorBank:
         winner = None
         for identity, rng in self._streams.items():
             value = rng.uniform(0, bound)
-            if best is None or value < best:
-                best, winner = value, identity
-        return best, winner
-
-    def peek_min(self, bound: float) -> tuple[Optional[float], Optional[str]]:
-        """The next round's winner *without* consuming any draws."""
-        best = None
-        winner = None
-        for identity, rng in self._streams.items():
-            state = rng.getstate()
-            value = rng.uniform(0, bound)
-            rng.setstate(state)
             if best is None or value < best:
                 best, winner = value, identity
         return best, winner
@@ -217,16 +196,6 @@ class AnalyticBank:
         return delay, self._plan.identity(self._subtree,
                                           self._representative())
 
-    def peek_min(self, bound: float) -> tuple[Optional[float], Optional[str]]:
-        if self.size == 0:
-            return None, None
-        state = self._rng.getstate()
-        rep = self._rep
-        value, winner = self.draw(bound)
-        self._rng.setstate(state)
-        self._rep = rep
-        return value, winner
-
     def remove(self, identity: str) -> bool:
         index = self._index_of(identity)
         if index is None or index in self._excluded:
@@ -271,8 +240,6 @@ class TailProxy(PgmReceiver):
         self._stamp: Optional[str] = None
         self.synthetic_naks = 0
         self.synthetic_fake_naks = 0
-        #: sends skipped because the whole tail was promoted away
-        self.synthetic_suppressed = 0
         super().__init__(**kwargs)
 
     @property
@@ -314,7 +281,6 @@ class TailProxy(PgmReceiver):
             identity = self._nak_identity.get(seq)
         if identity is None and self.bank.size == 0:
             # Fully promoted subtree: every member speaks for itself.
-            self.synthetic_suppressed += 1
             return
         self._stamp = identity
         try:
@@ -337,22 +303,30 @@ class TailProxy(PgmReceiver):
         # if something is badly wrong — refuse rather than double-clock.
         self.acks_suppressed += 1
 
-    def _drop_nak_state(self, seq: int) -> None:
-        super()._drop_nak_state(seq)
+    def _retire(self, seq: int, state) -> None:
+        super()._retire(seq, state)
         self._nak_identity.pop(seq, None)
+
+    def _clear_nak_states(self) -> None:
+        super()._clear_nak_states()
+        self._nak_identity.clear()
 
     def _handle_data(self, msg, is_repair: bool) -> None:
         super()._handle_data(msg, is_repair)
-        if not is_repair and msg.acker_id:
-            self._manager.on_acker_observed(msg.acker_id)
+        if not is_repair and msg.acker_id and msg.acker_id in self.bank:
+            self._manager.on_acker_observed(msg.acker_id, msg.seq)
 
-    def gc_identities(self) -> None:
-        """Drop identity stamps whose NAK state is gone (sweep hook)."""
-        live = self._nak_states
-        self._nak_identity = {
-            seq: ident for seq, ident in self._nak_identity.items()
-            if seq in live
-        }
+
+class _MemberEngine(PgmReceiver):
+    """A member's own engine.  Promoted mid-run, it starts from the
+    proxy's state, which has already taken every ODATA up to
+    ``seen_through`` for it: its own copies of those are skipped."""
+
+    seen_through = -1
+
+    def _handle_data(self, msg, is_repair: bool) -> None:
+        if is_repair or msg.seq > self.seen_through:
+            super()._handle_data(msg, is_repair)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +359,6 @@ class AggregateSubtree:
         self._free_slots = list(reversed(slot_hosts))  # pop() -> slot order
         self.exact: dict[str, _ExactMember] = {}
 
-    @property
-    def exact_count(self) -> int:
-        return len(self.exact)
-
     def take_slot(self) -> Optional[str]:
         return self._free_slots.pop() if self._free_slots else None
 
@@ -413,25 +383,20 @@ class AggregateManager:
     """
 
     def __init__(self, net: "Network", session: "PgmSession",
-                 plan: "SubtreePlan", params: AggregateParams,
-                 rx_defaults: dict):
+                 plan: "SubtreePlan", rx_defaults: dict):
         self.net = net
         self.session = session
         self.plan = plan
-        self.params = params
         self.rx_defaults = rx_defaults
         self.sim = net.sim
         self.subtrees: list[AggregateSubtree] = []
-        self.predicted_acker: Optional[str] = None
         # counters
         self.promotions = 0
         self.demotions = 0
         self.promotions_deferred = 0
         self.sampled_count = 0
         self._backoff_hist = None
-        self._ne_registered: set[int] = set()
         self._sweep_timer: Optional[Timer] = None
-        self._closed = False
 
     # -- construction --------------------------------------------------------
 
@@ -440,7 +405,7 @@ class AggregateManager:
 
     def _make_exact(self, subtree: AggregateSubtree, identity: str,
                     host: str, pinned: bool) -> _ExactMember:
-        receiver = PgmReceiver(
+        receiver = _MemberEngine(
             host=self.net.host(host),
             rx_id=identity,
             rng=self._stream(identity),
@@ -464,6 +429,7 @@ class AggregateManager:
             receiver._next_deliver = proxy._next_deliver
             receiver._pending_delivery = dict(proxy._pending_delivery)
             receiver._last_spm_lead = proxy._last_spm_lead
+            receiver.seen_through = proxy.cc.rxw_lead
         self.session._register_receiver(receiver)
         member = _ExactMember(identity, host, receiver,
                               promoted_at=self.sim.now, pinned=pinned)
@@ -471,17 +437,17 @@ class AggregateManager:
         return member
 
     def setup(self) -> None:
-        """Build banks, sampled cohort, proxies; pre-promote the
-        predicted election winner.  Must run before the sim starts."""
-        plan, params, tsi = self.plan, self.params, self.session.tsi
+        """Build banks, sampled cohort and proxies.  Must run before
+        the sim starts."""
+        plan, tsi = self.plan, self.session.tsi
         sample_rng = self.net.rng.stream(f"agg:sample:{tsi}")
         for k in range(plan.subtrees):
             size = plan.sizes[k]
             slots = [plan.slot_host(k, j) for j in range(plan.slots)]
-            n_sampled = min(params.sample, size, plan.slots)
+            n_sampled = min(SAMPLE, size, plan.slots)
             sampled = sorted(sample_rng.sample(range(size), n_sampled))
             tail_size = size - n_sampled
-            if tail_size <= params.mirror_threshold:
+            if tail_size <= MIRROR_THRESHOLD:
                 streams = {
                     plan.identity(k, i): self._stream(plan.identity(k, i))
                     for i in range(size) if i not in sampled
@@ -505,38 +471,8 @@ class AggregateManager:
                     **self.rx_defaults,
                 )
                 self.session._register_receiver(subtree.proxy)
-        if params.predict_acker:
-            self._pre_promote_predicted_acker()
         self._sweep_timer = Timer(self.sim, self._tick)
-        self._sweep_timer.start(params.sweep_interval)
-
-    def _pre_promote_predicted_acker(self) -> None:
-        """Promote the member the first election will pick.
-
-        The first fake NAK to reach the source wins the election
-        unconditionally; with symmetric paths that is the member whose
-        elicited-NAK jitter draw — each member's *first* draw — is
-        globally smallest.  Peeking (state save/draw/restore) keeps
-        every stream draw-for-draw aligned with an exact run.
-        """
-        bound = C.NAK_BO_IVL / 4
-        best = None
-        winner = None
-        for subtree in self.subtrees:
-            value, identity = subtree.bank.peek_min(bound)
-            if value is not None and (best is None or value < best):
-                best, winner = value, identity
-            # Sampled engines draw for themselves, but compete too.
-            for member in subtree.exact.values():
-                rng = member.receiver.rng
-                state = rng.getstate()
-                value = rng.uniform(0, bound)
-                rng.setstate(state)
-                if best is None or value < best:
-                    best, winner = value, member.identity
-        self.predicted_acker = winner
-        if winner is not None and self.is_tail_identity(winner):
-            self.promote(winner, reason="predicted")
+        self._sweep_timer.start(SWEEP_INTERVAL)
 
     # -- identity space -------------------------------------------------------
 
@@ -552,8 +488,7 @@ class AggregateManager:
 
     # -- promotion / demotion -------------------------------------------------
 
-    def promote(self, identity: str, reason: str = "acker",
-                preempt: bool = False) -> bool:
+    def promote(self, identity: str, preempt: bool = False) -> bool:
         """Turn a tail identity into a full engine on a slot host.
 
         ``preempt=True`` (the acker path) may demote the most idle
@@ -616,17 +551,18 @@ class AggregateManager:
         self.demotions += 1
         return True
 
-    def on_acker_observed(self, acker_id: str) -> None:
-        """ODATA named ``acker_id`` as the acker: tail members must be
-        exact to ACK, so promote on sight."""
-        if self.is_tail_identity(acker_id):
-            self.promote(acker_id, reason="acker", preempt=True)
+    def on_acker_observed(self, acker_id: str, seq: int) -> None:
+        """ODATA ``seq`` named ``acker_id`` as the acker: tail members
+        must be exact to ACK, so promote on sight.  The new engine ACKs
+        ``seq`` here, because its own copy of that ODATA reaches its
+        slot host in this same instant, before or after the proxy's
+        (and is skipped if after)."""
+        if self.promote(acker_id, preempt=True):
+            self.subtree_of(acker_id).exact[acker_id].receiver._send_ack(seq)
 
     # -- periodic sweep -------------------------------------------------------
 
     def _tick(self) -> None:
-        if self._closed:
-            return
         now = self.sim.now
         self._bind_network_elements()
         sender = self.session.sender
@@ -636,15 +572,11 @@ class AggregateManager:
         # under the full quarantined-never-acker machinery.
         if guard is not None:
             for rx_id in guard.quarantined_ids():
-                if self.is_tail_identity(rx_id):
-                    self.promote(rx_id, reason="quarantine")
+                self.promote(rx_id)
             for rx_id, score in guard.summary()["suspects"].items():
-                if score >= self.params.suspect_threshold \
-                        and self.is_tail_identity(rx_id):
-                    self.promote(rx_id, reason="suspect")
+                if score >= SUSPECT_THRESHOLD:
+                    self.promote(rx_id)
         for subtree in self.subtrees:
-            if subtree.proxy is not None:
-                subtree.proxy.gc_identities()
             for identity in list(subtree.exact):
                 member = subtree.exact[identity]
                 if identity == acker:
@@ -657,9 +589,9 @@ class AggregateManager:
                         or guard.suspicion(identity) > 0.01):
                     continue
                 idle_since = max(member.promoted_at, member.last_acker_at)
-                if now - idle_since >= self.params.demote_after:
+                if now - idle_since >= DEMOTE_AFTER:
                     self.demote(identity)
-        self._sweep_timer.restart(self.params.sweep_interval)
+        self._sweep_timer.restart(SWEEP_INTERVAL)
 
     def _bind_network_elements(self) -> None:
         """Register each subtree's aggregate branch weight with the NE
@@ -674,7 +606,6 @@ class AggregateManager:
             branch = self.plan.agg_host(subtree.index)
             element.register_aggregate_branch(tsi, branch,
                                               subtree.bank.size + 1)
-            self._ne_registered.add(subtree.index)
 
     # -- accounting -----------------------------------------------------------
 
@@ -683,7 +614,7 @@ class AggregateManager:
         return self.plan.n_receivers
 
     def exact_count(self) -> int:
-        return sum(s.exact_count for s in self.subtrees)
+        return sum(len(s.exact) for s in self.subtrees)
 
     def tail_count(self) -> int:
         return sum(s.bank.size for s in self.subtrees)
@@ -702,11 +633,11 @@ class AggregateManager:
         and in total, and every exact identity has a live engine."""
         errors = []
         for subtree in self.subtrees:
-            modeled = subtree.bank.size + subtree.exact_count
+            modeled = subtree.bank.size + len(subtree.exact)
             if modeled != subtree.size:
                 errors.append(
                     f"subtree {subtree.index}: bank {subtree.bank.size} + "
-                    f"exact {subtree.exact_count} != population {subtree.size}"
+                    f"exact {len(subtree.exact)} != population {subtree.size}"
                 )
             for identity, member in subtree.exact.items():
                 if member.receiver._closed:
@@ -750,12 +681,10 @@ class AggregateManager:
             "enabled": True,
             "subtrees": len(self.subtrees),
             "sampled": self.sampled_count,
-            "predicted_acker": self.predicted_acker,
             "modes": modes,
         }
 
     def close(self) -> None:
-        self._closed = True
         if self._sweep_timer is not None:
             self._sweep_timer.cancel()
 

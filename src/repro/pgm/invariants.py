@@ -44,7 +44,7 @@ design arguments rest on:
 
 ``aggregate-promotion``
     a tail identity that wins the acker election must be promoted to
-    the exact cohort within ``AggregateParams.promotion_grace``
+    the exact cohort within :data:`repro.pgm.aggregate.PROMOTION_GRACE`
     seconds — ackership may never *rest* on analytic state.
 
 The checker works by wrapping the relevant methods on attach — the
@@ -58,6 +58,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
+
+from . import aggregate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .receiver import PgmReceiver
@@ -401,12 +403,12 @@ class InvariantChecker:
             if (self._tail_acker_since is None
                     or self._tail_acker_since[0] != acker):
                 self._tail_acker_since = (acker, now)
-            elif now - self._tail_acker_since[1] > manager.params.promotion_grace:
+            elif now - self._tail_acker_since[1] > aggregate.PROMOTION_GRACE:
                 self._violate(
                     "aggregate-promotion",
                     f"acker {acker} is an unpromoted tail identity "
                     f"(for {now - self._tail_acker_since[1]:.3f}s, grace "
-                    f"{manager.params.promotion_grace}s)",
+                    f"{aggregate.PROMOTION_GRACE}s)",
                 )
         else:
             self._tail_acker_since = None

@@ -95,8 +95,6 @@ class SessionConfig:
     #: hybrid-fidelity aggregate mode (repro.pgm.aggregate): requires a
     #: network built by ``dumbbell_subtrees(..., members="virtual")``
     aggregate: bool = False
-    #: :class:`~repro.pgm.aggregate.AggregateParams` overrides (dict)
-    aggregate_params: Optional[dict] = None
 
 
 @dataclass
@@ -198,7 +196,7 @@ class PgmSession:
         doc["aggregate"].update(
             self.aggregate.summary() if self.aggregate is not None else
             {"enabled": False, "subtrees": 0, "sampled": 0,
-             "predicted_acker": None, "modes": {"mirror": 0, "analytic": 0}})
+             "modes": {"mirror": 0, "analytic": 0}})
         return {
             "tsi": self.tsi,
             "group": self.group,
@@ -319,13 +317,10 @@ def create_session(
                          members=list(receiver_hosts), metrics=registry,
                          config=cfg)
     if cfg.aggregate:
-        from .aggregate import AggregateManager, AggregateParams
+        from .aggregate import AggregateManager
 
         session.aggregate = AggregateManager(
-            net, session, plan,
-            AggregateParams(**(cfg.aggregate_params or {})),
-            _receiver_kwargs(session),
-        )
+            net, session, plan, _receiver_kwargs(session))
         session.aggregate.setup()
     else:
         for host_name in receiver_hosts:

@@ -7,6 +7,7 @@ test suite too.
 
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 import sys
@@ -57,6 +58,28 @@ def test_example_runner_restores_registry():
     before = controller_names()
     check_docs.run_doc_examples(ROOT)
     assert controller_names() == before
+
+
+def test_backends_survive_the_example_runner():
+    """In a fresh interpreter the doc examples run first, then a
+    ``tfrc`` session is built: the registry the runner restores must
+    hold the built-in backends, whatever test file ran before."""
+    script = (
+        "import check_docs\n"
+        "assert check_docs.run_doc_examples() == []\n"
+        "from repro.core import CcConfig\n"
+        "from repro.pgm import SessionConfig, create_session\n"
+        "from repro.simulator import NON_LOSSY, dumbbell\n"
+        "net = dumbbell(1, 1, NON_LOSSY, seed=1)\n"
+        "cfg = SessionConfig(cc=CcConfig(controller='tfrc'))\n"
+        "session = create_session(net, 'h0', ['r0'], config=cfg)\n"
+        "assert session.sender.controller.backend.name == 'tfrc'\n"
+    )
+    path = f"{ROOT / 'src'}{os.pathsep}{ROOT / 'tools'}"
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_env_var_switches():

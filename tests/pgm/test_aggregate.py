@@ -22,14 +22,13 @@ from repro.simulator import (
 BOTTLENECK = LinkSpec(rate_bps=2_000_000, delay=0.02)
 
 
-def hybrid_session(n=24, subtrees=2, seed=5, drops=(), stop_at=4.0,
-                   **cfg_kw):
+def hybrid_session(n=24, subtrees=2, seed=5, drops=(), stop_at=4.0):
     net = dumbbell_subtrees(n, subtrees=subtrees, bottleneck=BOTTLENECK,
                             seed=seed)
     if drops:
         net.link("R0", net.subtree_plan.router(0)).loss = (
             DeterministicLoss(drops))
-    cfg = SessionConfig(stop_at=stop_at, aggregate=True, **cfg_kw)
+    cfg = SessionConfig(stop_at=stop_at, aggregate=True)
     session = create_session(net, "h0", [], config=cfg)
     enable_network_elements(net, telemetry=session.metrics)
     return net, session
@@ -66,12 +65,6 @@ class TestMirrorBank:
         expected = {k: rng.uniform(0, 0.5) for k, rng in shadow.items()}
         assert (delay, winner) == (min(expected.values()),
                                    min(expected, key=expected.get))
-
-    def test_peek_min_consumes_nothing(self):
-        bank, _ = self._banks()
-        first = bank.peek_min(1.0)
-        assert bank.peek_min(1.0) == first
-        assert bank.draw(1.0) == first
 
     def test_remove_and_add(self):
         bank, _ = self._banks(3)
@@ -117,12 +110,6 @@ class TestAnalyticBank:
             assert index < 100
             assert index not in (0, 1, 97, 50)
 
-    def test_peek_min_consumes_nothing(self):
-        bank = self._bank()
-        first = bank.peek_min(1.0)
-        assert bank.peek_min(1.0) == first
-        assert bank.draw(1.0) == first
-
     def test_remove_add_roundtrip(self):
         bank = self._bank(excluded=())
         assert bank.remove("t0r7") is True
@@ -130,12 +117,6 @@ class TestAnalyticBank:
         assert bank.remove("t0r7") is False
         bank.add("t0r7")
         assert bank.size == 100 and "t0r7" in bank
-
-    def test_empty_bank_peek(self):
-        plan = dumbbell_subtrees(2, subtrees=1).subtree_plan
-        bank = AnalyticBank(plan, 0, 2, {0, 1}, random.Random(1))
-        assert bank.size == 0
-        assert bank.peek_min(1.0) == (None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +129,7 @@ ZEROED_BLOCK = {
     "enabled": False, "population": 0, "subtrees": 0,
     "exact_cohort": 0, "tail": 0, "sampled": 0, "promotions": 0,
     "demotions": 0, "promotions_deferred": 0, "synthetic_naks": 0,
-    "synthetic_fake_naks": 0, "predicted_acker": None,
+    "synthetic_fake_naks": 0,
     "modes": {"mirror": 0, "analytic": 0},
 }
 
@@ -191,8 +172,7 @@ def tail_identities(manager, k, count):
 
 class TestPromotionDemotion:
     def test_promote_demote_roundtrip(self):
-        net, session = hybrid_session(
-            aggregate_params={"predict_acker": False})
+        net, session = hybrid_session()
         mgr = session.aggregate
         identity = tail_identities(mgr, 0, 1)[0]
         before_tail = mgr.tail_count()
@@ -214,12 +194,11 @@ class TestPromotionDemotion:
         session.close()
 
     def test_sampled_members_never_demote(self):
-        net, session = hybrid_session(
-            aggregate_params={"predict_acker": False})
+        net, session = hybrid_session()
         mgr = session.aggregate
         pinned = [m.identity for s in mgr.subtrees
                   for m in s.exact.values() if m.pinned]
-        assert pinned  # sample=1 per subtree by default
+        assert pinned  # SAMPLE = 1 per subtree
         for identity in pinned:
             assert mgr.demote(identity) is False
         session.close()
@@ -227,8 +206,7 @@ class TestPromotionDemotion:
     def test_slot_exhaustion_defers(self):
         # slots=4 per subtree, one taken by the sampled member: the
         # 4th promotion into the same subtree must defer, not crash.
-        net, session = hybrid_session(
-            aggregate_params={"predict_acker": False})
+        net, session = hybrid_session()
         mgr = session.aggregate
         candidates = tail_identities(mgr, 0, 4)
         assert [mgr.promote(i) for i in candidates[:3]] == [True] * 3
@@ -238,21 +216,25 @@ class TestPromotionDemotion:
         session.close()
 
     def test_promote_foreign_identity_refused(self):
-        net, session = hybrid_session(
-            aggregate_params={"predict_acker": False})
+        net, session = hybrid_session()
         mgr = session.aggregate
         assert mgr.promote("h0") is False
         assert mgr.promote("t9r0") is False
         session.close()
 
     def test_on_acker_observed_promotes_tail(self):
-        net, session = hybrid_session(
-            aggregate_params={"predict_acker": False})
+        # The new engine ACKs the ODATA that named it: its own copy
+        # of that packet may already have reached its slot host.
+        net, session = hybrid_session()
+        net.sim.run(until=0.5)
         mgr = session.aggregate
+        promotions = mgr.promotions
         identity = tail_identities(mgr, 1, 1)[0]
-        mgr.on_acker_observed(identity)
+        seq = mgr.subtrees[1].proxy.cc.rxw_lead
+        mgr.on_acker_observed(identity, seq)
         assert not mgr.is_tail_identity(identity)
-        assert mgr.promotions == 1
+        assert mgr.promotions == promotions + 1
+        assert session._rx_index[identity].acks_sent == 1
         session.close()
 
 
@@ -262,21 +244,14 @@ class TestPromotionDemotion:
 
 
 class TestHybridRun:
-    def test_run_conserves_and_elects_a_member(self):
-        net, session = hybrid_session(drops=(100, 250), stop_at=5.0)
-        net.sim.run(until=6.0)
-        mgr = session.aggregate
-        summary = session.summary()
-        assert mgr.conservation_errors() == []
-        # The acker is a member identity, never a proxy/agg host.
-        assert net.subtree_plan.subtree_of(summary["acker"]) is not None
-        assert summary["odata_sent"] > 100
-        assert summary["acks_received"] > 0
-        session.close()
-
     def test_network_element_counts_aggregated_naks(self):
         net, session = hybrid_session(drops=(100, 250), stop_at=5.0)
         net.sim.run(until=6.0)
+        mgr = session.aggregate
+        assert mgr.conservation_errors() == []
+        # A repaired gap leaves no member identity stamped on its proxy.
+        assert mgr.subtrees[0].proxy.synthetic_naks > 0
+        assert not mgr.subtrees[0].proxy._nak_identity
         element = net.nodes["T0"].interceptor
         metrics = element.metrics()
         # The proxy's synthetic NAK stands in for bank.size+1 members.

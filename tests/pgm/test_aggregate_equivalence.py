@@ -1,8 +1,9 @@
 """Small-N equivalence oracle + promotion-safety properties.
 
 The oracle runs the same group once with full per-receiver engines and
-once through the aggregate-tail subsystem and requires them to agree on
-acker identity, window-trajectory digest and goodput.
+once through the aggregate-tail subsystem, at the subsystem's default
+constants, and requires them to agree on acker identity,
+window-trajectory digest, ODATA count and acker switches.
 
 The hypothesis suite drives arbitrary promote/demote/quarantine/sweep
 sequences against a live manager and asserts the invariants the
@@ -12,25 +13,41 @@ back into the anonymous tail while serving quarantine
 (quarantined-never-acker needs the full engine to exist).
 """
 
+from contextlib import contextmanager
+from itertools import accumulate
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.scalability import GOODPUT_TOLERANCE, exact_vs_hybrid
-from repro.pgm import SessionConfig, create_session
+from repro.experiments.scalability import exact_vs_hybrid
+from repro.pgm import SessionConfig, aggregate, create_session
 from repro.simulator import dumbbell_subtrees
 
 
-def test_exact_vs_hybrid_oracle():
-    verdict = exact_vs_hybrid()
-    assert verdict["acker_match"], (
-        f"elections diverged: exact={verdict['exact']['acker']} "
-        f"hybrid={verdict['hybrid']['acker']}")
+#: arrival indices on subtree 0's bottleneck: 100-250 apart, the first
+#: at 100 or later (DESIGN.md §9, "Equivalence domain")
+SPARSE_DROPS = st.lists(st.integers(min_value=100, max_value=250),
+                        max_size=3).map(lambda gaps: tuple(accumulate(gaps)))
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(n=st.integers(min_value=4, max_value=48),
+       subtrees=st.integers(min_value=1, max_value=3),
+       seed=st.integers(min_value=0, max_value=2**16),
+       drops=SPARSE_DROPS)
+def test_exact_vs_hybrid_oracle(n, subtrees, seed, drops):
+    """Every tail here is below ``MIRROR_THRESHOLD``, so the banks draw
+    member for member and the comparison is exact, not just close."""
+    assert n <= aggregate.MIRROR_THRESHOLD
+    verdict = exact_vs_hybrid(n=n, subtrees=subtrees, duration=4.0,
+                              seed=seed, drops=drops)
+    exact, hybrid = verdict["exact"], verdict["hybrid"]
+    assert exact["acker"] == hybrid["acker"], "elections diverged"
     assert verdict["digest_match"], "window trajectories diverged"
-    assert verdict["goodput_rel_err"] <= GOODPUT_TOLERANCE
-    # Same-subtree members see the same stream: the sparse
-    # deterministic drops make the comparison exact, not just close.
-    assert verdict["exact"]["odata"] == verdict["hybrid"]["odata"]
-    assert verdict["exact"]["switches"] == verdict["hybrid"]["switches"]
+    assert exact["odata"] == hybrid["odata"]
+    assert exact["switches"] == hybrid["switches"]
 
 
 # ---------------------------------------------------------------------------
@@ -46,25 +63,28 @@ OPS = st.lists(
 )
 
 
-def _fresh_manager():
-    net = dumbbell_subtrees(N, subtrees=SUBTREES, seed=3)
-    cfg = SessionConfig(
-        aggregate=True, guard=True,
-        # demote_after=0: the sweep demotes *every* eligible member
-        # immediately, so any member that survives a tick is protected
-        # by an explicit rule (pinned / acker / quarantined).
-        aggregate_params={"predict_acker": False, "demote_after": 0.0},
-    )
-    session = create_session(net, "h0", [], config=cfg)
-    return net, session
+@contextmanager
+def _instant_demotion(seed, **cfg):
+    """A hybrid session whose sweep runs with ``DEMOTE_AFTER = 0``: it
+    demotes *every* eligible member at once, so any member that
+    survives a tick is protected by an explicit rule (pinned / acker /
+    quarantined)."""
+    net = dumbbell_subtrees(N, subtrees=SUBTREES, seed=seed)
+    session = create_session(net, "h0", [],
+                             config=SessionConfig(aggregate=True, **cfg))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(aggregate, "DEMOTE_AFTER", 0.0)
+        try:
+            yield net, session
+        finally:
+            session.close()
 
 
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=OPS)
 def test_promotion_never_breaks_conservation_or_quarantine(ops):
-    net, session = _fresh_manager()
-    try:
+    with _instant_demotion(3, guard=True) as (net, session):
         mgr = session.aggregate
         plan = net.subtree_plan
         guard = session.sender.guard
@@ -87,37 +107,26 @@ def test_promotion_never_breaks_conservation_or_quarantine(ops):
         mgr._tick()
         for rx_id in guard.quarantined_ids():
             assert not mgr.is_tail_identity(rx_id)
-        # ... and a second sweep (instant-demotion config) must not
-        # demote them back into the tail while quarantine is serving.
+        # ... and a second sweep (instant demotion) must not demote
+        # them back into the tail while quarantine is serving.
         mgr._tick()
         for rx_id in guard.quarantined_ids():
             assert not mgr.is_tail_identity(rx_id)
         assert mgr.conservation_errors() == []
-    finally:
-        session.close()
 
 
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(min_value=0, max_value=2**16))
 def test_sampled_cohort_survives_any_sweep(seed):
-    net = dumbbell_subtrees(N, subtrees=SUBTREES, seed=seed)
-    session = create_session(
-        net, "h0", [],
-        config=SessionConfig(
-            aggregate=True,
-            aggregate_params={"predict_acker": False, "demote_after": 0.0}),
-    )
-    try:
+    with _instant_demotion(seed) as (net, session):
         mgr = session.aggregate
         pinned = {m.identity for s in mgr.subtrees
                   for m in s.exact.values() if m.pinned}
-        assert len(pinned) == SUBTREES  # sample=1 per subtree
+        assert len(pinned) == SUBTREES  # SAMPLE = 1 per subtree
         mgr._tick()
         mgr._tick()
         still = {m.identity for s in mgr.subtrees
                  for m in s.exact.values() if m.pinned}
         assert still == pinned
         assert mgr.conservation_errors() == []
-    finally:
-        session.close()

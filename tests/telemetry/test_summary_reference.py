@@ -58,7 +58,6 @@ def _aggregate_summary(manager) -> dict:
         "promotions_deferred": manager.promotions_deferred,
         "synthetic_naks": manager.synthetic_naks(),
         "synthetic_fake_naks": manager.synthetic_fake_naks(),
-        "predicted_acker": manager.predicted_acker,
         "modes": modes,
     }
 
@@ -68,7 +67,7 @@ def empty_aggregate_summary() -> dict:
         "enabled": False, "population": 0, "subtrees": 0,
         "exact_cohort": 0, "tail": 0, "sampled": 0, "promotions": 0,
         "demotions": 0, "promotions_deferred": 0, "synthetic_naks": 0,
-        "synthetic_fake_naks": 0, "predicted_acker": None,
+        "synthetic_fake_naks": 0,
         "modes": {"mirror": 0, "analytic": 0},
     }
 
