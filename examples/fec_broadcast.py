@@ -12,13 +12,8 @@ worse (5 %) link joining the group.
 Run:  python examples/fec_broadcast.py
 """
 
-from repro.pgm import (
-    FecAssembler,
-    FecSource,
-    add_receiver,
-    attach_fec_receiver,
-    create_session,
-)
+from repro.pgm import add_receiver, create_session
+from repro.pgm.fec import FecAssembler, FecSource, attach_fec_receiver
 from repro.simulator import LinkSpec, Network
 
 N_RECEIVERS = 40

@@ -13,10 +13,10 @@ Subpackages:
 * :mod:`repro.analysis` — throughput/fairness metrics and series.
 * :mod:`repro.experiments` — one runner per figure of the paper's §4,
   plus ablations.
+
+Importing ``repro`` loads none of them: import the subpackage you use.
 """
 
 __version__ = "1.0.0"
 
-from . import analysis, core, pgm, simulator, tcp
-
-__all__ = ["analysis", "core", "pgm", "simulator", "tcp", "__version__"]
+__all__ = ["__version__"]

@@ -10,9 +10,11 @@ Public surface::
         LossRateFilter, ReceiverReport, ReceiverController,
         WindowController, AckTracker, AckerElection,
         SenderController, CcConfig,
-        TokenRateEstimator, AdaptiveSource, QualityLevel,
         Controller, register_controller, make_controller, controller_names,
     )
+
+The §3.9 application-feedback helpers (``TokenRateEstimator``,
+``AdaptiveSource``, ``QualityLevel``) live in :mod:`repro.core.feedback`.
 """
 
 from .acker import DEFAULT_C, AckerElection, AckerSwitch, throughput_metric
@@ -32,7 +34,6 @@ from .acktrack import (
     bitmap_covers,
     build_bitmap,
 )
-from .feedback import AdaptiveSource, QualityLevel, TokenRateEstimator
 from .loss_filter import DEFAULT_W, FRACTION_BITS, SCALE, LossRateFilter, to_fixed, to_float
 from .receiver_cc import DataOutcome, ReceiverController
 from .reports import ReceiverReport
@@ -63,9 +64,6 @@ __all__ = [
     "bitmap_contains",
     "bitmap_covers",
     "build_bitmap",
-    "AdaptiveSource",
-    "QualityLevel",
-    "TokenRateEstimator",
     "DEFAULT_W",
     "FRACTION_BITS",
     "SCALE",

@@ -33,15 +33,11 @@ from typing import Optional
 
 from ..analysis import throughput_bps
 from ..core.sender_cc import CcConfig
-from ..pgm import (
-    AckReplay,
-    GreedyAcker,
-    NakStorm,
-    Throttler,
-    create_session,
-)
+from ..pgm import create_session
 from ..pgm import constants as C
-from ..simulator import NON_LOSSY, FaultPlan, LinkImpairment, dumbbell
+from ..pgm.misbehavior import AckReplay, GreedyAcker, NakStorm, Throttler
+from ..simulator import NON_LOSSY, dumbbell
+from ..simulator.faults import FaultPlan, LinkImpairment
 from ..tcp import create_tcp_flow
 from .common import ExperimentResult, kbps
 

@@ -49,9 +49,11 @@ from typing import Any
 
 from ..analysis import throughput_bps, throughput_ratio
 from ..core.sender_cc import CcConfig
-from ..pgm import GreedyAcker, create_session
+from ..pgm import create_session
+from ..pgm.misbehavior import GreedyAcker
 from ..pgm.session import SessionConfig
-from ..simulator import LOSSY, NON_LOSSY, FaultPlan, LinkImpairment, dumbbell
+from ..simulator import LOSSY, NON_LOSSY, dumbbell
+from ..simulator.faults import FaultPlan, LinkImpairment
 from ..tcp import create_tcp_flow
 from .common import ExperimentResult, kbps
 

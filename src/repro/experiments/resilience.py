@@ -55,15 +55,13 @@ from typing import Optional
 from ..core.sender_cc import CcConfig
 from ..pgm import create_session
 from ..pgm.session import SessionConfig
-from ..simulator import (
+from ..simulator import NON_LOSSY, Timer, dumbbell
+from ..simulator.faults import (
     ACKER,
-    NON_LOSSY,
     ControlBlackhole,
     FaultPlan,
     NodeCrash,
     Partition,
-    Timer,
-    dumbbell,
 )
 from .common import ExperimentResult
 

@@ -33,19 +33,21 @@ from ..analysis import throughput_bps
 from ..pgm import add_receiver, create_session
 from ..simulator import (
     ACCESS,
+    GilbertElliottLoss,
+    LinkSpec,
+    Network,
+    dumbbell,
+    star,
+)
+from ..simulator.faults import (
     ACKER,
     BurstLoss,
     Corruption,
     Duplication,
     FaultPlan,
-    GilbertElliottLoss,
-    LinkSpec,
-    Network,
     NodeCrash,
     NodePause,
-    dumbbell,
     flap_link,
-    star,
 )
 from .common import ExperimentResult, kbps
 

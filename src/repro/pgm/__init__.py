@@ -1,34 +1,32 @@
 """PGM protocol substrate with pgmcc congestion control.
 
-Public surface::
+Public surface — what a default session builds::
 
     from repro.pgm import (
-        PgmSender, PgmReceiver, PgmNetworkElement, PgmSession,
-        SessionConfig, create_session, add_receiver,
-        enable_network_elements, BulkSource, FiniteSource,
+        PgmSender, PgmReceiver, PgmSession, SessionConfig,
+        create_session, add_receiver, enable_network_elements,
+        BulkSource, FiniteSource,
     )
+
+The optional subsystems are imported from their own modules, and only
+a session that builds one loads it:
+
+* :mod:`repro.pgm.network_element` — ``PgmNetworkElement``;
+* :mod:`repro.pgm.aggregate` — ``AggregateManager``, ``MirrorBank``,
+  ``AnalyticBank``, ``TailProxy``;
+* :mod:`repro.pgm.fec` — ``FecSource``, ``FecAssembler``,
+  ``FecPayload``, ``attach_fec_receiver``;
+* :mod:`repro.pgm.guard` — ``FeedbackGuard``, ``GuardConfig``,
+  ``GuardVerdict``;
+* :mod:`repro.pgm.invariants` — ``InvariantChecker``,
+  ``InvariantViolation``, ``Violation``;
+* :mod:`repro.pgm.liveness` — ``LivenessConfig``, ``LivenessWatchdog``;
+* :mod:`repro.pgm.misbehavior` — the receiver attacks
+  (``GreedyAcker``, ``Throttler``, ``NakStorm``, ``AckReplay``,
+  ``SilentJoiner``) and their base ``Misbehavior``.
 """
 
 from . import constants
-from .aggregate import (
-    AggregateManager,
-    MirrorBank,
-    AnalyticBank,
-    TailProxy,
-)
-from .fec import FecAssembler, FecPayload, FecSource, attach_fec_receiver
-from .guard import FeedbackGuard, GuardConfig, GuardVerdict
-from .invariants import InvariantChecker, InvariantViolation, Violation
-from .liveness import LivenessConfig, LivenessWatchdog
-from .misbehavior import (
-    AckReplay,
-    GreedyAcker,
-    Misbehavior,
-    NakStorm,
-    SilentJoiner,
-    Throttler,
-)
-from .network_element import PgmNetworkElement
 from .packets import Ack, Nak, Ncf, OData, PgmMessage, RData, Spm, decode
 from .rate_limiter import TokenBucket
 from .receiver import PgmReceiver
@@ -43,29 +41,6 @@ from .session import (
 
 __all__ = [
     "constants",
-    "AggregateManager",
-    "MirrorBank",
-    "AnalyticBank",
-    "TailProxy",
-    "FeedbackGuard",
-    "GuardConfig",
-    "GuardVerdict",
-    "AckReplay",
-    "GreedyAcker",
-    "Misbehavior",
-    "NakStorm",
-    "SilentJoiner",
-    "Throttler",
-    "InvariantChecker",
-    "InvariantViolation",
-    "Violation",
-    "LivenessConfig",
-    "LivenessWatchdog",
-    "FecAssembler",
-    "FecPayload",
-    "FecSource",
-    "attach_fec_receiver",
-    "PgmNetworkElement",
     "Ack",
     "Nak",
     "Ncf",

@@ -65,3 +65,9 @@ NE_REPAIR_LINGER = 0.25
 
 #: default sender transmit-window capacity, in packets, for repairs.
 TX_WINDOW_PACKETS = 8192
+
+# -- acker-liveness watchdog states (repro.pgm.liveness) ---------------------
+#: each transition is a ``liveness-<state>`` record in the sender's log
+NORMAL = "normal"
+SUSPECT = "suspect"
+DEGRADED = "degraded"

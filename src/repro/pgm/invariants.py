@@ -59,8 +59,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from . import aggregate
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .receiver import PgmReceiver
     from .session import PgmSession
@@ -395,6 +393,8 @@ class InvariantChecker:
         manager = getattr(self.session, "aggregate", None)
         if manager is None:
             return
+        from . import aggregate
+
         for detail in manager.conservation_errors():
             self._violate("aggregate-conservation", detail)
         acker = controller.current_acker

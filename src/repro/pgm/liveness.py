@@ -42,11 +42,7 @@ from typing import Callable, Optional
 
 from ..simulator.engine import Timer
 from ..simulator.trace import FlowTrace
-
-#: watchdog states
-NORMAL = "normal"
-SUSPECT = "suspect"
-DEGRADED = "degraded"
+from .constants import DEGRADED, NORMAL, SUSPECT  # the watchdog states
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..core.receiver_cc import ReceiverController
 from ..core.loss_filter import DEFAULT_W
@@ -31,8 +31,10 @@ from ..simulator.node import Host
 from ..simulator.packet import Packet
 from ..telemetry.instruments import Histogram
 from . import constants as C
-from .misbehavior import Activation
 from .packets import Ack, Nak, Ncf, OData, RData, Spm, decode
+
+if TYPE_CHECKING:  # pragma: no cover - loaded by the sessions that attack
+    from .misbehavior import Activation
 
 
 def min_of_uniforms(u: float, k: int, bound: float) -> float:

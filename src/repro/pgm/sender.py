@@ -13,7 +13,7 @@ the repair percentage stays low.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from ..core.sender_cc import CcConfig, SenderController
 from ..simulator.engine import Timer
@@ -21,10 +21,12 @@ from ..simulator.node import Host
 from ..simulator.packet import Packet
 from ..simulator.trace import FlowTrace
 from . import constants as C
-from .guard import FeedbackGuard
-from .liveness import LivenessConfig, LivenessWatchdog
 from .packets import Ack, Nak, Ncf, OData, RData, Spm, decode
 from .rate_limiter import TokenBucket
+
+if TYPE_CHECKING:  # pragma: no cover - loaded by the sessions that build them
+    from .guard import FeedbackGuard
+    from .liveness import LivenessWatchdog
 
 
 class DataSource(Protocol):
@@ -164,6 +166,8 @@ class PgmSender:
         self.watchdog: Optional[LivenessWatchdog] = None
         cc_config = self.controller.config
         if cc_config.enabled and cc_config.liveness:
+            from .liveness import LivenessConfig, LivenessWatchdog
+
             self.watchdog = LivenessWatchdog(
                 self.sim,
                 self.controller,

@@ -28,23 +28,23 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..core.loss_filter import DEFAULT_W
 from ..core.sender_cc import CcConfig
-from ..simulator.faults import ACKER, ReceiverEpisode
 from ..simulator.routing import NoPath
 from ..simulator.topology import Network
 from ..simulator.trace import FlowTrace
 from ..telemetry import MetricsRegistry
 from . import constants as C
-from .guard import FeedbackGuard, GuardConfig
-from .invariants import InvariantChecker
-from .liveness import NORMAL
-from .network_element import PgmNetworkElement
 from .receiver import PgmReceiver
 from .sender import DataSource, PgmSender
 from .telemetry import LogView, bind_session_metrics, render_snapshot
+
+if TYPE_CHECKING:  # pragma: no cover - loaded by the sessions that build them
+    from .guard import FeedbackGuard
+    from .invariants import InvariantChecker
+    from .network_element import PgmNetworkElement
 
 
 @dataclass
@@ -188,7 +188,7 @@ class PgmSession:
         controller = sender.controller
         doc = render_snapshot(self.metrics.snapshot())
         recovery = doc["recovery"]
-        recovery.update(watchdog=sender.watchdog is not None, state=NORMAL,
+        recovery.update(watchdog=sender.watchdog is not None, state=C.NORMAL,
                         probes_sent=0, repairs_blocked=0,
                         ttr_samples=self.log.ttr_samples)
         if sender.watchdog is not None:
@@ -288,6 +288,8 @@ def create_session(
 
     guard_obj: Optional[FeedbackGuard] = None
     if cfg.guard:
+        from .guard import FeedbackGuard, GuardConfig
+
         if isinstance(cfg.guard, FeedbackGuard):
             guard_obj = cfg.guard
         else:
@@ -326,10 +328,13 @@ def create_session(
         for host_name in receiver_hosts:
             session._register_receiver(_make_receiver(net, session, host_name))
     if cfg.check_invariants:
+        from .invariants import InvariantChecker
+
         session.invariants = InvariantChecker(
             session, strict=cfg.strict_invariants
         ).attach()
     if cfg.faults is not None:
+        from ..simulator.faults import ACKER, ReceiverEpisode
 
         def _receiver_lookup(name: str):
             for rx in session.receivers:
@@ -453,6 +458,7 @@ def enable_network_elements(
     counters under ``ne.<router>.*``.
     """
     from ..simulator.node import Router
+    from .network_element import PgmNetworkElement
 
     if router_names is None:
         router_names = [

@@ -74,7 +74,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from ..simulator.trace import FlowTrace
 from ..telemetry import Histogram, TimeSeriesProbe
-from .liveness import DEGRADED, NORMAL
+from .constants import DEGRADED, NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .session import PgmSession

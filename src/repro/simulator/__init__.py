@@ -4,9 +4,13 @@ Public surface::
 
     from repro.simulator import (
         Simulator, Timer, Network, LinkSpec, Link, Packet,
-        NON_LOSSY, LOSSY, ACCESS, dumbbell, star, two_bottleneck,
-        FaultPlan, FaultInjector, LinkDown, NodeCrash, ACKER, ...,
+        NON_LOSSY, LOSSY, ACCESS, dumbbell, star, two_bottleneck, ...
     )
+
+Fault injection is optional and lives in :mod:`repro.simulator.faults`
+(``FaultPlan``, ``FaultInjector``, the episodes ``LinkDown``,
+``NodeCrash``, ``Partition``, ... and the ``ACKER`` sentinel); it is
+loaded by a session that is given a plan, not by this package.
 """
 
 from .engine import (
@@ -15,23 +19,6 @@ from .engine import (
     Timer,
     cancel_event,
     describe_event,
-)
-from .faults import (
-    ACKER,
-    BurstLoss,
-    ControlBlackhole,
-    Corruption,
-    Duplication,
-    FaultInjector,
-    FaultPlan,
-    FaultRecord,
-    LinkDown,
-    LinkImpairment,
-    NodeCrash,
-    NodePause,
-    Partition,
-    ReceiverEpisode,
-    flap_link,
 )
 from .link import Link
 from .loss_models import (
@@ -71,21 +58,6 @@ __all__ = [
     "Timer",
     "cancel_event",
     "describe_event",
-    "ACKER",
-    "BurstLoss",
-    "ControlBlackhole",
-    "Corruption",
-    "Duplication",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRecord",
-    "LinkDown",
-    "LinkImpairment",
-    "NodeCrash",
-    "NodePause",
-    "Partition",
-    "ReceiverEpisode",
-    "flap_link",
     "Link",
     "BernoulliLoss",
     "DeterministicLoss",

@@ -188,11 +188,14 @@ class Simulator:
 
         Stops when the queue is exhausted, when the next event lies
         past ``until`` (the clock is then advanced to ``until``) or
-        when ``max_events`` have been processed.  Every member of a
-        shared entry is one event: the budget can stop inside an entry,
-        and the next run resumes there.  Calling ``run()`` from inside
-        a callback is an error: a nested loop could carry the clock
-        past the outer ``until``.
+        when ``max_events`` have been processed.  A run the budget
+        stops while a live event at or before ``until`` is still queued
+        leaves the clock at the last event it ran, so the next run
+        never moves it backwards.  Every member of a shared entry is
+        one event: the budget can stop inside an entry, and the next
+        run resumes there.  Calling ``run()`` from inside a callback
+        is an error: a nested loop could carry the clock past the
+        outer ``until``.
         """
         if self._running:
             raise RuntimeError("run() is not re-entrant")
@@ -238,8 +241,18 @@ class Simulator:
             self.events_processed += processed
             # an entry the loop discarded may still be the latest post
             self._post = _NO_POST
-        if until is not None and self.now < until:
+        if until is not None and self.now < until and not (
+                processed >= budget and self._live_due(until)):
             self.now = until
+
+    def _live_due(self, until: float) -> bool:
+        """Is a not-yet-cancelled event at or before ``until`` queued?"""
+        for ev in self._heap:
+            if ev[0] <= until and ev[2] is not None and (
+                    ev[2] is not _SHARED
+                    or any(member[2] is not None for member in ev[3])):
+                return True
+        return False
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events (members) in the queue."""

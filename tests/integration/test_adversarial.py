@@ -12,18 +12,18 @@ get one quarantined.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.pgm import GreedyAcker, NakStorm, SilentJoiner, create_session
-from repro.simulator import (
+from repro.pgm import create_session
+from repro.pgm.misbehavior import GreedyAcker, NakStorm, SilentJoiner
+from repro.simulator import LinkSpec, dumbbell
+from repro.simulator.faults import (
     BurstLoss,
     Corruption,
     Duplication,
     FaultPlan,
     LinkDown,
     LinkImpairment,
-    LinkSpec,
     NodeCrash,
     NodePause,
-    dumbbell,
 )
 
 BOTTLENECK = LinkSpec(rate_bps=300_000, delay=0.02, queue_slots=15)

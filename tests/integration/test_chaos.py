@@ -14,14 +14,8 @@ exists to exercise.
 import pytest
 
 from repro.pgm import create_session
-from repro.simulator import (
-    ACKER,
-    FaultPlan,
-    LinkSpec,
-    NodeCrash,
-    dumbbell,
-    flap_link,
-)
+from repro.simulator import LinkSpec, dumbbell
+from repro.simulator.faults import ACKER, FaultPlan, NodeCrash, flap_link
 
 pytestmark = pytest.mark.slow
 

@@ -13,17 +13,16 @@ from hypothesis import strategies as st
 
 from repro.core.sender_cc import CcConfig
 from repro.pgm import create_session
-from repro.simulator import (
+from repro.simulator import LinkSpec, dumbbell
+from repro.simulator.faults import (
     ACKER,
     BurstLoss,
     Corruption,
     Duplication,
     FaultPlan,
     LinkDown,
-    LinkSpec,
     NodeCrash,
     NodePause,
-    dumbbell,
 )
 
 

@@ -4,18 +4,23 @@ interaction with the generic stall machinery."""
 import pytest
 
 from repro.core.sender_cc import CcConfig
-from repro.pgm import LivenessConfig, LivenessWatchdog, create_session
-from repro.pgm.liveness import DEGRADED, NORMAL, SUSPECT
+from repro.pgm import create_session
+from repro.pgm.liveness import (
+    DEGRADED,
+    NORMAL,
+    SUSPECT,
+    LivenessConfig,
+    LivenessWatchdog,
+)
 from repro.pgm.session import SessionConfig
 from repro.pgm.telemetry import read_log
-from repro.simulator import (
+from repro.simulator import NON_LOSSY, dumbbell
+from repro.simulator.faults import (
     ACKER,
-    NON_LOSSY,
     ControlBlackhole,
     FaultPlan,
     NodeCrash,
     Partition,
-    dumbbell,
 )
 
 

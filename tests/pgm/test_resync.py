@@ -11,7 +11,8 @@ from repro.pgm.constants import NE_REPAIR_LINGER
 from repro.pgm.network_element import PgmNetworkElement
 from repro.pgm.packets import Nak, RData, Spm
 from repro.pgm.session import SessionConfig
-from repro.simulator import NON_LOSSY, FaultPlan, Partition, dumbbell
+from repro.simulator import NON_LOSSY, dumbbell
+from repro.simulator.faults import FaultPlan, Partition
 from repro.simulator.packet import Packet
 
 

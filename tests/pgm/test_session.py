@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.pgm import (
-    PgmNetworkElement,
-    add_receiver,
-    create_session,
-    enable_network_elements,
-)
+from repro.pgm import add_receiver, create_session, enable_network_elements
 from repro.pgm import constants as C
+from repro.pgm.network_element import PgmNetworkElement
 from repro.simulator import NON_LOSSY, LinkSpec, dumbbell, star
 from repro.tcp import create_tcp_flow
 

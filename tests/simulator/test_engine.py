@@ -89,6 +89,25 @@ class TestRunControl:
         sim.run(max_events=4)
         assert fired == [0, 1, 2, 3]
 
+    def test_a_budget_stop_before_until_keeps_the_clock(self, sim):
+        fired = []
+        for t in (1.0, 2.0, 3.0, 4.0):
+            sim.schedule_at(t, lambda: fired.append(sim.now))
+        sim.run(until=10.0, max_events=1)
+        assert (sim.now, sim.pending()) == (1.0, 3)
+        sim.run(until=10.0)
+        assert fired == [1.0, 2.0, 3.0, 4.0]
+        assert sim.now == 10.0
+
+    def test_a_budget_stop_advances_past_cancelled_events(self, sim):
+        sim.schedule_at(1.0, lambda: None)
+        sim.cancel(sim.schedule_at(2.0, lambda: None))
+        shared = [sim.post_at(3.0, lambda: None) for _ in range(2)]
+        for ev in shared:
+            sim.cancel(ev)
+        sim.run(until=10.0, max_events=1)
+        assert sim.now == 10.0
+
     def test_cancelled_event_does_not_fire(self, sim):
         fired = []
         ev = sim.schedule(1.0, fired.append, "x")

@@ -61,7 +61,11 @@ class NaiveSimulator:
             fn(*args)
             fired += 1
         self.events_processed += fired
-        if until is not None and self.now < until:
+        # a run its budget stopped with events still due by ``until``
+        # leaves the clock at the last one it ran
+        if until is not None and self.now < until and not (
+                max_events is not None and fired >= max_events
+                and any(entry[0] <= until for entry in self._queue)):
             self.now = until
 
 
@@ -128,9 +132,9 @@ def execute(sim, actions, run_plan):
         handles.append(sim.schedule(i * 0.37 % 5.0, fire, 1000 + i))
     for until, max_events in run_plan:
         # Budgeted/bounded chunks exercise resume with a same-tick
-        # tail left undispatched behind the advanced clock.  Every
-        # chunk gets an event budget: a feedback workload can schedule
-        # forever inside any time horizon.
+        # tail left undispatched, and a budget that stops before
+        # ``until``.  Every chunk gets an event budget: a feedback
+        # workload can schedule forever inside any time horizon.
         budget = 400 if max_events is None else min(max_events, 400)
         sim.run(until=until, max_events=budget)
         # posts made between runs, as a test script or a driver would
@@ -145,6 +149,8 @@ def test_heap_matches_reference_total_order(actions, run_plan):
     ref = execute(NaiveSimulator(), actions, run_plan)
     heap = execute(Simulator(), actions, run_plan)
     assert heap[0] == ref[0], "dispatch (time, order) sequence diverged"
+    times = [t for t, _ in heap[0]]
+    assert times == sorted(times), "the clock moved backwards"
     assert heap[1] == ref[1], "final clock diverged"
     assert heap[2] == ref[2], "events_processed diverged"
     assert heap[3] == ref[3], "pending count diverged"

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.simulator import (
+from repro.simulator import LinkSpec, Network, Packet
+from repro.simulator.faults import (
     ACKER,
     BurstLoss,
     Corruption,
@@ -11,11 +12,8 @@ from repro.simulator import (
     FaultPlan,
     LinkDown,
     LinkImpairment,
-    LinkSpec,
-    Network,
     NodeCrash,
     NodePause,
-    Packet,
     flap_link,
 )
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from repro.core.sender_cc import CcConfig
 from repro.pgm import create_session
 from repro.pgm.session import SessionConfig
-from repro.simulator import (
+from repro.simulator import LinkSpec, dumbbell
+from repro.simulator.faults import (
     ACKER,
     BurstLoss,
     ControlBlackhole,
@@ -19,11 +20,9 @@ from repro.simulator import (
     FaultPlan,
     LinkDown,
     LinkImpairment,
-    LinkSpec,
     NodeCrash,
     NodePause,
     Partition,
-    dumbbell,
 )
 
 BOTTLENECK = LinkSpec(rate_bps=300_000, delay=0.02, queue_slots=15)

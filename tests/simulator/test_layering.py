@@ -7,6 +7,7 @@ simulator, never the reverse.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -51,7 +52,10 @@ def test_no_simulator_module_imports_a_protocol_package(path):
 
 def test_the_simulator_exports_no_receiver_episode_of_its_own():
     subclasses = sorted(
-        name for name in repro.simulator.__all__
-        if isinstance(obj := getattr(repro.simulator, name), type)
-        and issubclass(obj, ReceiverEpisode) and obj is not ReceiverEpisode)
+        f"{path.stem}.{name}" for path in SIMULATOR_DIR.glob("*.py")
+        for name, obj in vars(importlib.import_module(
+            f"{PACKAGE}.{path.stem}" if path.stem != "__init__" else PACKAGE
+        )).items()
+        if isinstance(obj, type) and issubclass(obj, ReceiverEpisode)
+        and obj is not ReceiverEpisode)
     assert subclasses == []

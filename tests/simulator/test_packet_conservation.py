@@ -14,15 +14,17 @@ from repro.pgm.session import create_session
 from repro.simulator import (
     ACCESS,
     LOSSY,
-    BurstLoss,
-    Corruption,
-    Duplication,
-    FaultPlan,
     Link,
     LinkSpec,
     Network,
     Packet,
     dumbbell,
+)
+from repro.simulator.faults import (
+    BurstLoss,
+    Corruption,
+    Duplication,
+    FaultPlan,
     flap_link,
 )
 

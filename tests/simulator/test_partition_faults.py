@@ -4,14 +4,13 @@ composition and packet conservation through it all."""
 
 import pytest
 
-from repro.simulator import (
-    NON_LOSSY,
+from repro.simulator import NON_LOSSY, dumbbell
+from repro.simulator.faults import (
     ControlBlackhole,
     FaultInjector,
     FaultPlan,
     LinkDown,
     Partition,
-    dumbbell,
 )
 from repro.simulator.packet import Packet
 

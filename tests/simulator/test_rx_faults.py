@@ -3,23 +3,22 @@ injector wiring, audit records, and (seed, plan) determinism."""
 
 import pytest
 
-from repro.pgm import (
+from repro.pgm import create_session
+from repro.pgm.misbehavior import (
     AckReplay,
     GreedyAcker,
     NakStorm,
     SilentJoiner,
     Throttler,
-    create_session,
 )
-from repro.simulator import (
+from repro.simulator import LinkSpec, dumbbell
+from repro.simulator.faults import (
     ACKER,
     FaultInjector,
     FaultPlan,
     LinkDown,
     LinkImpairment,
-    LinkSpec,
     NodePause,
-    dumbbell,
     flap_link,
 )
 

@@ -11,7 +11,9 @@
 * Importing the package's entry modules in a fresh interpreter loads
   nothing outside the standard library: ``dependencies = []`` is a
   promise a stray third-party import would break only for users who
-  do not happen to have that package.
+  do not happen to have that package.  ``import repro`` loads no
+  subpackage, and a default session loads none of the optional
+  subsystems (:data:`DEFERRED`) it does not build.
 * No module under ``src/repro`` keeps a module-level import it never
   uses (ruff's F401, which CI runs; ruff is not installed everywhere
   the tests are).
@@ -26,6 +28,7 @@
 import ast
 import importlib
 import inspect
+import json
 import os
 import re
 import subprocess
@@ -103,6 +106,44 @@ def test_the_package_loads_nothing_outside_the_standard_library():
         text=True, env={**os.environ, "PYTHONPATH": str(SRC)}).stdout.split()
     assert int(out[0]) > 20  # the probe did import something
     assert out[1:] == [], f"third-party modules loaded: {out[1:]}"
+
+
+#: what a default session never builds: each is imported where it is
+#: used, so only a session that builds one pays for loading it
+DEFERRED = ("repro.simulator.faults", "repro.pgm.aggregate", "repro.pgm.fec",
+            "repro.pgm.guard", "repro.pgm.invariants", "repro.pgm.liveness",
+            "repro.pgm.misbehavior", "repro.pgm.network_element",
+            "repro.analysis")
+
+
+def test_a_default_session_loads_only_what_it_builds():
+    # the benchmark's session surface: its module-level repro imports
+    surface = [ast.unparse(node)
+               for node in ast.parse(HARNESS[0].read_text()).body
+               if isinstance(node, ast.ImportFrom)
+               and node.module.split(".")[0] == "repro"]
+    assert surface
+    probe = "\n".join([
+        "import json, sys",
+        "import repro",
+        "bare = sorted(name for name in sys.modules if name.startswith('repro.'))",
+        *surface,
+        "from repro.pgm import create_session",
+        "from repro.simulator import NON_LOSSY, dumbbell",
+        "from repro.tcp import create_tcp_flow",
+        "net = dumbbell(2, 4, NON_LOSSY, seed=1)",
+        "session = create_session(net, 'h0', ['r0', 'r1', 'r2'])",
+        "create_tcp_flow(net, 'h1', 'r3')",
+        "net.run(until=3.0)",
+        "assert session.summary()['odata_sent'] > 0",
+        "print(json.dumps([bare, sorted(sys.modules)]))",
+    ])
+    bare, loaded = json.loads(subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(SRC)}).stdout)
+    assert bare == [], "import repro loads its subpackages"
+    assert "repro.pgm.session" in loaded  # the probe did build a session
+    assert [name for name in loaded if name.startswith(DEFERRED)] == []
 
 
 # -- unused imports (F401) ---------------------------------------------
