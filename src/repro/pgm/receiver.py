@@ -249,10 +249,12 @@ class PgmReceiver:
         else:
             self.odata_received += 1
         if self.cc.rxw_lead < 0:
-            # First packet anchors in-order delivery as well (mid-join
-            # receivers start from here, not from sequence 0) — unless
-            # the application asked to recover the session's history.
-            if self.recover_history and not is_repair:
+            # The first ODATA anchors in-order delivery (a repair is for
+            # data sent before this receiver joined) — unless the
+            # application asked to recover the session's history.
+            if is_repair:
+                return
+            if self.recover_history:
                 start = max(msg.trail, msg.seq - self.history_limit)
                 self._next_deliver = start
                 for missing in range(start, msg.seq):

@@ -107,7 +107,7 @@ class PgmSender:
             Repairs are never gated by the guard.
     """
 
-    #: suppress a duplicate RDATA for the same sequence within this
+    #: answer a sequence (NCF and RDATA) at most once within this
     #: window — the source-side analogue of NE NAK elimination, needed
     #: when many receivers NAK the same loss without NEs in the path.
     RDATA_HOLDOFF = 0.5
@@ -152,10 +152,9 @@ class PgmSender:
         )
         self.next_seq = 0
         self.trail = 0
-        #: retained payloads for repair: seq -> (payload_len, payload)
-        self._tx_window: dict[int, tuple[int, bytes]] = {}
+        #: repair store: seq -> (payload_len, payload, last RDATA time or -1e9)
+        self._tx_window: dict[int, tuple[int, bytes, float]] = {}
         self._tx_window_capacity = C.TX_WINDOW_PACKETS
-        self._recent_repairs: dict[int, float] = {}
         self._spm_seq = 0
         self._spm_ivl = spm_ivl
         self._spm_timer = Timer(self.sim, self._send_spm)
@@ -258,7 +257,7 @@ class PgmSender:
             payload=payload,
         )
         window = self._tx_window
-        window[seq] = (payload_len, payload)
+        window[seq] = (payload_len, payload, -1e9)
         if len(window) > self._tx_window_capacity:
             # The window holds exactly [trail, seq]: the stale keys are
             # the ones the trail steps over, one delete per ODATA, no scan.
@@ -330,11 +329,13 @@ class PgmSender:
                 self.guard_naks_blocked += 1
         if allow_control and self.controller.on_nak(nak.report):
             self.trace.log(self.sim.now, "acker-switch", nak.seq)
-        # Confirm the NAK downstream so other receivers suppress
-        # theirs.  Repairs flow even for quarantined receivers —
-        # quarantine removes control influence, never reliability —
-        # but a receiver NAKing above the honest §3.8 ceiling has
-        # exhausted its repair budget and its RDATA is skipped.
+        # A NAK whose sequence's RDATA left less than RDATA_HOLDOFF ago is
+        # answered by that RDATA; any other is confirmed downstream so
+        # other receivers suppress theirs.  Repairs flow even for
+        # quarantined receivers (quarantine removes control, never
+        # reliability), but not past the honest §3.8 repair budget.
+        if self._held_off(nak.seq):
+            return
         ncf = Ncf(self.tsi, nak.seq)
         self.host.send(Packet(self.host.name, self.group, 64, ncf, C.PROTO))
         self.ncfs_sent += 1
@@ -351,16 +352,17 @@ class PgmSender:
             if evicted is not None:
                 self.trace.log(self.sim.now, "acker-evict", self.next_seq)
 
+    def _held_off(self, seq: int) -> bool:
+        entry = self._tx_window.get(seq)
+        return entry is not None and self.sim.now - entry[2] < self.RDATA_HOLDOFF
+
     def _maybe_repair(self, seq: int) -> None:
         entry = self._tx_window.get(seq)
-        if entry is None:
-            return  # beyond the trail: cannot repair
-        last = self._recent_repairs.get(seq)
-        if last is not None and self.sim.now - last < self.RDATA_HOLDOFF:
-            return
+        if entry is None or self._held_off(seq):
+            return  # beyond the trail, or repaired within the hold-off
         if self.watchdog is not None and not self.watchdog.allow_repair():
             return  # degraded mode: bounded repair budget exhausted
-        payload_len, payload = entry
+        payload_len, payload, _ = entry
         rdata = RData(self.tsi, seq, self.trail, payload_len, self.sim.now, payload)
         size = rdata.wire_size()
         # §3.8: repairs go out as soon as the NAK arrives, subject only
@@ -371,12 +373,7 @@ class PgmSender:
         else:
             self.limiter.try_consume(size, self.sim.now)
             self._send_rdata(rdata)
-        self._recent_repairs[seq] = self.sim.now
-        if len(self._recent_repairs) > 512:
-            cutoff = self.sim.now - 10 * self.RDATA_HOLDOFF
-            self._recent_repairs = {
-                s: t for s, t in self._recent_repairs.items() if t >= cutoff
-            }
+        self._tx_window[seq] = (payload_len, payload, self.sim.now)
 
     def _send_rdata(self, rdata: RData) -> None:
         if self._closed:

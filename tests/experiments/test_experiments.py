@@ -460,9 +460,11 @@ class TestAdversarial:
 
     @pytest.fixture(scope="class")
     def m(self):
-        # 0.5 is the shortest scale at which the guard-off damage has
-        # had time to show against the attack-free baseline
-        return adversarial.run(scale=0.5).metrics
+        # 0.75 is the shortest scale at which the guard-off damage has
+        # had time to show against the attack-free baseline: at 0.5 the
+        # starved TCP flow still holds 0.37-0.57 of its baseline over
+        # seeds 1-20 and 97, at 0.75 at most 0.28
+        return adversarial.run(scale=0.75).metrics
 
     def test_honest_groups_never_trip_the_guard(self, m):
         assert m["baseline:on:quarantines"] == 0

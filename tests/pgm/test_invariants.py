@@ -8,14 +8,16 @@ naming the rule; in non-strict mode the checker records that rule and
 no other.
 """
 
+from itertools import groupby
+
 import pytest
 
 from repro.core.reports import ReceiverReport
 from repro.core.sender_cc import SenderController
 from repro.core.window import WindowController
-from repro.pgm import create_session
+from repro.pgm import aggregate, create_session
 from repro.pgm.aggregate import AggregateManager
-from repro.pgm.invariants import RULES, InvariantViolation
+from repro.pgm.invariants import RULES, InvariantChecker, InvariantViolation
 from repro.pgm.packets import Ack, Nak
 from repro.pgm.sender import PgmSender
 from repro.simulator import (
@@ -145,10 +147,15 @@ def member_dropped(monkeypatch, strict):
 
 
 def tail_acker_kept(monkeypatch, strict):
-    """A tail identity elected acker is never promoted."""
+    """A tail identity elected acker is never promoted.  It never ACKs,
+    so a stall unseats it about 1.9 s later: the checker sweeps every
+    0.25 s, where its default 1 s sweep can miss a reign that short."""
     monkeypatch.setattr(AggregateManager, "on_acker_observed",
                         lambda self, acker_id, seq: None)
-    net, session = hybrid_session(strict)
+    net = dumbbell_subtrees(24, subtrees=2, bottleneck=BOTTLENECK, seed=5)
+    session = create_session(net, "h0", [], aggregate=True)
+    session.invariants = InvariantChecker(
+        session, strict=strict, check_interval=0.25).attach()
     net.link("R0", net.subtree_plan.router(0)).loss = DeterministicLoss(
         range(5, 400, 7))
     return net, session, 8.0
@@ -181,3 +188,24 @@ def test_a_broken_property_fires_its_rule(rule, strict, monkeypatch):
     net.run(until=until)
     session.invariants.verify_now()
     assert {v.rule for v in session.invariants.violations} == {rule}
+
+
+def test_the_promotion_break_seats_a_tail_acker_past_the_grace(monkeypatch):
+    """The precondition of the aggregate-promotion case: a tail identity
+    holds the seat, unpromoted, for longer than the grace plus a sweep."""
+    net, session, until = tail_acker_kept(monkeypatch, strict=False)
+    manager, sender = session.aggregate, session.sender
+    seats = []  # (time, the acker if it is a tail identity, else None)
+
+    def sample():
+        acker = sender.current_acker
+        tail = acker is not None and manager.is_tail_identity(acker)
+        seats.append((net.sim.now, acker if tail else None))
+        net.sim.schedule(0.05, sample)
+
+    net.sim.schedule(0.05, sample)
+    net.run(until=until)
+    reigns = [list(run) for acker, run in groupby(seats, key=lambda s: s[1])
+              if acker is not None]
+    longest = max(run[-1][0] - run[0][0] for run in reigns)
+    assert longest > aggregate.PROMOTION_GRACE + session.invariants.check_interval

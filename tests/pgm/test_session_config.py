@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.sender_cc import CcConfig
 from repro.pgm import add_receiver, create_session
+from repro.pgm.sender import PgmSender
 from repro.pgm.session import SessionConfig
 from repro.simulator import LOSSY, NON_LOSSY, dumbbell, dumbbell_subtrees, star
 from repro.simulator.routing import NoPath
@@ -312,15 +313,37 @@ class TestSummarySchema:
         assert recovery["state"] == "normal"
         session.close()
 
-    def test_the_source_confirms_every_nak_it_receives(self):
-        """One multicast NCF per NAK reaching the source: the count the
-        join-time storm is measured by."""
-        net = star(4, LOSSY, seed=3)
-        session = create_session(net, "src", ["r0", "r1", "r2", "r3"])
+    def test_the_source_confirms_first_naks_not_repeats(self):
+        """Every first NAK of a sequence gets a multicast NCF; a repeat
+        inside ``RDATA_HOLDOFF`` gets none (that sequence's RDATA is on
+        its way).  Four receivers behind one lossy bottleneck lose the
+        same packets and NAK each of them together."""
+        net = dumbbell(1, 4, LOSSY, seed=3)
+        session = create_session(net, "h0", [f"r{i}" for i in range(4)])
+        sender = session.sender
+        handle = sender._handle_nak
+        answered = {}  # seq -> time its last confirmed NAK arrived
+        repeats = []
+
+        def confirm(nak):
+            before = sender.ncfs_sent
+            handle(nak)
+            confirmed = sender.ncfs_sent > before
+            if nak.fake:
+                return
+            last = answered.get(nak.seq)
+            if last is None or net.sim.now - last >= PgmSender.RDATA_HOLDOFF:
+                assert confirmed, nak
+                answered[nak.seq] = net.sim.now
+            else:
+                assert not confirmed, nak
+                repeats.append(nak.seq)
+
+        sender._handle_nak = confirm
         net.run(until=10.0)
         summary = session.summary()
-        assert summary["naks_received"] > 0
-        assert summary["ncfs_sent"] == summary["naks_received"]
+        assert answered and repeats
+        assert summary["ncfs_sent"] < summary["naks_received"]
         session.close()
 
     def test_summary_round_trips_through_json(self):
