@@ -75,14 +75,10 @@ class CcConfig:
     #: dead-acker detection than the generic stall timer, plus an
     #: explicit degraded mode under total feedback loss.
     liveness: bool = False
-    #: LivenessConfig overrides, stored like controller_params.
-    liveness_params: tuple = ()
 
     def __post_init__(self) -> None:
-        for name in ("controller_params", "liveness_params"):
-            value = getattr(self, name)
-            if isinstance(value, Mapping):
-                setattr(self, name, tuple(sorted(value.items())))
+        if isinstance(self.controller_params, Mapping):
+            self.controller_params = tuple(sorted(self.controller_params.items()))
 
 
 @dataclass

@@ -106,7 +106,7 @@ def run_scenario(
     session = create_session(
         net, "h0", names, cc=cc,
         faults=_attack_plan(kind, duration),
-        guard=True if guard_on else None,
+        guard=guard_on,
         max_rate_bps=MAX_RATE_BPS,
         check_invariants=True, strict_invariants=False,
     )

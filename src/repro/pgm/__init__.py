@@ -16,14 +16,19 @@ a session that builds one loads it:
   ``AnalyticBank``, ``TailProxy``;
 * :mod:`repro.pgm.fec` — ``FecSource``, ``FecAssembler``,
   ``FecPayload``, ``attach_fec_receiver``;
-* :mod:`repro.pgm.guard` — ``FeedbackGuard``, ``GuardConfig``,
-  ``GuardVerdict``;
+* :mod:`repro.pgm.guard` — ``FeedbackGuard``, ``GuardVerdict``;
 * :mod:`repro.pgm.invariants` — ``InvariantChecker``,
   ``InvariantViolation``, ``Violation``;
-* :mod:`repro.pgm.liveness` — ``LivenessConfig``, ``LivenessWatchdog``;
+* :mod:`repro.pgm.liveness` — ``LivenessWatchdog``;
 * :mod:`repro.pgm.misbehavior` — the receiver attacks
   (``GreedyAcker``, ``Throttler``, ``NakStorm``, ``AckReplay``,
   ``SilentJoiner``) and their base ``Misbehavior``.
+
+The guard, the watchdog, the network elements and the invariant
+checker have no config classes: their fixed values are module
+constants read at use (``guard.REPLAY_TTL``, ``liveness.MAX_DEMOTIONS``,
+``constants.NE_STATE_LIFETIME``, ``invariants.CHECK_INTERVAL``), so a
+probe that needs another value patches the constant.
 """
 
 from . import constants

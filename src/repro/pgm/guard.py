@@ -62,68 +62,58 @@ _STRONG = frozenset(
 )
 
 
-@dataclass
-class GuardConfig:
-    """All guard tunables (defaults sized for the paper's scenarios).
-
-    The suspicion scale is calibrated so two strong violations (or six
-    weak ones) quarantine: threshold 3.0, strong weight 1.5, weak 0.5.
-    """
-
-    suspicion_threshold: float = 3.0
-    suspicion_decay_tau: float = 30.0   # seconds; e-folding of suspicion
-    strong_weight: float = 1.5
-    weak_weight: float = 0.5
-    #: tolerated backwards movement of rxw_lead (reordered NAKs/ACKs
-    #: legitimately carry slightly stale reports)
-    lead_regression_slack: int = 64
-    #: extra filter steps granted when bounding the reachable rx_loss
-    #: range (covers reports generated a moment before arrival)
-    loss_range_slack: int = 16
-    #: absolute fixed-point tolerance added to both range bounds
-    loss_range_tol: int = 256
-    #: whether the loss-range rule runs at all (only sound when the
-    #: receivers use the paper's IIR estimator)
-    check_loss_range: bool = True
-    #: IIR smoothing constant the receivers are configured with
-    filter_w: int = DEFAULT_W
-    #: NAK token bucket: refill rate (per second) and burst depth.
-    #: §3.8 pacing spaces honest NAKs ≥ storm_spacing apart (50/s).
-    nak_rate: float = 60.0
-    nak_burst: float = 120.0
-    #: once quarantined, the repair budget is bound by physics instead
-    #: of wall-clock: a receiver cannot have lost more than the sender
-    #: transmitted, so tokens refill per *transmitted packet* (factor
-    #: covers RDATA-loss retries) with a small burst allowance
-    quarantine_repair_factor: float = 1.0
-    quarantine_repair_burst: float = 32.0
-    #: verbatim-ACK dedup table depth per receiver, and how long a
-    #: signature stays "recent".  The TTL matters: a stall-elicited
-    #: keep-alive ACK is legitimately verbatim-identical to the
-    #: receiver's previous ACK (no new data arrived), and swallowing
-    #: it would leave the sender stalled — only rapid-fire duplicates
-    #: are replay attacks.
-    replay_window: int = 32
-    replay_ttl: float = 1.0
-    #: quarantine duration: base * backoff**(n-1), capped
-    quarantine_base: float = 10.0
-    quarantine_backoff: float = 2.0
-    quarantine_max: float = 300.0
-    #: suspicion retained on readmission (fraction of threshold) — a
-    #: readmitted receiver is on probation, not forgiven
-    readmit_suspicion_fraction: float = 0.5
-    #: shadow-filter divergence gate: only judge after this many shadow
-    #: updates, and only when reported > shadow*factor + margin for
-    #: this many consecutive reports
-    shadow_min_updates: int = 256
-    shadow_factor: float = 4.0
-    shadow_margin: int = int(0.05 * SCALE)
-    shadow_consecutive: int = 5
-    #: the shadow is only a valid cross-check while bitmaps keep
-    #: feeding it — a receiver that lost ackership stops supplying
-    #: bitmaps while its true loss keeps evolving, so a stale shadow
-    #: must not condemn honest reports
-    shadow_max_age: float = 2.0
+# The guard's fixed values, read where they are used (a test that needs
+# another value patches the module constant).  The suspicion scale is
+# calibrated so two strong violations (or six weak ones) quarantine.
+SUSPICION_THRESHOLD = 3.0
+SUSPICION_DECAY_TAU = 30.0   # seconds; e-folding of suspicion
+STRONG_WEIGHT = 1.5
+WEAK_WEIGHT = 0.5
+#: tolerated backwards movement of rxw_lead (reordered NAKs/ACKs
+#: legitimately carry slightly stale reports)
+LEAD_REGRESSION_SLACK = 64
+#: extra filter steps granted when bounding the reachable rx_loss
+#: range (covers reports generated a moment before arrival)
+LOSS_RANGE_SLACK = 16
+#: absolute fixed-point tolerance added to both range bounds
+LOSS_RANGE_TOL = 256
+#: NAK token bucket: refill rate (per second) and burst depth.
+#: §3.8 pacing spaces honest NAKs ≥ storm_spacing apart (50/s).
+NAK_RATE = 60.0
+NAK_BURST = 120.0
+#: once quarantined, the repair budget is bound by physics instead
+#: of wall-clock: a receiver cannot have lost more than the sender
+#: transmitted, so tokens refill per *transmitted packet* (factor
+#: covers RDATA-loss retries) with a small burst allowance
+QUARANTINE_REPAIR_FACTOR = 1.0
+QUARANTINE_REPAIR_BURST = 32.0
+#: verbatim-ACK dedup table depth per receiver, and how long a
+#: signature stays "recent".  The TTL matters: a stall-elicited
+#: keep-alive ACK is legitimately verbatim-identical to the
+#: receiver's previous ACK (no new data arrived), and swallowing
+#: it would leave the sender stalled — only rapid-fire duplicates
+#: are replay attacks.
+REPLAY_WINDOW = 32
+REPLAY_TTL = 1.0
+#: quarantine duration: base * backoff**(n-1), capped
+QUARANTINE_BASE = 10.0
+QUARANTINE_BACKOFF = 2.0
+QUARANTINE_MAX = 300.0
+#: suspicion retained on readmission (fraction of threshold) — a
+#: readmitted receiver is on probation, not forgiven
+READMIT_SUSPICION_FRACTION = 0.5
+#: shadow-filter divergence gate: only judge after this many shadow
+#: updates, and only when reported > shadow*factor + margin for
+#: this many consecutive reports
+SHADOW_MIN_UPDATES = 256
+SHADOW_FACTOR = 4.0
+SHADOW_MARGIN = int(0.05 * SCALE)
+SHADOW_CONSECUTIVE = 5
+#: the shadow is only a valid cross-check while bitmaps keep
+#: feeding it — a receiver that lost ackership stops supplying
+#: bitmaps while its true loss keeps evolving, so a stale shadow
+#: must not condemn honest reports
+SHADOW_MAX_AGE = 2.0
 
 
 @dataclass
@@ -169,13 +159,17 @@ class FeedbackGuard:
 
     Args:
         sim: the event engine (time source).
-        config: tunables; ``GuardConfig()`` gives the paper-sized
-            defaults.
+        filter_w: IIR smoothing constant the receivers are configured
+            with.
+        check_loss_range: whether the loss-range rule runs at all (only
+            sound when the receivers use the paper's IIR estimator).
     """
 
-    def __init__(self, sim, config: Optional[GuardConfig] = None):
+    def __init__(self, sim, filter_w: int = DEFAULT_W,
+                 check_loss_range: bool = True):
         self.sim = sim
-        self.config = config or GuardConfig()
+        self.filter_w = filter_w
+        self.check_loss_range = check_loss_range
         self._ledgers: dict[str, _Ledger] = {}
         # counters
         self.reports_checked = 0
@@ -190,12 +184,11 @@ class FeedbackGuard:
     def _ledger(self, rx_id: str) -> _Ledger:
         led = self._ledgers.get(rx_id)
         if led is None:
-            cfg = self.config
             led = _Ledger(
                 rx_id,
-                nak_tokens=cfg.nak_burst,
+                nak_tokens=NAK_BURST,
                 nak_last_refill=self.sim.now,
-                shadow=LossRateFilter(cfg.filter_w),
+                shadow=LossRateFilter(self.filter_w),
             )
             self._ledgers[rx_id] = led
         return led
@@ -220,27 +213,26 @@ class FeedbackGuard:
     def _decay(self, led: _Ledger, now: float) -> None:
         dt = now - led.last_suspicion_update
         if dt > 0 and led.suspicion > 0:
-            led.suspicion *= exp(-dt / self.config.suspicion_decay_tau)
+            led.suspicion *= exp(-dt / SUSPICION_DECAY_TAU)
         led.last_suspicion_update = now
 
     def _punish(self, led: _Ledger, now: float, verdict: GuardVerdict,
                 rule: str) -> None:
-        cfg = self.config
         self._decay(led, now)
-        led.suspicion += cfg.strong_weight if rule in _STRONG else cfg.weak_weight
+        led.suspicion += STRONG_WEIGHT if rule in _STRONG else WEAK_WEIGHT
         led.violations += 1
         self.violation_counts[rule] += 1
         verdict.violations.append(rule)
-        if (led.suspicion >= cfg.suspicion_threshold
+        if (led.suspicion >= SUSPICION_THRESHOLD
                 and now >= led.quarantined_until):
             led.quarantine_count += 1
             duration = min(
-                cfg.quarantine_max,
-                cfg.quarantine_base
-                * cfg.quarantine_backoff ** (led.quarantine_count - 1),
+                QUARANTINE_MAX,
+                QUARANTINE_BASE
+                * QUARANTINE_BACKOFF ** (led.quarantine_count - 1),
             )
             led.quarantined_until = now + duration
-            led.suspicion = cfg.suspicion_threshold * cfg.readmit_suspicion_fraction
+            led.suspicion = SUSPICION_THRESHOLD * READMIT_SUSPICION_FRACTION
             self.quarantines += 1
             verdict.newly_quarantined = True
 
@@ -248,13 +240,12 @@ class FeedbackGuard:
 
     def _check_report(self, led: _Ledger, report: ReceiverReport, now: float,
                       last_tx_seq: int, verdict: GuardVerdict) -> None:
-        cfg = self.config
         if report.rxw_lead > last_tx_seq:
             self._punish(led, now, verdict, "lead-beyond-tx")
-        elif led.has_report and report.rxw_lead < led.last_lead - cfg.lead_regression_slack:
+        elif led.has_report and report.rxw_lead < led.last_lead - LEAD_REGRESSION_SLACK:
             self._punish(led, now, verdict, "lead-regression")
         loss_teleported = False
-        if cfg.check_loss_range and led.has_report:
+        if self.check_loss_range and led.has_report:
             loss_teleported = self._check_loss_range(led, report, now, verdict)
         self._check_shadow(led, report, now, verdict)
         # Advance the ledger only along plausible claims, so one lie
@@ -280,21 +271,20 @@ class FeedbackGuard:
         Returns True when the rule fired (the caller must then keep
         the old baseline).
         """
-        cfg = self.config
         n = report.rxw_lead - led.last_lead
         if n < 0:
             return False  # stale/reordered; regression rule handles it
         if n == 0:
             # No window movement: the filter cannot move either.
-            if abs(report.rx_loss - led.last_loss) > cfg.loss_range_tol:
+            if abs(report.rx_loss - led.last_loss) > LOSS_RANGE_TOL:
                 self._punish(led, now, verdict, "loss-range")
                 return True
             return False
-        wf = cfg.filter_w / SCALE
+        wf = self.filter_w / SCALE
         wn = wf ** n
-        wn_slack = wf ** (n + cfg.loss_range_slack)
-        lower = led.last_loss * wn_slack - cfg.loss_range_tol
-        upper = led.last_loss * wn + SCALE * (1.0 - wn_slack) + cfg.loss_range_tol
+        wn_slack = wf ** (n + LOSS_RANGE_SLACK)
+        lower = led.last_loss * wn_slack - LOSS_RANGE_TOL
+        upper = led.last_loss * wn + SCALE * (1.0 - wn_slack) + LOSS_RANGE_TOL
         if not lower <= report.rx_loss <= upper:
             self._punish(led, now, verdict, "loss-range")
             return True
@@ -308,20 +298,19 @@ class FeedbackGuard:
         everything diverges without ever tripping the range rule.
         Under-reporting is not judged here (repairs and ACK loss make
         the shadow read high for honest receivers, never low)."""
-        cfg = self.config
         shadow = led.shadow
-        if shadow is None or shadow.samples < cfg.shadow_min_updates:
+        if shadow is None or shadow.samples < SHADOW_MIN_UPDATES:
             return
-        if now - led.shadow_fed_at > cfg.shadow_max_age:
+        if now - led.shadow_fed_at > SHADOW_MAX_AGE:
             # Stale shadow (no recent bitmaps — e.g. ackership moved
             # on while the receiver's true loss kept changing): not a
             # usable baseline.
             led.divergent_streak = 0
             return
-        threshold = shadow.value * cfg.shadow_factor + cfg.shadow_margin
+        threshold = shadow.value * SHADOW_FACTOR + SHADOW_MARGIN
         if report.rx_loss > threshold:
             led.divergent_streak += 1
-            if led.divergent_streak >= cfg.shadow_consecutive:
+            if led.divergent_streak >= SHADOW_CONSECUTIVE:
                 led.divergent_streak = 0
                 self._punish(led, now, verdict, "shadow-divergence")
         else:
@@ -354,7 +343,6 @@ class FeedbackGuard:
         led = self._ledger(report.rx_id)
         self.reports_checked += 1
 
-        cfg = self.config
         if requests_repair:
             if led.nak_tx_mark < 0:
                 led.nak_tx_mark = last_tx_seq
@@ -367,16 +355,16 @@ class FeedbackGuard:
                 # repair) but a storm can no longer outrun the data
                 # rate and drown the bottleneck in RDATA.
                 grant = ((last_tx_seq - led.nak_tx_mark)
-                         * cfg.quarantine_repair_factor)
-                led.nak_tokens = min(cfg.quarantine_repair_burst,
+                         * QUARANTINE_REPAIR_FACTOR)
+                led.nak_tokens = min(QUARANTINE_REPAIR_BURST,
                                      led.nak_tokens + grant)
             else:
                 # Token-bucket NAK pacing (honest §3.8 receivers stay
                 # well under the refill rate; fake NAKs are report-only
                 # and do not spend repair tokens).
                 led.nak_tokens = min(
-                    cfg.nak_burst,
-                    led.nak_tokens + (now - led.nak_last_refill) * cfg.nak_rate,
+                    NAK_BURST,
+                    led.nak_tokens + (now - led.nak_last_refill) * NAK_RATE,
                 )
             led.nak_tx_mark = last_tx_seq
             led.nak_last_refill = now
@@ -404,17 +392,17 @@ class FeedbackGuard:
         # Verbatim replay dedup — NO suspicion: honest duplicates occur
         # under link-level duplication faults.  Deflection is free.
         # TTL-bounded: an expired signature is treated as fresh (see
-        # GuardConfig.replay_ttl for why).
+        # REPLAY_TTL for why).
         sig = (ack_seq, bitmap, report.rxw_lead, report.rx_loss)
         seen_at = led.recent_acks.get(sig)
-        if seen_at is not None and now - seen_at <= self.config.replay_ttl:
+        if seen_at is not None and now - seen_at <= REPLAY_TTL:
             self.acks_deduped += 1
             verdict.drop = True
             verdict.allow_control = False
             return verdict
         led.recent_acks.pop(sig, None)
         led.recent_acks[sig] = now
-        while len(led.recent_acks) > self.config.replay_window:
+        while len(led.recent_acks) > REPLAY_WINDOW:
             led.recent_acks.pop(next(iter(led.recent_acks)))
 
         self.reports_checked += 1
@@ -442,7 +430,7 @@ class FeedbackGuard:
         dt = self.sim.now - led.last_suspicion_update
         if dt <= 0 or led.suspicion <= 0:
             return led.suspicion
-        return led.suspicion * exp(-dt / self.config.suspicion_decay_tau)
+        return led.suspicion * exp(-dt / SUSPICION_DECAY_TAU)
 
     def summary(self) -> dict:
         """Counters for session ``summary()`` and experiment reports."""

@@ -59,6 +59,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from ..simulator.engine import Timer
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .receiver import PgmReceiver
     from .session import PgmSession
@@ -74,6 +76,10 @@ RULES = (
     "aggregate-conservation",
     "aggregate-promotion",
 )
+
+#: simulated seconds between periodic sweeps (link conservation +
+#: state sanity); a test that needs another period patches this
+CHECK_INTERVAL = 1.0
 
 
 class InvariantViolation(AssertionError):
@@ -98,19 +104,13 @@ class InvariantChecker:
             check).
         strict: raise on the first violation (fuzz-oracle mode) rather
             than just recording it.
-        check_interval: simulated seconds between periodic sweeps
-            (link conservation + state sanity).
     """
 
-    def __init__(self, session: "PgmSession", strict: bool = True,
-                 check_interval: float = 1.0):
-        if check_interval <= 0:
-            raise ValueError("check_interval must be positive")
+    def __init__(self, session: "PgmSession", strict: bool = True):
         self.session = session
         self.net = session.network
         self.sim = session.network.sim
         self.strict = strict
-        self.check_interval = check_interval
         self.violations: list[Violation] = []
         self.checks_run = 0
         self._attached = False
@@ -127,8 +127,10 @@ class InvariantChecker:
         #: the end of the outer call.
         self._in_feedback = 0
         #: (acker, since) while a tail identity holds ackership
-        #: unpromoted (aggregate-promotion grace tracking)
+        #: unpromoted (aggregate-promotion grace tracking), and the
+        #: timer that fires the rule when the grace runs out
         self._tail_acker_since: Optional[tuple[str, float]] = None
+        self._grace_timer = Timer(self.sim, self._grace_expired)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -146,7 +148,7 @@ class InvariantChecker:
         self._wrap(controller.window, "on_loss", self._wrap_on_loss)
         for rx in self.session.receivers:
             self._wrap_receiver(rx)
-        self._tick_event = self.sim.schedule(self.check_interval, self._tick)
+        self._tick_event = self.sim.schedule(CHECK_INTERVAL, self._tick)
         return self
 
     def detach(self) -> None:
@@ -164,6 +166,7 @@ class InvariantChecker:
         if self._tick_event is not None:
             self.sim.cancel(self._tick_event)
             self._tick_event = None
+        self._grace_timer.cancel()
         self._attached = False
 
     # -- results -----------------------------------------------------------
@@ -288,6 +291,7 @@ class InvariantChecker:
                         "acker switch changed the post-halving ignore counter",
                     )
             self._check_quarantine("after NAK report")
+            self._note_tail_acker(controller)
             return switched
 
         return on_nak
@@ -393,29 +397,47 @@ class InvariantChecker:
         manager = getattr(self.session, "aggregate", None)
         if manager is None:
             return
-        from . import aggregate
-
         for detail in manager.conservation_errors():
             self._violate("aggregate-conservation", detail)
+        self._note_tail_acker(controller)
+
+    def _note_tail_acker(self, controller) -> None:
+        """Start the grace clock when the election seats a tail
+        identity (elections switch in ``on_nak``; the sweep catches any
+        other path) and stop it when that reign ends."""
+        manager = getattr(self.session, "aggregate", None)
+        if manager is None:
+            return
+        from . import aggregate
+
         acker = controller.current_acker
-        if acker is not None and manager.is_tail_identity(acker):
-            now = self.sim.now
-            if (self._tail_acker_since is None
-                    or self._tail_acker_since[0] != acker):
-                self._tail_acker_since = (acker, now)
-            elif now - self._tail_acker_since[1] > aggregate.PROMOTION_GRACE:
-                self._violate(
-                    "aggregate-promotion",
-                    f"acker {acker} is an unpromoted tail identity "
-                    f"(for {now - self._tail_acker_since[1]:.3f}s, grace "
-                    f"{aggregate.PROMOTION_GRACE}s)",
-                )
-        else:
+        if acker is None or not manager.is_tail_identity(acker):
             self._tail_acker_since = None
+            self._grace_timer.cancel()
+        elif (self._tail_acker_since is None
+                or self._tail_acker_since[0] != acker):
+            self._tail_acker_since = (acker, self.sim.now)
+            self._grace_timer.restart(aggregate.PROMOTION_GRACE)
+
+    def _grace_expired(self) -> None:
+        # a timer, not a sweep: checks_run counts periodic sweeps only
+        reign = self._tail_acker_since
+        self._note_tail_acker(self.session.sender.controller)
+        if reign is None or self._tail_acker_since != reign:
+            return  # the reign ended unnoticed
+        from . import aggregate
+
+        acker, since = reign
+        self._violate(
+            "aggregate-promotion",
+            f"acker {acker} is an unpromoted tail identity "
+            f"(for {self.sim.now - since:.3f}s, grace "
+            f"{aggregate.PROMOTION_GRACE}s)",
+        )
 
     def _tick(self) -> None:
         self._sweep()
-        self._tick_event = self.sim.schedule(self.check_interval, self._tick)
+        self._tick_event = self.sim.schedule(CHECK_INTERVAL, self._tick)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "attached" if self._attached else "detached"

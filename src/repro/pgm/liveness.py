@@ -9,14 +9,14 @@ module adds the liveness layer the partition experiments need:
 
 * an **ACK inter-arrival watchdog** clocked by the time-RTT (the same
   estimator pgmcc uses "for determining timeouts", §3): when no ACK
-  arrives within ``ack_timeout_factor * rto`` the incumbent is presumed
+  arrives within ``ACK_TIMEOUT_FACTOR * rto`` the incumbent is presumed
   dead and *demoted* — election cleared, next ODATA marked elicit-NAK
   (§3.6) — on the **first** timeout, not the second stall;
 * an explicit **degraded mode** for total feedback loss (partition,
-  control-plane blackhole): after ``max_demotions`` fruitless demotions
+  control-plane blackhole): after ``MAX_DEMOTIONS`` fruitless demotions
   the watchdog performs one controlled ``W = T = 1`` restart and then
   probes at a conservative rate floor (one elicit-marked packet every
-  ``degraded_interval``) with a bounded repair budget, instead of
+  ``DEGRADED_INTERVAL``) with a bounded repair budget, instead of
   oscillating through exponentially backed-off stall restarts.  The
   generic stall timer is suppressed while degraded (see
   ``SenderController._on_stall_timeout``).
@@ -24,7 +24,7 @@ module adds the liveness layer the partition experiments need:
 State machine (see DESIGN.md §8 for the timer diagram)::
 
     NORMAL   --ack timeout-->  SUSPECT   (demote acker, elicit, backoff)
-    SUSPECT  --ack timeout-->  SUSPECT   (re-demote, up to max_demotions)
+    SUSPECT  --ack timeout-->  SUSPECT   (re-demote, up to MAX_DEMOTIONS)
     SUSPECT  --ack timeout-->  DEGRADED  (restart W=T=1, rate-floor probes)
     DEGRADED --NAK arrives-->  SUSPECT   (feedback path back, re-elect)
     any      --ACK arrives-->  NORMAL    (records time-to-recover)
@@ -37,7 +37,6 @@ and time-to-recover samples are read off it by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..simulator.engine import Timer
@@ -45,44 +44,28 @@ from ..simulator.trace import FlowTrace
 from .constants import DEGRADED, NORMAL, SUSPECT  # the watchdog states
 
 
-@dataclass(frozen=True)
-class LivenessConfig:
-    """Watchdog tunables (defaults tuned to beat the stall timer)."""
-
-    #: ACK inter-arrival timeout as a multiple of the time-RTT RTO.
-    ack_timeout_factor: float = 2.0
-    #: timeout clamp (seconds); the floor keeps jittery early RTT
-    #: samples from demoting a healthy acker, the ceiling bounds
-    #: detection latency no matter what the RTO says.
-    min_timeout: float = 0.3
-    max_timeout: float = 4.0
-    #: fruitless demotions before giving up on elections and entering
-    #: degraded mode (total feedback loss presumed).  The default is
-    #: deliberately aggressive: a demotion elicits an election from
-    #: *every* receiver, so one full timeout with no reply at all is
-    #: strong evidence the feedback path is gone — and degraded mode is
-    #: cheap to leave (any ACK or NAK exits it).  Backed-off timers, by
-    #: contrast, leave the session deaf for the whole backoff after the
-    #: path heals.
-    max_demotions: int = 1
-    #: degraded-mode probe period (seconds): the conservative rate
-    #: floor — one elicit-marked packet per interval.
-    degraded_interval: float = 0.25
-    #: RDATA budget while degraded; 0 disables repairs entirely until
-    #: feedback returns.
-    degraded_repair_budget: int = 64
-
-    def __post_init__(self) -> None:
-        if self.ack_timeout_factor <= 0:
-            raise ValueError("ack_timeout_factor must be > 0")
-        if not 0 < self.min_timeout <= self.max_timeout:
-            raise ValueError("need 0 < min_timeout <= max_timeout")
-        if self.max_demotions < 1:
-            raise ValueError("max_demotions must be >= 1")
-        if self.degraded_interval <= 0:
-            raise ValueError("degraded_interval must be > 0")
-        if self.degraded_repair_budget < 0:
-            raise ValueError("degraded_repair_budget cannot be negative")
+# The watchdog's fixed values (defaults tuned to beat the stall timer),
+# read where they are used.
+#: ACK inter-arrival timeout as a multiple of the time-RTT RTO.
+ACK_TIMEOUT_FACTOR = 2.0
+#: timeout clamp (seconds); the floor keeps jittery early RTT samples
+#: from demoting a healthy acker, the ceiling bounds detection latency
+#: no matter what the RTO says.
+MIN_TIMEOUT = 0.3
+MAX_TIMEOUT = 4.0
+#: fruitless demotions before giving up on elections and entering
+#: degraded mode (total feedback loss presumed).  Deliberately
+#: aggressive: a demotion elicits an election from *every* receiver, so
+#: one full timeout with no reply at all is strong evidence the
+#: feedback path is gone — and degraded mode is cheap to leave (any ACK
+#: or NAK exits it).  Backed-off timers, by contrast, leave the session
+#: deaf for the whole backoff after the path heals.
+MAX_DEMOTIONS = 1
+#: degraded-mode probe period (seconds): the conservative rate floor —
+#: one elicit-marked packet per interval.
+DEGRADED_INTERVAL = 0.25
+#: RDATA budget while degraded (refilled on each entry).
+DEGRADED_REPAIR_BUDGET = 64
 
 
 class LivenessWatchdog:
@@ -93,7 +76,6 @@ class LivenessWatchdog:
         controller: the :class:`~repro.core.sender_cc.SenderController`
             to demote/restart through (it calls back into the
             ``note_*`` hooks; wire with ``attach_watchdog``).
-        config: tunables.
         on_probe: called once per degraded-mode probe interval and on
             every demotion; the transport should push an elicit-marked
             packet out (the sender's ``_liveness_probe``).
@@ -105,13 +87,11 @@ class LivenessWatchdog:
         self,
         sim,
         controller,
-        config: Optional[LivenessConfig] = None,
         on_probe: Optional[Callable[[], None]] = None,
         trace: Optional[FlowTrace] = None,
     ):
         self.sim = sim
         self.controller = controller
-        self.config = config or LivenessConfig()
         self.on_probe = on_probe
         self.trace = trace if trace is not None else FlowTrace()
         self.state = NORMAL
@@ -120,7 +100,7 @@ class LivenessWatchdog:
         self._probe_timer = Timer(sim, self._degraded_probe)
         #: demotions this suspicion episode (resets on recovery)
         self._episode_demotions = 0
-        self.repair_budget_left = self.config.degraded_repair_budget
+        self.repair_budget_left = DEGRADED_REPAIR_BUDGET
         self.demotions = 0
         self.degraded_entries = 0
         self.probes_sent = 0
@@ -174,14 +154,13 @@ class LivenessWatchdog:
     # -- timers ------------------------------------------------------------
 
     def _timeout(self) -> float:
-        cfg = self.config
         rto = self.controller.rto
         if rto is None:
-            base = cfg.max_timeout / 4.0
+            base = MAX_TIMEOUT / 4.0
         else:
-            base = max(cfg.min_timeout, cfg.ack_timeout_factor * rto)
+            base = max(MIN_TIMEOUT, ACK_TIMEOUT_FACTOR * rto)
         backoff = 2.0 ** min(self._episode_demotions, 3)
-        return min(cfg.max_timeout, base * backoff)
+        return min(MAX_TIMEOUT, base * backoff)
 
     def _on_timeout(self) -> None:
         if self.closed or self.controller.closed or self.state == DEGRADED:
@@ -198,7 +177,7 @@ class LivenessWatchdog:
         if self.state == NORMAL:
             self._transition(SUSPECT)
             self._demote()
-        elif self._episode_demotions >= self.config.max_demotions:
+        elif self._episode_demotions >= MAX_DEMOTIONS:
             self._enter_degraded()
             return
         else:
@@ -215,12 +194,12 @@ class LivenessWatchdog:
     def _enter_degraded(self) -> None:
         self._transition(DEGRADED)
         self.degraded_entries += 1
-        self.repair_budget_left = self.config.degraded_repair_budget
+        self.repair_budget_left = DEGRADED_REPAIR_BUDGET
         # One controlled W=T=1 restart (counted in controller.restarts
         # so the invariant checker resyncs), then rate-floor probing.
         self.controller.degraded_restart()
         self._timer.cancel()
-        self._probe_timer.restart(self.config.degraded_interval)
+        self._probe_timer.restart(DEGRADED_INTERVAL)
 
     def _degraded_probe(self) -> None:
         if self.closed or self.state != DEGRADED:
@@ -228,7 +207,7 @@ class LivenessWatchdog:
         self.probes_sent += 1
         if self.on_probe is not None:
             self.on_probe()
-        self._probe_timer.restart(self.config.degraded_interval)
+        self._probe_timer.restart(DEGRADED_INTERVAL)
 
     # -- degraded-mode gates -----------------------------------------------
 

@@ -47,22 +47,10 @@ class _NakEntry:
 class PgmNetworkElement:
     """Router-resident PGM logic, installed as a packet interceptor."""
 
-    def __init__(
-        self,
-        router: Router,
-        suppress: bool = True,
-        rx_loss_aware: bool = False,
-        selective_repair: bool = True,
-        state_lifetime: float = C.NE_STATE_LIFETIME,
-        repair_linger: float = C.NE_REPAIR_LINGER,
-    ):
+    def __init__(self, router: Router, rx_loss_aware: bool = False):
         self.router = router
         self.sim = router.sim
-        self.suppress = suppress
         self.rx_loss_aware = rx_loss_aware
-        self.selective_repair = selective_repair
-        self.state_lifetime = state_lifetime
-        self.repair_linger = repair_linger
         self._nak_state: dict[tuple[int, int], _NakEntry] = {}
         self._fake_seen: dict[tuple[int, int], float] = {}
         #: (tsi, branch) -> member count an aggregate proxy stands for
@@ -164,7 +152,7 @@ class PgmNetworkElement:
             # no repair state but duplicates are still deduplicated.
             key = (nak.tsi, nak.seq)
             seen = self._fake_seen.get(key)
-            if self.suppress and seen is not None and now - seen < self.state_lifetime:
+            if seen is not None and now - seen < C.NE_STATE_LIFETIME:
                 self.naks_suppressed += 1
                 return True
             self._fake_seen[key] = now
@@ -174,11 +162,11 @@ class PgmNetworkElement:
 
         key = (nak.tsi, nak.seq)
         entry = self._nak_state.get(key)
-        if entry is not None and now - entry.created >= self.state_lifetime:
+        if entry is not None and now - entry.created >= C.NE_STATE_LIFETIME:
             del self._nak_state[key]
             entry = None
         elif (entry is not None and entry.repaired
-                and now - entry.repaired_at >= self.repair_linger):
+                and now - entry.repaired_at >= C.NE_REPAIR_LINGER):
             # Soft-state refresh: the repair passed a while ago yet a
             # receiver is NAKing again — the RDATA must have died
             # downstream (partition, loss burst).  Retire the stale
@@ -205,10 +193,6 @@ class PgmNetworkElement:
         if not entry.repaired:
             entry.branches.add(from_node)
         self._send_ncf(nak, from_node)
-        if not self.suppress:
-            self.naks_forwarded += 1
-            self.router.forward_unicast(packet)
-            return True
         if self.rx_loss_aware and nak.report.rx_loss > entry.forwarded_rx_loss:
             entry.forwarded_rx_loss = nak.report.rx_loss
             self.naks_forwarded += 1
@@ -233,18 +217,16 @@ class PgmNetworkElement:
             return
         self._nak_state = {
             k: e for k, e in self._nak_state.items()
-            if now - e.created < self.state_lifetime
+            if now - e.created < C.NE_STATE_LIFETIME
         }
         self._fake_seen = {
             k: t for k, t in self._fake_seen.items()
-            if now - t < self.state_lifetime
+            if now - t < C.NE_STATE_LIFETIME
         }
 
     # -- RDATA: selective forwarding --------------------------------------------
 
     def _handle_rdata(self, packet: Packet, rdata: RData, from_node: str) -> bool:
-        if not self.selective_repair:
-            return False
         entry = self._nak_state.get((rdata.tsi, rdata.seq))
         if entry is None or entry.repaired:
             # No live repair state (expired, never NAKed here, or

@@ -168,6 +168,9 @@ class PgmReceiver:
         #: in-order delivery state (reliable mode)
         self._pending_delivery: dict[int, tuple[int, bytes]] = {}
         self._next_deliver = 0
+        #: where in-order delivery started (set by the first ODATA):
+        #: data below it was sent before this receiver joined
+        self._anchor = 0
         self._abandoned: set[int] = set()
         # statistics
         self.odata_received = 0
@@ -261,6 +264,9 @@ class PgmReceiver:
                     self._open_nak_state(missing)
             else:
                 self._next_deliver = msg.seq
+            self._anchor = self._next_deliver
+        elif is_repair and msg.seq < self._anchor:
+            return  # a late repair of data sent before the join
         elif (
             not is_repair
             and msg.trail > self.cc.rxw_lead + 1
@@ -303,6 +309,8 @@ class PgmReceiver:
             self.delivered += 1
             self.deliver(seq, payload_len, payload)
             return
+        if seq < self._next_deliver:
+            return  # delivery moved past it: abandoned, resynced, overtaken
         self._pending_delivery[seq] = (payload_len, payload)
         while True:
             if self._next_deliver in self._pending_delivery:

@@ -165,12 +165,11 @@ class PgmSender:
         self.watchdog: Optional[LivenessWatchdog] = None
         cc_config = self.controller.config
         if cc_config.enabled and cc_config.liveness:
-            from .liveness import LivenessConfig, LivenessWatchdog
+            from .liveness import LivenessWatchdog
 
             self.watchdog = LivenessWatchdog(
                 self.sim,
                 self.controller,
-                LivenessConfig(**dict(cc_config.liveness_params)),
                 on_probe=self._liveness_probe,
                 trace=self.trace,
             )

@@ -90,8 +90,8 @@ class SessionConfig:
     check_invariants: bool = False
     #: raise on violation (False: collect only)
     strict_invariants: bool = True
-    #: sender-side feedback guard: True, GuardConfig or FeedbackGuard
-    guard: Any = None
+    #: sender-side feedback guard (repro.pgm.guard)
+    guard: bool = False
     #: hybrid-fidelity aggregate mode (repro.pgm.aggregate): requires a
     #: network built by ``dumbbell_subtrees(..., members="virtual")``
     aggregate: bool = False
@@ -247,9 +247,8 @@ def create_session(
     runtime :class:`~repro.pgm.invariants.InvariantChecker`
     (``strict_invariants=False`` collects violations instead of
     raising).  ``guard`` enables the sender-side
-    :class:`~repro.pgm.guard.FeedbackGuard` — pass ``True`` for
-    defaults or a :class:`~repro.pgm.guard.GuardConfig`; the loss-range
-    rule is auto-configured from ``filter_w``/``estimator``.  All
+    :class:`~repro.pgm.guard.FeedbackGuard` when ``True``; its
+    loss-range rule is configured from ``filter_w``/``estimator``.  All
     handles live on the returned session, including the telemetry
     registry (``session.metrics``).
 
@@ -263,6 +262,8 @@ def create_session(
             cfg = dataclasses.replace(cfg, **kwargs)
         except TypeError as exc:
             raise TypeError(f"create_session: {exc}") from None
+    if not isinstance(cfg.guard, bool):
+        raise TypeError(f"create_session: guard must be a bool, not {cfg.guard!r}")
 
     plan = None
     if cfg.aggregate:
@@ -287,20 +288,14 @@ def create_session(
     net.set_group(group, sender_host, receiver_hosts)
 
     guard_obj: Optional[FeedbackGuard] = None
-    if cfg.guard:
-        from .guard import FeedbackGuard, GuardConfig
+    if cfg.guard:  # the loss-range rule matches the session's estimator
+        from .guard import FeedbackGuard
 
-        if isinstance(cfg.guard, FeedbackGuard):
-            guard_obj = cfg.guard
-        else:
-            if isinstance(cfg.guard, GuardConfig):
-                guard_cfg = cfg.guard
-            else:  # guard=True: defaults matched to the session's estimator
-                guard_cfg = GuardConfig(
-                    filter_w=cfg.filter_w if cfg.filter_w is not None else DEFAULT_W,
-                    check_loss_range=(cfg.estimator == "filter"),
-                )
-            guard_obj = FeedbackGuard(net.sim, guard_cfg)
+        guard_obj = FeedbackGuard(
+            net.sim,
+            cfg.filter_w if cfg.filter_w is not None else DEFAULT_W,
+            check_loss_range=(cfg.estimator == "filter"),
+        )
 
     registry = MetricsRegistry()
     sender = PgmSender(

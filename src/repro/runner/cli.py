@@ -14,7 +14,7 @@ Examples::
     python -m repro.runner -j 4 --scale 0.1        # smoke sweep
     python -m repro.runner EXP-F3 EXP-F4 --no-cache
     python -m repro.runner -j auto --scale 0.1 --manifest results/run.json
-    python -m repro.runner --list examples/sweeps/arena_matrix.toml
+    python -m repro.runner --list examples/sweeps/ci_smoke.toml
     python -m repro.runner examples/sweeps/ci_smoke.toml -j 2 --scale 0.05
     python -m repro.runner --list ABL-FIG4         # a study's cells
     python -m repro.runner ABL-FIG4 --scale 0.1    # one study

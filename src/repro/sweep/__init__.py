@@ -14,13 +14,13 @@ study and a spec file take the same path (:mod:`repro.sweep.run`).
 Library use::
 
     from repro.sweep import sweep
-    run = sweep("examples/sweeps/arena_matrix.toml", jobs=4, scale=0.05)
-    print(run.manifest["studies"]["arena-matrix"]["ranked"])
+    run = sweep("examples/sweeps/ci_smoke.toml", jobs=2)
+    print(run.manifest["studies"]["ci-smoke"]["ranked"])
 
 The command line is the runner's: a spec file in place of experiment
 ids runs it, ``--list`` prints its expanded tasks::
 
-    python -m repro.runner examples/sweeps/arena_matrix.toml -j auto
+    python -m repro.runner examples/sweeps/ci_smoke.toml -j auto
 """
 
 from .aggregate import SweepCell, axis_deltas, ranked_rows

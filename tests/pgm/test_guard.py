@@ -9,7 +9,8 @@ import pytest
 
 from repro.core.loss_filter import SCALE
 from repro.core.reports import ReceiverReport
-from repro.pgm.guard import RULES, FeedbackGuard, GuardConfig
+from repro.pgm import guard as G
+from repro.pgm.guard import RULES, FeedbackGuard
 
 FULL = 0xFFFFFFFF
 
@@ -113,7 +114,7 @@ class TestShadowDivergence:
     @pytest.fixture
     def guard(self, clock):
         # isolate the shadow rule from the range rule
-        return FeedbackGuard(clock, GuardConfig(check_loss_range=False))
+        return FeedbackGuard(clock, check_loss_range=False)
 
     def _mature_shadow(self, guard, acks=10):
         """Feed loss-free bitmaps until the shadow is judged usable."""
@@ -148,9 +149,8 @@ class TestShadowDivergence:
 
 class TestNakBucket:
     def test_flood_drops_and_accrues_suspicion(self, guard):
-        cfg = guard.config
         dropped = 0
-        for i in range(int(cfg.nak_burst) + 50):
+        for i in range(int(G.NAK_BURST) + 50):
             v = guard.on_nak(rep(100), last_tx_seq=2000)
             dropped += v.drop
         assert dropped == 50
@@ -192,9 +192,8 @@ class TestQuarantineLifecycle:
 
     def test_readmission_after_backoff(self, guard, clock):
         self._strong(guard, 2)
-        cfg = guard.config
         assert guard.is_quarantined("r0")
-        clock.now += cfg.quarantine_base + 0.1
+        clock.now += G.QUARANTINE_BASE + 0.1
         assert not guard.is_quarantined("r0")
         v = guard.on_ack(50, FULL, rep(60), last_tx_seq=100)
         assert v.allow_control
@@ -202,18 +201,17 @@ class TestQuarantineLifecycle:
         assert guard.suspicion("r0") > 0
 
     def test_backoff_doubles(self, guard, clock):
-        cfg = guard.config
         self._strong(guard, 2)
         first = guard._ledgers["r0"].quarantined_until - clock.now
-        clock.now += cfg.quarantine_base + 1.0
+        clock.now += G.QUARANTINE_BASE + 1.0
         self._strong(guard, 2)
         second = guard._ledgers["r0"].quarantined_until - clock.now
-        assert second == pytest.approx(first * cfg.quarantine_backoff)
+        assert second == pytest.approx(first * G.QUARANTINE_BACKOFF)
 
     def test_suspicion_decays(self, guard, clock):
         self._strong(guard, 1)
         s0 = guard.suspicion("r0")
-        clock.now += guard.config.suspicion_decay_tau
+        clock.now += G.SUSPICION_DECAY_TAU
         assert guard.suspicion("r0") == pytest.approx(s0 / 2.718, rel=0.01)
 
 
@@ -229,7 +227,7 @@ class TestReplayDedup:
         # a stall-elicited keep-alive ACK is verbatim-identical to the
         # previous one; only rapid-fire duplicates are replays
         guard.on_ack(50, FULL, rep(60), last_tx_seq=100)
-        clock.now += guard.config.replay_ttl + 0.1
+        clock.now += G.REPLAY_TTL + 0.1
         v = guard.on_ack(50, FULL, rep(60), last_tx_seq=100)
         assert not v.drop
         assert guard.acks_deduped == 0
@@ -246,14 +244,13 @@ class TestQuarantinedRepairBudget:
         for _ in range(2):
             guard.on_nak(rep(9999), last_tx_seq=100, requests_repair=False)
         assert guard.is_quarantined("r0")
-        cfg = guard.config
         # with the sender not transmitting, only the burst allowance
         # passes — a storm cannot outrun the data rate
         passed = sum(
             not guard.on_nak(rep(90), last_tx_seq=100).drop
             for _ in range(200)
         )
-        assert passed == int(cfg.quarantine_repair_burst)
+        assert passed == int(G.QUARANTINE_REPAIR_BURST)
         # each newly transmitted packet funds one more repair
         v = guard.on_nak(rep(90), last_tx_seq=110)
         assert not v.drop
@@ -268,7 +265,7 @@ class TestQuarantinedRepairBudget:
         clock.now += 1.0
         guard.on_nak(rep(90), last_tx_seq=100)
         assert led.nak_tokens == pytest.approx(
-            drained + guard.config.nak_rate - 1.0)
+            drained + G.NAK_RATE - 1.0)
 
 
 class TestSummary:

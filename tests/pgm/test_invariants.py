@@ -17,7 +17,7 @@ from repro.core.sender_cc import SenderController
 from repro.core.window import WindowController
 from repro.pgm import aggregate, create_session
 from repro.pgm.aggregate import AggregateManager
-from repro.pgm.invariants import RULES, InvariantChecker, InvariantViolation
+from repro.pgm.invariants import RULES, InvariantViolation
 from repro.pgm.packets import Ack, Nak
 from repro.pgm.sender import PgmSender
 from repro.simulator import (
@@ -148,14 +148,14 @@ def member_dropped(monkeypatch, strict):
 
 def tail_acker_kept(monkeypatch, strict):
     """A tail identity elected acker is never promoted.  It never ACKs,
-    so a stall unseats it about 1.9 s later: the checker sweeps every
-    0.25 s, where its default 1 s sweep can miss a reign that short."""
+    so a stall unseats it about 1.9 s later: the checker fires the grace
+    from the seating, where its 1 s sweep alone can miss a reign that
+    short."""
     monkeypatch.setattr(AggregateManager, "on_acker_observed",
                         lambda self, acker_id, seq: None)
     net = dumbbell_subtrees(24, subtrees=2, bottleneck=BOTTLENECK, seed=5)
-    session = create_session(net, "h0", [], aggregate=True)
-    session.invariants = InvariantChecker(
-        session, strict=strict, check_interval=0.25).attach()
+    session = create_session(net, "h0", [], aggregate=True,
+                             check_invariants=True, strict_invariants=strict)
     net.link("R0", net.subtree_plan.router(0)).loss = DeterministicLoss(
         range(5, 400, 7))
     return net, session, 8.0
@@ -192,7 +192,7 @@ def test_a_broken_property_fires_its_rule(rule, strict, monkeypatch):
 
 def test_the_promotion_break_seats_a_tail_acker_past_the_grace(monkeypatch):
     """The precondition of the aggregate-promotion case: a tail identity
-    holds the seat, unpromoted, for longer than the grace plus a sweep."""
+    holds the seat, unpromoted, for longer than the grace."""
     net, session, until = tail_acker_kept(monkeypatch, strict=False)
     manager, sender = session.aggregate, session.sender
     seats = []  # (time, the acker if it is a tail identity, else None)
@@ -208,4 +208,4 @@ def test_the_promotion_break_seats_a_tail_acker_past_the_grace(monkeypatch):
     reigns = [list(run) for acker, run in groupby(seats, key=lambda s: s[1])
               if acker is not None]
     longest = max(run[-1][0] - run[0][0] for run in reigns)
-    assert longest > aggregate.PROMOTION_GRACE + session.invariants.check_interval
+    assert longest > aggregate.PROMOTION_GRACE

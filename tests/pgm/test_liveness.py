@@ -1,17 +1,9 @@
 """Liveness watchdog: state machine, timers, degraded mode and its
 interaction with the generic stall machinery."""
 
-import pytest
-
 from repro.core.sender_cc import CcConfig
-from repro.pgm import create_session
-from repro.pgm.liveness import (
-    DEGRADED,
-    NORMAL,
-    SUSPECT,
-    LivenessConfig,
-    LivenessWatchdog,
-)
+from repro.pgm import create_session, liveness
+from repro.pgm.liveness import DEGRADED, NORMAL, SUSPECT, LivenessWatchdog
 from repro.pgm.session import SessionConfig
 from repro.pgm.telemetry import read_log
 from repro.simulator import NON_LOSSY, dumbbell
@@ -29,37 +21,17 @@ def _log(session):
     return read_log(session.trace, session.network.sim.now)
 
 
-def _session(net, liveness=True, faults=None, **params):
+def _session(net, liveness=True, faults=None):
     return create_session(
         net, "h0", [f"r{i}" for i in range(2)],
         config=SessionConfig(
-            cc=CcConfig(liveness=liveness, liveness_params=params),
+            cc=CcConfig(liveness=liveness),
             faults=faults,
         ),
     )
 
 
 class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LivenessConfig(ack_timeout_factor=0)
-        with pytest.raises(ValueError):
-            LivenessConfig(min_timeout=2.0, max_timeout=1.0)
-        with pytest.raises(ValueError):
-            LivenessConfig(max_demotions=0)
-        with pytest.raises(ValueError):
-            LivenessConfig(degraded_interval=0)
-        with pytest.raises(ValueError):
-            LivenessConfig(degraded_repair_budget=-1)
-
-    def test_session_config_folds_params(self):
-        net = dumbbell(1, 2, NON_LOSSY)
-        session = _session(net, max_demotions=3, degraded_interval=0.5)
-        watchdog = session.sender.watchdog
-        assert watchdog is not None
-        assert watchdog.config.max_demotions == 3
-        assert watchdog.config.degraded_interval == 0.5
-
     def test_no_watchdog_without_opt_in(self):
         net = dumbbell(1, 2, NON_LOSSY)
         session = create_session(net, "h0", ["r0"])
@@ -146,7 +118,7 @@ class TestAckerCrash:
 
 
 class TestDegradedMode:
-    def _blackout(self, duration=6.0, **params):
+    def _blackout(self, duration=6.0):
         """Total feedback loss: ACK+NAK blackhole on the reverse
         bottleneck from t=3."""
         net = dumbbell(1, 2, NON_LOSSY, seed=13)
@@ -154,7 +126,7 @@ class TestDegradedMode:
             ControlBlackhole("R1", "R0", at=3.0, duration=duration,
                              kinds=("Ack", "Nak")),
         ))
-        return net, _session(net, faults=faults, **params)
+        return net, _session(net, faults=faults)
 
     def test_enters_degraded_and_recovers_on_heal(self):
         net, session = self._blackout()
@@ -184,8 +156,8 @@ class TestDegradedMode:
         assert (DEGRADED, SUSPECT, "nak") in trans or \
                (DEGRADED, NORMAL, "ack") in [(o, n, r) for o, n, r in trans]
 
-    def test_repair_budget_gates_rdata(self):
-        config = LivenessConfig(degraded_repair_budget=2)
+    def test_repair_budget_gates_rdata(self, monkeypatch):
+        monkeypatch.setattr(liveness, "DEGRADED_REPAIR_BUDGET", 2)
 
         class _Sim:
             now = 0.0
@@ -200,9 +172,9 @@ class TestDegradedMode:
             closed = False
             rto = None
 
-        watchdog = LivenessWatchdog(_Sim(), _Ctl(), config)
+        watchdog = LivenessWatchdog(_Sim(), _Ctl())
         watchdog.state = DEGRADED
-        watchdog.repair_budget_left = config.degraded_repair_budget
+        assert watchdog.repair_budget_left == 2
         assert watchdog.allow_repair()
         assert watchdog.allow_repair()
         assert not watchdog.allow_repair()

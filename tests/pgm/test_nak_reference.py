@@ -118,6 +118,8 @@ def run_both(got, spacing):
         (ref.on_odata if kind == "O" else ref.on_rdata)(seq)
         assert sorted(rx._nak_states) == sorted(ref.lost)
         assert delivered == ref.delivered
+        assert rx.delivered == len(delivered)
+        assert sorted(rx._pending_delivery) == sorted(ref.held)
 
     for i, (kind, seq) in enumerate(got):
         net.sim.schedule_at((i + 1) * spacing, arrive, kind, seq)
@@ -132,6 +134,11 @@ class TestAgainstTheReference:
     @example(([("R", 3), ("R", 4), ("O", 9), ("O", 10), ("R", 5)], 0.02))
     # a join at 500 that loses 502: nothing below 500 is NAKed
     @example(([("O", 500), ("O", 501), ("O", 503)], 0.02))
+    # a repair of data sent before the join, after the first ODATA:
+    # neither delivered nor held for delivery
+    @example(([("O", 9), ("R", 5), ("O", 10)], 0.02))
+    # an ODATA overtaken by the one that anchored: never held
+    @example(([("O", 4), ("O", 3), ("O", 5)], 0.02))
     def test_same_gaps_same_delivery(self, case):
         run_both(*case)
 

@@ -66,25 +66,15 @@ class TestNakSuppression:
         # the suppressed branch got an NCF
         assert any(isinstance(m, Ncf) and m.seq == 5 for m in rxs["rx1"].payloads())
 
-    def test_suppression_disabled_forwards_all(self, fanout):
-        ne = install_ne(fanout, suppress=False)
-        collector = src_collector(fanout)
-        rx_collectors(fanout)
-        learn_group(fanout, ne)
-        for rx in ("rx0", "rx1"):
-            fanout.host(rx).send(Packet(rx, "src", 100, nak(5, rx=rx), C.PROTO))
-        fanout.run(until=1.0)
-        assert len(collector.payloads(Nak)) == 2
-
     def test_state_expires(self, fanout):
-        ne = install_ne(fanout, state_lifetime=0.2)
+        ne = install_ne(fanout)
         collector = src_collector(fanout)
         rx_collectors(fanout)
         learn_group(fanout, ne)
         fanout.host("rx0").send(Packet("rx0", "src", 100, nak(5), C.PROTO))
-        fanout.run(until=0.5)  # past the lifetime
+        fanout.run(until=0.5 + C.NE_STATE_LIFETIME)  # past the lifetime
         fanout.host("rx1").send(Packet("rx1", "src", 100, nak(5, rx="rx1"), C.PROTO))
-        fanout.run(until=1.0)
+        fanout.run(until=1.0 + C.NE_STATE_LIFETIME)
         assert len(collector.payloads(Nak)) == 2
 
     def test_different_seqs_not_suppressed(self, fanout):
@@ -166,16 +156,6 @@ class TestSelectiveRepair:
             for name in rxs
         )
         assert ne.rdata_flooded == 1
-
-    def test_selective_repair_disabled_floods(self, fanout):
-        ne = install_ne(fanout, selective_repair=False)
-        rxs = rx_collectors(fanout)
-        learn_group(fanout, ne)
-        fanout.host("rx1").send(Packet("rx1", "src", 100, nak(0, rx="rx1"), C.PROTO))
-        fanout.run(until=0.2)
-        fanout.host("src").send(Packet("src", "mc:t", 1500, RData(1, 0, 0, 1400), C.PROTO))
-        fanout.run(until=1.0)
-        assert any(isinstance(m, RData) for m in rxs["rx0"].payloads())
 
     def test_straggler_nak_after_repair_suppressed(self, fanout):
         """PGM NAK elimination: the entry outlives the repair so late

@@ -207,11 +207,13 @@ class TestDispatch:
 
     def test_counters(self, wire):
         rx, _ = make_receiver(wire)
-        send_data(wire, odata(0))
-        send_data(wire, RData(1, 0, 0, 1400))
+        send_data(wire, odata(5))
+        send_data(wire, RData(1, 5, 0, 1400))
+        send_data(wire, RData(1, 3, 0, 1400))  # sent before the join
         wire.run(until=1.0)
         assert rx.odata_received == 1
-        assert rx.rdata_received == 1
+        assert rx.rdata_received == 2
+        assert rx.delivered == 1
 
     @pytest.mark.parametrize("foreign", [
         odata(0, acker="rx", elicit=True, tsi=99),

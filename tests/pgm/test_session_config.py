@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.sender_cc import CcConfig
 from repro.pgm import add_receiver, create_session
+from repro.pgm.network_element import PgmNetworkElement
 from repro.pgm.sender import PgmSender
 from repro.pgm.session import SessionConfig
 from repro.simulator import LOSSY, NON_LOSSY, dumbbell, dumbbell_subtrees, star
@@ -134,6 +135,15 @@ class TestSessionConfig:
             with pytest.raises(TypeError, match=option):
                 add_receiver(net, session, "r1", **{option: False})
         assert session.members == ["r0"]
+        # the watchdog and the network elements have no settable values,
+        # and the guard is on or off
+        with pytest.raises(TypeError, match="liveness_params"):
+            CcConfig(liveness_params={"max_demotions": 2})
+        with pytest.raises(TypeError, match="suppress"):
+            PgmNetworkElement(net.router("R0"), suppress=False)
+        for guard in (None, 1, object()):
+            with pytest.raises(TypeError, match="create_session.*guard"):
+                create_session(net, "h0", ["r1"], guard=guard)
 
     def test_config_sweeps_compose_with_replace(self):
         base = SessionConfig(stop_at=30.0)

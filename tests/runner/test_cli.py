@@ -207,7 +207,7 @@ class TestSpecUsage:
 
     def test_every_committed_spec_lists(self, capsys):
         pytest.importorskip("tomllib")
-        assert len(COMMITTED_SPECS) == 3
+        assert len(COMMITTED_SPECS) == 2
         for spec in COMMITTED_SPECS:
             assert main(["--list", str(spec)]) == 0
             assert f"{spec}: " in capsys.readouterr().out

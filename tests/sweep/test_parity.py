@@ -4,7 +4,6 @@ import pytest
 
 from repro.sweep import load_spec
 
-ARENA_SPEC = "examples/sweeps/arena_matrix.toml"
 RESILIENCE_SPEC = "examples/sweeps/resilience_matrix.toml"
 CI_SPEC = "examples/sweeps/ci_smoke.toml"
 
@@ -18,7 +17,6 @@ class TestCommittedSpecs:
     def test_all_specs_validate_and_expand(self):
         from repro.sweep import expand
 
-        assert len(expand(load(ARENA_SPEC))) == 12
         assert len(expand(load(CI_SPEC))) == 8
 
     def test_resilience_matrix_expands_to_24_tasks(self):
