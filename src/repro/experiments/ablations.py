@@ -1,6 +1,8 @@
 """The §5 future-work extensions implemented in this reproduction.
 
-Each runs a topology of its own:
+Each runs a topology of its own, and each is a registered ``ablate``
+study whose base cell is the paper's choice and whose one other cell is
+the alternative:
 
 * ABL-MODEL: the simple ``1/(RTT·√p)`` election model vs the full
   Padhye equation [15], in the footnote-3 scenario (a low-RTT but very
@@ -15,11 +17,12 @@ over Figs. 4 and 5 (ABL-FIG4, ABL-RTT in :mod:`.registry`).
 
 from __future__ import annotations
 
-from .common import ExperimentResult, kbps
+from .common import ExperimentResult
 
 
-def run_throughput_model(scale: float = 1.0, seed: int = 47) -> ExperimentResult:
-    """ABL-MODEL: footnote 3's pathological pairing, live.
+def run_throughput_model(scale: float = 1.0, seed: int = 47,
+                         model: str = "simple") -> ExperimentResult:
+    """ABL-MODEL's cell: footnote 3's pathological pairing, live.
 
     One receiver sits behind a short (10 ms) but heavily lossy (18 %)
     link; the other behind a long (300 ms), almost clean (0.5 %) one.
@@ -33,9 +36,34 @@ def run_throughput_model(scale: float = 1.0, seed: int = 47) -> ExperimentResult
     from ..simulator import ACCESS, LinkSpec, Network
     from ..analysis import acker_occupancy, throughput_bps
 
-    result = ExperimentResult(
+    duration = 180.0 * scale
+    net = Network(seed=seed)
+    net.add_host("src")
+    net.add_router("R0")
+    net.duplex_link("src", "R0", ACCESS)
+    net.add_host("lossy")
+    net.duplex_link("R0", "lossy", LinkSpec(2_000_000, 0.010, queue_slots=60,
+                                            loss_rate=0.18))
+    net.add_host("far")
+    net.duplex_link("R0", "far", LinkSpec(2_000_000, 0.300, queue_slots=60,
+                                          loss_rate=0.005))
+    net.build_routes()
+    session = create_session(net, "src", ["lossy", "far"],
+                             cc=CcConfig(model=model))
+    net.run(until=duration)
+    occupancy = acker_occupancy(
+        session.sender.controller.election.switches, duration / 3, duration)
+    case = {
+        "dominant": max(occupancy, key=occupancy.get) if occupancy else None,
+        "rate": throughput_bps(session.trace, duration / 3, duration),
+        "occupancy": occupancy,
+        "switches": session.acker_switches,
+    }
+    session.close()
+    return ExperimentResult(
         name="abl-throughput-model",
-        params={"scale": scale, "seed": seed},
+        params={"scale": scale, "seed": seed, "model": model},
+        metrics=case,
         expectation=(
             "footnote 3: at loss rates above ~5% the simple equation "
             "overestimates throughput, so the lossy receiver can lose "
@@ -46,47 +74,37 @@ def run_throughput_model(scale: float = 1.0, seed: int = 47) -> ExperimentResult
             "the static divergence is isolated in the unit tests"
         ),
     )
-    duration = 180.0 * scale
-    for model in ("simple", "padhye"):
-        net = Network(seed=seed)
-        net.add_host("src")
-        net.add_router("R0")
-        net.duplex_link("src", "R0", ACCESS)
-        net.add_host("lossy")
-        net.duplex_link("R0", "lossy", LinkSpec(2_000_000, 0.010, queue_slots=60,
-                                                loss_rate=0.18))
-        net.add_host("far")
-        net.duplex_link("R0", "far", LinkSpec(2_000_000, 0.300, queue_slots=60,
-                                              loss_rate=0.005))
-        net.build_routes()
-        session = create_session(net, "src", ["lossy", "far"],
-                                 cc=CcConfig(model=model))
-        net.run(until=duration)
-        occupancy = acker_occupancy(
-            session.sender.controller.election.switches, duration / 3, duration)
-        dominant = max(occupancy, key=occupancy.get) if occupancy else None
-        rate = throughput_bps(session.trace, duration / 3, duration)
-        result.add_row(model=model, dominant_acker=dominant,
-                       rate_kbps=kbps(rate), switches=session.acker_switches)
-        result.metrics[f"{model}:dominant"] = dominant
-        result.metrics[f"{model}:rate"] = rate
-        result.metrics[f"{model}:occupancy"] = occupancy
-        session.close()
-    return result
 
 
-def run_adaptive_ssthresh(scale: float = 1.0, seed: int = 53) -> ExperimentResult:
-    """ABL-ADSS: §3.4 future work — adaptive vs fixed slow-start
-    threshold.  Measures startup aggressiveness (queue drops in the
-    first seconds) and steady fairness with TCP."""
+def run_adaptive_ssthresh(scale: float = 1.0, seed: int = 53,
+                          adaptive_ssthresh: bool = False) -> ExperimentResult:
+    """ABL-ADSS's cell: §3.4 future work — adaptive vs fixed slow-start
+    threshold.  Measures startup aggressiveness (congestion losses in
+    the first seconds) and steady fairness with TCP."""
     from ..core.sender_cc import CcConfig
     from ..pgm import create_session
     from ..simulator import NON_LOSSY, dumbbell
     from ..tcp import create_tcp_flow
 
-    result = ExperimentResult(
+    duration = 160.0 * scale
+    net = dumbbell(2, 2, NON_LOSSY, seed=seed)
+    session = create_session(net, "h0", ["r0"],
+                             cc=CcConfig(adaptive_ssthresh=adaptive_ssthresh))
+    tcp = create_tcp_flow(net, "h1", "r1", start_at=duration / 2)
+    net.run(until=duration)
+    case = {
+        "pgm": session.throughput_bps(duration * 0.6, duration),
+        "tcp": tcp.throughput_bps(duration * 0.6, duration),
+        "early_cc_losses": session.trace.between(0, 10 * scale).count("cc-loss"),
+        "queue_drops": net.link("R0", "R1").queue_drops,
+    }
+    session.close()
+    tcp.close()
+    return ExperimentResult(
         name="abl-adaptive-ssthresh",
-        params={"scale": scale, "seed": seed},
+        params={"scale": scale, "seed": seed,
+                "adaptive_ssthresh": adaptive_ssthresh},
+        metrics=case,
         expectation=(
             "an adaptive (initially unbounded) threshold opens far more "
             "aggressively — the paper kept the cautious fixed 6 because "
@@ -95,75 +113,41 @@ def run_adaptive_ssthresh(scale: float = 1.0, seed: int = 53) -> ExperimentResul
             "the adaptive variant can cost pgmcc its own share"
         ),
     )
-    duration = 160.0 * scale
-    for adaptive, label in ((False, "fixed-6"), (True, "adaptive")):
-        net = dumbbell(2, 2, NON_LOSSY, seed=seed)
-        session = create_session(net, "h0", ["r0"],
-                                 cc=CcConfig(adaptive_ssthresh=adaptive))
-        tcp = create_tcp_flow(net, "h1", "r1", start_at=duration / 2)
-        net.run(until=duration)
-        early_drops = net.link("R0", "R1").queue_drops
-        pgm = session.throughput_bps(duration * 0.6, duration)
-        t = tcp.throughput_bps(duration * 0.6, duration)
-        result.add_row(
-            mode=label,
-            startup_queue_drops_10s=session.trace.between(0, 10 * scale).count("cc-loss"),
-            total_drops=early_drops,
-            pgm_kbps=kbps(pgm),
-            tcp_kbps=kbps(t),
-        )
-        result.metrics[f"{label}:pgm"] = pgm
-        result.metrics[f"{label}:tcp"] = t
-        result.metrics[f"{label}:early_cc_losses"] = session.trace.between(
-            0, 10 * scale
-        ).count("cc-loss")
-        session.close()
-        tcp.close()
-    return result
 
 
-def run_loss_estimator(scale: float = 1.0, seed: int = 59) -> ExperimentResult:
-    """ABL-TFRC: §5 future work — low-pass filter vs TFRC average loss
-    interval, on the standard lossy link."""
+def run_loss_estimator(scale: float = 1.0, seed: int = 59,
+                       estimator: str = "filter") -> ExperimentResult:
+    """ABL-TFRC's cell: §5 future work — low-pass filter vs TFRC average
+    loss interval, on the standard lossy link."""
     from ..pgm import create_session
     from ..simulator import LOSSY, dumbbell
 
-    result = ExperimentResult(
+    duration = 120.0 * scale
+    net = dumbbell(1, 1, LOSSY, seed=seed)
+    session = create_session(net, "h0", ["r0"], estimator=estimator)
+    rx = session.receivers[0]
+    # Sample the estimator output at every packet slot; judge by the
+    # steady-state (second half) time average, not a point sample — the
+    # filter's instantaneous value fluctuates by design (Fig. 2).
+    outputs: list[float] = []
+    rx.cc.sample_observer = lambda seq, lost: outputs.append(
+        rx.cc.loss_filter.loss_rate
+    )
+    net.run(until=duration)
+    steady = outputs[len(outputs) // 2 :] or [0.0]
+    case = {
+        "loss": sum(steady) / len(steady),
+        "raw_loss": rx.cc.loss_filter.raw_loss_rate,
+        "rate": session.throughput_bps(duration / 3, duration),
+    }
+    session.close()
+    return ExperimentResult(
         name="abl-loss-estimator",
-        params={"scale": scale, "seed": seed},
+        params={"scale": scale, "seed": seed, "estimator": estimator},
+        metrics=case,
         expectation=(
             "both estimators track the 3% link loss; TFRC reacts to "
             "loss *events* so bursts perturb it less, at similar "
             "steady-state accuracy and throughput"
         ),
     )
-    duration = 120.0 * scale
-    for estimator in ("filter", "tfrc"):
-        net = dumbbell(1, 1, LOSSY, seed=seed)
-        session = create_session(net, "h0", ["r0"], estimator=estimator)
-        rx = session.receivers[0]
-        # Sample the estimator output at every packet slot; judge by
-        # the steady-state (second half) time average, not a point
-        # sample — the filter's instantaneous value fluctuates by
-        # design (Fig. 2).
-        outputs: list[float] = []
-        rx.cc.sample_observer = lambda seq, lost: outputs.append(
-            rx.cc.loss_filter.loss_rate
-        )
-        net.run(until=duration)
-        steady = outputs[len(outputs) // 2 :] or [0.0]
-        mean_loss = sum(steady) / len(steady)
-        raw = rx.cc.loss_filter.raw_loss_rate
-        rate = session.throughput_bps(duration / 3, duration)
-        result.add_row(
-            estimator=estimator,
-            mean_loss=round(mean_loss, 4),
-            raw_loss=round(raw, 4),
-            nominal_loss=0.03,
-            rate_kbps=kbps(rate),
-        )
-        result.metrics[f"{estimator}:loss"] = mean_loss
-        result.metrics[f"{estimator}:raw_loss"] = raw
-        result.metrics[f"{estimator}:rate"] = rate
-        session.close()
-    return result

@@ -7,9 +7,10 @@ attack from :mod:`repro.pgm.misbehavior` costs the *compliant* part of
 the group — and a TCP flow sharing the bottleneck — with the
 :class:`~repro.pgm.guard.FeedbackGuard` off versus on.
 
-Setup mirrors Fig. 4's inter-fairness scene: one pgmcc session
-(``n_receivers`` receivers, ``r0`` the attacker) shares the non-lossy
-bottleneck with one TCP flow.  The headline scenario is the greedy
+Setup mirrors Fig. 4's inter-fairness scene: one pgmcc session (six
+receivers, ``r0`` the attacker) shares the non-lossy bottleneck with
+one TCP flow.  :func:`run_cell` is one (attack, guard) pair; the
+registered EXP-ADV study runs the ten pairs of its table.  The headline scenario is the greedy
 acker — ackership capture plus optimistic ACKs (it learns the
 sender's true lead from SPMs, so every claim is individually
 plausible) — which guard-off drives the session far past its
@@ -21,7 +22,7 @@ loss-free bitmaps) quarantine the attacker within seconds, the §3.6
 machinery re-elects an honest acker, and the compliant group runs
 within a few percent of the attack-free baseline.
 
-The baseline row runs with the guard *enabled* deliberately: an
+The baseline cell runs with the guard *enabled* deliberately: an
 all-honest group must show zero quarantines (no false positives).
 Every session runs under the runtime invariant checker, including the
 quarantined-receivers-are-never-ackers rule.
@@ -39,9 +40,10 @@ from ..pgm.misbehavior import AckReplay, GreedyAcker, NakStorm, Throttler
 from ..simulator import NON_LOSSY, dumbbell
 from ..simulator.faults import FaultPlan, LinkImpairment
 from ..tcp import create_tcp_flow
-from .common import ExperimentResult, kbps
+from .common import ExperimentResult
 
-#: The misbehaving receiver (always present in the group).
+#: The group: six receivers, the misbehaving one always among them.
+N_RECEIVERS = 6
 ATTACKER = "r0"
 
 #: Sender rate cap: bounds the optimistic-ACK blow-up at 4x the
@@ -50,9 +52,9 @@ ATTACKER = "r0"
 MAX_RATE_BPS = 2_000_000
 
 
-def _attack_plan(kind: Optional[str], duration: float) -> Optional[FaultPlan]:
+def _attack_plan(attack: str, duration: float) -> Optional[FaultPlan]:
     """The attack starts 15% in (after the honest session settles)."""
-    if kind is None:
+    if attack == "baseline":
         return None
     at = 0.15 * duration
     until_end = duration - at
@@ -80,37 +82,32 @@ def _attack_plan(kind: Optional[str], duration: float) -> Optional[FaultPlan]:
                       copies=3, interval=0.05),
         ),
     }
-    return FaultPlan(episodes[kind])
+    return FaultPlan(episodes[attack])
 
 
-def run_scenario(
-    kind: Optional[str],
-    guard_on: bool,
-    duration: float,
-    seed: int = 97,
-    n_receivers: int = 6,
-    result: Optional[ExperimentResult] = None,
-) -> dict:
-    """One session + one competing TCP flow; returns the measurements.
+def run_cell(scale: float = 1.0, seed: int = 97, attack: str = "baseline",
+             guard: bool = True) -> ExperimentResult:
+    """One session + one competing TCP flow, under one attack (or none:
+    ``"baseline"``) with the guard on or off.
 
-    ``kind`` is a misbehavior episode kind (or None for the attack-free
-    baseline).  Compliant goodput is the mean *in-order delivery* rate
-    over the non-attacker receivers in the final two-thirds of the run
-    — reliability as the application sees it, which is what repair
+    Compliant goodput is the mean *in-order delivery* rate over the
+    non-attacker receivers in the final two-thirds of the run —
+    reliability as the application sees it, which is what repair
     starvation destroys.
     """
-    net = dumbbell(2, n_receivers + 1, NON_LOSSY, seed=seed)
-    names = [f"r{i}" for i in range(n_receivers)]
+    duration = 60.0 * scale
+    net = dumbbell(2, N_RECEIVERS + 1, NON_LOSSY, seed=seed)
+    names = [f"r{i}" for i in range(N_RECEIVERS)]
     # Fig. 4's paper configuration, where pgmcc and TCP share fairly.
     cc = CcConfig(c=1.0, dupack_threshold=3, ssthresh=6)
     session = create_session(
         net, "h0", names, cc=cc,
-        faults=_attack_plan(kind, duration),
-        guard=guard_on,
+        faults=_attack_plan(attack, duration),
+        guard=guard,
         max_rate_bps=MAX_RATE_BPS,
         check_invariants=True, strict_invariants=False,
     )
-    tcp = create_tcp_flow(net, "h1", f"r{n_receivers}")
+    tcp = create_tcp_flow(net, "h1", f"r{N_RECEIVERS}")
 
     compliant = [rx for rx in session.receivers if rx.rx_id != ATTACKER]
     for rx in compliant:
@@ -128,50 +125,27 @@ def run_scenario(
         (rx.delivered - snapshot[rx.rx_id]) * 8.0 * C.DEFAULT_PAYLOAD / window
         for rx in compliant
     ]
-    guard = session.guard
-    out = {
-        "kind": kind or "baseline",
-        "guard": guard_on,
+    feedback_guard = session.guard
+    case = {
         "compliant_bps": sum(per_rx) / len(per_rx),
         "tx_bps": throughput_bps(session.trace, t0, duration),
         "tcp_bps": tcp.throughput_bps(t0, duration),
-        "quarantines": guard.summary()["quarantines"] if guard else 0,
-        "control_blocked": guard.control_blocked if guard else 0,
+        "quarantines": (feedback_guard.summary()["quarantines"]
+                        if feedback_guard else 0),
+        "control_blocked": (feedback_guard.control_blocked
+                            if feedback_guard else 0),
         "acker_evictions": session.sender.controller.acker_evictions,
         "attacker_is_acker": session.sender.controller.current_acker == ATTACKER,
         "unrecoverable": sum(rx.unrecoverable_data_loss for rx in compliant),
         "invariant_violations": len(session.invariants.violations),
     }
-    if result is not None:
-        result.attach_telemetry(session, seed=seed, attack=kind or "baseline",
-                                guard=guard_on)
     session.close()
     tcp.close()
-    return out
-
-
-#: (kind, guard_on) for every table row, headline attack first.
-SCENARIOS: tuple[tuple[Optional[str], bool], ...] = (
-    (None, True),
-    ("greedy-acker", False),
-    ("greedy-acker", True),
-    ("throttler", False),
-    ("throttler", True),
-    ("nak-storm", False),
-    ("nak-storm", True),
-    ("impaired", True),
-    ("ack-replay", False),
-    ("ack-replay", True),
-)
-
-
-def run(scale: float = 1.0, seed: int = 97,
-        n_receivers: int = 6) -> ExperimentResult:
-    duration = 60.0 * scale
-    result = ExperimentResult(
+    return ExperimentResult(
         name="adversarial-receivers",
-        params={"scale": scale, "seed": seed, "n_receivers": n_receivers,
-                "attacker": ATTACKER},
+        params={"scale": scale, "seed": seed, "attack": attack,
+                "guard": guard, "attacker": ATTACKER},
+        metrics=case,
         expectation=(
             "guard off, a single greedy acker (ackership capture + "
             "optimistic ACKs) drives the session far past its TCP-fair "
@@ -182,26 +156,3 @@ def run(scale: float = 1.0, seed: int = 97,
             "invariant violations and zero false quarantines"
         ),
     )
-    for kind, guard_on in SCENARIOS:
-        # Ship one session-metrics document: the headline attack with
-        # the guard engaged (the configuration the claim is about).
-        attach_to = result if (kind == "greedy-acker" and guard_on) else None
-        row = run_scenario(kind, guard_on, duration, seed=seed,
-                           n_receivers=n_receivers, result=attach_to)
-        result.add_row(
-            attack=row["kind"],
-            guard="on" if guard_on else "off",
-            compliant_kbps=kbps(row["compliant_bps"]),
-            tx_kbps=kbps(row["tx_bps"]),
-            tcp_kbps=kbps(row["tcp_bps"]),
-            quarantines=row["quarantines"],
-            evictions=row["acker_evictions"],
-            unrecoverable=row["unrecoverable"],
-            inv_violations=row["invariant_violations"],
-        )
-        prefix = f"{row['kind']}:{'on' if guard_on else 'off'}"
-        for key in ("compliant_bps", "tx_bps", "tcp_bps", "quarantines",
-                    "control_blocked", "acker_evictions", "attacker_is_acker",
-                    "unrecoverable", "invariant_violations"):
-            result.metrics[f"{prefix}:{key}"] = row[key]
-    return result

@@ -11,7 +11,8 @@ configurations, the paper's §4 standards:
   appreciably change the first's throughput.
 
 Fig. 3 was run with c = 1 (the paper wanted to show that switches do
-not harm the protocol), so that is the default here.
+not harm the protocol), so that is what runs here.  :func:`run_cell` is
+one panel; the registered EXP-F3 study runs it over both links.
 """
 
 from __future__ import annotations
@@ -19,23 +20,21 @@ from __future__ import annotations
 from ..analysis import jain_index, throughput_bps
 from ..core.sender_cc import CcConfig
 from ..pgm import create_session
-from ..simulator import LOSSY, NON_LOSSY, LinkSpec, dumbbell
-from .common import ExperimentResult, kbps
+from ..simulator import LOSSY, NON_LOSSY, dumbbell
+from .common import ExperimentResult
 
 
-def run_case(
-    spec: LinkSpec,
-    label: str,
-    duration: float = 180.0,
-    second_start: float = 60.0,
-    c: float = 1.0,
-    seed: int = 7,
-) -> dict:
-    """One Fig. 3 panel; returns phase rates and fairness metrics."""
+def run_cell(scale: float = 1.0, seed: int = 7,
+             link: str = "non-lossy") -> ExperimentResult:
+    """One Fig. 3 panel (the EXP-F3 study runs both links): phase
+    rates and fairness metrics."""
+    duration = 180.0 * scale
+    second_start = 60.0 * scale
+    spec = {"non-lossy": NON_LOSSY, "lossy": LOSSY}[link]
     net = dumbbell(2, 3, spec, seed=seed)
-    s1 = create_session(net, "h0", ["r0", "r1"], cc=CcConfig(c=c))
+    s1 = create_session(net, "h0", ["r0", "r1"], cc=CcConfig(c=1.0))
     s2 = create_session(
-        net, "h1", ["r2"], cc=CcConfig(c=c), start_at=second_start
+        net, "h1", ["r2"], cc=CcConfig(c=1.0), start_at=second_start
     )
     net.run(until=duration)
 
@@ -43,12 +42,10 @@ def run_case(
     phase_a = (warmup, second_start)  # only session 1
     settle = min(15.0, (duration - second_start) / 4)
     phase_b = (second_start + settle, duration)  # both competing
-    rate1_a = throughput_bps(s1.trace, *phase_a)
     rate1_b = throughput_bps(s1.trace, *phase_b)
     rate2_b = throughput_bps(s2.trace, *phase_b)
-    out = {
-        "label": label,
-        "rate1_alone": rate1_a,
+    case = {
+        "rate1_alone": throughput_bps(s1.trace, *phase_a),
         "rate1_shared": rate1_b,
         "rate2_shared": rate2_b,
         "jain": jain_index([rate1_b, rate2_b]),
@@ -59,32 +56,13 @@ def run_case(
     }
     s1.close()
     s2.close()
-    return out
-
-
-def run(scale: float = 1.0, seed: int = 7, c: float = 1.0) -> ExperimentResult:
-    duration = 180.0 * scale
-    second_start = 60.0 * scale
-    result = ExperimentResult(
+    return ExperimentResult(
         name="fig3-intra-fairness",
-        params={"scale": scale, "seed": seed, "c": c},
+        params={"scale": scale, "seed": seed, "link": link},
+        metrics=case,
         expectation=(
             "non-lossy: session 1 yields ~half its rate when session 2 "
             "starts, even split thereafter (Jain≈1); lossy: session 2's "
             "start leaves session 1's loss-determined rate unchanged"
         ),
     )
-    for spec, label in ((NON_LOSSY, "non-lossy"), (LOSSY, "lossy")):
-        case = run_case(spec, label, duration, second_start, c, seed)
-        result.add_row(
-            case=label,
-            rate1_alone_kbps=kbps(case["rate1_alone"]),
-            rate1_shared_kbps=kbps(case["rate1_shared"]),
-            rate2_shared_kbps=kbps(case["rate2_shared"]),
-            jain=round(case["jain"], 3),
-            acker_switches=case["switches1"],
-        )
-        for key, value in case.items():
-            if key != "label":
-                result.metrics[f"{label}:{key}"] = value
-    return result

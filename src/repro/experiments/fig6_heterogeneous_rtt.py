@@ -17,9 +17,10 @@ data plot.  The paper's points, which this experiment measures:
   too, so the PGM session behaving like one of its members (slow or
   fast) is TCP-compatible on the shared path — neither flow starves.
 
-We therefore report, per suppression mode: the origin distribution of
-NAKs arriving at the source, acker occupancy, and the TCP/PGM rate
-ratio compared against the RTT ratio a pure-TCP pair would exhibit.
+We therefore report, per suppression mode (one cell of the registered
+EXP-F6 study each): the origin distribution of NAKs arriving at the
+source, acker occupancy, and the TCP/PGM rate ratio compared against
+the RTT ratio a pure-TCP pair would exhibit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from ..core.sender_cc import CcConfig
 from ..pgm import create_session, enable_network_elements
 from ..simulator import ACCESS, LinkSpec, Network
 from ..tcp import create_tcp_flow
-from .common import ExperimentResult, kbps
+from .common import ExperimentResult
 
 #: one-way extra delays of the PGM receivers (seconds); the TCP
 #: receiver sits at 0.100 — two PGM RTTs below it, two above.
@@ -58,14 +59,18 @@ def build(seed: int) -> Network:
     return net
 
 
-def run_case(suppression: bool, rx_loss_aware: bool, duration: float,
-             seed: int, c: float = 0.75) -> dict:
+def run_cell(scale: float = 1.0, seed: int = 13, suppression: bool = False,
+             rx_loss_aware: bool = False) -> ExperimentResult:
+    """One suppression mode (the EXP-F6 study runs no NE, plain NE
+    suppression and the rx_loss-aware NE): rates, acker occupancy and
+    where the NAKs reaching the source came from."""
+    duration = 240.0 * scale
     net = build(seed)
     elements = {}
     if suppression:
         elements = enable_network_elements(net, ["R0", "R1"], rx_loss_aware=rx_loss_aware)
     receivers = [f"pr{i}" for i in range(len(RECEIVER_DELAYS))]
-    session = create_session(net, "src", receivers, cc=CcConfig(c=c))
+    session = create_session(net, "src", receivers, cc=CcConfig(c=0.75))
     tcp = create_tcp_flow(net, "ts", "tr", start_at=duration / 6)
     net.run(until=duration)
 
@@ -82,7 +87,7 @@ def run_case(suppression: bool, rx_loss_aware: bool, duration: float,
     # Share of source-reaching NAKs that came from the two short-RTT
     # receivers (pr0, pr1) — the quantity suppression skews.
     short_rtt_share = (origins.get("pr0", 0) + origins.get("pr1", 0)) / total_naks
-    out = {
+    case = {
         "pgm_rate": pgm_rate,
         "tcp_rate": tcp_rate,
         "ratio": throughput_ratio(pgm_rate, tcp_rate),
@@ -100,15 +105,12 @@ def run_case(suppression: bool, rx_loss_aware: bool, duration: float,
     }
     session.close()
     tcp.close()
-    return out
-
-
-def run(scale: float = 1.0, seed: int = 13) -> ExperimentResult:
-    duration = 240.0 * scale
-    result = ExperimentResult(
+    return ExperimentResult(
         name="fig6-heterogeneous-rtt",
-        params={"scale": scale, "seed": seed,
+        params={"scale": scale, "seed": seed, "suppression": suppression,
+                "rx_loss_aware": rx_loss_aware,
                 "receiver_delays": RECEIVER_DELAYS, "tcp_delay": TCP_DELAY},
+        metrics=case,
         expectation=(
             "the acker is one of the receivers but not necessarily the "
             "highest-RTT one; with NE suppression the reports reaching "
@@ -118,24 +120,3 @@ def run(scale: float = 1.0, seed: int = 13) -> ExperimentResult:
             "unfairness multiple TCPs with those RTTs would show)"
         ),
     )
-    for suppression, aware, label in (
-        (False, False, "no-NE"),
-        (True, False, "NE-suppression"),
-        (True, True, "NE-rx-loss-aware"),
-    ):
-        case = run_case(suppression, aware, duration, seed)
-        result.add_row(
-            case=label,
-            pgm_kbps=kbps(case["pgm_rate"]),
-            tcp_kbps=kbps(case["tcp_rate"]),
-            ratio=round(case["ratio"], 2),
-            dominant_acker=case["dominant_acker"],
-            acker_delay_ms=(
-                round(case["dominant_delay"] * 1000) if case["dominant_delay"] else None
-            ),
-            short_rtt_nak_share=round(case["short_rtt_nak_share"], 2),
-            naks_at_source=case["naks_at_source"],
-        )
-        for key, value in case.items():
-            result.metrics[f"{label}:{key}"] = value
-    return result

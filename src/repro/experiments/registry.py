@@ -130,14 +130,8 @@ def schema_for_target(target: str) -> Optional[list[dict[str, Any]]]:
 _BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
     ExperimentSpec("EXP-F2", "repro.experiments.fig2_loss_filter",
                    description="Fig. 2: loss-rate filter at receivers"),
-    ExperimentSpec("EXP-F3", "repro.experiments.fig3_intra_fairness",
-                   description="Fig. 3: intra-protocol fairness"),
-    ExperimentSpec("EXP-F4", "repro.experiments.fig4_inter_fairness",
-                   description="Fig. 4: inter-protocol fairness vs TCP"),
     ExperimentSpec("EXP-F5", "repro.experiments.fig5_acker_selection",
                    description="Fig. 5: acker selection/tracking plateaus"),
-    ExperimentSpec("EXP-F6", "repro.experiments.fig6_heterogeneous_rtt",
-                   description="Fig. 6: heterogeneous RTTs + NE suppression"),
     ExperimentSpec("EXP-F7", "repro.experiments.fig7_uncorrelated_loss",
                    description="Fig. 7: 50 receivers with uncorrelated loss"),
     ExperimentSpec("EXP-UNREL", "repro.experiments.unreliable_mode",
@@ -149,22 +143,12 @@ _BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
                                      default=(1, 10, 40),
                                      help="receiver-group sizes to compare"),),
                    description="drop-to-zero: feedback aggregation collapse"),
-    ExperimentSpec("ABL-MODEL", "repro.experiments.ablations", "run_throughput_model",
-                   scale_factor=0.5, description="ablation: RTT^2*p throughput models"),
-    ExperimentSpec("ABL-ADSS", "repro.experiments.ablations", "run_adaptive_ssthresh",
-                   scale_factor=0.5, description="ablation: adaptive ssthresh"),
-    ExperimentSpec("ABL-TFRC", "repro.experiments.ablations", "run_loss_estimator",
-                   scale_factor=0.5, description="ablation: loss filter vs TFRC estimator"),
     ExperimentSpec("EXP-MPATH", "repro.experiments.robustness", "run_multipath",
                    scale_factor=0.5, description="robustness: multipath reordering"),
     ExperimentSpec("EXP-CHURN", "repro.experiments.robustness", "run_churn",
                    scale_factor=0.5, description="robustness: receiver churn"),
-    ExperimentSpec("ABL-BURST", "repro.experiments.robustness", "run_bursty_loss",
-                   scale_factor=0.5, description="robustness: bursty (Gilbert) loss"),
     ExperimentSpec("EXP-CHAOS", "repro.experiments.robustness", "run_chaos",
                    scale_factor=0.5, description="chaos: scripted faults + invariants"),
-    ExperimentSpec("EXP-ADV", "repro.experiments.adversarial", scale_factor=0.5,
-                   description="adversarial: misbehaving receivers vs guard"),
     ExperimentSpec("EXP-SCALE", "repro.experiments.scalability", scale_factor=0.5,
                    description="scalability: exact ladder to 200, hybrid to 10^6"),
     # -- sweep cells: one matrix cell per task, for the sweep DSL -----
@@ -188,10 +172,33 @@ _BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
                            ParamSpec("liveness", "bool", default=True)),
                    description="one recovery bout: controller x fault "
                                "x watchdog on/off"),
+    ExperimentSpec("EXP-F3-CELL", "repro.experiments.fig3_intra_fairness",
+                   "run_cell", hidden=True,
+                   description="one Fig. 3 panel: link"),
     ExperimentSpec("EXP-F4-CELL", "repro.experiments.fig4_inter_fairness",
                    "run_cell", hidden=True,
-                   description="one non-lossy Fig. 4 case: c, dupack "
+                   description="one Fig. 4 case: link, c, dupack "
                                "threshold, ssthresh, delayed ACKs"),
+    ExperimentSpec("EXP-F6-CELL", "repro.experiments.fig6_heterogeneous_rtt",
+                   "run_cell", hidden=True,
+                   description="one Fig. 6 NE mode: suppression, "
+                               "rx_loss_aware"),
+    ExperimentSpec("ABL-MODEL-CELL", "repro.experiments.ablations",
+                   "run_throughput_model", hidden=True,
+                   description="one footnote-3 session: election model"),
+    ExperimentSpec("ABL-ADSS-CELL", "repro.experiments.ablations",
+                   "run_adaptive_ssthresh", hidden=True,
+                   description="one pgmcc vs TCP session: adaptive "
+                               "ssthresh"),
+    ExperimentSpec("ABL-TFRC-CELL", "repro.experiments.ablations",
+                   "run_loss_estimator", hidden=True,
+                   description="one lossy-link session: loss estimator"),
+    ExperimentSpec("ABL-BURST-CELL", "repro.experiments.robustness",
+                   "run_bursty_loss", hidden=True,
+                   description="one 2%-loss session: loss pattern"),
+    ExperimentSpec("EXP-ADV-CELL", "repro.experiments.adversarial",
+                   "run_cell", hidden=True,
+                   description="one attack with the guard on or off"),
     ExperimentSpec("EXP-SWEEP-CELL", "repro.experiments.fairness_sweep",
                    "run_cell", hidden=True,
                    description="one 4.3 bottleneck: rate x queue x loss"),
@@ -209,6 +216,43 @@ _RECOVERY_METRICS = ("ttr_s", "goodput_retained", "p99_stall_s", "resyncs",
 #: over one of them, and a report that names a study runs its cells.
 #: Their ``scale`` is the factor a ``scale_factor`` would be.
 _BUILTIN_STUDIES: tuple[SweepSpec, ...] = (
+    SweepSpec("EXP-F3", "EXP-F3-CELL", base={"seed": 7},
+              axes={"link": ["non-lossy", "lossy"]},
+              description="Fig. 3: intra-protocol fairness"),
+    SweepSpec("EXP-F4", "EXP-F4-CELL", base={"seed": 11},
+              axes={"link": ["non-lossy", "lossy"]},
+              description="Fig. 4: inter-protocol fairness vs TCP"),
+    SweepSpec("EXP-F6", "EXP-F6-CELL", mode="zip", base={"seed": 13},
+              axes={"suppression": [False, True, True],
+                    "rx_loss_aware": [False, False, True]},
+              description="Fig. 6: heterogeneous RTTs + NE suppression"),
+    SweepSpec("ABL-MODEL", "ABL-MODEL-CELL", mode="ablate", scale=0.5,
+              base={"seed": 47, "model": "simple"},
+              axes={"model": ["padhye"]},
+              description="ablation: RTT^2*p throughput models"),
+    SweepSpec("ABL-ADSS", "ABL-ADSS-CELL", mode="ablate", scale=0.5,
+              base={"seed": 53, "adaptive_ssthresh": False},
+              axes={"adaptive_ssthresh": [True]},
+              description="ablation: adaptive ssthresh"),
+    SweepSpec("ABL-TFRC", "ABL-TFRC-CELL", mode="ablate", scale=0.5,
+              base={"seed": 59, "estimator": "filter"},
+              axes={"estimator": ["tfrc"]},
+              description="ablation: loss filter vs TFRC estimator"),
+    SweepSpec("ABL-BURST", "ABL-BURST-CELL", mode="ablate", scale=0.5,
+              base={"seed": 79, "pattern": "bernoulli"},
+              axes={"pattern": ["bursty"]},
+              description="robustness: bursty (Gilbert) loss"),
+    # the attack-free baseline first, then each attack guard off and
+    # on; "impaired" is the ack replayer's honest anchor (no replay)
+    SweepSpec("EXP-ADV", "EXP-ADV-CELL", mode="zip", scale=0.5,
+              base={"seed": 97},
+              axes={"attack": ["baseline", "greedy-acker", "greedy-acker",
+                               "throttler", "throttler", "nak-storm",
+                               "nak-storm", "impaired", "ack-replay",
+                               "ack-replay"],
+                    "guard": [True, False, True, False, True, False, True,
+                              True, False, True]},
+              description="adversarial: misbehaving receivers vs guard"),
     SweepSpec("EXP-ARENA", "EXP-ARENA-CELL", scale=0.5,
               base={"seed": 23, "n_receivers": 4},
               axes={"controller": _CONTROLLERS,

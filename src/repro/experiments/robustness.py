@@ -12,9 +12,10 @@
   session alive; pgmcc treats each takeover as the acker *moving*.
 
 * ABL-BURST: Gilbert-Elliott bursty loss vs Bernoulli loss at equal
-  average rate.  The per-packet low-pass filter weighs every lost
-  packet, so bursts inflate the loss estimate relative to TFRC's
-  loss-event counting; the session survives both.
+  average rate, a registered ``ablate`` study over one cell.  The
+  per-packet low-pass filter weighs every lost packet, so bursts
+  inflate the loss estimate relative to TFRC's loss-event counting;
+  the session survives both.
 
 * EXP-CHAOS: a scripted :class:`~repro.simulator.faults.FaultPlan`
   (acker crash, bottleneck flap, burst loss, duplication, corruption,
@@ -206,12 +207,43 @@ def _longest_data_gap(trace, t0: float, t1: float) -> float:
     return max(b - a for a, b in zip(times, times[1:]))
 
 
-def run_bursty_loss(scale: float = 1.0, seed: int = 79) -> ExperimentResult:
-    """ABL-BURST: equal average loss, independent vs bursty."""
+def run_bursty_loss(scale: float = 1.0, seed: int = 79,
+                    pattern: str = "bernoulli") -> ExperimentResult:
+    """ABL-BURST's cell: 2 % average loss, independent (``bernoulli``)
+    or in bursts (``bursty``)."""
     duration = 180.0 * scale
-    result = ExperimentResult(
+    net = Network(seed=seed)
+    net.add_host("src")
+    net.add_router("R0")
+    net.add_host("rx")
+    net.duplex_link("src", "R0", ACCESS)
+    fwd, _ = net.duplex_link(
+        "R0", "rx", LinkSpec(2_000_000, 0.100, queue_bytes=30_000,
+                             loss_rate=0.02 if pattern == "bernoulli" else 0.0)
+    )
+    net.build_routes()
+    if pattern == "bursty":
+        model = GilbertElliottLoss(
+            net.rng.stream("burst"),
+            p_good_to_bad=0.004, p_bad_to_good=0.2,
+            good_loss=0.0, bad_loss=1.0,
+        )
+        # steady-state: 0.004/(0.204) ≈ 2% average loss, in bursts
+        fwd.loss = model
+    session = create_session(net, "src", ["rx"])
+    net.run(until=duration)
+    rx = session.receivers[0]
+    case = {
+        "rate": throughput_bps(session.trace, duration / 3, duration),
+        "raw_loss": rx.cc.loss_filter.raw_loss_rate,
+        "filter_loss": rx.loss_rate,
+        "stalls": session.sender.controller.stalls,
+    }
+    session.close()
+    return ExperimentResult(
         name="abl-bursty-loss",
-        params={"scale": scale, "seed": seed},
+        params={"scale": scale, "seed": seed, "pattern": pattern},
+        metrics=case,
         expectation=(
             "at equal average packet loss, bursts cluster the losses "
             "into fewer congestion *events* — the one-reaction-per-RTT "
@@ -221,41 +253,6 @@ def run_bursty_loss(scale: float = 1.0, seed: int = 79) -> ExperimentResult:
             "machinery absorbs"
         ),
     )
-    for pattern in ("bernoulli", "bursty"):
-        net = Network(seed=seed)
-        net.add_host("src")
-        net.add_router("R0")
-        net.add_host("rx")
-        net.duplex_link("src", "R0", ACCESS)
-        fwd, _ = net.duplex_link(
-            "R0", "rx", LinkSpec(2_000_000, 0.100, queue_bytes=30_000,
-                                 loss_rate=0.02 if pattern == "bernoulli" else 0.0)
-        )
-        net.build_routes()
-        if pattern == "bursty":
-            model = GilbertElliottLoss(
-                net.rng.stream("burst"),
-                p_good_to_bad=0.004, p_bad_to_good=0.2,
-                good_loss=0.0, bad_loss=1.0,
-            )
-            # steady-state: 0.004/(0.204) ≈ 2% average loss, in bursts
-            fwd.loss = model
-        session = create_session(net, "src", ["rx"])
-        net.run(until=duration)
-        rx = session.receivers[0]
-        rate = throughput_bps(session.trace, duration / 3, duration)
-        result.add_row(
-            pattern=pattern,
-            rate_kbps=kbps(rate),
-            raw_loss=round(rx.cc.loss_filter.raw_loss_rate, 4),
-            filter_loss=round(rx.loss_rate, 4),
-            stalls=session.sender.controller.stalls,
-        )
-        result.metrics[f"{pattern}:rate"] = rate
-        result.metrics[f"{pattern}:raw_loss"] = rx.cc.loss_filter.raw_loss_rate
-        result.metrics[f"{pattern}:stalls"] = session.sender.controller.stalls
-        session.close()
-    return result
 
 
 def chaos_plan(duration: float) -> FaultPlan:

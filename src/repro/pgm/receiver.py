@@ -265,8 +265,8 @@ class PgmReceiver:
             else:
                 self._next_deliver = msg.seq
             self._anchor = self._next_deliver
-        elif is_repair and msg.seq < self._anchor:
-            return  # a late repair of data sent before the join
+        elif msg.seq < self._anchor:
+            return  # data sent before the join, reaching us after it
         elif (
             not is_repair
             and msg.trail > self.cc.rxw_lead + 1
@@ -312,6 +312,11 @@ class PgmReceiver:
         if seq < self._next_deliver:
             return  # delivery moved past it: abandoned, resynced, overtaken
         self._pending_delivery[seq] = (payload_len, payload)
+        self._deliver_advance()
+
+    def _deliver_advance(self) -> None:
+        """Deliver held data in order, stepping over each abandoned
+        sequence as the walk reaches it."""
         while True:
             if self._next_deliver in self._pending_delivery:
                 plen, pay = self._pending_delivery.pop(self._next_deliver)
@@ -469,17 +474,6 @@ class PgmReceiver:
         self._abandoned.add(seq)
         # Unblock in-order delivery past the permanently missing packet.
         self._deliver_advance()
-
-    def _deliver_advance(self) -> None:
-        while self._next_deliver in self._abandoned:
-            self._abandoned.discard(self._next_deliver)
-            self._next_deliver += 1
-        while self._next_deliver in self._pending_delivery:
-            plen, pay = self._pending_delivery.pop(self._next_deliver)
-            if self.deliver is not None:
-                self.deliver(self._next_deliver, plen, pay)
-            self.delivered += 1
-            self._next_deliver += 1
 
     def _resync(self, live_lead: int) -> None:
         """Rejoin the session at ``live_lead`` after a gap the sender

@@ -37,6 +37,10 @@ from .tasks import TaskOutcome, worker_loop
 __all__ = ["Orchestrator", "auto_jobs", "jobs_arg", "retries_arg",
            "scale_arg", "timeout_arg"]
 
+#: seconds a failed task waits per attempt already made before it runs
+#: again
+RETRY_BACKOFF = 0.5
+
 
 def auto_jobs() -> int:
     return os.cpu_count() or 1
@@ -159,7 +163,6 @@ class Orchestrator:
     def __init__(self, specs: Iterable[ExperimentSpec], *, scale: float = 1.0,
                  jobs: int = 1, cache: ResultCache | None = None,
                  timeout: float | None = None, retries: int = 1,
-                 backoff: float = 0.5,
                  on_event: Callable[[RunnerEvent], None] | None = None,
                  extra_sys_path: Sequence[str] = ()):
         if not 0 < scale < math.inf:
@@ -183,7 +186,6 @@ class Orchestrator:
         self.cache = cache
         self.timeout = timeout or None  #: 0 disables, like None
         self.retries = retries
-        self.backoff = backoff
         self.on_event = on_event
         self.extra_sys_path = list(extra_sys_path)
         self.outcomes: list[TaskOutcome] = []
@@ -320,7 +322,7 @@ class Orchestrator:
                            message=payload.get("type", ""))
                 task.attempt += 1
                 task.not_before = (time.perf_counter()
-                                   + self.backoff * (task.attempt - 1))
+                                   + RETRY_BACKOFF * (task.attempt - 1))
                 queue.append(task)
                 return
             self._finish(by_index, task.index, TaskOutcome(

@@ -90,19 +90,49 @@ class TestLookups:
             + [s.name for s in _BUILTIN_STUDIES])
 
     def test_the_loops_studies_replaced_are_gone(self):
-        from repro.experiments import arena, resilience
+        from repro.experiments import (
+            adversarial,
+            arena,
+            fig3_intra_fairness,
+            fig4_inter_fairness,
+            fig6_heterogeneous_rtt,
+            resilience,
+        )
 
         assert [s.name for s in registered_studies()] == [
+            "EXP-F3", "EXP-F4", "EXP-F6", "ABL-MODEL", "ABL-ADSS",
+            "ABL-TFRC", "ABL-BURST", "EXP-ADV",
             "EXP-ARENA", "EXP-RESILIENCE", "ABL-WATCHDOG",
             "ABL-FIG4", "ABL-RTT", "EXP-SWEEP"]
         for old in ("ABL-C", "ABL-DUP", "ABL-SS", "ABL-DELACK", "ABL-NE"):
             assert resolve_experiment_id(old) is None
         # the monolithic matrix runners the arena and resilience
-        # studies replaced
+        # studies replaced, and the case loops of the figure, attack
+        # and ablation studies
         for module, name in ((arena, "run"), (arena, "matrix_table"),
                              (resilience, "run"),
-                             (resilience, "BASELINE_CELL")):
+                             (resilience, "BASELINE_CELL"),
+                             (fig3_intra_fairness, "run"),
+                             (fig4_inter_fairness, "run"),
+                             (fig4_inter_fairness, "run_case"),
+                             (fig6_heterogeneous_rtt, "run"),
+                             (fig6_heterogeneous_rtt, "run_case"),
+                             (adversarial, "run"),
+                             (adversarial, "SCENARIOS")):
             assert not hasattr(module, name), name
+
+    def test_importing_the_registry_loads_no_experiment(self):
+        # a sweep's set-up imports the registry: it must not pay for
+        # the experiment modules (or what they import) to look one up
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.experiments.registry; "
+             "print(*sorted(m for m in sys.modules "
+             "if m.startswith('repro.experiments.')))"],
+            capture_output=True, text=True, timeout=120, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.stdout.split() == ["repro.experiments.common",
+                                       "repro.experiments.registry"]
 
     def test_hidden_specs_excluded_from_view_but_resolvable(self):
         ids = [s.id for s in registered_specs()]
@@ -201,11 +231,11 @@ class TestValidateKwargs:
             undeclared.validate_kwargs({"scale": "fast"})
 
     def test_undeclared_schema_is_the_function_signature(self):
-        spec = get_experiment("EXP-F4")
+        spec = get_experiment("EXP-F4-CELL")
         assert not spec.params
         spec.validate_kwargs({"scale": 0.1, "seed": 3, "c": 0.5})
-        with pytest.raises(TypeError,
-                           match="'cc'.*c, delayed_acks, scale, seed"):
+        with pytest.raises(TypeError, match="'cc'.*c, delayed_acks, "
+                           "dupack_threshold, link, scale, seed, ssthresh"):
             spec.validate_kwargs({"cc": 3})
 
     def test_scale_alone_resolves_nothing(self, monkeypatch):

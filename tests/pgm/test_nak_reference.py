@@ -96,13 +96,16 @@ def arrivals(draw):
 def run_both(got, spacing):
     net = Network(seed=0)
     net.add_host("src")
-    net.add_host("rx")
-    net.duplex_link("src", "rx", FAST)
+    for host in ("rx", "bare"):
+        net.add_host(host)
+        net.duplex_link("src", host, FAST)
     net.build_routes()
     net.host("src").register_agent(C.PROTO, Collector())
     delivered = []
     rx = PgmReceiver(net.host("rx"), "mc:t", tsi=1, source_addr="src",
                      deliver=lambda seq, n, payload: delivered.append(seq))
+    # with no deliver callback a receiver counts what it takes as data
+    bare = PgmReceiver(net.host("bare"), "mc:t", tsi=1, source_addr="src")
     ref = NackModule()
     send = rx._send_nak
 
@@ -114,12 +117,14 @@ def run_both(got, spacing):
 
     def arrive(kind, seq):
         msg = OData(1, seq, 0, 1400) if kind == "O" else RData(1, seq, 0, 1400)
-        rx.handle_packet(Packet("src", "mc:t", 1500, msg, C.PROTO))
+        for receiver in (rx, bare):
+            receiver.handle_packet(Packet("src", "mc:t", 1500, msg, C.PROTO))
         (ref.on_odata if kind == "O" else ref.on_rdata)(seq)
         assert sorted(rx._nak_states) == sorted(ref.lost)
         assert delivered == ref.delivered
         assert rx.delivered == len(delivered)
         assert sorted(rx._pending_delivery) == sorted(ref.held)
+        assert bare.delivered == len(ref.delivered) + len(ref.held)
 
     for i, (kind, seq) in enumerate(got):
         net.sim.schedule_at((i + 1) * spacing, arrive, kind, seq)
@@ -137,7 +142,8 @@ class TestAgainstTheReference:
     # a repair of data sent before the join, after the first ODATA:
     # neither delivered nor held for delivery
     @example(([("O", 9), ("R", 5), ("O", 10)], 0.02))
-    # an ODATA overtaken by the one that anchored: never held
+    # an ODATA overtaken by the one that anchored: never held, and not
+    # counted by a receiver with no deliver callback either
     @example(([("O", 4), ("O", 3), ("O", 5)], 0.02))
     def test_same_gaps_same_delivery(self, case):
         run_both(*case)

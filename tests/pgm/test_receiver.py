@@ -1,5 +1,7 @@
 """Tests for the PGM receiver: ACK duty, NAK state machine, delivery."""
 
+import random
+
 import pytest
 
 from repro.pgm import constants as C
@@ -186,6 +188,24 @@ class TestDelivery:
         send_data(wire, odata(3))
         wire.run(until=5.0)
         assert got == [0, 2, 3]  # seq 1 skipped after abandonment
+
+    def test_gaps_abandoned_out_of_order_unblock_everything(self, wire):
+        """Gap 3 runs out of NAKs before gap 1 (seed 0's back-off draws
+        put its first NAK ahead): the walk that steps over 1 delivers 2,
+        steps over 3 and delivers 4, with nothing left held."""
+        got = []
+        rx, collector = make_receiver(
+            wire, rng=random.Random(0), nak_max_retries=2,
+            deliver=lambda s, n, p: got.append(s),
+        )
+        for s in (0, 2, 4):
+            send_data(wire, odata(s))
+        wire.run(until=10.0)
+        naks = [nak.seq for nak in collector.payloads(Nak)]
+        assert naks == [3, 1, 3, 1]
+        assert rx.unrecoverable_data_loss == 2
+        assert got == [0, 2, 4]
+        assert rx._pending_delivery == {} and rx._abandoned == set()
 
     def test_mid_join_anchors_delivery(self, wire):
         got = []

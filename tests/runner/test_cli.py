@@ -94,14 +94,16 @@ class TestListing:
         out = capsys.readouterr().out
         studies = [line.split()[0] for line in out.splitlines()
                    if line.endswith("[study]")]
-        assert studies == ["EXP-ARENA", "EXP-RESILIENCE", "ABL-WATCHDOG",
+        assert studies == ["EXP-F3", "EXP-F4", "EXP-F6", "ABL-MODEL",
+                           "ABL-ADSS", "ABL-TFRC", "ABL-BURST", "EXP-ADV",
+                           "EXP-ARENA", "EXP-RESILIENCE", "ABL-WATCHDOG",
                            "ABL-FIG4", "ABL-RTT", "EXP-SWEEP"]
 
     def test_list_of_names_prints_the_tasks_they_expand_to(self, capsys):
-        assert main(["--list", "EXP-F3", "ABL-WATCHDOG"]) == 0
+        assert main(["--list", "EXP-F2", "ABL-WATCHDOG"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == [
-            "EXP-F3", "ABL-WATCHDOG/base", "ABL-WATCHDOG/liveness=False",
+            "EXP-F2", "ABL-WATCHDOG/base", "ABL-WATCHDOG/liveness=False",
             "ABL-WATCHDOG:"]
         assert lines[-1] == ("ABL-WATCHDOG: 2 task(s) over "
                              "EXP-RESILIENCE-CELL, mode ablate")

@@ -24,9 +24,13 @@ def toy_spec(exp_id: str, func: str = "run_ok", **kwargs) -> ExperimentSpec:
     return ExperimentSpec(exp_id, TOY, func, kwargs=tuple(kwargs.items()))
 
 
+@pytest.fixture(autouse=True)
+def quick_retries(monkeypatch):
+    monkeypatch.setattr("repro.runner.orchestrator.RETRY_BACKOFF", 0.05)
+
+
 def orchestrate(specs, **kw):
     kw.setdefault("extra_sys_path", [REPO_ROOT])
-    kw.setdefault("backoff", 0.05)
     return Orchestrator(specs, **kw)
 
 

@@ -27,6 +27,7 @@ from repro.simulator.faults import (
     FaultPlan,
     flap_link,
 )
+from repro.sweep import expand_entries
 
 
 @pytest.fixture
@@ -106,8 +107,11 @@ REPRESENTATIVE = ("EXP-F3", "EXP-F4", "EXP-F6", "EXP-CHAOS",
 @pytest.mark.parametrize("exp_id", REPRESENTATIVE)
 def test_experiment_links_conserve(links, exp_id):
     """Experiments stop mid-flight, so packets are still pending at the
-    end; the identity must hold at every delivery and at the stop."""
-    get_experiment(exp_id).run(0.05)
+    end; the identity must hold at every delivery and at the stop (a
+    study's every cell, as the report runs them)."""
+    tasks, _ = expand_entries([get_experiment(exp_id)], 0.05)
+    for task in tasks:
+        task.run(0.05)
     assert links and all(link.conserves_packets() for link in links)
 
 

@@ -207,12 +207,13 @@ class TestValidation:
         assert spec_errors(spec) == []
 
     def test_undeclared_schema_is_the_function_signature(self):
-        # EXP-F4 declares no params: its function's keywords are the
-        # schema, so a typo'd axis fails here, not in every worker
-        spec = SweepSpec(name="x", experiment="EXP-F4", axes={"cc": (1, 2)})
+        # EXP-F4-CELL declares no params: its function's keywords are
+        # the schema, so a typo'd axis fails here, not in every worker
+        spec = SweepSpec(name="x", experiment="EXP-F4-CELL",
+                         axes={"cc": (1, 2)})
         errors = spec_errors(spec)
         assert len(errors) == 1 and "'cc'" in errors[0]
-        assert spec_errors(SweepSpec(name="x", experiment="EXP-F4",
+        assert spec_errors(SweepSpec(name="x", experiment="EXP-F4-CELL",
                                      axes={"c": (0.5, 1.0)})) == []
 
     def test_experiment_id_spelling_normalized(self):
