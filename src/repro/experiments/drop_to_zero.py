@@ -16,6 +16,10 @@ population) — and sweeps N:
   report (group-size independent);
 * ``pgmcc``: the paper's scheme.
 
+:func:`run_cell` is one controller at one N; the registered EXP-DTZ
+study runs the nine, each N at its own seed, and
+:func:`aggregate_cells` builds the N x controller table.
+
 Expected shape: the naive controller's rate falls roughly as 1/√N
 while the other two stay flat at the single-receiver TCP-fair rate.
 """
@@ -57,26 +61,27 @@ def _run_equation(n_receivers: int, aggregation: str, duration: float,
     return rate
 
 
-def _run_pgmcc(n_receivers: int, duration: float, seed: int) -> float:
-    net = build(n_receivers, seed)
-    session = create_session(
-        net, "src", [f"r{i}" for i in range(n_receivers)]
-    )
-    net.run(until=duration)
-    rate = throughput_bps(session.trace, duration / 2, duration)
-    session.close()
-    return rate
-
-
-def run(
-    scale: float = 1.0,
-    seed: int = 67,
-    group_sizes: tuple[int, ...] = (1, 10, 40),
-) -> ExperimentResult:
+def run_cell(scale: float = 1.0, seed: int = 67, scheme: str = "pgmcc",
+             n_receivers: int = 1) -> ExperimentResult:
+    """One controller (``eq-naive``, ``eq-max`` or ``pgmcc``) at one
+    group size: its steady rate."""
     duration = 120.0 * scale
-    result = ExperimentResult(
+    if scheme == "pgmcc":
+        net = build(n_receivers, seed)
+        session = create_session(
+            net, "src", [f"r{i}" for i in range(n_receivers)]
+        )
+        net.run(until=duration)
+        rate = throughput_bps(session.trace, duration / 2, duration)
+        session.close()
+    else:
+        aggregation = {"eq-naive": "nak-count", "eq-max": "max-report"}[scheme]
+        rate = _run_equation(n_receivers, aggregation, duration, seed)
+    return ExperimentResult(
         name="drop-to-zero",
-        params={"scale": scale, "seed": seed, "group_sizes": group_sizes},
+        params={"scale": scale, "seed": seed, "scheme": scheme,
+                "n_receivers": n_receivers},
+        metrics={"rate": rate},
         expectation=(
             "naive NAK-count aggregation collapses roughly as 1/sqrt(N) "
             "with uncorrelated losses (the [23] drop-to-zero problem); "
@@ -84,25 +89,25 @@ def run(
             "TCP-fair rate regardless of group size"
         ),
     )
-    schemes = {
-        "eq-naive": lambda n, s: _run_equation(n, "nak-count", duration, s),
-        "eq-max": lambda n, s: _run_equation(n, "max-report", duration, s),
-        "pgmcc": lambda n, s: _run_pgmcc(n, duration, s),
-    }
-    rates: dict[str, dict[int, float]] = {name: {} for name in schemes}
-    for name, runner in schemes.items():
-        for i, n in enumerate(group_sizes):
-            rates[name][n] = runner(n, seed + i)
-    for n in group_sizes:
-        result.add_row(
-            receivers=n,
-            **{f"{name}_kbps": kbps(rates[name][n]) for name in schemes},
-        )
-    smallest, largest = group_sizes[0], group_sizes[-1]
-    for name in schemes:
-        base = rates[name][smallest]
-        collapsed = rates[name][largest]
-        result.metrics[f"{name}:rate@{smallest}"] = base
-        result.metrics[f"{name}:rate@{largest}"] = collapsed
-        result.metrics[f"{name}:collapse"] = base / max(collapsed, 1.0)
-    return result
+
+
+def aggregate_cells(cells: list) -> dict:
+    """The EXP-DTZ study's aggregate hook: the N x scheme rate table
+    (kbit/s) and each scheme's ``collapse``, its rate at the smallest
+    group over its rate at the largest.
+
+    ``cells`` is ``[(axes_dict, ExperimentResult), ...]`` as handed
+    over by :func:`repro.sweep.aggregate.run_custom_aggregate`.
+    """
+    rates: dict[str, dict[int, float]] = {}
+    for axes, result in cells:
+        rates.setdefault(axes["scheme"], {})[axes["n_receivers"]] = (
+            result.metrics["rate"])
+    sizes = sorted({n for by_n in rates.values() for n in by_n})
+    rows = [{"receivers": n,
+             **{f"{scheme}_kbps": kbps(by_n[n])
+                for scheme, by_n in rates.items() if n in by_n}}
+            for n in sizes]
+    collapse = {scheme: by_n[min(by_n)] / max(by_n[max(by_n)], 1.0)
+                for scheme, by_n in rates.items()}
+    return {"rows": rows, "metrics": {"collapse": collapse}}

@@ -23,7 +23,7 @@ from ..core.sender_cc import CcConfig
 from ..pgm import add_receiver, create_session
 from ..simulator import LOSSY, NON_LOSSY, dumbbell
 from ..tcp import create_tcp_flow
-from .common import ExperimentResult, kbps
+from .common import ExperimentResult
 
 #: pgmcc receivers, co-located, joining before the TCP flow starts
 N_RECEIVERS = 3
@@ -71,16 +71,11 @@ def run_cell(scale: float = 1.0, seed: int = 23, c: float = 1.0,
     }
     session.close()
     tcp.close()
-    knobs = {"c": c, "dupack_threshold": dupack_threshold,
-             "ssthresh": ssthresh, "delayed_acks": delayed_acks}
-    result = ExperimentResult(
-        name="fig4-cell", params={"scale": scale, "seed": seed, **knobs},
+    return ExperimentResult(
+        name="fig4-cell",
+        params={"scale": scale, "seed": seed, "link": link, "c": c,
+                "dupack_threshold": dupack_threshold, "ssthresh": ssthresh,
+                "delayed_acks": delayed_acks},
         metrics=case, expectation=(
             "c in [0.6, 0.8] removes the acker switches seen at c=1 at no "
             "throughput cost; no knob changes the no-starvation outcome"))
-    result.add_row(**knobs, pgm_shared_kbps=kbps(case["pgm_shared"]),
-                   tcp_shared_kbps=kbps(case["tcp_shared"]),
-                   ratio=round(case["ratio"], 2),
-                   acker_switches=case["acker_switches"],
-                   pgm_stalls=case["pgm_stalls"])
-    return result

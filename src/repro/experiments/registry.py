@@ -136,21 +136,10 @@ _BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
                    description="Fig. 7: 50 receivers with uncorrelated loss"),
     ExperimentSpec("EXP-UNREL", "repro.experiments.unreliable_mode",
                    description="unreliable mode: cc without repairs"),
-    ExperimentSpec("EXP-FEC", "repro.experiments.fec_scaling", scale_factor=0.5,
-                   description="FEC redundancy ladder vs RDATA repair"),
-    ExperimentSpec("EXP-DTZ", "repro.experiments.drop_to_zero", scale_factor=0.5,
-                   params=(ParamSpec("group_sizes", "seq",
-                                     default=(1, 10, 40),
-                                     help="receiver-group sizes to compare"),),
-                   description="drop-to-zero: feedback aggregation collapse"),
-    ExperimentSpec("EXP-MPATH", "repro.experiments.robustness", "run_multipath",
-                   scale_factor=0.5, description="robustness: multipath reordering"),
     ExperimentSpec("EXP-CHURN", "repro.experiments.robustness", "run_churn",
                    scale_factor=0.5, description="robustness: receiver churn"),
     ExperimentSpec("EXP-CHAOS", "repro.experiments.robustness", "run_chaos",
                    scale_factor=0.5, description="chaos: scripted faults + invariants"),
-    ExperimentSpec("EXP-SCALE", "repro.experiments.scalability", scale_factor=0.5,
-                   description="scalability: exact ladder to 200, hybrid to 10^6"),
     # -- sweep cells: one matrix cell per task, for the sweep DSL -----
     # (hidden: excluded from the default report, addressable by id)
     ExperimentSpec("EXP-ARENA-CELL", "repro.experiments.arena", "run_cell",
@@ -199,6 +188,22 @@ _BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
     ExperimentSpec("EXP-ADV-CELL", "repro.experiments.adversarial",
                    "run_cell", hidden=True,
                    description="one attack with the guard on or off"),
+    ExperimentSpec("EXP-FEC-CELL", "repro.experiments.fec_scaling",
+                   "run_cell", hidden=True,
+                   description="one Fig. 7 population: RDATA or FEC "
+                               "redundancy"),
+    ExperimentSpec("EXP-DTZ-CELL", "repro.experiments.drop_to_zero",
+                   "run_cell", hidden=True,
+                   description="one controller at one group size"),
+    ExperimentSpec("EXP-MPATH-CELL", "repro.experiments.robustness",
+                   "run_multipath", hidden=True,
+                   description="one path: single or sprayed"),
+    ExperimentSpec("EXP-SCALE-CELL", "repro.experiments.scalability",
+                   "run_point", hidden=True,
+                   description="one co-located group: receivers, NEs"),
+    ExperimentSpec("EXP-SCALE-HYBRID-CELL", "repro.experiments.scalability",
+                   "run_hybrid_cell", hidden=True,
+                   description="one hybrid-fidelity group: receivers"),
     ExperimentSpec("EXP-SWEEP-CELL", "repro.experiments.fairness_sweep",
                    "run_cell", hidden=True,
                    description="one 4.3 bottleneck: rate x queue x loss"),
@@ -253,6 +258,34 @@ _BUILTIN_STUDIES: tuple[SweepSpec, ...] = (
                     "guard": [True, False, True, False, True, False, True,
                               True, False, True]},
               description="adversarial: misbehaving receivers vs guard"),
+    # each repair mode at its own seed: RDATA repair (None) at 61,
+    # FEC with r parity packets a block at 62 + r
+    SweepSpec("EXP-FEC", "EXP-FEC-CELL", mode="zip", scale=0.5,
+              axes={"redundancy": [None, 0, 1, 2],
+                    "seed": [61, 62, 63, 64]},
+              description="FEC redundancy ladder vs RDATA repair"),
+    # each group size at its own seed, the same for the three
+    # controllers
+    SweepSpec("EXP-DTZ", "EXP-DTZ-CELL", mode="zip", scale=0.5,
+              axes={"scheme": ["eq-naive"] * 3 + ["eq-max"] * 3
+                    + ["pgmcc"] * 3,
+                    "n_receivers": [1, 10, 40] * 3,
+                    "seed": [67, 68, 69] * 3},
+              aggregate="repro.experiments.drop_to_zero:aggregate_cells",
+              description="drop-to-zero: feedback aggregation collapse"),
+    SweepSpec("EXP-MPATH", "EXP-MPATH-CELL", scale=0.5, base={"seed": 71},
+              axes={"path": ["single", "sprayed"]},
+              description="robustness: multipath reordering"),
+    SweepSpec("EXP-SCALE", "EXP-SCALE-CELL", scale=0.5, base={"seed": 101},
+              axes={"n_receivers": [25, 50, 100, 200],
+                    "network_elements": [False, True]},
+              description="scalability: exact ladder to 200 receivers, "
+                          "NEs off and on"),
+    SweepSpec("EXP-SCALE-HYBRID", "EXP-SCALE-HYBRID-CELL", scale=0.5,
+              base={"seed": 101},
+              axes={"n": [1_000, 10_000, 100_000, 1_000_000]},
+              description="scalability: hybrid-fidelity ladder to 10^6 "
+                          "receivers"),
     SweepSpec("EXP-ARENA", "EXP-ARENA-CELL", scale=0.5,
               base={"seed": 23, "n_receivers": 4},
               axes={"controller": _CONTROLLERS,

@@ -6,6 +6,8 @@
   over two parallel unequal-delay paths (per-packet round robin — the
   worst case for reordering) and check the session neither stalls nor
   collapses; the ACK bitmap is what absorbs the reordering (§3.3).
+  :func:`run_multipath` is one path; the registered EXP-MPATH study
+  runs the sprayed pair and a single-path reference of equal capacity.
 
 * EXP-CHURN: sustained receiver churn, including departures of the
   current acker.  The election plus the stall machinery must keep the
@@ -53,6 +55,10 @@ from ..simulator.faults import (
 from .common import ExperimentResult, kbps
 
 
+#: the sprayed paths' one-way delay difference
+DELAY_SKEW = 0.040
+
+
 def build_multipath(seed: int, delay_skew: float) -> Network:
     """src -- E0 ={two parallel links}= E1 -- rx, ACKs return the same
     sprayed way."""
@@ -74,11 +80,44 @@ def build_multipath(seed: int, delay_skew: float) -> Network:
 
 
 def run_multipath(scale: float = 1.0, seed: int = 71,
-                  delay_skew: float = 0.040) -> ExperimentResult:
+                  path: str = "sprayed") -> ExperimentResult:
+    """One path: ``sprayed`` over the two unequal-delay 500 kbit/s
+    links, or the ``single`` 1 Mbit/s reference of the same capacity
+    (the EXP-MPATH study runs both)."""
     duration = 120.0 * scale
-    result = ExperimentResult(
+    if path == "single":
+        net = Network(seed=seed)
+        net.add_host("src")
+        net.add_router("R")
+        net.add_host("rx")
+        net.duplex_link("src", "R", ACCESS)
+        net.duplex_link("R", "rx", LinkSpec(1_000_000, 0.030, queue_slots=60))
+        net.build_routes()
+        session = create_session(net, "src", ["rx"])
+    else:
+        net = build_multipath(seed, DELAY_SKEW)
+        mcast_group = "mc:pgm-mpath"
+        session = create_session(net, "src", ["rx"], group=mcast_group)
+        # Spray both the downstream group traffic and the upstream
+        # feedback.  The shortest-path tree only provisioned one of the
+        # parallel routers, so graft the alternate one onto the group too.
+        net.router("E0").set_ecmp(mcast_group, ["Pa", "Pb"])
+        net.router("E1").set_ecmp("src", ["Pa", "Pb"])
+        for parallel in ("Pa", "Pb"):
+            net.router(parallel).multicast_routes[mcast_group] = ("E1",)
+    net.run(until=duration)
+    case = {
+        "rate": throughput_bps(session.trace, duration / 3, duration),
+        "stalls": session.sender.controller.stalls,
+        "cc_losses": session.trace.count("cc-loss"),
+        "duplicates": session.receivers[0].cc.duplicates,
+    }
+    session.close()
+    return ExperimentResult(
         name="multipath-reordering",
-        params={"scale": scale, "seed": seed, "delay_skew": delay_skew},
+        params={"scale": scale, "seed": seed, "path": path,
+                "delay_skew": DELAY_SKEW},
+        metrics=case,
         expectation=(
             "per-packet spraying over unequal-delay paths reorders both "
             "data and ACKs; the ACK bitmap absorbs it — the session "
@@ -86,48 +125,6 @@ def run_multipath(scale: float = 1.0, seed: int = 71,
             "dupack reactions (as for TCP under reordering)"
         ),
     )
-    # Reference: same capacity on a single path.
-    single = Network(seed=seed)
-    single.add_host("src")
-    single.add_router("R")
-    single.add_host("rx")
-    single.duplex_link("src", "R", ACCESS)
-    single.duplex_link("R", "rx", LinkSpec(1_000_000, 0.030, queue_slots=60))
-    single.build_routes()
-    ref = create_session(single, "src", ["rx"])
-    single.run(until=duration)
-    ref_rate = throughput_bps(ref.trace, duration / 3, duration)
-    ref.close()
-
-    net = build_multipath(seed, delay_skew)
-    mcast_group = "mc:pgm-mpath"
-    session = create_session(net, "src", ["rx"], group=mcast_group)
-    # Spray both the downstream group traffic and the upstream feedback.
-    # The shortest-path tree only provisioned one of the parallel
-    # routers, so graft the alternate one onto the group too.
-    net.router("E0").set_ecmp(mcast_group, ["Pa", "Pb"])
-    net.router("E1").set_ecmp("src", ["Pa", "Pb"])
-    for parallel in ("Pa", "Pb"):
-        net.router(parallel).multicast_routes[mcast_group] = ("E1",)
-    net.run(until=duration)
-    rate = throughput_bps(session.trace, duration / 3, duration)
-    result.add_row(path="single 1 Mbit/s", rate_kbps=kbps(ref_rate), stalls=0,
-                   cc_losses=ref.trace.count("cc-loss"))
-    result.add_row(
-        path=f"2x500 kbit/s sprayed (skew {delay_skew * 1000:.0f} ms)",
-        rate_kbps=kbps(rate),
-        stalls=session.sender.controller.stalls,
-        cc_losses=session.trace.count("cc-loss"),
-    )
-    result.metrics.update(
-        single_rate=ref_rate,
-        sprayed_rate=rate,
-        stalls=session.sender.controller.stalls,
-        spurious_reactions=session.trace.count("cc-loss"),
-        duplicates=session.receivers[0].cc.duplicates,
-    )
-    session.close()
-    return result
 
 
 def run_churn(scale: float = 1.0, seed: int = 73, n_receivers: int = 8,

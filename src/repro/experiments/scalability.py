@@ -10,20 +10,21 @@ and feedback load:
   shared bottleneck do not implode at the source;
 * throughput is set by the acker's path, not by the group size.
 
-The experiment has three parts:
+The module has three parts:
 
-1. the paper's own ladder (25–200 full receiver engines behind one
-   bottleneck, with and without NEs) — unchanged from the original
-   reproduction, exact per-receiver fidelity;
+1. the paper's own ladder (:func:`run_point`, 25–200 full receiver
+   engines behind one bottleneck, with and without NEs; the EXP-SCALE
+   study runs the eight points), exact per-receiver fidelity;
 2. an **equivalence cell** (:func:`exact_vs_hybrid`): the same small
    group run once with full engines and once through
    :mod:`repro.pgm.aggregate`'s hybrid mode, asserting the two agree
    on acker identity, window-trajectory digest and goodput — the
-   fidelity gate for part 3;
-3. a **hybrid ladder** (:func:`run_hybrid_cell`): 10^3 → 10^6
-   receivers behind K shared bottlenecks with the aggregate-tail
-   subsystem.  What a cell costs in seconds and megabytes is measured
-   from outside, by the ``hybrid_1e6`` workload of ``benchmarks/perf``.
+   fidelity gate for part 3, held by tier-1 and CI;
+3. a **hybrid ladder** (:func:`run_hybrid_cell`; the EXP-SCALE-HYBRID
+   study runs 10^3 → 10^6 receivers): K shared bottlenecks with the
+   aggregate-tail subsystem.  What a cell costs in seconds and
+   megabytes is measured from outside, by the ``hybrid_1e6`` workload
+   of ``benchmarks/perf``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ..simulator import (
     dumbbell,
     dumbbell_subtrees,
 )
-from .common import ExperimentResult, kbps
+from .common import ExperimentResult
 
 #: documented goodput tolerance of the equivalence oracle (relative).
 GOODPUT_TOLERANCE = 0.05
@@ -51,27 +52,27 @@ GOODPUT_TOLERANCE = 0.05
 #: min of K independently-lossy paths).
 HYBRID_BOTTLENECK = LinkSpec(rate_bps=2_000_000, delay=0.02)
 
-#: default hybrid ladder (receivers per cell).
-HYBRID_SIZES = (1_000, 10_000, 100_000, 1_000_000)
-
 
 # ---------------------------------------------------------------------------
-# Part 1 — the paper's exact ladder (unchanged behaviour and metric keys)
+# Part 1 — the paper's exact ladder
 # ---------------------------------------------------------------------------
 
 
-def run_point(n_receivers: int, with_ne: bool, duration: float, seed: int,
-              result: ExperimentResult | None = None) -> dict:
+def run_point(scale: float = 1.0, seed: int = 101, n_receivers: int = 25,
+              network_elements: bool = False) -> ExperimentResult:
+    """One rung: ``n_receivers`` co-located receivers behind one
+    bottleneck, with or without NEs; source-side load and rate."""
+    duration = 60.0 * scale
     net = dumbbell(1, n_receivers, NON_LOSSY, seed=seed)
     session = create_session(
         net, "h0", [f"r{i}" for i in range(n_receivers)]
     )
-    if with_ne:
+    if network_elements:
         enable_network_elements(net, telemetry=session.metrics)
     net.run(until=duration)
     sender = session.sender
     loss_events = max(session.trace.count("cc-loss"), 1)
-    out = {
+    point = {
         "odata": sender.odata_sent,
         "acks": sender.acks_received,
         "naks": sender.naks_received,
@@ -80,11 +81,20 @@ def run_point(n_receivers: int, with_ne: bool, duration: float, seed: int,
         "rate": throughput_bps(session.trace, duration / 3, duration),
         "switches": session.acker_switches,
     }
-    if result is not None:
-        result.attach_telemetry(session, seed=seed, receivers=n_receivers,
-                                with_ne=with_ne)
     session.close()
-    return out
+    return ExperimentResult(
+        name="scalability",
+        params={"scale": scale, "seed": seed, "n_receivers": n_receivers,
+                "network_elements": network_elements},
+        metrics=point,
+        expectation=(
+            "source-side load is group-size independent: ~1 ACK per "
+            "data packet (single acker) at every N; NE suppression "
+            "keeps NAKs-per-loss-event roughly constant while without "
+            "NEs it grows with the co-located group; throughput is "
+            "unchanged across the ladder"
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -175,55 +185,29 @@ def exact_vs_hybrid(
 # ---------------------------------------------------------------------------
 
 
-def subtrees_for(n: int) -> int:
-    """Default subtree count for an ``n``-receiver hybrid cell."""
-    return min(64, max(4, n // 2_000))
-
-
-def run_hybrid_cell(
-    n: int = 100_000,
-    scale: float = 1.0,
-    seed: int = 101,
-    subtrees: int | None = None,
-    check_invariants: bool = True,
-) -> ExperimentResult:
-    """One hybrid-fidelity scale cell: ``n`` receivers, K subtrees.
+def run_hybrid_cell(n: int = 100_000, scale: float = 1.0,
+                    seed: int = 101) -> ExperimentResult:
+    """One hybrid-fidelity scale cell: ``n`` receivers behind K
+    subtrees, under the invariant checker.
 
     Losses are deterministic (periodic, on two subtrees) so cells are
-    reproducible and comparable across ``n``.  Returns per-cell metrics
-    prefixed ``hyb{n}:``.
+    reproducible and comparable across ``n``.
     """
-    k = subtrees if subtrees is not None else subtrees_for(n)
+    k = min(64, max(4, n // 2_000))
     duration = max(6.0, 20.0 * scale)
     net = dumbbell_subtrees(n, subtrees=k, bottleneck=HYBRID_BOTTLENECK,
                             seed=seed)
     net.link("R0", net.subtree_plan.router(0)).loss = PeriodicLoss(
         period=50, offset=17)
-    if k > 1:
-        net.link("R0", net.subtree_plan.router(1)).loss = PeriodicLoss(
-            period=80, offset=31)
+    net.link("R0", net.subtree_plan.router(1)).loss = PeriodicLoss(
+        period=80, offset=31)
     cfg = SessionConfig(stop_at=duration, aggregate=True,
-                        check_invariants=check_invariants,
-                        strict_invariants=False)
+                        check_invariants=True, strict_invariants=False)
     session = create_session(net, "h0", [], config=cfg)
     enable_network_elements(net, telemetry=session.metrics)
     net.sim.run(until=duration + 1.0)
     summary = session.summary()
     agg = summary["aggregate"]
-    violations = (len(session.invariants.violations)
-                  if session.invariants is not None else 0)
-
-    result = ExperimentResult(
-        name=f"scalability-hybrid-{n}",
-        params={"n": n, "subtrees": k, "scale": scale, "seed": seed,
-                "duration": duration},
-        expectation=(
-            "hybrid fidelity keeps memory bounded per subtree and "
-            "construction+run wall time seconds even at 10^6 "
-            "receivers, with zero invariant violations"
-        ),
-    )
-    label = f"hyb{n}"
     point = {
         "population": agg["population"],
         "subtrees": agg["subtrees"],
@@ -237,91 +221,17 @@ def run_hybrid_cell(
         "acks_per_data": (summary["acks_received"]
                           / max(summary["odata_sent"], 1)),
         "rate": session.throughput_bps(duration / 3, duration),
-        "invariant_violations": violations,
+        "invariant_violations": len(session.invariants.violations),
     }
-    for key, value in point.items():
-        result.metrics[f"{label}:{key}"] = value
-    result.add_row(
-        receivers=n,
-        subtrees=k,
-        exact_cohort=agg["exact_cohort"],
-        promotions=agg["promotions"],
-        rate_kbps=kbps(point["rate"]),
-        violations=violations,
-    )
     session.close()
-    return result
-
-
-def run_hybrid_ladder(result: ExperimentResult, sizes: tuple[int, ...],
-                      scale: float, seed: int) -> None:
-    """Run the hybrid cells in order and fold each into ``result``."""
-    for n in sizes:
-        cell = run_hybrid_cell(n, scale=scale, seed=seed)
-        result.metrics.update(cell.metrics)
-        result.rows.extend(cell.rows)
-
-
-# ---------------------------------------------------------------------------
-# The experiment entry point
-# ---------------------------------------------------------------------------
-
-
-def run(
-    scale: float = 1.0,
-    seed: int = 101,
-    group_sizes: tuple[int, ...] = (25, 50, 100, 200),
-    hybrid_sizes: tuple[int, ...] | None = None,
-) -> ExperimentResult:
-    duration = 60.0 * scale
-    result = ExperimentResult(
-        name="scalability",
-        params={"scale": scale, "seed": seed, "group_sizes": group_sizes},
+    return ExperimentResult(
+        name="scalability-hybrid",
+        params={"n": n, "subtrees": k, "scale": scale, "seed": seed,
+                "duration": duration},
+        metrics=point,
         expectation=(
-            "source-side load is group-size independent: ~1 ACK per "
-            "data packet (single acker) at every N; NE suppression "
-            "keeps NAKs-per-loss-event roughly constant while without "
-            "NEs it grows with the co-located group; throughput is "
-            "unchanged across two orders of magnitude of receivers; "
-            "hybrid-fidelity cells extend the sweep to 10^6 receivers "
-            "with bounded memory, gated by an exact-vs-hybrid "
-            "equivalence oracle"
+            "hybrid fidelity keeps memory bounded per subtree and "
+            "construction+run wall time seconds even at 10^6 "
+            "receivers, with zero invariant violations"
         ),
     )
-    largest = max(group_sizes)
-    for n in group_sizes:
-        for with_ne in (False, True):
-            # Ship one session-metrics document: the largest NE run
-            # (the configuration the scalability claim is about).
-            attach_to = result if (n == largest and with_ne) else None
-            point = run_point(n, with_ne, duration, seed, result=attach_to)
-            result.add_row(
-                receivers=n,
-                network_elements=with_ne,
-                rate_kbps=kbps(point["rate"]),
-                acks_per_data=round(point["acks_per_data"], 2),
-                naks_at_source=point["naks"],
-                naks_per_loss=round(point["naks_per_loss"], 1),
-            )
-            label = f"n{n}:{'ne' if with_ne else 'plain'}"
-            for key, value in point.items():
-                result.metrics[f"{label}:{key}"] = value
-
-    # Fidelity gate before the hybrid ladder is trusted.
-    equiv = exact_vs_hybrid(seed=seed % 1000 or 7)
-    result.metrics["equiv:acker_match"] = equiv["acker_match"]
-    result.metrics["equiv:digest_match"] = equiv["digest_match"]
-    result.metrics["equiv:goodput_rel_err"] = round(
-        equiv["goodput_rel_err"], 6)
-    result.metrics["equiv:ok"] = (
-        equiv["acker_match"] and equiv["digest_match"]
-        and equiv["goodput_within_tolerance"]
-    )
-
-    if hybrid_sizes is None:
-        # Scale-adapted default: quick lanes skip the top of the
-        # ladder (a 10^6 cell is seconds, but quick lanes are for
-        # smoke, not scale measurement).
-        hybrid_sizes = HYBRID_SIZES if scale >= 0.4 else HYBRID_SIZES[:2]
-    run_hybrid_ladder(result, hybrid_sizes, scale, seed)
-    return result

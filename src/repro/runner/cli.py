@@ -118,20 +118,25 @@ def _format_param(doc: dict) -> str:
 
 
 def list_registry(file=None) -> None:
+    """The registry, one line an entry: its id, scale factor, what it
+    runs and its description, each column as wide as its longest
+    value; an experiment's schema follows it."""
     out = file or sys.stdout
     specs = registered_specs(include_hidden=True)
-    width = max(len(spec.id) for spec in specs)
-    for spec in specs:
-        target = f"{spec.module.rsplit('.', 1)[-1]}.{spec.func}"
-        tag = " [sweep-cell]" if spec.hidden else ""
-        print(f"{spec.id:<{width}}  x{spec.scale_factor:<4g} "
-              f"{target:<28} {spec.description}{tag}", file=out)
-        for doc in spec.schema_doc():
+    lines = [(spec.id, spec.scale_factor,
+              f"{spec.module.rsplit('.', 1)[-1]}.{spec.func}",
+              spec.description + (" [sweep-cell]" if spec.hidden else ""),
+              spec.schema_doc()) for spec in specs]
+    lines += [(study.name, study.scale, f"{study.mode} {study.experiment}",
+               f"{study.description} [study]", ())
+              for study in registered_studies()]
+    width = max(len(line[0]) for line in lines)
+    column = max(len(line[2]) for line in lines)
+    for name, factor, target, description, schema in lines:
+        print(f"{name:<{width}}  x{factor:<4g} {target:<{column}} "
+              f"{description}", file=out)
+        for doc in schema:
             print(f"{'':<{width}}    {_format_param(doc)}", file=out)
-    for study in registered_studies():
-        target = f"{study.mode} {study.experiment}"
-        print(f"{study.name:<{width}}  x{study.scale:<4g} {target:<28} "
-              f"{study.description} [study]", file=out)
 
 
 def _entries(args: argparse.Namespace,

@@ -104,6 +104,9 @@ def axis_deltas(spec: SweepSpec, cells: list[SweepCell]) -> list[dict]:
     axes: list[tuple[str, tuple[Any, ...]]] = [
         (name, (base[name], *values) if ablate else values)
         for name, values in spec.axes]
+    # a zip axis repeats values: one group per distinct value
+    axes = [(name, [v for i, v in enumerate(values) if v not in values[:i]])
+            for name, values in axes]
     axes = [(name, values) for name, values in axes if len(values) > 1]
     if len(spec.seeds) > 1:
         axes.append(("seed", spec.seeds))

@@ -28,6 +28,8 @@ def _fmt(value: Any) -> str:
         return str(value)
     if isinstance(value, float):
         return f"{value:g}"
+    if isinstance(value, dict):  # an aggregate metric per key
+        return ", ".join(f"{k}={_fmt(v)}" for k, v in value.items())
     return str(value)
 
 

@@ -292,9 +292,9 @@ class TestAblations:
                 for loss in (0.0, 0.02)]
         cells = knobs("EXP-SWEEP", ("rate", "queue_slots", "loss"))
         assert repr(cells) == repr(grid)
-        # each of the eight case loops ran its cases at one seed, in
-        # this order: the study's cells are those cases, named by what
-        # the loop varied, at the loop's scale factor
+        # each case loop ran its cases in this order, at one seed or
+        # (None) at a seed per case: the study's cells are those cases,
+        # named by what the loop varied, at the loop's scale factor
         adversarial_scenarios = [  # (attack, guard) of the old table
             ("baseline", True), ("greedy-acker", False),
             ("greedy-acker", True), ("throttler", False),
@@ -318,13 +318,28 @@ class TestAblations:
                                    for e in ("filter", "tfrc")]),
             "ABL-BURST": (0.5, 79, [{"pattern": p}
                                     for p in ("bernoulli", "bursty")]),
+            "EXP-FEC": (0.5, None, [
+                {"redundancy": r, "seed": 61 if r is None else 62 + r}
+                for r in (None, 0, 1, 2)]),
+            "EXP-DTZ": (0.5, None, [
+                {"scheme": s, "n_receivers": n, "seed": 67 + i}
+                for s in ("eq-naive", "eq-max", "pgmcc")
+                for i, n in enumerate((1, 10, 40))]),
+            "EXP-MPATH": (0.5, 71, [{"path": p}
+                                    for p in ("single", "sprayed")]),
+            "EXP-SCALE": (0.5, 101, [
+                {"n_receivers": n, "network_elements": ne}
+                for n in (25, 50, 100, 200) for ne in (False, True)]),
+            "EXP-SCALE-HYBRID": (0.5, 101, [
+                {"n": n} for n in (1_000, 10_000, 100_000, 1_000_000)]),
         }
         for study_id, (scale, seed, cases) in loops.items():
             study = get_experiment(study_id)
             tasks = expand(study)
             assert study.scale == scale, study_id
+            seeds = {} if seed is None else {"seed": seed}
             assert [dict(task.spec.kwargs) for task in tasks] == [
-                {**case, "seed": seed} for case in cases], study_id
+                {**case, **seeds} for case in cases], study_id
             if study.mode == "ablate":
                 labels = ["base"] + [",".join(f"{k}={v}" for k, v in
                                               case.items())
@@ -359,34 +374,30 @@ class TestAblations:
 
 class TestScalability:
     @pytest.fixture(scope="class")
-    def scale_result(self):
+    def points(self):
+        """The sessions the EXP-SCALE study runs, at two group sizes."""
         from repro.experiments import scalability
 
-        return scalability.run(scale=0.3, group_sizes=(20, 60))
+        return {(n, mode): scalability.run_point(
+                    scale=0.3, n_receivers=n,
+                    network_elements=(mode == "ne")).metrics
+                for n in (20, 60) for mode in ("plain", "ne")}
 
-    def test_single_acker_constant_ack_load(self, scale_result):
-        for n in (20, 60):
-            for mode in ("plain", "ne"):
-                assert 0.5 < scale_result.metrics[f"n{n}:{mode}:acks_per_data"] < 1.5
+    def test_single_acker_constant_ack_load(self, points):
+        for point in points.values():
+            assert 0.5 < point["acks_per_data"] < 1.5
 
-    def test_ne_suppression_flattens_nak_growth(self, scale_result):
-        ne_growth = scale_result.metrics["n60:ne:naks"] / max(
-            scale_result.metrics["n20:ne:naks"], 1
-        )
-        plain_growth = scale_result.metrics["n60:plain:naks"] / max(
-            scale_result.metrics["n20:plain:naks"], 1
-        )
+    def test_ne_suppression_flattens_nak_growth(self, points):
+        ne_growth = points[60, "ne"]["naks"] / max(points[20, "ne"]["naks"], 1)
+        plain_growth = points[60, "plain"]["naks"] / max(
+            points[20, "plain"]["naks"], 1)
         assert plain_growth > ne_growth
         # flat with NEs, growing with the co-located group without
-        assert scale_result.metrics["n60:ne:naks"] < 3 * max(
-            scale_result.metrics["n20:ne:naks"], 5)
+        assert points[60, "ne"]["naks"] < 3 * max(points[20, "ne"]["naks"], 5)
         assert plain_growth > 1.5
 
-    def test_throughput_group_size_independent(self, scale_result):
-        assert (
-            scale_result.metrics["n60:ne:rate"]
-            > 0.85 * scale_result.metrics["n20:ne:rate"]
-        )
+    def test_throughput_group_size_independent(self, points):
+        assert points[60, "ne"]["rate"] > 0.85 * points[20, "ne"]["rate"]
 
 
 class TestFairnessSweep:
@@ -415,9 +426,10 @@ class TestRobustness:
     def test_multipath_survives_reordering(self):
         from repro.experiments import robustness
 
-        result = robustness.run_multipath(scale=0.3)
-        assert result.metrics["stalls"] == 0
-        assert result.metrics["sprayed_rate"] > 0.4 * result.metrics["single_rate"]
+        cells = {path: robustness.run_multipath(scale=0.3, path=path).metrics
+                 for path in ("single", "sprayed")}
+        assert cells["sprayed"]["stalls"] == 0
+        assert cells["sprayed"]["rate"] > 0.4 * cells["single"]["rate"]
 
     def test_churn_never_wedges(self):
         from repro.experiments import robustness
@@ -452,42 +464,59 @@ class TestRobustness:
 class TestDropToZero:
     @pytest.fixture(scope="class")
     def dtz(self):
+        """The sessions of the EXP-DTZ study at N = 1 and 20 (seeds 67
+        and 68), and the study's collapse per controller."""
         from repro.experiments import drop_to_zero
 
-        return drop_to_zero.run(scale=0.3, group_sizes=(1, 20))
+        cells = [({"scheme": scheme, "n_receivers": n},
+                  drop_to_zero.run_cell(scale=0.3, seed=seed, scheme=scheme,
+                                        n_receivers=n))
+                 for scheme in ("eq-naive", "eq-max", "pgmcc")
+                 for n, seed in ((1, 67), (20, 68))]
+        rates = {(axes["scheme"], axes["n_receivers"]): result.metrics["rate"]
+                 for axes, result in cells}
+        return rates, drop_to_zero.aggregate_cells(cells)["metrics"]["collapse"]
 
     def test_naive_aggregation_collapses(self, dtz):
-        assert dtz.metrics["eq-naive:collapse"] > 3.0
+        _, collapse = dtz
+        assert collapse["eq-naive"] > 3.0
 
     def test_pgmcc_group_size_independent(self, dtz):
-        assert dtz.metrics["pgmcc:collapse"] < 1.5
-        assert dtz.metrics["pgmcc:rate@20"] > 100_000
+        rates, collapse = dtz
+        assert collapse["pgmcc"] < 1.5
+        assert rates["pgmcc", 20] > 100_000
 
     def test_max_report_group_size_independent(self, dtz):
-        assert dtz.metrics["eq-max:collapse"] < 2.0
+        _, collapse = dtz
+        assert collapse["eq-max"] < 2.0
 
 
 class TestFecScaling:
     @pytest.fixture(scope="class")
     def fec(self):
+        """The EXP-FEC study's four sessions with 24 receivers: RDATA
+        (``None``) at seed 61, FEC r at seed 62 + r."""
         from repro.experiments import fec_scaling
 
-        return fec_scaling.run(scale=0.3, n_receivers=24)
+        return {r: fec_scaling.run_cell(
+                    scale=0.3, seed=61 if r is None else 62 + r,
+                    redundancy=r, n_receivers=24).metrics
+                for r in (None, 0, 1, 2)}
 
     def test_rdata_repair_share_substantial(self, fec):
-        assert fec.metrics["rdata:repair_share"] > 0.05
+        assert fec[None]["repair_share"] > 0.05
 
     def test_fec_sends_no_repairs(self, fec):
         for r in (0, 1, 2):
-            assert fec.metrics[f"fec{r}:rdata"] == 0
+            assert fec[r]["rdata"] == 0
 
     def test_redundancy_ladder(self, fec):
         assert (
-            fec.metrics["fec0:mean_residual"]
-            > fec.metrics["fec1:mean_residual"]
-            > fec.metrics["fec2:mean_residual"]
+            fec[0]["mean_residual"]
+            > fec[1]["mean_residual"]
+            > fec[2]["mean_residual"]
         )
-        assert fec.metrics["fec2:mean_residual"] < 0.01
+        assert fec[2]["mean_residual"] < 0.01
 
 
 class TestAdversarial:

@@ -93,17 +93,25 @@ class TestLookups:
         from repro.experiments import (
             adversarial,
             arena,
+            drop_to_zero,
+            fec_scaling,
             fig3_intra_fairness,
             fig4_inter_fairness,
             fig6_heterogeneous_rtt,
             resilience,
+            scalability,
         )
 
         assert [s.name for s in registered_studies()] == [
             "EXP-F3", "EXP-F4", "EXP-F6", "ABL-MODEL", "ABL-ADSS",
-            "ABL-TFRC", "ABL-BURST", "EXP-ADV",
+            "ABL-TFRC", "ABL-BURST", "EXP-ADV", "EXP-FEC", "EXP-DTZ",
+            "EXP-MPATH", "EXP-SCALE", "EXP-SCALE-HYBRID",
             "EXP-ARENA", "EXP-RESILIENCE", "ABL-WATCHDOG",
             "ABL-FIG4", "ABL-RTT", "EXP-SWEEP"]
+        # every report entry left outside a study runs one case
+        assert [s.id for s in registered_specs()] == [
+            "EXP-F2", "EXP-F5", "EXP-F7", "EXP-UNREL", "EXP-CHURN",
+            "EXP-CHAOS"]
         for old in ("ABL-C", "ABL-DUP", "ABL-SS", "ABL-DELACK", "ABL-NE"):
             assert resolve_experiment_id(old) is None
         # the monolithic matrix runners the arena and resilience
@@ -118,7 +126,11 @@ class TestLookups:
                              (fig6_heterogeneous_rtt, "run"),
                              (fig6_heterogeneous_rtt, "run_case"),
                              (adversarial, "run"),
-                             (adversarial, "SCENARIOS")):
+                             (adversarial, "SCENARIOS"),
+                             (fec_scaling, "run"), (drop_to_zero, "run"),
+                             (scalability, "run"),
+                             (scalability, "run_hybrid_ladder"),
+                             (scalability, "HYBRID_SIZES")):
             assert not hasattr(module, name), name
 
     def test_importing_the_registry_loads_no_experiment(self):

@@ -12,7 +12,11 @@ import pytest
 
 import tests.sweep._toy  # noqa: F401 - registers TOY-SWEEP
 from repro.experiments.common import ExperimentSpec
-from repro.experiments.registry import _REGISTRY
+from repro.experiments.registry import (
+    _REGISTRY,
+    registered_specs,
+    registered_studies,
+)
 from repro.runner.cli import main
 from repro.sweep import SweepSpec, render_markdown
 
@@ -96,8 +100,24 @@ class TestListing:
                    if line.endswith("[study]")]
         assert studies == ["EXP-F3", "EXP-F4", "EXP-F6", "ABL-MODEL",
                            "ABL-ADSS", "ABL-TFRC", "ABL-BURST", "EXP-ADV",
-                           "EXP-ARENA", "EXP-RESILIENCE", "ABL-WATCHDOG",
-                           "ABL-FIG4", "ABL-RTT", "EXP-SWEEP"]
+                           "EXP-FEC", "EXP-DTZ", "EXP-MPATH", "EXP-SCALE",
+                           "EXP-SCALE-HYBRID", "EXP-ARENA", "EXP-RESILIENCE",
+                           "ABL-WATCHDOG", "ABL-FIG4", "ABL-RTT", "EXP-SWEEP"]
+
+    def test_list_starts_every_description_in_one_column(self, capsys):
+        """The target column is as wide as the longest target, so no
+        ``module.func`` runs into its description."""
+        assert main(["--list"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if not line.startswith(" ")]
+        descriptions = (
+            [spec.description for spec in registered_specs(True)]
+            + [study.description for study in registered_studies()])
+        assert len(lines) == len(descriptions)
+        column = lines[0].index(descriptions[0])
+        for line, text in zip(lines, descriptions):
+            assert line[column - 1] == " " and line[column:].startswith(
+                text), line
 
     def test_list_of_names_prints_the_tasks_they_expand_to(self, capsys):
         assert main(["--list", "EXP-F2", "ABL-WATCHDOG"]) == 0

@@ -97,6 +97,21 @@ class TestAxisDeltas:
         deltas = axis_deltas(spec, make_cells(spec, toy_metrics))
         assert [d["axis"] for d in deltas] == ["gain"]
 
+    def test_a_value_a_zip_axis_repeats_is_one_group(self):
+        """A zip axis lists a value once per cell that takes it: the
+        axis has one group per distinct value, holding all of them."""
+        spec = SweepSpec(name="z", experiment=TOY, mode="zip",
+                         axes={"mode": ["a", "a", "b"],
+                               "seed": [1, 2, 3]})
+        by_axis = {d["axis"]: d
+                   for d in axis_deltas(spec, make_cells(spec, toy_metrics))}
+        mode = by_axis["mode"]
+        # mode=a: scores 11, 12; mode=b: 33
+        assert [(g["value"], g["n"], g["means"]["score"])
+                for g in mode["groups"]] == [("a", 2, 11.5), ("b", 1, 33.0)]
+        assert mode["groups"][1]["deltas"]["score"] == 21.5
+        assert [g["value"] for g in by_axis["seed"]["groups"]] == [1, 2, 3]
+
     def test_seeds_axis_included(self):
         spec = SweepSpec(name="d", experiment=TOY,
                          axes={"mode": ["a"]}, seeds=(1, 3))

@@ -153,3 +153,17 @@ class TestMarkdown:
         assert "### axis `seed`" in text
         assert "## Ranked by `score`" in text
         assert "`toy-run/mode=a,gain=1.0,seed=1`" in text
+
+    def test_an_aggregate_metric_per_key_renders_as_pairs(self):
+        """EXP-DTZ's hook gives ``collapse`` per controller: one cell
+        of ``key=value`` pairs, not a dict's repr."""
+        from repro.sweep import render_markdown
+
+        spec = SweepSpec(name="agg", experiment=TOY, axes={"mode": ["a"]})
+        block = {"spec": spec.to_dict(), "tasks": {}, "metrics": [],
+                 "axis_deltas": [], "ranked": [],
+                 "aggregate": {"metrics": {"collapse": {"eq-max": 1.5,
+                                                        "pgmcc": 0.8}}}}
+        text = render_markdown({"tasks": [], "results_digest": "d",
+                                "studies": {"agg": block}})
+        assert "| `collapse` | eq-max=1.5, pgmcc=0.8 |" in text
