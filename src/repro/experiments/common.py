@@ -27,6 +27,12 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=repr)
 
 
+def digest_of(doc: dict[str, Any]) -> str:
+    """Digest of a result's normal form, the dict
+    :meth:`ExperimentResult.to_dict` returns (order-stable)."""
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
+
 @dataclass
 class ExperimentResult:
     """Outcome of one experiment run."""
@@ -49,8 +55,8 @@ class ExperimentResult:
         self.telemetry = session.metrics.export(experiment=self.name, **meta)
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe form (tuples normalise to lists) used by the
-        runner's cache and run manifests."""
+        """The normal form (tuples normalise to lists): what a worker
+        sends, the runner's cache stores and a run manifest embeds."""
         doc: dict[str, Any] = {
             "name": self.name,
             "params": self.params,
@@ -75,8 +81,7 @@ class ExperimentResult:
 
     def digest(self) -> str:
         """Content digest of the result (order-stable)."""
-        return hashlib.sha256(
-            canonical_json(self.to_dict()).encode()).hexdigest()
+        return digest_of(self.to_dict())
 
     def format_table(self) -> str:
         """Plain-text table of the rows (the figure's 'data')."""

@@ -133,6 +133,25 @@ def callable_id(fn: Callable) -> str:
     return f"{fn.__module__}:{fn.__qualname__}"
 
 
+#: the keys of a normal form; ``telemetry`` joins them when it is set
+_NORMAL_KEYS = frozenset(("name", "params", "rows", "metrics", "expectation"))
+
+
+def _normal_form(data: Any) -> dict[str, Any]:
+    """A parsed entry's result as :meth:`ExperimentResult.to_dict`
+    would give it.  JSON has already normalised every value, so an entry
+    with exactly that shape is its own normal form; any other is
+    normalised once (``from_dict`` raises for one that is no result)."""
+    if (type(data) is dict
+            and data.keys() - {"telemetry"} == _NORMAL_KEYS
+            and data.get("telemetry", {}) is not None
+            and type(data["params"]) is dict
+            and type(data["rows"]) is list
+            and type(data["metrics"]) is dict):
+        return data
+    return ExperimentResult.from_dict(data).to_dict()
+
+
 class ResultCache:
     """Content-addressed store: ``<root>/<d[:2]>/<digest>.json``.
 
@@ -164,20 +183,21 @@ class ResultCache:
     def _path(self, digest: str) -> Path:
         return self.root / digest[:2] / f"{digest}.json"
 
-    def get(self, digest: str) -> ExperimentResult | None:
-        """The stored result; an entry that is missing, unreadable or
-        not an :class:`ExperimentResult` is a miss (None), not an error:
-        the cell is recomputed and ``put`` overwrites the file."""
+    def get(self, digest: str) -> dict[str, Any] | None:
+        """The stored result's normal form; an entry that is missing,
+        unreadable or not an :class:`ExperimentResult` is a miss (None),
+        not an error: the cell is recomputed and ``put`` overwrites it."""
         try:
             data = json.loads(self._path(digest).read_text())
             if data["schema"] == CACHE_SCHEMA:
-                return ExperimentResult.from_dict(data["result"])
+                return _normal_form(data["result"])
         except (OSError, ValueError, LookupError, TypeError):
             pass
         return None
 
-    def put(self, digest: str, result: ExperimentResult,
+    def put(self, digest: str, result: dict[str, Any],
             meta: dict[str, Any] | None = None) -> Path:
+        """Store ``result``, a normal form, under ``digest``."""
         path = self._path(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
@@ -185,7 +205,7 @@ class ResultCache:
             "digest": digest,
             "saved_at": time.time(),
             "meta": meta or {},
-            "result": result.to_dict(),
+            "result": result,
         }
         # a temp name per writer: runs sharing the directory may store
         # the same cell at the same time
@@ -208,7 +228,8 @@ class ResultCache:
         digest = self.digest_for(callable_id(fn), kwargs)
         cached = self.get(digest)
         if cached is not None:
-            return cached, True
+            return ExperimentResult.from_dict(cached), True
         result = fn(**kwargs)
-        self.put(digest, result, meta={"experiment": callable_id(fn)})
+        self.put(digest, result.to_dict(),
+                 meta={"experiment": callable_id(fn)})
         return result, False

@@ -37,6 +37,7 @@ import json
 import sys
 from pathlib import Path
 
+from ..experiments.common import ExperimentResult
 from ..experiments.registry import (experiment_ids, get_experiment,
                                     registered_specs, registered_studies)
 from ..sweep import (SweepValidationError, expand_entries, load_spec,
@@ -217,11 +218,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    manifest = run_entries(orch, studies)
+    manifest, _ = run_entries(orch, studies)
     cells = {task.id for _, tasks in studies for task in tasks}
     report = [f"\n##### {outcome.id} (wall {outcome.wall_s:.1f}s"
               f"{', cached' if outcome.cache_hit else ''})\n"
-              + outcome.result.report()
+              + ExperimentResult.from_dict(outcome.result).report()
               for outcome in orch.outcomes
               if outcome.result is not None and outcome.id not in cells]
     if studies:

@@ -28,7 +28,7 @@ from multiprocessing import util
 from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Iterable, Sequence
 
-from ..experiments.common import ExperimentResult, ExperimentSpec
+from ..experiments.common import ExperimentSpec, digest_of
 from .cache import ResultCache, callable_id, source_fingerprint
 from .events import RunnerEvent
 from .manifest import build_manifest
@@ -222,24 +222,28 @@ class Orchestrator:
         # *before* anything runs: a typo'd kwarg or out-of-range value
         # is a configuration error, reported as a clear TypeError /
         # ValueError up front rather than a traceback from mid-worker.
-        for spec in self.specs:
-            spec.validate_kwargs(spec.call_kwargs(self.scale))
+        calls = [spec.call_kwargs(self.scale) for spec in self.specs]
+        for spec, kwargs in zip(self.specs, calls):
+            spec.validate_kwargs(kwargs)
 
-        for index, spec in enumerate(self.specs):
+        schemas: dict[tuple, Any] = {}  #: schema doc by declared params
+        for index, (spec, kwargs) in enumerate(zip(self.specs, calls)):
             self._emit("queued", spec.id)
-            kwargs = spec.call_kwargs(self.scale)
             digest = None
             if self.cache is not None:
+                if spec.params not in schemas:
+                    schemas[spec.params] = (spec.schema_doc() if spec.params
+                                            else None)
                 digest = self.cache.digest_for(
                     f"{spec.module}:{spec.func}", kwargs,
-                    param_schema=spec.schema_doc() if spec.params else None)
+                    param_schema=schemas[spec.params])
                 t0 = time.perf_counter()
                 cached = self.cache.get(digest)
                 if cached is not None:
                     self._finish(by_index, index, TaskOutcome(
                         id=spec.id, status="ok", result=cached,
                         attempts=0, wall_s=time.perf_counter() - t0,
-                        cache_hit=True, result_digest=cached.digest()))
+                        cache_hit=True, result_digest=digest_of(cached)))
                     continue
             todo.append(_Pending(index, spec, kwargs, digest))
 
@@ -256,7 +260,7 @@ class Orchestrator:
 
     # -- execution ---------------------------------------------------
 
-    def _store(self, task: _Pending, result: ExperimentResult) -> None:
+    def _store(self, task: _Pending, result: dict[str, Any]) -> None:
         if self.cache is not None and task.digest is not None:
             self.cache.put(task.digest, result, meta={
                 "experiment": callable_id(task.spec.resolve()),
@@ -308,13 +312,12 @@ class Orchestrator:
             if kind != "ok":
                 retire(worker)  # a retry always runs in a new process
             free.append(worker.slot)
-            if kind == "ok":
-                result = ExperimentResult.from_dict(payload)
-                self._store(task, result)
+            if kind == "ok":  # the reply is the result's normal form
+                self._store(task, payload)
                 self._finish(by_index, task.index, TaskOutcome(
-                    id=task.spec.id, status="ok", result=result,
+                    id=task.spec.id, status="ok", result=payload,
                     attempts=task.attempt, wall_s=wall, worker=worker.slot,
-                    result_digest=result.digest()))
+                    result_digest=digest_of(payload)))
                 return
             if task.attempt <= self.retries:
                 self._emit("retry", task.spec.id, worker=worker.slot,

@@ -36,7 +36,9 @@ class TaskOutcome:
 
     id: str
     status: str  #: ``"ok"`` or ``"failed"``
-    result: ExperimentResult | None = None
+    #: the result's normal form (:meth:`ExperimentResult.to_dict`): the
+    #: worker's reply or the cache entry, embedded in the manifest as is
+    result: dict[str, Any] | None = None
     error: dict[str, str] | None = None
     attempts: int = 0
     wall_s: float = 0.0
@@ -57,7 +59,7 @@ class TaskOutcome:
             "cache_hit": self.cache_hit,
             "result_digest": self.result_digest,
             "error": self.error,
-            "result": self.result.to_dict() if self.result is not None else None,
+            "result": self.result,
         }
 
 

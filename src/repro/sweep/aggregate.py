@@ -57,8 +57,9 @@ def collect_cells(tasks: list[SweepTask], outcomes) -> list[SweepCell]:
     cells = []
     for task in tasks:
         outcome = by_id[task.id]
+        result = outcome.result and ExperimentResult.from_dict(outcome.result)
         cells.append(SweepCell(task=task, status=outcome.status,
-                               result=outcome.result))
+                               result=result))
     return cells
 
 
@@ -90,15 +91,18 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values)
 
 
-def axis_deltas(spec: SweepSpec, cells: list[SweepCell]) -> list[dict]:
-    """Per-axis deltas of every shared numeric metric (see module doc).
+def axis_deltas(spec: SweepSpec, cells: list[SweepCell],
+                metrics: list[str]) -> list[dict]:
+    """Per-axis deltas of ``metrics``, the cells' shared numeric
+    metrics (see module doc).
 
     One entry per axis with >1 distinct declared value (the implicit
     ``seeds`` axis included); each entry carries per-value group means
     and their delta against the axis's first declared value — in
-    ``ablate`` mode, against the base cell.
+    ``ablate`` mode, against the base cell.  An axis that groups the
+    cells as an earlier axis did (a ``zip`` study's per-case ``seed``)
+    has none: its table would repeat that axis's.
     """
-    metrics = shared_numeric_metrics(cells, spec.metrics)
     base = spec.base_dict
     ablate = spec.mode == "ablate"
     axes: list[tuple[str, tuple[Any, ...]]] = [
@@ -117,29 +121,31 @@ def axis_deltas(spec: SweepSpec, cells: list[SweepCell]) -> list[dict]:
             assignment = {**base, **assignment}
         return assignment.get(axis)
 
+    ok = [c for c in cells if c.ok]
     out: list[dict] = []
+    seen: set[frozenset] = set()  #: the grouping of each axis tabled
     for axis, declared in axes:
+        grouped = [(value, [c for c in ok if value_of(c, axis) == value])
+                   for value in declared]
+        grouped = [(value, members) for value, members in grouped if members]
+        grouping = frozenset(frozenset(c.task.id for c in members)
+                             for _, members in grouped)
+        if not grouped or grouping in seen:
+            continue
+        seen.add(grouping)
         groups = []
-        baseline_means: dict[str, float] = {}
-        for value in declared:
-            members = [c for c in cells
-                       if c.ok and value_of(c, axis) == value]
-            if not members:
-                continue
+        for value, members in grouped:
             means = {m: round(_mean([c.result.metrics[m] for c in members]),
                               6)
                      for m in metrics}
             group = {"value": value, "n": len(members), "means": means}
-            if not groups:
-                baseline_means = means
-            else:
+            if groups:
                 group["deltas"] = {
-                    m: round(means[m] - baseline_means[m], 6)
+                    m: round(means[m] - groups[0]["means"][m], 6)
                     for m in metrics}
             groups.append(group)
-        if groups:
-            out.append({"axis": axis, "baseline": groups[0]["value"],
-                        "groups": groups})
+        out.append({"axis": axis, "baseline": groups[0]["value"],
+                    "groups": groups})
     return out
 
 

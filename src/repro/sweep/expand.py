@@ -80,7 +80,8 @@ def expand(spec: SweepSpec) -> list[SweepTask]:
 
     Raises :class:`~repro.sweep.validate.SweepValidationError` on an
     invalid spec and ``ValueError`` on a task-id collision (two cells
-    whose assignments render identically).
+    whose assignments render identically).  The orchestrator checks
+    each task's call before it runs anything.
     """
     from ..experiments.registry import get_experiment
 
@@ -98,7 +99,7 @@ def expand(spec: SweepSpec) -> list[SweepTask]:
                              "(axes values render identically)")
         seen.add(task_id)
         kwargs = {**base, **dict(assignment)}
-        synthesized = ExperimentSpec(
+        cell = ExperimentSpec(
             id=task_id,
             module=experiment.module,
             func=experiment.func,
@@ -108,9 +109,5 @@ def expand(spec: SweepSpec) -> list[SweepTask]:
                          f"{spec.name!r}"),
             params=experiment.params,
         )
-        # the schema already vetted every axis value; this additionally
-        # catches bad *base* combinations after merging
-        synthesized.validate_kwargs(synthesized.call_kwargs(spec.scale))
-        tasks.append(SweepTask(id=task_id, axes=assignment,
-                               spec=synthesized))
+        tasks.append(SweepTask(id=task_id, axes=assignment, spec=cell))
     return tasks

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from .aggregate import _numeric
+
 __all__ = ["render_markdown", "report_digest"]
 
 
@@ -66,17 +68,22 @@ def _render_study(manifest: dict[str, Any], name: str) -> str:
         "",
     ]
 
-    metrics = block["metrics"]
+    metrics = block["metrics"]  #: shared by every ok cell
+    # the metrics the spec names, else any ok cell's (blank if absent)
+    shown = spec["report"]["metrics"] or sorted({
+        name for task in tasks if task["status"] == "ok"
+        for name, value in task["result"]["metrics"].items()
+        if _numeric(value)})
     axis_names = sorted({name for axes in block["tasks"].values()
                          for name in axes})
-    headers = ["task"] + axis_names + metrics + ["status"]
+    headers = ["task"] + axis_names + shown + ["status"]
     rows = []
     for task in tasks:
         axes = block["tasks"][task["id"]]
         values = task["result"]["metrics"] if task["result"] else {}
         row: list[Any] = [f"`{task['id']}`"]
         row += [_fmt(axes.get(a, "")) for a in axis_names]
-        row += [_fmt(values.get(m, "")) for m in metrics]
+        row += [_fmt(values.get(m, "")) for m in shown]
         row.append(task["status"] + (" (cached)" if task["cache_hit"]
                                      else ""))
         rows.append(row)

@@ -79,8 +79,9 @@ def expand_entries(entries: list[Union[ExperimentSpec, SweepSpec]],
 
 def _block(study: SweepSpec, tasks: list[SweepTask],
            cells: list[SweepCell]) -> dict[str, Any]:
-    sections = {"metrics": shared_numeric_metrics(cells, study.metrics),
-                "axis_deltas": axis_deltas(study, cells),
+    metrics = shared_numeric_metrics(cells, study.metrics)
+    sections = {"metrics": metrics,
+                "axis_deltas": axis_deltas(study, cells, metrics),
                 "ranked": ranked_rows(study, cells)}
     aggregate = run_custom_aggregate(study, cells)
     if aggregate is not None:
@@ -90,14 +91,16 @@ def _block(study: SweepSpec, tasks: list[SweepTask],
             **json.loads(canonical_json(sections))}
 
 
-def run_entries(orch: Orchestrator, studies: list[Study]) -> dict[str, Any]:
+def run_entries(orch: Orchestrator, studies: list[Study]
+                ) -> tuple[dict[str, Any], list[list[SweepCell]]]:
     """Run the orchestrator's tasks; the manifest, with one block per
-    study in ``studies`` (from :func:`expand_entries`)."""
+    study in ``studies`` (from :func:`expand_entries`), and each
+    study's cells."""
     manifest = orch.run()
-    for study, tasks in studies:
-        manifest["studies"][study.name] = _block(
-            study, tasks, collect_cells(tasks, orch.outcomes))
-    return manifest
+    cells = [collect_cells(tasks, orch.outcomes) for _, tasks in studies]
+    for (study, tasks), joined in zip(studies, cells):
+        manifest["studies"][study.name] = _block(study, tasks, joined)
+    return manifest, cells
 
 
 @dataclass
@@ -162,7 +165,5 @@ def sweep(spec: Union[SweepSpec, dict, str, Path], *,
         cache=None if cache_dir is None else ResultCache(cache_dir),
         timeout=timeout, retries=retries, on_event=on_event,
         extra_sys_path=extra_sys_path)
-    manifest = run_entries(orch, [(spec, tasks)])
-    return SweepRun(spec=spec, tasks=tasks,
-                    cells=collect_cells(tasks, orch.outcomes),
-                    manifest=manifest)
+    manifest, [cells] = run_entries(orch, [(spec, tasks)])
+    return SweepRun(spec=spec, tasks=tasks, cells=cells, manifest=manifest)

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import (ExperimentResult, canonical_json,
+                                     digest_of)
 from repro.runner import ResultCache, source_fingerprint, task_digest
 from repro.runner.cache import CACHE_SCHEMA, FINGERPRINT_EXCLUDE
 
@@ -130,11 +131,11 @@ class TestStore:
         cache = make_cache(tmp_path)
         result = _toy.run_ok(scale=0.5, seed=3)
         digest = cache.digest_for("toy:run_ok", {"scale": 0.5, "seed": 3})
-        cache.put(digest, result)
+        cache.put(digest, result.to_dict())
         loaded = cache.get(digest)
         assert loaded is not None
-        assert loaded.to_dict() == result.to_dict()
-        assert loaded.digest() == result.digest()
+        assert loaded == result.to_dict()
+        assert digest_of(loaded) == result.digest()
 
     def test_get_miss_returns_none(self, tmp_path):
         cache = make_cache(tmp_path)
@@ -173,7 +174,7 @@ class TestStore:
         its rename."""
         cache = make_cache(tmp_path)
         digest = cache.digest_for("toy:run_ok", {})
-        result = _toy.run_ok()
+        result = _toy.run_ok().to_dict()
         replace = os.replace
 
         def second_writer_first(src, dst):
@@ -183,7 +184,7 @@ class TestStore:
 
         monkeypatch.setattr(os, "replace", second_writer_first)
         cache.put(digest, result)
-        assert cache.get(digest).to_dict() == result.to_dict()
+        assert cache.get(digest) == result
         assert list(cache.root.rglob("*.tmp*")) == []
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
@@ -194,7 +195,7 @@ class TestStore:
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="disk full"):
-            cache.put("0" * 64, _toy.run_ok())
+            cache.put("0" * 64, _toy.run_ok().to_dict())
         assert [p for p in cache.root.rglob("*") if p.is_file()] == []
 
     def test_fetch_or_run_miss_then_hit(self, tmp_path):
@@ -264,6 +265,42 @@ class TestOneFingerprintPerRun:
             task_digest(f"{spec.module}:{spec.func}", spec.call_kwargs(1.0),
                         manifest["source_digest"], param_schema=None)
             for spec in GRID}
+
+
+class TestReplayedDigestDescribesTheManifest:
+    """A hit's ``result_digest`` hashes the result the manifest embeds,
+    however the entry on disk was shaped, and that is the digest the
+    entry's result has as an ExperimentResult."""
+
+    @pytest.mark.parametrize("reshape", [
+        pytest.param(lambda result: result, id="as-stored"),
+        pytest.param(lambda result: {**result, "note": "x"}, id="extra-key"),
+        pytest.param(lambda result: {k: v for k, v in result.items()
+                                     if k != "expectation"},
+                     id="no-expectation"),
+        pytest.param(lambda result: {**result, "telemetry": None},
+                     id="telemetry-null"),
+    ])
+    def test_digest_of_what_was_read(self, tmp_path, reshape):
+        cache = make_cache(tmp_path)
+        orchestrate(GRID, jobs=1, cache=cache).run()
+        stored = {}
+        for path in cache.root.rglob("*.json"):
+            entry = json.loads(path.read_text())
+            entry["result"] = stored[path.stem] = reshape(entry["result"])
+            path.write_text(json.dumps(entry))
+        manifest = orchestrate(GRID, jobs=1, cache=cache).run()
+        assert manifest["totals"]["cache_hits"] == len(GRID)
+        for spec, task in zip(GRID, manifest["tasks"]):
+            entry = stored[task_digest(
+                f"{spec.module}:{spec.func}", spec.call_kwargs(1.0),
+                manifest["source_digest"], param_schema=None)]
+            embedded = hashlib.sha256(
+                canonical_json(task["result"]).encode()).hexdigest()
+            assert task["result_digest"] == embedded
+            assert embedded == ExperimentResult.from_dict(entry).digest()
+            assert task["result"] == ExperimentResult.from_dict(
+                entry).to_dict()
 
 
 class TestResultSerialization:

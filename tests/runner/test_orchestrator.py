@@ -113,7 +113,7 @@ class TestSessionMetricsFlow:
         assert warm["totals"]["cache_hits"] == 2
         assert warm["results_digest"] == cold["results_digest"]
         for outcome in warm_orch.outcomes:
-            assert outcome.result.telemetry is not None
+            assert outcome.result["telemetry"] is not None
 
     def test_session_metrics_extracted_from_manifest(self):
         from repro.runner import session_metrics_from_manifest
@@ -428,7 +428,7 @@ class TestRegistryParity:
         via_pool = orch.outcomes[0]
         assert via_pool.status == "ok"
         direct = fig2_loss_filter.run(scale=0.05)
-        assert via_pool.result.to_dict() == direct.to_dict()
+        assert via_pool.result == direct.to_dict()
         assert via_pool.result_digest == direct.digest()
 
     def test_unknown_id_is_helpful(self):

@@ -3,7 +3,8 @@
 Registered with a plain ``register_experiment`` call (which doubles as
 coverage of third-party registration), with a full parameter schema so
 validation paths are exercised.  Metrics are exact arithmetic on the
-kwargs, so any sweep over it has fully predictable deltas and rankings.
+kwargs, so any sweep over it has fully predictable deltas and rankings;
+``mode="b"`` cells report one metric the others lack.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ def run(scale: float = 1.0, gain: float = 1.0, mode: str = "a",
     result.metrics["score"] = base * gain + seed
     result.metrics["cost"] = round(100.0 * scale + (5.0 if flag else 0.0), 6)
     result.metrics["label"] = mode  # non-numeric: excluded from deltas
+    if mode == "b":  # a key only some cells report
+        result.metrics["surplus"] = 20.0 * gain
     return result
 
 

@@ -27,6 +27,11 @@ def make_cells(spec, metric_fn):
     return cells
 
 
+def deltas_of(spec, cells):
+    """``axis_deltas`` over the metrics a study block shares."""
+    return axis_deltas(spec, cells, shared_numeric_metrics(cells, spec.metrics))
+
+
 def toy_metrics(kwargs):
     base = 10.0 if kwargs.get("mode", "a") == "a" else 30.0
     return {"score": base * kwargs.get("gain", 1.0) + kwargs.get("seed", 0),
@@ -59,7 +64,7 @@ class TestAxisDeltas:
     def test_means_and_deltas_against_first_value(self):
         spec = SweepSpec(name="d", experiment=TOY,
                          axes={"mode": ["a", "b"], "gain": [1.0, 2.0]})
-        deltas = axis_deltas(spec, make_cells(spec, toy_metrics))
+        deltas = deltas_of(spec, make_cells(spec, toy_metrics))
         by_axis = {d["axis"]: d for d in deltas}
         # mode=a: scores 10, 20 (gain 1, 2); mode=b: 30, 60
         mode = by_axis["mode"]
@@ -78,7 +83,7 @@ class TestAxisDeltas:
                          base={"gain": 2.0, "mode": "a"},
                          axes={"gain": [5.0, 7.0], "mode": ["b"]})
         by_axis = {d["axis"]: d
-                   for d in axis_deltas(spec, make_cells(spec, toy_metrics))}
+                   for d in deltas_of(spec, make_cells(spec, toy_metrics))}
         gain = by_axis["gain"]
         assert gain["baseline"] == 2.0
         assert [(g["value"], g["n"]) for g in gain["groups"]] == [
@@ -94,7 +99,7 @@ class TestAxisDeltas:
     def test_single_value_axes_skipped(self):
         spec = SweepSpec(name="d", experiment=TOY,
                          axes={"mode": ["a"], "gain": [1.0, 2.0]})
-        deltas = axis_deltas(spec, make_cells(spec, toy_metrics))
+        deltas = deltas_of(spec, make_cells(spec, toy_metrics))
         assert [d["axis"] for d in deltas] == ["gain"]
 
     def test_a_value_a_zip_axis_repeats_is_one_group(self):
@@ -104,7 +109,7 @@ class TestAxisDeltas:
                          axes={"mode": ["a", "a", "b"],
                                "seed": [1, 2, 3]})
         by_axis = {d["axis"]: d
-                   for d in axis_deltas(spec, make_cells(spec, toy_metrics))}
+                   for d in deltas_of(spec, make_cells(spec, toy_metrics))}
         mode = by_axis["mode"]
         # mode=a: scores 11, 12; mode=b: 33
         assert [(g["value"], g["n"], g["means"]["score"])
@@ -112,10 +117,19 @@ class TestAxisDeltas:
         assert mode["groups"][1]["deltas"]["score"] == 21.5
         assert [g["value"] for g in by_axis["seed"]["groups"]] == [1, 2, 3]
 
+    def test_an_axis_that_groups_cells_as_an_earlier_one_has_no_table(self):
+        """EXP-FEC's per-case ``seed`` beside ``redundancy``: the same
+        groups give the same table, so it is given once."""
+        spec = SweepSpec(name="z", experiment=TOY, mode="zip",
+                         axes={"mode": ["a", "a", "b"],
+                               "gain": [1.0, 1.0, 2.0], "seed": [1, 2, 3]})
+        deltas = deltas_of(spec, make_cells(spec, toy_metrics))
+        assert [d["axis"] for d in deltas] == ["mode", "seed"]
+
     def test_seeds_axis_included(self):
         spec = SweepSpec(name="d", experiment=TOY,
                          axes={"mode": ["a"]}, seeds=(1, 3))
-        deltas = axis_deltas(spec, make_cells(spec, toy_metrics))
+        deltas = deltas_of(spec, make_cells(spec, toy_metrics))
         assert [d["axis"] for d in deltas] == ["seed"]
         assert deltas[0]["groups"][1]["deltas"]["score"] == 2.0
 
@@ -192,7 +206,8 @@ class TestCollectCells:
                         wall_s=0.5, error={"type": "X", "message": "",
                                            "traceback": ""}),
             TaskOutcome(id=tasks[0].id, status="ok",
-                        result=ExperimentResult(name="x"), attempts=1,
+                        result=ExperimentResult(name="x").to_dict(),
+                        attempts=1,
                         wall_s=0.1, cache_hit=True, result_digest="d"),
         ]
         cells = collect_cells(tasks, outcomes)

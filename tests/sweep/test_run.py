@@ -1,11 +1,14 @@
 """End-to-end ``sweep()`` runs: manifests, digests, caching, the report."""
 
+from collections import Counter
+
 import pytest
 
 import tests.sweep._toy  # noqa: F401 - registers TOY-SWEEP
+from repro.experiments.common import ExperimentResult, ExperimentSpec
 from repro.runner.manifest import results_digest
 from repro.runner.tasks import TaskOutcome
-from repro.sweep import SweepSpec, report_digest, sweep
+from repro.sweep import SweepSpec, expand, report_digest, sweep
 from tests.runner.test_orchestrator import REPO_ROOT
 
 TOY = "TOY-SWEEP"
@@ -139,6 +142,42 @@ class TestSweepRun:
                 == from_file.manifest["studies"])
 
 
+class TestOnePassPerTask:
+    """A run makes no normal form of a result it was handed (a worker's
+    reply, a stored entry) and checks each task's call once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """``ExperimentResult.to_dict`` calls in this process, and
+        ``validate_kwargs`` calls by the id of the spec checked."""
+        calls: Counter = Counter()
+        to_dict = ExperimentResult.to_dict
+        validate = ExperimentSpec.validate_kwargs
+
+        def counting_to_dict(self):
+            calls["to_dict"] += 1
+            return to_dict(self)
+
+        def counting_validate(self, kwargs):
+            calls[self.id] += 1
+            return validate(self, kwargs)
+
+        monkeypatch.setattr(ExperimentResult, "to_dict", counting_to_dict)
+        monkeypatch.setattr(ExperimentSpec, "validate_kwargs",
+                            counting_validate)
+        return calls
+
+    def test_a_cold_run_and_a_cached_replay(self, tmp_path, calls):
+        spec = toy_spec()
+        ids = [task.id for task in expand(spec)]
+        for hits in (0, len(ids)):
+            calls.clear()
+            run = run_toy(spec, cache_dir=tmp_path / "cache")
+            assert run.manifest["totals"]["cache_hits"] == hits
+            assert calls["to_dict"] == 0
+            assert [calls[task_id] for task_id in ids] == [1] * len(ids)
+
+
 class TestMarkdown:
     def test_render_covers_all_sections(self):
         from repro.sweep import render_markdown
@@ -153,6 +192,33 @@ class TestMarkdown:
         assert "### axis `seed`" in text
         assert "## Ranked by `score`" in text
         assert "`toy-run/mode=a,gain=1.0,seed=1`" in text
+
+    def test_cells_show_every_numeric_metric_any_cell_reports(self):
+        """With no ``metrics`` named, the cell table has a column for
+        each numeric metric of any ok cell, blank where a cell lacks
+        it; the block's shared metrics (the deltas') do not move."""
+        from repro.sweep import render_markdown
+
+        run = run_toy(toy_spec(metrics=()))
+        assert run.manifest["studies"]["toy-run"]["metrics"] == [
+            "cost", "score"]
+        text = render_markdown(run.manifest)
+        cells = text.split("## Cells")[1].split("## Per-axis")[0]
+        assert "| task | gain | mode | cost | score | surplus | status |" \
+            in cells
+        assert "| `toy-run/mode=a,gain=1.0` | 1 | a | 50 | 10 |  | ok |" \
+            in cells
+        assert "| `toy-run/mode=b,gain=2.0` | 2 | b | 50 | 60 | 40 | ok |" \
+            in cells
+        assert "surplus" not in text.split("## Per-axis")[1]
+
+    def test_cells_show_the_metrics_the_spec_names(self):
+        from repro.sweep import render_markdown
+
+        text = render_markdown(run_toy(toy_spec(
+            axes={"mode": ["a"]}, metrics=("surplus", "score"))).manifest)
+        assert "| task | mode | surplus | score | status |" in text
+        assert "| `toy-run/mode=a` | a |  | 10 | ok |" in text
 
     def test_an_aggregate_metric_per_key_renders_as_pairs(self):
         """EXP-DTZ's hook gives ``collapse`` per controller: one cell
