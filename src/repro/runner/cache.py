@@ -166,6 +166,7 @@ class ResultCache:
                  source_roots: Iterable[os.PathLike | str] | None = None,
                  exclude: tuple[str, ...] = FINGERPRINT_EXCLUDE):
         self.root = Path(root)
+        self._dir = os.fspath(self.root)
         self._roots = tuple(source_roots) if source_roots else None
         self._exclude = exclude
         self._source: str | None = None
@@ -180,15 +181,18 @@ class ResultCache:
         return task_digest(experiment, kwargs, self.source_digest(),
                            param_schema)
 
-    def _path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json"
+    def _path(self, digest: str) -> str:
+        """``root/<first two hex digits>/<digest>.json``, joined as a
+        string: a cache hit makes no ``pathlib`` object."""
+        return f"{self._dir}{os.sep}{digest[:2]}{os.sep}{digest}.json"
 
     def get(self, digest: str) -> dict[str, Any] | None:
         """The stored result's normal form; an entry that is missing,
         unreadable or not an :class:`ExperimentResult` is a miss (None),
         not an error: the cell is recomputed and ``put`` overwrites it."""
         try:
-            data = json.loads(self._path(digest).read_text())
+            with open(self._path(digest)) as entry:
+                data = json.loads(entry.read())
             if data["schema"] == CACHE_SCHEMA:
                 return _normal_form(data["result"])
         except (OSError, ValueError, LookupError, TypeError):
@@ -198,7 +202,7 @@ class ResultCache:
     def put(self, digest: str, result: dict[str, Any],
             meta: dict[str, Any] | None = None) -> Path:
         """Store ``result``, a normal form, under ``digest``."""
-        path = self._path(digest)
+        path = Path(self._path(digest))
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "schema": CACHE_SCHEMA,

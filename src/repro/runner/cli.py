@@ -247,10 +247,13 @@ def main(argv: list[str] | None = None) -> int:
             print(text)
 
     totals = manifest["totals"]
+    timing = f"wall {totals['wall_s']:.1f}s"
+    if totals["speedup"] is not None:
+        timing += (f", serial {totals['serial_wall_s']:.1f}s"
+                   f" (speedup {totals['speedup']}x)")
     print(f"\n{totals['ok']}/{totals['tasks']} ok, "
           f"{totals['failed']} failed, {totals['cache_hits']} cache hits; "
-          f"wall {totals['wall_s']:.1f}s, serial {totals['serial_wall_s']:.1f}s"
-          f" (speedup {totals['speedup']}x)")
+          f"{timing}")
     print(f"manifest: {manifest_path}")
     print(f"results digest: {manifest['results_digest']}")
     for task in manifest["tasks"]:

@@ -40,7 +40,10 @@ def build_manifest(outcomes: list[TaskOutcome], *, run_id: str, scale: float,
     ok = sum(1 for o in outcomes if o.status == "ok")
     failed = sum(1 for o in outcomes if o.status == "failed")
     hits = sum(1 for o in outcomes if o.cache_hit)
-    serial = sum(o.wall_s for o in outcomes)
+    # a cache hit's wall time is a read, not a computation: the
+    # sequential cost is that of the tasks that ran
+    ran = [o.wall_s for o in outcomes if not o.cache_hit]
+    serial = sum(ran)
     return {
         "schema": MANIFEST_SCHEMA,
         "run_id": run_id,
@@ -56,9 +59,11 @@ def build_manifest(outcomes: list[TaskOutcome], *, run_id: str, scale: float,
             "failed": failed,
             "cache_hits": hits,
             "wall_s": round(wall_s, 3),
-            #: sum of per-task wall times = the sequential cost
+            #: sum of the wall times of the tasks that ran (not served
+            #: from cache) = their sequential cost
             "serial_wall_s": round(serial, 3),
-            "speedup": round(serial / wall_s, 2) if wall_s > 0 else None,
+            #: None when no task ran
+            "speedup": round(serial / wall_s, 2) if ran and wall_s > 0 else None,
         },
         "results_digest": results_digest(outcomes),
         #: filled by :func:`repro.sweep.run.run_entries`

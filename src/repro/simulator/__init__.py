@@ -25,7 +25,6 @@ from .loss_models import (
     BernoulliLoss,
     DeterministicLoss,
     GilbertElliottLoss,
-    NoLoss,
     PeriodicLoss,
 )
 from .node import EcmpRouter, Host, Node, Router
@@ -62,7 +61,6 @@ __all__ = [
     "BernoulliLoss",
     "DeterministicLoss",
     "GilbertElliottLoss",
-    "NoLoss",
     "PeriodicLoss",
     "EcmpRouter",
     "Host",

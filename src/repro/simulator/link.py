@@ -29,11 +29,19 @@ rate and delay in force when its serialisation starts: assigning
 ``rate_bps`` or ``delay`` validates like the constructor and re-times
 the packets still waiting; the one on the wire keeps its arrival.
 
+A hop is ``send`` → ``_accept`` → ``Simulator.post_at``, then
+``_deliver`` → the far node's ``receive(packet, from_node)``, with no
+other Python frame on it: the link calls the node :meth:`Link.connect`
+named itself, and a lossless link holds ``loss=None`` and calls no loss
+model.
+
 Links also carry the hook points the fault-injection subsystem
 (:mod:`repro.simulator.faults`) drives: an administrative up/down flag,
-transient duplication/corruption stages and dedicated fault counters.
-All of them sit behind single attribute checks so the no-fault hot
-path is unaffected.  Fault semantics:
+a control filter, transient duplication/corruption stages and dedicated
+fault counters.  Those rare ingress stages sit behind one flag that
+their setters (``set_down``/``set_up``, ``set_control_filter``,
+``set_fault_stages``) keep current, so a link with none of them active
+tests one attribute for all of them.  Fault semantics:
 
 * a *down* link rejects new packets on ingress (``fault_drops``);
   packets already queued or in flight still complete — the outage
@@ -59,15 +67,20 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Optional
+from typing import Optional, Protocol
 
 from .engine import Simulator
-from .loss_models import LossModel, NoLoss
+from .loss_models import LossModel
 from .packet import Packet
 from .queues import DropTailQueue
 
-#: Signature of a link delivery target: ``fn(packet)``.
-DeliverFn = Callable[[Packet], None]
+
+class FarNode(Protocol):
+    """What a link delivers to: a :class:`~repro.simulator.node.Node`,
+    or anything else with its ``receive``."""
+
+    def receive(self, packet: Packet, from_node: str) -> None:  # pragma: no cover
+        ...
 
 
 class Link:
@@ -82,9 +95,12 @@ class Link:
             non-negative; assignable likewise.
         queue: output queue; defaults to a 30-slot drop-tail FIFO
             (the paper's most common configuration).
-        loss: random-loss model applied on ingress.
-        deliver: callback invoked with each packet that survives, one
-            propagation delay after its serialisation completes.
+        loss: random-loss model applied on ingress; ``None`` (the
+            default) is a lossless link.  Assignable mid-run.
+
+    Each packet that survives is handed to ``far_node.receive(packet,
+    from_node)`` (set by :meth:`connect`) one propagation delay after
+    its serialisation completes.
     """
 
     def __init__(
@@ -93,7 +109,6 @@ class Link:
         name: str,
         rate_bps: float,
         delay: float,
-        deliver: Optional[DeliverFn] = None,
         queue: Optional[DropTailQueue] = None,
         loss: Optional[LossModel] = None,
     ):
@@ -106,8 +121,11 @@ class Link:
         self.rate_bps = rate_bps
         self.delay = delay
         self._queue = queue if queue is not None else DropTailQueue(max_slots=30)
-        self.loss = loss if loss is not None else NoLoss()
-        self.deliver = deliver
+        self.loss = loss
+        #: the delivery target and the name it is told a packet came
+        #: from (see :meth:`connect`)
+        self.far_node: Optional[FarNode] = None
+        self.from_node = ""
         #: when the last accepted packet finishes serialising
         self._free_at = 0.0
         #: accepted and not yet delivered: queued + on the wire or in flight
@@ -117,8 +135,11 @@ class Link:
         self.delivered = 0
         self.random_drops = 0
         self.bytes_delivered = 0
-        # Fault-injection state (see module docstring).
-        self.up = True
+        # Fault-injection state (see module docstring).  ``_staged``
+        # is the one hot-path flag: True while the link is down or has
+        # a control filter or dup/corrupt stage; ``_restage`` derives it.
+        self._up = True
+        self._staged = False
         self.fault_drops = 0
         self.corrupt_drops = 0
         self.corrupt_mangled = 0
@@ -132,9 +153,12 @@ class Link:
 
     # -- wiring ----------------------------------------------------------
 
-    def connect(self, deliver: DeliverFn) -> None:
-        """Set (or replace) the delivery target."""
-        self.deliver = deliver
+    def connect(self, far_node: FarNode, from_node: str) -> None:
+        """Deliver to ``far_node.receive(packet, from_node)`` (set or
+        replace the target); a link must be connected before its first
+        delivery."""
+        self.far_node = far_node
+        self.from_node = from_node
 
     # -- knobs ---------------------------------------------------------------
 
@@ -211,14 +235,26 @@ class Link:
     def send(self, packet: Packet) -> bool:
         """Offer a packet to the link.  Returns False if it was dropped."""
         self.sent += 1
-        if not self.up:
+        if self._staged:
+            return self._send_staged(packet)
+        loss = self.loss
+        if loss is not None and loss.should_drop(packet):
+            self.random_drops += 1
+            return False
+        return self._accept(packet)
+
+    def _send_staged(self, packet: Packet) -> bool:
+        """``send`` through every ingress stage, in order: down, control
+        filter, random loss, corruption, duplication."""
+        if not self._up:
             self.fault_drops += 1
             return False
         if (self._filter_kinds is not None
                 and type(packet.payload).__name__ in self._filter_kinds):
             self.filter_drops += 1
             return False
-        if self.loss.should_drop(packet):
+        loss = self.loss
+        if loss is not None and loss.should_drop(packet):
             self.random_drops += 1
             return False
         if self._fault_rng is not None:
@@ -266,19 +302,28 @@ class Link:
         self._pending -= 1
         self.delivered += 1
         self.bytes_delivered += packet.size
-        deliver = self.deliver
-        if deliver is not None:
-            deliver(packet)
+        self.far_node.receive(packet, self.from_node)
 
     # -- fault hooks -------------------------------------------------------
 
+    @property
+    def up(self) -> bool:
+        """False while the link is administratively down."""
+        return self._up
+
+    def _restage(self) -> None:
+        self._staged = (not self._up or self._filter_kinds is not None
+                        or self._fault_rng is not None)
+
     def set_down(self) -> None:
         """Administratively disable the link (ingress rejects packets)."""
-        self.up = False
+        self._up = False
+        self._restage()
 
     def set_up(self) -> None:
         """Re-enable a downed link."""
-        self.up = True
+        self._up = True
+        self._restage()
 
     def set_fault_stages(self, dup_rate: float, corrupt_rate: float, rng,
                          corrupt_mode: str = "drop") -> None:
@@ -287,11 +332,13 @@ class Link:
         self._corrupt_rate = corrupt_rate
         self._corrupt_mode = corrupt_mode
         self._fault_rng = rng if (dup_rate > 0.0 or corrupt_rate > 0.0) else None
+        self._restage()
 
     def set_control_filter(self, kinds) -> None:
         """Drop packets whose payload class name is in ``kinds``
         (empty/None disables).  Drives :class:`ControlBlackhole`."""
         self._filter_kinds = frozenset(kinds) if kinds else None
+        self._restage()
 
     def _mangle(self, packet: Packet):
         """Encode ``packet``'s payload and flip a few bytes; returns a

@@ -4,6 +4,8 @@ The paper's "lossy" configurations use uniform random loss (e.g. 3 % or
 5 %), emulating links with high statistical multiplexing.  We provide
 that Bernoulli model plus a Gilbert-Elliott bursty model (used to study
 NAK-storm behaviour, §3.8) and deterministic/trace models for tests.
+A lossless link holds no model at all (``Link.loss is None``), so its
+hop calls none.
 """
 
 from __future__ import annotations
@@ -19,14 +21,6 @@ class LossModel(Protocol):
 
     def should_drop(self, packet: Packet) -> bool:  # pragma: no cover
         ...
-
-
-class NoLoss:
-    """Never drops.  The default for "non-lossy" links, where all drops
-    come from queue overflow (congestion)."""
-
-    def should_drop(self, packet: Packet) -> bool:
-        return False
 
 
 class BernoulliLoss:

@@ -110,14 +110,18 @@ class Node:
             return None
         return self.unicast_routes.get(dst)
 
+    # The two forwarders look the link up and send on it themselves,
+    # as ``send_via`` does, one frame fewer per hop.
+
     def forward_unicast(self, packet: Packet) -> bool:
         """Send towards ``packet.dst``; no route to this node itself."""
         dst = packet.dst
         nh = self.unicast_routes.get(dst)
-        if nh is None or dst == self.name:
+        link = self.links.get(nh) if dst != self.name else None
+        if link is None:
             self.packets_dropped_no_route += 1
             return False
-        return self.send_via(nh, packet)
+        return link.send(packet)
 
     def forward_multicast(self, packet: Packet, from_node: Optional[str]) -> int:
         """Replicate ``packet`` to every downstream branch of its group.
@@ -127,11 +131,15 @@ class Node:
         branch gets the one packet instance.
         """
         branches = self.multicast_routes.get(packet.dst, ())
+        links = self.links
         copies = 0
         for neighbor in branches:
             if neighbor == from_node:
                 continue
-            if self.send_via(neighbor, packet):
+            link = links.get(neighbor)
+            if link is None:
+                self.packets_dropped_no_route += 1
+            elif link.send(packet):
                 copies += 1
         return copies
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .engine import Simulator
 from .link import Link
-from .loss_models import BernoulliLoss, LossModel, NoLoss
+from .loss_models import BernoulliLoss, LossModel
 from .node import Host, Node, Router
 from .packet import Address, Packet
 from .queues import DropTailQueue
@@ -57,10 +57,12 @@ class LinkSpec:
             return DropTailQueue(max_slots=30)
         return DropTailQueue(max_slots=self.queue_slots, max_bytes=self.queue_bytes)
 
-    def make_loss(self, streams: RngRegistry, name: str) -> LossModel:
+    def make_loss(self, streams: RngRegistry, name: str) -> Optional[LossModel]:
+        """A lossy link's model; ``None`` (no model at all) for a
+        lossless one."""
         if self.loss_rate > 0.0:
             return BernoulliLoss(self.loss_rate, streams.stream(name))
-        return NoLoss()
+        return None
 
 
 #: The paper's two canonical bottleneck configurations (§4):
@@ -148,7 +150,7 @@ class Network:
             queue=spec.make_queue(),
             loss=spec.make_loss(self.rng, f"loss:{name}"),
         )
-        link.connect(lambda packet, _dst=dst, _from=a: _dst.receive(packet, _from))
+        link.connect(dst, a)
         src.attach_link(b, link)
         self.link_delays[(a, b)] = spec.delay
         self._graph = None

@@ -1,5 +1,7 @@
 """Cross-cutting property tests on the core state machines."""
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,8 +120,9 @@ class TestLinkFifoProperty:
         sim = Simulator()
         got = []
         link = Link(sim, "L", rate_bps=1e6, delay=0.01,
-                    deliver=lambda p: got.append(p.payload),
                     queue=DropTailQueue(max_slots=1000))
+        link.connect(SimpleNamespace(
+            receive=lambda p, from_node: got.append(p.payload)), "a")
         for i, size in enumerate(sizes):
             link.send(Packet("a", "b", size, payload=i))
         sim.run()

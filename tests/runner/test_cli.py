@@ -370,6 +370,18 @@ class TestSpecRun:
         assert len({m["results_digest"] for m in manifests}) == 1
         assert [m["totals"]["cache_hits"] for m in manifests] == [0, 2, 2]
 
+    def test_a_run_served_from_cache_claims_no_speedup(self, run):
+        # cache reads are no sequential cost for the pool to have beaten
+        _, cold, cold_out = run("--no-report")
+        _, warm, warm_out = run("--no-report")
+        assert cold["totals"]["speedup"] is not None
+        assert "speedup" in cold_out
+        assert warm["totals"]["cache_hits"] == 2
+        assert warm["totals"]["serial_wall_s"] == 0
+        assert warm["totals"]["speedup"] is None
+        assert "2 cache hits; wall " in warm_out
+        assert "speedup" not in warm_out
+
     def test_scale_overrides_the_spec_only_when_given(self, run):
         _, own, _ = run("--no-cache")
         _, given, _ = run("--no-cache", "--scale", "0.25")

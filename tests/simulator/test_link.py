@@ -19,10 +19,22 @@ from repro.simulator.packet import Packet
 from repro.simulator.queues import DropTailQueue
 
 
+class Sink(list):
+    """A far node that keeps every packet it receives."""
+
+    def receive(self, packet, from_node):
+        self.append(packet)
+
+
+def calling(fn):
+    """A far node that calls ``fn(packet)`` on each delivery."""
+    return SimpleNamespace(receive=lambda packet, from_node: fn(packet))
+
+
 def make_link(sim, rate=8000.0, delay=0.1, **kw):
-    received = []
-    link = Link(sim, "L", rate_bps=rate, delay=delay,
-                deliver=received.append, **kw)
+    received = Sink()
+    link = Link(sim, "L", rate_bps=rate, delay=delay, **kw)
+    link.connect(received, "a")
     return link, received
 
 
@@ -31,10 +43,21 @@ class TestTiming:
         sim = Simulator()
         link, _ = make_link(sim, rate=8000.0, delay=0.1)
         arrival = []
-        link.connect(lambda packet: arrival.append(sim.now))
+        link.connect(calling(lambda packet: arrival.append(sim.now)), "a")
         link.send(Packet("a", "b", 100))  # 100B at 8000bps = 0.1s tx
         sim.run()
         assert arrival == [pytest.approx(0.2)]
+
+    def test_the_far_node_is_told_the_near_end(self):
+        sim = Simulator()
+        link = Link(sim, "a->b", rate_bps=8000.0, delay=0.0)
+        seen = []
+        link.connect(SimpleNamespace(
+            receive=lambda packet, from_node: seen.append(
+                (packet.payload, from_node))), "a")
+        link.send(Packet("a", "b", 100, 7))
+        sim.run()
+        assert seen == [(7, "a")]
 
 
 class TestDrops:
@@ -92,7 +115,7 @@ class TestAccounting:
         def state(tag):
             events.append((tag, link.sent, link.in_transit, link.delivered))
 
-        link.connect(lambda packet: state("deliver"))
+        link.connect(calling(lambda packet: state("deliver")), "a")
         link.send(Packet("a", "b", 100))
         state("send")
         sim.run()
@@ -117,7 +140,7 @@ class TestAccounting:
         # the refused writes changed nothing
         assert (link.rate_bps, link.delay) == (8000.0, 0.1)
         arrivals = []
-        link.connect(lambda packet: arrivals.append(sim.now))
+        link.connect(calling(lambda packet: arrivals.append(sim.now)), "a")
         sim.run()
         assert arrivals == [pytest.approx(0.2), pytest.approx(0.3)]
 
@@ -150,20 +173,25 @@ class ReferenceLink:
     """The textbook link: two events per packet — end of serialisation
     (which also starts the next queued packet), then arrival one
     propagation delay later.  A packet is serialised at the rate and
-    delay in force when its serialisation starts.  Written from the
-    model, not from ``link.py``; only the engine and the queue are
-    shared."""
+    delay in force when its serialisation starts; a random drop, when
+    ``loss`` is set, happens on ingress and costs no bandwidth.  Written
+    from the model, not from ``link.py``; only the engine, the queue
+    and the loss models are shared."""
 
     def __init__(self, sim, rate_bps, delay, queue, deliver):
         self.sim, self.rate_bps, self.delay = sim, rate_bps, delay
         self.queue, self.deliver = queue, deliver
-        self.busy, self.up = False, True
+        self.busy, self.up, self.loss = False, True, None
         self.sent = self.delivered = self.fault_drops = self.in_transit = 0
+        self.random_drops = 0
 
     def send(self, packet):
         self.sent += 1
         if not self.up:
             self.fault_drops += 1
+            return False
+        if self.loss is not None and self.loss.should_drop(packet):
+            self.random_drops += 1
             return False
         if self.busy:
             return self.queue.offer(packet)
@@ -205,8 +233,10 @@ def run_script(kind, script, rate, delay, queue_limits, fanout=1):
     event due by then fire, then apply ``op``: ``"send"`` (``arg`` =
     size; one packet object offered to every link in turn, as a
     multicast fan-out does), or to the first link only ``"down"``,
-    ``"up"``, ``"rate"`` (assign ``rate_bps = arg``) or ``"delay"``
-    (assign ``delay = arg``).  Ops are applied from outside the event
+    ``"up"``, ``"rate"`` (assign ``rate_bps = arg``), ``"delay"``
+    (assign ``delay = arg``) or ``"loss"`` (assign a fresh
+    ``DeterministicLoss(arg)`` — drop the listed 1-based offers from
+    now on — or ``None`` when ``arg`` is None, a lossless link).  Ops are applied from outside the event
     loop so an arrival that ties with an end of serialisation always
     comes after it, on both links.
     """
@@ -224,8 +254,10 @@ def run_script(kind, script, rate, delay, queue_limits, fanout=1):
             deliveries[index].append((sim.now, packet.payload))
             check_conservation()
         if kind is Link:
-            return Link(sim, f"L{index}", rate_bps=rate, delay=delay,
-                        deliver=deliver, queue=queue)
+            link = Link(sim, f"L{index}", rate_bps=rate, delay=delay,
+                        queue=queue)
+            link.connect(calling(deliver), "a")
+            return link
         return ReferenceLink(sim, rate, delay, queue, deliver)
 
     links = [make(index, queue) for index, queue in enumerate(queues)]
@@ -244,6 +276,8 @@ def run_script(kind, script, rate, delay, queue_limits, fanout=1):
             link.rate_bps = rate = arg
         elif op == "delay":
             link.delay = arg
+        elif op == "loss":
+            link.loss = None if arg is None else DeterministicLoss(arg)
         else:
             getattr(link, "set_" + op)()
         # occupancy as an outside reader sees it, read before the
@@ -252,9 +286,9 @@ def run_script(kind, script, rate, delay, queue_limits, fanout=1):
         for each in links:
             seen = each.queue
             row.append((each.sent, each.delivered, each.fault_drops,
-                        each.in_transit, len(seen), seen.bytes_queued,
-                        seen.enqueues, seen.drops, seen.peak_slots,
-                        seen.peak_bytes))
+                        each.random_drops, each.in_transit, len(seen),
+                        seen.bytes_queued, seen.enqueues, seen.drops,
+                        seen.peak_slots, seen.peak_bytes))
         state.append(tuple(row))
         check_conservation()
     while sim.pending():
@@ -326,6 +360,18 @@ class TestAgainstReference:
             + [(0.0, "up", None)] + burst(2))
         assert got.returns == [True, True, False, False, True, False]
 
+    def test_loss_then_lossless_mid_burst(self):
+        # a random drop happens on ingress and takes no queue slot;
+        # with ``loss`` back to None (a lossless link calls no loss
+        # model) every offer the queue has room for is accepted
+        got = assert_matches_reference(
+            burst(2) + [(0.01, "loss", {1, 3})] + burst(4)
+            + [(0.0, "loss", None)] + burst(3), max_slots=8)
+        assert got.returns == [True, True, False, True, False, True,
+                               True, True, True]
+        assert got.state[-1][1][3] == 2  # random_drops
+        assert got.delivered == 7
+
     def test_squeezed_with_two_packets_waiting(self):
         got = assert_matches_reference(
             burst(3) + [(0.05, "rate", 2000.0)], delay=0.1)
@@ -376,6 +422,14 @@ class TestFanOutAgainstReference:
             burst(3) + [(0.15, "delay", 0.02)] + burst(2)
             + [(0.3, "delay", 0.3)], fanout=2, max_slots=4)
         assert got.delivered == 10
+
+    def test_lossy_link_beside_a_lossless_one(self):
+        got = assert_matches_reference(
+            [(0.0, "loss", {2})] + burst(3) + [(0.05, "loss", None)]
+            + burst(2), fanout=2, max_slots=4)
+        assert got.returns[:3] == [(True, True), (False, True),
+                                   (True, True)]
+        assert len(got.deliveries[0]) == 4 and len(got.deliveries[1]) == 5
 
     def test_down_link_beside_a_sharing_one(self):
         assert_matches_reference(

@@ -3,8 +3,9 @@
 Hypothesis generates arrival scripts — packet sizes, gaps, bursts that
 overflow a 1-3 slot or byte-limited queue, arrivals at exactly the
 instant the wire frees, ``down``/``up`` mid-burst, ``rate_bps`` and
-``delay`` assigned while packets wait, one link or two fed the same
-packets back to back (their arrivals share heap entries) — and
+``delay`` assigned while packets wait, a loss model set and cleared
+mid-run, one link or two fed the same packets back to back (their
+arrivals share heap entries) — and
 ``assert_matches_reference`` (see ``test_link.py``) requires
 :class:`Link` to behave exactly like the two-events-per-packet
 :class:`ReferenceLink`: the same (time, packet) delivery sequence, the
@@ -41,6 +42,9 @@ OPS = st.one_of(
         st.tuples(GAPS, st.just("rate"),
                   st.sampled_from([2000.0, 8000.0, 500_000.0, 2_000_000.0])),
         st.tuples(GAPS, st.just("delay"), st.sampled_from([0.0, 0.0005, 0.23])),
+        st.tuples(GAPS, st.just("loss"),
+                  st.one_of(st.none(),
+                            st.frozensets(st.integers(1, 6), max_size=3))),
     ),
 )
 

@@ -10,7 +10,6 @@ from repro.simulator.loss_models import (
     BernoulliLoss,
     DeterministicLoss,
     GilbertElliottLoss,
-    NoLoss,
     PeriodicLoss,
 )
 from repro.simulator.packet import Packet
@@ -18,12 +17,6 @@ from repro.simulator.packet import Packet
 
 def pkt():
     return Packet("a", "b", 100)
-
-
-class TestNoLoss:
-    def test_never_drops(self):
-        model = NoLoss()
-        assert not any(model.should_drop(pkt()) for _ in range(100))
 
 
 class TestBernoulli:

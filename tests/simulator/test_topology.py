@@ -40,7 +40,7 @@ class TestLinkSpec:
 
     def test_loss_model_selection(self):
         streams = RngRegistry(1)
-        assert LinkSpec(1000, 0.0).make_loss(streams, "x").__class__.__name__ == "NoLoss"
+        assert LinkSpec(1000, 0.0).make_loss(streams, "x") is None
         assert (
             LinkSpec(1000, 0.0, loss_rate=0.1)
             .make_loss(streams, "x")
