@@ -165,7 +165,10 @@ class ParamSpec:
                 f"(one of {', '.join(PARAM_TYPES)})")
 
     def check(self, value: Any, *, where: str = "") -> None:
-        """Raise ``TypeError``/``ValueError`` unless ``value`` fits."""
+        """Raise ``TypeError``/``ValueError`` unless ``value`` fits
+        (``None`` fits only where the declared default is ``None``)."""
+        if value is None and self.default is None:
+            return
         label = f"{where}{self.name}"
         accepted = PARAM_TYPES[self.type]
         if isinstance(value, bool) and self.type in ("int", "float"):

@@ -124,6 +124,22 @@ def schema_for_target(target: str) -> Optional[list[dict[str, Any]]]:
 # The built-in experiments
 # ---------------------------------------------------------------------------
 
+#: the Fig. 7 star's schema, EXP-F7 and EXP-STAR-CELL alike: the result
+#: cache looks a schema up by target, and both name ``star:run_cell``
+_STAR_PARAMS = (
+    ParamSpec("seed", "int", default=17, low=0),
+    ParamSpec("n_receivers", "int", default=100, low=1),
+    ParamSpec("joiners", "int", default=90, low=0,
+              help="receivers joining plain pgmcc at 0.6 of the run"),
+    ParamSpec("scheme", "str", default="pgmcc",
+              choices=("pgmcc", "eq-naive", "eq-max")),
+    ParamSpec("redundancy", "int", low=0, help="FEC parity packets a "
+              "block; None is RDATA repair"),
+    ParamSpec("tcp", "bool", default=True),
+    ParamSpec("duration", "float", default=500.0, low=1.0,
+              help="seconds at scale 1.0"),
+)
+
 #: Built-in experiments, registered in report order.  A spec is
 #: spawn-safe (module/func strings, no callables); ``repro.runner``
 #: shards the registry across a worker pool.
@@ -132,8 +148,10 @@ _BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
                    description="Fig. 2: loss-rate filter at receivers"),
     ExperimentSpec("EXP-F5", "repro.experiments.fig5_acker_selection",
                    description="Fig. 5: acker selection/tracking plateaus"),
-    ExperimentSpec("EXP-F7", "repro.experiments.fig7_uncorrelated_loss",
-                   description="Fig. 7: 50 receivers with uncorrelated loss"),
+    ExperimentSpec("EXP-F7", "repro.experiments.star", "run_cell",
+                   params=_STAR_PARAMS,
+                   description="Fig. 7: 100 receivers with uncorrelated "
+                               "loss, 90 of them joining late"),
     ExperimentSpec("EXP-UNREL", "repro.experiments.unreliable_mode",
                    description="unreliable mode: cc without repairs"),
     ExperimentSpec("EXP-CHURN", "repro.experiments.robustness", "run_churn",
@@ -188,13 +206,10 @@ _BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
     ExperimentSpec("EXP-ADV-CELL", "repro.experiments.adversarial",
                    "run_cell", hidden=True,
                    description="one attack with the guard on or off"),
-    ExperimentSpec("EXP-FEC-CELL", "repro.experiments.fec_scaling",
-                   "run_cell", hidden=True,
-                   description="one Fig. 7 population: RDATA or FEC "
-                               "redundancy"),
-    ExperimentSpec("EXP-DTZ-CELL", "repro.experiments.drop_to_zero",
-                   "run_cell", hidden=True,
-                   description="one controller at one group size"),
+    ExperimentSpec("EXP-STAR-CELL", "repro.experiments.star", "run_cell",
+                   hidden=True, params=_STAR_PARAMS,
+                   description="one sender on the Fig. 7 star: pgmcc "
+                               "(RDATA or FEC), eq-naive or eq-max"),
     ExperimentSpec("EXP-MPATH-CELL", "repro.experiments.robustness",
                    "run_multipath", hidden=True,
                    description="one path: single or sprayed"),
@@ -260,18 +275,23 @@ _BUILTIN_STUDIES: tuple[SweepSpec, ...] = (
               description="adversarial: misbehaving receivers vs guard"),
     # each repair mode at its own seed: RDATA repair (None) at 61,
     # FEC with r parity packets a block at 62 + r
-    SweepSpec("EXP-FEC", "EXP-FEC-CELL", mode="zip", scale=0.5,
+    SweepSpec("EXP-FEC", "EXP-STAR-CELL", mode="zip", scale=0.5,
+              base={"n_receivers": 60, "joiners": 0, "tcp": False,
+                    "duration": 240.0},
               axes={"redundancy": [None, 0, 1, 2],
                     "seed": [61, 62, 63, 64]},
+              metrics=("goodput_data", "repair_share", "rdata_sent"),
               description="FEC redundancy ladder vs RDATA repair"),
     # each group size at its own seed, the same for the three
     # controllers
-    SweepSpec("EXP-DTZ", "EXP-DTZ-CELL", mode="zip", scale=0.5,
+    SweepSpec("EXP-DTZ", "EXP-STAR-CELL", mode="zip", scale=0.5,
+              base={"joiners": 0, "tcp": False, "duration": 120.0},
               axes={"scheme": ["eq-naive"] * 3 + ["eq-max"] * 3
                     + ["pgmcc"] * 3,
                     "n_receivers": [1, 10, 40] * 3,
                     "seed": [67, 68, 69] * 3},
-              aggregate="repro.experiments.drop_to_zero:aggregate_cells",
+              aggregate="repro.experiments.star:aggregate_cells",
+              metrics=("rate",),
               description="drop-to-zero: feedback aggregation collapse"),
     SweepSpec("EXP-MPATH", "EXP-MPATH-CELL", scale=0.5, base={"seed": 71},
               axes={"path": ["single", "sprayed"]},

@@ -10,7 +10,7 @@ import pytest
 from repro.experiments import (
     fig2_loss_filter,
     fig5_acker_selection,
-    fig7_uncorrelated_loss,
+    star,
     unreliable_mode,
 )
 from repro.experiments.registry import get_experiment
@@ -191,7 +191,7 @@ class TestFig6:
 class TestFig7:
     @pytest.fixture(scope="class")
     def fig7(self):
-        return fig7_uncorrelated_loss.run(scale=0.12, total_receivers=60)
+        return star.run_cell(scale=0.12, n_receivers=60, joiners=50)
 
     def test_no_drop_to_zero(self, fig7):
         """The 50-receiver join must not collapse the session; the
@@ -292,54 +292,56 @@ class TestAblations:
                 for loss in (0.0, 0.02)]
         cells = knobs("EXP-SWEEP", ("rate", "queue_slots", "loss"))
         assert repr(cells) == repr(grid)
-        # each case loop ran its cases in this order, at one seed or
-        # (None) at a seed per case: the study's cells are those cases,
-        # named by what the loop varied, at the loop's scale factor
+        # each case loop ran its cases in this order, with what it held
+        # fixed (its seed, or for the star cells the setting that is not
+        # EXP-F7's): the study's cells are those cases, named by what the
+        # loop varied, at the loop's scale factor
         adversarial_scenarios = [  # (attack, guard) of the old table
             ("baseline", True), ("greedy-acker", False),
             ("greedy-acker", True), ("throttler", False),
             ("throttler", True), ("nak-storm", False), ("nak-storm", True),
             ("impaired", True), ("ack-replay", False), ("ack-replay", True)]
         loops = {
-            "EXP-F3": (1.0, 7, [{"link": link}
+            "EXP-F3": (1.0, {"seed": 7}, [{"link": link}
                                 for link in ("non-lossy", "lossy")]),
-            "EXP-F4": (1.0, 11, [{"link": link}
+            "EXP-F4": (1.0, {"seed": 11}, [{"link": link}
                                  for link in ("non-lossy", "lossy")]),
-            "EXP-F6": (1.0, 13, [
+            "EXP-F6": (1.0, {"seed": 13}, [
                 {"suppression": s, "rx_loss_aware": a}
                 for s, a in ((False, False), (True, False), (True, True))]),
-            "EXP-ADV": (0.5, 97, [{"attack": k, "guard": g}
+            "EXP-ADV": (0.5, {"seed": 97}, [{"attack": k, "guard": g}
                                   for k, g in adversarial_scenarios]),
-            "ABL-MODEL": (0.5, 47, [{"model": m}
+            "ABL-MODEL": (0.5, {"seed": 47}, [{"model": m}
                                     for m in ("simple", "padhye")]),
-            "ABL-ADSS": (0.5, 53, [{"adaptive_ssthresh": a}
+            "ABL-ADSS": (0.5, {"seed": 53}, [{"adaptive_ssthresh": a}
                                    for a in (False, True)]),
-            "ABL-TFRC": (0.5, 59, [{"estimator": e}
+            "ABL-TFRC": (0.5, {"seed": 59}, [{"estimator": e}
                                    for e in ("filter", "tfrc")]),
-            "ABL-BURST": (0.5, 79, [{"pattern": p}
+            "ABL-BURST": (0.5, {"seed": 79}, [{"pattern": p}
                                     for p in ("bernoulli", "bursty")]),
-            "EXP-FEC": (0.5, None, [
+            "EXP-FEC": (0.5, {"n_receivers": 60, "joiners": 0, "tcp": False,
+                              "duration": 240.0}, [
                 {"redundancy": r, "seed": 61 if r is None else 62 + r}
                 for r in (None, 0, 1, 2)]),
-            "EXP-DTZ": (0.5, None, [
+            "EXP-DTZ": (0.5, {"joiners": 0, "tcp": False,
+                              "duration": 120.0}, [
                 {"scheme": s, "n_receivers": n, "seed": 67 + i}
                 for s in ("eq-naive", "eq-max", "pgmcc")
                 for i, n in enumerate((1, 10, 40))]),
-            "EXP-MPATH": (0.5, 71, [{"path": p}
+            "EXP-MPATH": (0.5, {"seed": 71}, [{"path": p}
                                     for p in ("single", "sprayed")]),
-            "EXP-SCALE": (0.5, 101, [
+            "EXP-SCALE": (0.5, {"seed": 101}, [
                 {"n_receivers": n, "network_elements": ne}
                 for n in (25, 50, 100, 200) for ne in (False, True)]),
-            "EXP-SCALE-HYBRID": (0.5, 101, [
+            "EXP-SCALE-HYBRID": (0.5, {"seed": 101}, [
                 {"n": n} for n in (1_000, 10_000, 100_000, 1_000_000)]),
         }
-        for study_id, (scale, seed, cases) in loops.items():
+        for study_id, (scale, base, cases) in loops.items():
             study = get_experiment(study_id)
             tasks = expand(study)
             assert study.scale == scale, study_id
-            seeds = {} if seed is None else {"seed": seed}
             assert [dict(task.spec.kwargs) for task in tasks] == [
-                {**case, **seeds} for case in cases], study_id
+                {**case, **base} for case in cases], study_id
             if study.mode == "ablate":
                 labels = ["base"] + [",".join(f"{k}={v}" for k, v in
                                               case.items())
@@ -466,16 +468,15 @@ class TestDropToZero:
     def dtz(self):
         """The sessions of the EXP-DTZ study at N = 1 and 20 (seeds 67
         and 68), and the study's collapse per controller."""
-        from repro.experiments import drop_to_zero
-
         cells = [({"scheme": scheme, "n_receivers": n},
-                  drop_to_zero.run_cell(scale=0.3, seed=seed, scheme=scheme,
-                                        n_receivers=n))
+                  star.run_cell(scale=0.3, seed=seed, scheme=scheme,
+                                n_receivers=n, joiners=0, tcp=False,
+                                duration=120.0))
                  for scheme in ("eq-naive", "eq-max", "pgmcc")
                  for n, seed in ((1, 67), (20, 68))]
         rates = {(axes["scheme"], axes["n_receivers"]): result.metrics["rate"]
                  for axes, result in cells}
-        return rates, drop_to_zero.aggregate_cells(cells)["metrics"]["collapse"]
+        return rates, star.aggregate_cells(cells)["metrics"]["collapse"]
 
     def test_naive_aggregation_collapses(self, dtz):
         _, collapse = dtz
@@ -496,11 +497,10 @@ class TestFecScaling:
     def fec(self):
         """The EXP-FEC study's four sessions with 24 receivers: RDATA
         (``None``) at seed 61, FEC r at seed 62 + r."""
-        from repro.experiments import fec_scaling
-
-        return {r: fec_scaling.run_cell(
+        return {r: star.run_cell(
                     scale=0.3, seed=61 if r is None else 62 + r,
-                    redundancy=r, n_receivers=24).metrics
+                    redundancy=r, n_receivers=24, joiners=0, tcp=False,
+                    duration=240.0).metrics
                 for r in (None, 0, 1, 2)}
 
     def test_rdata_repair_share_substantial(self, fec):
@@ -508,7 +508,7 @@ class TestFecScaling:
 
     def test_fec_sends_no_repairs(self, fec):
         for r in (0, 1, 2):
-            assert fec[r]["rdata"] == 0
+            assert fec[r]["rdata_sent"] == 0
 
     def test_redundancy_ladder(self, fec):
         assert (

@@ -1,5 +1,6 @@
 """The experiment registration API and typed parameter schemas."""
 
+import importlib
 import inspect
 import os
 import subprocess
@@ -93,8 +94,6 @@ class TestLookups:
         from repro.experiments import (
             adversarial,
             arena,
-            drop_to_zero,
-            fec_scaling,
             fig3_intra_fairness,
             fig4_inter_fairness,
             fig6_heterogeneous_rtt,
@@ -127,11 +126,16 @@ class TestLookups:
                              (fig6_heterogeneous_rtt, "run_case"),
                              (adversarial, "run"),
                              (adversarial, "SCENARIOS"),
-                             (fec_scaling, "run"), (drop_to_zero, "run"),
                              (scalability, "run"),
                              (scalability, "run_hybrid_ladder"),
                              (scalability, "HYBRID_SIZES")):
             assert not hasattr(module, name), name
+        # the three modules of the Fig. 7 star are its one cell
+        for old in ("fig7_uncorrelated_loss", "fec_scaling", "drop_to_zero"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(f"repro.experiments.{old}")
+        for old in ("EXP-FEC-CELL", "EXP-DTZ-CELL"):
+            assert resolve_experiment_id(old) is None
 
     def test_importing_the_registry_loads_no_experiment(self):
         # a sweep's set-up imports the registry: it must not pay for
@@ -182,6 +186,10 @@ class TestDeclaredDefaults:
             if param.default is not None:
                 assert param.default == parameters[param.name].default, (
                     f"{spec.id}.{param.name}")
+        # the result cache, given only the callable, finds this schema:
+        # two specs over one target must declare one schema
+        assert schema_for_target(f"{spec.module}:{spec.func}") == (
+            spec.schema_doc() if spec.params else None)
 
 
 class TestParamSpec:
@@ -196,6 +204,9 @@ class TestParamSpec:
             p.check(-1)
         with pytest.raises(ValueError, match="above the maximum"):
             p.check(11)
+        p.check(None)  # its default is None
+        with pytest.raises(TypeError, match="got NoneType"):
+            ParamSpec("n", "int", default=1).check(None)
 
     def test_float_accepts_int(self):
         ParamSpec("x", "float", low=0.0).check(3)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.fig7_uncorrelated_loss import LEAF
+from repro.experiments.star import LEAF
 from repro.experiments.scalability import HYBRID_BOTTLENECK
 from repro.pgm import add_receiver, create_session, enable_network_elements
 from repro.pgm.session import SessionConfig

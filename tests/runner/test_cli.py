@@ -31,6 +31,19 @@ SPEC_DOC = {
     "report": {"rank_by": "score", "metrics": ["score", "cost"]},
 }
 
+#: the fields that aim ``SPEC_DOC`` at the Fig. 7 star's cell
+STAR_CELL = {"experiment": "EXP-STAR-CELL", "base": {}, "report": {}}
+
+#: specs whose values the schema rejects: (case id, None for the toy's;
+#: the patch to ``SPEC_DOC``; what the error names, one per problem)
+INVALID_SPECS = [
+    (None, {"axes": {"mode": ["a", "z"], "typo": [1]}}, ["'z'", "typo"]),
+    ("star-scheme", {**STAR_CELL, "axes": {"scheme": ["eq-naive",
+                                                      "eq-typo"]}},
+     ["'eq-typo' is not one of"]),
+    ("star-redundancy", {**STAR_CELL, "axes": {"redundancy": [-1]}},
+     ["redundancy: -1 is below the minimum 0"]),
+]
 
 COMMITTED_SPECS = sorted(
     (Path(__file__).parents[2] / "examples" / "sweeps").glob("*.toml"))
@@ -240,13 +253,22 @@ class TestSpecUsage:
         assert_usage_error([write_spec(tmp_path), flag, value], expected,
                            capsys)
 
-    @pytest.mark.parametrize("listing", [["--list"], []], ids=["list", "run"])
-    def test_invalid_spec_lists_every_problem(self, listing, tmp_path, capsys):
-        spec = write_spec(tmp_path, axes={"mode": ["a", "z"], "typo": [1]})
-        assert main([*listing, spec, "--quiet"]) == 2
+    @pytest.mark.parametrize("listing, patch, expected", [
+        pytest.param(listing, patch, expected,
+                     id=mode if case is None else f"{case}-{mode}")
+        for mode, listing in (("list", ["--list"]), ("run", []))
+        for case, patch, expected in INVALID_SPECS])
+    def test_invalid_spec_lists_every_problem(self, listing, patch, expected,
+                                              tmp_path, capsys):
+        """Before any worker starts, not in the worker of the bad cell."""
+        spec = write_spec(tmp_path, **patch)
+        manifest = tmp_path / "m.json"
+        assert main([*listing, spec, "--quiet", "--no-cache",
+                     "--manifest", str(manifest)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"{spec}: 2 problem(s)\n")
-        assert "'z'" in err and "typo" in err
+        assert err.startswith(f"{spec}: {len(expected)} problem(s)\n")
+        assert all(problem in err for problem in expected), err
+        assert not manifest.exists()
 
     def test_an_aggregate_hook_that_does_not_resolve_exits_two(self,
                                                                tmp_path,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.fig7_uncorrelated_loss import LEAF
+from repro.experiments.star import LEAF
 from repro.experiments.robustness import build_multipath
 from repro.simulator import (
     ACCESS,
