@@ -381,7 +381,7 @@ class InvariantChecker:
                         f"delivered={link.delivered} loss={link.random_drops} "
                         f"corrupt={link.corrupt_drops} fault={link.fault_drops} "
                         f"filter={link.filter_drops} "
-                        f"qdrop={link.queue.drops} queued={len(link.queue)} "
+                        f"qdrop={link.queue_drops} queued={link.queued} "
                         f"transit={link.in_transit}",
                     )
         controller = self.session.sender.controller

@@ -291,8 +291,8 @@ def bind_session_metrics(session: "PgmSession") -> None:
                      for rx in receivers))
     bind("rx.resyncs", rx_sum("resyncs"))
 
-    def link_sum(key: str):
-        return lambda: sum(link.metrics()[key]
+    def link_sum(attr: str):
+        return lambda: sum(getattr(link, attr)
                            for node in net.nodes.values()
                            for link in node.links.values())
 

@@ -35,7 +35,6 @@ from .packet import (
     Packet,
     is_multicast,
 )
-from .queues import DropTailQueue
 from .rng import RngRegistry
 from .topology import (
     ACCESS,
@@ -71,7 +70,6 @@ __all__ = [
     "Address",
     "Packet",
     "is_multicast",
-    "DropTailQueue",
     "RngRegistry",
     "ACCESS",
     "LOSSY",

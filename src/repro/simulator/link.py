@@ -2,8 +2,10 @@
 
 A :class:`Link` is unidirectional and models exactly what the paper's
 emulated bottlenecks did: a fixed capacity (serialisation delay
-``size * 8 / rate``), a fixed one-way propagation delay, a FIFO queue
-(slot- or byte-limited) and an optional random-loss stage.
+``size * 8 / rate``), a fixed one-way propagation delay, one drop-tail
+FIFO limited in slots, in bytes or both (§4 sizes its bottlenecks both
+ways: "30 queue slots", "30 KBytes queue") and an optional random-loss
+stage.
 
 Random loss is applied on ingress, before queueing, as dummynet's
 ``plr`` does — a randomly lost packet consumes no link bandwidth.
@@ -22,12 +24,16 @@ Those are the float expressions an end-of-serialisation event at
 textbook two-event model.  Queue occupancy is
 therefore a function of the clock: a waiting packet whose ``start <=
 now`` has left the queue for the wire (a departure comes before an
-arrival at the same instant).  The link settles that before every offer
-to the queue, every delivery and every outside read — ``queue`` and
-``in_transit`` are settling properties.  A packet is serialised at the
-rate and delay in force when its serialisation starts: assigning
-``rate_bps`` or ``delay`` validates like the constructor and re-times
-the packets still waiting; the one on the wire keeps its arrival.
+arrival at the same instant).  The waiting line that times those
+departures is the drop-tail queue itself: one deque of ``(start,
+arrival handle, packet)``, whose length the slot limit and whose
+``bytes_queued`` the byte limit are checked against.  The link settles
+it before every offer, every delivery and every outside read —
+``queued``, ``bytes_queued`` and ``in_transit`` are settling
+properties.  A packet is serialised at the rate and delay in force
+when its serialisation starts: assigning ``rate_bps`` or ``delay``
+validates like the constructor and re-times the packets still waiting;
+the one on the wire keeps its arrival.
 
 A hop is ``send`` → ``_accept`` → ``Simulator.post_at``, then
 ``_deliver`` → the far node's ``receive(packet, from_node)``, with no
@@ -72,7 +78,6 @@ from typing import Optional, Protocol
 from .engine import Simulator
 from .loss_models import LossModel
 from .packet import Packet
-from .queues import DropTailQueue
 
 
 class FarNode(Protocol):
@@ -93,8 +98,10 @@ class Link:
             mid-run: validated, and packets still waiting are re-timed.
         delay: one-way propagation delay in seconds, finite and
             non-negative; assignable likewise.
-        queue: output queue; defaults to a 30-slot drop-tail FIFO
-            (the paper's most common configuration).
+        queue_slots: the queue's limit in packets, at least 1.
+        queue_bytes: the queue's limit in bytes, at least 1.  Either
+            limit, both, or neither: neither is 30 slots, the paper's
+            most common configuration.
         loss: random-loss model applied on ingress; ``None`` (the
             default) is a lossless link.  Assignable mid-run.
 
@@ -109,18 +116,29 @@ class Link:
         name: str,
         rate_bps: float,
         delay: float,
-        queue: Optional[DropTailQueue] = None,
+        queue_slots: Optional[int] = None,
+        queue_bytes: Optional[int] = None,
         loss: Optional[LossModel] = None,
     ):
+        if queue_slots is None and queue_bytes is None:
+            queue_slots = 30
+        if queue_slots is not None and queue_slots < 1:
+            raise ValueError(f"queue_slots must be >= 1, not {queue_slots!r}")
+        if queue_bytes is not None and queue_bytes < 1:
+            raise ValueError(f"queue_bytes must be >= 1, not {queue_bytes!r}")
         self.sim = sim
         self.name = name
-        #: ``(start, arrival handle, packet)`` of every packet the queue
-        #: holds, in FIFO order; allocated by the first packet to wait,
-        #: so a link that never queues owns no container for it
+        #: the drop-tail queue: ``(start, arrival handle, packet)`` of
+        #: every packet waiting for the wire, in FIFO order; allocated by
+        #: the first packet to wait, so a link that never queues owns no
+        #: container for it
         self._waiting: Optional[deque] = None
+        self.queue_slots = queue_slots
+        self.queue_bytes = queue_bytes
+        #: bytes of the packets in ``_waiting`` (read ``bytes_queued``)
+        self._bytes_queued = 0
         self.rate_bps = rate_bps
         self.delay = delay
-        self._queue = queue if queue is not None else DropTailQueue(max_slots=30)
         self.loss = loss
         #: the delivery target and the name it is told a packet came
         #: from (see :meth:`connect`)
@@ -134,6 +152,9 @@ class Link:
         self.sent = 0
         self.delivered = 0
         self.random_drops = 0
+        self.queue_drops = 0
+        #: packets that had to wait (accepted onto a busy wire)
+        self.enqueues = 0
         self.bytes_delivered = 0
         # Fault-injection state (see module docstring).  ``_staged``
         # is the one hot-path flag: True while the link is down or has
@@ -145,10 +166,12 @@ class Link:
         self.corrupt_mangled = 0
         self.fault_duplicates = 0
         self.filter_drops = 0
-        self._dup_rate = 0.0
-        self._corrupt_rate = 0.0
-        self._corrupt_mode = "drop"
-        self._fault_rng = None
+        #: ``(dup_rate, corrupt_rate, corrupt_mode, rng)`` while a
+        #: dup/corrupt stage is on, else ``None``.  One attribute, not
+        #: four: CPython 3.11 keeps an instance dict compact up to 29
+        #: keys (a 296 B dict; 30 keys take 1584 B), and a 10^6-receiver
+        #: build holds one Link per subtree edge.
+        self._fault_stages: Optional[tuple] = None
         self._filter_kinds: Optional[frozenset[str]] = None
 
     # -- wiring ----------------------------------------------------------
@@ -213,22 +236,25 @@ class Link:
         waiting = self._waiting
         if waiting:
             now = self.sim.now
-            pop = self._queue.pop
             while waiting and waiting[0][0] <= now:
-                waiting.popleft()
-                pop()
+                self._bytes_queued -= waiting.popleft()[2].size
 
     @property
-    def queue(self) -> DropTailQueue:
-        """The output queue, settled to the current instant."""
+    def queued(self) -> int:
+        """Packets in the queue, settled to the current instant."""
         self._settle()
-        return self._queue
+        return len(self._waiting) if self._waiting else 0
+
+    @property
+    def bytes_queued(self) -> int:
+        """Bytes in the queue, settled to the current instant."""
+        self._settle()
+        return self._bytes_queued
 
     @property
     def in_transit(self) -> int:
         """Packets being serialised or propagating."""
-        self._settle()
-        return self._pending - len(self._queue)
+        return self._pending - self.queued
 
     # -- data path ---------------------------------------------------------
 
@@ -257,17 +283,18 @@ class Link:
         if loss is not None and loss.should_drop(packet):
             self.random_drops += 1
             return False
-        if self._fault_rng is not None:
-            if self._corrupt_rate > 0.0 and self._fault_rng.random() < self._corrupt_rate:
+        if self._fault_stages is not None:
+            dup_rate, corrupt_rate, corrupt_mode, rng = self._fault_stages
+            if corrupt_rate > 0.0 and rng.random() < corrupt_rate:
                 mangled = None
-                if self._corrupt_mode == "mangle":
-                    mangled = self._mangle(packet)
+                if corrupt_mode == "mangle":
+                    mangled = self._mangle(packet, rng)
                 if mangled is None:
                     self.corrupt_drops += 1
                     return False
                 self.corrupt_mangled += 1
                 packet = mangled
-            if self._dup_rate > 0.0 and self._fault_rng.random() < self._dup_rate:
+            if dup_rate > 0.0 and rng.random() < dup_rate:
                 self.fault_duplicates += 1
                 self._accept(packet)
         return self._accept(packet)
@@ -279,18 +306,25 @@ class Link:
         if waits:
             # wire busy: the packet queues behind what was accepted
             # before it, if the queue as it stands now has room
-            self._settle()
-            if not self._queue.offer(packet):
+            waiting = self._waiting
+            if waiting is None:
+                self._waiting = waiting = deque()
+            else:
+                self._settle()
+            nbytes = self._bytes_queued + packet.size
+            if ((self.queue_slots is not None and len(waiting) >= self.queue_slots)
+                    or (self.queue_bytes is not None and nbytes > self.queue_bytes)):
+                self.queue_drops += 1
                 return False
+            self._bytes_queued = nbytes
+            self.enqueues += 1
         else:
             start = sim.now
         # (start + tx) + delay, as an event at ``done`` would compute it
         self._free_at = done = start + packet.size * 8.0 / self._rate_bps
         arrival = sim.post_at(done + self._delay, self._deliver, packet)
         if waits:
-            if self._waiting is None:
-                self._waiting = deque()
-            self._waiting.append((start, arrival, packet))
+            waiting.append((start, arrival, packet))
         self._pending += 1
         return True
 
@@ -313,7 +347,7 @@ class Link:
 
     def _restage(self) -> None:
         self._staged = (not self._up or self._filter_kinds is not None
-                        or self._fault_rng is not None)
+                        or self._fault_stages is not None)
 
     def set_down(self) -> None:
         """Administratively disable the link (ingress rejects packets)."""
@@ -328,10 +362,8 @@ class Link:
     def set_fault_stages(self, dup_rate: float, corrupt_rate: float, rng,
                          corrupt_mode: str = "drop") -> None:
         """Configure the duplication/corruption stages (0.0 disables)."""
-        self._dup_rate = dup_rate
-        self._corrupt_rate = corrupt_rate
-        self._corrupt_mode = corrupt_mode
-        self._fault_rng = rng if (dup_rate > 0.0 or corrupt_rate > 0.0) else None
+        self._fault_stages = ((dup_rate, corrupt_rate, corrupt_mode, rng)
+                              if dup_rate > 0.0 or corrupt_rate > 0.0 else None)
         self._restage()
 
     def set_control_filter(self, kinds) -> None:
@@ -340,8 +372,9 @@ class Link:
         self._filter_kinds = frozenset(kinds) if kinds else None
         self._restage()
 
-    def _mangle(self, packet: Packet):
-        """Encode ``packet``'s payload and flip a few bytes; returns a
+    def _mangle(self, packet: Packet, rng):
+        """Encode ``packet``'s payload and flip a few bytes (positions
+        and bits drawn from ``rng``, the stage's stream); returns a
         fresh packet carrying the raw bytes (the original object is
         left untouched — multicast forwarding shares packet instances
         across branches) or ``None`` when the payload has no codec."""
@@ -354,9 +387,9 @@ class Link:
             return None
         if not raw:
             return None
-        for _ in range(self._fault_rng.randint(1, 3)):
-            pos = self._fault_rng.randrange(len(raw))
-            raw[pos] ^= 1 << self._fault_rng.randrange(8)
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(len(raw))
+            raw[pos] ^= 1 << rng.randrange(8)
         return Packet(packet.src, packet.dst, packet.size, bytes(raw),
                       packet.proto, created_at=packet.created_at,
                       hops=packet.hops)
@@ -369,46 +402,12 @@ class Link:
             + self.corrupt_drops
             + self.fault_drops
             + self.filter_drops
-            + self._queue.drops
+            + self.queue_drops
             + self._pending  # queued + in transit, whatever the clock says
         )
-
-    # -- introspection -----------------------------------------------------
-
-    def metrics(self) -> dict:
-        """Link counters for telemetry pull-bindings (includes the
-        queue's own counters under ``queue.*``-style keys)."""
-        queue = self.queue
-        out = {
-            "sent": self.sent,
-            "delivered": self.delivered,
-            "bytes_delivered": self.bytes_delivered,
-            "random_drops": self.random_drops,
-            "queue_drops": queue.drops,
-            "fault_drops": self.fault_drops,
-            "filter_drops": self.filter_drops,
-            "corrupt_drops": self.corrupt_drops,
-            "corrupt_mangled": self.corrupt_mangled,
-            "fault_duplicates": self.fault_duplicates,
-            "in_transit": self.in_transit,
-        }
-        for key, value in queue.metrics().items():
-            out[f"queue_{key}"] = value
-        return out
-
-    @property
-    def queue_drops(self) -> int:
-        return self._queue.drops
-
-    @property
-    def utilization_bps(self) -> float:
-        """Average delivered goodput since t=0 (bits per second)."""
-        if self.sim.now <= 0:
-            return 0.0
-        return self.bytes_delivered * 8.0 / self.sim.now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Link {self.name} {self.rate_bps / 1000:.0f}kbit/s "
-            f"{self.delay * 1000:.0f}ms q={len(self.queue)}>"
+            f"{self.delay * 1000:.0f}ms q={self.queued}>"
         )

@@ -21,7 +21,6 @@ from .link import Link
 from .loss_models import BernoulliLoss, LossModel
 from .node import Host, Node, Router
 from .packet import Address, Packet
-from .queues import DropTailQueue
 from .rng import RngRegistry
 from . import routing
 
@@ -51,11 +50,6 @@ class LinkSpec:
                 f"delay cannot be negative, NaN or infinite, not {self.delay!r}")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(f"loss_rate must be in [0, 1], not {self.loss_rate!r}")
-
-    def make_queue(self) -> DropTailQueue:
-        if self.queue_slots is None and self.queue_bytes is None:
-            return DropTailQueue(max_slots=30)
-        return DropTailQueue(max_slots=self.queue_slots, max_bytes=self.queue_bytes)
 
     def make_loss(self, streams: RngRegistry, name: str) -> Optional[LossModel]:
         """A lossy link's model; ``None`` (no model at all) for a
@@ -147,7 +141,8 @@ class Network:
             name,
             rate_bps=spec.rate_bps,
             delay=spec.delay,
-            queue=spec.make_queue(),
+            queue_slots=spec.queue_slots,
+            queue_bytes=spec.queue_bytes,
             loss=spec.make_loss(self.rng, f"loss:{name}"),
         )
         link.connect(dst, a)

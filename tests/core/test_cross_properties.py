@@ -115,12 +115,10 @@ class TestLinkFifoProperty:
         from repro.simulator import Packet
         from repro.simulator.engine import Simulator
         from repro.simulator.link import Link
-        from repro.simulator.queues import DropTailQueue
 
         sim = Simulator()
         got = []
-        link = Link(sim, "L", rate_bps=1e6, delay=0.01,
-                    queue=DropTailQueue(max_slots=1000))
+        link = Link(sim, "L", rate_bps=1e6, delay=0.01, queue_slots=1000)
         link.connect(SimpleNamespace(
             receive=lambda p, from_node: got.append(p.payload)), "a")
         for i, size in enumerate(sizes):

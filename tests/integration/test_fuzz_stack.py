@@ -83,7 +83,7 @@ class TestStackFuzz:
             for link in node.links.values():
                 assert link.sent == (
                     link.delivered + link.random_drops
-                    + link.queue.drops + len(link.queue)
+                    + link.queue_drops + link.queued
                 ), link.name
 
         # receiver monotonicity

@@ -36,8 +36,8 @@ class TestPacketConservation:
                 accounted = (
                     link.delivered
                     + link.random_drops
-                    + link.queue.drops
-                    + len(link.queue)
+                    + link.queue_drops
+                    + link.queued
                 )
                 assert link.sent == accounted, link.name
 

@@ -67,7 +67,7 @@ class TestCreateSession:
         net.run(until=10.0)
         links = [link for node in net.nodes.values()
                  for link in node.links.values()]
-        assert sum(link.queue.enqueues for link in links) > 500
+        assert sum(link.enqueues for link in links) > 500
         assert sum(link.queue_drops for link in links) > 0
         hop_packets = sum(link.delivered for link in links)
         assert hop_packets > 3000

@@ -234,7 +234,7 @@ class TestLinkFaults:
         link = net.link("a", "b")
         assert link.corrupt_drops == 0
         assert link.delivered == 4
-        assert link._fault_rng is None  # stage fully torn down
+        assert link._fault_stages is None  # stage fully torn down
 
 
 class TestNodeFaults:

@@ -8,6 +8,7 @@ test-local :class:`ReferenceLink`, which shares no code with it.
 
 import math
 import random
+from collections import deque
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +17,6 @@ from repro.simulator.engine import Simulator
 from repro.simulator.link import Link
 from repro.simulator.loss_models import BernoulliLoss, DeterministicLoss
 from repro.simulator.packet import Packet
-from repro.simulator.queues import DropTailQueue
 
 
 class Sink(list):
@@ -77,7 +77,7 @@ class TestDrops:
         link, received = make_link(
             sim, rate=1e9, delay=0.0,
             loss=BernoulliLoss(0.3, random.Random(7)),
-            queue=DropTailQueue(max_slots=100000),
+            queue_slots=100000,
         )
         n = 5000
         for _ in range(n):
@@ -88,10 +88,40 @@ class TestDrops:
 
     def test_send_returns_false_on_drop(self):
         sim = Simulator()
-        link, _ = make_link(sim, queue=DropTailQueue(max_slots=1))
+        link, _ = make_link(sim, queue_slots=1)
         assert link.send(Packet("a", "b", 100))  # transmitting
         assert link.send(Packet("a", "b", 100))  # queued
         assert not link.send(Packet("a", "b", 100))  # dropped
+
+    @pytest.mark.parametrize("limits, sizes, accepted", [
+        ({"queue_slots": 2}, [100] * 4, [True] * 3 + [False]),
+        ({"queue_bytes": 250}, [100] * 4 + [50], [True] * 3 + [False, True]),
+        ({"queue_slots": 10, "queue_bytes": 150}, [100] * 3,
+         [True, True, False]),
+        ({}, [1500] * 32, [True] * 31 + [False]),
+        ({"queue_bytes": 30_000}, [1500] * 22, [True] * 21 + [False]),
+    ], ids=["slots", "bytes", "slots-and-bytes", "no-limit-is-30-slots",
+            "paper-30-KB"])
+    def test_drop_tail_limits(self, limits, sizes, accepted):
+        # the first packet takes the idle wire; the rest wait in the one
+        # FIFO while it has room in slots and in bytes
+        sim = Simulator()
+        link, received = make_link(sim, **limits)
+        assert [link.send(Packet("a", "b", size, tag))
+                for tag, size in enumerate(sizes)] == accepted
+        waiting = [size for size, ok in zip(sizes[1:], accepted[1:]) if ok]
+        assert (link.queued, link.bytes_queued, link.enqueues,
+                link.queue_drops) == (len(waiting), sum(waiting),
+                                      len(waiting), accepted.count(False))
+        # the head leaves for the wire as the first packet ends, and
+        # takes its bytes with it
+        sim.run(until=sizes[0] * 8.0 / link.rate_bps)
+        assert (link.queued, link.bytes_queued) == (len(waiting) - 1,
+                                                    sum(waiting[1:]))
+        sim.run()
+        assert [packet.payload for packet in received] == [
+            tag for tag, ok in enumerate(accepted) if ok]
+        assert link.bytes_queued == 0
 
 
 class TestAccounting:
@@ -161,29 +191,44 @@ class TestAccounting:
         sim.run(until=10.0)
         assert fired == ["timer"] and link.delivered == 1
 
-    def test_utilization(self):
-        sim = Simulator()
-        link, _ = make_link(sim, rate=8000.0, delay=0.0)
-        link.send(Packet("a", "b", 100))
-        sim.run(until=1.0)
-        assert link.utilization_bps == pytest.approx(800.0)
-
 
 class ReferenceLink:
     """The textbook link: two events per packet — end of serialisation
     (which also starts the next queued packet), then arrival one
     propagation delay later.  A packet is serialised at the rate and
     delay in force when its serialisation starts; a random drop, when
-    ``loss`` is set, happens on ingress and costs no bandwidth.  Written
-    from the model, not from ``link.py``; only the engine, the queue
-    and the loss models are shared."""
+    ``loss`` is set, happens on ingress and costs no bandwidth.  Its
+    drop-tail FIFO is its own: a packet that finds the wire busy waits
+    if the slots and bytes waiting stay within their limits.  Written
+    from the model, not from ``link.py``; only the engine and the loss
+    models are shared."""
 
-    def __init__(self, sim, rate_bps, delay, queue, deliver):
+    def __init__(self, sim, rate_bps, delay, deliver, queue_slots=None,
+                 queue_bytes=None):
         self.sim, self.rate_bps, self.delay = sim, rate_bps, delay
-        self.queue, self.deliver = queue, deliver
+        self.deliver = deliver
+        self.queue_slots, self.queue_bytes = queue_slots, queue_bytes
+        self.fifo = deque()
         self.busy, self.up, self.loss = False, True, None
         self.sent = self.delivered = self.fault_drops = self.in_transit = 0
-        self.random_drops = 0
+        self.random_drops = self.queue_drops = 0
+        self.bytes_queued = self.enqueues = 0
+
+    @property
+    def queued(self):
+        return len(self.fifo)
+
+    def _offer(self, packet):
+        if ((self.queue_slots is not None
+             and len(self.fifo) + 1 > self.queue_slots)
+                or (self.queue_bytes is not None
+                    and self.bytes_queued + packet.size > self.queue_bytes)):
+            self.queue_drops += 1
+            return False
+        self.fifo.append(packet)
+        self.bytes_queued += packet.size
+        self.enqueues += 1
+        return True
 
     def send(self, packet):
         self.sent += 1
@@ -194,7 +239,7 @@ class ReferenceLink:
             self.random_drops += 1
             return False
         if self.busy:
-            return self.queue.offer(packet)
+            return self._offer(packet)
         self._start(packet)
         return True
 
@@ -212,11 +257,12 @@ class ReferenceLink:
 
     def _done(self, packet, delay):
         self.sim.schedule(delay, self._arrive, packet)
-        nxt = self.queue.pop()
-        if nxt is None:
-            self.busy = False
-        else:
+        if self.fifo:
+            nxt = self.fifo.popleft()
+            self.bytes_queued -= nxt.size
             self._start(nxt)
+        else:
+            self.busy = False
 
     def _arrive(self, packet):
         self.in_transit -= 1
@@ -241,7 +287,6 @@ def run_script(kind, script, rate, delay, queue_limits, fanout=1):
     comes after it, on both links.
     """
     sim = Simulator()
-    queues = [DropTailQueue(**queue_limits) for _ in range(fanout)]
     state = []  # counters once every event due by each op has fired
     deliveries = {index: [] for index in range(fanout)}
 
@@ -249,18 +294,18 @@ def run_script(kind, script, rate, delay, queue_limits, fanout=1):
         if kind is Link:
             assert all(link.conserves_packets() for link in links)
 
-    def make(index, queue):
+    def make(index):
         def deliver(packet):
             deliveries[index].append((sim.now, packet.payload))
             check_conservation()
         if kind is Link:
             link = Link(sim, f"L{index}", rate_bps=rate, delay=delay,
-                        queue=queue)
+                        **queue_limits)
             link.connect(calling(deliver), "a")
             return link
-        return ReferenceLink(sim, rate, delay, queue, deliver)
+        return ReferenceLink(sim, rate, delay, deliver, **queue_limits)
 
-    links = [make(index, queue) for index, queue in enumerate(queues)]
+    links = [make(index) for index in range(fanout)]
     link = links[0]
     returns = []
     now = tx_end = 0.0
@@ -284,11 +329,9 @@ def run_script(kind, script, rate, delay, queue_limits, fanout=1):
         # conservation check gets a chance to settle anything
         row = [sim.now]
         for each in links:
-            seen = each.queue
             row.append((each.sent, each.delivered, each.fault_drops,
-                        each.random_drops, each.in_transit, len(seen),
-                        seen.bytes_queued, seen.enqueues, seen.drops,
-                        seen.peak_slots, seen.peak_bytes))
+                        each.random_drops, each.in_transit, each.queued,
+                        each.bytes_queued, each.enqueues, each.queue_drops))
         state.append(tuple(row))
         check_conservation()
     while sim.pending():
@@ -300,7 +343,7 @@ def run_script(kind, script, rate, delay, queue_limits, fanout=1):
         deliveries=deliveries, returns=returns, state=state,
         events=sim.events_processed,
         delivered=sum(each.delivered for each in links),
-        enqueues=sum(queue.enqueues for queue in queues))
+        enqueues=sum(each.enqueues for each in links))
 
 
 def assert_matches_reference(script, rate=8000.0, delay=0.1, fanout=1,
@@ -308,7 +351,7 @@ def assert_matches_reference(script, rate=8000.0, delay=0.1, fanout=1,
     """Same deliveries at bit-identical times, same accept/drop
     answers, same counters at every step — in one event per delivered
     packet where the reference spends two."""
-    queue_limits = queue_limits or {"max_slots": 2}
+    queue_limits = queue_limits or {"queue_slots": 2}
     got = run_script(Link, script, rate, delay, queue_limits, fanout)
     want = run_script(ReferenceLink, script, rate, delay, queue_limits, fanout)
     assert got.deliveries == want.deliveries
@@ -339,7 +382,7 @@ class TestAgainstReference:
 
     def test_throughput_matches_rate(self):
         got = assert_matches_reference(burst(100), rate=80_000.0, delay=0.01,
-                                       max_slots=1000)
+                                       queue_slots=1000)
         # 100 x 100 B = 80_000 bits at 80 kbit/s -> 1.0 s + delay
         assert got.deliveries[-1][0] == pytest.approx(1.01)
         assert got.delivered == 100
@@ -352,7 +395,7 @@ class TestAgainstReference:
     def test_byte_limited_queue(self):
         assert_matches_reference(
             burst(2, 100) + burst(3, 40) + [(0.15, "send", 100)] + burst(4, 60),
-            max_bytes=150)
+            queue_bytes=150)
 
     def test_down_and_up_mid_burst(self):
         got = assert_matches_reference(
@@ -366,7 +409,7 @@ class TestAgainstReference:
         # model) every offer the queue has room for is accepted
         got = assert_matches_reference(
             burst(2) + [(0.01, "loss", {1, 3})] + burst(4)
-            + [(0.0, "loss", None)] + burst(3), max_slots=8)
+            + [(0.0, "loss", None)] + burst(3), queue_slots=8)
         assert got.returns == [True, True, False, True, False, True,
                                True, True, True]
         assert got.state[-1][1][3] == 2  # random_drops
@@ -397,7 +440,7 @@ class TestFanOutAgainstReference:
 
     def test_the_copies_of_a_burst_share_entries(self):
         sim = Simulator()
-        links = [make_link(sim, queue=DropTailQueue(max_slots=4))[0]
+        links = [make_link(sim, queue_slots=4)[0]
                  for _ in range(2)]
         for tag in range(3):
             packet = Packet("a", "b", 100, tag)
@@ -408,7 +451,7 @@ class TestFanOutAgainstReference:
     def test_squeezed_while_sharing_entries(self):
         got = assert_matches_reference(
             burst(4) + [(0.05, "rate", 2000.0)] + burst(2), fanout=2,
-            max_slots=4)
+            queue_slots=4)
         # link 0's waiting packets serialise at 2000 bit/s from 0.1 s,
         # link 1's keep their 8000 bit/s times (and its full queue
         # refuses the last packet)
@@ -420,13 +463,13 @@ class TestFanOutAgainstReference:
     def test_delay_cut_while_sharing_entries(self):
         got = assert_matches_reference(
             burst(3) + [(0.15, "delay", 0.02)] + burst(2)
-            + [(0.3, "delay", 0.3)], fanout=2, max_slots=4)
+            + [(0.3, "delay", 0.3)], fanout=2, queue_slots=4)
         assert got.delivered == 10
 
     def test_lossy_link_beside_a_lossless_one(self):
         got = assert_matches_reference(
             [(0.0, "loss", {2})] + burst(3) + [(0.05, "loss", None)]
-            + burst(2), fanout=2, max_slots=4)
+            + burst(2), fanout=2, queue_slots=4)
         assert got.returns[:3] == [(True, True), (False, True),
                                    (True, True)]
         assert len(got.deliveries[0]) == 4 and len(got.deliveries[1]) == 5
@@ -447,7 +490,7 @@ class TestDepartureBeforeTyingArrival:
     def test_arrival_inside_the_event_loop_at_a_waiting_packets_start(self):
         sim = Simulator()
         link, received = make_link(sim, rate=8000.0, delay=0.0,
-                                   queue=DropTailQueue(max_slots=1))
+                                   queue_slots=1)
         start = 100 * 8.0 / 8000.0  # when the first packet frees the wire
         answers = []
         # inserted before anything the link schedules at ``start``

@@ -49,10 +49,10 @@ OPS = st.one_of(
 )
 
 QUEUES = st.one_of(
-    st.fixed_dictionaries({"max_slots": st.integers(1, 3)}),
-    st.fixed_dictionaries({"max_bytes": st.sampled_from([100, 1500, 3000])}),
-    st.fixed_dictionaries({"max_slots": st.integers(1, 3),
-                           "max_bytes": st.sampled_from([600, 2000])}),
+    st.fixed_dictionaries({"queue_slots": st.integers(1, 3)}),
+    st.fixed_dictionaries({"queue_bytes": st.sampled_from([100, 1500, 3000])}),
+    st.fixed_dictionaries({"queue_slots": st.integers(1, 3),
+                           "queue_bytes": st.sampled_from([600, 2000])}),
 )
 
 
@@ -61,12 +61,12 @@ QUEUES = st.one_of(
     script=st.lists(OPS, min_size=1, max_size=40),
     rate=st.sampled_from([8000.0, 500_000.0, 2_000_000.0]),
     delay=st.sampled_from([0.0, 0.0005, 0.23]),
-    queue=QUEUES,
+    limits=QUEUES,
     fanout=st.sampled_from([1, 2]),
 )
-def test_link_matches_reference(script, rate, delay, queue, fanout):
+def test_link_matches_reference(script, rate, delay, limits, fanout):
     assert_matches_reference(script, rate=rate, delay=delay, fanout=fanout,
-                             **queue)
+                             **limits)
 
 
 @settings(max_examples=100, deadline=None)

@@ -53,7 +53,7 @@ def links(monkeypatch):
 def assert_drained(links):
     assert links and any(link.delivered for link in links)
     for link in links:
-        assert link.in_transit == 0 and len(link.queue) == 0, link.name
+        assert link.in_transit == 0 and link.queued == 0, link.name
         assert link.sent + link.fault_duplicates == (
             link.delivered + link.random_drops + link.corrupt_drops
             + link.fault_drops + link.filter_drops + link.queue_drops

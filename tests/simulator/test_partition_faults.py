@@ -160,5 +160,5 @@ class TestControlBlackhole:
         link.set_control_filter(("_FakeAck",))
         for _ in range(5):
             link.send(Packet("h0", "R0", 64, _FakeAck(), "test"))
-        assert link.metrics()["filter_drops"] == 5
+        assert link.filter_drops == 5
         assert link.conserves_packets()

@@ -20,14 +20,20 @@ from repro.simulator.rng import RngRegistry
 
 
 class TestLinkSpec:
+    @staticmethod
+    def built(spec):
+        net = Network(seed=1)
+        net.add_host("a")
+        net.add_host("b")
+        return net.simplex_link("a", "b", spec)
+
     def test_default_queue_is_30_slots(self):
-        q = LinkSpec(1000, 0.01).make_queue()
-        assert q.max_slots == 30
+        link = self.built(LinkSpec(1000, 0.01))
+        assert (link.queue_slots, link.queue_bytes) == (30, None)
 
     def test_byte_queue(self):
-        q = LinkSpec(1000, 0.01, queue_bytes=30_000).make_queue()
-        assert q.max_bytes == 30_000
-        assert q.max_slots is None
+        link = self.built(LinkSpec(1000, 0.01, queue_bytes=30_000))
+        assert (link.queue_slots, link.queue_bytes) == (None, 30_000)
 
     def test_paper_configs(self):
         assert NON_LOSSY.rate_bps == 500_000
