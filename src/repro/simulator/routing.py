@@ -10,9 +10,11 @@ one the paper's ns-2 scenarios assume.
 The graph is a plain adjacency mapping and the solve a ``heapq``
 Dijkstra.  The paper's topologies have a few dozen nodes, but the
 hybrid 10^6-receiver topology has 386 and a real-member one 1000+,
-almost all of them hosts on a single access link.  So unicast tables
-cost one solve per node with more than one outgoing link, and every
-single-homed node behind the same neighbour shares one table (see
+and all of them are source-rooted trees: every host and every subtree
+router hangs off the rest by one link.  So unicast tables cost one
+solve per node of the graph's cyclic core only — what is left once
+pendant trees are pruned, one node for a tree — and every childless
+node behind one parent shares one table (see
 :func:`install_unicast_routes`): route memory grows with routers x
 nodes, not nodes².
 """
@@ -20,6 +22,7 @@ nodes, not nodes².
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Iterable, Mapping, Optional
 
 from .node import Node
@@ -102,25 +105,74 @@ def install_unicast_routes(graph: Graph, nodes: Mapping[str, Node]) -> None:
     """Install next-hop entries for every reachable destination at
     every node.  Overwrites existing unicast tables.
 
-    A node with exactly one outgoing link (a host, a dead-end router)
-    sends everything through it, so it costs no solve: every node
-    behind one neighbour shares one table, all that neighbour reaches
-    via the neighbour.  The table may name its owner, so "no route to
-    yourself" is the readers' rule (:meth:`Node.unicast_next_hop`,
+    Only the graph's cyclic core is solved.  A node is *pendant* when
+    its one out-neighbour, its *parent*, is also its one in-neighbour
+    (a self-loop, never on a shortest path, does not count).  Pendant
+    nodes are pruned in one first-in first-out sweep that starts in
+    graph order, and a pruned node's parent goes back on the queue; a
+    node with no neighbour left is not pendant, so a tree prunes down
+    to one node.  Every path into a pruned subtree enters and leaves
+    through its parent, so (weights being non-negative) no shortest
+    path between core nodes uses one and no pruned node relaxes a core
+    node: each core node's :func:`first_hops` solve on the core is its
+    full-graph solve, ties included, and a pruned subtree's nodes share
+    the first hop to the node it hangs off.  A pruned node sends
+    everything to its parent except its own subtree, which goes to the
+    child on the way; the childless nodes behind one parent share one
+    table, so route memory grows as routers × nodes, not nodes².  A
+    shared table may name its owner, so "no route to yourself" is the
+    readers' rule (:meth:`Node.unicast_next_hop`,
     :meth:`Node.forward_unicast`).  Sharing is safe because no table is
-    mutated once installed: a rebuild replaces them.  Every other node
-    gets one :func:`first_hops` solve, and so does a single-homed node
-    that another hangs off, so no table derives from a derived one.
+    mutated once installed: a rebuild replaces them.
     """
-    via = {u: next(iter(out)) for u, out in graph.items() if len(out) == 1}
-    shared = dict.fromkeys(via.values())  # neighbour -> its hosts' table
-    tables = {u: first_hops(graph, u) for u in graph
-              if u not in via or u in shared}
-    for neighbour in shared:
-        table = shared[neighbour] = dict.fromkeys(tables[neighbour], neighbour)
-        table[neighbour] = neighbour
-    for u, neighbour in via.items():
-        tables.setdefault(u, shared[neighbour])
+    outs = {u: len(out) - (u in out) for u, out in graph.items()}
+    ins = dict.fromkeys(graph, 0)
+    for u, out in graph.items():
+        for v in out:
+            if v != u:
+                ins[v] += 1
+    parent: dict[str, str] = {}  # in prune order
+    queue = deque(graph)
+    while queue:
+        u = queue.popleft()
+        if u in parent or outs[u] != 1 or ins[u] != 1:
+            continue
+        p = next(v for v in graph[u] if v != u and v not in parent)
+        if u in graph[p]:  # so p is u's one in-neighbour too
+            parent[u] = p
+            outs[p] -= 1
+            ins[p] -= 1
+            queue.append(p)
+    hung: dict[str, list[str]] = {}
+    for u, p in parent.items():
+        hung.setdefault(p, []).append(u)
+
+    def subtree(root):
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            yield u
+            stack += hung.get(u, ())
+
+    core = {u: {v: w for v, w in out.items() if v not in parent}
+            for u, out in graph.items() if u not in parent}
+    tables = {}
+    for c, out in core.items():
+        table = tables[c] = first_hops(core, c) if out else {}
+        for a, hop in [(c, None), *table.items()]:
+            for r in hung.get(a, ()):
+                table.update(dict.fromkeys(subtree(r), r if hop is None else hop))
+    shared = {}  # parent -> its childless nodes' table
+    for u in reversed(parent):  # a parent's table before its children's
+        p = parent[u]
+        if p not in shared:
+            shared[p] = dict.fromkeys(tables[p], p)
+            shared[p][p] = p
+        tables[u] = shared[p]
+        if u in hung:
+            table = tables[u] = dict(shared[p])
+            for c in hung[u]:
+                table.update(dict.fromkeys(subtree(c), c))
     for name, node in nodes.items():
         node.unicast_routes = tables[name]
 

@@ -73,6 +73,11 @@ class TestLinkSpec:
         with pytest.raises(ValueError, match="delay"):
             LinkSpec(1000, delay)
 
+    @pytest.mark.parametrize("limit", ["queue_slots", "queue_bytes"])
+    def test_bad_queue_limit_raises_where_the_spec_is_written(self, limit):
+        with pytest.raises(ValueError, match=f"{limit} must be >= 1, not 0"):
+            LinkSpec(1000, 0.01, **{limit: 0})
+
 
 class TestLossStreams:
     @pytest.fixture

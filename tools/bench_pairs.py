@@ -6,14 +6,18 @@
     python tools/bench_pairs.py . . --workload session_tcp_3rx --smoke
 
 ``PARENT`` and ``CHANGE`` are two checkouts of this repository.  Both
-are byte-compiled first (``python -m compileall -q src benchmarks/perf``
-in each: a side that runs from source while the other runs from ``.pyc``
-files reads as a ~25 % ``setup_s`` gap), then pair ``i`` runs
-``benchmarks/perf/run.py --workload W --seed SEED+i --seconds S --trace
-0`` in each checkout — the parent first in even pairs, the change first
-in odd ones — so both sides of a pair simulate the same seed and every
-pair has a fresh one.  ``--smoke`` runs ``run.py --smoke`` instead of
-``--seconds`` (a wiring check; the numbers are not comparable).
+run from source, as a fresh checkout does: every ``__pycache__`` under
+``src/`` and ``benchmarks/perf/`` is removed first, and every run starts
+with ``PYTHONDONTWRITEBYTECODE=1``.  (A side that runs from ``.pyc``
+files while the other runs from source reads as a ~25 % ``setup_s``
+gap, and two byte-compiled sides read about 0.63x the ``setup_s`` of
+fresh checkouts, which overstates any set-up gain.)  Pair ``i`` then
+runs ``benchmarks/perf/run.py --workload W --seed SEED+i --seconds S
+--trace 0`` in each checkout — the parent first in even pairs, the
+change first in odd ones — so both sides of a pair simulate the same
+seed and every pair has a fresh one.  ``--smoke`` runs ``run.py
+--smoke`` instead of ``--seconds`` (a wiring check; the numbers are not
+comparable).
 
 Printed, for each end-to-end metric ``run.py`` reports to the driver:
 each side's median and quartiles over the pairs, each pair's change ÷
@@ -32,6 +36,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,10 +50,10 @@ MIN_PAIRS = 10
 WIN_SHARE = 0.9
 
 
-def compile_checkout(root: Path) -> None:
-    subprocess.run([sys.executable, "-m", "compileall", "-q", "src",
-                    "benchmarks/perf"], cwd=root, check=True,
-                   stdout=subprocess.DEVNULL)
+def clear_bytecode(root: Path) -> None:
+    for top in ("src", "benchmarks/perf"):
+        for cache in list((root / top).rglob("__pycache__")):
+            shutil.rmtree(cache)
 
 
 def run_side(root: Path, args, seed: int, out: Path) -> dict:
@@ -57,8 +63,10 @@ def run_side(root: Path, args, seed: int, out: Path) -> dict:
             "--workload", args.workload, "--seed", str(seed),
             "--trace", "0", "--out", str(out)]
     argv += ["--smoke"] if args.smoke else ["--seconds", repr(args.seconds)]
-    done = subprocess.run(argv, cwd=root, text=True, stdout=subprocess.PIPE,
-                          stderr=subprocess.DEVNULL)
+    # no side writes bytecode that a later run would read
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(argv, cwd=root, env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     lines = done.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{root}: run.py exited {done.returncode} "
@@ -120,7 +128,7 @@ def main(argv=None) -> int:
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for root in sides.values():
-        compile_checkout(root)
+        clear_bytecode(root)
 
     values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     better: dict[str, str] = {}
