@@ -243,6 +243,11 @@ class ExperimentSpec:
     #: hidden specs are resolvable by id (sweep cells) but excluded
     #: from the default full-registry report/sweep
     hidden: bool = False
+    #: name of a function in ``module`` that raises ``ValueError`` for
+    #: values valid one by one but not together; sweep-spec validation
+    #: calls it with every cell (imported only then), declared defaults
+    #: filling what the cell does not give.  Empty: no such limit
+    limits: str = ""
 
     def resolve(self) -> Callable[..., ExperimentResult]:
         mod = importlib.import_module(self.module)

@@ -149,7 +149,7 @@ _BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
     ExperimentSpec("EXP-F5", "repro.experiments.fig5_acker_selection",
                    description="Fig. 5: acker selection/tracking plateaus"),
     ExperimentSpec("EXP-F7", "repro.experiments.star", "run_cell",
-                   params=_STAR_PARAMS,
+                   params=_STAR_PARAMS, limits="check_cell",
                    description="Fig. 7: 100 receivers with uncorrelated "
                                "loss, 90 of them joining late"),
     ExperimentSpec("EXP-UNREL", "repro.experiments.unreliable_mode",
@@ -207,7 +207,7 @@ _BUILTIN_SPECS: tuple[ExperimentSpec, ...] = (
                    "run_cell", hidden=True,
                    description="one attack with the guard on or off"),
     ExperimentSpec("EXP-STAR-CELL", "repro.experiments.star", "run_cell",
-                   hidden=True, params=_STAR_PARAMS,
+                   hidden=True, params=_STAR_PARAMS, limits="check_cell",
                    description="one sender on the Fig. 7 star: pgmcc "
                                "(RDATA or FEC), eq-naive or eq-max"),
     ExperimentSpec("EXP-MPATH-CELL", "repro.experiments.robustness",

@@ -51,6 +51,19 @@ def build(n_receivers: int, seed: int) -> Network:
     return net
 
 
+def check_cell(n_receivers: int, joiners: int, scheme: str,
+               redundancy: Optional[int], **_) -> None:
+    """:func:`run_cell`'s limits across parameters, which the registry
+    checks for every cell before any runs (the other values pass)."""
+    fec = redundancy is not None
+    if joiners >= n_receivers or joiners and (fec or scheme != "pgmcc"):
+        raise ValueError(f"joiners={joiners}: only plain pgmcc takes "
+                         f"joiners, and one of the {n_receivers} receivers "
+                         "must start the session")
+    if fec and scheme != "pgmcc":
+        raise ValueError(f"redundancy={redundancy}: {scheme} sends no FEC")
+
+
 def run_cell(scale: float = 1.0, seed: int = 17, n_receivers: int = 100,
              joiners: int = 90, scheme: str = "pgmcc",
              redundancy: Optional[int] = None, tcp: bool = True,
@@ -63,13 +76,8 @@ def run_cell(scale: float = 1.0, seed: int = 17, n_receivers: int = 100,
     around the join time, ``rate`` over the second half, ``goodput_data``
     over the last three quarters); pgmcc adds its session's counters,
     and FEC the residual block loss."""
+    check_cell(n_receivers, joiners, scheme, redundancy)
     fec = redundancy is not None
-    if joiners >= n_receivers or joiners and (fec or scheme != "pgmcc"):
-        raise ValueError(f"joiners={joiners}: only plain pgmcc takes "
-                         f"joiners, and one of the {n_receivers} receivers "
-                         "must start the session")
-    if fec and scheme != "pgmcc":
-        raise ValueError(f"redundancy={redundancy}: {scheme} sends no FEC")
     end = duration * scale
     join_time = 0.6 * end
     net = build(n_receivers, seed)

@@ -14,7 +14,7 @@ everything must also work through routers with no PGM support).
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Container, Optional, Protocol
 
 from .engine import Simulator
 from .link import Link
@@ -47,8 +47,13 @@ class Node:
         self.name = name
         #: outgoing links keyed by neighbour node name
         self.links: dict[str, Link] = {}
-        #: unicast forwarding: destination -> next-hop neighbour (shared)
+        #: unicast forwarding: destination -> next-hop neighbour; a
+        #: pruned node's names its own subtree only (shared when empty)
         self.unicast_routes: dict[Address, str] = {}
+        #: a pruned node's parent, the next hop to every name in
+        #: ``uplink_reach`` that ``unicast_routes`` does not hold
+        self.uplink: Optional[str] = None
+        self.uplink_reach: Container[Address] = ()
         #: multicast forwarding: group -> set of downstream neighbours
         self.multicast_routes: dict[Address, tuple[str, ...]] = {}
         self.packets_forwarded = 0
@@ -108,7 +113,10 @@ class Node:
     def unicast_next_hop(self, dst: Address) -> Optional[str]:
         if dst == self.name:
             return None
-        return self.unicast_routes.get(dst)
+        nh = self.unicast_routes.get(dst)
+        if nh is None and dst in self.uplink_reach:
+            return self.uplink
+        return nh
 
     # The two forwarders look the link up and send on it themselves,
     # as ``send_via`` does, one frame fewer per hop.
@@ -117,6 +125,8 @@ class Node:
         """Send towards ``packet.dst``; no route to this node itself."""
         dst = packet.dst
         nh = self.unicast_routes.get(dst)
+        if nh is None and dst in self.uplink_reach:
+            nh = self.uplink
         link = self.links.get(nh) if dst != self.name else None
         if link is None:
             self.packets_dropped_no_route += 1

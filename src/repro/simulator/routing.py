@@ -13,9 +13,9 @@ hybrid 10^6-receiver topology has 386 and a real-member one 1000+,
 and all of them are source-rooted trees: every host and every subtree
 router hangs off the rest by one link.  So unicast tables cost one
 solve per node of the graph's cyclic core only — what is left once
-pendant trees are pruned, one node for a tree — and every childless
-node behind one parent shares one table (see
-:func:`install_unicast_routes`): route memory grows with routers x
+pendant trees are pruned, one node for a tree — and a pruned node
+keeps a table of its own subtree and sends everything else up its one
+link (see :func:`install_unicast_routes`): route memory grows as
 nodes, not nodes².
 """
 
@@ -116,14 +116,19 @@ def install_unicast_routes(graph: Graph, nodes: Mapping[str, Node]) -> None:
     path between core nodes uses one and no pruned node relaxes a core
     node: each core node's :func:`first_hops` solve on the core is its
     full-graph solve, ties included, and a pruned subtree's nodes share
-    the first hop to the node it hangs off.  A pruned node sends
-    everything to its parent except its own subtree, which goes to the
-    child on the way; the childless nodes behind one parent share one
-    table, so route memory grows as routers × nodes, not nodes².  A
-    shared table may name its owner, so "no route to yourself" is the
-    readers' rule (:meth:`Node.unicast_next_hop`,
-    :meth:`Node.forward_unicast`).  Sharing is safe because no table is
-    mutated once installed: a rebuild replaces them.
+    the first hop to the node it hangs off.  A core node's table names
+    every node it reaches, and a *root* (a core node subtrees hang off)
+    also names itself.  A pruned node's table names its own subtree
+    only, each name mapped to the child on the way (one shared empty
+    table for every childless node); its parent is its *uplink* for
+    every other name in its root's table, which the node reads
+    (``Node.uplink_reach``) to tell a name on the uplink from one it
+    does not reach.  So route memory grows as core nodes × nodes plus
+    each pruned node's subtree, for the paper's trees under twice the
+    node count.  A root's table names its owner, so "no route to
+    yourself" is the readers' rule (:meth:`Node.unicast_next_hop`,
+    :meth:`Node.forward_unicast`).  Sharing is safe because no table
+    is mutated once installed: a rebuild replaces them.
     """
     outs = {u: len(out) - (u in out) for u, out in graph.items()}
     ins = dict.fromkeys(graph, 0)
@@ -162,19 +167,18 @@ def install_unicast_routes(graph: Graph, nodes: Mapping[str, Node]) -> None:
         for a, hop in [(c, None), *table.items()]:
             for r in hung.get(a, ()):
                 table.update(dict.fromkeys(subtree(r), r if hop is None else hop))
-    shared = {}  # parent -> its childless nodes' table
-    for u in reversed(parent):  # a parent's table before its children's
-        p = parent[u]
-        if p not in shared:
-            shared[p] = dict.fromkeys(tables[p], p)
-            shared[p][p] = p
-        tables[u] = shared[p]
-        if u in hung:
-            table = tables[u] = dict(shared[p])
-            for c in hung[u]:
-                table.update(dict.fromkeys(subtree(c), c))
+        if c in hung:
+            table[c] = c  # so its subtrees' uplinks reach it
+    childless: dict[str, str] = {}
+    root_of: dict[str, str] = {}  # pruned node -> the core node it hangs off
+    for u in reversed(parent):  # a parent before its children
+        root_of[u] = root_of.get(parent[u], parent[u])
+        tables[u] = ({v: c for c in hung[u] for v in subtree(c)}
+                     if u in hung else childless)
     for name, node in nodes.items():
         node.unicast_routes = tables[name]
+        node.uplink = parent.get(name)
+        node.uplink_reach = tables[root_of[name]] if name in root_of else childless
 
 
 def compute_multicast_tree(

@@ -4,7 +4,8 @@ Everything that can be wrong *before* a worker starts is collected
 here and raised as one :class:`SweepValidationError` listing every
 problem — an unknown experiment id, a typo'd axis, a value outside
 the declared :class:`~repro.experiments.common.ParamSpec` bounds, a
-``zip`` length mismatch, an aggregate hook that does not resolve.
+``zip`` length mismatch, an aggregate hook that does not resolve, a
+cell whose values break the experiment's limits across parameters.
 Per-value type/range checking reuses the experiment's own schema, so
 the sweep DSL and the orchestrator agree on what is legal.
 """
@@ -106,6 +107,19 @@ def spec_errors(spec: SweepSpec) -> list[str]:
             elif base[axis] in values:
                 errors.append(f"ablated axis {axis!r} repeats its base "
                               f"value {base[axis]!r}")
+    if not errors and experiment.limits:  # whole cells, once each value passed
+        from .expand import _assignments  # expand imports this module
+
+        limits = getattr(importlib.import_module(experiment.module),
+                         experiment.limits)
+        cell = {p.name: p.default for p in experiment.params} | spec.base_dict
+        broken = {}  # a limit many cells break, once
+        for assignment in _assignments(spec):
+            try:
+                limits(**(cell | dict(assignment)))
+            except ValueError as exc:
+                broken[f"{experiment.id}: {exc}"] = None
+        errors += broken
     return errors
 
 

@@ -34,8 +34,9 @@ SPEC_DOC = {
 #: the fields that aim ``SPEC_DOC`` at the Fig. 7 star's cell
 STAR_CELL = {"experiment": "EXP-STAR-CELL", "base": {}, "report": {}}
 
-#: specs whose values the schema rejects: (case id, None for the toy's;
-#: the patch to ``SPEC_DOC``; what the error names, one per problem)
+#: specs the schema or the experiment's limits reject: (case id, None
+#: for the toy's; the patch to ``SPEC_DOC``; what the error names, one
+#: per problem)
 INVALID_SPECS = [
     (None, {"axes": {"mode": ["a", "z"], "typo": [1]}}, ["'z'", "typo"]),
     ("star-scheme", {**STAR_CELL, "axes": {"scheme": ["eq-naive",
@@ -43,6 +44,11 @@ INVALID_SPECS = [
      ["'eq-typo' is not one of"]),
     ("star-redundancy", {**STAR_CELL, "axes": {"redundancy": [-1]}},
      ["redundancy: -1 is below the minimum 0"]),
+    # each value valid alone, not together: run_cell's own limits
+    ("star-joiners", {**STAR_CELL, "base": {"joiners": 5, "n_receivers": 10,
+                                            "tcp": False},
+                      "axes": {"scheme": ["eq-naive"]}},
+     ["EXP-STAR-CELL: joiners=5: only plain pgmcc takes joiners"]),
 ]
 
 COMMITTED_SPECS = sorted(
