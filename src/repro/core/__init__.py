@@ -20,8 +20,6 @@ The §3.9 application-feedback helpers (``TokenRateEstimator``,
 from .acker import DEFAULT_C, AckerElection, AckerSwitch, throughput_metric
 from .controller import (
     Controller,
-    PgmccController,
-    WindowBackend,
     controller_names,
     make_controller,
     register_controller,
@@ -49,8 +47,6 @@ from .window import (
 
 __all__ = [
     "Controller",
-    "PgmccController",
-    "WindowBackend",
     "controller_names",
     "make_controller",
     "register_controller",

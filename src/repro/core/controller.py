@@ -37,13 +37,18 @@ calls in here:
     the JSON-serializable state the session summary embeds as
     ``controller_state``.
 
-Every backend also exposes ``window`` — a
-:class:`~repro.core.window.WindowController` or a view with the same
-observable surface (``w``, ``tokens``, ``ignore_acks``,
-``recovery_seq``, ``losses_reacted``, ``on_loss``) — which is what the
+Every backend is also its own observable state: ``w``, ``tokens``,
+``ignore_acks``, ``recovery_seq``, ``losses_reacted`` and
+``losses_ignored`` are attributes of the backend, which is what the
 telemetry bindings sample and the
-:class:`~repro.pgm.invariants.InvariantChecker` wraps.  Rate backends
-synthesize ``w`` as the equivalent packets-in-flight (``rate · RTT``).
+:class:`~repro.pgm.invariants.InvariantChecker` reads (it wraps
+``on_congestion``, the one method every backend reacts in).  Rate
+backends report ``w`` as the equivalent packets-in-flight
+(``rate · RTT``).
+
+The window backends are :class:`~repro.core.window.WindowController`
+(``pgmcc``, the paper's rules) and its subclasses; a new window
+discipline is one subclass that overrides ``on_congestion``.
 
 Backends register by name::
 
@@ -81,7 +86,13 @@ class Controller(Protocol):
 
     name: str
     kind: str  # "window" or "rate"
-    window: Any  # WindowController-compatible observable view
+    # the observable state telemetry samples and the invariant checker reads
+    w: float  # the (equivalent) window, in packets
+    tokens: float
+    ignore_acks: int
+    recovery_seq: Optional[int]
+    losses_reacted: int
+    losses_ignored: int
 
     @property
     def can_send(self) -> bool:  # pragma: no cover - protocol
@@ -114,94 +125,6 @@ class Controller(Protocol):
         ...
 
 
-class WindowBackend:
-    """Shared implementation for window/token backends.
-
-    Subclasses provide ``name``, the congestion-signal declaration and
-    a :class:`WindowController` (or subclass); the event plumbing here
-    is common.  ``send_delay`` is binary for a window backend: either a
-    token is available now, or the ACK clock must reopen the window
-    (``None`` — there is no time at which sending becomes legal without
-    feedback).
-    """
-
-    name = "window-base"
-    kind = "window"
-    #: which signals this backend reduces its output on; the
-    #: conformance suite checks each declared signal.
-    congestion_signals: tuple[str, ...] = ("dupack", "timeout")
-
-    def __init__(self, window: WindowController):
-        self.window = window
-
-    # -- contract ----------------------------------------------------------
-
-    @property
-    def can_send(self) -> bool:
-        return self.window.can_send
-
-    def send_delay(self, now: float) -> Optional[float]:
-        return 0.0 if self.window.can_send else None
-
-    def on_send(self, seq: int, now: float) -> None:
-        self.window.on_transmit()
-
-    def on_ack(self, now: float, in_flight: Optional[int] = None) -> None:
-        self.window.on_ack()
-
-    def on_congestion(self, loss_seq: int, last_tx_seq: int,
-                      in_flight: Optional[int], now: float) -> bool:
-        return self.window.on_loss(loss_seq, last_tx_seq, in_flight=in_flight)
-
-    def on_timeout(self, now: float) -> None:
-        self.window.on_restart()
-
-    def observe_report(self, report: "ReceiverReport",
-                       srtt: Optional[float], now: float) -> None:
-        pass  # window backends are clocked purely by ACK arrivals
-
-    def kick(self, clear_ignore: bool = False) -> None:
-        self.window.tokens = max(self.window.tokens, 1.0)
-        if clear_ignore:
-            self.window.ignore_acks = 0
-
-    def state_summary(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "w": self.window.w,
-            "tokens": self.window.tokens,
-            "ignore_acks": self.window.ignore_acks,
-            "recovery_seq": self.window.recovery_seq,
-            "acks_processed": self.window.acks_processed,
-            "losses_reacted": self.window.losses_reacted,
-            "losses_ignored": self.window.losses_ignored,
-            "restarts": self.window.restarts,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.window!r}>"
-
-
-class PgmccController(WindowBackend):
-    """The paper's controller (§3.4), behind the generic contract.
-
-    A thin adapter over :class:`WindowController` — the update rules
-    (``W += 1/W``, ``T += 1 + 1/W``, realign-then-halve, ignore ``W/2``
-    ACKs) live there, verbatim from the paper.
-    """
-
-    name = "pgmcc"
-    congestion_signals = ("dupack", "timeout")
-
-    def __init__(self, cc: "CcConfig"):
-        super().__init__(WindowController(
-            ssthresh=cc.ssthresh,
-            max_tokens=cc.max_tokens,
-            adaptive_ssthresh=cc.adaptive_ssthresh,
-        ))
-
-
 # -- registry -----------------------------------------------------------------
 
 _REGISTRY: dict[str, Callable[..., Controller]] = {}
@@ -225,7 +148,13 @@ def register_controller(name: str):
     return _register
 
 
-register_controller("pgmcc")(PgmccController)
+@register_controller("pgmcc")
+def _pgmcc(cc: "CcConfig") -> WindowController:
+    """The paper's controller (§3.4) with the session's tunables."""
+    return WindowController(ssthresh=cc.ssthresh, max_tokens=cc.max_tokens,
+                            adaptive_ssthresh=cc.adaptive_ssthresh)
+
+
 # The alternative backends register on import; importing them here,
 # after the registry exists, puts them in it before anyone can read it.
 from . import controllers  # noqa: E402,F401

@@ -37,7 +37,11 @@ telemetry — and be compared head-to-head in ``EXP-ARENA``:
     engine's stall timer doubles as TFRC's no-feedback timer and
     halves the rate.
 
-All three expose the contract's ``window`` view, so session telemetry
+Each is one object: ``jain`` and ``aimd`` subclass
+:class:`~repro.core.window.WindowController` and override
+``on_congestion``; ``tfrc`` implements the contract directly and holds
+the observable state (``w``, ``tokens``, ``ignore_acks``,
+``recovery_seq``, the counters) itself, so session telemetry
 (``cc.window_w`` / ``cc.tokens``) and the runtime
 :class:`~repro.pgm.invariants.InvariantChecker` work unchanged.
 """
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from .controller import WindowBackend, register_controller
+from .controller import register_controller
 from .tfrc_loss import LossIntervalEstimator
 from .throughput_models import PadhyeModel
 from .window import WindowController
@@ -59,20 +63,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # -- Jain: timeout-based window scheme ----------------------------------------
 
 
-class _JainWindow(WindowController):
-    """Additive-increase window that ignores dupack loss signals."""
-
-    def on_loss(self, loss_seq: int, last_tx_seq: int,
-                in_flight: Optional[int] = None) -> bool:
-        # Timeout-based control: packet-level loss indications are not
-        # a signal; only the dead ACK clock (on_restart) is.
-        self.losses_ignored += 1
-        return False
-
-
 @register_controller("jain")
-class JainController(WindowBackend):
-    """Jain's timeout-based window scheme behind the contract."""
+class JainController(WindowController):
+    """Jain's timeout-based window scheme: additive increase, and
+    dupack loss signals ignored."""
 
     name = "jain"
     congestion_signals = ("timeout",)
@@ -80,26 +74,35 @@ class JainController(WindowBackend):
     def __init__(self, cc: "CcConfig"):
         # ssthresh=1: no exponential opening phase — the scheme is pure
         # additive increase (one packet per window) from W = 1.
-        super().__init__(_JainWindow(ssthresh=1, max_tokens=cc.max_tokens))
+        super().__init__(ssthresh=1, max_tokens=cc.max_tokens)
+
+    def on_congestion(self, loss_seq: int, last_tx_seq: int,
+                      in_flight: Optional[int], now: float) -> bool:
+        # Timeout-based control: packet-level loss indications are not
+        # a signal; only the dead ACK clock (on_timeout) is.
+        self.losses_ignored += 1
+        return False
 
 
 # -- AIMD with tunable decrease factor ----------------------------------------
 
 
-class _AimdWindow(WindowController):
-    """:class:`WindowController` with a parametric decrease factor."""
+@register_controller("aimd")
+class AimdController(WindowController):
+    """pgmcc's machinery with a tunable decrease factor ``beta``."""
 
-    def __init__(self, beta: float, ssthresh: int,
-                 max_tokens: Optional[float] = None,
-                 adaptive_ssthresh: bool = False):
+    name = "aimd"
+    DEFAULT_BETA = 0.7
+
+    def __init__(self, cc: "CcConfig", beta: float = DEFAULT_BETA):
         if not 0.0 < beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {beta}")
-        super().__init__(ssthresh=ssthresh, max_tokens=max_tokens,
-                         adaptive_ssthresh=adaptive_ssthresh)
+        super().__init__(ssthresh=cc.ssthresh, max_tokens=cc.max_tokens,
+                         adaptive_ssthresh=cc.adaptive_ssthresh)
         self.beta = beta
 
-    def on_loss(self, loss_seq: int, last_tx_seq: int,
-                in_flight: Optional[int] = None) -> bool:
+    def on_congestion(self, loss_seq: int, last_tx_seq: int,
+                      in_flight: Optional[int], now: float) -> bool:
         if self.recovery_seq is not None and loss_seq <= self.recovery_seq:
             self.losses_ignored += 1
             return False
@@ -117,66 +120,7 @@ class _AimdWindow(WindowController):
         return True
 
 
-@register_controller("aimd")
-class AimdController(WindowBackend):
-    """pgmcc's machinery with a tunable decrease factor ``beta``."""
-
-    name = "aimd"
-    congestion_signals = ("dupack", "timeout")
-    DEFAULT_BETA = 0.7
-
-    def __init__(self, cc: "CcConfig", beta: float = DEFAULT_BETA):
-        super().__init__(_AimdWindow(
-            beta=beta,
-            ssthresh=cc.ssthresh,
-            max_tokens=cc.max_tokens,
-            adaptive_ssthresh=cc.adaptive_ssthresh,
-        ))
-
-
 # -- TFRC-equation rate controller --------------------------------------------
-
-
-class _RateWindowView:
-    """The contract's ``window`` view over a rate backend.
-
-    ``w`` is the equivalent window (``rate · RTT`` in packets, floored
-    at 1) so window-denominated telemetry and invariants read
-    something meaningful; ``tokens`` is the pacing bucket.  ``on_loss``
-    routes to the controller so the invariant checker's wrapper sees
-    every congestion reaction exactly as it does for window backends.
-    """
-
-    def __init__(self, controller: "TfrcController"):
-        self._controller = controller
-        self.ignore_acks = 0          # rate backends never deflate via ACKs
-        self.recovery_seq: Optional[int] = None
-        self.losses_reacted = 0
-        self.losses_ignored = 0
-        self.acks_processed = 0
-        self.restarts = 0
-
-    @property
-    def w(self) -> float:
-        c = self._controller
-        return max(1.0, c.rate_pps * (c.srtt if c.srtt is not None
-                                      else c.rtt_fallback))
-
-    @property
-    def tokens(self) -> float:
-        return self._controller._tokens
-
-    @tokens.setter
-    def tokens(self, value: float) -> None:
-        self._controller._tokens = value
-
-    def on_loss(self, loss_seq: int, last_tx_seq: int,
-                in_flight: Optional[int] = None) -> bool:
-        return self._controller._congestion(loss_seq, last_tx_seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<RateWindowView w={self.w:.2f} "
-                f"tokens={self.tokens:.2f}>")
 
 
 @register_controller("tfrc")
@@ -193,7 +137,13 @@ class TfrcController:
         b / rto_rtts: Padhye-equation parameters (packets per ACK,
             RTO in RTTs).
         rtt_fallback: control RTT before the first time-RTT sample.
-        bucket_cap: pacing-bucket burst allowance (packets).
+        bucket_cap: pacing-bucket burst allowance (packets, at
+            least one: a smaller bucket never holds a whole token).
+
+    ``w`` is the equivalent window (``rate · RTT`` in packets, floored
+    at 1) so window-denominated telemetry and invariants read something
+    meaningful; ``tokens`` is the pacing bucket, and ``ignore_acks``
+    stays 0 (a rate backend never deflates through ACKs).
     """
 
     name = "tfrc"
@@ -206,6 +156,8 @@ class TfrcController:
                  rtt_fallback: float = 0.3, bucket_cap: float = 2.0):
         if min_rate_pps <= 0 or max_rate_pps < min_rate_pps:
             raise ValueError("need 0 < min_rate_pps <= max_rate_pps")
+        if bucket_cap < 1.0:
+            raise ValueError(f"bucket_cap must be >= 1, got {bucket_cap}")
         self.model = PadhyeModel(b=b, rto_rtts=rto_rtts)
         self.intervals = LossIntervalEstimator()
         self.min_rate_pps = min_rate_pps
@@ -214,19 +166,26 @@ class TfrcController:
         self.bucket_cap = bucket_cap
         self.rate_pps = min(max(initial_rate_pps, min_rate_pps), max_rate_pps)
         self.srtt: Optional[float] = None
+        self.tokens = 1.0
+        self.ignore_acks = 0
+        self.recovery_seq: Optional[int] = None
+        self.losses_reacted = 0
+        self.losses_ignored = 0
         self.timeouts = 0
-        self._tokens = 1.0
         self._last_refill = 0.0
         self._last_double: Optional[float] = None
-        self.window = _RateWindowView(self)
+
+    @property
+    def w(self) -> float:
+        return max(1.0, self.rate_pps * self._control_rtt())
 
     # -- pacing ------------------------------------------------------------
 
     def _refill(self, now: float) -> None:
         if now > self._last_refill:
-            self._tokens = min(self.bucket_cap,
-                               self._tokens + (now - self._last_refill)
-                               * self.rate_pps)
+            self.tokens = min(self.bucket_cap,
+                              self.tokens + (now - self._last_refill)
+                              * self.rate_pps)
         self._last_refill = max(self._last_refill, now)
 
     #: credit tolerance so a pacing wake-up scheduled at exactly the
@@ -236,11 +195,11 @@ class TfrcController:
 
     @property
     def can_send(self) -> bool:
-        return self._tokens >= 1.0 - self.TOKEN_EPS
+        return self.tokens >= 1.0 - self.TOKEN_EPS
 
     def send_delay(self, now: float) -> Optional[float]:
         self._refill(now)
-        need = 1.0 - self._tokens
+        need = 1.0 - self.tokens
         if need <= self.TOKEN_EPS:
             return 0.0
         return need / self.rate_pps + self.TOKEN_EPS
@@ -249,36 +208,29 @@ class TfrcController:
 
     def on_send(self, seq: int, now: float) -> None:
         self._refill(now)
-        self._tokens = max(0.0, self._tokens - 1.0)
+        self.tokens = max(0.0, self.tokens - 1.0)
 
     def on_ack(self, now: float, in_flight: Optional[int] = None) -> None:
-        self.window.acks_processed += 1
         self.intervals.update(False)
         self._update_rate(now)
 
     def on_congestion(self, loss_seq: int, last_tx_seq: int,
                       in_flight: Optional[int], now: float) -> bool:
-        self._now = now
-        return self.window.on_loss(loss_seq, last_tx_seq, in_flight=in_flight)
-
-    def _congestion(self, loss_seq: int, last_tx_seq: int) -> bool:
-        view = self.window
-        if view.recovery_seq is not None and loss_seq <= view.recovery_seq:
-            view.losses_ignored += 1
+        if self.recovery_seq is not None and loss_seq <= self.recovery_seq:
+            self.losses_ignored += 1
             return False
-        view.losses_reacted += 1
-        view.recovery_seq = last_tx_seq
+        self.losses_reacted += 1
+        self.recovery_seq = last_tx_seq
         self.intervals.update(True)
-        self._update_rate(getattr(self, "_now", self._last_refill))
+        self._update_rate(now)
         return True
 
     def on_timeout(self, now: float) -> None:
         # TFRC's no-feedback timer: halve the allowed rate.
         self.timeouts += 1
-        self.window.restarts += 1
         self.rate_pps = max(self.min_rate_pps, self.rate_pps / 2.0)
-        self._tokens = min(self._tokens, 1.0)
-        self.window.recovery_seq = None
+        self.tokens = min(self.tokens, 1.0)
+        self.recovery_seq = None
         self._last_double = now
 
     def observe_report(self, report: "ReceiverReport",
@@ -287,7 +239,7 @@ class TfrcController:
             self.srtt = srtt
 
     def kick(self, clear_ignore: bool = False) -> None:
-        self._tokens = max(self._tokens, 1.0)
+        self.tokens = max(self.tokens, 1.0)
 
     # -- the equation ------------------------------------------------------
 
@@ -316,12 +268,12 @@ class TfrcController:
             "name": self.name,
             "kind": self.kind,
             "rate_pps": self.rate_pps,
-            "tokens": self._tokens,
+            "tokens": self.tokens,
             "loss_event_rate": self.intervals.loss_rate,
             "srtt": self.srtt,
             "timeouts": self.timeouts,
-            "losses_reacted": self.window.losses_reacted,
-            "losses_ignored": self.window.losses_ignored,
+            "losses_reacted": self.losses_reacted,
+            "losses_ignored": self.losses_ignored,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

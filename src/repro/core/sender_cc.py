@@ -109,10 +109,6 @@ class SenderController:
             self.config,
             **dict(self.config.controller_params),
         )
-        #: the backend's observable window view (a WindowController for
-        #: window backends, an equivalent view for rate backends) —
-        #: telemetry and the invariant checker sample/wrap this.
-        self.window = self.backend.window
         self.tracker = AckTracker(self.config.dupack_threshold)
         self.election = AckerElection(
             c=self.config.c, rtt_mode=self.config.rtt_mode, model=self.config.model
@@ -283,15 +279,20 @@ class SenderController:
 
     # -- stall handling -------------------------------------------------------
 
+    @property
+    def idle(self) -> bool:
+        """Nothing in flight and sending possible (window backends:
+        tokens available; rate backends: pacing will grant credit with
+        time): idle, not stalled.  The stall timer and the liveness
+        watchdog both stand down on it."""
+        return self.tracker.outstanding_count == 0 and (
+            self.backend.kind == "rate" or self.backend.can_send
+        )
+
     def _on_stall_timeout(self) -> None:
         if self.closed:
             return
-        if self.tracker.outstanding_count == 0 and (
-            self.backend.kind == "rate" or self.backend.can_send
-        ):
-            # Nothing in flight and sending possible (window backends:
-            # tokens available; rate backends: pacing will grant credit
-            # with time): idle, not stalled.
+        if self.idle:
             return
         if self.watchdog is not None and self.watchdog.degraded:
             # The liveness watchdog owns recovery in degraded mode: it
@@ -384,6 +385,6 @@ class SenderController:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<SenderController acker={self.current_acker} "
-            f"W={self.window.w:.2f} T={self.window.tokens:.2f} "
+            f"W={self.backend.w:.2f} T={self.backend.tokens:.2f} "
             f"out={self.tracker.outstanding_count}>"
         )

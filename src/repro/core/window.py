@@ -17,11 +17,20 @@ threshold (6 packets) to get past the dupack threshold quickly; ``W``
 realigned to the true number of packets in flight before halving; and
 no reaction to further congestion events for one RTT (implemented by
 recording the most recently transmitted sequence number).
+
+:class:`WindowController` is also the ``pgmcc`` backend of the
+:mod:`repro.core.controller` contract: its events are the contract's
+``on_send`` / ``on_ack`` / ``on_congestion`` / ``on_timeout``, and the
+other window backends (``jain``, ``aimd``) are subclasses that
+override ``on_congestion``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .reports import ReceiverReport
 
 #: Fixed slow-start threshold (§3.4): exponential opening up to 6 packets.
 DEFAULT_SSTHRESH = 6
@@ -33,8 +42,17 @@ class WindowController:
     """pgmcc's TCP-like AIMD controller run against the acker.
 
     The controller is a pure state machine: the surrounding sender
-    feeds it ACK/loss/transmit events and asks :attr:`can_send`.
+    feeds it send/ACK/loss/timeout events and asks :meth:`send_delay`.
+    ``send_delay`` is binary for a window backend: either a token is
+    available now, or the ACK clock must reopen the window (``None`` --
+    there is no time at which sending becomes legal without feedback).
     """
+
+    name = "pgmcc"
+    kind = "window"
+    #: which signals this backend reduces its output on; the
+    #: conformance suite checks each declared signal.
+    congestion_signals: tuple[str, ...] = ("dupack", "timeout")
 
     def __init__(
         self,
@@ -70,8 +88,8 @@ class WindowController:
 
     # -- events ------------------------------------------------------------
 
-    def on_restart(self) -> None:
-        """Session start, or restart after a stall: ``W = T = 1``."""
+    def on_timeout(self, now: float) -> None:
+        """Restart after a stall: ``W = T = 1``."""
         self.w = 1.0
         self.tokens = 1.0
         self.ignore_acks = 0
@@ -79,7 +97,7 @@ class WindowController:
         # adaptive ssthresh deliberately survives the restart (§3.4)
         self.restarts += 1
 
-    def on_transmit(self) -> None:
+    def on_send(self, seq: int, now: float) -> None:
         """Consume one token for a data packet."""
         if self.tokens < 1.0:
             raise RuntimeError(f"transmit without a token (T={self.tokens:.3f})")
@@ -89,7 +107,10 @@ class WindowController:
     def can_send(self) -> bool:
         return self.tokens >= 1.0
 
-    def on_ack(self) -> None:
+    def send_delay(self, now: float) -> Optional[float]:
+        return 0.0 if self.can_send else None
+
+    def on_ack(self, now: float, in_flight: Optional[int] = None) -> None:
         """Process one acceptable ACK (a new highest ``ack_seq``)."""
         self.acks_processed += 1
         if self.ignore_acks > 0:
@@ -108,11 +129,12 @@ class WindowController:
         if self.max_tokens is not None and self.tokens > self.max_tokens:
             self.tokens = self.max_tokens
 
-    def on_loss(
+    def on_congestion(
         self,
         loss_seq: int,
         last_tx_seq: int,
-        in_flight: Optional[int] = None,
+        in_flight: Optional[int],
+        now: float,
     ) -> bool:
         """React to a detected loss.
 
@@ -125,6 +147,7 @@ class WindowController:
                 ``rxw_lead`` (``last_tx_seq - rxw_lead``); used to
                 realign ``W`` before halving so estimation errors do
                 not accumulate (§3.4).
+            now: simulated time (unused by the window rules).
 
         Returns:
             True if the controller reacted, False if the loss fell
@@ -145,13 +168,28 @@ class WindowController:
         self.recovery_seq = last_tx_seq
         return True
 
-    def snapshot(self) -> dict:
-        """State dict for traces/tests."""
+    def observe_report(self, report: "ReceiverReport",
+                       srtt: Optional[float], now: float) -> None:
+        pass  # window backends are clocked purely by ACK arrivals
+
+    def kick(self, clear_ignore: bool = False) -> None:
+        """Restart a dead ACK clock: make one send possible now."""
+        self.tokens = max(self.tokens, 1.0)
+        if clear_ignore:
+            self.ignore_acks = 0
+
+    def state_summary(self) -> dict:
         return {
+            "name": self.name,
+            "kind": self.kind,
             "w": self.w,
             "tokens": self.tokens,
             "ignore_acks": self.ignore_acks,
             "recovery_seq": self.recovery_seq,
+            "acks_processed": self.acks_processed,
+            "losses_reacted": self.losses_reacted,
+            "losses_ignored": self.losses_ignored,
+            "restarts": self.restarts,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -123,7 +123,7 @@ def _run_mode(mode: str, n: int, subtrees: int, duration: float, seed: int,
     samples: list[float] = []
 
     def sample() -> None:
-        samples.append(round(session.sender.controller.window.w, 3))
+        samples.append(round(session.sender.controller.backend.w, 3))
         if net.sim.now < duration:
             net.sim.schedule(0.25, sample)
 

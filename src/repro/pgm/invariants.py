@@ -145,7 +145,7 @@ class InvariantChecker:
         self._wrap(controller, "register_data", self._wrap_register_data)
         self._wrap(controller, "on_ack", self._wrap_on_ack)
         self._wrap(controller, "on_nak", self._wrap_on_nak)
-        self._wrap(controller.window, "on_loss", self._wrap_on_loss)
+        self._wrap(controller.backend, "on_congestion", self._wrap_on_congestion)
         for rx in self.session.receivers:
             self._wrap_receiver(rx)
         self._tick_event = self.sim.schedule(CHECK_INTERVAL, self._tick)
@@ -221,7 +221,7 @@ class InvariantChecker:
             self._resync_after_stall(controller)
             elicit = original(seq)
             self._in_flight += 1
-            window = controller.window
+            window = controller.backend
             if window.tokens < -1e-9:
                 self._violate("token-accounting",
                               f"tokens went negative: {window.tokens:.6f}")
@@ -248,7 +248,7 @@ class InvariantChecker:
                 self._in_feedback -= 1
             self._resync_after_stall(controller)
             self._in_flight -= len(digest.newly_acked) + len(digest.losses_declared)
-            self._check_window(controller.window)
+            self._check_window(controller.backend)
             if self._in_feedback == 0:
                 self._check_ledger(controller, f"after ACK {ack_seq}")
             self._check_quarantine(f"after ACK {ack_seq}")
@@ -265,7 +265,7 @@ class InvariantChecker:
                     f"NAK report claims lead {report.rxw_lead} beyond "
                     f"last transmitted {controller.last_tx_seq}",
                 )
-            window = controller.window
+            window = controller.backend
             w_before = window.w
             reacted_before = window.losses_reacted
             ignore_before = window.ignore_acks
@@ -296,10 +296,10 @@ class InvariantChecker:
 
         return on_nak
 
-    def _wrap_on_loss(self, original):
-        def on_loss(loss_seq: int, last_tx_seq: int, in_flight=None):
-            window = self.session.sender.controller.window
-            reacted = original(loss_seq, last_tx_seq, in_flight=in_flight)
+    def _wrap_on_congestion(self, original):
+        def on_congestion(loss_seq: int, last_tx_seq: int, in_flight, now: float):
+            window = self.session.sender.controller.backend
+            reacted = original(loss_seq, last_tx_seq, in_flight, now)
             if reacted:
                 prev = self._last_reaction_recovery
                 if prev is not None and loss_seq <= prev:
@@ -314,7 +314,7 @@ class InvariantChecker:
                                   f"W fell below 1 after halving: {window.w:.6f}")
             return reacted
 
-        return on_loss
+        return on_congestion
 
     def _wrap_receiver(self, rx: "PgmReceiver") -> None:
         if id(rx) in self._wrapped_receivers:
@@ -386,7 +386,7 @@ class InvariantChecker:
                     )
         controller = self.session.sender.controller
         self._resync_after_stall(controller)
-        self._check_window(controller.window)
+        self._check_window(controller.backend)
         self._check_quarantine("periodic sweep")
         self._check_aggregate(controller)
         # Receivers that joined after attach get wrapped here.

@@ -165,14 +165,9 @@ class LivenessWatchdog:
     def _on_timeout(self) -> None:
         if self.closed or self.controller.closed or self.state == DEGRADED:
             return
-        tracker = self.controller.tracker
-        backend = self.controller.backend
-        if tracker.outstanding_count == 0 and (
-            backend.kind == "rate" or backend.can_send
-        ):
-            # Idle, not dead: nothing in flight and sending possible —
-            # mirror the stall timer's idle rule and stand down until
-            # the next transmission re-arms us.
+        if self.controller.idle:
+            # Idle, not dead: stand down until the next transmission
+            # re-arms us.
             return
         if self.state == NORMAL:
             self._transition(SUSPECT)

@@ -403,7 +403,7 @@ class PgmSender:
         self.trace.log(self.sim.now, "ack", ack.ack_seq, int(clean))
         if digest.reacted or self.acks_received % self.WINDOW_SAMPLE_EVERY == 0:
             self.trace.log(
-                self.sim.now, "window", int(self.controller.window.w * 100)
+                self.sim.now, "window", int(self.controller.backend.w * 100)
             )
         if digest.reacted:
             self.trace.log(self.sim.now, "cc-loss", ack.ack_seq)

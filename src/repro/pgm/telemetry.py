@@ -308,8 +308,8 @@ def bind_session_metrics(session: "PgmSession") -> None:
     def max_loss() -> float:
         return max((rx.loss_rate for rx in receivers), default=0.0)
 
-    bind("cc.window_w", lambda: controller.window.w, kind="gauge")
-    bind("cc.tokens", lambda: controller.window.tokens, kind="gauge")
+    bind("cc.window_w", lambda: controller.backend.w, kind="gauge")
+    bind("cc.tokens", lambda: controller.backend.tokens, kind="gauge")
     bind("cc.srtt_s", lambda: controller.srtt or 0.0, kind="gauge")
     bind("rx.count", lambda: len(receivers), kind="gauge")
     bind("rx.max_loss_rate", max_loss, kind="gauge")
@@ -332,7 +332,7 @@ def bind_session_metrics(session: "PgmSession") -> None:
     registry.add_view(log_view)
 
     probe = TimeSeriesProbe(sim, registry, DEFAULT_PROBE_INTERVAL)
-    probe.sample("cc.window", lambda: controller.window.w)
-    probe.sample("cc.tokens", lambda: controller.window.tokens)
+    probe.sample("cc.window", lambda: controller.backend.w)
+    probe.sample("cc.tokens", lambda: controller.backend.tokens)
     probe.sample("rx.max_loss_rate", max_loss)
     probe.start()

@@ -22,7 +22,7 @@ class TestTransmitAccounting:
     def test_first_packet_carries_elicit_mark(self):
         _, ctl = make()
         assert ctl.register_data(0) is True
-        ctl.window.tokens = 1.0
+        ctl.backend.tokens = 1.0
         assert ctl.register_data(1) is False
 
     def test_non_monotonic_sequence_rejected(self):
@@ -55,48 +55,48 @@ class TestAckProcessing:
     def test_each_newly_acked_is_one_window_event(self):
         sim, ctl = make()
         ctl.register_data(0)
-        ctl.window.tokens = 2.0
+        ctl.backend.tokens = 2.0
         ctl.register_data(1)
         ctl.register_data(2)
         # single ACK covering all three
         digest = ctl.on_ack(*ack_for(ctl, 2, {0, 1, 2}))
         assert digest.newly_acked == [0, 1, 2]
-        assert ctl.window.acks_processed == 3
+        assert ctl.backend.acks_processed == 3
 
     def test_loss_detection_halves_window(self):
         sim, ctl = make()
         received = set()
-        ctl.window.tokens = 10.0
+        ctl.backend.tokens = 10.0
         for s in range(8):
             ctl.register_data(s)
-        ctl.window.w = 8.0
+        ctl.backend.w = 8.0
         received = {0, 2, 3, 4, 5, 6, 7}  # 1 lost
         reacted = False
         for s in (2, 3, 4):
             digest = ctl.on_ack(*ack_for(ctl, s, received))
             reacted = reacted or digest.reacted
         assert reacted
-        assert ctl.window.w < 8.0
+        assert ctl.backend.w < 8.0
 
     def test_in_flight_realignment_uses_rxw_lead(self):
         sim, ctl = make()
-        ctl.window.tokens = 50.0
+        ctl.backend.tokens = 50.0
         for s in range(30):
             ctl.register_data(s)
-        ctl.window.w = 25.0
+        ctl.backend.w = 25.0
         # acker has everything up to 27 except 1: in_flight = 29-27 = 2
         received = set(range(30)) - {1}
         rep = ReceiverReport("r1", 27, 0)
         for s in (2, 3, 4):
             ctl.on_ack(s, build_bitmap(s, received), rep)
         # realigned to 2 then halved -> 1
-        assert ctl.window.w == 1.0
+        assert ctl.backend.w == 1.0
 
     def test_ack_refreshes_election_state(self):
         sim, ctl = make()
         ctl.register_data(0)
         ctl.on_nak(ReceiverReport("r1", 0, 0))
-        ctl.window.tokens = 5
+        ctl.backend.tokens = 5
         for s in range(1, 4):
             ctl.register_data(s)
         ctl.on_ack(*ack_for(ctl, 3, {0, 1, 2, 3}, loss=77))
@@ -126,18 +126,18 @@ class TestElectionIntegration:
         ctl.on_nak(ReceiverReport("r1", 0, 0))
         ctl.register_data(1)
         assert not ctl.can_send
-        tokens = ctl.window.tokens
+        tokens = ctl.backend.tokens
         ctl.on_nak(ReceiverReport("r2", 0, 60000))  # much slower -> switch
         assert ctl.current_acker == "r2"
-        assert ctl.window.tokens == tokens
+        assert ctl.backend.tokens == tokens
 
     def test_switch_preserves_window_state(self):
         sim, ctl = make()
         ctl.register_data(0)
         ctl.on_nak(ReceiverReport("r1", 0, 0))
-        ctl.window.w = 12.0
+        ctl.backend.w = 12.0
         ctl.on_nak(ReceiverReport("r2", 0, 60000))
-        assert ctl.window.w == 12.0
+        assert ctl.backend.w == 12.0
 
     def test_cc_disabled_ignores_naks(self):
         _, ctl = make(enabled=False)
@@ -155,7 +155,7 @@ class TestAckerHandover:
         sim, ctl = make()
         ctl.register_data(0)
         ctl.on_nak(ReceiverReport("old", 0, 0))
-        ctl.window.tokens = 3.0
+        ctl.backend.tokens = 3.0
         ctl.register_data(1)
         ctl.register_data(2)
         # switch to a much slower receiver
@@ -164,7 +164,7 @@ class TestAckerHandover:
         # ACK arriving from the *old* acker for in-flight packets
         digest = ctl.on_ack(*ack_for(ctl, 1, {0, 1}, rx="old"))
         assert digest.newly_acked == [0, 1]
-        assert ctl.window.acks_processed >= 2
+        assert ctl.backend.acks_processed >= 2
 
     def test_new_acker_bitmap_holes_signal_congestion(self):
         """§4.4: after a switch, congestion shows up as holes in the
@@ -172,10 +172,10 @@ class TestAckerHandover:
         sim, ctl = make()
         ctl.register_data(0)
         ctl.on_nak(ReceiverReport("old", 0, 0))
-        ctl.window.tokens = 10.0
+        ctl.backend.tokens = 10.0
         for seq in range(1, 8):
             ctl.register_data(seq)
-        ctl.window.w = 8.0
+        ctl.backend.w = 8.0
         ctl.on_nak(ReceiverReport("new", 2, 60000))
         # the new acker missed packet 3
         received = {0, 1, 2, 4, 5, 6, 7}
@@ -187,7 +187,7 @@ class TestAckerHandover:
             )
             reacted = reacted or digest.reacted
         assert reacted
-        assert ctl.window.w < 8.0
+        assert ctl.backend.w < 8.0
 
 
 class TestStallHandling:
@@ -196,7 +196,7 @@ class TestStallHandling:
         ctl.register_data(0)  # no ACK will come
         sim.run(until=30.0)
         assert ctl.stalls >= 1
-        assert ctl.window.tokens >= 1.0
+        assert ctl.backend.tokens >= 1.0
 
     def test_repeated_stalls_requests_fresh_election(self):
         sim, ctl = make()

@@ -11,37 +11,37 @@ class TestIgnoreWindowInteraction:
         the post-halving window size."""
         ctl = WindowController(ssthresh=1)
         ctl.w = 20.0
-        ctl.on_loss(1, 30)
+        ctl.on_congestion(1, 30, None, 0.0)
         assert ctl.w == 10.0
         assert ctl.ignore_acks == 10
 
     def test_back_to_back_reactions_compound(self):
         ctl = WindowController(ssthresh=1)
         ctl.w = 32.0
-        ctl.on_loss(10, 20)
-        ctl.on_ack()  # drains one ignored ack
-        ctl.on_loss(25, 40)  # past recovery point 20 -> new reaction
+        ctl.on_congestion(10, 20, None, 0.0)
+        ctl.on_ack(0.0)  # drains one ignored ack
+        ctl.on_congestion(25, 40, None, 0.0)  # past recovery point 20 -> new reaction
         assert ctl.w == 8.0
 
     def test_ignored_acks_then_growth_resumes(self):
         ctl = WindowController(ssthresh=1)
         ctl.w = 8.0
-        ctl.on_loss(1, 10)
+        ctl.on_congestion(1, 10, None, 0.0)
         for _ in range(ctl.ignore_acks):
-            ctl.on_ack()
+            ctl.on_ack(0.0)
         w = ctl.w
         tokens = ctl.tokens
-        ctl.on_ack()
+        ctl.on_ack(0.0)
         assert ctl.w > w
         assert ctl.tokens > tokens
 
     def test_restart_clears_ignore_state(self):
         ctl = WindowController(ssthresh=1)
         ctl.w = 16.0
-        ctl.on_loss(1, 10)
-        ctl.on_restart()
+        ctl.on_congestion(1, 10, None, 0.0)
+        ctl.on_timeout(0.0)
         assert ctl.ignore_acks == 0
-        ctl.on_ack()
+        ctl.on_ack(0.0)
         assert ctl.tokens > 1.0  # acks count again immediately
 
 
@@ -49,17 +49,17 @@ class TestRecoveryWindow:
     def test_boundary_sequence_is_inside_recovery(self):
         ctl = WindowController(ssthresh=1)
         ctl.w = 8.0
-        ctl.on_loss(5, 20)
+        ctl.on_congestion(5, 20, None, 0.0)
         # a loss exactly at the recorded last_tx_seq is the same event
-        assert not ctl.on_loss(20, 25)
-        assert ctl.on_loss(21, 30)
+        assert not ctl.on_congestion(20, 25, None, 0.0)
+        assert ctl.on_congestion(21, 30, None, 0.0)
 
     def test_restart_clears_recovery(self):
         ctl = WindowController(ssthresh=1)
         ctl.w = 8.0
-        ctl.on_loss(5, 20)
-        ctl.on_restart()
-        assert ctl.on_loss(6, 21)  # reacts again after restart
+        ctl.on_congestion(5, 20, None, 0.0)
+        ctl.on_timeout(0.0)
+        assert ctl.on_congestion(6, 21, None, 0.0)  # reacts again after restart
 
 
 class TestAdaptiveVsFixedGrowthPaths:
@@ -67,8 +67,8 @@ class TestAdaptiveVsFixedGrowthPaths:
         fixed = WindowController(ssthresh=6)
         adaptive = WindowController(adaptive_ssthresh=True)
         for _ in range(40):
-            fixed.on_ack()
-            adaptive.on_ack()
+            fixed.on_ack(0.0)
+            adaptive.on_ack(0.0)
         # fixed: 6 exponential steps then ~34 linear ones; adaptive:
         # still in slow start, one per ack
         assert adaptive.w == pytest.approx(41.0)
@@ -77,13 +77,13 @@ class TestAdaptiveVsFixedGrowthPaths:
     def test_adaptive_threshold_tracks_each_halving(self):
         ctl = WindowController(adaptive_ssthresh=True)
         ctl.w = 64.0
-        ctl.on_loss(1, 10, in_flight=64)
+        ctl.on_congestion(1, 10, 64, 0.0)
         assert ctl.ssthresh == 32.0
-        ctl.on_loss(11, 20, in_flight=32)
+        ctl.on_congestion(11, 20, 32, 0.0)
         assert ctl.ssthresh == 16.0
 
     def test_adaptive_floor_two(self):
         ctl = WindowController(adaptive_ssthresh=True)
         ctl.w = 1.5
-        ctl.on_loss(1, 10)
+        ctl.on_congestion(1, 10, None, 0.0)
         assert ctl.ssthresh == 2.0

@@ -64,13 +64,13 @@ class TestBottleneckFlap:
 
         # snapshot (W, T) immediately after every restart
         restart_states = []
-        original = ctl.window.on_restart
+        original = ctl.backend.on_timeout
 
-        def on_restart():
-            original()
-            restart_states.append((ctl.window.w, ctl.window.tokens))
+        def on_timeout(now):
+            original(now)
+            restart_states.append((ctl.backend.w, ctl.backend.tokens))
 
-        ctl.window.on_restart = on_restart
+        ctl.backend.on_timeout = on_timeout
         net.run(until=40.0)
 
         assert ctl.stalls >= 1

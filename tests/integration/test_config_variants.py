@@ -43,7 +43,7 @@ class TestTokenCap:
         net.run(until=30.0)
         # the session still works; tokens never exceed the cap
         assert session.throughput_bps(10, 30) > 200_000
-        assert session.sender.controller.window.tokens <= 2.0
+        assert session.sender.controller.backend.tokens <= 2.0
 
 
 class TestTimeRttSession:

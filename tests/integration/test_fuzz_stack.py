@@ -72,8 +72,8 @@ class TestStackFuzz:
 
         # controller invariants
         ctl = session.sender.controller
-        assert ctl.window.w >= 1.0
-        assert ctl.window.ignore_acks >= 0
+        assert ctl.backend.w >= 1.0
+        assert ctl.backend.ignore_acks >= 0
         assert ctl.tracker.outstanding_count >= 0
 
         # conservation on every link after a drain period

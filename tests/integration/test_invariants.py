@@ -106,12 +106,12 @@ class TestWindowControllerFuzz:
         seq = 0
         for event in events:
             if event == "ack":
-                ctl.on_ack()
+                ctl.on_ack(0.0)
             elif event == "loss":
                 seq += 5
-                ctl.on_loss(seq, seq + 3, in_flight=max(1, int(ctl.w)))
+                ctl.on_congestion(seq, seq + 3, max(1, int(ctl.w)), 0.0)
             else:
-                ctl.on_restart()
+                ctl.on_timeout(0.0)
             assert ctl.w >= 1.0
             assert ctl.ignore_acks >= 0
             assert ctl.tokens < 1e6
@@ -128,10 +128,10 @@ class TestWindowControllerFuzz:
             if is_ack:
                 before_w = ctl.w
                 accepted = ctl.ignore_acks == 0
-                ctl.on_ack()
+                ctl.on_ack(0.0)
                 if accepted:
                     credit += 1.0 + 1.0 / max(before_w, 1.0)
             else:
                 seq += 1
-                ctl.on_loss(seq, seq + 1)
+                ctl.on_congestion(seq, seq + 1, None, 0.0)
             assert ctl.tokens <= credit + 1e-9

@@ -17,33 +17,33 @@ class TestAdaptiveSsthresh:
     def test_loss_sets_half_window(self):
         ctl = WindowController(adaptive_ssthresh=True)
         ctl.w = 40.0
-        ctl.on_loss(1, 100, in_flight=40)
+        ctl.on_congestion(1, 100, 40, 0.0)
         assert ctl.ssthresh == pytest.approx(20.0)
 
     def test_survives_restart(self):
         """§3.4: TCP's adaptive threshold persists across stalls."""
         ctl = WindowController(adaptive_ssthresh=True)
         ctl.w = 40.0
-        ctl.on_loss(1, 100, in_flight=40)
-        ctl.on_restart()
+        ctl.on_congestion(1, 100, 40, 0.0)
+        ctl.on_timeout(0.0)
         assert ctl.ssthresh == pytest.approx(20.0)
         assert ctl.w == 1.0
 
     def test_fixed_mode_unchanged(self):
         ctl = WindowController(ssthresh=6)
         ctl.w = 40.0
-        ctl.on_loss(1, 100, in_flight=40)
+        ctl.on_congestion(1, 100, 40, 0.0)
         assert ctl.ssthresh == 6
 
     def test_exponential_reopening_after_restart(self):
         ctl = WindowController(adaptive_ssthresh=True)
         ctl.w = 32.0
-        ctl.on_loss(1, 100, in_flight=32)  # ssthresh 16
-        ctl.on_restart()
+        ctl.on_congestion(1, 100, 32, 0.0)  # ssthresh 16
+        ctl.on_timeout(0.0)
         for _ in range(15):
-            ctl.on_ack()
+            ctl.on_ack(0.0)
         assert ctl.w == pytest.approx(16.0)
-        ctl.on_ack()
+        ctl.on_ack(0.0)
         assert ctl.w == pytest.approx(16.0 + 1 / 16.0)
 
     def test_session_runs_with_adaptive_ssthresh(self):

@@ -49,25 +49,25 @@ def hybrid_session(strict):
 
 def leaked_token(monkeypatch, strict):
     """Every transmission spends a second token."""
-    spend = WindowController.on_transmit
+    spend = WindowController.on_send
 
-    def leaky(self):
-        spend(self)
+    def leaky(self, seq, now):
+        spend(self, seq, now)
         self.tokens -= 1.0
 
-    monkeypatch.setattr(WindowController, "on_transmit", leaky)
+    monkeypatch.setattr(WindowController, "on_send", leaky)
     return (*small_session(strict), 2.0)
 
 
 def double_halving(monkeypatch, strict):
     """A loss inside the recovery window halves the window again."""
-    react = WindowController.on_loss
+    react = WindowController.on_congestion
 
-    def forgetful(self, loss_seq, last_tx_seq, in_flight=None):
+    def forgetful(self, loss_seq, last_tx_seq, in_flight, now):
         self.recovery_seq = None
-        return react(self, loss_seq, last_tx_seq, in_flight)
+        return react(self, loss_seq, last_tx_seq, in_flight, now)
 
-    monkeypatch.setattr(WindowController, "on_loss", forgetful)
+    monkeypatch.setattr(WindowController, "on_congestion", forgetful)
     lossy = LinkSpec(rate_bps=1_000_000, delay=0.02, queue_slots=40,
                      loss_rate=0.05)
     return (*small_session(strict, bottleneck=lossy), 10.0)
@@ -106,7 +106,8 @@ def reaction_on_switch(monkeypatch, strict):
     def reacting(self, report):
         switched = elect(self, report)
         if switched:
-            self.window.on_loss(self.last_tx_seq, self.last_tx_seq)
+            self.backend.on_congestion(self.last_tx_seq, self.last_tx_seq,
+                                       None, self.sim.now)
         return switched
 
     monkeypatch.setattr(SenderController, "on_nak", reacting)

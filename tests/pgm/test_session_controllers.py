@@ -51,7 +51,7 @@ def test_controller_params_flow_through_config():
     session, summary = run_session("aimd", controller_params={"beta": 0.85})
     # a mapping is stored as the sorted tuple the cache keys hash
     assert session.config.cc.controller_params == (("beta", 0.85),)
-    assert session.sender.controller.backend.window.beta == 0.85
+    assert session.sender.controller.backend.beta == 0.85
     assert summary["controller"] == "aimd"
 
 
@@ -85,8 +85,8 @@ def test_default_session_still_pgmcc():
 
 @pytest.mark.parametrize("name", controller_names())
 def test_telemetry_binds_for_every_backend(name):
-    """The metric surface (gauges + probe series over window.w/tokens)
-    must work for rate backends' synthesized views too."""
+    """The metric surface (gauges + probe series over the backend's
+    w/tokens) must work for rate backends' equivalent window too."""
     session, _ = run_session(name, until=8.0)
     export = session.metrics.export()
     assert export["meta"]["controller"] == name
@@ -96,3 +96,4 @@ def test_telemetry_binds_for_every_backend(name):
     series = export["series"]
     assert series["cc.window"]["count"] > 0
     assert series["cc.window"]["points"]
+    assert series["cc.tokens"]["count"] == series["cc.window"]["count"]

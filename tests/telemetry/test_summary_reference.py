@@ -122,7 +122,7 @@ def reference_summary(self) -> dict:
         "acker_switches": self.acker_switches,
         "acker_evictions": controller.acker_evictions,
         "stalls": controller.stalls,
-        "window": controller.window.w,
+        "window": controller.backend.w,
         "controller": controller.backend.name,
         "controller_state": controller.backend.state_summary(),
         "malformed_dropped": _malformed_dropped(self),
